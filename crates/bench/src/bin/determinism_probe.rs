@@ -3,18 +3,27 @@
 //! byte. Any dependence of results on the worker-thread count shows up
 //! as a digest mismatch.
 //!
+//! The output is also pinned to the committed golden
+//! `crates/bench/determinism_probe.golden`, so a change that moves
+//! results the same way at every thread count fails too. Re-record the
+//! golden only for an intended model change.
+//!
 //! Usage (the CI `determinism` job):
 //!
 //! ```sh
 //! RAYON_NUM_THREADS=1 determinism_probe > t1.txt
 //! RAYON_NUM_THREADS=8 determinism_probe > t8.txt
 //! cmp t1.txt t8.txt
+//! diff t1.txt crates/bench/determinism_probe.golden
 //! ```
 
 use tscache_core::hierarchy::TraceOp;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
-use tscache_interference::{run_contended_segment, CoRunner, ContentionConfig, SystemConfig};
+use tscache_interference::{
+    execute, CoRunner, ContentionConfig, CoreReport, CoreRun, EngineScratch, InterferenceOutcome,
+    SystemConfig,
+};
 use tscache_sca::bernstein::run_attack;
 use tscache_sca::detect::{run_detection_campaign, DetectTarget, DetectionCampaignConfig};
 use tscache_sca::evict_time::run_evict_time;
@@ -57,10 +66,16 @@ fn main() {
     d.f64(et.detection_rate);
     println!("evict_time {:016x}", d.0);
 
-    // Bernstein sampling pair on both hierarchy depths.
+    // Bernstein sampling pair on both hierarchy depths. Frequent
+    // reseeds from a cold start keep first touches missing down the
+    // hierarchy, so the L3 line digests a walk that reaches the L3 (a
+    // warm default campaign never misses the L2, and the two lines
+    // would digest the same samples).
     for depth in HierarchyDepth::ALL {
         let mut cfg = SamplingConfig::standard(SetupKind::Mbpta, 1500, 0xd1);
         cfg.depth = depth;
+        cfg.reseed_every = 64;
+        cfg.warmup_jobs = 0;
         let (a, v) = collect_pair(cfg, &[7u8; 16], &[13u8; 16]);
         let mut d = Digest::new();
         for s in a.iter().chain(&v) {
@@ -119,18 +134,17 @@ fn main() {
             co.swap(0, 1);
         }
         let trace = TraceOp::mixed_trace(0x22, 600, 1 << 18);
-        let mut events = Vec::new();
-        run_contended_segment(
-            &mut h,
-            ProcessId::new(1),
-            &trace,
+        execute(
+            &mut [CoreRun { hierarchy: &mut h, pid: ProcessId::new(1), ops: &trace }],
             &mut co,
+            None,
             &SystemConfig::default(),
-            &mut events,
+            None,
+            &mut EngineScratch::default(),
         )
     };
     let (plain, swapped) = (segment(false), segment(true));
-    let invariant = |r: &tscache_interference::CoreReport| {
+    let invariant = |r: &CoreReport| {
         (r.ops, r.base_cycles, r.mem_reads, r.mem_writebacks, r.mshr_stall_cycles, r.mshr_coalesced)
     };
     // Only the measured core's cache/MSHR outcomes are ordering-
@@ -138,13 +152,13 @@ fn main() {
     // the interleaving, since the loop stops with the primary); the
     // engine-level per-core invariance is pinned by the unit suite.
     assert_eq!(
-        invariant(&plain.primary),
-        invariant(&swapped.primary),
+        invariant(&plain.cores[0]),
+        invariant(&swapped.cores[0]),
         "core ordering leaked into the measured core's cache/MSHR outcomes"
     );
     let mut d = Digest::new();
-    d.u64(plain.primary.cycles);
-    d.u64(plain.primary.bus_wait);
+    d.u64(plain.cores[0].cycles);
+    d.u64(plain.cores[0].bus_wait);
     d.u64(plain.bus.transactions);
     println!("contended_core_order {:016x}", d.0);
 
@@ -175,10 +189,8 @@ fn main() {
     // unpartitioned shared LLC the interleaving legitimately shifts
     // shared-level contents, so only determinism (the digest) is
     // pinned there.
-    let shared_segment = |swap: bool, partitioned: bool| {
+    let shared_segment = |swap: bool, partitioned: bool| -> InterferenceOutcome {
         use tscache_core::addr::Addr;
-        use tscache_core::hierarchy::LlcRequests;
-        use tscache_core::setup::HierarchyDepth;
         let mk_enemy = |salt: u64| {
             let mut h = SetupKind::TsCache.build_private(HierarchyDepth::TwoLevel, 77 + salt);
             h.set_process_seed(ProcessId::new(9 + salt as u16), Seed::new(13 + salt));
@@ -190,7 +202,7 @@ fn main() {
                         addr: Addr::new(op.addr.as_u64() + ((1 + salt) << 25)),
                     })
                     .collect();
-            tscache_interference::CoRunner::new(h, ProcessId::new(9 + salt as u16), ops)
+            CoRunner::new(h, ProcessId::new(9 + salt as u16), ops)
         };
         let mut h = SetupKind::TsCache.build_private(HierarchyDepth::TwoLevel, 1);
         h.set_process_seed(ProcessId::new(1), Seed::new(6));
@@ -208,38 +220,34 @@ fn main() {
             co.swap(0, 1);
         }
         let trace = TraceOp::mixed_trace(0x22, 600, 1 << 18);
-        let mut events = Vec::new();
-        let mut requests = LlcRequests::default();
-        tscache_interference::run_contended_segment_shared(
-            &mut h,
-            ProcessId::new(1),
-            &trace,
+        execute(
+            &mut [CoreRun { hierarchy: &mut h, pid: ProcessId::new(1), ops: &trace }],
             &mut co,
-            &mut llc,
+            Some(&mut llc),
             &SystemConfig::default(),
-            &mut events,
-            &mut requests,
+            None,
+            &mut EngineScratch::default(),
         )
     };
     for partitioned in [false, true] {
         let (plain, swapped) =
             (shared_segment(false, partitioned), shared_segment(true, partitioned));
+        let bus_transactions = plain.bus.transactions;
+        let (plain, swapped) = (plain.cores[0], swapped.cores[0]);
         if partitioned {
-            let iso = |r: &tscache_interference::CoreReport| {
-                (r.ops, r.base_cycles, r.mem_reads, r.mem_writebacks)
-            };
+            let iso = |r: &CoreReport| (r.ops, r.base_cycles, r.mem_reads, r.mem_writebacks);
             assert_eq!(
-                iso(&plain.primary),
-                iso(&swapped.primary),
+                iso(&plain),
+                iso(&swapped),
                 "core ordering reached a fully partitioned core's shared-level outcomes"
             );
         }
         let mut d = Digest::new();
-        d.u64(plain.primary.cycles);
-        d.u64(plain.primary.base_cycles);
-        d.u64(swapped.primary.cycles);
-        d.u64(swapped.primary.base_cycles);
-        d.u64(plain.bus.transactions);
+        d.u64(plain.cycles);
+        d.u64(plain.base_cycles);
+        d.u64(swapped.cycles);
+        d.u64(swapped.base_cycles);
+        d.u64(bus_transactions);
         let tag = if partitioned { "partitioned" } else { "open" };
         println!("shared_llc_core_order_{tag} {:016x}", d.0);
     }

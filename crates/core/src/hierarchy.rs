@@ -941,62 +941,13 @@ impl Hierarchy {
     /// fill proceeds to the next level), where it silently re-dirties a
     /// present copy or cascades further, ultimately to memory.
     pub fn access_detailed(&mut self, pid: ProcessId, kind: AccessKind, addr: Addr) -> OpTiming {
-        if kind == AccessKind::Flush {
-            let line = self.l1d.geometry().line_of(addr);
-            let inv = self.invalidate_line(pid, line);
-            // Flush costs its issue slot; drained dirty copies are
-            // forced to memory (bus writes in contended runs).
-            return OpTiming {
-                cycles: self.l1_hit,
-                miss_mask: 0,
-                mem_writebacks: inv.dirty.min(u8::MAX as u32) as u8,
-            };
+        let mut escaped = 0u8;
+        let up = self.walk_op(pid, kind, addr, 0, |_| escaped += 1);
+        OpTiming {
+            cycles: up.cycles + if up.fill.is_some() { self.memory } else { 0 },
+            miss_mask: up.miss_mask,
+            mem_writebacks: up.mem_writebacks + escaped,
         }
-        let write = kind == AccessKind::Write;
-        let l1 = match kind {
-            AccessKind::Fetch => &mut self.l1i,
-            AccessKind::Read | AccessKind::Write => &mut self.l1d,
-            AccessKind::Flush => unreachable!(),
-        };
-        let line = l1.geometry().line_of(addr);
-        let mut timing = OpTiming { cycles: self.l1_hit, miss_mask: 0, mem_writebacks: 0 };
-        let out = l1.access_rw(pid, line, write);
-        if let AccessOutcome::Miss { evicted: Some(ev), .. } = out {
-            if ev.dirty {
-                timing.mem_writebacks += self.cascade_writeback(0, ev.owner, ev.line);
-            }
-        }
-        if out.is_hit() {
-            return timing;
-        }
-        timing.miss_mask |= 1;
-        for k in 0..self.levels.len() {
-            timing.cycles += self.levels[k].hit_cycles;
-            let out = self.levels[k].cache.access(pid, line);
-            if let AccessOutcome::Miss { evicted: Some(ev), .. } = out {
-                if ev.dirty {
-                    timing.mem_writebacks += self.cascade_writeback(k + 1, ev.owner, ev.line);
-                }
-            }
-            if out.is_hit() {
-                return timing;
-            }
-            timing.miss_mask |= 1 << (k + 1);
-        }
-        timing.cycles += self.memory;
-        timing
-    }
-
-    /// Delivers a writeback emitted above unified level `start` down
-    /// the stack; returns 1 if no level absorbed it (it reached
-    /// memory), 0 otherwise.
-    fn cascade_writeback(&mut self, start: usize, owner: ProcessId, line: LineAddr) -> u8 {
-        for k in start..self.levels.len() {
-            if self.levels[k].cache.receive_writeback(owner, line) {
-                return 0;
-            }
-        }
-        1
     }
 
     /// [`access_detailed`](Self::access_detailed) for a core whose last
@@ -1019,10 +970,29 @@ impl Hierarchy {
         op_idx: u32,
         writebacks: &mut Vec<Writeback>,
     ) -> UpperOutcome {
+        self.walk_op(pid, kind, addr, op_idx, |wb| writebacks.push(wb))
+    }
+
+    /// The per-op walk behind both detailed entry points: one op down
+    /// the levels until it hits, each consulted level filling on its
+    /// miss. A dirty eviction's writeback is delivered down the stack
+    /// before the fill proceeds (victim-buffer order); one that no
+    /// level absorbs goes to `escaped`, which counts it toward memory
+    /// or exports it toward a shared level. A miss at every level
+    /// leaves the line in [`UpperOutcome::fill`]. A flush costs its
+    /// issue slot and drains the private copies; their dirty data goes
+    /// straight to memory (`mem_writebacks`, clflush semantics),
+    /// bypassing `escaped` and any shared level, whose copy the
+    /// coherence layer drains separately.
+    fn walk_op(
+        &mut self,
+        pid: ProcessId,
+        kind: AccessKind,
+        addr: Addr,
+        op_idx: u32,
+        mut escaped: impl FnMut(Writeback),
+    ) -> UpperOutcome {
         if kind == AccessKind::Flush {
-            // Drain the private copies; dirty data bypasses the shared
-            // level (clflush writes to memory — the shared-level copy
-            // is drained separately, by the coherence layer).
             let line = self.l1d.geometry().line_of(addr);
             let inv = self.invalidate_line(pid, line);
             return UpperOutcome {
@@ -1044,7 +1014,8 @@ impl Hierarchy {
         let res = l1.access_rw(pid, line, write);
         if let AccessOutcome::Miss { evicted: Some(ev), .. } = res {
             if ev.dirty {
-                self.cascade_writeback_upper(0, ev.owner, ev.line, op_idx, writebacks);
+                let wb = Writeback { line: ev.line, owner: ev.owner, op_idx };
+                self.cascade_writeback(0, wb, &mut escaped);
             }
         }
         if res.is_hit() {
@@ -1056,7 +1027,8 @@ impl Hierarchy {
             let res = self.levels[k].cache.access(pid, line);
             if let AccessOutcome::Miss { evicted: Some(ev), .. } = res {
                 if ev.dirty {
-                    self.cascade_writeback_upper(k + 1, ev.owner, ev.line, op_idx, writebacks);
+                    let wb = Writeback { line: ev.line, owner: ev.owner, op_idx };
+                    self.cascade_writeback(k + 1, wb, &mut escaped);
                 }
             }
             if res.is_hit() {
@@ -1068,23 +1040,20 @@ impl Hierarchy {
         out
     }
 
-    /// Delivers a writeback down the *private* stack from level
-    /// `start`; if no private level absorbs it, exports it (bound for
-    /// the shared level) instead of sending it to memory.
-    fn cascade_writeback_upper(
+    /// Delivers a writeback emitted above unified level `start` down
+    /// the stack; one that no level absorbs goes to `escaped`.
+    fn cascade_writeback(
         &mut self,
         start: usize,
-        owner: ProcessId,
-        line: LineAddr,
-        op_idx: u32,
-        sink: &mut Vec<Writeback>,
+        wb: Writeback,
+        escaped: &mut impl FnMut(Writeback),
     ) {
         for k in start..self.levels.len() {
-            if self.levels[k].cache.receive_writeback(owner, line) {
+            if self.levels[k].cache.receive_writeback(wb.owner, wb.line) {
                 return;
             }
         }
-        sink.push(Writeback { line, owner, op_idx });
+        escaped(wb);
     }
 
     /// [`access_batch_timed`](Self::access_batch_timed) for a core
@@ -1114,8 +1083,7 @@ impl Hierarchy {
         };
         events.clear();
         events.resize(ops.len(), OpTiming { cycles: self.l1_hit, miss_mask: 0, mem_writebacks: 0 });
-        out.cycles =
-            self.batch_walk_events_export(pid, ops, Some(&mut out), Some(events), Some(llc));
+        out.cycles = self.batch_walk_events(pid, ops, Some(&mut out), Some(events), Some(llc));
         out
     }
 
@@ -1191,7 +1159,7 @@ impl Hierarchy {
         };
         events.clear();
         events.resize(ops.len(), OpTiming { cycles: self.l1_hit, miss_mask: 0, mem_writebacks: 0 });
-        out.cycles = self.batch_walk_events(pid, ops, Some(&mut out), Some(events));
+        out.cycles = self.batch_walk_events(pid, ops, Some(&mut out), Some(events), None);
         out
     }
 
@@ -1211,7 +1179,7 @@ impl Hierarchy {
         // event-conduit walk threads them like writebacks. The scan is
         // one predictable compare per op — noise next to the walk.
         if self.has_writeback || ops.iter().any(|op| op.kind == AccessKind::Flush) {
-            self.batch_walk_events(pid, ops, sink, None)
+            self.batch_walk_events(pid, ops, sink, None, None)
         } else {
             self.batch_walk_fast(pid, ops, sink)
         }
@@ -1286,24 +1254,14 @@ impl Hierarchy {
     /// buffer drains. Optionally fills a per-op [`OpTiming`] vector
     /// (pre-sized by the caller to `ops.len()`, cycles initialized to
     /// the L1 hit cost).
+    ///
+    /// When `llc` is given, the final conduit state (last-level misses
+    /// and surviving writebacks) is exported as the shared-LLC request
+    /// stream instead of being charged the memory penalty, and
+    /// `sink.mem_writebacks` counts only the flush-forced drains
+    /// (ordinary writebacks travel through the exported stream — the
+    /// shared level decides their fate).
     fn batch_walk_events(
-        &mut self,
-        pid: ProcessId,
-        ops: &[TraceOp],
-        sink: Option<&mut HierarchyBatchOutcome>,
-        timing: Option<&mut Vec<OpTiming>>,
-    ) -> u64 {
-        self.batch_walk_events_export(pid, ops, sink, timing, None)
-    }
-
-    /// [`batch_walk_events`](Self::batch_walk_events) with an optional
-    /// shared-level export: when `llc` is given, the final conduit
-    /// state (last-level misses and surviving writebacks) is exported
-    /// as the shared-LLC request stream instead of being charged the
-    /// memory penalty, and `sink.mem_writebacks` counts only the
-    /// flush-forced drains (ordinary writebacks travel through the
-    /// exported stream — the shared level decides their fate).
-    fn batch_walk_events_export(
         &mut self,
         pid: ProcessId,
         ops: &[TraceOp],

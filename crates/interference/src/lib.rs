@@ -10,11 +10,15 @@
 //!   arbitration;
 //! * **MSHR files** ([`mshr`]) bounding miss-level parallelism per
 //!   cache level and coalescing overlapping misses to one fill;
-//! * **multi-core execution** ([`multicore`]): N cores with private
-//!   [`Hierarchy`](tscache_core::hierarchy::Hierarchy) instances whose
-//!   last-level misses and memory-bound writebacks contend for the
-//!   bus, with a batched engine pinned bit-identical to the scalar
-//!   multi-core interleaving.
+//! * **multi-core execution** ([`multicore`]): one event-merge engine
+//!   running finite cores ([`CoreRun`]) and cyclic enemy cores
+//!   ([`CoRunner`]) on private
+//!   [`Hierarchy`](tscache_core::hierarchy::Hierarchy) instances,
+//!   optionally in front of one shared last level. It has two modes:
+//!   [`execute`] pre-executes every core whose private outcomes do not
+//!   depend on the interleaving, and [`execute_scalar`], the
+//!   reference, walks every core op by op. A differential suite pins
+//!   them bit-identical.
 //!
 //! With private hierarchies, contention is timing-only by
 //! construction: per-core cache contents, statistics and RNG streams
@@ -23,13 +27,13 @@
 //! curve can never undercut the solo curve of the same workload.
 //!
 //! With a **shared last level**
-//! ([`SharedLlc`](tscache_core::hierarchy::SharedLlc), the
-//! `*_shared` engines), contention additionally reaches cache *state*:
-//! cores evict each other's shared-level lines — the cross-core
-//! Prime+Probe channel of the §7 partitioning ablation — unless
-//! per-core way partitions on the shared level restore isolation.
-//! Either way both engines stay deterministic and bit-identical to the
-//! scalar interleaving.
+//! ([`SharedLlc`](tscache_core::hierarchy::SharedLlc)), contention
+//! additionally reaches cache *state*: cores evict each other's
+//! shared-level lines — the cross-core Prime+Probe channel of the §7
+//! partitioning ablation — unless per-core way partitions on the
+//! shared level restore isolation. Coherent ranges on the shared level
+//! add MSI invalidations, the Flush+Reload channel. Either way both
+//! modes stay deterministic and bit-identical to each other.
 
 pub mod bus;
 pub mod mshr;
@@ -38,8 +42,6 @@ pub mod multicore;
 pub use bus::{Arbitration, Bus, BusConfig, BusReport};
 pub use mshr::{MshrConfig, MshrFile, MshrOutcome};
 pub use multicore::{
-    execute_batch, execute_batch_shared, execute_scalar, execute_scalar_shared,
-    run_contended_segment, run_contended_segment_shared, run_contended_segment_shared_with,
-    run_contended_segment_with, CoRunner, ContentionConfig, CoreReport, CoreRun,
-    InterferenceOutcome, SegmentOutcome, SystemConfig,
+    execute, execute_scalar, CoRunner, ContentionConfig, CoreReport, CoreRun, EngineScratch,
+    InterferenceOutcome, SystemConfig,
 };

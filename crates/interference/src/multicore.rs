@@ -1,55 +1,62 @@
-//! Contended multi-core execution: N cores with private hierarchies
-//! share one memory bus; last-level miss fills and memory-bound
-//! writebacks arbitrate for it, MSHR files bound per-level miss
-//! parallelism.
+//! Contended multi-core execution: N cores share one memory bus;
+//! last-level miss fills and memory-bound writebacks arbitrate for it,
+//! MSHR files bound per-level miss parallelism, and on a shared-LLC
+//! platform every core's last level is one shared cache.
 //!
-//! # Execution model
+//! # One engine, two modes
 //!
-//! Cores are advanced by a deterministic discrete-event loop: at every
-//! step the core with the smallest clock (ties: lowest core index)
-//! executes its next op to completion. An op's cost is its solo
-//! hierarchy cost ([`OpTiming::cycles`]) plus any MSHR structural
-//! stall plus the queuing delay of its bus transactions. Contention is
-//! *timing-only*: cache contents, hit/miss outcomes, statistics and
-//! RNG draws per core are exactly those of the same trace run solo —
-//! which is what makes the batched engine possible at all.
+//! [`execute`] and [`execute_scalar`] run the same deterministic
+//! discrete-event merge over two kinds of participant: *finite* cores
+//! ([`CoreRun`], one trace run once) and *cyclic* co-runners
+//! ([`CoRunner`], an enemy core replaying its trace for as long as the
+//! run lasts). At every step the participant with the smallest clock
+//! executes its next op to completion; clock ties go to the lowest
+//! index, finite cores numbered before co-runners. The run stops once
+//! every finite core has exhausted its trace — for a machine segment
+//! (one finite core), when the measured trace is done, so a co-runner
+//! advances only while its clock trails the primary's. An op's cost is
+//! its solo hierarchy cost ([`OpTiming::cycles`]) plus any MSHR
+//! structural stall plus the queuing delay of its bus transactions.
 //!
-//! Clock ties between cores resolve by core index (lowest first), so
-//! permuting *distinct* cores may legitimately shift individual
-//! queuing waits; everything the caches and MSHRs decide — per-core
-//! base cycles, transaction, stall and coalesce counts — is invariant
-//! under core reordering (for [`run_contended_segment`], whose loop
-//! stops with the measured core, this holds for the measured core;
-//! enemy *progress* is interleaving-dependent by construction), and
-//! the unit/probe suites pin exactly that split.
+//! The two modes differ only in *when* a core's private levels run.
+//! [`execute_scalar`], the reference, walks every core's op through
+//! its private levels at merge time ([`Hierarchy::access_detailed`],
+//! or [`Hierarchy::access_upper_detailed`] in front of a shared
+//! level). [`execute`] pre-executes every core whose private outcomes
+//! cannot depend on the interleaving ([`Hierarchy::access_batch_timed`]
+//! / [`Hierarchy::access_batch_upper_timed`]; finite cores whole,
+//! co-runners a chunk at a time) and walks only the others per op.
+//! Either way the merge consumes identical per-op outcomes, which the
+//! differential suite pins bit for bit.
 //!
-//! [`execute_scalar`] is the reference: it interleaves per-op scalar
-//! hierarchy walks ([`Hierarchy::access_detailed`]) in event order.
-//! [`execute_batch`] first replays each core's whole trace through the
-//! hierarchy batch path ([`Hierarchy::access_batch_timed`]) — private
-//! caches make the per-core cache work independent of the interleaving
-//! — then runs the identical event loop over the recorded per-op
-//! events. The differential suite pins the two bit-identical across
-//! placement × replacement × depth × arbitration.
+//! # Private hierarchies (`llc = None`)
 //!
-//! # Shared last level
+//! Every core's last level is private, with memory behind it.
+//! Contention is then *timing-only*: cache contents, hit/miss
+//! outcomes, statistics and RNG draws per core are exactly those of
+//! the same trace run solo, so every core is pre-executed. Permuting
+//! distinct cores may shift individual queuing waits (ties resolve by
+//! index), but everything the caches and MSHRs decide — per-core base
+//! cycles, transaction, stall and coalesce counts — is invariant under
+//! core reordering (for a machine segment this holds for the measured
+//! core; enemy *progress* is interleaving-dependent by construction),
+//! and the unit and probe suites pin exactly that split.
 //!
-//! [`execute_scalar_shared`]/[`execute_batch_shared`] run the same
-//! event merge over cores whose *last* unified level is one
-//! [`SharedLlc`] instance: each core's private levels stay per-core
-//! (and per-core outcomes stay interleaving-independent, which is what
-//! the batch engine pre-executes via
-//! [`Hierarchy::access_batch_upper_timed`]), while every shared-level
-//! fill and writeback is resolved against the one shared cache *at
-//! merge time*, in exact global op order. Unlike the private-hierarchy
-//! engines, contention here is **not** timing-only: cores evict each
-//! other's shared-level lines (the cross-core Prime+Probe channel),
-//! unless per-core way partitions on the shared level restore
-//! isolation. The shared-level order is a deterministic function of
-//! the clocks both engines compute identically, so batch remains
-//! bit-identical to scalar — the shared axis of the differential suite
-//! pins stats, contents and dirty lines of every private level *and*
-//! the shared cache.
+//! # Shared last level (`llc = Some(..)`)
+//!
+//! Each core keeps its private levels, and every shared-level fill and
+//! writeback is resolved against the one [`SharedLlc`] *at merge
+//! time*, in exact global op order. Contention is then **not**
+//! timing-only: cores evict each other's shared-level lines (the
+//! cross-core Prime+Probe channel) unless per-core way partitions on
+//! the shared level restore isolation. A core is pre-executed through
+//! its private levels only when its trace has no flush and touches no
+//! coherence-tracked line: only then are its private outcomes
+//! interleaving-independent. With coherence armed, every op then runs
+//! the MSI actions in one canonical sequence: inclusive
+//! back-invalidation of a tracked shared-level victim, sharer
+//! recording for a tracked fill, upgrade invalidations for a write,
+//! and the flush broadcast.
 //!
 //! Bus accounting at the shared level: a shared-LLC **hit costs no bus
 //! transaction** — only LLC misses (off-chip reads) and writebacks
@@ -63,7 +70,7 @@ use crate::mshr::{MshrConfig, MshrFile, MshrOutcome};
 use tscache_core::addr::LineAddr;
 use tscache_core::cache::Writeback;
 use tscache_core::hierarchy::{
-    AccessKind, Hierarchy, LlcRequests, OpTiming, SharedLlc, TraceOp, UpperOutcome,
+    AccessKind, Hierarchy, HierarchyInvalidation, LlcRequests, OpTiming, SharedLlc, TraceOp,
 };
 use tscache_core::seed::ProcessId;
 use tscache_telemetry::{Event, RecorderHandle};
@@ -107,7 +114,7 @@ impl Default for ContentionConfig {
     }
 }
 
-/// One core's workload for a differential engine run.
+/// One finite core of an engine run: its trace runs once.
 #[derive(Debug)]
 pub struct CoreRun<'a> {
     /// The core's private hierarchy.
@@ -151,13 +158,315 @@ pub struct CoreReport {
 /// Result of one engine run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterferenceOutcome {
-    /// Per-core accounting, in core order.
+    /// Per-core accounting: the finite cores in order, then the
+    /// co-runners in order.
     pub cores: Vec<CoreReport>,
     /// Shared-bus accounting.
     pub bus: BusReport,
 }
 
-/// The deterministic event-merge state shared by both engines.
+/// Buffers [`execute`] reuses from call to call: each finite core's
+/// pre-executed private walk and the per-op writeback sink. A caller
+/// that runs many segments (the simulator's machine) keeps one, so the
+/// hot path allocates nothing per segment; a one-shot caller passes a
+/// fresh one.
+#[derive(Debug, Default)]
+pub struct EngineScratch {
+    lanes: Vec<Lane>,
+    writebacks: Vec<Writeback>,
+}
+
+/// The production engine: finite `cores` against the cyclic
+/// co-runners `co`, on private hierarchies (`llc = None`) or in front
+/// of one shared last level, until every finite core has exhausted its
+/// trace. Every core whose private outcomes are interleaving-independent
+/// is pre-executed; the rest walk per op at merge time. Bit-identical
+/// to [`execute_scalar`] — engine outcomes (coherence counters
+/// included), every private level, and the shared cache. Bus and MSHR
+/// state start fresh per call; co-runner trace position and cache
+/// state carry over.
+///
+/// `recorder` is observer-only: outcomes are bit-identical with and
+/// without it.
+pub fn execute(
+    cores: &mut [CoreRun<'_>],
+    co: &mut [CoRunner],
+    llc: Option<&mut SharedLlc>,
+    cfg: &SystemConfig,
+    recorder: Option<&RecorderHandle>,
+    scratch: &mut EngineScratch,
+) -> InterferenceOutcome {
+    run(cores, co, llc, cfg, recorder, scratch, true)
+}
+
+/// The reference engine: the same merge as [`execute`], with every
+/// core — co-runners included — walking its private levels op by op
+/// at merge time.
+pub fn execute_scalar(
+    cores: &mut [CoreRun<'_>],
+    co: &mut [CoRunner],
+    llc: Option<&mut SharedLlc>,
+    cfg: &SystemConfig,
+) -> InterferenceOutcome {
+    run(cores, co, llc, cfg, None, &mut EngineScratch::default(), false)
+}
+
+/// The one merge loop behind both engines; `batch` selects whether
+/// pre-executable cores are pre-executed.
+fn run(
+    cores: &mut [CoreRun<'_>],
+    co: &mut [CoRunner],
+    mut llc: Option<&mut SharedLlc>,
+    cfg: &SystemConfig,
+    recorder: Option<&RecorderHandle>,
+    scratch: &mut EngineScratch,
+    batch: bool,
+) -> InterferenceOutcome {
+    let nf = cores.len();
+    // A shared level adds one level (and one miss bit) behind each
+    // core's private ones.
+    let shared = llc.is_some();
+    let depths = cores
+        .iter()
+        .map(|c| c.hierarchy.depth())
+        .chain(co.iter().map(|r| r.hierarchy.depth()))
+        .map(|d| d + shared as usize)
+        .collect();
+    let offsets = cores
+        .iter()
+        .map(|c| c.hierarchy.l1i().geometry().offset_bits())
+        .chain(co.iter().map(|r| r.offset_bits))
+        .collect();
+    let mut merger = Merger::new(cfg, depths, offsets, recorder);
+    let EngineScratch { lanes, writebacks } = scratch;
+    if lanes.len() < nf {
+        lanes.resize_with(nf, Lane::default);
+    }
+    for (c, (core, lane)) in cores.iter_mut().zip(lanes.iter_mut()).enumerate() {
+        lane.pos = 0;
+        lane.batched =
+            batch && llc.as_deref().is_none_or(|l| prebatchable(core.ops, l, merger.offsets[c]));
+        if lane.batched {
+            lane.walk.fill(core.hierarchy, core.pid, core.ops, shared);
+        }
+    }
+    let coherent = llc.as_deref().is_some_and(SharedLlc::has_coherence);
+    let mut live = cores.iter().filter(|c| !c.ops.is_empty()).count();
+    let mut cores = Cores { finite: cores, co };
+    while live > 0 {
+        let c = merger
+            .next_core(|c| c >= nf || lanes[c].pos < cores.finite[c].ops.len())
+            .expect("a live finite core is always eligible");
+        // (1)+(2): the private walk, then the op's writebacks and fill
+        // against the shared level.
+        let (seq, op, mut res) = if c < nf {
+            let (core, lane) = (&mut cores.finite[c], &mut lanes[c]);
+            let i = lane.pos;
+            lane.pos += 1;
+            if lane.pos == core.ops.len() {
+                live -= 1;
+            }
+            let op = core.ops[i];
+            let res = if lane.batched {
+                lane.walk.take(i, core.pid, llc.as_deref_mut(), core.hierarchy.depth())
+            } else {
+                walk(core.hierarchy, core.pid, op, llc.as_deref_mut(), writebacks)
+            };
+            // A finite core's MSHR sequence number is its op position.
+            (i as u64, op, res)
+        } else {
+            cores.co[c - nf].next(llc.as_deref_mut(), batch, writebacks)
+        };
+        let line = op.addr.line(merger.offsets[c]);
+        let coh_txns = match llc.as_deref_mut() {
+            Some(llc) if coherent => merger.coherence(llc, &mut cores, c, op.kind, line, &mut res),
+            _ => 0,
+        };
+        merger.step(c, seq, line.as_u64(), res.t, coh_txns);
+    }
+    merger.finish()
+}
+
+/// One op after its private walk and shared-level resolution.
+struct Resolved {
+    /// Composed timing (private levels, shared level, memory traffic).
+    t: OpTiming,
+    /// The line requested from the shared level, if every private
+    /// level missed.
+    fill: Option<LineAddr>,
+    /// The line that fill displaced from the shared level.
+    evicted: Option<LineAddr>,
+}
+
+/// Composes an op's private-level timing `t` with its shared-level
+/// traffic, resolved against `llc` now — that is, in merge order. A
+/// hit costs only the shared level's hit cycles (no bus transaction),
+/// a miss adds the memory penalty and sets the shared level's miss bit
+/// (bit `private_depth`), and unabsorbed writebacks plus a dirty
+/// shared-level victim become memory-bound bus writes. Without a
+/// shared level, `t` already ends in memory.
+fn resolve(
+    llc: Option<&mut SharedLlc>,
+    pid: ProcessId,
+    mut t: OpTiming,
+    fill: Option<LineAddr>,
+    writebacks: &[Writeback],
+    private_depth: usize,
+) -> Resolved {
+    let Some(llc) = llc else { return Resolved { t, fill: None, evicted: None } };
+    let (r, evicted) = llc.resolve_evict(pid, fill, writebacks);
+    t.cycles += r.cycles;
+    if r.miss {
+        t.miss_mask |= 1 << private_depth;
+    }
+    t.mem_writebacks += r.mem_writebacks;
+    Resolved { t, fill, evicted }
+}
+
+/// One op walked through `hierarchy` at merge time, so coherence
+/// actions of other cores that already ran are visible to it.
+fn walk(
+    hierarchy: &mut Hierarchy,
+    pid: ProcessId,
+    op: TraceOp,
+    llc: Option<&mut SharedLlc>,
+    writebacks: &mut Vec<Writeback>,
+) -> Resolved {
+    if llc.is_none() {
+        let t = hierarchy.access_detailed(pid, op.kind, op.addr);
+        return Resolved { t, fill: None, evicted: None };
+    }
+    writebacks.clear();
+    let up = hierarchy.access_upper_detailed(pid, op.kind, op.addr, 0, writebacks);
+    let t =
+        OpTiming { cycles: up.cycles, miss_mask: up.miss_mask, mem_writebacks: up.mem_writebacks };
+    resolve(llc, pid, t, up.fill, writebacks, hierarchy.depth())
+}
+
+/// Whether a core's trace may be pre-executed through its private
+/// levels on a shared platform: it must contain no
+/// [`AccessKind::Flush`] ops (their shared-level and coherence side
+/// runs at merge time) and — once coherence is armed — touch no
+/// coherence-tracked line (other cores' invalidations may then reach
+/// into this core's private levels mid-trace, so its private outcomes
+/// are no longer a pure function of its own trace). A core that fails
+/// the test walks op by op at merge time instead; a core that passes
+/// can never hold a tracked line, so no invalidation ever reaches it —
+/// which is exactly what keeps its pre-execution sound. On private
+/// hierarchies every trace passes.
+fn prebatchable(ops: &[TraceOp], llc: &SharedLlc, offset_bits: u32) -> bool {
+    let coherent = llc.has_coherence();
+    ops.iter().all(|op| {
+        op.kind != AccessKind::Flush
+            && !(coherent && llc.is_coherent_line(op.addr.line(offset_bits)))
+    })
+}
+
+/// A pre-executed private walk: per-op timings and, in front of a
+/// shared level, the exported shared-level request stream with its
+/// consumption cursors. A finite core's covers its whole trace, a
+/// co-runner's one chunk.
+#[derive(Debug, Default)]
+struct Lookahead {
+    events: Vec<OpTiming>,
+    requests: LlcRequests,
+    fill_pos: usize,
+    wb_pos: usize,
+    /// The walk stopped at the private levels (a shared level follows).
+    shared: bool,
+}
+
+impl Lookahead {
+    /// Pre-executes `ops` on `hierarchy`: the full walk to memory, or —
+    /// when `shared` — the private levels only, exporting the request
+    /// stream.
+    fn fill(&mut self, hierarchy: &mut Hierarchy, pid: ProcessId, ops: &[TraceOp], shared: bool) {
+        if shared {
+            hierarchy.access_batch_upper_timed(pid, ops, &mut self.events, &mut self.requests);
+        } else {
+            hierarchy.access_batch_timed(pid, ops, &mut self.events);
+            self.requests.clear();
+        }
+        self.fill_pos = 0;
+        self.wb_pos = 0;
+        self.shared = shared;
+    }
+
+    /// Op `i`'s buffered outcome, its shared-level requests resolved
+    /// against `llc` now. Ops must be taken in order.
+    fn take(
+        &mut self,
+        i: usize,
+        pid: ProcessId,
+        llc: Option<&mut SharedLlc>,
+        private_depth: usize,
+    ) -> Resolved {
+        // A private walk carries memory penalties in its timings and no
+        // request stream: replaying it in front of a shared level would
+        // silently skip that level (and vice versa), so a platform
+        // switch mid-walk is a hard error.
+        assert_eq!(self.shared, llc.is_some(), "pre-executed walk replayed on another platform");
+        let (fill, wbs) = self.requests.take_for_op(i as u32, &mut self.fill_pos, &mut self.wb_pos);
+        resolve(llc, pid, self.events[i], fill, wbs, private_depth)
+    }
+
+    fn clear(&mut self) {
+        self.events.clear();
+        self.requests.clear();
+        self.fill_pos = 0;
+        self.wb_pos = 0;
+    }
+}
+
+/// A finite core's state in one run.
+#[derive(Debug, Default)]
+struct Lane {
+    /// Next op to merge.
+    pos: usize,
+    /// Pre-executed this run (otherwise walked per op).
+    batched: bool,
+    walk: Lookahead,
+}
+
+/// The participants of one run, indexed as the merge numbers them:
+/// finite cores first, then co-runners.
+struct Cores<'p, 'a> {
+    finite: &'p mut [CoreRun<'a>],
+    co: &'p mut [CoRunner],
+}
+
+impl Cores<'_, '_> {
+    /// Drains the private copies of `line` from every participant
+    /// whose bit is set in `targets` (a directory bitmap), crediting
+    /// each drained core's report with the copies it lost. Returns the
+    /// number of dirty copies drained — memory-bound bus writes charged
+    /// to the issuing op.
+    fn invalidate(&mut self, reports: &mut [CoreReport], targets: u32, line: LineAddr) -> u8 {
+        let nf = self.finite.len();
+        let mut dirty = 0u32;
+        let mut bits = targets;
+        while bits != 0 {
+            let j = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let inv = if let Some(core) = self.finite.get_mut(j) {
+                core.hierarchy.invalidate_line(core.pid, line)
+            } else if let Some(runner) = self.co.get_mut(j - nf) {
+                runner.invalidate_line(line)
+            } else {
+                continue;
+            };
+            reports[j].coh_invalidations += inv.copies as u64;
+            dirty += inv.dirty;
+        }
+        dirty.min(u8::MAX as u32) as u8
+    }
+
+    fn pids(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.finite.iter().map(|c| c.pid).chain(self.co.iter().map(|r| r.pid))
+    }
+}
+
+/// The deterministic event-merge state: bus, MSHR files and clocks.
 struct Merger {
     bus: Bus,
     /// MSHR files per core per level (empty when disabled).
@@ -165,6 +474,7 @@ struct Merger {
     clocks: Vec<u64>,
     reports: Vec<CoreReport>,
     depths: Vec<usize>,
+    offsets: Vec<u32>,
     /// Bus service cycles, mirrored for trace emission.
     bus_service: u32,
     /// Observer-only trace sink. Timing, outcomes and statistics are
@@ -174,7 +484,12 @@ struct Merger {
 }
 
 impl Merger {
-    fn new(cfg: &SystemConfig, depths: Vec<usize>) -> Self {
+    fn new(
+        cfg: &SystemConfig,
+        depths: Vec<usize>,
+        offsets: Vec<u32>,
+        recorder: Option<&RecorderHandle>,
+    ) -> Self {
         let n = depths.len();
         let mshr = match cfg.mshr {
             Some(m) => depths.iter().map(|&d| (0..d).map(|_| MshrFile::new(m)).collect()).collect(),
@@ -186,22 +501,88 @@ impl Merger {
             clocks: vec![0; n],
             reports: vec![CoreReport::default(); n],
             depths,
+            offsets,
             bus_service: cfg.bus.service_cycles,
-            recorder: None,
+            recorder: recorder.cloned(),
         }
     }
 
-    /// Executes op `seq` of `core` (touching `line`) with solo timing
-    /// `t`: MSHR checks, then bus arbitration for its transactions.
-    fn step(&mut self, core: usize, seq: u64, line: u64, t: OpTiming) {
-        self.step_coh(core, seq, line, t, 0);
+    fn record(&self, ts: u64, event: Event) {
+        if let Some(rec) = &self.recorder {
+            rec.borrow_mut().record(ts, event);
+        }
     }
 
-    /// [`step`](Self::step) with `coh_txns` additional coherence
-    /// transactions (upgrade invalidations, flush broadcasts,
-    /// back-invalidations) arbitrating on the bus after the op's read
-    /// and writeback transactions.
-    fn step_coh(&mut self, core: usize, seq: u64, line: u64, t: OpTiming, coh_txns: u8) {
+    /// Steps (3)–(6) of the canonical per-op sequence on a coherent
+    /// platform, after (1) the private walk and (2) the op's writebacks
+    /// then fill against the shared level: (3) inclusive
+    /// back-invalidation when the fill evicted a tracked line, (4)
+    /// sharer recording for a tracked fill, (5) upgrade invalidations
+    /// for a write to a tracked line, (6) the flush broadcast. Both
+    /// modes run this one sequence, so they cannot diverge on coherence
+    /// order. Drained dirty copies are added to `res.t.mem_writebacks`;
+    /// returns the coherence bus transactions the op issued.
+    fn coherence(
+        &mut self,
+        llc: &mut SharedLlc,
+        cores: &mut Cores<'_, '_>,
+        c: usize,
+        kind: AccessKind,
+        line: LineAddr,
+        res: &mut Resolved,
+    ) -> u8 {
+        let ts = self.clocks[c];
+        let invalidated = |bits: u32| bits.count_ones().min(u8::MAX as u32) as u8;
+        let mut coh_txns = 0u8;
+        // (3) The fill displaced a tracked line from the shared level,
+        // so no private copy may survive it.
+        if let Some(victim) = res.evicted.filter(|&v| llc.is_coherent_line(v)) {
+            let sharers = llc.clear_sharers(victim);
+            if sharers != 0 {
+                coh_txns += 1;
+                res.t.mem_writebacks += cores.invalidate(&mut self.reports, sharers, victim);
+                self.record(ts, Event::CohBackInvalidate { core: c as u8 });
+            }
+        }
+        // (4) A tracked fill records this core as a holder.
+        if res.fill.is_some_and(|l| llc.is_coherent_line(l)) {
+            llc.note_sharer(line, c);
+        }
+        // (5) A write to a tracked line drains every other holder's
+        // copies.
+        if kind == AccessKind::Write && llc.is_coherent_line(line) {
+            let others = llc.retain_sharer(line, c);
+            if others != 0 {
+                coh_txns += 1;
+                res.t.mem_writebacks += cores.invalidate(&mut self.reports, others, line);
+                self.record(
+                    ts,
+                    Event::CohUpgrade { core: c as u8, invalidated: invalidated(others) },
+                );
+            }
+        }
+        // (6) Drain every tracked copy: the other cores' private copies
+        // (the issuer drained its own in the private walk) and the
+        // shared-level copies under every core's placement view.
+        if kind == AccessKind::Flush && llc.is_coherent_line(line) {
+            coh_txns += 1;
+            let sharers = llc.clear_sharers(line) & !(1u32 << c);
+            res.t.mem_writebacks += cores.invalidate(&mut self.reports, sharers, line);
+            for pid in cores.pids() {
+                if llc.invalidate_copy(pid, line).dirty {
+                    res.t.mem_writebacks += 1;
+                }
+            }
+            self.record(ts, Event::CohFlush { core: c as u8, invalidated: invalidated(sharers) });
+        }
+        coh_txns
+    }
+
+    /// Executes op `seq` of `core` (touching `line`) with solo timing
+    /// `t`: MSHR checks, then bus arbitration for its read and
+    /// writeback transactions and its `coh_txns` coherence
+    /// transactions, in that order.
+    fn step(&mut self, core: usize, seq: u64, line: u64, t: OpTiming, coh_txns: u8) {
         let depth = self.depths[core];
         let ts0 = self.clocks[core];
         if let Some(rec) = &self.recorder {
@@ -310,285 +691,17 @@ impl Merger {
         InterferenceOutcome { cores: self.reports, bus: self.bus.report() }
     }
 
-    /// The core to advance next: smallest clock among cores with work
-    /// remaining, lowest index on ties.
-    fn next_core(&self, remaining: impl Fn(usize) -> bool) -> Option<usize> {
+    /// The core to advance next: smallest clock among `eligible` cores,
+    /// lowest index on ties.
+    fn next_core(&self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
         let mut best = None;
         for c in 0..self.clocks.len() {
-            if remaining(c) && best.is_none_or(|b: usize| self.clocks[c] < self.clocks[b]) {
+            if eligible(c) && best.is_none_or(|b: usize| self.clocks[c] < self.clocks[b]) {
                 best = Some(c);
             }
         }
         best
     }
-}
-
-/// The reference engine: a scalar multi-core interleaving, walking one
-/// op at a time on the event-ordered core through the scalar hierarchy
-/// path.
-pub fn execute_scalar(cores: &mut [CoreRun<'_>], cfg: &SystemConfig) -> InterferenceOutcome {
-    let depths: Vec<usize> = cores.iter().map(|c| c.hierarchy.depth()).collect();
-    let offsets: Vec<u32> =
-        cores.iter().map(|c| c.hierarchy.l1i().geometry().offset_bits()).collect();
-    let mut merger = Merger::new(cfg, depths);
-    let mut pos = vec![0usize; cores.len()];
-    while let Some(c) = merger.next_core(|c| pos[c] < cores[c].ops.len()) {
-        let op = cores[c].ops[pos[c]];
-        let t = cores[c].hierarchy.access_detailed(cores[c].pid, op.kind, op.addr);
-        merger.step(c, pos[c] as u64, op.addr.line(offsets[c]).as_u64(), t);
-        pos[c] += 1;
-    }
-    merger.finish()
-}
-
-/// The production engine: each core's trace runs through the hierarchy
-/// batch path first (private caches make per-core outcomes independent
-/// of the interleaving), then the identical event merge replays the
-/// recorded per-op timings against the bus and MSHRs. Bit-identical to
-/// [`execute_scalar`] — stats, cycles, writeback counts and final
-/// contents — as the differential suite pins.
-pub fn execute_batch(cores: &mut [CoreRun<'_>], cfg: &SystemConfig) -> InterferenceOutcome {
-    let depths: Vec<usize> = cores.iter().map(|c| c.hierarchy.depth()).collect();
-    let offsets: Vec<u32> =
-        cores.iter().map(|c| c.hierarchy.l1i().geometry().offset_bits()).collect();
-    let events: Vec<Vec<OpTiming>> = cores
-        .iter_mut()
-        .map(|core| {
-            let mut ev = Vec::new();
-            core.hierarchy.access_batch_timed(core.pid, core.ops, &mut ev);
-            ev
-        })
-        .collect();
-    let mut merger = Merger::new(cfg, depths);
-    let mut pos = vec![0usize; cores.len()];
-    while let Some(c) = merger.next_core(|c| pos[c] < cores[c].ops.len()) {
-        let op = cores[c].ops[pos[c]];
-        merger.step(c, pos[c] as u64, op.addr.line(offsets[c]).as_u64(), events[c][pos[c]]);
-        pos[c] += 1;
-    }
-    merger.finish()
-}
-
-/// Composes one op's private-level timing with its shared-level
-/// resolution: a hit costs only the shared level's hit cycles (no bus
-/// transaction), a miss adds the memory penalty and sets the shared
-/// level's miss bit (`shared_bit`), and unabsorbed writebacks plus a
-/// dirty shared-level victim become memory-bound bus writes.
-fn compose_llc(
-    mut t: OpTiming,
-    r: tscache_core::hierarchy::LlcResolution,
-    shared_bit: u8,
-) -> OpTiming {
-    t.cycles += r.cycles;
-    if r.miss {
-        t.miss_mask |= 1 << shared_bit;
-    }
-    t.mem_writebacks += r.mem_writebacks;
-    t
-}
-
-/// Lifts a private-levels-only [`UpperOutcome`] into an [`OpTiming`]
-/// awaiting its shared-level composition.
-fn upper_timing(up: &UpperOutcome) -> OpTiming {
-    OpTiming { cycles: up.cycles, miss_mask: up.miss_mask, mem_writebacks: up.mem_writebacks }
-}
-
-/// Whether a core's trace may be pre-executed through its private
-/// levels on a shared platform: it must contain no
-/// [`AccessKind::Flush`] ops (their shared-level and coherence side
-/// runs at merge time) and — once coherence is armed — touch no
-/// coherence-tracked line (other cores' invalidations may then reach
-/// into this core's private levels mid-trace, so its private outcomes
-/// are no longer a pure function of its own trace). A core that fails
-/// the test walks op by op at merge time instead; a core that passes
-/// can never hold a tracked line, so no invalidation ever reaches it —
-/// which is exactly what keeps its pre-execution sound.
-fn prebatchable(ops: &[TraceOp], llc: &SharedLlc, offset_bits: u32) -> bool {
-    let coherent = llc.has_coherence();
-    ops.iter().all(|op| {
-        op.kind != AccessKind::Flush
-            && !(coherent && llc.is_coherent_line(op.addr.line(offset_bits)))
-    })
-}
-
-/// Drains the private copies of `line` from every core whose bit is
-/// set in `targets` (a directory bitmap), crediting each drained
-/// core's report with the copies it lost. Returns the number of dirty
-/// copies drained — memory-bound bus writes charged to the issuing op.
-fn invalidate_cores(
-    cores: &mut [CoreRun<'_>],
-    pids: &[ProcessId],
-    reports: &mut [CoreReport],
-    targets: u32,
-    line: LineAddr,
-) -> u8 {
-    let mut dirty = 0u32;
-    let mut bits = targets;
-    while bits != 0 {
-        let j = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        if j >= cores.len() {
-            continue;
-        }
-        let inv = cores[j].hierarchy.invalidate_line(pids[j], line);
-        reports[j].coh_invalidations += inv.copies as u64;
-        dirty += inv.dirty;
-    }
-    dirty.min(u8::MAX as u32) as u8
-}
-
-/// The unified shared-LLC engine behind [`execute_scalar_shared`] and
-/// [`execute_batch_shared`]: per-core private walks (pre-executed for
-/// cores [`prebatchable`] allows, per-op at merge time otherwise),
-/// shared-level resolution in exact global clock order, and — when the
-/// LLC has coherence armed — the MSI actions in a canonical per-op
-/// sequence: (1) private walk, (2) the op's writebacks then fill
-/// against the LLC, (3) inclusive back-invalidation when the fill
-/// evicted a tracked line, (4) sharer recording for a tracked fill,
-/// (5) upgrade invalidations for a write to a tracked line, (6) the
-/// flush broadcast. Both engines run this identical sequence, so they
-/// are structurally incapable of diverging on coherence order.
-fn run_shared_engine(
-    cores: &mut [CoreRun<'_>],
-    llc: &mut SharedLlc,
-    cfg: &SystemConfig,
-    batch: bool,
-) -> InterferenceOutcome {
-    /// Per-core execution mode.
-    enum CoreMode {
-        /// Pre-executed private walk + exported request stream.
-        Batched { events: Vec<OpTiming>, stream: LlcRequests, fill_pos: usize, wb_pos: usize },
-        /// Per-op private walk at merge time.
-        PerOp,
-    }
-
-    let depths: Vec<usize> = cores.iter().map(|c| c.hierarchy.depth() + 1).collect();
-    let offsets: Vec<u32> =
-        cores.iter().map(|c| c.hierarchy.l1i().geometry().offset_bits()).collect();
-    let pids: Vec<ProcessId> = cores.iter().map(|c| c.pid).collect();
-    let mut modes: Vec<CoreMode> = Vec::with_capacity(cores.len());
-    for (c, core) in cores.iter_mut().enumerate() {
-        if batch && prebatchable(core.ops, llc, offsets[c]) {
-            let mut events = Vec::new();
-            let mut stream = LlcRequests::default();
-            core.hierarchy.access_batch_upper_timed(core.pid, core.ops, &mut events, &mut stream);
-            modes.push(CoreMode::Batched { events, stream, fill_pos: 0, wb_pos: 0 });
-        } else {
-            modes.push(CoreMode::PerOp);
-        }
-    }
-    let coherent = llc.has_coherence();
-    let mut merger = Merger::new(cfg, depths.clone());
-    let mut pos = vec![0usize; cores.len()];
-    let mut wb_scratch: Vec<Writeback> = Vec::new();
-    while let Some(c) = merger.next_core(|c| pos[c] < cores[c].ops.len()) {
-        let i = pos[c];
-        let op = cores[c].ops[i];
-        let line = op.addr.line(offsets[c]);
-        let shared_bit = (depths[c] - 1) as u8;
-        // (1)+(2): private levels, then writebacks and fill against
-        // the shared cache.
-        let (mut t, fill, evicted) = match &mut modes[c] {
-            CoreMode::Batched { events, stream, fill_pos, wb_pos } => {
-                let (fill, wbs) = stream.take_for_op(i as u32, fill_pos, wb_pos);
-                let (r, ev) = llc.resolve_evict(pids[c], fill, wbs);
-                (compose_llc(events[i], r, shared_bit), fill, ev)
-            }
-            CoreMode::PerOp => {
-                wb_scratch.clear();
-                let up = cores[c].hierarchy.access_upper_detailed(
-                    pids[c],
-                    op.kind,
-                    op.addr,
-                    i as u32,
-                    &mut wb_scratch,
-                );
-                let (r, ev) = llc.resolve_evict(pids[c], up.fill, &wb_scratch);
-                (compose_llc(upper_timing(&up), r, shared_bit), up.fill, ev)
-            }
-        };
-        let mut coh_txns = 0u8;
-        if coherent {
-            // (3) Inclusive back-invalidation: the fill displaced a
-            // tracked line from the shared level, so no private copy
-            // may survive it.
-            if let Some(victim) = evicted.filter(|&v| llc.is_coherent_line(v)) {
-                let sharers = llc.clear_sharers(victim);
-                if sharers != 0 {
-                    coh_txns += 1;
-                    t.mem_writebacks +=
-                        invalidate_cores(cores, &pids, &mut merger.reports, sharers, victim);
-                }
-            }
-            // (4) A tracked fill records this core as a holder.
-            if fill.is_some_and(|l| llc.is_coherent_line(l)) {
-                llc.note_sharer(line, c);
-            }
-            // (5) Upgrade: a write to a tracked line drains every
-            // other holder's copies.
-            if op.kind == AccessKind::Write && llc.is_coherent_line(line) {
-                let others = llc.retain_sharer(line, c);
-                if others != 0 {
-                    coh_txns += 1;
-                    t.mem_writebacks +=
-                        invalidate_cores(cores, &pids, &mut merger.reports, others, line);
-                }
-            }
-            // (6) Flush broadcast: drain every tracked copy — the
-            // other cores' private copies (the issuer already drained
-            // its own in the private walk) and the shared-level copies
-            // under every core's placement view.
-            if op.kind == AccessKind::Flush && llc.is_coherent_line(line) {
-                coh_txns += 1;
-                let sharers = llc.clear_sharers(line) & !(1u32 << c);
-                t.mem_writebacks +=
-                    invalidate_cores(cores, &pids, &mut merger.reports, sharers, line);
-                for &pid in &pids {
-                    if llc.invalidate_copy(pid, line).dirty {
-                        t.mem_writebacks += 1;
-                    }
-                }
-            }
-        }
-        merger.step_coh(c, i as u64, line.as_u64(), t, coh_txns);
-        pos[c] += 1;
-    }
-    merger.finish()
-}
-
-/// The reference engine for shared-LLC platforms: a scalar multi-core
-/// interleaving where the event-ordered core walks its op through its
-/// *private* levels ([`Hierarchy::access_upper_detailed`]) and then
-/// resolves the shared last level — and any coherence actions — in
-/// place. Cores access the shared cache under their own pid, so
-/// per-core way partitions and cross-core eviction accounting apply
-/// directly.
-pub fn execute_scalar_shared(
-    cores: &mut [CoreRun<'_>],
-    llc: &mut SharedLlc,
-    cfg: &SystemConfig,
-) -> InterferenceOutcome {
-    run_shared_engine(cores, llc, cfg, false)
-}
-
-/// The production engine for shared-LLC platforms: every core whose
-/// trace is coherence-free is pre-executed through its private levels
-/// ([`Hierarchy::access_batch_upper_timed`], valid because such a
-/// core's private outcomes are interleaving-independent — it can never
-/// hold a coherence-tracked line, so no invalidation reaches it),
-/// exporting the per-core shared-level request streams; cores that
-/// flush or touch tracked lines walk op by op at merge time. The event
-/// merge then replays everything against the one shared cache in the
-/// exact clock order the scalar engine produces. Bit-identical to
-/// [`execute_scalar_shared`] — engine outcomes (including coherence
-/// counters), every private level, and the shared cache — as the
-/// differential suite pins.
-pub fn execute_batch_shared(
-    cores: &mut [CoreRun<'_>],
-    llc: &mut SharedLlc,
-    cfg: &SystemConfig,
-) -> InterferenceOutcome {
-    run_shared_engine(cores, llc, cfg, true)
 }
 
 /// Ops a co-runner pre-executes per hierarchy batch call.
@@ -604,24 +717,18 @@ pub struct CoRunner {
     pid: ProcessId,
     ops: Vec<TraceOp>,
     offset_bits: u32,
-    /// Next unexecuted op of the cyclic trace.
+    /// Next trace position not yet walked or pre-executed.
     pos: usize,
-    /// Pre-executed events not yet consumed by the merge.
-    events: Vec<OpTiming>,
-    evt_pos: usize,
-    /// Trace index of `events[0]`.
+    /// The pre-executed chunk (lookahead the merge has not consumed
+    /// past `chunk_pos`).
+    chunk: Lookahead,
+    /// Next unconsumed op of the chunk.
+    chunk_pos: usize,
+    /// Trace index of the chunk's first op.
     chunk_start: usize,
     /// Total ops executed over the core's lifetime — the monotone
     /// sequence number the MSHR op-window expiry is measured against.
     seq: u64,
-    /// Shared-LLC mode only: the current chunk's shared-level request
-    /// stream (chunk-relative op indices) and its consumption cursors.
-    llc_requests: LlcRequests,
-    fill_pos: usize,
-    wb_pos: usize,
-    /// Which walk pre-executed the buffered chunk; a co-runner must be
-    /// driven in one mode for its whole lifetime.
-    chunk_shared: bool,
     /// Memoized [`prebatchable`] verdict for this co-runner's (fixed)
     /// trace on the platform's LLC, computed on first shared-mode use.
     prebatch: Option<bool>,
@@ -643,14 +750,10 @@ impl CoRunner {
             ops,
             offset_bits,
             pos: 0,
-            events: Vec::new(),
-            evt_pos: 0,
+            chunk: Lookahead::default(),
+            chunk_pos: 0,
             chunk_start: 0,
             seq: 0,
-            llc_requests: LlcRequests::default(),
-            fill_pos: 0,
-            wb_pos: 0,
-            chunk_shared: false,
             prebatch: None,
         }
     }
@@ -672,24 +775,21 @@ impl CoRunner {
 
     /// Discards the pre-executed lookahead, rewinding the trace
     /// cursor to the first position the merge has not yet consumed
-    /// (a per-op-mode co-runner has no lookahead and keeps its cursor),
+    /// (a per-op co-runner has no lookahead and keeps its cursor),
     /// and forgets the memoized pre-batchability verdict. Required
     /// whenever the platform's coherence configuration changes after
     /// this co-runner already ran: the buffered chunk was pre-executed
     /// under the old classification.
     pub fn reclassify(&mut self) {
-        if self.evt_pos < self.events.len() {
-            // Chunked mode with unconsumed lookahead: rewind to the
-            // first unmerged op. In per-op mode (or with the buffer
-            // fully drained) `pos` is already the next op.
-            self.pos = self.chunk_start + self.evt_pos;
+        if self.chunk_pos < self.chunk.events.len() {
+            // Unconsumed lookahead: rewind to the first unmerged op. A
+            // per-op co-runner (or a fully drained chunk) already has
+            // `pos` at the next op.
+            self.pos = self.chunk_start + self.chunk_pos;
         }
         self.chunk_start = self.pos;
-        self.events.clear();
-        self.evt_pos = 0;
-        self.llc_requests.clear();
-        self.fill_pos = 0;
-        self.wb_pos = 0;
+        self.chunk.clear();
+        self.chunk_pos = 0;
         self.prebatch = None;
     }
 
@@ -708,476 +808,59 @@ impl CoRunner {
 
     /// Drains this enemy core's private copies of `line` — the
     /// receiving side of a coherence action issued elsewhere on the
-    /// platform (the machine's scalar flush primitive uses this; the
-    /// engines reach the hierarchy directly).
-    pub fn invalidate_line(
-        &mut self,
-        line: LineAddr,
-    ) -> tscache_core::hierarchy::HierarchyInvalidation {
+    /// platform.
+    pub fn invalidate_line(&mut self, line: LineAddr) -> HierarchyInvalidation {
         self.hierarchy.invalidate_line(self.pid, line)
     }
 
-    /// Pre-executes the next trace chunk through the batch path.
-    fn refill(&mut self) {
-        if self.pos >= self.ops.len() {
-            self.pos = 0;
-        }
-        let end = (self.pos + CO_CHUNK).min(self.ops.len());
-        self.chunk_start = self.pos;
-        self.hierarchy.access_batch_timed(self.pid, &self.ops[self.pos..end], &mut self.events);
-        self.evt_pos = 0;
-        self.chunk_shared = false;
-        self.pos = end;
-    }
-
-    /// Pre-executes the next trace chunk through the *private* levels
-    /// only (shared-LLC mode), exporting the chunk's shared-level
-    /// request stream.
-    fn refill_shared(&mut self) {
-        if self.pos >= self.ops.len() {
-            self.pos = 0;
-        }
-        let end = (self.pos + CO_CHUNK).min(self.ops.len());
-        self.chunk_start = self.pos;
-        self.hierarchy.access_batch_upper_timed(
-            self.pid,
-            &self.ops[self.pos..end],
-            &mut self.events,
-            &mut self.llc_requests,
-        );
-        self.evt_pos = 0;
-        self.fill_pos = 0;
-        self.wb_pos = 0;
-        self.chunk_shared = true;
-        self.pos = end;
-    }
-
-    /// The next op's `(line, timing)`, pre-executing a chunk when the
-    /// buffer is drained.
-    fn next_event(&mut self) -> (u64, u64, OpTiming) {
-        if self.evt_pos >= self.events.len() {
-            self.refill();
-        }
-        assert!(!self.chunk_shared, "co-runner switched from shared to private mode mid-chunk");
-        let op = self.ops[self.chunk_start + self.evt_pos];
-        let t = self.events[self.evt_pos];
-        self.evt_pos += 1;
-        let seq = self.seq;
-        self.seq += 1;
-        (seq, op.addr.line(self.offset_bits).as_u64(), t)
-    }
-
-    /// Whether this co-runner's trace may be pre-executed in chunks on
-    /// `llc` (memoized — the trace and the LLC's coherent ranges are
-    /// fixed for the co-runner's lifetime).
-    fn prebatchable_on(&mut self, llc: &SharedLlc) -> bool {
+    /// Whether this co-runner's trace may be pre-executed in chunks
+    /// (memoized on a shared level — the trace and the LLC's coherent
+    /// ranges are fixed for the co-runner's lifetime).
+    fn prebatchable_on(&mut self, llc: Option<&SharedLlc>) -> bool {
+        let Some(llc) = llc else { return true };
         *self.prebatch.get_or_insert_with(|| prebatchable(&self.ops, llc, self.offset_bits))
     }
 
-    /// The next op's private-level outcome in *per-op* shared mode
-    /// (coherence-affected co-runners): the scalar upper walk, run at
-    /// merge time so invalidations from other cores are visible.
-    /// Returns the op's sequence number, the op itself, its private
-    /// outcome, and fills `wbs` with the escaped writebacks. The
-    /// caller resolves the shared level and the coherence actions.
-    fn next_op_per_op(&mut self, wbs: &mut Vec<Writeback>) -> (u64, TraceOp, UpperOutcome) {
-        assert!(self.evt_pos >= self.events.len(), "co-runner switched to per-op mode mid-chunk");
-        if self.pos >= self.ops.len() {
-            self.pos = 0;
-        }
-        let op = self.ops[self.pos];
-        wbs.clear();
-        let up = self.hierarchy.access_upper_detailed(self.pid, op.kind, op.addr, 0, wbs);
-        self.pos += 1;
+    /// The next op of the cyclic trace: its MSHR sequence number, the
+    /// op, and its resolved outcome — from the pre-executed chunk
+    /// (refilled when drained) when `batch` and the trace allows it,
+    /// walked now otherwise.
+    fn next(
+        &mut self,
+        llc: Option<&mut SharedLlc>,
+        batch: bool,
+        writebacks: &mut Vec<Writeback>,
+    ) -> (u64, TraceOp, Resolved) {
         let seq = self.seq;
         self.seq += 1;
-        (seq, op, up)
-    }
-
-    /// The next op's `(seq, line, timing, evicted shared-level line)`
-    /// on a shared-LLC platform: the op's buffered private timing
-    /// composed with its shared-level requests, resolved against `llc`
-    /// *now* — i.e. in merge order. The evicted line lets the caller
-    /// back-invalidate a coherence-tracked shared-level victim.
-    fn next_event_llc(&mut self, llc: &mut SharedLlc) -> (u64, u64, OpTiming, Option<LineAddr>) {
-        if self.evt_pos >= self.events.len() {
-            self.refill_shared();
-        }
-        // A buffered private-mode chunk carries memory penalties in its
-        // timings and no request streams — replaying it here would
-        // silently skip the shared level, so a mode switch is a hard
-        // error (a co-runner lives on one platform for its lifetime).
-        assert!(self.chunk_shared, "co-runner switched from private to shared mode mid-chunk");
-        let i = self.evt_pos;
-        let op = self.ops[self.chunk_start + i];
-        let (fill, wbs) =
-            self.llc_requests.take_for_op(i as u32, &mut self.fill_pos, &mut self.wb_pos);
-        let (r, evicted) = llc.resolve_evict(self.pid, fill, wbs);
-        let t = compose_llc(self.events[i], r, self.hierarchy.depth() as u8);
-        self.evt_pos += 1;
-        let seq = self.seq;
-        self.seq += 1;
-        (seq, op.addr.line(self.offset_bits).as_u64(), t, evicted)
-    }
-}
-
-/// Outcome of one contended segment ([`run_contended_segment`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentOutcome {
-    /// The measured core's accounting (its `cycles` is what the
-    /// machine charges for the segment).
-    pub primary: CoreReport,
-    /// Per-co-runner accounting for the segment.
-    pub co: Vec<CoreReport>,
-    /// Shared-bus accounting for the segment.
-    pub bus: BusReport,
-}
-
-/// Executes one trace segment of the measured core (core 0) against
-/// the persistent co-runners. Bus and MSHR state start fresh per
-/// segment (jobs re-align at release boundaries); co-runner trace
-/// position and cache state carry over. The loop stops when the
-/// primary trace is exhausted: a co-runner only advances while its
-/// clock trails the primary's, so every transaction that could delay
-/// the primary is arbitrated.
-pub fn run_contended_segment(
-    hierarchy: &mut Hierarchy,
-    pid: ProcessId,
-    ops: &[TraceOp],
-    co: &mut [CoRunner],
-    cfg: &SystemConfig,
-    events: &mut Vec<OpTiming>,
-) -> SegmentOutcome {
-    run_contended_segment_with(hierarchy, pid, ops, co, cfg, events, None)
-}
-
-/// [`run_contended_segment`] with an optional trace recorder attached
-/// to the merge. The recorder is observer-only: outcomes are
-/// bit-identical with and without it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_contended_segment_with(
-    hierarchy: &mut Hierarchy,
-    pid: ProcessId,
-    ops: &[TraceOp],
-    co: &mut [CoRunner],
-    cfg: &SystemConfig,
-    events: &mut Vec<OpTiming>,
-    recorder: Option<&RecorderHandle>,
-) -> SegmentOutcome {
-    let mut depths = vec![hierarchy.depth()];
-    depths.extend(co.iter().map(|c| c.hierarchy.depth()));
-    let mut merger = Merger::new(cfg, depths);
-    merger.recorder = recorder.cloned();
-    hierarchy.access_batch_timed(pid, ops, events);
-    let offset_bits = hierarchy.l1i().geometry().offset_bits();
-    let mut pos = 0usize;
-    while pos < ops.len() {
-        // Primary = core 0 wins ties, so a quiet system degenerates to
-        // the solo walk.
-        match merger.next_core(|_| true).expect("at least the primary runs") {
-            0 => {
-                let op = ops[pos];
-                merger.step(0, pos as u64, op.addr.line(offset_bits).as_u64(), events[pos]);
-                pos += 1;
-            }
-            c => {
-                let (seq, line, t) = co[c - 1].next_event();
-                merger.step(c, seq, line, t);
-            }
-        }
-    }
-    let out = merger.finish();
-    let mut cores = out.cores.into_iter();
-    SegmentOutcome {
-        primary: cores.next().expect("core 0 present"),
-        co: cores.collect(),
-        bus: out.bus,
-    }
-}
-
-/// [`invalidate_cores`] for the segment engine's core layout: core 0
-/// is the measured hierarchy, core `j` is co-runner `j-1`.
-fn invalidate_segment_cores(
-    hierarchy: &mut Hierarchy,
-    pid: ProcessId,
-    co: &mut [CoRunner],
-    reports: &mut [CoreReport],
-    targets: u32,
-    line: LineAddr,
-) -> u8 {
-    let mut dirty = 0u32;
-    let mut bits = targets;
-    while bits != 0 {
-        let j = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        if j > co.len() {
-            continue;
-        }
-        let inv = if j == 0 {
-            hierarchy.invalidate_line(pid, line)
-        } else {
-            let runner = &mut co[j - 1];
-            runner.hierarchy.invalidate_line(runner.pid, line)
-        };
-        reports[j].coh_invalidations += inv.copies as u64;
-        dirty += inv.dirty;
-    }
-    dirty.min(u8::MAX as u32) as u8
-}
-
-/// The canonical post-resolution coherence sequence of one segment op
-/// (mirrors steps (3)–(6) of the engine documentation on
-/// [`run_shared_engine`]): inclusive back-invalidation of a tracked
-/// shared-level victim, sharer recording for a tracked fill, upgrade
-/// invalidations for a write, and the flush broadcast. Returns the
-/// coherence bus transactions the op issued; drained dirty copies are
-/// added to `t.mem_writebacks`.
-#[allow(clippy::too_many_arguments)]
-fn segment_coherence_post(
-    llc: &mut SharedLlc,
-    hierarchy: &mut Hierarchy,
-    pid: ProcessId,
-    co: &mut [CoRunner],
-    reports: &mut [CoreReport],
-    pids: &[ProcessId],
-    c: usize,
-    kind: AccessKind,
-    line: LineAddr,
-    fill: Option<LineAddr>,
-    evicted: Option<LineAddr>,
-    t: &mut OpTiming,
-    recorder: Option<&RecorderHandle>,
-    ts: u64,
-) -> u8 {
-    let mut coh_txns = 0u8;
-    if let Some(victim) = evicted.filter(|&v| llc.is_coherent_line(v)) {
-        let sharers = llc.clear_sharers(victim);
-        if sharers != 0 {
-            coh_txns += 1;
-            t.mem_writebacks +=
-                invalidate_segment_cores(hierarchy, pid, co, reports, sharers, victim);
-            if let Some(rec) = recorder {
-                rec.borrow_mut().record(ts, Event::CohBackInvalidate { core: c as u8 });
-            }
-        }
-    }
-    if fill.is_some_and(|l| llc.is_coherent_line(l)) {
-        llc.note_sharer(line, c);
-    }
-    if kind == AccessKind::Write && llc.is_coherent_line(line) {
-        let others = llc.retain_sharer(line, c);
-        if others != 0 {
-            coh_txns += 1;
-            t.mem_writebacks += invalidate_segment_cores(hierarchy, pid, co, reports, others, line);
-            if let Some(rec) = recorder {
-                rec.borrow_mut().record(
-                    ts,
-                    Event::CohUpgrade {
-                        core: c as u8,
-                        invalidated: others.count_ones().min(u8::MAX as u32) as u8,
-                    },
-                );
-            }
-        }
-    }
-    if kind == AccessKind::Flush && llc.is_coherent_line(line) {
-        coh_txns += 1;
-        let sharers = llc.clear_sharers(line) & !(1u32 << c);
-        t.mem_writebacks += invalidate_segment_cores(hierarchy, pid, co, reports, sharers, line);
-        for &p in pids {
-            if llc.invalidate_copy(p, line).dirty {
-                t.mem_writebacks += 1;
-            }
-        }
-        if let Some(rec) = recorder {
-            rec.borrow_mut().record(
-                ts,
-                Event::CohFlush {
-                    core: c as u8,
-                    invalidated: sharers.count_ones().min(u8::MAX as u32) as u8,
-                },
-            );
-        }
-    }
-    coh_txns
-}
-
-/// [`run_contended_segment`] for a shared-LLC platform: the measured
-/// core (core 0) and the persistent co-runners resolve every
-/// shared-level fill and writeback against the one `llc` instance in
-/// merge order, so the enemies *do* perturb the measured core's
-/// shared-level hits — the contention channel per-core way partitions
-/// on `llc` are there to close. When the LLC has coherence armed, the
-/// segment additionally runs the MSI actions in global op order:
-/// coherence-affected participants (traces with flush ops or accesses
-/// to tracked lines) walk their private levels per op at merge time,
-/// everyone else keeps the pre-executed batch path. `events` and
-/// `requests` are per-call scratch for the primary's private
-/// pre-execution (cleared and refilled).
-#[allow(clippy::too_many_arguments)]
-pub fn run_contended_segment_shared(
-    hierarchy: &mut Hierarchy,
-    pid: ProcessId,
-    ops: &[TraceOp],
-    co: &mut [CoRunner],
-    llc: &mut SharedLlc,
-    cfg: &SystemConfig,
-    events: &mut Vec<OpTiming>,
-    requests: &mut LlcRequests,
-) -> SegmentOutcome {
-    run_contended_segment_shared_with(hierarchy, pid, ops, co, llc, cfg, events, requests, None)
-}
-
-/// [`run_contended_segment_shared`] with an optional trace recorder
-/// attached to the merge. The recorder is observer-only: outcomes are
-/// bit-identical with and without it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_contended_segment_shared_with(
-    hierarchy: &mut Hierarchy,
-    pid: ProcessId,
-    ops: &[TraceOp],
-    co: &mut [CoRunner],
-    llc: &mut SharedLlc,
-    cfg: &SystemConfig,
-    events: &mut Vec<OpTiming>,
-    requests: &mut LlcRequests,
-    recorder: Option<&RecorderHandle>,
-) -> SegmentOutcome {
-    let mut depths = vec![hierarchy.depth() + 1];
-    depths.extend(co.iter().map(|c| c.hierarchy.depth() + 1));
-    let co_bits: Vec<u8> = co.iter().map(|c| c.hierarchy.depth() as u8).collect();
-    let co_offsets: Vec<u32> = co.iter().map(|c| c.offset_bits).collect();
-    let mut merger = Merger::new(cfg, depths);
-    merger.recorder = recorder.cloned();
-    let shared_bit = hierarchy.depth() as u8;
-    let offset_bits = hierarchy.l1i().geometry().offset_bits();
-    let coherent = llc.has_coherence();
-    let primary_batched = prebatchable(ops, llc, offset_bits);
-    if primary_batched {
-        hierarchy.access_batch_upper_timed(pid, ops, events, requests);
-    } else {
-        events.clear();
-        requests.clear();
-    }
-    let pids: Vec<ProcessId> = core::iter::once(pid).chain(co.iter().map(|c| c.pid)).collect();
-    let (mut pos, mut fill_pos, mut wb_pos) = (0usize, 0usize, 0usize);
-    let mut wb_scratch: Vec<Writeback> = Vec::new();
-    while pos < ops.len() {
-        // Primary = core 0 wins ties, so a quiet system degenerates to
-        // the solo shared-platform walk.
-        match merger.next_core(|_| true).expect("at least the primary runs") {
-            0 => {
-                let op = ops[pos];
-                let line = op.addr.line(offset_bits);
-                let (mut t, fill, evicted) = if primary_batched {
-                    let (fill, wbs) = requests.take_for_op(pos as u32, &mut fill_pos, &mut wb_pos);
-                    let (r, ev) = llc.resolve_evict(pid, fill, wbs);
-                    (compose_llc(events[pos], r, shared_bit), fill, ev)
-                } else {
-                    wb_scratch.clear();
-                    let up = hierarchy.access_upper_detailed(
-                        pid,
-                        op.kind,
-                        op.addr,
-                        pos as u32,
-                        &mut wb_scratch,
-                    );
-                    let (r, ev) = llc.resolve_evict(pid, up.fill, &wb_scratch);
-                    (compose_llc(upper_timing(&up), r, shared_bit), up.fill, ev)
-                };
-                let coh = if coherent {
-                    let ts = merger.clocks[0];
-                    segment_coherence_post(
-                        llc,
-                        hierarchy,
-                        pid,
-                        co,
-                        &mut merger.reports,
-                        &pids,
-                        0,
-                        op.kind,
-                        line,
-                        fill,
-                        evicted,
-                        &mut t,
-                        recorder,
-                        ts,
-                    )
-                } else {
-                    0
-                };
-                merger.step_coh(0, pos as u64, line.as_u64(), t, coh);
-                pos += 1;
-            }
-            c => {
-                if co[c - 1].prebatchable_on(llc) {
-                    let (seq, line, mut t, evicted) = co[c - 1].next_event_llc(llc);
-                    let coh = if coherent {
-                        // A batched co-runner can still displace a
-                        // tracked line from the shared level; its
-                        // coherence-free trace makes every other
-                        // action a no-op (its fills are never tracked
-                        // and it never writes or flushes tracked
-                        // lines), so the canonical sequence runs with
-                        // a synthetic read and no fill.
-                        let ts = merger.clocks[c];
-                        segment_coherence_post(
-                            llc,
-                            hierarchy,
-                            pid,
-                            co,
-                            &mut merger.reports,
-                            &pids,
-                            c,
-                            AccessKind::Read,
-                            LineAddr::new(line),
-                            None,
-                            evicted,
-                            &mut t,
-                            recorder,
-                            ts,
-                        )
-                    } else {
-                        0
-                    };
-                    merger.step_coh(c, seq, line, t, coh);
-                } else {
-                    let (seq, op, up) = co[c - 1].next_op_per_op(&mut wb_scratch);
-                    let line = op.addr.line(co_offsets[c - 1]);
-                    let (r, ev) = llc.resolve_evict(pids[c], up.fill, &wb_scratch);
-                    let mut t = compose_llc(upper_timing(&up), r, co_bits[c - 1]);
-                    let coh = if coherent {
-                        let ts = merger.clocks[c];
-                        segment_coherence_post(
-                            llc,
-                            hierarchy,
-                            pid,
-                            co,
-                            &mut merger.reports,
-                            &pids,
-                            c,
-                            op.kind,
-                            line,
-                            up.fill,
-                            ev,
-                            &mut t,
-                            recorder,
-                            ts,
-                        )
-                    } else {
-                        0
-                    };
-                    merger.step_coh(c, seq, line.as_u64(), t, coh);
+        if batch && self.prebatchable_on(llc.as_deref()) {
+            if self.chunk_pos >= self.chunk.events.len() {
+                if self.pos >= self.ops.len() {
+                    self.pos = 0;
                 }
+                let end = (self.pos + CO_CHUNK).min(self.ops.len());
+                self.chunk_start = self.pos;
+                let ops = &self.ops[self.pos..end];
+                self.chunk.fill(&mut self.hierarchy, self.pid, ops, llc.is_some());
+                self.chunk_pos = 0;
+                self.pos = end;
             }
+            let i = self.chunk_pos;
+            self.chunk_pos += 1;
+            let op = self.ops[self.chunk_start + i];
+            (seq, op, self.chunk.take(i, self.pid, llc, self.hierarchy.depth()))
+        } else {
+            assert!(
+                self.chunk_pos >= self.chunk.events.len(),
+                "co-runner switched to per-op mode mid-chunk"
+            );
+            if self.pos >= self.ops.len() {
+                self.pos = 0;
+            }
+            let op = self.ops[self.pos];
+            self.pos += 1;
+            (seq, op, walk(&mut self.hierarchy, self.pid, op, llc, writebacks))
         }
-    }
-    let out = merger.finish();
-    let mut cores = out.cores.into_iter();
-    SegmentOutcome {
-        primary: cores.next().expect("core 0 present"),
-        co: cores.collect(),
-        bus: out.bus,
     }
 }
 
@@ -1190,6 +873,16 @@ mod tests {
 
     fn trace(salt: u64, len: usize) -> Vec<TraceOp> {
         TraceOp::mixed_trace(salt, len, 1 << 17)
+    }
+
+    /// [`execute`] with no recorder and a fresh scratch.
+    fn batch(
+        cores: &mut [CoreRun<'_>],
+        co: &mut [CoRunner],
+        llc: Option<&mut SharedLlc>,
+        cfg: &SystemConfig,
+    ) -> InterferenceOutcome {
+        execute(cores, co, llc, cfg, None, &mut EngineScratch::default())
     }
 
     fn pair() -> (Hierarchy, Hierarchy) {
@@ -1220,16 +913,20 @@ mod tests {
                     CoreRun { hierarchy: &mut a0, pid, ops: &t0 },
                     CoreRun { hierarchy: &mut a1, pid, ops: &t1 },
                 ],
+                &mut [],
+                None,
                 &cfg,
             );
-            let batch = execute_batch(
+            let batched = batch(
                 &mut [
                     CoreRun { hierarchy: &mut b0, pid, ops: &t0 },
                     CoreRun { hierarchy: &mut b1, pid, ops: &t1 },
                 ],
+                &mut [],
+                None,
                 &cfg,
             );
-            assert_eq!(scalar, batch, "{arbitration}");
+            assert_eq!(scalar, batched, "{arbitration}");
             assert_eq!(a0.total_stats(), b0.total_stats(), "{arbitration}");
             assert_eq!(a1.total_stats(), b1.total_stats(), "{arbitration}");
         }
@@ -1242,16 +939,17 @@ mod tests {
         let pid = ProcessId::new(1);
         let t0 = trace(7, 800);
         let t1 = trace(8, 800);
-        let solo_out = execute_batch(
-            &mut [CoreRun { hierarchy: &mut solo, pid, ops: &t0 }],
-            &SystemConfig::default(),
-        );
-        let contended = execute_batch(
+        let cfg = SystemConfig::default();
+        let solo_out =
+            batch(&mut [CoreRun { hierarchy: &mut solo, pid, ops: &t0 }], &mut [], None, &cfg);
+        let contended = batch(
             &mut [
                 CoreRun { hierarchy: &mut c0, pid, ops: &t0 },
                 CoreRun { hierarchy: &mut c1, pid, ops: &t1 },
             ],
-            &SystemConfig::default(),
+            &mut [],
+            None,
+            &cfg,
         );
         assert_eq!(solo_out.cores[0].base_cycles, contended.cores[0].base_cycles);
         assert!(contended.cores[0].cycles >= solo_out.cores[0].cycles);
@@ -1265,24 +963,22 @@ mod tests {
         let run = || {
             let (mut h, enemy) = pair();
             let mut co = vec![CoRunner::new(enemy, ProcessId::new(9), trace(11, 300))];
-            let mut events = Vec::new();
             let t = trace(12, 500);
-            run_contended_segment(
-                &mut h,
-                ProcessId::new(1),
-                &t,
+            batch(
+                &mut [CoreRun { hierarchy: &mut h, pid: ProcessId::new(1), ops: &t }],
                 &mut co,
+                None,
                 &SystemConfig::default(),
-                &mut events,
             )
         };
         let a = run();
         let b = run();
         assert_eq!(a, b);
-        assert!(a.primary.cycles >= a.primary.base_cycles);
+        let primary = a.cores[0];
+        assert!(primary.cycles >= primary.base_cycles);
         assert_eq!(
-            a.primary.cycles,
-            a.primary.base_cycles + a.primary.bus_wait + a.primary.mshr_stall_cycles
+            primary.cycles,
+            primary.base_cycles + primary.bus_wait + primary.mshr_stall_cycles
         );
     }
 
@@ -1295,8 +991,8 @@ mod tests {
         // and stall/coalesce counts), and so is the bus's transaction
         // total. An engine bug that let the interleaving leak into
         // cache or MSHR outcomes would trip this (the CI determinism
-        // probe pins the same property for the segment API's measured
-        // core).
+        // probe pins the same property for a machine segment's
+        // measured core).
         let traces: Vec<Vec<TraceOp>> =
             (0..3u64).map(|c| trace(60 + c, 400 + 50 * c as usize)).collect();
         let build = |c: u64| {
@@ -1321,7 +1017,7 @@ mod tests {
                 .zip(perm.iter())
                 .map(|(h, &c)| CoreRun { hierarchy: h, pid: ProcessId::new(1), ops: &traces[c] })
                 .collect();
-            let out = execute_batch(&mut cores, &SystemConfig::default());
+            let out = batch(&mut cores, &mut [], None, &SystemConfig::default());
             // Report per original core id, independent of position.
             let mut by_core = [CoreReport::default(); 3];
             for (pos, &c) in perm.iter().enumerate() {
@@ -1402,9 +1098,9 @@ mod tests {
                     .map(|((h, &pid), t)| CoreRun { hierarchy: h, pid, ops: t })
                     .collect();
                 let out = if scalar {
-                    execute_scalar_shared(&mut cores, &mut llc, &cfg)
+                    execute_scalar(&mut cores, &mut [], Some(&mut llc), &cfg)
                 } else {
-                    execute_batch_shared(&mut cores, &mut llc, &cfg)
+                    batch(&mut cores, &mut [], Some(&mut llc), &cfg)
                 };
                 let stats: Vec<_> = hs.iter().map(|h| h.total_stats()).collect();
                 let contents: Vec<_> = llc.cache().contents().collect();
@@ -1422,9 +1118,10 @@ mod tests {
         let ops: Vec<TraceOp> =
             (0..2000u64).map(|i| TraceOp::read(Addr::new((i % 32) * 4096))).collect();
         let (mut hs, pids, mut llc) = shared_platform(1, 9);
-        let out = execute_batch_shared(
+        let out = batch(
             &mut [CoreRun { hierarchy: &mut hs[0], pid: pids[0], ops: &ops }],
-            &mut llc,
+            &mut [],
+            Some(&mut llc),
             &SystemConfig::default(),
         );
         let llc_stats = llc.cache().stats();
@@ -1468,7 +1165,7 @@ mod tests {
                     ops: &enemy_ops,
                 });
             }
-            let out = execute_batch_shared(&mut cores, &mut llc, &SystemConfig::default());
+            let out = batch(&mut cores, &mut [], Some(&mut llc), &SystemConfig::default());
             (out.cores[0], llc.cache().stats().cross_process_evictions())
         };
         let (solo, _) = run(false, false);
@@ -1498,82 +1195,71 @@ mod tests {
             let mut h = hs.next().unwrap();
             let enemy = hs.next().unwrap();
             let mut co = vec![CoRunner::new(enemy, pids[1], trace(31, 300))];
-            let mut events = Vec::new();
-            let mut requests = LlcRequests::default();
             let t = trace(32, 500);
-            let seg = run_contended_segment_shared(
-                &mut h,
-                pids[0],
-                &t,
+            let out = batch(
+                &mut [CoreRun { hierarchy: &mut h, pid: pids[0], ops: &t }],
                 &mut co,
-                &mut llc,
+                Some(&mut llc),
                 &SystemConfig::default(),
-                &mut events,
-                &mut requests,
             );
-            (seg, *llc.cache().stats())
+            (out, *llc.cache().stats())
         };
         let (a, llc_a) = run();
         let (b, llc_b) = run();
         assert_eq!(a, b);
         assert_eq!(llc_a, llc_b);
-        assert!(a.co[0].ops > 0, "enemy never ran");
+        assert!(a.cores[1].ops > 0, "enemy never ran");
+        let primary = a.cores[0];
         assert_eq!(
-            a.primary.cycles,
-            a.primary.base_cycles + a.primary.bus_wait + a.primary.mshr_stall_cycles
+            primary.cycles,
+            primary.base_cycles + primary.bus_wait + primary.mshr_stall_cycles
         );
     }
 
     #[test]
     fn co_runner_flush_keeps_per_op_position_and_rewinds_lookahead() {
         let ops: Vec<TraceOp> = (0..10u64).map(|i| TraceOp::read(Addr::new(i * 4096))).collect();
-        // Per-op mode: the cursor IS the next op — a flush must not
-        // move it (chunk_start/evt_pos stay 0 in this mode, so the
-        // naive rewind would restart the trace from op 0).
-        let (mut hs, pids, _) = shared_platform(1, 3);
-        let mut co = CoRunner::new(hs.remove(0), pids[0], ops.clone());
         let mut wbs = Vec::new();
+        // Per-op mode: the cursor IS the next op — a flush must not
+        // move it (the chunk cursors stay 0 in this mode, so the naive
+        // rewind would restart the trace from op 0).
+        let (mut hs, pids, mut llc) = shared_platform(1, 3);
+        let mut co = CoRunner::new(hs.remove(0), pids[0], ops.clone());
         for _ in 0..5 {
-            co.next_op_per_op(&mut wbs);
+            co.next(Some(&mut llc), false, &mut wbs);
         }
         co.flush();
-        let (_, op, _) = co.next_op_per_op(&mut wbs);
+        let (_, op, _) = co.next(Some(&mut llc), false, &mut wbs);
         assert_eq!(op, ops[5], "flush rewound a per-op co-runner's trace position");
         // Chunked mode: unconsumed lookahead is discarded, resuming at
         // the first unmerged op (which re-executes on the cold cache).
         let (mut hs, pids, mut llc) = shared_platform(1, 4);
         let mut co = CoRunner::new(hs.remove(0), pids[0], ops.clone());
         for _ in 0..3 {
-            co.next_event_llc(&mut llc);
+            co.next(Some(&mut llc), true, &mut wbs);
         }
         co.flush();
-        let offset_bits = co.offset_bits;
-        let (_, line, _, _) = co.next_event_llc(&mut llc);
-        assert_eq!(
-            line,
-            ops[3].addr.line(offset_bits).as_u64(),
-            "flush did not resume at the first unconsumed op"
-        );
+        let (_, op, _) = co.next(Some(&mut llc), true, &mut wbs);
+        assert_eq!(op, ops[3], "flush did not resume at the first unconsumed op");
     }
 
     #[test]
     fn reclassify_reacts_to_late_coherent_ranges() {
-        use tscache_core::addr::Addr;
         let ops: Vec<TraceOp> = (0..12u64).map(|i| TraceOp::read(Addr::new(i * 4096))).collect();
         let (mut hs, pids, mut llc) = shared_platform(1, 5);
         let mut co = CoRunner::new(hs.remove(0), pids[0], ops.clone());
-        assert!(co.prebatchable_on(&llc), "coherence-free trace must be batchable");
+        let mut wbs = Vec::new();
+        assert!(co.prebatchable_on(Some(&llc)), "coherence-free trace must be batchable");
         for _ in 0..4 {
-            co.next_event_llc(&mut llc);
+            co.next(Some(&mut llc), true, &mut wbs);
         }
         // The platform declares a coherent range covering the trace
         // *after* the co-runner already ran: the memoized verdict and
         // the buffered lookahead are both stale.
         llc.add_coherent_range(Addr::new(0), 12 * 4096);
         co.reclassify();
-        assert!(!co.prebatchable_on(&llc), "stale pre-batchability verdict survived");
-        let mut wbs = Vec::new();
-        let (_, op, _) = co.next_op_per_op(&mut wbs);
+        assert!(!co.prebatchable_on(Some(&llc)), "stale pre-batchability verdict survived");
+        let (_, op, _) = co.next(Some(&mut llc), true, &mut wbs);
         assert_eq!(op, ops[4], "reclassify lost the first unconsumed op");
     }
 
@@ -1587,11 +1273,13 @@ mod tests {
         let (mut c0, mut c1) = pair();
         let pid = ProcessId::new(1);
         let (t0, t1) = (trace(31, 600), trace(32, 600));
-        let out = execute_batch(
+        let out = batch(
             &mut [
                 CoreRun { hierarchy: &mut c0, pid, ops: &t0 },
                 CoreRun { hierarchy: &mut c1, pid, ops: &t1 },
             ],
+            &mut [],
+            None,
             &cfg,
         );
         // Every transaction waits at most one full TDMA round.
@@ -1608,11 +1296,13 @@ mod tests {
         let (mut c0, mut c1) = pair();
         let pid = ProcessId::new(1);
         let (t0, t1) = (trace(41, 400), trace(42, 400));
-        let out = execute_batch(
+        let out = batch(
             &mut [
                 CoreRun { hierarchy: &mut c0, pid, ops: &t0 },
                 CoreRun { hierarchy: &mut c1, pid, ops: &t1 },
             ],
+            &mut [],
+            None,
             &cfg,
         );
         for core in &out.cores {
@@ -1636,18 +1326,16 @@ mod tests {
         let mut co = vec![CoRunner::new(enemy, ProcessId::new(9), enemy_ops)];
         let mut h = SetupKind::Deterministic.build(1);
         let t = trace(5, 2000);
-        let mut events = Vec::new();
-        let seg = run_contended_segment(
-            &mut h,
-            ProcessId::new(1),
-            &t,
+        let out = batch(
+            &mut [CoreRun { hierarchy: &mut h, pid: ProcessId::new(1), ops: &t }],
             &mut co,
+            None,
             &SystemConfig::default(),
-            &mut events,
         );
-        assert!(seg.co[0].ops > 32, "enemy barely ran; test needs several trace cycles");
+        let enemy = out.cores[1];
+        assert!(enemy.ops > 32, "enemy barely ran; test needs several trace cycles");
         assert_eq!(
-            seg.co[0].mshr_coalesced, 0,
+            enemy.mshr_coalesced, 0,
             "revisit distance exceeds the MSHR window — nothing may coalesce"
         );
     }
@@ -1662,7 +1350,7 @@ mod tests {
         // A pure miss streak: distinct lines, no reuse.
         let t: Vec<TraceOp> = (0..400u64).map(|i| TraceOp::read(Addr::new(i * 4096))).collect();
         let pid = ProcessId::new(1);
-        let out = execute_batch(&mut [CoreRun { hierarchy: &mut h, pid, ops: &t }], &cfg);
+        let out = batch(&mut [CoreRun { hierarchy: &mut h, pid, ops: &t }], &mut [], None, &cfg);
         assert!(out.cores[0].mshr_stall_cycles > 0, "1-entry MSHR never stalled a miss streak");
     }
 }

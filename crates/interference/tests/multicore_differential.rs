@@ -1,10 +1,14 @@
-//! The multi-core differential suite (the PR's acceptance criterion):
-//! contention-aware batch execution must be bit-identical to the
-//! scalar multi-core interleaving — per-core cycles, bus waits, MSHR
-//! accounting, per-level statistics (including writeback counters) and
-//! final cache contents — across every placement × replacement ×
-//! depth × arbitration combination, with write-back caches on.
+//! The multi-core differential suite: the production engine
+//! ([`execute`]) must be bit-identical to the reference
+//! ([`execute_scalar`], every core walked op by op) — per-core cycles,
+//! bus waits, MSHR accounting, per-level statistics (including
+//! writeback counters) and final cache contents — across every
+//! placement × replacement × depth × arbitration combination, with
+//! write-back caches on; on private, shared-LLC and coherent
+//! platforms; and in the segment shape `Machine::run_trace` drives (one
+//! finite core against cyclic co-runners).
 
+use tscache_core::addr::Addr;
 use tscache_core::cache::{Cache, WritePolicy};
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::hierarchy::{Hierarchy, SharedLlc, TraceOp};
@@ -12,10 +16,26 @@ use tscache_core::placement::PlacementKind;
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
+use tscache_core::stats::CacheStats;
 use tscache_interference::{
-    execute_batch, execute_batch_shared, execute_scalar, execute_scalar_shared, Arbitration,
-    BusConfig, CoreRun, MshrConfig, SystemConfig,
+    execute, execute_scalar, Arbitration, BusConfig, CoRunner, CoreRun, EngineScratch,
+    InterferenceOutcome, MshrConfig, SystemConfig,
 };
+
+/// The reference engine or the production one (fresh scratch, no
+/// recorder) on finite cores alone.
+fn engine(
+    scalar: bool,
+    cores: &mut [CoreRun<'_>],
+    llc: Option<&mut SharedLlc>,
+    cfg: &SystemConfig,
+) -> InterferenceOutcome {
+    if scalar {
+        execute_scalar(cores, &mut [], llc, cfg)
+    } else {
+        execute(cores, &mut [], llc, cfg, None, &mut EngineScratch::default())
+    }
+}
 
 /// Deterministic mixed trace whose footprint overflows the small
 /// hierarchies below at every level.
@@ -50,16 +70,26 @@ fn small_hierarchy(
     h
 }
 
-fn contents_of(c: &Cache) -> Vec<(u32, u32, u64, u16)> {
-    c.contents().map(|(s, w, l, o)| (s, w, l.as_u64(), o.as_u16())).collect()
+/// Everything a cache decided: statistics, contents (set, way, line,
+/// owner) and the dirty-line count.
+type CacheState = (CacheStats, Vec<(u32, u32, u64, u16)>, usize);
+
+fn cache_state(c: &Cache) -> CacheState {
+    let contents = c.contents().map(|(s, w, l, o)| (s, w, l.as_u64(), o.as_u16())).collect();
+    (*c.stats(), contents, c.dirty_lines())
+}
+
+fn levels(h: &Hierarchy) -> impl Iterator<Item = &Cache> {
+    [h.l1i(), h.l1d()].into_iter().chain(h.unified_levels())
+}
+
+fn hierarchy_state(h: &Hierarchy) -> Vec<CacheState> {
+    levels(h).map(cache_state).collect()
 }
 
 fn assert_hierarchies_identical(a: &Hierarchy, b: &Hierarchy, label: &str) {
-    let pairs = [(a.l1i(), b.l1i()), (a.l1d(), b.l1d())];
-    for (x, y) in pairs.into_iter().chain(a.unified_levels().zip(b.unified_levels())) {
-        assert_eq!(x.stats(), y.stats(), "{label}: {} stats diverge", x.label());
-        assert_eq!(contents_of(x), contents_of(y), "{label}: {} contents diverge", x.label());
-        assert_eq!(x.dirty_lines(), y.dirty_lines(), "{label}: {} dirty lines diverge", x.label());
+    for (x, y) in levels(a).zip(levels(b)) {
+        assert_eq!(cache_state(x), cache_state(y), "{label}: {} diverges", x.label());
     }
 }
 
@@ -93,7 +123,7 @@ fn contended_batch_is_bit_identical_to_scalar_interleaving() {
                             .zip(&traces)
                             .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
                             .collect();
-                        execute_scalar(&mut cores, &cfg)
+                        engine(true, &mut cores, None, &cfg)
                     };
                     let batch = {
                         let mut cores: Vec<CoreRun<'_>> = batch_h
@@ -101,7 +131,7 @@ fn contended_batch_is_bit_identical_to_scalar_interleaving() {
                             .zip(&traces)
                             .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
                             .collect();
-                        execute_batch(&mut cores, &cfg)
+                        engine(false, &mut cores, None, &cfg)
                     };
                     assert_eq!(scalar, batch, "{label}: engine outcomes diverge");
                     for (i, (a, b)) in scalar_h.iter().zip(&batch_h).enumerate() {
@@ -141,7 +171,7 @@ fn paper_presets_match_across_engines_with_active_writebacks() {
                     .zip(&traces)
                     .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
                     .collect();
-                execute_scalar(&mut cores, &cfg)
+                engine(true, &mut cores, None, &cfg)
             };
             let batch = {
                 let mut cores: Vec<CoreRun<'_>> = batch_h
@@ -149,7 +179,7 @@ fn paper_presets_match_across_engines_with_active_writebacks() {
                     .zip(&traces)
                     .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
                     .collect();
-                execute_batch(&mut cores, &cfg)
+                engine(false, &mut cores, None, &cfg)
             };
             assert_eq!(scalar, batch, "{label}");
             for (i, (a, b)) in scalar_h.iter().zip(&batch_h).enumerate() {
@@ -261,11 +291,7 @@ fn shared_llc_batch_is_bit_identical_to_scalar_interleaving() {
                                         ops: t,
                                     })
                                     .collect();
-                                if scalar {
-                                    execute_scalar_shared(&mut cores, &mut llc, &cfg)
-                                } else {
-                                    execute_batch_shared(&mut cores, &mut llc, &cfg)
-                                }
+                                engine(scalar, &mut cores, Some(&mut llc), &cfg)
                             };
                             (out, cores_h.into_iter().map(|(h, _)| h).collect::<Vec<_>>(), llc)
                         };
@@ -276,19 +302,9 @@ fn shared_llc_batch_is_bit_identical_to_scalar_interleaving() {
                             assert_hierarchies_identical(a, b, &format!("{label}/core{i}"));
                         }
                         assert_eq!(
-                            scalar_llc.cache().stats(),
-                            batch_llc.cache().stats(),
-                            "{label}: shared-LLC stats diverge"
-                        );
-                        assert_eq!(
-                            contents_of(scalar_llc.cache()),
-                            contents_of(batch_llc.cache()),
-                            "{label}: shared-LLC contents diverge"
-                        );
-                        assert_eq!(
-                            scalar_llc.cache().dirty_lines(),
-                            batch_llc.cache().dirty_lines(),
-                            "{label}: shared-LLC dirty lines diverge"
+                            cache_state(scalar_llc.cache()),
+                            cache_state(batch_llc.cache()),
+                            "{label}: shared LLC diverges"
                         );
                     }
                 }
@@ -335,11 +351,7 @@ fn shared_llc_paper_presets_match_across_engines() {
                             ops: t,
                         })
                         .collect();
-                    if scalar {
-                        execute_scalar_shared(&mut cores, &mut llc, &cfg)
-                    } else {
-                        execute_batch_shared(&mut cores, &mut llc, &cfg)
-                    }
+                    engine(scalar, &mut cores, Some(&mut llc), &cfg)
                 };
                 (out, hs, llc)
             };
@@ -349,8 +361,7 @@ fn shared_llc_paper_presets_match_across_engines() {
             for (i, (a, b)) in scalar_h.iter().zip(&batch_h).enumerate() {
                 assert_hierarchies_identical(a, b, &format!("{label}/core{i}"));
             }
-            assert_eq!(scalar_llc.cache().stats(), batch_llc.cache().stats(), "{label}");
-            assert_eq!(contents_of(scalar_llc.cache()), contents_of(batch_llc.cache()), "{label}");
+            assert_eq!(cache_state(scalar_llc.cache()), cache_state(batch_llc.cache()), "{label}");
         }
     }
 }
@@ -360,7 +371,6 @@ fn shared_llc_paper_presets_match_across_engines() {
 /// coherence-affected workload shape (upgrade invalidations, flush
 /// broadcasts, back-invalidations all fire).
 fn coherent_trace(salt: u64, len: usize, shared_base: u64) -> Vec<TraceOp> {
-    use tscache_core::addr::Addr;
     let mut state = salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     (0..len)
         .map(|i| {
@@ -419,9 +429,9 @@ fn coherence_axis_batch_is_bit_identical_to_scalar_interleaving() {
                             .collect();
                         let pids: Vec<ProcessId> = cores_h.iter().map(|&(_, pid)| pid).collect();
                         let mut llc = small_shared_llc(placement, replacement, policy, &pids);
-                        llc.add_coherent_range(tscache_core::addr::Addr::new(SHARED_BASE), 512);
+                        llc.add_coherent_range(Addr::new(SHARED_BASE), 512);
                         for (h, _) in cores_h.iter_mut() {
-                            h.add_coherent_range(tscache_core::addr::Addr::new(SHARED_BASE), 512);
+                            h.add_coherent_range(Addr::new(SHARED_BASE), 512);
                         }
                         let out = {
                             let mut cores: Vec<CoreRun<'_>> = cores_h
@@ -429,11 +439,7 @@ fn coherence_axis_batch_is_bit_identical_to_scalar_interleaving() {
                                 .zip(&traces)
                                 .map(|((h, pid), t)| CoreRun { hierarchy: h, pid: *pid, ops: t })
                                 .collect();
-                            if scalar {
-                                execute_scalar_shared(&mut cores, &mut llc, &cfg)
-                            } else {
-                                execute_batch_shared(&mut cores, &mut llc, &cfg)
-                            }
+                            engine(scalar, &mut cores, Some(&mut llc), &cfg)
                         };
                         (out, cores_h.into_iter().map(|(h, _)| h).collect::<Vec<_>>(), llc)
                     };
@@ -444,14 +450,9 @@ fn coherence_axis_batch_is_bit_identical_to_scalar_interleaving() {
                         assert_hierarchies_identical(a, b, &format!("{label}/core{i}"));
                     }
                     assert_eq!(
-                        scalar_llc.cache().stats(),
-                        batch_llc.cache().stats(),
-                        "{label}: shared-LLC stats diverge"
-                    );
-                    assert_eq!(
-                        contents_of(scalar_llc.cache()),
-                        contents_of(batch_llc.cache()),
-                        "{label}: shared-LLC contents diverge"
+                        cache_state(scalar_llc.cache()),
+                        cache_state(batch_llc.cache()),
+                        "{label}: shared LLC diverges"
                     );
                     // The axis must actually exercise coherence: the
                     // sharing cores invalidate each other, the private
@@ -469,6 +470,178 @@ fn coherence_axis_batch_is_bit_identical_to_scalar_interleaving() {
             }
         }
     }
+}
+
+/// Walks the next ops of a co-runner's cyclic `trace` through
+/// `reference`'s private levels until it reaches `twin`'s exact state;
+/// returns how many ops that took, or `None` if one trace pass never
+/// got there.
+///
+/// A co-runner the production engine pre-executes runs ahead of the
+/// merge by its unconsumed lookahead: private walks of ops the merge
+/// has not reached yet (model speculation, which a flush drops). The
+/// reference walks op by op and stops exactly where the merge did,
+/// `merged` ops into its trace. The replay sends nothing to a shared
+/// level, because the lookahead has not reached it either. A
+/// co-runner that walked per op in both engines matches with nothing
+/// replayed.
+fn replay_lookahead(
+    reference: &mut CoRunner,
+    twin: &CoRunner,
+    trace: &[TraceOp],
+    merged: u64,
+) -> Option<usize> {
+    let pid = reference.pid();
+    for k in 0..=trace.len() {
+        if hierarchy_state(reference.hierarchy()) == hierarchy_state(twin.hierarchy()) {
+            return Some(k);
+        }
+        let op = trace[(merged as usize + k) % trace.len()];
+        reference.hierarchy_mut().access_detailed(pid, op.kind, op.addr);
+    }
+    None
+}
+
+#[test]
+fn segment_axis_execute_is_bit_identical_to_scalar() {
+    // The shape `Machine::run_trace` runs with enemies attached: one
+    // finite primary against two cyclic co-runners, over consecutive
+    // segments that share the co-runners (trace position, lookahead
+    // and cache state carry over) and, in the production engine, one
+    // scratch. Private, shared and coherent platforms × placement ×
+    // replacement × depth, write-back on, under two workloads: plain
+    // traffic everywhere (every core pre-executed), or a primary and
+    // first co-runner that read, write and flush the coherent segment
+    // beside a second co-runner that never touches it. Engine
+    // outcomes, every private level and the shared LLC must match.
+    const SHARED_BASE: u64 = 1 << 20;
+    let cfg = SystemConfig {
+        bus: BusConfig::default(),
+        mshr: Some(MshrConfig { entries: 2, window_ops: 6, stall_cycles: 5 }),
+    };
+    let (mut ran_ahead, mut wrapped) = (false, false);
+    for platform in ["private", "shared", "coherent"] {
+        for coherent_mix in [false, true] {
+            for depth in HierarchyDepth::ALL {
+                for placement in PlacementKind::ALL {
+                    for replacement in ReplacementKind::ALL {
+                        let mix = if coherent_mix { "coherent-mix" } else { "plain" };
+                        let label =
+                            format!("segment/{platform}/{mix}/{placement}/{replacement}/{depth}");
+                        let salt = (placement as usize * 64
+                            + replacement as usize * 8
+                            + depth as usize) as u64
+                            + 0x5e0;
+                        let trace = |salt: u64, len: usize, shares: bool| {
+                            if shares {
+                                coherent_trace(salt, len, SHARED_BASE)
+                            } else {
+                                recorded_trace(salt, len)
+                            }
+                        };
+                        let segments: Vec<Vec<TraceOp>> =
+                            (0..3).map(|s| trace(salt ^ s << 4, 250, coherent_mix)).collect();
+                        let co_traces = [
+                            trace(salt ^ 0x100, 200, coherent_mix),
+                            trace(salt ^ 0x200, 150, false),
+                        ];
+                        let run = |scalar: bool| {
+                            let shared = platform != "private";
+                            let (mut hs, pids): (Vec<Hierarchy>, Vec<ProcessId>) = (0..3u64)
+                                .map(|c| {
+                                    if shared {
+                                        let policy = WritePolicy::WriteBack;
+                                        small_private(placement, replacement, depth, policy, c)
+                                    } else {
+                                        let h = small_hierarchy(placement, replacement, depth, c);
+                                        (h, ProcessId::new(1))
+                                    }
+                                })
+                                .unzip();
+                            let mut llc = shared.then(|| {
+                                small_shared_llc(
+                                    placement,
+                                    replacement,
+                                    WritePolicy::WriteBack,
+                                    &pids,
+                                )
+                            });
+                            if platform == "coherent" {
+                                let llc = llc.as_mut().expect("coherent platforms share an LLC");
+                                llc.add_coherent_range(Addr::new(SHARED_BASE), 512);
+                                for h in &mut hs {
+                                    h.add_coherent_range(Addr::new(SHARED_BASE), 512);
+                                }
+                            }
+                            let mut primary = hs.remove(0);
+                            let mut co: Vec<CoRunner> = hs
+                                .into_iter()
+                                .zip(&pids[1..])
+                                .zip(&co_traces)
+                                .map(|((h, &pid), t)| CoRunner::new(h, pid, t.clone()))
+                                .collect();
+                            let mut scratch = EngineScratch::default();
+                            let outs: Vec<InterferenceOutcome> = segments
+                                .iter()
+                                .map(|ops| {
+                                    let mut cores =
+                                        [CoreRun { hierarchy: &mut primary, pid: pids[0], ops }];
+                                    let llc = llc.as_mut();
+                                    if scalar {
+                                        execute_scalar(&mut cores, &mut co, llc, &cfg)
+                                    } else {
+                                        execute(&mut cores, &mut co, llc, &cfg, None, &mut scratch)
+                                    }
+                                })
+                                .collect();
+                            (outs, primary, co, llc)
+                        };
+                        let (ref_outs, ref_primary, mut ref_co, ref_llc) = run(true);
+                        let (outs, primary, co, llc) = run(false);
+                        assert_eq!(ref_outs, outs, "{label}: engine outcomes diverge");
+                        assert_hierarchies_identical(
+                            &ref_primary,
+                            &primary,
+                            &format!("{label}/primary"),
+                        );
+                        for (k, ((r, t), trace)) in
+                            ref_co.iter_mut().zip(&co).zip(&co_traces).enumerate()
+                        {
+                            let merged: u64 = ref_outs.iter().map(|o| o.cores[1 + k].ops).sum();
+                            assert!(merged > 0, "{label}: co-runner {k} never ran");
+                            wrapped |= merged > trace.len() as u64;
+                            // The coherent-mix first co-runner flushes, so
+                            // on a shared level it walks per op in both
+                            // engines and must match as it stands.
+                            let per_op = coherent_mix && k == 0 && platform != "private";
+                            match replay_lookahead(r, t, trace, merged) {
+                                Some(0) => {}
+                                Some(_) if !per_op => ran_ahead = true,
+                                other => panic!("{label}: co-runner {k} diverges ({other:?})"),
+                            }
+                        }
+                        if let (Some(a), Some(b)) = (&ref_llc, &llc) {
+                            assert_eq!(
+                                cache_state(a.cache()),
+                                cache_state(b.cache()),
+                                "{label}: shared LLC diverges"
+                            );
+                        }
+                        if platform == "coherent" && coherent_mix {
+                            let invalidations: u64 = ref_outs
+                                .iter()
+                                .flat_map(|o| &o.cores)
+                                .map(|c| c.coh_invalidations)
+                                .sum();
+                            assert!(invalidations > 0, "{label}: no invalidation ever landed");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(ran_ahead, "no pre-executed co-runner ever ran ahead of the merge");
+    assert!(wrapped, "no co-runner ever wrapped around its trace");
 }
 
 #[test]
@@ -498,7 +671,7 @@ fn arbitration_policies_differ_and_order_sensibly() {
             .zip(&traces)
             .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
             .collect();
-        let out = execute_batch(&mut cores, &cfg);
+        let out = engine(false, &mut cores, None, &cfg);
         let wait: u64 = out.cores.iter().map(|c| c.bus_wait).sum();
         assert!(wait > 0, "{arbitration}: two miss-heavy cores never collided");
         waits.push((arbitration, wait));

@@ -11,7 +11,7 @@
 //!
 //! Checked both at the cache level (driving the [`SharedLlc`]
 //! directly under adversarial interleavings) and at the engine level
-//! ([`execute_batch_shared`] with arbitrary enemy traces).
+//! ([`execute`] with arbitrary enemy traces).
 
 use proptest::prelude::*;
 use tscache_core::addr::{Addr, LineAddr};
@@ -21,7 +21,7 @@ use tscache_core::hierarchy::{Hierarchy, SharedLlc, TraceOp};
 use tscache_core::placement::PlacementKind;
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
-use tscache_interference::{execute_batch_shared, CoreRun, SystemConfig};
+use tscache_interference::{execute, CoreRun, EngineScratch, SystemConfig};
 
 fn llc(placement: PlacementKind, replacement: ReplacementKind, salt: u64) -> SharedLlc {
     let mut llc = SharedLlc::new(
@@ -182,7 +182,9 @@ proptest! {
             if enemy_salt.is_some() {
                 cores.push(CoreRun { hierarchy: &mut eh, pid: enemy, ops: &enemy_ops });
             }
-            let out = execute_batch_shared(&mut cores, &mut llc, &SystemConfig::default());
+            let cfg = SystemConfig::default();
+            let out =
+                execute(&mut cores, &mut [], Some(&mut llc), &cfg, None, &mut EngineScratch::default());
             let v = out.cores[0];
             (
                 (v.ops, v.base_cycles, v.mem_reads, v.mem_writebacks),

@@ -11,13 +11,12 @@ use crate::pipeline::PipelineModel;
 use tscache_core::addr::{Addr, LineAddr};
 use tscache_core::cache::{WritePolicy, Writeback};
 use tscache_core::defense::DefenseKind;
-use tscache_core::hierarchy::{AccessKind, Hierarchy, LlcRequests, OpTiming, SharedLlc};
+use tscache_core::hierarchy::{AccessKind, Hierarchy, OpTiming, SharedLlc};
 use tscache_core::prng::mix64;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
 use tscache_interference::{
-    run_contended_segment_shared_with, run_contended_segment_with, CoRunner, ContentionConfig,
-    SystemConfig,
+    execute, CoRunner, ContentionConfig, CoreRun, EngineScratch, SystemConfig,
 };
 use tscache_telemetry::{Event, RecorderHandle};
 
@@ -70,7 +69,7 @@ pub struct Machine {
     /// Lifetime cycles lost to bus queuing + MSHR stalls (survives
     /// `reset_counters`; see [`contention_cycles`](Self::contention_cycles)).
     contention_cycles: u64,
-    /// Reused per-segment timing scratch of the contended batch path.
+    /// Reused per-op timing scratch of the recorded solo path.
     timing_scratch: Vec<OpTiming>,
     /// The platform's shared last-level cache, when this machine runs
     /// on a shared-LLC multicore (the per-core `hierarchy` then holds
@@ -79,8 +78,9 @@ pub struct Machine {
     /// Declared coherent regions `(start, size)`, kept so co-runner
     /// cores attached later inherit them.
     coherent_regions: Vec<(Addr, u64)>,
-    /// Reused per-segment scratch of the shared-LLC batch path.
-    llc_scratch: LlcRequests,
+    /// Reused per-segment buffers of the multicore engine (the trace's
+    /// pre-executed private walk).
+    engine_scratch: EngineScratch,
     /// Reused writeback scratch of the shared-LLC scalar ops.
     wb_scratch: Vec<Writeback>,
     /// Optional telemetry recorder; observer-only — outcomes are
@@ -105,7 +105,7 @@ impl Machine {
             timing_scratch: Vec::new(),
             shared_llc: None,
             coherent_regions: Vec::new(),
-            llc_scratch: LlcRequests::default(),
+            engine_scratch: EngineScratch::default(),
             wb_scratch: Vec::new(),
             recorder: None,
         }
@@ -666,43 +666,27 @@ impl Machine {
             }
             return self.cycles - before;
         }
-        let cfg = self.interference.unwrap_or_default();
-        if let Some(llc) = self.shared_llc.as_mut() {
-            // Shared-LLC platform: the segment engine resolves every
-            // shared-level fill/writeback in merge order against the
-            // one shared cache. With no co-runners it degenerates to
-            // the solo shared walk — identical cache state; the only
-            // residual cost is bus occupancy between one op's own
-            // back-to-back transactions (write-back only, see the doc
-            // above).
-            let seg = run_contended_segment_shared_with(
-                &mut self.hierarchy,
-                self.pid,
-                ops,
+        if self.shared_llc.is_some() || self.is_contended() {
+            // The trace is the one finite core of a multicore segment
+            // against the enemy cores. On a shared-LLC platform every
+            // shared-level fill/writeback resolves in merge order
+            // against the one shared cache; with no co-runners that
+            // degenerates to the solo shared walk — identical cache
+            // state; the only residual cost is bus occupancy between
+            // one op's own back-to-back transactions (write-back only,
+            // see the doc above).
+            let out = execute(
+                &mut [CoreRun { hierarchy: &mut self.hierarchy, pid: self.pid, ops }],
                 &mut self.co_runners,
-                llc,
-                &cfg,
-                &mut self.timing_scratch,
-                &mut self.llc_scratch,
+                self.shared_llc.as_mut(),
+                &self.interference.unwrap_or_default(),
                 self.recorder.as_ref(),
+                &mut self.engine_scratch,
             );
-            self.cycles += seg.primary.cycles;
-            self.contention_cycles += seg.primary.bus_wait + seg.primary.mshr_stall_cycles;
-            return seg.primary.cycles;
-        }
-        if let Some(cfg) = self.interference.filter(|_| !self.co_runners.is_empty()) {
-            let seg = run_contended_segment_with(
-                &mut self.hierarchy,
-                self.pid,
-                ops,
-                &mut self.co_runners,
-                &cfg,
-                &mut self.timing_scratch,
-                self.recorder.as_ref(),
-            );
-            self.cycles += seg.primary.cycles;
-            self.contention_cycles += seg.primary.bus_wait + seg.primary.mshr_stall_cycles;
-            return seg.primary.cycles;
+            let primary = out.cores[0];
+            self.cycles += primary.cycles;
+            self.contention_cycles += primary.bus_wait + primary.mshr_stall_cycles;
+            return primary.cycles;
         }
         if let Some(rec) = self.recorder.clone() {
             // Solo private walk, recorded: the timed batch twin yields
