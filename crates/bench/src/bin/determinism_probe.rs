@@ -350,4 +350,54 @@ fn main() {
         }
         println!("{name} {:016x}", d.0);
     }
+
+    // Solo trace replay through `access_batch_cycles` on every setup,
+    // depth, write policy and per-level defense: fetches, reads,
+    // writes and flushes of recently touched lines, replayed in chunks
+    // that two processes take turns issuing. Digests the cycles, every
+    // level's statistics and every level's dirty lines.
+    {
+        use tscache_core::cache::WritePolicy;
+        use tscache_core::defense::DefenseKind;
+        let mut ops = TraceOp::mixed_trace(0x3a1c, 3000, 1 << 15);
+        ops.extend(TraceOp::mixed_trace(0x3a1d, 3000, 1 << 19));
+        for i in (37..ops.len()).step_by(37) {
+            ops[i] = TraceOp::flush(ops[i - 5].addr);
+        }
+        let pids = [ProcessId::new(1), ProcessId::new(2)];
+        let mut d = Digest::new();
+        for setup in SetupKind::ALL {
+            for depth in HierarchyDepth::ALL {
+                for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+                    for defense in [DefenseKind::Off, DefenseKind::Ttl, DefenseKind::Normalize] {
+                        let mut h = setup.build_depth(depth, 0x3a1c);
+                        h.set_write_policy(policy);
+                        h.apply_defense(defense);
+                        h.set_process_seed(pids[0], Seed::new(31));
+                        h.set_process_seed(pids[1], Seed::new(32));
+                        for (k, chunk) in ops.chunks(250).enumerate() {
+                            d.u64(h.access_batch_cycles(pids[k % 2], chunk));
+                        }
+                        for cache in [h.l1i(), h.l1d()].into_iter().chain(h.unified_levels()) {
+                            let s = cache.stats();
+                            for v in [
+                                s.hits(),
+                                s.misses(),
+                                s.evictions(),
+                                s.cross_process_evictions(),
+                                s.writebacks(),
+                                s.flushes(),
+                                s.coh_invalidations(),
+                                s.ttl_expiries(),
+                                cache.dirty_lines() as u64,
+                            ] {
+                                d.u64(v);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        println!("hierarchy_walk {:016x}", d.0);
+    }
 }
