@@ -7,9 +7,8 @@
 //! * cache accesses/sec — boxed-dispatch baseline vs enum-dispatch
 //!   scalar vs the batch API, measured **in the same run** on the same
 //!   recorded trace (the dispatch-overhaul speedup);
-//! * hierarchy accesses/sec — the scalar `Hierarchy::access` loop vs
-//!   `Hierarchy::access_batch` on an L2-heavy trace, on two- and
-//!   three-level setups (the PR-2 batch-path speedup);
+//! * hierarchy accesses/sec — the per-op `Hierarchy::access` walk on
+//!   an L2-heavy trace, on two- and three-level setups;
 //! * simulated-AES encryptions/sec per cache setup, at both hierarchy
 //!   depths;
 //! * Bernstein sampling throughput (samples/sec, the quantity that
@@ -30,7 +29,7 @@ use std::hint::black_box;
 use tscache_bench::harness::{bench, parse_report_metrics, render_table, to_json, Measurement};
 use tscache_bench::suites::{
     cache_dispatch_suite, coherence_suite, contended_machine_suite, defense_suite, detector_suite,
-    fleet_suite, hierarchy_batch_suite, shared_llc_machine_suite, telemetry_suite,
+    fleet_suite, hierarchy_suite, shared_llc_machine_suite, telemetry_suite,
 };
 use tscache_bench::Args;
 use tscache_core::parallel;
@@ -54,11 +53,11 @@ fn main() {
         results.extend(cache_dispatch_suite(placement, ms));
     }
 
-    // The hierarchy batch path on L2-heavy traffic: scalar vs batch,
-    // two- and three-level, on the deterministic and TSCache setups.
+    // The hierarchy walk on L2-heavy traffic, two- and three-level, on
+    // the deterministic and TSCache setups.
     for setup in [SetupKind::Deterministic, SetupKind::TsCache] {
         for depth in HierarchyDepth::ALL {
-            results.extend(hierarchy_batch_suite(setup, depth, ms));
+            results.push(hierarchy_suite(setup, depth, ms));
         }
     }
 
@@ -152,7 +151,7 @@ fn main() {
     // machine vs the same machine undefended (the ≥0.9× bar).
     results.extend(defense_suite(ms.max(500)));
 
-    // The telemetry layer: recorder-off machine vs the raw batch floor
+    // The telemetry layer: recorder-off machine vs the raw walk floor
     // (the ≥0.97× zero-cost-when-off bar) and recorder-on vs off.
     results.extend(telemetry_suite(ms));
 
@@ -163,10 +162,6 @@ fn main() {
     let speedup_batch_modulo = rate("cache/modulo/batch") / rate("cache/modulo/boxed");
     let speedup_enum_rm = rate("cache/random-modulo/enum") / rate("cache/random-modulo/boxed");
     let speedup_batch_rm = rate("cache/random-modulo/batch") / rate("cache/random-modulo/boxed");
-    let hier_det_l2 = rate("hier/deterministic-l2/batch") / rate("hier/deterministic-l2/scalar");
-    let hier_det_l3 = rate("hier/deterministic-l3/batch") / rate("hier/deterministic-l3/scalar");
-    let hier_ts_l2 = rate("hier/tscache-l2/batch") / rate("hier/tscache-l2/scalar");
-    let hier_ts_l3 = rate("hier/tscache-l3/batch") / rate("hier/tscache-l3/scalar");
     let contention_rr = rate("machine/tscache-l2-round-robin/contended")
         / rate("machine/tscache-l2-round-robin/solo");
     let contention_tdma =
@@ -198,10 +193,6 @@ fn main() {
         ("speedup_batch_vs_boxed_modulo", speedup_batch_modulo),
         ("speedup_enum_vs_boxed_random_modulo", speedup_enum_rm),
         ("speedup_batch_vs_boxed_random_modulo", speedup_batch_rm),
-        ("speedup_hier_batch_deterministic_l2", hier_det_l2),
-        ("speedup_hier_batch_deterministic_l3", hier_det_l3),
-        ("speedup_hier_batch_tscache_l2", hier_ts_l2),
-        ("speedup_hier_batch_tscache_l3", hier_ts_l3),
         ("throughput_ratio_contended_round_robin", contention_rr),
         ("throughput_ratio_contended_tdma", contention_tdma),
         ("throughput_ratio_bernstein_contended", bernstein_contended_ratio),
@@ -225,9 +216,6 @@ fn main() {
     println!("speedup vs boxed baseline (same run):");
     println!("  modulo:        enum {speedup_enum_modulo:.2}x, batch {speedup_batch_modulo:.2}x");
     println!("  random-modulo: enum {speedup_enum_rm:.2}x, batch {speedup_batch_rm:.2}x");
-    println!("hierarchy batch vs scalar walk (same run, L2-heavy trace):");
-    println!("  deterministic: l2 {hier_det_l2:.2}x, l3 {hier_det_l3:.2}x");
-    println!("  tscache:       l2 {hier_ts_l2:.2}x, l3 {hier_ts_l3:.2}x");
     println!("contended vs solo throughput (same run):");
     println!("  machine run_trace: round-robin {contention_rr:.2}x, tdma {contention_tdma:.2}x");
     println!("  bernstein sampling: {bernstein_contended_ratio:.2}x");

@@ -133,10 +133,9 @@ pub struct EvictedLine {
     pub dirty: bool,
 }
 
-/// One dirty-eviction writeback emitted while draining a batch, in
-/// access order: the victim line, its owner, and the index of the
-/// originating access in the batch's input (or the caller-provided
-/// op index, see [`BatchIo::idx`]).
+/// One dirty-eviction writeback travelling down a hierarchy: the victim
+/// line, its owner, and the index of the trace op whose fill evicted
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Writeback {
     /// The dirty line written back.
@@ -196,45 +195,6 @@ impl BatchOutcome {
     }
 }
 
-impl core::ops::AddAssign for BatchOutcome {
-    fn add_assign(&mut self, rhs: Self) {
-        self.hits += rhs.hits;
-        self.misses += rhs.misses;
-        self.evictions += rhs.evictions;
-        self.redirected += rhs.redirected;
-        self.writebacks += rhs.writebacks;
-    }
-}
-
-impl core::ops::Add for BatchOutcome {
-    type Output = BatchOutcome;
-    fn add(mut self, rhs: Self) -> BatchOutcome {
-        self += rhs;
-        self
-    }
-}
-
-/// Optional inputs and sinks of [`Cache::access_batch_io`], the batch
-/// engine behind every hierarchy-level pass. All fields default to
-/// `None`, collapsing to the plain read-only batch walk.
-#[derive(Default)]
-pub struct BatchIo<'a, 'b> {
-    /// Per-line write flags (`None` = every access is a read). Must
-    /// match `lines` in length.
-    pub writes: Option<&'a [bool]>,
-    /// Original op index per line (`None` = positions `0..len`). Must
-    /// match `lines` in length. Lets a hierarchy level report misses
-    /// and writebacks in terms of the *originating trace op* even
-    /// though its input stream is already a filtered miss stream.
-    pub idx: Option<&'a [u32]>,
-    /// Sink for missing lines, in access order.
-    pub misses: Option<&'b mut Vec<LineAddr>>,
-    /// Sink for the missing lines' op indices, parallel to `misses`.
-    pub miss_idx: Option<&'b mut Vec<u32>>,
-    /// Sink for dirty-eviction writebacks, in access order.
-    pub writebacks: Option<&'b mut Vec<Writeback>>,
-}
-
 /// One-entry context cache for the hot process: seed and way range.
 #[derive(Debug, Clone, Copy)]
 struct HotContext {
@@ -252,9 +212,9 @@ impl HotContext {
 /// Bounds on the direct-mapped placement memo (always a power of two).
 /// The memo is sized to the cache's own line count: 1024 entries cover
 /// the L1 working sets, while L2/L3-sized caches get proportionally
-/// larger memos so the *batched miss stream* — whose footprint scales
-/// with the lower level, not the L1 — still hits the memo instead of
-/// re-running the Benes network / Feistel hash per miss.
+/// larger memos so the miss stream reaching them — whose footprint
+/// scales with the lower level, not the L1 — still hits the memo
+/// instead of re-running the Benes network / Feistel hash per miss.
 const PLACE_MEMO_MIN_ENTRIES: usize = 1024;
 const PLACE_MEMO_MAX_ENTRIES: usize = 8192;
 
@@ -530,9 +490,7 @@ impl Cache {
     /// is absorbed (returns `true`); otherwise it must continue toward
     /// the next level (returns `false`). The delivery is *silent*: no
     /// fill, no replacement update, no hit/miss accounting — dirty
-    /// state is the only side effect, so batch and scalar executions
-    /// stay bit-identical as long as deliveries happen in the same
-    /// order.
+    /// state is the only side effect.
     pub fn receive_writeback(&mut self, owner: ProcessId, line: LineAddr) -> bool {
         let (seed, _, _) = self.context(owner);
         let set = self.place(line, seed);
@@ -915,118 +873,6 @@ impl Cache {
     /// assert_eq!(warm.hits, 64);
     /// ```
     pub fn access_batch(&mut self, pid: ProcessId, lines: &[LineAddr]) -> BatchOutcome {
-        self.batch_inner(pid, lines, BatchIo::default())
-    }
-
-    /// Like [`access_batch`](Self::access_batch), but additionally
-    /// appends every *missing* line to `misses`, in access order.
-    ///
-    /// This is the level-to-level conduit of
-    /// [`Hierarchy::access_batch`](crate::hierarchy::Hierarchy::access_batch):
-    /// the miss stream of one level is exactly the access stream of the
-    /// next level down, so batching the whole hierarchy is a chain of
-    /// these calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any line is `u64::MAX` (the [`INVALID_TAG`] sentinel),
-    /// as [`access`](Self::access) does.
-    pub fn access_batch_collect(
-        &mut self,
-        pid: ProcessId,
-        lines: &[LineAddr],
-        misses: &mut Vec<LineAddr>,
-    ) -> BatchOutcome {
-        self.batch_inner(pid, lines, BatchIo { misses: Some(misses), ..BatchIo::default() })
-    }
-
-    /// The fully-featured batch entry point: reads and writes mixed
-    /// (per-line write flags), caller-supplied op indices, and sinks
-    /// for the miss stream, the misses' op indices and the dirty-
-    /// eviction writebacks. [`Hierarchy::access_batch`] drives every
-    /// level through this method; the simpler batch calls are wrappers
-    /// passing an empty [`BatchIo`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any line is `u64::MAX` (the [`INVALID_TAG`] sentinel)
-    /// or if a provided `writes`/`idx` slice disagrees with `lines` in
-    /// length.
-    pub fn access_batch_io(
-        &mut self,
-        pid: ProcessId,
-        lines: &[LineAddr],
-        io: BatchIo<'_, '_>,
-    ) -> BatchOutcome {
-        self.batch_inner(pid, lines, io)
-    }
-
-    fn batch_inner(
-        &mut self,
-        pid: ProcessId,
-        lines: &[LineAddr],
-        io: BatchIo<'_, '_>,
-    ) -> BatchOutcome {
-        // The read-only miss-collect shape (the write-through hot path)
-        // skips all per-op event plumbing.
-        if io.writes.is_none()
-            && io.idx.is_none()
-            && io.miss_idx.is_none()
-            && io.writebacks.is_none()
-        {
-            return self.batch_reads(pid, lines, io.misses);
-        }
-        if let Some(writes) = io.writes {
-            assert_eq!(writes.len(), lines.len(), "write flags length mismatch");
-        }
-        if let Some(idx) = io.idx {
-            assert_eq!(idx.len(), lines.len(), "op index length mismatch");
-        }
-        let BatchIo { writes, idx, mut misses, mut miss_idx, mut writebacks } = io;
-        let (seed, lo, hi) = self.context(pid);
-        let mut out = BatchOutcome::default();
-        let mut cross = 0u64;
-        for (i, &line) in lines.iter().enumerate() {
-            assert_ne!(line.as_u64(), INVALID_TAG, "line address collides with sentinel");
-            let write = writes.is_some_and(|w| w[i]);
-            match self.access_inner(pid, line, seed, lo, hi, write) {
-                InnerOutcome::Hit => out.hits += 1,
-                InnerOutcome::Miss { evicted, redirected, cross_process } => {
-                    let op_idx = idx.map_or(i as u32, |v| v[i]);
-                    out.misses += 1;
-                    out.evictions += evicted.is_some() as u64;
-                    out.redirected += redirected as u64;
-                    cross += cross_process as u64;
-                    if let Some(ev) = evicted.filter(|ev| ev.dirty) {
-                        out.writebacks += 1;
-                        if let Some(sink) = writebacks.as_deref_mut() {
-                            sink.push(Writeback { line: ev.line, owner: ev.owner, op_idx });
-                        }
-                    }
-                    if let Some(sink) = misses.as_deref_mut() {
-                        sink.push(line);
-                    }
-                    if let Some(sink) = miss_idx.as_deref_mut() {
-                        sink.push(op_idx);
-                    }
-                }
-            }
-        }
-        self.stats.record_batch(out.hits, out.misses, out.evictions, cross);
-        self.stats.record_writebacks(out.writebacks);
-        out
-    }
-
-    /// The lean all-reads batch loop (`access`'s batched twin): no
-    /// write flags, no op-index bookkeeping, no writeback sink. Dirty
-    /// evictions are still *counted* (a read can displace a line some
-    /// earlier write dirtied), they just aren't materialized.
-    fn batch_reads(
-        &mut self,
-        pid: ProcessId,
-        lines: &[LineAddr],
-        mut misses: Option<&mut Vec<LineAddr>>,
-    ) -> BatchOutcome {
         let (seed, lo, hi) = self.context(pid);
         let mut out = BatchOutcome::default();
         let mut cross = 0u64;
@@ -1038,11 +884,10 @@ impl Cache {
                     out.misses += 1;
                     out.evictions += evicted.is_some() as u64;
                     out.redirected += redirected as u64;
+                    // A read can still displace a line an earlier
+                    // write dirtied.
                     out.writebacks += evicted.is_some_and(|ev| ev.dirty) as u64;
                     cross += cross_process as u64;
-                    if let Some(sink) = misses.as_deref_mut() {
-                        sink.push(line);
-                    }
                 }
             }
         }
@@ -1703,53 +1548,6 @@ mod tests {
         wt.access(p, LineAddr::new(5));
         assert!(!wt.receive_writeback(p, LineAddr::new(5)));
         assert_eq!(wt.dirty_lines(), 0);
-    }
-
-    #[test]
-    fn batch_rw_matches_scalar_rw_with_writebacks() {
-        for placement in PlacementKind::ALL {
-            let trace: Vec<(LineAddr, bool)> =
-                (0..600u64).map(|i| (LineAddr::new((i * 13) % 97), i % 3 == 0)).collect();
-            let mut scalar = small_cache(placement, ReplacementKind::Random);
-            let mut batched = small_cache(placement, ReplacementKind::Random);
-            for c in [&mut scalar, &mut batched] {
-                c.set_write_policy(WritePolicy::WriteBack);
-                c.set_seed(pid(1), Seed::new(11));
-            }
-            let mut scalar_wbs = Vec::new();
-            for (i, &(l, w)) in trace.iter().enumerate() {
-                if let AccessOutcome::Miss { evicted: Some(ev), .. } =
-                    scalar.access_rw(pid(1), l, w)
-                {
-                    if ev.dirty {
-                        scalar_wbs.push(Writeback {
-                            line: ev.line,
-                            owner: ev.owner,
-                            op_idx: i as u32,
-                        });
-                    }
-                }
-            }
-            let lines: Vec<LineAddr> = trace.iter().map(|&(l, _)| l).collect();
-            let writes: Vec<bool> = trace.iter().map(|&(_, w)| w).collect();
-            let mut batch_wbs = Vec::new();
-            let out = batched.access_batch_io(
-                pid(1),
-                &lines,
-                BatchIo {
-                    writes: Some(&writes),
-                    writebacks: Some(&mut batch_wbs),
-                    ..BatchIo::default()
-                },
-            );
-            assert_eq!(batch_wbs, scalar_wbs, "{placement}: writeback streams diverge");
-            assert_eq!(out.writebacks, scalar_wbs.len() as u64, "{placement}");
-            assert_eq!(scalar.stats(), batched.stats(), "{placement}");
-            assert_eq!(scalar.dirty_lines(), batched.dirty_lines(), "{placement}");
-            let a: Vec<_> = scalar.contents().collect();
-            let b: Vec<_> = batched.contents().collect();
-            assert_eq!(a, b, "{placement}: final contents diverge");
-        }
     }
 
     #[test]

@@ -1,27 +1,22 @@
 //! Multi-level memory hierarchy: split L1 (instruction + data) backed
 //! by a configurable stack of unified levels (L2, and optionally an L3
-//! or deeper), with per-level hit latencies and a whole-trace batch
-//! path.
+//! or deeper), with per-level hit latencies.
 //!
-//! # Batch execution
+//! # One walk
 //!
-//! [`Hierarchy::access`] is the scalar reference path: one op, walked
-//! down the levels until it hits. [`Hierarchy::access_batch`] executes
-//! a whole [`TraceOp`] segment with identical outcomes but amortized
-//! bookkeeping: the L1s are driven in maximal same-port runs through
-//! [`Cache::access_batch_collect`], each level's *miss stream* (kept in
-//! op order) becomes the access stream of the next level down, and
-//! statistics are folded in per level instead of per op. Because every
-//! cache draws from its own RNG and upper-level accesses never touch
-//! lower-level state, deferring each level's accesses until its full
-//! input stream is known reproduces the scalar interleaving bit for
-//! bit — the differential test suite pins this across every placement
-//! × replacement combination and both hierarchy depths.
+//! Every entry point walks an op through the levels the same way: one
+//! op down the levels until it hits, each consulted level filling on
+//! its miss, and a dirty victim's writeback delivered down the stack
+//! before the fill proceeds. [`Hierarchy::access`],
+//! [`Hierarchy::access_detailed`], [`Hierarchy::access_upper_detailed`]
+//! and [`Hierarchy::access_batch_cycles`] (a loop over `access`) differ
+//! only in what they report and in where a writeback that no level
+//! absorbs goes: to memory, or toward a [`SharedLlc`] owned elsewhere.
+//! The differential suite checks the walk against a reference
+//! hierarchy of boxed-dispatch caches.
 
 use crate::addr::{Addr, LineAddr};
-use crate::cache::{
-    AccessOutcome, BatchIo, BatchOutcome, Cache, InvalidatedCopy, WritePolicy, Writeback,
-};
+use crate::cache::{AccessOutcome, Cache, InvalidatedCopy, WritePolicy, Writeback};
 use crate::defense::{DefenseKind, RotationPolicy};
 use crate::geometry::CacheGeometry;
 use crate::placement::PlacementKind;
@@ -81,8 +76,8 @@ pub enum AccessKind {
 }
 
 /// One memory operation of a pre-built trace, consumed by
-/// [`Hierarchy::access_batch`] (and re-exported as the simulator's
-/// `TraceOp`).
+/// [`Hierarchy::access_batch_cycles`] (and re-exported as the
+/// simulator's `TraceOp`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceOp {
     /// Which port the access uses.
@@ -137,12 +132,11 @@ impl TraceOp {
     }
 }
 
-/// Per-op timing event produced by
-/// [`Hierarchy::access_detailed`] and
-/// [`Hierarchy::access_batch_timed`]: everything the multi-core
-/// interference engine needs to replay the op against a shared bus —
-/// its solo cycle cost, which levels it missed, and how many dirty
-/// writebacks it pushed all the way to memory.
+/// Per-op timing event produced by [`Hierarchy::access_detailed`]:
+/// everything the multi-core interference engine needs to replay the
+/// op against a shared bus — its solo cycle cost, which levels it
+/// missed, and how many dirty writebacks it pushed all the way to
+/// memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpTiming {
     /// Cycle cost of the op with no contention (exactly what
@@ -201,12 +195,12 @@ pub struct HierarchyInvalidation {
 }
 
 /// The request stream one core sends its shared last-level cache for a
-/// trace segment, exported by [`Hierarchy::access_batch_upper_timed`]:
-/// the last private level's miss stream (fill requests, with
+/// trace segment, collected from [`Hierarchy::access_upper_detailed`]
+/// op by op: the last private level's miss stream (fill requests, with
 /// originating op indices) and the dirty-eviction writebacks no
 /// private level absorbed, both in op order. `writebacks` carry
 /// nondecreasing `op_idx`, and a writeback of op `i` precedes op `i`'s
-/// fill — the order the scalar walk's victim buffer drains.
+/// fill — the order the walk's victim buffer drains.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LlcRequests {
     /// Fill requests (lines that missed every private level).
@@ -228,9 +222,6 @@ impl LlcRequests {
     /// Consumes op `op_idx`'s requests off the front of the streams,
     /// advancing the caller's cursors: the writebacks the op escaped
     /// (to deliver *before* its fill) and the fill request, if any.
-    /// The one consumption order every shared-LLC engine must share —
-    /// having a single implementation is what keeps the scalar and
-    /// batch engines structurally incapable of diverging here.
     pub fn take_for_op(
         &self,
         op_idx: u32,
@@ -274,11 +265,9 @@ impl LlcRequests {
 /// [`has_coherence`]: Self::has_coherence
 ///
 /// The shared level sits *behind* the per-core private hierarchies
-/// ([`Hierarchy::access_upper_detailed`] /
-/// [`Hierarchy::access_batch_upper_timed`] produce its request
-/// streams) and *in front of* the memory bus: a shared-LLC hit never
-/// pays a bus transaction, only misses and writebacks that reach
-/// memory do.
+/// ([`Hierarchy::access_upper_detailed`] produces its requests) and
+/// *in front of* the memory bus: a shared-LLC hit never pays a bus
+/// transaction, only misses and writebacks that reach memory do.
 #[derive(Debug)]
 pub struct SharedLlc {
     cache: Cache,
@@ -678,31 +667,6 @@ pub struct LlcResolution {
     pub mem_writebacks: u8,
 }
 
-/// Per-level aggregate of one [`Hierarchy::access_batch`] call.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HierarchyBatchOutcome {
-    /// Operations executed.
-    pub ops: u64,
-    /// Total cycle cost of the batch.
-    pub cycles: u64,
-    /// L1I aggregate (the batch's fetches).
-    pub l1i: BatchOutcome,
-    /// L1D aggregate (the batch's reads and writes).
-    pub l1d: BatchOutcome,
-    /// One aggregate per unified level, L2 outward. The level's
-    /// access count is the miss count of the levels above it.
-    pub unified: Vec<BatchOutcome>,
-    /// Dirty writebacks that cascaded past every level to memory.
-    pub mem_writebacks: u64,
-}
-
-impl HierarchyBatchOutcome {
-    /// Accesses that left the last cache level and went to memory.
-    pub fn memory_accesses(&self) -> u64 {
-        self.unified.last().map_or(self.l1i.misses + self.l1d.misses, |l| l.misses)
-    }
-}
-
 /// One unified cache level below the split L1s.
 #[derive(Debug)]
 struct UnifiedLevel {
@@ -740,27 +704,6 @@ pub struct Hierarchy {
     levels: Vec<UnifiedLevel>,
     l1_hit: u32,
     memory: u32,
-    /// Cached `any level is write-back` flag (kept fresh by
-    /// [`set_write_policy`](Self::set_write_policy)); selects between
-    /// the lean write-through walks and the event-conduit walks.
-    has_writeback: bool,
-    /// Reused batch scratch: per-run line buffer and the ping-pong
-    /// miss buffers threaded between levels.
-    scratch_lines: Vec<LineAddr>,
-    scratch_cur: Vec<LineAddr>,
-    scratch_next: Vec<LineAddr>,
-    /// Extra scratch of the event-conduit walk (write-back configs and
-    /// timed batches): per-run write flags and op indices, the miss
-    /// streams' op indices, and the ping-pong writeback buffers.
-    scratch_writes: Vec<bool>,
-    scratch_run_idx: Vec<u32>,
-    scratch_cur_idx: Vec<u32>,
-    scratch_next_idx: Vec<u32>,
-    scratch_wb_cur: Vec<Writeback>,
-    scratch_wb_next: Vec<Writeback>,
-    /// Flush events `(op_idx, line)` of the current batch, threaded
-    /// through every level of the event-conduit walk.
-    scratch_flushes: Vec<(u32, LineAddr)>,
 }
 
 impl Hierarchy {
@@ -803,9 +746,8 @@ impl Hierarchy {
     /// keeps only the L1s per core.
     ///
     /// Drive such a hierarchy through
-    /// [`access_upper_detailed`](Self::access_upper_detailed) /
-    /// [`access_batch_upper_timed`](Self::access_batch_upper_timed);
-    /// the full-walk entry points would charge the memory penalty on a
+    /// [`access_upper_detailed`](Self::access_upper_detailed); the
+    /// full-walk entry points would charge the memory penalty on a
     /// last-*private*-level miss, ignoring the shared level.
     ///
     /// # Panics
@@ -829,7 +771,7 @@ impl Hierarchy {
                 line
             );
         }
-        let mut h = Hierarchy {
+        Hierarchy {
             l1i,
             l1d,
             levels: unified
@@ -838,20 +780,7 @@ impl Hierarchy {
                 .collect(),
             l1_hit,
             memory,
-            has_writeback: false,
-            scratch_lines: Vec::new(),
-            scratch_cur: Vec::new(),
-            scratch_next: Vec::new(),
-            scratch_writes: Vec::new(),
-            scratch_run_idx: Vec::new(),
-            scratch_cur_idx: Vec::new(),
-            scratch_next_idx: Vec::new(),
-            scratch_wb_cur: Vec::new(),
-            scratch_wb_next: Vec::new(),
-            scratch_flushes: Vec::new(),
-        };
-        h.refresh_has_writeback();
-        h
+        }
     }
 
     /// Builds the paper's two-level geometry with uniform policies in
@@ -909,28 +838,29 @@ impl Hierarchy {
     /// memory penalty when every level misses. Each consulted level
     /// fills on its miss.
     pub fn access(&mut self, pid: ProcessId, kind: AccessKind, addr: Addr) -> u32 {
-        // Write-through everywhere: no dirty lines can exist, so skip
-        // the event/writeback bookkeeping of the detailed walk.
-        if self.has_writeback || kind == AccessKind::Flush {
-            return self.access_detailed(pid, kind, addr).cycles;
-        }
-        let l1 = match kind {
-            AccessKind::Fetch => &mut self.l1i,
-            AccessKind::Read | AccessKind::Write => &mut self.l1d,
-            AccessKind::Flush => unreachable!("flush handled by the detailed walk"),
-        };
-        let line = l1.geometry().line_of(addr);
-        let mut cost = self.l1_hit;
-        if l1.access(pid, line).is_hit() {
-            return cost;
-        }
-        for level in &mut self.levels {
-            cost += level.hit_cycles;
-            if level.cache.access(pid, line).is_hit() {
-                return cost;
-            }
-        }
-        cost + self.memory
+        self.access_detailed(pid, kind, addr).cycles
+    }
+
+    /// Executes a trace segment on behalf of `pid`, op by op through
+    /// [`access`](Self::access), and returns the cycle total.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tscache_core::addr::Addr;
+    /// use tscache_core::hierarchy::TraceOp;
+    /// use tscache_core::seed::ProcessId;
+    /// use tscache_core::setup::SetupKind;
+    ///
+    /// let mut h = SetupKind::Deterministic.build(1);
+    /// let ops = [TraceOp::read(Addr::new(0x1000)), TraceOp::read(Addr::new(0x1000))];
+    /// let cycles = h.access_batch_cycles(ProcessId::new(1), &ops);
+    /// assert_eq!(cycles, 91 + 1); // cold miss then warm hit
+    /// assert_eq!(h.l1d().stats().hits(), 1);
+    /// assert_eq!(h.l2().stats().misses(), 1);
+    /// ```
+    pub fn access_batch_cycles(&mut self, pid: ProcessId, ops: &[TraceOp]) -> u64 {
+        ops.iter().map(|op| self.access(pid, op.kind, op.addr) as u64).sum()
     }
 
     /// [`access`](Self::access) with the per-op event detail the
@@ -940,6 +870,7 @@ impl Hierarchy {
     /// writeback down the stack (the victim buffer drains *before* the
     /// fill proceeds to the next level), where it silently re-dirties a
     /// present copy or cascades further, ultimately to memory.
+    #[inline]
     pub fn access_detailed(&mut self, pid: ProcessId, kind: AccessKind, addr: Addr) -> OpTiming {
         let mut escaped = 0u8;
         let up = self.walk_op(pid, kind, addr, 0, |_| escaped += 1);
@@ -973,17 +904,22 @@ impl Hierarchy {
         self.walk_op(pid, kind, addr, op_idx, |wb| writebacks.push(wb))
     }
 
-    /// The per-op walk behind both detailed entry points: one op down
-    /// the levels until it hits, each consulted level filling on its
-    /// miss. A dirty eviction's writeback is delivered down the stack
-    /// before the fill proceeds (victim-buffer order); one that no
-    /// level absorbs goes to `escaped`, which counts it toward memory
-    /// or exports it toward a shared level. A miss at every level
-    /// leaves the line in [`UpperOutcome::fill`]. A flush costs its
-    /// issue slot and drains the private copies; their dirty data goes
-    /// straight to memory (`mem_writebacks`, clflush semantics),
-    /// bypassing `escaped` and any shared level, whose copy the
-    /// coherence layer drains separately.
+    /// The one walk behind every entry point: one op down the levels
+    /// until it hits, each consulted level filling on its miss. A dirty
+    /// eviction's writeback is delivered down the stack before the fill
+    /// proceeds (victim-buffer order); one that no level absorbs goes
+    /// to `escaped`, which counts it toward memory or exports it toward
+    /// a shared level. A miss at every level leaves the line in
+    /// [`UpperOutcome::fill`]. A flush costs its issue slot and drains
+    /// the private copies; their dirty data goes straight to memory
+    /// (`mem_writebacks`, clflush semantics), bypassing `escaped` and
+    /// any shared level, whose copy the coherence layer drains
+    /// separately.
+    ///
+    /// Always inlined, so each entry point's `escaped` sink compiles
+    /// into its own copy of the walk: an L1 hit, the common case,
+    /// then costs no call.
+    #[inline(always)]
     fn walk_op(
         &mut self,
         pid: ProcessId,
@@ -1056,423 +992,6 @@ impl Hierarchy {
         escaped(wb);
     }
 
-    /// [`access_batch_timed`](Self::access_batch_timed) for a core
-    /// whose last unified level is a [`SharedLlc`]: executes the whole
-    /// segment through the private levels and exports the shared-level
-    /// request stream into `llc` (cleared and refilled) instead of
-    /// charging the memory penalty. `events[i]` carries op `i`'s
-    /// private-level cycles and miss bits; the shared level's bit,
-    /// latency and memory traffic are composed by the engine that
-    /// resolves `llc` against the shared cache.
-    ///
-    /// Private-level outcomes are a pure function of this core's own
-    /// trace — no shared state is touched — which is what lets the
-    /// multicore batch engine pre-execute every core's private walk
-    /// and still replay the shared level in exact global op order.
-    pub fn access_batch_upper_timed(
-        &mut self,
-        pid: ProcessId,
-        ops: &[TraceOp],
-        events: &mut Vec<OpTiming>,
-        llc: &mut LlcRequests,
-    ) -> HierarchyBatchOutcome {
-        let mut out = HierarchyBatchOutcome {
-            ops: ops.len() as u64,
-            unified: Vec::with_capacity(self.levels.len()),
-            ..HierarchyBatchOutcome::default()
-        };
-        events.clear();
-        events.resize(ops.len(), OpTiming { cycles: self.l1_hit, miss_mask: 0, mem_writebacks: 0 });
-        out.cycles = self.batch_walk_events(pid, ops, Some(&mut out), Some(events), Some(llc));
-        out
-    }
-
-    /// Recomputes the cached write-back flag (selects the event-
-    /// conduit walks that thread writebacks between levels). Policies
-    /// only change through [`set_write_policy`](Self::set_write_policy)
-    /// or construction, so the flag cannot go stale.
-    fn refresh_has_writeback(&mut self) {
-        self.has_writeback = self.l1d.write_policy() == WritePolicy::WriteBack
-            || self.levels.iter().any(|l| l.cache.write_policy() == WritePolicy::WriteBack);
-    }
-
-    /// Executes a whole trace segment on behalf of `pid`, returning
-    /// per-level aggregates and the exact cycle total.
-    ///
-    /// Outcomes — hits, misses, evictions, RNG draws, final contents,
-    /// statistics and cycles — are identical to issuing each op through
-    /// [`access`](Self::access) in order; only the bookkeeping is
-    /// batched. The L1s are driven in maximal same-port runs; each
-    /// level's misses (in op order) form the next level's access
-    /// stream, so lower-level fills amortize across the segment
-    /// instead of paying a per-op call chain.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use tscache_core::addr::Addr;
-    /// use tscache_core::hierarchy::TraceOp;
-    /// use tscache_core::seed::ProcessId;
-    /// use tscache_core::setup::SetupKind;
-    ///
-    /// let mut h = SetupKind::Deterministic.build(1);
-    /// let ops = [TraceOp::read(Addr::new(0x1000)), TraceOp::read(Addr::new(0x1000))];
-    /// let out = h.access_batch(ProcessId::new(1), &ops);
-    /// assert_eq!(out.cycles, 91 + 1); // cold miss then warm hit
-    /// assert_eq!(out.l1d.hits, 1);
-    /// assert_eq!(out.unified[0].misses, 1);
-    /// ```
-    pub fn access_batch(&mut self, pid: ProcessId, ops: &[TraceOp]) -> HierarchyBatchOutcome {
-        let mut out = HierarchyBatchOutcome {
-            ops: ops.len() as u64,
-            unified: Vec::with_capacity(self.levels.len()),
-            ..HierarchyBatchOutcome::default()
-        };
-        out.cycles = self.batch_walk(pid, ops, Some(&mut out));
-        out
-    }
-
-    /// [`access_batch`](Self::access_batch) without the per-level
-    /// outcome report: returns only the cycle total. The allocation-
-    /// free variant the simulator hot path (`Machine::run_trace`)
-    /// calls once per trace segment; cache state, statistics and the
-    /// returned cycles are identical to `access_batch`.
-    pub fn access_batch_cycles(&mut self, pid: ProcessId, ops: &[TraceOp]) -> u64 {
-        self.batch_walk(pid, ops, None)
-    }
-
-    /// [`access_batch`](Self::access_batch) plus a per-op
-    /// [`OpTiming`] event vector (cleared and refilled): the batch-side
-    /// twin of [`access_detailed`](Self::access_detailed), pinned
-    /// bit-identical to a scalar walk by the multi-core differential
-    /// suite. `events[i]` describes `ops[i]`.
-    pub fn access_batch_timed(
-        &mut self,
-        pid: ProcessId,
-        ops: &[TraceOp],
-        events: &mut Vec<OpTiming>,
-    ) -> HierarchyBatchOutcome {
-        let mut out = HierarchyBatchOutcome {
-            ops: ops.len() as u64,
-            unified: Vec::with_capacity(self.levels.len()),
-            ..HierarchyBatchOutcome::default()
-        };
-        events.clear();
-        events.resize(ops.len(), OpTiming { cycles: self.l1_hit, miss_mask: 0, mem_writebacks: 0 });
-        out.cycles = self.batch_walk_events(pid, ops, Some(&mut out), Some(events), None);
-        out
-    }
-
-    /// The shared batch engine; fills `sink`'s per-level aggregates
-    /// when given one, and returns the batch's cycle total. Write-back
-    /// configurations route through the event-conduit walk so dirty
-    /// evictions thread between levels exactly as the scalar walk
-    /// delivers them.
-    fn batch_walk(
-        &mut self,
-        pid: ProcessId,
-        ops: &[TraceOp],
-        sink: Option<&mut HierarchyBatchOutcome>,
-    ) -> u64 {
-        // Flush ops invalidate at *every* level in op order, which the
-        // fast walk's deferred lower-level streams cannot express; the
-        // event-conduit walk threads them like writebacks. The scan is
-        // one predictable compare per op — noise next to the walk.
-        if self.has_writeback || ops.iter().any(|op| op.kind == AccessKind::Flush) {
-            self.batch_walk_events(pid, ops, sink, None, None)
-        } else {
-            self.batch_walk_fast(pid, ops, sink)
-        }
-    }
-
-    /// The allocation-free fast walk for write-through configurations
-    /// (no writebacks can occur, so the conduit carries lines only).
-    fn batch_walk_fast(
-        &mut self,
-        pid: ProcessId,
-        ops: &[TraceOp],
-        mut sink: Option<&mut HierarchyBatchOutcome>,
-    ) -> u64 {
-        let mut lines = core::mem::take(&mut self.scratch_lines);
-        let mut cur = core::mem::take(&mut self.scratch_cur);
-        let mut next = core::mem::take(&mut self.scratch_next);
-        cur.clear();
-
-        let mut cycles = ops.len() as u64 * self.l1_hit as u64;
-
-        // Phase 1: the split L1s, in maximal same-port runs. Misses
-        // spill into `cur` in op order — the exact stream the scalar
-        // path would have sent down.
-        let offset_bits = self.l1i.geometry().offset_bits();
-        let mut i = 0usize;
-        while i < ops.len() {
-            let fetch = ops[i].kind == AccessKind::Fetch;
-            let mut j = i + 1;
-            while j < ops.len() && (ops[j].kind == AccessKind::Fetch) == fetch {
-                j += 1;
-            }
-            lines.clear();
-            lines.extend(ops[i..j].iter().map(|op| op.addr.line(offset_bits)));
-            let agg = if fetch {
-                self.l1i.access_batch_collect(pid, &lines, &mut cur)
-            } else {
-                self.l1d.access_batch_collect(pid, &lines, &mut cur)
-            };
-            if let Some(out) = sink.as_deref_mut() {
-                if fetch {
-                    out.l1i += agg;
-                } else {
-                    out.l1d += agg;
-                }
-            }
-            i = j;
-        }
-
-        // Phase 2: thread the miss stream through the unified levels.
-        for level in &mut self.levels {
-            cycles += cur.len() as u64 * level.hit_cycles as u64;
-            next.clear();
-            let agg = level.cache.access_batch_collect(pid, &cur, &mut next);
-            if let Some(out) = sink.as_deref_mut() {
-                out.unified.push(agg);
-            }
-            core::mem::swap(&mut cur, &mut next);
-        }
-        cycles += cur.len() as u64 * self.memory as u64;
-
-        self.scratch_lines = lines;
-        self.scratch_cur = cur;
-        self.scratch_next = next;
-        cycles
-    }
-
-    /// The event-conduit walk: like the fast walk, but each level's
-    /// input is a merged stream of *fills* (the upper level's misses)
-    /// and *writebacks* (dirty evictions from the levels above),
-    /// processed in op order with a writeback of op `i` delivered
-    /// before op `i`'s fill — the exact order the scalar walk's victim
-    /// buffer drains. Optionally fills a per-op [`OpTiming`] vector
-    /// (pre-sized by the caller to `ops.len()`, cycles initialized to
-    /// the L1 hit cost).
-    ///
-    /// When `llc` is given, the final conduit state (last-level misses
-    /// and surviving writebacks) is exported as the shared-LLC request
-    /// stream instead of being charged the memory penalty, and
-    /// `sink.mem_writebacks` counts only the flush-forced drains
-    /// (ordinary writebacks travel through the exported stream — the
-    /// shared level decides their fate).
-    fn batch_walk_events(
-        &mut self,
-        pid: ProcessId,
-        ops: &[TraceOp],
-        mut sink: Option<&mut HierarchyBatchOutcome>,
-        mut timing: Option<&mut Vec<OpTiming>>,
-        llc: Option<&mut LlcRequests>,
-    ) -> u64 {
-        assert!(ops.len() <= u32::MAX as usize, "trace segment too long for 32-bit op indices");
-        let mut lines = core::mem::take(&mut self.scratch_lines);
-        let mut writes = core::mem::take(&mut self.scratch_writes);
-        let mut run_idx = core::mem::take(&mut self.scratch_run_idx);
-        let mut cur = core::mem::take(&mut self.scratch_cur);
-        let mut next = core::mem::take(&mut self.scratch_next);
-        let mut cur_idx = core::mem::take(&mut self.scratch_cur_idx);
-        let mut next_idx = core::mem::take(&mut self.scratch_next_idx);
-        let mut wb_cur = core::mem::take(&mut self.scratch_wb_cur);
-        let mut wb_next = core::mem::take(&mut self.scratch_wb_next);
-        let mut flushes = core::mem::take(&mut self.scratch_flushes);
-        cur.clear();
-        cur_idx.clear();
-        wb_cur.clear();
-        flushes.clear();
-        // Dirty copies drained by flush ops: forced to memory directly
-        // (they bypass the conduit and, in export mode, the shared
-        // level).
-        let mut flush_mem = 0u64;
-
-        let mut cycles = ops.len() as u64 * self.l1_hit as u64;
-
-        // Phase 1: the split L1s in maximal same-port runs, spilling
-        // misses (with op indices) and dirty-eviction writebacks in op
-        // order. Flush ops are run boundaries: they invalidate both
-        // L1s in place and queue a flush event for the lower levels.
-        let offset_bits = self.l1i.geometry().offset_bits();
-        let mut i = 0usize;
-        while i < ops.len() {
-            if ops[i].kind == AccessKind::Flush {
-                let line = ops[i].addr.line(offset_bits);
-                let dirty = (self.l1i.invalidate_line(pid, line).dirty as u32)
-                    + self.l1d.invalidate_line(pid, line).dirty as u32;
-                if dirty > 0 {
-                    flush_mem += dirty as u64;
-                    if let Some(events) = timing.as_deref_mut() {
-                        events[i].mem_writebacks += dirty as u8;
-                    }
-                }
-                flushes.push((i as u32, line));
-                i += 1;
-                continue;
-            }
-            let fetch = ops[i].kind == AccessKind::Fetch;
-            let mut j = i + 1;
-            while j < ops.len()
-                && ops[j].kind != AccessKind::Flush
-                && (ops[j].kind == AccessKind::Fetch) == fetch
-            {
-                j += 1;
-            }
-            lines.clear();
-            lines.extend(ops[i..j].iter().map(|op| op.addr.line(offset_bits)));
-            run_idx.clear();
-            run_idx.extend(i as u32..j as u32);
-            writes.clear();
-            if !fetch {
-                writes.extend(ops[i..j].iter().map(|op| op.kind == AccessKind::Write));
-            }
-            let cache = if fetch { &mut self.l1i } else { &mut self.l1d };
-            let agg = cache.access_batch_io(
-                pid,
-                &lines,
-                BatchIo {
-                    writes: if fetch { None } else { Some(&writes) },
-                    idx: Some(&run_idx),
-                    misses: Some(&mut cur),
-                    miss_idx: Some(&mut cur_idx),
-                    writebacks: Some(&mut wb_cur),
-                },
-            );
-            if let Some(out) = sink.as_deref_mut() {
-                if fetch {
-                    out.l1i += agg;
-                } else {
-                    out.l1d += agg;
-                }
-            }
-            i = j;
-        }
-        if let Some(events) = timing.as_deref_mut() {
-            for &i in &cur_idx {
-                events[i as usize].miss_mask |= 1;
-            }
-        }
-
-        // Phase 2: thread the merged fill + writeback stream through
-        // the unified levels.
-        for k in 0..self.levels.len() {
-            let level = &mut self.levels[k];
-            cycles += cur.len() as u64 * level.hit_cycles as u64;
-            if let Some(events) = timing.as_deref_mut() {
-                for &i in &cur_idx {
-                    events[i as usize].cycles += level.hit_cycles;
-                }
-            }
-            next.clear();
-            next_idx.clear();
-            wb_next.clear();
-            let mut agg = BatchOutcome::default();
-            let mut w = 0usize;
-            let mut f = 0usize;
-            let mut start = 0usize;
-            while start < cur.len() || w < wb_cur.len() || f < flushes.len() {
-                let wb_idx = wb_cur.get(w).map_or(u32::MAX, |wb| wb.op_idx);
-                let fl_idx = flushes.get(f).map_or(u32::MAX, |&(idx, _)| idx);
-                let fill_idx = cur_idx.get(start).copied().unwrap_or(u32::MAX);
-                if w < wb_cur.len() && wb_idx <= fill_idx && wb_idx < fl_idx {
-                    let wb = wb_cur[w];
-                    if !level.cache.receive_writeback(wb.owner, wb.line) {
-                        wb_next.push(wb);
-                    }
-                    w += 1;
-                    continue;
-                }
-                if fl_idx < fill_idx {
-                    // The flush applies at this level at its op
-                    // position (a flush op never shares an op index
-                    // with a fill or a writeback, so no tie rule is
-                    // needed). A drained dirty copy is forced to
-                    // memory, bypassing the conduit.
-                    let (idx, line) = flushes[f];
-                    let inv = level.cache.invalidate_line(pid, line);
-                    if inv.dirty {
-                        flush_mem += 1;
-                        if let Some(events) = timing.as_deref_mut() {
-                            events[idx as usize].mem_writebacks += 1;
-                        }
-                    }
-                    f += 1;
-                    continue;
-                }
-                // Maximal fill run strictly before the next writeback
-                // or flush.
-                let lim = wb_idx.min(fl_idx);
-                let mut end = start;
-                while end < cur.len() && cur_idx[end] < lim {
-                    end += 1;
-                }
-                agg += level.cache.access_batch_io(
-                    pid,
-                    &cur[start..end],
-                    BatchIo {
-                        writes: None,
-                        idx: Some(&cur_idx[start..end]),
-                        misses: Some(&mut next),
-                        miss_idx: Some(&mut next_idx),
-                        writebacks: Some(&mut wb_next),
-                    },
-                );
-                start = end;
-            }
-            if let Some(events) = timing.as_deref_mut() {
-                for &i in &next_idx {
-                    events[i as usize].miss_mask |= 1 << (k + 1);
-                }
-            }
-            if let Some(out) = sink.as_deref_mut() {
-                out.unified.push(agg);
-            }
-            core::mem::swap(&mut cur, &mut next);
-            core::mem::swap(&mut cur_idx, &mut next_idx);
-            core::mem::swap(&mut wb_cur, &mut wb_next);
-        }
-        if let Some(requests) = llc {
-            // Shared-LLC mode: the conduit's final state *is* the
-            // shared level's input — nothing reaches memory here
-            // except the flush-forced drains, which bypass the shared
-            // level by definition.
-            requests.clear();
-            requests.fills.extend_from_slice(&cur);
-            requests.fill_idx.extend_from_slice(&cur_idx);
-            requests.writebacks.extend_from_slice(&wb_cur);
-            if let Some(out) = sink {
-                out.mem_writebacks = flush_mem;
-            }
-        } else {
-            cycles += cur.len() as u64 * self.memory as u64;
-            if let Some(events) = timing {
-                for &i in &cur_idx {
-                    events[i as usize].cycles += self.memory;
-                }
-                for wb in &wb_cur {
-                    events[wb.op_idx as usize].mem_writebacks += 1;
-                }
-            }
-            if let Some(out) = sink {
-                out.mem_writebacks = wb_cur.len() as u64 + flush_mem;
-            }
-        }
-
-        self.scratch_flushes = flushes;
-        self.scratch_lines = lines;
-        self.scratch_writes = writes;
-        self.scratch_run_idx = run_idx;
-        self.scratch_cur = cur;
-        self.scratch_next = next;
-        self.scratch_cur_idx = cur_idx;
-        self.scratch_next_idx = next_idx;
-        self.scratch_wb_cur = wb_cur;
-        self.scratch_wb_next = wb_next;
-        cycles
-    }
-
     /// Sets the write policy of every cache level (the L1I never sees
     /// stores, so its setting is inert but kept consistent).
     pub fn set_write_policy(&mut self, policy: WritePolicy) {
@@ -1481,7 +1000,6 @@ impl Hierarchy {
         for level in &mut self.levels {
             level.cache.set_write_policy(policy);
         }
-        self.refresh_has_writeback();
     }
 
     /// Sets the placement seed of `pid` in every cache, deriving a
@@ -1785,60 +1303,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_walk() {
-        let ops: Vec<TraceOp> = (0..900u64)
-            .map(|i| {
-                let addr = Addr::new((i * 1117) % (1 << 18));
-                match i % 3 {
-                    0 => TraceOp::read(addr),
-                    1 => TraceOp::write(addr),
-                    _ => TraceOp::fetch(addr),
-                }
-            })
-            .collect();
-        for build in [|| hierarchy(), || three_level()] {
-            let mut scalar = build();
-            let mut batched = build();
-            let mut cycles = 0u64;
-            for op in &ops {
-                cycles += scalar.access(pid(), op.kind, op.addr) as u64;
-            }
-            let out = batched.access_batch(pid(), &ops);
-            assert_eq!(out.cycles, cycles);
-            assert_eq!(out.ops, ops.len() as u64);
-            assert_eq!(batched.total_stats(), scalar.total_stats());
-            assert_eq!(out.l1i.accesses() + out.l1d.accesses(), ops.len() as u64);
-            assert_eq!(out.unified[0].accesses(), out.l1i.misses + out.l1d.misses);
-        }
-    }
-
-    #[test]
-    fn cycles_only_batch_matches_full_outcome() {
-        let ops: Vec<TraceOp> =
-            (0..500u64).map(|i| TraceOp::read(Addr::new((i * 607) % (1 << 16)))).collect();
-        let mut full = three_level();
-        let mut cycles_only = three_level();
-        let out = full.access_batch(pid(), &ops);
-        let cycles = cycles_only.access_batch_cycles(pid(), &ops);
-        assert_eq!(cycles, out.cycles);
-        assert_eq!(full.total_stats(), cycles_only.total_stats());
-    }
-
-    #[test]
-    fn batch_outcome_memory_accesses() {
-        let mut h = hierarchy();
-        let ops = [TraceOp::read(Addr::new(0)), TraceOp::read(Addr::new(0))];
-        let out = h.access_batch(pid(), &ops);
-        assert_eq!(out.memory_accesses(), 1);
-    }
-
-    #[test]
     fn empty_batch_is_free() {
         let mut h = three_level();
-        let out = h.access_batch(pid(), &[]);
-        assert_eq!(out.cycles, 0);
-        assert_eq!(out.ops, 0);
-        assert_eq!(out.unified.len(), 2);
+        assert_eq!(h.access_batch_cycles(pid(), &[]), 0);
+        assert_eq!(h.total_stats().accesses(), 0);
     }
 
     #[test]
@@ -1925,44 +1393,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_batch_matches_detailed_scalar_walk() {
-        let ops: Vec<TraceOp> = (0..900u64)
-            .map(|i| {
-                let addr = Addr::new((i * 1117) % (1 << 18));
-                match i % 3 {
-                    0 => TraceOp::read(addr),
-                    1 => TraceOp::write(addr),
-                    _ => TraceOp::fetch(addr),
-                }
-            })
-            .collect();
-        for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
-            for build in [|| hierarchy(), || three_level()] {
-                let mut scalar = build();
-                let mut batched = build();
-                scalar.set_write_policy(policy);
-                batched.set_write_policy(policy);
-                let expected: Vec<OpTiming> =
-                    ops.iter().map(|op| scalar.access_detailed(pid(), op.kind, op.addr)).collect();
-                let mut events = Vec::new();
-                let out = batched.access_batch_timed(pid(), &ops, &mut events);
-                assert_eq!(events, expected, "{policy:?}: per-op timing diverges");
-                assert_eq!(
-                    out.cycles,
-                    expected.iter().map(|e| e.cycles as u64).sum::<u64>(),
-                    "{policy:?}"
-                );
-                assert_eq!(
-                    out.mem_writebacks,
-                    expected.iter().map(|e| e.mem_writebacks as u64).sum::<u64>(),
-                    "{policy:?}"
-                );
-                assert_eq!(batched.total_stats(), scalar.total_stats(), "{policy:?}");
-            }
-        }
-    }
-
-    #[test]
     fn op_timing_memory_read_uses_depth() {
         let mut h = three_level();
         let t = h.access_detailed(pid(), AccessKind::Read, Addr::new(0x4_0000));
@@ -1995,58 +1425,6 @@ mod tests {
         let h = private_hierarchy(0, WritePolicy::WriteThrough);
         assert_eq!(h.depth(), 1);
         assert_eq!(h.unified_levels().count(), 0);
-    }
-
-    #[test]
-    fn upper_batch_matches_upper_scalar_walk() {
-        let ops = TraceOp::mixed_trace(0xabc, 900, 1 << 14);
-        for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
-            for private_unified in [0usize, 1] {
-                let label = format!("{policy:?}/{private_unified} private unified");
-                let mut scalar = private_hierarchy(private_unified, policy);
-                let mut batched = private_hierarchy(private_unified, policy);
-                let mut scalar_llc = LlcRequests::default();
-                let mut scalar_events = Vec::new();
-                for (i, op) in ops.iter().enumerate() {
-                    let up = scalar.access_upper_detailed(
-                        pid(),
-                        op.kind,
-                        op.addr,
-                        i as u32,
-                        &mut scalar_llc.writebacks,
-                    );
-                    scalar_events.push(OpTiming {
-                        cycles: up.cycles,
-                        miss_mask: up.miss_mask,
-                        mem_writebacks: 0,
-                    });
-                    if let Some(line) = up.fill {
-                        scalar_llc.fills.push(line);
-                        scalar_llc.fill_idx.push(i as u32);
-                    }
-                }
-                let mut events = Vec::new();
-                let mut llc = LlcRequests::default();
-                let out = batched.access_batch_upper_timed(pid(), &ops, &mut events, &mut llc);
-                assert_eq!(events, scalar_events, "{label}: per-op events diverge");
-                assert_eq!(llc, scalar_llc, "{label}: LLC request streams diverge");
-                assert_eq!(batched.total_stats(), scalar.total_stats(), "{label}");
-                assert_eq!(
-                    out.cycles,
-                    scalar_events.iter().map(|e| e.cycles as u64).sum::<u64>(),
-                    "{label}"
-                );
-                assert_eq!(out.mem_writebacks, 0, "{label}: upper walk reached memory");
-                // The request stream respects the delivery contract the
-                // shared engine relies on.
-                assert!(llc.fill_idx.windows(2).all(|w| w[0] < w[1]), "{label}");
-                assert!(
-                    llc.writebacks.windows(2).all(|w| w[0].op_idx <= w[1].op_idx),
-                    "{label}: writebacks out of op order"
-                );
-                assert!(!llc.fills.is_empty(), "{label}: trace never reached the shared level");
-            }
-        }
     }
 
     #[test]
@@ -2102,107 +1480,34 @@ mod tests {
         }
     }
 
-    /// A mixed trace sprinkled with flush ops over a reused segment,
-    /// so flushes regularly hit resident (and, under write-back,
-    /// dirty) lines.
-    fn flushing_trace(salt: u64, len: usize) -> Vec<TraceOp> {
-        let mut ops = TraceOp::mixed_trace(salt, len, 1 << 14);
-        let mut state = salt | 1;
-        for i in (0..ops.len()).step_by(11) {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ops[i] = TraceOp::flush(Addr::new((state >> 20) % (1 << 14)));
-        }
-        ops
-    }
-
     #[test]
-    fn flush_ops_match_across_scalar_and_batch_walks() {
-        for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
-            for build in [|| hierarchy(), || three_level()] {
-                let ops = flushing_trace(0xf1a5, 900);
-                let mut scalar = build();
-                let mut batched = build();
-                scalar.set_write_policy(policy);
-                batched.set_write_policy(policy);
-                let expected: Vec<OpTiming> =
-                    ops.iter().map(|op| scalar.access_detailed(pid(), op.kind, op.addr)).collect();
-                let mut events = Vec::new();
-                let out = batched.access_batch_timed(pid(), &ops, &mut events);
-                assert_eq!(events, expected, "{policy:?}: per-op timing diverges on flush ops");
-                assert_eq!(
-                    out.cycles,
-                    expected.iter().map(|e| e.cycles as u64).sum::<u64>(),
-                    "{policy:?}"
-                );
-                assert_eq!(batched.total_stats(), scalar.total_stats(), "{policy:?}");
-                let a: Vec<_> = scalar.l1d().contents().collect();
-                let b: Vec<_> = batched.l1d().contents().collect();
-                assert_eq!(a, b, "{policy:?}: L1D contents diverge");
-                assert!(
-                    scalar.l1d().stats().coh_invalidations() > 0,
-                    "{policy:?}: no flush ever found a resident line — the trace is vacuous"
-                );
-                if policy == WritePolicy::WriteBack {
-                    assert!(
-                        out.mem_writebacks
-                            >= expected.iter().map(|e| e.mem_writebacks as u64).sum::<u64>(),
-                        "flush-forced drains unaccounted"
-                    );
-                }
-                // The plain (untimed) batch walk routes through the
-                // event conduit when flushes are present and must
-                // agree too.
-                let mut plain = build();
-                plain.set_write_policy(policy);
-                let plain_out = plain.access_batch(pid(), &ops);
-                assert_eq!(plain_out.cycles, out.cycles, "{policy:?}: plain batch diverges");
-                assert_eq!(plain.total_stats(), batched.total_stats(), "{policy:?}");
-            }
+    fn flush_drains_private_copies_straight_to_memory() {
+        let a = Addr::new(0x4_0000);
+        for build in [hierarchy as fn() -> Hierarchy, three_level] {
+            let mut h = build();
+            h.set_write_policy(WritePolicy::WriteBack);
+            h.access(pid(), AccessKind::Write, a);
+            // The dirty L1D copy goes to memory; the clean copies below
+            // are dropped too, and the flush costs only its issue slot.
+            let t = h.access_detailed(pid(), AccessKind::Flush, a);
+            assert_eq!(t, OpTiming { cycles: 1, miss_mask: 0, mem_writebacks: 1 });
+            assert_eq!(h.total_stats().coh_invalidations(), h.depth() as u64);
+            let every_level = (1u8 << h.depth()) - 1;
+            assert_eq!(h.access_detailed(pid(), AccessKind::Read, a).miss_mask, every_level);
         }
-    }
-
-    #[test]
-    fn flush_ops_match_across_upper_walks() {
-        let ops = flushing_trace(0xfee1, 800);
-        for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
-            for private_unified in [0usize, 1] {
-                let label = format!("{policy:?}/{private_unified} private unified");
-                let mut scalar = private_hierarchy(private_unified, policy);
-                let mut batched = private_hierarchy(private_unified, policy);
-                let mut scalar_llc = LlcRequests::default();
-                let mut scalar_events = Vec::new();
-                for (i, op) in ops.iter().enumerate() {
-                    let up = scalar.access_upper_detailed(
-                        pid(),
-                        op.kind,
-                        op.addr,
-                        i as u32,
-                        &mut scalar_llc.writebacks,
-                    );
-                    scalar_events.push(OpTiming {
-                        cycles: up.cycles,
-                        miss_mask: up.miss_mask,
-                        mem_writebacks: up.mem_writebacks,
-                    });
-                    if let Some(line) = up.fill {
-                        scalar_llc.fills.push(line);
-                        scalar_llc.fill_idx.push(i as u32);
-                    }
-                }
-                let mut events = Vec::new();
-                let mut llc = LlcRequests::default();
-                batched.access_batch_upper_timed(pid(), &ops, &mut events, &mut llc);
-                assert_eq!(events, scalar_events, "{label}: per-op events diverge");
-                assert_eq!(llc, scalar_llc, "{label}: LLC request streams diverge");
-                assert_eq!(batched.total_stats(), scalar.total_stats(), "{label}");
-                if policy == WritePolicy::WriteBack {
-                    assert!(
-                        scalar_events.iter().any(|e| e.mem_writebacks > 0),
-                        "{label}: no flush ever drained a dirty private copy"
-                    );
-                }
-            }
-        }
+        // In front of a shared level the drained data bypasses the
+        // exported writeback stream as well.
+        let mut h = private_hierarchy(1, WritePolicy::WriteBack);
+        let mut wbs = Vec::new();
+        h.access_upper_detailed(pid(), AccessKind::Write, a, 0, &mut wbs);
+        let up = h.access_upper_detailed(pid(), AccessKind::Flush, a, 1, &mut wbs);
+        assert_eq!((up.cycles, up.fill, up.mem_writebacks), (1, None, 1));
+        assert!(wbs.is_empty());
+        let line = h.l1d().geometry().line_of(a);
+        assert_eq!(
+            h.access_upper_detailed(pid(), AccessKind::Read, a, 2, &mut wbs).fill,
+            Some(line)
+        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use cache::{AccessOutcome, BatchOutcome, Cache, EvictedLine, WritePolicy, Wr
 pub use defense::{DefenseKind, RotationPolicy, TtlConfig};
 pub use error::ConfigError;
 pub use geometry::CacheGeometry;
-pub use hierarchy::{AccessKind, Hierarchy, HierarchyBatchOutcome, Latencies, OpTiming, TraceOp};
+pub use hierarchy::{AccessKind, Hierarchy, Latencies, OpTiming, TraceOp};
 pub use placement::{MbptaClass, Placement, PlacementEngine, PlacementKind};
 pub use pmu::{PmuCounters, PmuDelta, PmuSampler, PmuSnapshot};
 pub use replacement::{Replacement, ReplacementEngine, ReplacementKind};

@@ -266,13 +266,14 @@ fn rotation_reproduces_bit_for_bit() {
     assert!(llc.rotation_epoch() >= 10, "epoch {}", llc.rotation_epoch());
 }
 
-/// The differential harness from `hierarchy_batch_differential`, with
-/// a defense armed on both walks: scalar and batch executions must
-/// stay bit-identical under every defense × placement × replacement ×
-/// depth combination (TTL ticks and normalization transfers happen in
-/// access order on both paths; the defenses must not disturb that).
+/// Chunked replay under every defense × placement × replacement ×
+/// depth: a trace replayed through `access_batch_cycles` in chunks,
+/// the process switching at chunk boundaries, must leave cycles,
+/// statistics and contents bit-identical to the per-op `access` loop
+/// (TTL ticks and normalization transfers happen in access order
+/// either way; the defenses must not disturb that).
 #[test]
-fn scalar_vs_batch_bit_identical_under_every_defense() {
+fn chunked_replay_bit_identical_under_every_defense() {
     use tscache_core::replacement::ReplacementKind;
 
     fn small_hierarchy(
@@ -329,7 +330,7 @@ fn scalar_vs_batch_bit_identical_under_every_defense() {
                     }
                     let mut batch_cycles = 0u64;
                     for (seg, chunk) in trace.chunks(61).enumerate() {
-                        batch_cycles += batched.access_batch(pid_of(seg * 61), chunk).cycles;
+                        batch_cycles += batched.access_batch_cycles(pid_of(seg * 61), chunk);
                     }
 
                     assert_eq!(batch_cycles, scalar_cycles, "{label}: cycles diverge");

@@ -140,10 +140,16 @@ fn flush_replay_holds_on_a_partitioned_hierarchy() {
     h.set_process_seed(pid, Seed::new(0x5eed));
     h.set_way_partition(pid, 0, 2);
     let ops = TraceOp::mixed_trace(0x1234, 2000, 1 << 15);
-    let first = h.access_batch(pid, &ops);
+    let run = |h: &mut tscache_core::hierarchy::Hierarchy| {
+        let cycles = h.access_batch_cycles(pid, &ops);
+        let stats: Vec<_> =
+            [h.l1i(), h.l1d()].into_iter().chain(h.unified_levels()).map(|c| *c.stats()).collect();
+        (cycles, stats)
+    };
+    let (first_cycles, first_stats) = run(&mut h);
     h.flush_all();
-    let replay = h.access_batch(pid, &ops);
-    assert_eq!(replay.cycles, first.cycles, "flushed hierarchy replayed a different cycle count");
-    assert_eq!(replay.l1d, first.l1d);
-    assert_eq!(replay.unified, first.unified);
+    h.reset_stats();
+    let (replay_cycles, replay_stats) = run(&mut h);
+    assert_eq!(replay_cycles, first_cycles, "flushed hierarchy replayed a different cycle count");
+    assert_eq!(replay_stats, first_stats);
 }

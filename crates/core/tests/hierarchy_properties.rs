@@ -280,14 +280,14 @@ proptest! {
             h
         };
         let mut whole = build();
-        let whole_out = whole.access_batch(pid, &ops);
+        let whole_cycles = whole.access_batch_cycles(pid, &ops);
 
         let mut halves = build();
-        let first = halves.access_batch(pid, &ops[..split]);
-        let second = halves.access_batch(pid, &ops[split..]);
+        let first = halves.access_batch_cycles(pid, &ops[..split]);
+        let second = halves.access_batch_cycles(pid, &ops[split..]);
         prop_assert_eq!(
-            first.cycles + second.cycles,
-            whole_out.cycles,
+            first + second,
+            whole_cycles,
             "{setup}/{depth}: split at {split} changes cycles"
         );
         prop_assert_eq!(whole.total_stats(), halves.total_stats());
@@ -297,7 +297,7 @@ proptest! {
         for op in &ops {
             scalar_cycles += scalar.access(pid, op.kind, op.addr) as u64;
         }
-        prop_assert_eq!(whole_out.cycles, scalar_cycles);
+        prop_assert_eq!(whole_cycles, scalar_cycles);
         prop_assert_eq!(whole.total_stats(), scalar.total_stats());
     }
 

@@ -33,8 +33,7 @@ proptest! {
         for depth in HierarchyDepth::ALL {
             let mut h = small_hierarchy(depth, WritePolicy::WriteThrough);
             let ops = trace(salt, 1200);
-            let out = h.access_batch(ProcessId::new(1), &ops);
-            prop_assert_eq!(out.mem_writebacks, 0);
+            h.access_batch_cycles(ProcessId::new(1), &ops);
             prop_assert_eq!(h.l1d().stats().writebacks(), 0);
             prop_assert_eq!(h.l1d().dirty_lines(), 0);
             for level in h.unified_levels() {
@@ -54,7 +53,7 @@ proptest! {
             let mut h = small_hierarchy(depth, WritePolicy::WriteBack);
             let ops = trace(salt, 1500);
             let writes = ops.iter().filter(|op| matches!(op.kind, tscache_core::hierarchy::AccessKind::Write)).count() as u64;
-            h.access_batch(ProcessId::new(1), &ops);
+            h.access_batch_cycles(ProcessId::new(1), &ops);
             prop_assert!(h.l1d().stats().writebacks() <= writes);
             for level in h.unified_levels() {
                 prop_assert!(
@@ -110,7 +109,7 @@ proptest! {
     fn flush_clears_dirty_state(salt in any::<u64>()) {
         let mut h = small_hierarchy(HierarchyDepth::TwoLevel, WritePolicy::WriteBack);
         let pid = ProcessId::new(1);
-        h.access_batch(pid, &trace(salt, 600));
+        h.access_batch_cycles(pid, &trace(salt, 600));
         h.flush_all();
         prop_assert_eq!(h.l1d().dirty_lines(), 0);
         let before = h.l1d().stats().writebacks();
@@ -119,7 +118,7 @@ proptest! {
             .into_iter()
             .map(|op| TraceOp::read(op.addr))
             .collect();
-        h.access_batch(pid, &reads);
+        h.access_batch_cycles(pid, &reads);
         prop_assert_eq!(h.l1d().stats().writebacks(), before);
     }
 
@@ -133,7 +132,7 @@ proptest! {
         for depth in HierarchyDepth::ALL {
             let mut h = small_hierarchy(depth, WritePolicy::WriteBack);
             let pid = ProcessId::new(1);
-            h.access_batch(pid, &trace(salt, 900));
+            h.access_batch_cycles(pid, &trace(salt, 900));
             let before: Vec<(u64, u64)> = std::iter::once(h.l1d())
                 .chain(h.unified_levels())
                 .map(|c| (c.dirty_lines() as u64, c.stats().writebacks()))

@@ -23,11 +23,11 @@
 //! its private levels at merge time ([`Hierarchy::access_detailed`],
 //! or [`Hierarchy::access_upper_detailed`] in front of a shared
 //! level). [`execute`] pre-executes every core whose private outcomes
-//! cannot depend on the interleaving ([`Hierarchy::access_batch_timed`]
-//! / [`Hierarchy::access_batch_upper_timed`]; finite cores whole,
-//! co-runners a chunk at a time) and walks only the others per op.
-//! Either way the merge consumes identical per-op outcomes, which the
-//! differential suite pins bit for bit.
+//! cannot depend on the interleaving (the same per-op walks, run ahead
+//! of the merge and buffered: finite cores whole, co-runners a chunk
+//! at a time) and walks only the others at merge time. Either way the
+//! merge consumes identical per-op outcomes, which the differential
+//! suite pins bit for bit.
 //!
 //! # Private hierarchies (`llc = None`)
 //!
@@ -377,19 +377,31 @@ struct Lookahead {
 }
 
 impl Lookahead {
-    /// Pre-executes `ops` on `hierarchy`: the full walk to memory, or —
-    /// when `shared` — the private levels only, exporting the request
-    /// stream.
+    /// Pre-executes `ops` on `hierarchy`, op by op: the full walk to
+    /// memory, or — when `shared` — the private levels only, collecting
+    /// the request stream.
     fn fill(&mut self, hierarchy: &mut Hierarchy, pid: ProcessId, ops: &[TraceOp], shared: bool) {
-        if shared {
-            hierarchy.access_batch_upper_timed(pid, ops, &mut self.events, &mut self.requests);
-        } else {
-            hierarchy.access_batch_timed(pid, ops, &mut self.events);
-            self.requests.clear();
-        }
-        self.fill_pos = 0;
-        self.wb_pos = 0;
+        assert!(ops.len() <= u32::MAX as usize, "trace segment too long for 32-bit op indices");
+        self.clear();
         self.shared = shared;
+        if !shared {
+            self.events
+                .extend(ops.iter().map(|op| hierarchy.access_detailed(pid, op.kind, op.addr)));
+            return;
+        }
+        for (i, op) in ops.iter().enumerate() {
+            let wbs = &mut self.requests.writebacks;
+            let up = hierarchy.access_upper_detailed(pid, op.kind, op.addr, i as u32, wbs);
+            self.events.push(OpTiming {
+                cycles: up.cycles,
+                miss_mask: up.miss_mask,
+                mem_writebacks: up.mem_writebacks,
+            });
+            if let Some(line) = up.fill {
+                self.requests.fills.push(line);
+                self.requests.fill_idx.push(i as u32);
+            }
+        }
     }
 
     /// Op `i`'s buffered outcome, its shared-level requests resolved
@@ -704,7 +716,7 @@ impl Merger {
     }
 }
 
-/// Ops a co-runner pre-executes per hierarchy batch call.
+/// Ops a co-runner pre-executes per chunk.
 const CO_CHUNK: usize = 128;
 
 /// A persistent enemy core: a private hierarchy cyclically replaying
@@ -1322,7 +1334,7 @@ mod tests {
         let enemy_ops: Vec<TraceOp> =
             (0..16u64).map(|i| TraceOp::read(Addr::new(i * 128 * 32))).collect();
         let mut enemy = SetupKind::Deterministic.build(3);
-        enemy.access_batch(ProcessId::new(9), &enemy_ops); // warm L2
+        enemy.access_batch_cycles(ProcessId::new(9), &enemy_ops); // warm L2
         let mut co = vec![CoRunner::new(enemy, ProcessId::new(9), enemy_ops)];
         let mut h = SetupKind::Deterministic.build(1);
         let t = trace(5, 2000);

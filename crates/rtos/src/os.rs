@@ -171,7 +171,7 @@ pub struct TscacheOs {
 
 /// Per-runnable synthetic working set, pre-assembled as a memory trace
 /// (code-block fetches interleaved with strided loads) so every job
-/// replays through the hierarchy's batch path.
+/// replays through `Machine::run_trace`.
 #[derive(Debug, Clone)]
 struct RunnableWorkload {
     /// The job's memory operations in issue order.

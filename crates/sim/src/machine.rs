@@ -11,7 +11,7 @@ use crate::pipeline::PipelineModel;
 use tscache_core::addr::{Addr, LineAddr};
 use tscache_core::cache::{WritePolicy, Writeback};
 use tscache_core::defense::DefenseKind;
-use tscache_core::hierarchy::{AccessKind, Hierarchy, OpTiming, SharedLlc};
+use tscache_core::hierarchy::{AccessKind, Hierarchy, SharedLlc};
 use tscache_core::prng::mix64;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
@@ -21,8 +21,8 @@ use tscache_interference::{
 use tscache_telemetry::{Event, RecorderHandle};
 
 /// One memory operation of a pre-built trace, consumed by
-/// [`Machine::run_trace`] (defined in `tscache_core::hierarchy`, where
-/// the batch path executes it).
+/// [`Machine::run_trace`] (defined in `tscache_core::hierarchy`, whose
+/// walk executes it).
 pub use tscache_core::hierarchy::TraceOp;
 
 /// One recorded memory event (when tracing is enabled).
@@ -69,8 +69,6 @@ pub struct Machine {
     /// Lifetime cycles lost to bus queuing + MSHR stalls (survives
     /// `reset_counters`; see [`contention_cycles`](Self::contention_cycles)).
     contention_cycles: u64,
-    /// Reused per-op timing scratch of the recorded solo path.
-    timing_scratch: Vec<OpTiming>,
     /// The platform's shared last-level cache, when this machine runs
     /// on a shared-LLC multicore (the per-core `hierarchy` then holds
     /// only the private levels).
@@ -102,7 +100,6 @@ impl Machine {
             co_runners: Vec::new(),
             interference: None,
             contention_cycles: 0,
-            timing_scratch: Vec::new(),
             shared_llc: None,
             coherent_regions: Vec::new(),
             engine_scratch: EngineScratch::default(),
@@ -116,9 +113,9 @@ impl Machine {
     /// MSHR events and per-op spans into it. The recorder is strictly
     /// an observer — cache state, cycle totals and statistics are
     /// bit-identical with and without one attached (the contended and
-    /// shared engines thread it through as a side channel; the solo
-    /// batch path switches to its timed twin, which the differential
-    /// suites pin to the untimed walk).
+    /// shared engines thread it through as a side channel; a solo
+    /// machine emits the events from the same per-op walk it runs
+    /// without one).
     pub fn set_recorder(&mut self, recorder: RecorderHandle) {
         self.recorder = Some(recorder);
     }
@@ -610,17 +607,15 @@ impl Machine {
         self.cycles += cycles;
     }
 
-    /// Executes a pre-built memory trace through the hierarchy's batch
-    /// path ([`Hierarchy::access_batch`]) and returns the cycles it
-    /// cost.
+    /// Executes a pre-built memory trace and returns the cycles it
+    /// cost; a solo machine walks it op by op through
+    /// [`Hierarchy::access_batch_cycles`].
     ///
     /// This is the batch interface of the simulator hot path: workloads
     /// that can precompute their access stream (the simulated AES
     /// cipher, the synthetic kernels, the RTOS runnables) assemble a
-    /// `Vec<TraceOp>` once and replay it. Whole segments run through
-    /// each cache level at a time — L2/L3 fills amortize across the
-    /// segment — while producing exactly the same cache state and
-    /// cycle total as issuing the same operations through
+    /// `Vec<TraceOp>` once and replay it, with exactly the same cache
+    /// state and cycle total as issuing the same operations through
     /// [`load`](Machine::load) / [`store`](Machine::store) / per-line
     /// fetches.
     ///
@@ -689,14 +684,14 @@ impl Machine {
             return primary.cycles;
         }
         if let Some(rec) = self.recorder.clone() {
-            // Solo private walk, recorded: the timed batch twin yields
-            // per-op timings from the very same engine, so totals and
-            // cache state cannot diverge from the untimed path.
+            // Solo private walk, recorded: the same per-op walk as the
+            // untimed path, so totals and cache state cannot diverge.
             let depth = self.hierarchy.depth();
-            let out = self.hierarchy.access_batch_timed(self.pid, ops, &mut self.timing_scratch);
-            let mut ts = self.cycles;
+            let before = self.cycles;
             let mut r = rec.borrow_mut();
-            for t in &self.timing_scratch {
+            for op in ops {
+                let t = self.hierarchy.access_detailed(self.pid, op.kind, op.addr);
+                let ts = self.cycles;
                 for level in 0..depth {
                     let miss = t.miss_mask >> level & 1 == 1;
                     r.record(ts, Event::LevelAccess { core: 0, level: level as u8, hit: !miss });
@@ -708,11 +703,9 @@ impl Machine {
                     r.record(ts, Event::Writeback { core: 0, count: t.mem_writebacks });
                 }
                 r.record(ts, Event::Op { core: 0, cycles: t.cycles, miss_mask: t.miss_mask });
-                ts += t.cycles as u64;
+                self.cycles += t.cycles as u64;
             }
-            drop(r);
-            self.cycles += out.cycles;
-            return out.cycles;
+            return self.cycles - before;
         }
         let cycles = self.hierarchy.access_batch_cycles(self.pid, ops);
         self.cycles += cycles;
