@@ -18,7 +18,9 @@
 //!   [`execute`] pre-executes every core whose private outcomes do not
 //!   depend on the interleaving, and [`execute_scalar`], the
 //!   reference, walks every core op by op. A differential suite pins
-//!   them bit-identical.
+//!   them bit-identical. [`solo_op`] runs one op of core 0 through the
+//!   same walk and MSI steps without the bus: the simulator machine's
+//!   scalar op.
 //!
 //! With private hierarchies, contention is timing-only by
 //! construction: per-core cache contents, statistics and RNG streams
@@ -42,6 +44,6 @@ pub mod multicore;
 pub use bus::{Arbitration, Bus, BusConfig, BusReport};
 pub use mshr::{MshrConfig, MshrFile, MshrOutcome};
 pub use multicore::{
-    execute, execute_scalar, CoRunner, ContentionConfig, CoreReport, CoreRun, EngineScratch,
-    InterferenceOutcome, SystemConfig,
+    execute, execute_scalar, solo_op, CoRunner, ContentionConfig, CoreReport, CoreRun,
+    EngineScratch, InterferenceOutcome, SystemConfig,
 };

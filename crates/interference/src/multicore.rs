@@ -56,7 +56,9 @@
 //! the MSI actions in one canonical sequence: inclusive
 //! back-invalidation of a tracked shared-level victim, sharer
 //! recording for a tracked fill, upgrade invalidations for a write,
-//! and the flush broadcast.
+//! and the flush broadcast. [`solo_op`] runs one op through the same
+//! walk, resolve and MSI sequence outside any merge, with no bus, MSHR
+//! or recorder: the simulator machine's scalar op.
 //!
 //! Bus accounting at the shared level: a shared-LLC **hit costs no bus
 //! transaction** — only LLC misses (off-chip reads) and writebacks
@@ -165,11 +167,11 @@ pub struct InterferenceOutcome {
     pub bus: BusReport,
 }
 
-/// Buffers [`execute`] reuses from call to call: each finite core's
-/// pre-executed private walk and the per-op writeback sink. A caller
-/// that runs many segments (the simulator's machine) keeps one, so the
-/// hot path allocates nothing per segment; a one-shot caller passes a
-/// fresh one.
+/// Buffers [`execute`] and [`solo_op`] reuse from call to call: each
+/// finite core's pre-executed private walk and the per-op writeback
+/// sink. A caller that runs many segments (the simulator's machine)
+/// keeps one, so the hot path allocates nothing per segment or op; a
+/// one-shot caller passes a fresh one.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     lanes: Vec<Lane>,
@@ -252,7 +254,8 @@ fn run(
     }
     let coherent = llc.as_deref().is_some_and(SharedLlc::has_coherence);
     let mut live = cores.iter().filter(|c| !c.ops.is_empty()).count();
-    let mut cores = Cores { finite: cores, co };
+    let reports = vec![CoreReport::default(); merger.clocks.len()];
+    let mut cores = Cores { finite: cores, co, reports };
     while live > 0 {
         let c = merger
             .next_core(|c| c >= nf || lanes[c].pos < cores.finite[c].ops.len())
@@ -278,13 +281,36 @@ fn run(
             cores.co[c - nf].next(llc.as_deref_mut(), batch, writebacks)
         };
         let line = op.addr.line(merger.offsets[c]);
+        let record = |e| merger.record(merger.clocks[c], e);
         let coh_txns = match llc.as_deref_mut() {
-            Some(llc) if coherent => merger.coherence(llc, &mut cores, c, op.kind, line, &mut res),
+            Some(llc) if coherent => coherence(llc, &mut cores, c, op.kind, line, &mut res, record),
             _ => 0,
         };
-        merger.step(c, seq, line.as_u64(), res.t, coh_txns);
+        merger.step(c, seq, line.as_u64(), res.t, coh_txns, &mut cores.reports[c]);
     }
-    merger.finish()
+    InterferenceOutcome { cores: cores.reports, bus: merger.bus.report() }
+}
+
+/// One op of core 0 (`hierarchy` running `pid`) in front of `llc`,
+/// with `co` as the platform's other cores: the private walk, the
+/// shared-level resolve and the MSI steps every merged op runs, but no
+/// bus, MSHR or recorder. Returns the op's cycles.
+pub fn solo_op(
+    hierarchy: &mut Hierarchy,
+    pid: ProcessId,
+    op: TraceOp,
+    co: &mut [CoRunner],
+    llc: &mut SharedLlc,
+    scratch: &mut EngineScratch,
+) -> u32 {
+    let mut res = walk(hierarchy, pid, op, Some(&mut *llc), &mut scratch.writebacks);
+    if llc.has_coherence() {
+        let line = op.addr.line(hierarchy.l1i().geometry().offset_bits());
+        let finite = &mut [CoreRun { hierarchy, pid, ops: &[] }];
+        let mut cores = Cores { finite, co, reports: Vec::new() };
+        coherence(llc, &mut cores, 0, op.kind, line, &mut res, |_| {});
+    }
+    res.t.cycles
 }
 
 /// One op after its private walk and shared-level resolution.
@@ -445,6 +471,8 @@ struct Lane {
 struct Cores<'p, 'a> {
     finite: &'p mut [CoreRun<'a>],
     co: &'p mut [CoRunner],
+    /// Per-participant accounting (empty in [`solo_op`]).
+    reports: Vec<CoreReport>,
 }
 
 impl Cores<'_, '_> {
@@ -453,7 +481,7 @@ impl Cores<'_, '_> {
     /// each drained core's report with the copies it lost. Returns the
     /// number of dirty copies drained — memory-bound bus writes charged
     /// to the issuing op.
-    fn invalidate(&mut self, reports: &mut [CoreReport], targets: u32, line: LineAddr) -> u8 {
+    fn invalidate(&mut self, targets: u32, line: LineAddr) -> u8 {
         let nf = self.finite.len();
         let mut dirty = 0u32;
         let mut bits = targets;
@@ -467,7 +495,9 @@ impl Cores<'_, '_> {
             } else {
                 continue;
             };
-            reports[j].coh_invalidations += inv.copies as u64;
+            if let Some(report) = self.reports.get_mut(j) {
+                report.coh_invalidations += inv.copies as u64;
+            }
             dirty += inv.dirty;
         }
         dirty.min(u8::MAX as u32) as u8
@@ -478,13 +508,72 @@ impl Cores<'_, '_> {
     }
 }
 
+/// Steps (3)–(6) of the canonical per-op sequence on a coherent
+/// platform, after (1) the private walk and (2) the op's writebacks
+/// then fill against the shared level: (3) inclusive back-invalidation
+/// when the fill evicted a tracked line, (4) sharer recording for a
+/// tracked fill, (5) upgrade invalidations for a write to a tracked
+/// line, (6) the flush broadcast. Both engine modes and [`solo_op`] run
+/// this one sequence, so they cannot diverge on coherence order.
+/// Drained dirty copies are added to `res.t.mem_writebacks`; returns
+/// the coherence bus transactions the op issued.
+fn coherence(
+    llc: &mut SharedLlc,
+    cores: &mut Cores<'_, '_>,
+    c: usize,
+    kind: AccessKind,
+    line: LineAddr,
+    res: &mut Resolved,
+    mut record: impl FnMut(Event),
+) -> u8 {
+    let invalidated = |bits: u32| bits.count_ones().min(u8::MAX as u32) as u8;
+    let mut coh_txns = 0u8;
+    // (3) The fill displaced a tracked line from the shared level, so
+    // no private copy may survive it.
+    if let Some(victim) = res.evicted.filter(|&v| llc.is_coherent_line(v)) {
+        let sharers = llc.clear_sharers(victim);
+        if sharers != 0 {
+            coh_txns += 1;
+            res.t.mem_writebacks += cores.invalidate(sharers, victim);
+            record(Event::CohBackInvalidate { core: c as u8 });
+        }
+    }
+    // (4) A tracked fill records this core as a holder.
+    if res.fill.is_some_and(|l| llc.is_coherent_line(l)) {
+        llc.note_sharer(line, c);
+    }
+    // (5) A write to a tracked line drains every other holder's copies.
+    if kind == AccessKind::Write && llc.is_coherent_line(line) {
+        let others = llc.retain_sharer(line, c);
+        if others != 0 {
+            coh_txns += 1;
+            res.t.mem_writebacks += cores.invalidate(others, line);
+            record(Event::CohUpgrade { core: c as u8, invalidated: invalidated(others) });
+        }
+    }
+    // (6) Drain every tracked copy: the other cores' private copies
+    // (the issuer drained its own in the private walk) and the
+    // shared-level copies under every core's placement view.
+    if kind == AccessKind::Flush && llc.is_coherent_line(line) {
+        coh_txns += 1;
+        let sharers = llc.clear_sharers(line) & !(1u32 << c);
+        res.t.mem_writebacks += cores.invalidate(sharers, line);
+        for pid in cores.pids() {
+            if llc.invalidate_copy(pid, line).dirty {
+                res.t.mem_writebacks += 1;
+            }
+        }
+        record(Event::CohFlush { core: c as u8, invalidated: invalidated(sharers) });
+    }
+    coh_txns
+}
+
 /// The deterministic event-merge state: bus, MSHR files and clocks.
 struct Merger {
     bus: Bus,
     /// MSHR files per core per level (empty when disabled).
     mshr: Vec<Vec<MshrFile>>,
     clocks: Vec<u64>,
-    reports: Vec<CoreReport>,
     depths: Vec<usize>,
     offsets: Vec<u32>,
     /// Bus service cycles, mirrored for trace emission.
@@ -511,7 +600,6 @@ impl Merger {
             bus: Bus::new(cfg.bus, n),
             mshr,
             clocks: vec![0; n],
-            reports: vec![CoreReport::default(); n],
             depths,
             offsets,
             bus_service: cfg.bus.service_cycles,
@@ -525,76 +613,19 @@ impl Merger {
         }
     }
 
-    /// Steps (3)–(6) of the canonical per-op sequence on a coherent
-    /// platform, after (1) the private walk and (2) the op's writebacks
-    /// then fill against the shared level: (3) inclusive
-    /// back-invalidation when the fill evicted a tracked line, (4)
-    /// sharer recording for a tracked fill, (5) upgrade invalidations
-    /// for a write to a tracked line, (6) the flush broadcast. Both
-    /// modes run this one sequence, so they cannot diverge on coherence
-    /// order. Drained dirty copies are added to `res.t.mem_writebacks`;
-    /// returns the coherence bus transactions the op issued.
-    fn coherence(
-        &mut self,
-        llc: &mut SharedLlc,
-        cores: &mut Cores<'_, '_>,
-        c: usize,
-        kind: AccessKind,
-        line: LineAddr,
-        res: &mut Resolved,
-    ) -> u8 {
-        let ts = self.clocks[c];
-        let invalidated = |bits: u32| bits.count_ones().min(u8::MAX as u32) as u8;
-        let mut coh_txns = 0u8;
-        // (3) The fill displaced a tracked line from the shared level,
-        // so no private copy may survive it.
-        if let Some(victim) = res.evicted.filter(|&v| llc.is_coherent_line(v)) {
-            let sharers = llc.clear_sharers(victim);
-            if sharers != 0 {
-                coh_txns += 1;
-                res.t.mem_writebacks += cores.invalidate(&mut self.reports, sharers, victim);
-                self.record(ts, Event::CohBackInvalidate { core: c as u8 });
-            }
-        }
-        // (4) A tracked fill records this core as a holder.
-        if res.fill.is_some_and(|l| llc.is_coherent_line(l)) {
-            llc.note_sharer(line, c);
-        }
-        // (5) A write to a tracked line drains every other holder's
-        // copies.
-        if kind == AccessKind::Write && llc.is_coherent_line(line) {
-            let others = llc.retain_sharer(line, c);
-            if others != 0 {
-                coh_txns += 1;
-                res.t.mem_writebacks += cores.invalidate(&mut self.reports, others, line);
-                self.record(
-                    ts,
-                    Event::CohUpgrade { core: c as u8, invalidated: invalidated(others) },
-                );
-            }
-        }
-        // (6) Drain every tracked copy: the other cores' private copies
-        // (the issuer drained its own in the private walk) and the
-        // shared-level copies under every core's placement view.
-        if kind == AccessKind::Flush && llc.is_coherent_line(line) {
-            coh_txns += 1;
-            let sharers = llc.clear_sharers(line) & !(1u32 << c);
-            res.t.mem_writebacks += cores.invalidate(&mut self.reports, sharers, line);
-            for pid in cores.pids() {
-                if llc.invalidate_copy(pid, line).dirty {
-                    res.t.mem_writebacks += 1;
-                }
-            }
-            self.record(ts, Event::CohFlush { core: c as u8, invalidated: invalidated(sharers) });
-        }
-        coh_txns
-    }
-
     /// Executes op `seq` of `core` (touching `line`) with solo timing
     /// `t`: MSHR checks, then bus arbitration for its read and
     /// writeback transactions and its `coh_txns` coherence
-    /// transactions, in that order.
-    fn step(&mut self, core: usize, seq: u64, line: u64, t: OpTiming, coh_txns: u8) {
+    /// transactions, in that order, accounted in `report`.
+    fn step(
+        &mut self,
+        core: usize,
+        seq: u64,
+        line: u64,
+        t: OpTiming,
+        coh_txns: u8,
+        report: &mut CoreReport,
+    ) {
         let depth = self.depths[core];
         let ts0 = self.clocks[core];
         if let Some(rec) = &self.recorder {
@@ -615,7 +646,6 @@ impl Merger {
                 r.record(ts0, Event::Writeback { core: core as u8, count: t.mem_writebacks });
             }
         }
-        let report = &mut self.reports[core];
         let mut stall = 0u64;
         let mut mem_read = t.memory_read(depth);
         for (level, file) in self.mshr[core].iter_mut().enumerate() {
@@ -697,10 +727,6 @@ impl Merger {
                 },
             );
         }
-    }
-
-    fn finish(self) -> InterferenceOutcome {
-        InterferenceOutcome { cores: self.reports, bus: self.bus.report() }
     }
 
     /// The core to advance next: smallest clock among `eligible` cores,

@@ -40,7 +40,7 @@ pub mod synthetic;
 pub mod workload;
 
 pub use layout::{Layout, Region};
-pub use machine::{Machine, TraceEvent, TraceOp};
+pub use machine::{Machine, TraceOp};
 pub use pipeline::PipelineModel;
 pub use workload::{
     collect_execution_times, collect_execution_times_par, MeasurementProtocol, Workload,
