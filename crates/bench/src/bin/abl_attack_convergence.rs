@@ -22,8 +22,10 @@ fn main() {
     println!("{:>9}  {:<14} {:>7}  {:<26}  {:<14} {:>7}", "samples", "", "bits", "", "", "bits");
     let mut n = max / 16;
     while n <= max {
-        let det = run_attack(SamplingConfig::standard(SetupKind::Deterministic, n, seed));
-        let ts = run_attack(SamplingConfig::standard(SetupKind::TsCache, n, seed));
+        let det = run_attack(SamplingConfig::standard(SetupKind::Deterministic, n, seed))
+            .expect("valid sampling config");
+        let ts = run_attack(SamplingConfig::standard(SetupKind::TsCache, n, seed))
+            .expect("valid sampling config");
         println!(
             "{:>9}  {:<14} {:>7.1}  {:<26}  {:<14} {:>7.1}",
             n,

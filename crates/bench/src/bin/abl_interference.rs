@@ -32,7 +32,7 @@ fn main() {
         for setup in [SetupKind::Deterministic, SetupKind::TsCache] {
             let mut cfg = SamplingConfig::standard(setup, samples, seed);
             cfg.app_target_lines = lines;
-            let r = run_attack(cfg);
+            let r = run_attack(cfg).expect("valid sampling config");
             row.push((setup, r));
         }
         println!(

@@ -90,7 +90,7 @@ fn main() {
     for setup in [SetupKind::Deterministic, SetupKind::TsCache] {
         let mut cfg = SamplingConfig::standard(setup, samples, seed);
         cfg.partition_task_ways = 3;
-        let r = run_attack(cfg);
+        let r = run_attack(cfg).expect("valid sampling config");
         println!(
             "{:<14} + partition: bits={:6.1} residual=2^{:5.1} vulnerable={:2}/16",
             setup.label(),

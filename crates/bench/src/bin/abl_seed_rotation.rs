@@ -32,7 +32,7 @@ fn main() {
         for reseed in [4096u32, 32_768, 0] {
             let mut cfg = SamplingConfig::standard(setup, samples, seed);
             cfg.reseed_every = reseed;
-            let r = run_attack(cfg);
+            let r = run_attack(cfg).expect("valid sampling config");
             println!(
                 "{:<14} {:>12} {:>12.1} {:>12} {:>11}/16",
                 setup.label(),

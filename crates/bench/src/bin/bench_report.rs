@@ -32,6 +32,7 @@ use tscache_bench::suites::{
     fleet_suite, hierarchy_suite, shared_llc_machine_suite, telemetry_suite,
 };
 use tscache_bench::Args;
+use tscache_core::defense::DefenseKind;
 use tscache_core::parallel;
 use tscache_core::placement::PlacementKind;
 use tscache_core::seed::{ProcessId, Seed};
@@ -116,7 +117,9 @@ fn main() {
     results.push(bench("bernstein/sampling", "samples", ms.max(500), || {
         round += 1;
         let cfg = SamplingConfig::standard(SetupKind::TsCache, 2000, 0xbeef ^ round);
-        let samples = CryptoNode::new(cfg, Role::Victim, &[7u8; 16]).collect();
+        let samples = CryptoNode::try_new(cfg, Role::Victim, &[7u8; 16])
+            .expect("valid sampling config")
+            .collect();
         samples.len() as u64
     }));
 
@@ -126,14 +129,19 @@ fn main() {
         contended_round += 1;
         let mut cfg = SamplingConfig::standard(SetupKind::TsCache, 2000, 0xbeef ^ contended_round);
         cfg.contention = Some(ContentionConfig::default());
-        let samples = CryptoNode::new(cfg, Role::Victim, &[7u8; 16]).collect();
+        let samples = CryptoNode::try_new(cfg, Role::Victim, &[7u8; 16])
+            .expect("valid sampling config")
+            .collect();
         samples.len() as u64
     }));
 
     let mut seed_salt = 0u64;
     results.push(bench("prime-probe/trials", "trials", ms.max(500), || {
         seed_salt += 1;
-        black_box(run_prime_probe(SetupKind::TsCache, 512, seed_salt));
+        black_box(
+            run_prime_probe(SetupKind::TsCache, DefenseKind::Off, 512, seed_salt)
+                .expect("trials > 0"),
+        );
         512
     }));
 

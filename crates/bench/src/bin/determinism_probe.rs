@@ -17,6 +17,7 @@
 //! diff t1.txt crates/bench/determinism_probe.golden
 //! ```
 
+use tscache_core::defense::DefenseKind;
 use tscache_core::hierarchy::TraceOp;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
@@ -55,13 +56,14 @@ impl Digest {
 
 fn main() {
     // Prime+Probe and Evict+Time trial fan-outs.
-    let pp = run_prime_probe(SetupKind::TsCache, 256, 11);
+    let pp = run_prime_probe(SetupKind::TsCache, DefenseKind::Off, 256, 11).expect("trials > 0");
     let mut d = Digest::new();
     d.f64(pp.accuracy);
     d.f64(pp.mean_evictions);
     println!("prime_probe {:016x}", d.0);
 
-    let et = run_evict_time(SetupKind::Deterministic, 256, 13);
+    let et =
+        run_evict_time(SetupKind::Deterministic, DefenseKind::Off, 256, 13).expect("trials > 0");
     let mut d = Digest::new();
     d.f64(et.detection_rate);
     println!("evict_time {:016x}", d.0);
@@ -76,7 +78,7 @@ fn main() {
         cfg.depth = depth;
         cfg.reseed_every = 64;
         cfg.warmup_jobs = 0;
-        let (a, v) = collect_pair(cfg, &[7u8; 16], &[13u8; 16]);
+        let (a, v) = collect_pair(cfg, &[7u8; 16], &[13u8; 16]).expect("valid sampling config");
         let mut d = Digest::new();
         for s in a.iter().chain(&v) {
             d.u64(s.cycles);
@@ -88,7 +90,8 @@ fn main() {
     }
 
     // The full Bernstein analysis pipeline (samples → per-byte sweep).
-    let attack = run_attack(SamplingConfig::standard(SetupKind::Deterministic, 2000, 0xa7));
+    let attack = run_attack(SamplingConfig::standard(SetupKind::Deterministic, 2000, 0xa7))
+        .expect("valid sampling config");
     let mut d = Digest::new();
     for b in &attack.bytes {
         for &s in &b.scores {
@@ -104,7 +107,7 @@ fn main() {
     contended.contention = Some(ContentionConfig::default());
     contended.reseed_every = 64;
     contended.warmup_jobs = 2;
-    let (a, v) = collect_pair(contended, &[7u8; 16], &[13u8; 16]);
+    let (a, v) = collect_pair(contended, &[7u8; 16], &[13u8; 16]).expect("valid sampling config");
     let mut d = Digest::new();
     for s in a.iter().chain(&v) {
         d.u64(s.cycles);
@@ -173,7 +176,7 @@ fn main() {
         shared.contention = Some(ContentionConfig::default());
         shared.reseed_every = 64;
         shared.warmup_jobs = 2;
-        let (a, v) = collect_pair(shared, &[7u8; 16], &[13u8; 16]);
+        let (a, v) = collect_pair(shared, &[7u8; 16], &[13u8; 16]).expect("valid sampling config");
         let mut d = Digest::new();
         for s in a.iter().chain(&v) {
             d.u64(s.cycles);
@@ -258,7 +261,8 @@ fn main() {
     // broadcasts) shows up as a CI digest mismatch.
     for setup in [SetupKind::Deterministic, SetupKind::TsCache] {
         use tscache_sca::flush_reload::{run_flush_reload, FlushReloadConfig};
-        let out = run_flush_reload(&FlushReloadConfig::standard(setup, 0xf1a5));
+        let out = run_flush_reload(&FlushReloadConfig::standard(setup, 0xf1a5))
+            .expect("valid flush+reload config");
         let mut d = Digest::new();
         for &s in &out.scores {
             d.u64(s as u64);
@@ -278,7 +282,7 @@ fn main() {
     // must be worker-count invariant for every target.
     for target in DetectTarget::ALL {
         let cfg = DetectionCampaignConfig::standard(target, SetupKind::Deterministic, 17);
-        let out = run_detection_campaign(&cfg);
+        let out = run_detection_campaign(&cfg).expect("valid campaign config");
         let mut d = Digest::new();
         d.u64(out.windows);
         for s in out.attack_scores.iter().chain(&out.benign_scores) {
@@ -310,7 +314,8 @@ fn main() {
             detector: Some(DetectorConfig::default()),
             ..OsConfig::default()
         };
-        let mut os = TscacheOs::new(Application::figure3_example(), SetupKind::TsCache, config);
+        let mut os = TscacheOs::try_new(Application::figure3_example(), SetupKind::TsCache, config)
+            .expect("valid OS config");
         let report = os.run(12);
         let detection = report.detection.expect("detector was enabled");
         let mut d = Digest::new();
@@ -358,7 +363,6 @@ fn main() {
     // level's statistics and every level's dirty lines.
     {
         use tscache_core::cache::WritePolicy;
-        use tscache_core::defense::DefenseKind;
         let mut ops = TraceOp::mixed_trace(0x3a1c, 3000, 1 << 15);
         ops.extend(TraceOp::mixed_trace(0x3a1d, 3000, 1 << 19));
         for i in (37..ops.len()).step_by(37) {

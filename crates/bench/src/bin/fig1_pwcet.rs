@@ -31,7 +31,8 @@ fn main() {
     let mut layout = Layout::new(0x10_0000);
     let mut task = MultipathTask::standard(&mut layout);
     let protocol = MeasurementProtocol { runs, rng_seed: seed, ..Default::default() };
-    let times = collect_execution_times(SetupKind::Mbpta, &mut task, &protocol);
+    let times = collect_execution_times(SetupKind::Mbpta, &mut task, &protocol, None)
+        .expect("valid protocol");
 
     let analysis = analyze(&times, &MbptaConfig { block_size: block, ..Default::default() });
     println!(

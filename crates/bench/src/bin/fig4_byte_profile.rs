@@ -33,7 +33,8 @@ fn main() {
     for b in victim_key.iter_mut() {
         *b = (rng.next_u32() & 0xff) as u8;
     }
-    let mut node = CryptoNode::new(cfg, Role::Victim, &victim_key);
+    let mut node =
+        CryptoNode::try_new(cfg, Role::Victim, &victim_key).expect("valid sampling config");
     let stream = node.collect();
     let profile = TimingProfile::from_samples(&stream);
 

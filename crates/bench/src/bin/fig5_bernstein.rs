@@ -34,7 +34,7 @@ fn main() {
         #[allow(clippy::disallowed_methods)]
         let start = std::time::Instant::now();
         let cfg = SamplingConfig::standard(setup, samples, seed);
-        let result = run_attack(cfg);
+        let result = run_attack(cfg).expect("valid sampling config");
         println!("--- {} ({:.1}s) ---", setup.label(), start.elapsed().as_secs_f64());
         println!(
             "key bits determined: {:.1} / 128; residual keyspace: 2^{:.1}; vulnerable bytes: {}/16",

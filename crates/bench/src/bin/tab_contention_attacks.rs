@@ -13,6 +13,7 @@
 //! ```
 
 use tscache_bench::Args;
+use tscache_core::defense::DefenseKind;
 use tscache_core::setup::SetupKind;
 use tscache_sca::evict_time::run_evict_time;
 use tscache_sca::prime_probe::run_prime_probe;
@@ -28,8 +29,8 @@ fn main() {
         "setup", "prime+probe acc", "(chance .008)", "evict+time rate", "(chance .5)"
     );
     for setup in SetupKind::ALL {
-        let pp = run_prime_probe(setup, trials, seed);
-        let et = run_evict_time(setup, trials, seed ^ 1);
+        let pp = run_prime_probe(setup, DefenseKind::Off, trials, seed).expect("trials > 0");
+        let et = run_evict_time(setup, DefenseKind::Off, trials, seed ^ 1).expect("trials > 0");
         println!(
             "{:<14} {:>16.3} {:>12} {:>16.3} {:>10}",
             setup.label(),

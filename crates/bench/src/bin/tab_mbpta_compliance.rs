@@ -48,7 +48,8 @@ fn main() {
                 rng_seed: seed ^ (w as u64) << 8,
                 ..Default::default()
             };
-            let times = collect_execution_times(setup, workload.as_mut(), &protocol);
+            let times = collect_execution_times(setup, workload.as_mut(), &protocol, None)
+                .expect("valid protocol");
             let xs = to_f64(&times);
             let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
             let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

@@ -102,7 +102,8 @@ fn main() {
     );
     for policy in [SeedPolicy::PerSwc, SeedPolicy::SharedGlobal, SeedPolicy::PerJob] {
         let config = OsConfig { seed_policy: policy, rng_seed: seed, ..OsConfig::default() };
-        let mut os = TscacheOs::new(Application::figure3_example(), SetupKind::TsCache, config);
+        let mut os = TscacheOs::try_new(Application::figure3_example(), SetupKind::TsCache, config)
+            .expect("valid OS config");
         let report = os.run(hyperperiods);
         println!(
             "{:<14} {:>8} {:>8} {:>8} {:>13} {:>13} {:>9.4}%",

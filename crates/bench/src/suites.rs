@@ -221,13 +221,15 @@ pub fn coherence_suite(setup: SetupKind, min_ms: u64) -> Vec<Measurement> {
     results.push(bench("flush-reload/deterministic", "samples", min_ms.max(500), || {
         seed_salt += 1;
         let out =
-            run_flush_reload(&FlushReloadConfig::standard(SetupKind::Deterministic, seed_salt));
+            run_flush_reload(&FlushReloadConfig::standard(SetupKind::Deterministic, seed_salt))
+                .expect("valid flush+reload config");
         black_box(out.samples as u64)
     }));
     let mut ts_salt = 0u64;
     results.push(bench("flush-reload/tscache", "samples", min_ms.max(500), || {
         ts_salt += 1;
-        let out = run_flush_reload(&FlushReloadConfig::standard(SetupKind::TsCache, ts_salt));
+        let out = run_flush_reload(&FlushReloadConfig::standard(SetupKind::TsCache, ts_salt))
+            .expect("valid flush+reload config");
         black_box(out.samples as u64)
     }));
 
@@ -377,7 +379,8 @@ pub fn detector_suite(min_ms: u64) -> Vec<Measurement> {
         salt += 1;
 
         let config = OsConfig { rng_seed: salt, ..OsConfig::default() };
-        let mut os = TscacheOs::new(Application::figure3_example(), SetupKind::TsCache, config);
+        let mut os = TscacheOs::try_new(Application::figure3_example(), SetupKind::TsCache, config)
+            .expect("valid OS config");
         let start = Instant::now();
         let report = black_box(os.run(hyperperiods));
         off.elapsed_ns += start.elapsed().as_nanos();
@@ -388,7 +391,8 @@ pub fn detector_suite(min_ms: u64) -> Vec<Measurement> {
             detector: Some(DetectorConfig::default()),
             ..OsConfig::default()
         };
-        let mut os = TscacheOs::new(Application::figure3_example(), SetupKind::TsCache, config);
+        let mut os = TscacheOs::try_new(Application::figure3_example(), SetupKind::TsCache, config)
+            .expect("valid OS config");
         let start = Instant::now();
         let report = black_box(os.run(hyperperiods));
         on.elapsed_ns += start.elapsed().as_nanos();
@@ -398,13 +402,13 @@ pub fn detector_suite(min_ms: u64) -> Vec<Measurement> {
             DetectionCampaignConfig::standard(DetectTarget::PrimeProbe, SetupKind::TsCache, salt);
         cfg.sample = false;
         let start = Instant::now();
-        black_box(run_detection_campaign(&cfg));
+        black_box(run_detection_campaign(&cfg).expect("valid campaign config"));
         unsampled.elapsed_ns += start.elapsed().as_nanos();
         unsampled.units += cfg.rounds as u64;
 
         cfg.sample = true;
         let start = Instant::now();
-        black_box(run_detection_campaign(&cfg));
+        black_box(run_detection_campaign(&cfg).expect("valid campaign config"));
         sampled.elapsed_ns += start.elapsed().as_nanos();
         sampled.units += 2 * cfg.rounds as u64;
     }

@@ -19,20 +19,16 @@ use tscache_interference::ContentionConfig;
 use tscache_rtos::detector::{DetectionKind, DetectorConfig};
 use tscache_rtos::{Application, OsConfig, TscacheOs};
 use tscache_sca::detect::{
-    try_run_detection_campaign, DetectTarget, DetectionCampaignConfig, EvasionMode,
+    run_detection_campaign, DetectTarget, DetectionCampaignConfig, EvasionMode,
 };
-use tscache_sca::flush_reload::{try_run_flush_reload, FlushReloadConfig, FlushReloadIsolation};
-use tscache_sca::prime_probe::run_prime_probe_defended;
+use tscache_sca::flush_reload::{run_flush_reload, FlushReloadConfig, FlushReloadIsolation};
+use tscache_sca::prime_probe::run_prime_probe;
 use tscache_sca::sampling::{CryptoNode, Role, SamplingConfig};
+use tscache_sca::VICTIM_KEY;
 use tscache_sim::layout::Layout;
 use tscache_sim::synthetic::ArraySweep;
-use tscache_sim::workload::{collect_execution_times_with, MeasurementProtocol};
+use tscache_sim::workload::{collect_execution_times, MeasurementProtocol};
 use tscache_telemetry::{handle, RecorderHandle, TraceRecorder};
-
-/// The FIPS-197 example key every deterministic campaign uses.
-const VICTIM_KEY: [u8; 16] = [
-    0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c,
-];
 
 /// Ways reserved for the measured core when a platform partitions the
 /// shared LLC (matches the §7 ablation configuration used across the
@@ -195,18 +191,13 @@ fn run_pwcet(
         defense: scenario.defense,
         ..MeasurementProtocol::default()
     };
-    protocol.validate()?;
     let mut workload = ArraySweep::standard(&mut Layout::new(0x10_0000));
-    let times = collect_execution_times_with(scenario.setup, &mut workload, &protocol, recorder);
+    let times = collect_execution_times(scenario.setup, &mut workload, &protocol, recorder)?;
     Ok(times_output(times, keep_times))
 }
 
 fn run_prime_probe_shard(job: &ShardJob) -> Result<ShardOutput, ConfigError> {
-    if job.samples == 0 {
-        return Err(ConfigError::incompatible("prime+probe needs trials > 0"));
-    }
-    let outcome =
-        run_prime_probe_defended(job.scenario.setup, job.scenario.defense, job.samples, job.seed);
+    let outcome = run_prime_probe(job.scenario.setup, job.scenario.defense, job.samples, job.seed)?;
     let mut h = Fnv64::new();
     h.write_u64(outcome.trials as u64);
     h.write_f64(outcome.accuracy);
@@ -235,8 +226,7 @@ fn run_flush_reload_shard(job: &ShardJob) -> Result<ShardOutput, ConfigError> {
             )));
         }
     };
-    cfg.validate()?;
-    let outcome = try_run_flush_reload(&cfg)?;
+    let outcome = run_flush_reload(&cfg)?;
     let mut h = Fnv64::new();
     h.write_u64(outcome.samples as u64);
     for &s in &outcome.scores {
@@ -371,7 +361,7 @@ fn run_detect(job: &ShardJob) -> Result<ShardOutput, ConfigError> {
     cfg.window_rounds = cfg.window_rounds.min(job.samples.max(1));
     cfg.evasion = evasion;
     cfg.defense = scenario.defense;
-    let out = try_run_detection_campaign(&cfg)?;
+    let out = run_detection_campaign(&cfg)?;
     let mut h = Fnv64::new();
     h.write_u64(out.windows);
     for s in out.attack_scores.iter().chain(&out.benign_scores).chain(&out.attack_progress) {

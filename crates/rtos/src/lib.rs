@@ -12,7 +12,9 @@
 //! use tscache_rtos::model::Application;
 //! use tscache_rtos::os::{OsConfig, TscacheOs};
 //!
-//! let mut os = TscacheOs::new(Application::figure3_example(), SetupKind::TsCache, OsConfig::default());
+//! let app = Application::figure3_example();
+//! let mut os = TscacheOs::try_new(app, SetupKind::TsCache, OsConfig::default())
+//!     .expect("valid OS config");
 //! let report = os.run(5);
 //! assert!(report.overhead_fraction() < 0.05);
 //! ```

@@ -189,18 +189,12 @@ impl TscacheOs {
     /// contending for the shared bus under `config.interference` —
     /// their slots in [`CampaignReport::times`] stay empty.
     ///
-    /// Panics on an invalid configuration; campaign code that cannot
-    /// afford an abort should use [`try_new`](Self::try_new).
-    pub fn new(app: Application, setup: SetupKind, config: OsConfig) -> Self {
-        Self::try_new(app, setup, config)
-            // detlint: allow(R1, documented panicking convenience constructor; campaign code uses try_new)
-            .unwrap_or_else(|e| panic!("invalid TscacheOs configuration: {e}"))
-    }
-
-    /// Fallible constructor: reports configuration errors (a coherent
-    /// image requested on a private platform, an invalid detector
-    /// config) as typed [`ConfigError`]s instead of aborting, so a
-    /// campaign runner can quarantine the scenario and keep going.
+    /// # Errors
+    ///
+    /// Configuration errors (a coherent image requested on a private
+    /// platform, an invalid detector config) come back as typed
+    /// [`ConfigError`]s instead of aborting, so a campaign runner can
+    /// quarantine the scenario and keep going.
     pub fn try_new(
         app: Application,
         setup: SetupKind,
@@ -499,9 +493,13 @@ impl TscacheOs {
 mod tests {
     use super::*;
 
+    fn new_os(app: Application, setup: SetupKind, config: OsConfig) -> TscacheOs {
+        TscacheOs::try_new(app, setup, config).expect("valid OS config")
+    }
+
     fn os(setup: SetupKind, policy: SeedPolicy) -> TscacheOs {
         let config = OsConfig { seed_policy: policy, ..OsConfig::default() };
-        TscacheOs::new(Application::figure3_example(), setup, config)
+        new_os(Application::figure3_example(), setup, config)
     }
 
     #[test]
@@ -552,7 +550,7 @@ mod tests {
     #[test]
     fn shared_global_gives_all_swcs_the_same_seed() {
         let config = OsConfig { seed_policy: SeedPolicy::SharedGlobal, ..OsConfig::default() };
-        let mut sim = TscacheOs::new(Application::figure3_example(), SetupKind::Mbpta, config);
+        let mut sim = new_os(Application::figure3_example(), SetupKind::Mbpta, config);
         let mut report = CampaignReport::new(0);
         sim.reseed_all(&mut report);
         let h = sim.machine.hierarchy();
@@ -580,7 +578,7 @@ mod tests {
         use core::time::Duration;
         let mut app = Application::figure3_example();
         app.add(Runnable::new("enemy", SwcId(9), Duration::from_millis(20), 60_000).on_core(1));
-        let mut sim = TscacheOs::new(app, SetupKind::TsCache, OsConfig::default());
+        let mut sim = new_os(app, SetupKind::TsCache, OsConfig::default());
         let report = sim.run(6);
         // The pinned runnable is never scheduled on core 0…
         assert!(report.times[5].is_empty(), "pinned runnable ran on the measured core");
@@ -605,9 +603,8 @@ mod tests {
         // and contention can only add cycles, job by job. (On
         // randomized setups the extra SWC shifts the seed stream and
         // the comparison is only distributional.)
-        let run = |app: Application| {
-            TscacheOs::new(app, SetupKind::Deterministic, OsConfig::default()).run(4)
-        };
+        let run =
+            |app: Application| new_os(app, SetupKind::Deterministic, OsConfig::default()).run(4);
         let solo = run(Application::figure3_example());
         let contended = run(contended_app());
         let again = run(contended_app());
@@ -637,7 +634,7 @@ mod tests {
         };
         let config = OsConfig { shared_llc: true, ..OsConfig::default() };
         let run = || {
-            let mut sim = TscacheOs::new(contended_app(), SetupKind::TsCache, config);
+            let mut sim = new_os(contended_app(), SetupKind::TsCache, config);
             let report = sim.run(6);
             let llc = sim.shared_llc_stats().unwrap_or_default();
             (report.times.clone(), report.bus_wait_cycles, llc)
@@ -660,7 +657,7 @@ mod tests {
         // resident twice — the §5 consistency violation this pins.
         let config =
             OsConfig { shared_llc: true, seed_policy: SeedPolicy::PerJob, ..OsConfig::default() };
-        let mut sim = TscacheOs::new(Application::figure3_example(), SetupKind::TsCache, config);
+        let mut sim = new_os(Application::figure3_example(), SetupKind::TsCache, config);
         sim.run(3);
         let Some(llc) = sim.shared_llc_cache() else {
             panic!("shared_llc config must build a shared platform")
@@ -688,7 +685,7 @@ mod tests {
         };
         let run = |coherent_image: bool| {
             let config = OsConfig { shared_llc: true, coherent_image, ..OsConfig::default() };
-            let mut sim = TscacheOs::new(contended_app(), SetupKind::TsCache, config);
+            let mut sim = new_os(contended_app(), SetupKind::TsCache, config);
             let report = sim.run(4);
             (report.times.clone(), report.bus_wait_cycles, report.coh_invalidations)
         };
@@ -744,8 +741,7 @@ mod tests {
                 detector: Some(crate::detector::DetectorConfig::default()),
                 ..OsConfig::default()
             };
-            let mut sim =
-                TscacheOs::new(Application::figure3_example(), SetupKind::TsCache, config);
+            let mut sim = new_os(Application::figure3_example(), SetupKind::TsCache, config);
             sim.run(8)
         };
         let report = run();
@@ -771,7 +767,7 @@ mod tests {
             ..crate::detector::DetectorConfig::default()
         };
         let config = OsConfig { detector: Some(detector), ..OsConfig::default() };
-        let mut sim = TscacheOs::new(Application::figure3_example(), SetupKind::TsCache, config);
+        let mut sim = new_os(Application::figure3_example(), SetupKind::TsCache, config);
         let report = sim.run(4);
         let detection = report.detection.expect("detector was configured");
         assert!(detection.windows > 0);

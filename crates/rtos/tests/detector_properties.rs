@@ -54,7 +54,7 @@ proptest! {
             detector: Some(DetectorConfig::default()),
             ..OsConfig::default()
         };
-        let mut sim = TscacheOs::new(benign_app(pinned), setup, config);
+        let mut sim = TscacheOs::try_new(benign_app(pinned), setup, config).expect("valid config");
         let report = sim.run(hyperperiods);
         let detection = report.detection.expect("detector was configured");
         prop_assert!(
@@ -85,7 +85,8 @@ proptest! {
             shared_llc: shared,
             ..OsConfig::default()
         };
-        let mut sim = TscacheOs::new(benign_app(shared), SETUPS[setup_i], config);
+        let mut sim =
+            TscacheOs::try_new(benign_app(shared), SETUPS[setup_i], config).expect("valid config");
         let report = sim.run(hyperperiods);
         let f = report.overhead_fraction();
         prop_assert!(f.is_finite() && (0.0..=1.0).contains(&f));

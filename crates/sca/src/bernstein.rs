@@ -11,6 +11,7 @@
 use crate::profile::TimingProfile;
 use crate::sampling::{collect_pair, SamplingConfig, TimingSample};
 use core::fmt;
+use tscache_core::error::ConfigError;
 use tscache_core::parallel;
 use tscache_core::prng::{Prng, SplitMix64};
 
@@ -220,15 +221,19 @@ pub fn analyze(
 /// End-to-end Bernstein experiment on one cache setup: random victim
 /// key, fixed attacker key, sample collection on both nodes, then the
 /// correlation analysis.
-pub fn run_attack(cfg: SamplingConfig) -> AttackResult {
+///
+/// # Errors
+///
+/// [`ConfigError`] when [`SamplingConfig::validate`] rejects `cfg`.
+pub fn run_attack(cfg: SamplingConfig) -> Result<AttackResult, ConfigError> {
     let mut rng = SplitMix64::new(cfg.master_seed ^ 0x006b_6579);
     let attacker_key = [0u8; 16];
     let mut victim_key = [0u8; 16];
     for b in victim_key.iter_mut() {
         *b = (rng.next_u32() & 0xff) as u8;
     }
-    let (attacker_samples, victim_samples) = collect_pair(cfg, &attacker_key, &victim_key);
-    analyze(&attacker_samples, &attacker_key, &victim_samples, &victim_key)
+    let (attacker_samples, victim_samples) = collect_pair(cfg, &attacker_key, &victim_key)?;
+    Ok(analyze(&attacker_samples, &attacker_key, &victim_samples, &victim_key))
 }
 
 #[cfg(test)]

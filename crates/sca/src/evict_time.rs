@@ -11,6 +11,7 @@ use crate::prime_probe::{assign_seeds, l1_policy};
 use tscache_core::addr::LineAddr;
 use tscache_core::cache::Cache;
 use tscache_core::defense::DefenseKind;
+use tscache_core::error::ConfigError;
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::parallel::par_map_indexed;
 use tscache_core::prng::{mix64, Prng, SplitMix64};
@@ -34,7 +35,12 @@ impl EvictTimeOutcome {
     }
 }
 
-/// Runs `trials` Evict+Time rounds against the L1D policy of `setup`.
+/// Runs `trials` Evict+Time rounds against the L1D policy of `setup`
+/// with a defense-zoo policy armed on the L1 under attack. TTL expiries
+/// inject slowdowns uncorrelated with the attacker's target choice;
+/// [`DefenseKind::RandomSafe`] swaps in the Random-and-Safe platform;
+/// the rotation defenses are no-ops here (single private L1, no shared
+/// level).
 ///
 /// Per trial: the victim warms its secret line; the attacker evicts the
 /// lines of one target index (four ways deep, at its own addresses);
@@ -45,21 +51,19 @@ impl EvictTimeOutcome {
 /// ([`tscache_core::parallel`]); every trial derives its randomness
 /// purely from `(master_seed, trial)`, so the outcome is bit-identical
 /// for any thread count.
-pub fn run_evict_time(setup: SetupKind, trials: u32, master_seed: u64) -> EvictTimeOutcome {
-    run_evict_time_defended(setup, DefenseKind::Off, trials, master_seed)
-}
-
-/// [`run_evict_time`] with a defense-zoo policy armed on the L1 under
-/// attack. TTL expiries inject slowdowns uncorrelated with the
-/// attacker's target choice; [`DefenseKind::RandomSafe`] swaps in the
-/// Random-and-Safe platform; the rotation defenses are no-ops here
-/// (single private L1, no shared level).
-pub fn run_evict_time_defended(
+///
+/// # Errors
+///
+/// [`ConfigError`] when `trials` is zero (the rate would be 0/0).
+pub fn run_evict_time(
     setup: SetupKind,
     defense: DefenseKind,
     trials: u32,
     master_seed: u64,
-) -> EvictTimeOutcome {
+) -> Result<EvictTimeOutcome, ConfigError> {
+    if trials == 0 {
+        return Err(ConfigError::incompatible("evict+time needs trials > 0"));
+    }
     let setup = defense.effective_setup(setup);
     let geom = CacheGeometry::paper_l1();
     let (placement, replacement) = l1_policy(setup);
@@ -101,36 +105,46 @@ pub fn run_evict_time_defended(
     });
 
     let correct = decisions.iter().filter(|&&c| c).count();
-    EvictTimeOutcome { trials, detection_rate: correct as f64 / trials as f64 }
+    Ok(EvictTimeOutcome { trials, detection_rate: correct as f64 / trials as f64 })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run(setup: SetupKind, trials: u32, master_seed: u64) -> EvictTimeOutcome {
+        run_evict_time(setup, DefenseKind::Off, trials, master_seed).expect("trials > 0")
+    }
+
+    #[test]
+    fn zero_trials_is_a_config_error() {
+        let err = run_evict_time(SetupKind::Deterministic, DefenseKind::Off, 0, 3).unwrap_err();
+        assert!(err.to_string().contains("trials > 0"), "{err}");
+    }
+
     #[test]
     fn deterministic_cache_is_fully_observable() {
-        let o = run_evict_time(SetupKind::Deterministic, 300, 3);
+        let o = run(SetupKind::Deterministic, 300, 3);
         assert!(o.detection_rate > 0.95, "rate {}", o.detection_rate);
         assert!(o.leaks());
     }
 
     #[test]
     fn tscache_reduces_detection_to_chance() {
-        let o = run_evict_time(SetupKind::TsCache, 600, 3);
+        let o = run(SetupKind::TsCache, 600, 3);
         assert!((o.detection_rate - 0.5).abs() < 0.1, "rate {} not chance-like", o.detection_rate);
         assert!(!o.leaks());
     }
 
     #[test]
     fn rpcache_disrupts_targeting() {
-        let o = run_evict_time(SetupKind::RpCache, 600, 5);
+        let o = run(SetupKind::RpCache, 600, 5);
         assert!(o.detection_rate < 0.8, "rate {}", o.detection_rate);
     }
 
     #[test]
     fn trials_counted() {
-        let o = run_evict_time(SetupKind::Deterministic, 10, 1);
+        let o = run(SetupKind::Deterministic, 10, 1);
         assert_eq!(o.trials, 10);
     }
 }

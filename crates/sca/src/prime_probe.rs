@@ -10,6 +10,7 @@
 use tscache_core::addr::LineAddr;
 use tscache_core::cache::Cache;
 use tscache_core::defense::DefenseKind;
+use tscache_core::error::ConfigError;
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::parallel::par_map_indexed;
 use tscache_core::placement::PlacementKind;
@@ -37,7 +38,12 @@ impl PrimeProbeOutcome {
     }
 }
 
-/// Runs `trials` Prime+Probe rounds against the L1D policy of `setup`.
+/// Runs `trials` Prime+Probe rounds against the L1D policy of `setup`
+/// with a [`DefenseKind`] from the zoo layered on top:
+/// [`DefenseKind::RandomSafe`] swaps the platform for the
+/// Random-and-Safe configuration, TTL/normalization arm the cache
+/// knobs, and the rotation defenses are no-ops here (this primitive
+/// attacks a single private L1 — no shared level to rotate).
 ///
 /// Per trial the victim accesses one secret line (index drawn from the
 /// trial's own RNG stream); the attacker primes the full cache, lets
@@ -48,21 +54,19 @@ impl PrimeProbeOutcome {
 /// ([`tscache_core::parallel`]); every trial derives its randomness
 /// purely from `(master_seed, trial)`, so the outcome is bit-identical
 /// for any thread count (including `RAYON_NUM_THREADS=1`).
-pub fn run_prime_probe(setup: SetupKind, trials: u32, master_seed: u64) -> PrimeProbeOutcome {
-    run_prime_probe_defended(setup, DefenseKind::Off, trials, master_seed)
-}
-
-/// [`run_prime_probe`] with a [`DefenseKind`] from the zoo layered on
-/// top of `setup`: [`DefenseKind::RandomSafe`] swaps the platform for
-/// the Random-and-Safe configuration, TTL/normalization arm the cache
-/// knobs, and the rotation defenses are no-ops here (this primitive
-/// attacks a single private L1 — no shared level to rotate).
-pub fn run_prime_probe_defended(
+///
+/// # Errors
+///
+/// [`ConfigError`] when `trials` is zero (the rates would be 0/0).
+pub fn run_prime_probe(
     setup: SetupKind,
     defense: DefenseKind,
     trials: u32,
     master_seed: u64,
-) -> PrimeProbeOutcome {
+) -> Result<PrimeProbeOutcome, ConfigError> {
+    if trials == 0 {
+        return Err(ConfigError::incompatible("prime+probe needs trials > 0"));
+    }
     let setup = defense.effective_setup(setup);
     let geom = CacheGeometry::paper_l1();
     let (placement, replacement) = l1_policy(setup);
@@ -102,11 +106,11 @@ pub fn run_prime_probe_defended(
 
     let hits = results.iter().filter(|&&(hit, _)| hit).count();
     let total_evictions: u64 = results.iter().map(|&(_, e)| e).sum();
-    PrimeProbeOutcome {
+    Ok(PrimeProbeOutcome {
         trials,
         accuracy: hits as f64 / trials as f64,
         mean_evictions: total_evictions as f64 / trials as f64,
-    }
+    })
 }
 
 /// The L1 policy pair of each setup (mirrors `SetupKind::build`).
@@ -151,30 +155,40 @@ pub(crate) fn assign_seeds(
 mod tests {
     use super::*;
 
+    fn run(setup: SetupKind, trials: u32, master_seed: u64) -> PrimeProbeOutcome {
+        run_prime_probe(setup, DefenseKind::Off, trials, master_seed).expect("trials > 0")
+    }
+
+    #[test]
+    fn zero_trials_is_a_config_error() {
+        let err = run_prime_probe(SetupKind::Deterministic, DefenseKind::Off, 0, 7).unwrap_err();
+        assert!(err.to_string().contains("trials > 0"), "{err}");
+    }
+
     #[test]
     fn deterministic_cache_leaks_reliably() {
-        let o = run_prime_probe(SetupKind::Deterministic, 200, 7);
+        let o = run(SetupKind::Deterministic, 200, 7);
         assert!(o.accuracy > 0.9, "accuracy {}", o.accuracy);
         assert!(o.leaks());
     }
 
     #[test]
     fn tscache_defeats_prime_probe() {
-        let o = run_prime_probe(SetupKind::TsCache, 400, 7);
+        let o = run(SetupKind::TsCache, 400, 7);
         assert!(o.accuracy < 0.06, "accuracy {}", o.accuracy);
         assert!(!o.leaks());
     }
 
     #[test]
     fn rpcache_randomizes_the_observed_set() {
-        let o = run_prime_probe(SetupKind::RpCache, 400, 9);
+        let o = run(SetupKind::RpCache, 400, 9);
         assert!(o.accuracy < 0.1, "accuracy {}", o.accuracy);
     }
 
     #[test]
     fn evictions_happen_in_all_setups() {
         for setup in SetupKind::ALL {
-            let o = run_prime_probe(setup, 50, 3);
+            let o = run(setup, 50, 3);
             assert!(o.mean_evictions > 0.4, "{setup}: {}", o.mean_evictions);
         }
     }

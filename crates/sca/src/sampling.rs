@@ -203,25 +203,14 @@ pub struct CryptoNode {
 
 impl CryptoNode {
     /// Builds a node for `role` with the given AES `key`, validating
-    /// the configuration first (the non-panicking constructor campaign
-    /// executors use).
+    /// the configuration first.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError`] when [`SamplingConfig::validate`] rejects `cfg`.
     pub fn try_new(cfg: SamplingConfig, role: Role, key: &[u8; 16]) -> Result<Self, ConfigError> {
         cfg.validate()?;
         Ok(Self::build(cfg, role, key))
-    }
-
-    /// Builds a node for `role` with the given AES `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration; use [`CryptoNode::try_new`]
-    /// to get the [`ConfigError`] instead.
-    pub fn new(cfg: SamplingConfig, role: Role, key: &[u8; 16]) -> Self {
-        match CryptoNode::try_new(cfg, role, key) {
-            Ok(node) => node,
-            // detlint: allow(R1, documented panicking convenience constructor; campaign code uses try_new)
-            Err(e) => panic!("invalid sampling config: {e}"),
-        }
     }
 
     fn build(cfg: SamplingConfig, role: Role, key: &[u8; 16]) -> Self {
@@ -441,30 +430,25 @@ impl CryptoNode {
 /// Collects attacker and victim sample streams for a setup, as the
 /// paper's experiment does (§6.1.1): the attacker's key is known, the
 /// victim's is secret.
+///
+/// # Errors
+///
+/// [`ConfigError`] when [`SamplingConfig::validate`] rejects `cfg`,
+/// before any node is built.
 pub fn collect_pair(
-    cfg: SamplingConfig,
-    attacker_key: &[u8; 16],
-    victim_key: &[u8; 16],
-) -> (Vec<TimingSample>, Vec<TimingSample>) {
-    // The two nodes are independent machines with independent RNG
-    // streams: run them concurrently (deterministically — each stream
-    // is a pure function of (master seed, role), so the result is
-    // identical for every thread count).
-    parallel::join(
-        || CryptoNode::new(cfg, Role::Attacker, attacker_key).collect(),
-        || CryptoNode::new(cfg, Role::Victim, victim_key).collect(),
-    )
-}
-
-/// Non-panicking [`collect_pair`]: a bad configuration comes back as a
-/// [`ConfigError`] before any node is built.
-pub fn try_collect_pair(
     cfg: SamplingConfig,
     attacker_key: &[u8; 16],
     victim_key: &[u8; 16],
 ) -> Result<(Vec<TimingSample>, Vec<TimingSample>), ConfigError> {
     cfg.validate()?;
-    Ok(collect_pair(cfg, attacker_key, victim_key))
+    // The two nodes are independent machines with independent RNG
+    // streams: run them concurrently (deterministically — each stream
+    // is a pure function of (master seed, role), so the result is
+    // identical for every thread count).
+    Ok(parallel::join(
+        || CryptoNode::build(cfg, Role::Attacker, attacker_key).collect(),
+        || CryptoNode::build(cfg, Role::Victim, victim_key).collect(),
+    ))
 }
 
 #[cfg(test)]
@@ -475,9 +459,13 @@ mod tests {
         SamplingConfig::standard(setup, samples, 0xbeef)
     }
 
+    fn new_node(cfg: SamplingConfig, role: Role, key: &[u8; 16]) -> CryptoNode {
+        CryptoNode::try_new(cfg, role, key).expect("valid sampling config")
+    }
+
     #[test]
     fn collects_requested_samples() {
-        let mut node = CryptoNode::new(cfg(SetupKind::Deterministic, 50), Role::Victim, &[1; 16]);
+        let mut node = new_node(cfg(SetupKind::Deterministic, 50), Role::Victim, &[1; 16]);
         let samples = node.collect();
         assert_eq!(samples.len(), 50);
         assert!(samples.iter().all(|s| s.cycles > 0));
@@ -487,7 +475,7 @@ mod tests {
     fn deterministic_timing_varies_with_plaintext() {
         // The engineered app interference makes encryption time depend
         // on which table lines each plaintext touches.
-        let mut node = CryptoNode::new(cfg(SetupKind::Deterministic, 300), Role::Victim, &[7; 16]);
+        let mut node = new_node(cfg(SetupKind::Deterministic, 300), Role::Victim, &[7; 16]);
         let samples = node.collect();
         let distinct: std::collections::BTreeSet<u64> =
             samples.iter().skip(10).map(|s| s.cycles).collect();
@@ -496,9 +484,9 @@ mod tests {
 
     #[test]
     fn plaintexts_differ_between_roles_and_repeat_per_role() {
-        let mut v1 = CryptoNode::new(cfg(SetupKind::Deterministic, 5), Role::Victim, &[1; 16]);
-        let mut v2 = CryptoNode::new(cfg(SetupKind::Deterministic, 5), Role::Victim, &[2; 16]);
-        let mut a = CryptoNode::new(cfg(SetupKind::Deterministic, 5), Role::Attacker, &[1; 16]);
+        let mut v1 = new_node(cfg(SetupKind::Deterministic, 5), Role::Victim, &[1; 16]);
+        let mut v2 = new_node(cfg(SetupKind::Deterministic, 5), Role::Victim, &[2; 16]);
+        let mut a = new_node(cfg(SetupKind::Deterministic, 5), Role::Attacker, &[1; 16]);
         let s1 = v1.collect();
         let s2 = v2.collect();
         let s3 = a.collect();
@@ -510,8 +498,8 @@ mod tests {
 
     #[test]
     fn shared_seed_setups_agree_across_roles() {
-        let a = CryptoNode::new(cfg(SetupKind::Mbpta, 1), Role::Attacker, &[0; 16]);
-        let v = CryptoNode::new(cfg(SetupKind::Mbpta, 1), Role::Victim, &[1; 16]);
+        let a = new_node(cfg(SetupKind::Mbpta, 1), Role::Attacker, &[0; 16]);
+        let v = new_node(cfg(SetupKind::Mbpta, 1), Role::Victim, &[1; 16]);
         let pid = ProcessId::new(1);
         assert_eq!(a.epoch_seed(pid, 3), v.epoch_seed(pid, 3));
         assert_ne!(a.epoch_seed(pid, 3), a.epoch_seed(pid, 4));
@@ -519,8 +507,8 @@ mod tests {
 
     #[test]
     fn per_process_seed_setups_disagree_across_roles() {
-        let a = CryptoNode::new(cfg(SetupKind::TsCache, 1), Role::Attacker, &[0; 16]);
-        let v = CryptoNode::new(cfg(SetupKind::TsCache, 1), Role::Victim, &[1; 16]);
+        let a = new_node(cfg(SetupKind::TsCache, 1), Role::Attacker, &[0; 16]);
+        let v = new_node(cfg(SetupKind::TsCache, 1), Role::Victim, &[1; 16]);
         let pid = ProcessId::new(1);
         assert_ne!(a.epoch_seed(pid, 3), v.epoch_seed(pid, 3));
         // And the OS seed differs from the task seed.
@@ -531,12 +519,12 @@ mod tests {
     fn three_level_campaign_runs_and_reproduces() {
         let mut c = cfg(SetupKind::TsCache, 30);
         c.depth = HierarchyDepth::ThreeLevel;
-        let run = || CryptoNode::new(c, Role::Victim, &[3; 16]).collect();
+        let run = || new_node(c, Role::Victim, &[3; 16]).collect();
         let a = run();
         assert_eq!(a.len(), 30);
         assert_eq!(a, run());
         // The node really runs on a 3-level hierarchy.
-        let node = CryptoNode::new(c, Role::Victim, &[3; 16]);
+        let node = new_node(c, Role::Victim, &[3; 16]);
         assert!(node.machine().hierarchy().l3().is_some());
     }
 
@@ -548,7 +536,7 @@ mod tests {
         // a cold cache, so they genuinely fetch over the shared bus.
         c.reseed_every = 4;
         c.warmup_jobs = 0;
-        let run = || CryptoNode::new(c, Role::Victim, &[3; 16]).collect();
+        let run = || new_node(c, Role::Victim, &[3; 16]).collect();
         let contended = run();
         assert_eq!(contended.len(), 30);
         assert_eq!(contended, run());
@@ -557,13 +545,13 @@ mod tests {
         // least its solo counterpart and some pay real bus waits.
         let mut solo_cfg = c;
         solo_cfg.contention = None;
-        let solo = CryptoNode::new(solo_cfg, Role::Victim, &[3; 16]).collect();
+        let solo = new_node(solo_cfg, Role::Victim, &[3; 16]).collect();
         assert!(solo
             .iter()
             .zip(&contended)
             .all(|(s, c)| c.cycles >= s.cycles && c.plaintext == s.plaintext));
         assert!(solo.iter().zip(&contended).any(|(s, c)| c.cycles > s.cycles));
-        let mut node = CryptoNode::new(c, Role::Victim, &[3; 16]);
+        let mut node = new_node(c, Role::Victim, &[3; 16]);
         assert!(node.machine().is_contended());
         node.collect();
         assert!(node.machine().contention_cycles() > 0);
@@ -576,11 +564,11 @@ mod tests {
         c.contention = Some(ContentionConfig { write_back: false, ..ContentionConfig::default() });
         c.reseed_every = 4;
         c.warmup_jobs = 0;
-        let run = |cfg: SamplingConfig| CryptoNode::new(cfg, Role::Victim, &[3; 16]).collect();
+        let run = |cfg: SamplingConfig| new_node(cfg, Role::Victim, &[3; 16]).collect();
         let contended = run(c);
         assert_eq!(contended.len(), 30);
         assert_eq!(contended, run(c), "shared-LLC campaign must be reproducible");
-        let node = CryptoNode::new(c, Role::Victim, &[3; 16]);
+        let node = new_node(c, Role::Victim, &[3; 16]);
         assert!(node.machine().shared_llc().is_some());
         assert!(node.machine().is_contended());
     }
@@ -595,7 +583,7 @@ mod tests {
         c.shared_llc = true;
         c.contention = Some(ContentionConfig { write_back: false, ..ContentionConfig::default() });
         let run = |cfg: SamplingConfig| {
-            let mut node = CryptoNode::new(cfg, Role::Victim, &[3; 16]);
+            let mut node = new_node(cfg, Role::Victim, &[3; 16]);
             node.collect();
             let stats = *node.machine().shared_llc().expect("shared platform").cache().stats();
             (stats.evictions(), stats.cross_process_evictions())
@@ -612,7 +600,7 @@ mod tests {
     #[test]
     fn campaign_is_reproducible() {
         let run = || {
-            let mut node = CryptoNode::new(cfg(SetupKind::TsCache, 40), Role::Victim, &[9; 16]);
+            let mut node = new_node(cfg(SetupKind::TsCache, 40), Role::Victim, &[9; 16]);
             node.collect()
         };
         assert_eq!(run(), run());
@@ -636,12 +624,13 @@ mod tests {
         llc_no_shared.partition_llc_ways = 2;
         let err = CryptoNode::try_new(llc_no_shared, Role::Victim, &[1; 16]).unwrap_err();
         assert!(err.to_string().contains("shared_llc"));
-        assert!(try_collect_pair(llc_no_shared, &[0; 16], &[1; 16]).is_err());
+        assert!(collect_pair(llc_no_shared, &[0; 16], &[1; 16]).is_err());
     }
 
     #[test]
     fn collect_pair_returns_both_streams() {
-        let (a, v) = collect_pair(cfg(SetupKind::Deterministic, 10), &[0; 16], &[1; 16]);
+        let (a, v) =
+            collect_pair(cfg(SetupKind::Deterministic, 10), &[0; 16], &[1; 16]).expect("valid");
         assert_eq!(a.len(), 10);
         assert_eq!(v.len(), 10);
     }

@@ -45,7 +45,7 @@ fn digest(out: &DetectionOutcome) -> u64 {
 fn prime_probe_golden_roc_fixture() {
     let cfg =
         DetectionCampaignConfig::standard(DetectTarget::PrimeProbe, SetupKind::Deterministic, 7);
-    let out = run_detection_campaign(&cfg);
+    let out = run_detection_campaign(&cfg).expect("valid campaign config");
     assert!(out.auc() > 0.9, "auc {}", out.auc());
     assert_eq!(out.windows, 24);
     assert_eq!(out.detection_latency, Some(1), "full-rate P+P should be caught in window one");
@@ -56,7 +56,7 @@ fn prime_probe_golden_roc_fixture() {
 fn flush_reload_golden_roc_fixture() {
     let cfg =
         DetectionCampaignConfig::standard(DetectTarget::FlushReload, SetupKind::Deterministic, 7);
-    let out = run_detection_campaign(&cfg);
+    let out = run_detection_campaign(&cfg).expect("valid campaign config");
     assert!(out.auc() > 0.9, "auc {}", out.auc());
     assert_eq!(out.windows, 24);
     assert_eq!(out.detection_latency, Some(1), "full-rate F+R should be caught in window one");

@@ -9,6 +9,7 @@
 //! `determinism_probe` binary diffed under `RAYON_NUM_THREADS=1` vs
 //! `=8`.
 
+use tscache_core::defense::DefenseKind;
 use tscache_core::parallel::thread_count;
 use tscache_core::setup::{HierarchyDepth, SetupKind};
 use tscache_sca::bernstein::analyze;
@@ -51,28 +52,38 @@ fn attack_and_mbpta_results_are_bit_identical_across_thread_counts() {
     assert_eq!(with_threads("8", thread_count), 8);
 
     // Prime+Probe / Evict+Time: trial fan-out.
-    assert_invariant("prime+probe", || run_prime_probe(SetupKind::TsCache, 64, 7));
-    assert_invariant("evict+time", || run_evict_time(SetupKind::Deterministic, 64, 3));
+    assert_invariant("prime+probe", || {
+        run_prime_probe(SetupKind::TsCache, DefenseKind::Off, 64, 7).expect("trials > 0")
+    });
+    assert_invariant("evict+time", || {
+        run_evict_time(SetupKind::Deterministic, DefenseKind::Off, 64, 3).expect("trials > 0")
+    });
 
     // Detection campaigns: the benign/attack scenario pair fans out
     // over `parallel::join`, and the ROC/latency/event outcome must be
     // bit-identical for every worker count.
     for target in DetectTarget::ALL {
         let cfg = DetectionCampaignConfig::standard(target, SetupKind::Deterministic, 7);
-        assert_invariant(&format!("detect/{}", target.label()), || run_detection_campaign(&cfg));
+        assert_invariant(&format!("detect/{}", target.label()), || {
+            run_detection_campaign(&cfg).expect("valid campaign config")
+        });
     }
     let evading = DetectionCampaignConfig {
         evasion: EvasionMode::Jitter,
         ..DetectionCampaignConfig::standard(DetectTarget::PrimeProbe, SetupKind::TsCache, 21)
     };
-    assert_invariant("detect/jitter", || run_detection_campaign(&evading));
+    assert_invariant("detect/jitter", || {
+        run_detection_campaign(&evading).expect("valid campaign config")
+    });
 
     // Bernstein sampling pair, on both hierarchy depths.
     let (ka, kv) = ([0u8; 16], [9u8; 16]);
     for depth in HierarchyDepth::ALL {
         let mut cfg = SamplingConfig::standard(SetupKind::Mbpta, 200, 0xbeef);
         cfg.depth = depth;
-        assert_invariant(&format!("collect_pair/{depth}"), || collect_pair(cfg, &ka, &kv));
+        assert_invariant(&format!("collect_pair/{depth}"), || {
+            collect_pair(cfg, &ka, &kv).expect("valid sampling config")
+        });
     }
 
     // Per-byte correlation sweep.
@@ -104,7 +115,9 @@ fn attack_and_mbpta_results_are_bit_identical_across_thread_counts() {
     contended.contention = Some(tscache_interference::ContentionConfig::default());
     contended.reseed_every = 32;
     contended.warmup_jobs = 2;
-    assert_invariant("contended collect_pair", || collect_pair(contended, &ka, &kv));
+    assert_invariant("contended collect_pair", || {
+        collect_pair(contended, &ka, &kv).expect("valid sampling config")
+    });
     let contended_protocol = MeasurementProtocol {
         runs: 16,
         contention: Some(tscache_interference::ContentionConfig::default()),
@@ -125,10 +138,14 @@ fn attack_and_mbpta_results_are_bit_identical_across_thread_counts() {
     shared.contention = Some(tscache_interference::ContentionConfig::default());
     shared.reseed_every = 32;
     shared.warmup_jobs = 2;
-    assert_invariant("shared-LLC collect_pair", || collect_pair(shared, &ka, &kv));
+    assert_invariant("shared-LLC collect_pair", || {
+        collect_pair(shared, &ka, &kv).expect("valid sampling config")
+    });
     let mut shared_part = shared;
     shared_part.partition_llc_ways = 2;
-    assert_invariant("partitioned shared-LLC collect_pair", || collect_pair(shared_part, &ka, &kv));
+    assert_invariant("partitioned shared-LLC collect_pair", || {
+        collect_pair(shared_part, &ka, &kv).expect("valid sampling config")
+    });
     let shared_protocol = MeasurementProtocol {
         runs: 16,
         shared_llc: true,

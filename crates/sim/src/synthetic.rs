@@ -463,7 +463,8 @@ mod tests {
         let mut l = layout();
         let mut w = MultipathTask::standard(&mut l);
         let protocol = MeasurementProtocol { runs: 40, ..Default::default() };
-        let times = collect_execution_times(SetupKind::Mbpta, &mut w, &protocol);
+        let times = collect_execution_times(SetupKind::Mbpta, &mut w, &protocol, None)
+            .expect("valid protocol");
         let distinct: std::collections::BTreeSet<u64> = times.iter().copied().collect();
         assert!(distinct.len() > 10, "only {} distinct times", distinct.len());
     }
@@ -473,7 +474,8 @@ mod tests {
         let mut l = layout();
         let mut w = MultipathTask::standard(&mut l);
         let protocol = MeasurementProtocol { runs: 10, ..Default::default() };
-        let times = collect_execution_times(SetupKind::Deterministic, &mut w, &protocol);
+        let times = collect_execution_times(SetupKind::Deterministic, &mut w, &protocol, None)
+            .expect("valid protocol");
         assert!(times.windows(2).all(|p| p[0] == p[1]));
     }
 

@@ -54,9 +54,10 @@ pub struct MeasurementProtocol {
 }
 
 impl MeasurementProtocol {
-    /// Validates the protocol, so campaign executors can reject a bad
-    /// spec as a [`ConfigError`] (never retried) instead of a worker
-    /// thread panicking mid-campaign.
+    /// Validates the protocol ([`collect_execution_times`] runs it
+    /// first), so campaign executors see a bad spec as a
+    /// [`ConfigError`] (never retried) instead of a worker thread
+    /// panicking mid-campaign.
     ///
     /// # Examples
     ///
@@ -133,7 +134,17 @@ fn protocol_machine(
 /// for `setup`, following the MBPTA measurement protocol (paper Fig. 1
 /// left: run on the target platform, record end-to-end times).
 ///
-/// Returns cycle counts, one per run.
+/// Returns cycle counts, one per run. An optional telemetry `recorder`
+/// is attached to the per-run machine. It is observer-only — the
+/// returned times are bit-identical with and without one — and
+/// additionally receives a [`FlushScope::Measurement`] cache-flush
+/// marker at each run's flush boundary, stamped with the cumulative
+/// cycle total so the runs tile the trace timeline end to end.
+///
+/// # Errors
+///
+/// [`ConfigError`] when [`MeasurementProtocol::validate`] rejects
+/// `protocol`.
 ///
 /// # Examples
 ///
@@ -146,29 +157,17 @@ fn protocol_machine(
 /// let mut layout = Layout::new(0x10_000);
 /// let mut sweep = ArraySweep::standard(&mut layout);
 /// let protocol = MeasurementProtocol { runs: 10, ..Default::default() };
-/// let times = collect_execution_times(SetupKind::Mbpta, &mut sweep, &protocol);
+/// let times = collect_execution_times(SetupKind::Mbpta, &mut sweep, &protocol, None)?;
 /// assert_eq!(times.len(), 10);
+/// # Ok::<(), tscache_core::error::ConfigError>(())
 /// ```
 pub fn collect_execution_times(
     setup: SetupKind,
     workload: &mut dyn Workload,
     protocol: &MeasurementProtocol,
-) -> Vec<u64> {
-    collect_execution_times_with(setup, workload, protocol, None)
-}
-
-/// [`collect_execution_times`] with an optional telemetry recorder
-/// attached to the per-run machine. The recorder is observer-only —
-/// the returned times are bit-identical with and without one — and
-/// additionally receives a [`FlushScope::Measurement`] cache-flush
-/// marker at each run's flush boundary, stamped with the cumulative
-/// cycle total so the runs tile the trace timeline end to end.
-pub fn collect_execution_times_with(
-    setup: SetupKind,
-    workload: &mut dyn Workload,
-    protocol: &MeasurementProtocol,
     recorder: Option<&RecorderHandle>,
-) -> Vec<u64> {
+) -> Result<Vec<u64>, ConfigError> {
+    protocol.validate()?;
     let mut machine = protocol_machine(setup, protocol, protocol.rng_seed);
     if let Some(rec) = recorder {
         machine.set_recorder(rec.clone());
@@ -194,7 +193,7 @@ pub fn collect_execution_times_with(
         times.push(machine.cycles());
         elapsed += machine.cycles();
     }
-    times
+    Ok(times)
 }
 
 /// Parallel variant of [`collect_execution_times`] for the independent-
@@ -279,10 +278,20 @@ mod tests {
     }
 
     #[test]
+    fn zero_runs_is_a_config_error() {
+        let mut w = Touch { addrs: vec![0x1000] };
+        let protocol = MeasurementProtocol { runs: 0, ..Default::default() };
+        let err =
+            collect_execution_times(SetupKind::Deterministic, &mut w, &protocol, None).unwrap_err();
+        assert!(err.to_string().contains("runs > 0"), "{err}");
+    }
+
+    #[test]
     fn deterministic_setup_gives_constant_times() {
         let mut w = Touch { addrs: (0..64).map(|i| 0x1000 + i * 32).collect() };
         let protocol = MeasurementProtocol { runs: 20, ..Default::default() };
-        let times = collect_execution_times(SetupKind::Deterministic, &mut w, &protocol);
+        let times = collect_execution_times(SetupKind::Deterministic, &mut w, &protocol, None)
+            .expect("valid protocol");
         assert!(times.windows(2).all(|w| w[0] == w[1]), "deterministic times vary: {times:?}");
     }
 
@@ -292,7 +301,8 @@ mod tests {
         // random layouts produce different conflict counts.
         let mut w = Touch { addrs: (0..256).map(|i| 0x1000 + i * 4096 / 8 * 3).collect() };
         let protocol = MeasurementProtocol { runs: 30, ..Default::default() };
-        let times = collect_execution_times(SetupKind::Mbpta, &mut w, &protocol);
+        let times = collect_execution_times(SetupKind::Mbpta, &mut w, &protocol, None)
+            .expect("valid protocol");
         let distinct: std::collections::BTreeSet<u64> = times.iter().copied().collect();
         assert!(distinct.len() > 1, "randomized times constant: {times:?}");
     }
@@ -334,9 +344,11 @@ mod tests {
             ..Default::default()
         };
         let mut a = ArraySweep::standard(&mut Layout::new(0x10_0000));
-        let t_solo = collect_execution_times(SetupKind::Mbpta, &mut a, &solo);
+        let t_solo =
+            collect_execution_times(SetupKind::Mbpta, &mut a, &solo, None).expect("valid protocol");
         let mut b = ArraySweep::standard(&mut Layout::new(0x10_0000));
-        let t_cont = collect_execution_times(SetupKind::Mbpta, &mut b, &contended);
+        let t_cont = collect_execution_times(SetupKind::Mbpta, &mut b, &contended, None)
+            .expect("valid protocol");
         assert!(t_solo.iter().zip(&t_cont).all(|(s, c)| c >= s), "contention removed cycles");
         assert!(t_solo.iter().zip(&t_cont).any(|(s, c)| c > s), "contention never added cycles");
     }
@@ -387,7 +399,8 @@ mod tests {
             reseed_between_runs: false,
             ..Default::default()
         };
-        let times = collect_execution_times(SetupKind::Deterministic, &mut w, &protocol);
+        let times = collect_execution_times(SetupKind::Deterministic, &mut w, &protocol, None)
+            .expect("valid protocol");
         assert!(times[1] < times[0], "second run should be warm");
         assert_eq!(times[1], times[2]);
     }

@@ -11,7 +11,7 @@ use tscache_core::setup::{HierarchyDepth, SetupKind};
 use tscache_interference::ContentionConfig;
 use tscache_sim::layout::Layout;
 use tscache_sim::synthetic::{ArraySweep, PointerChase};
-use tscache_sim::workload::{collect_execution_times_with, MeasurementProtocol, Workload};
+use tscache_sim::workload::{collect_execution_times, MeasurementProtocol, Workload};
 use tscache_telemetry::digest::fnv64;
 use tscache_telemetry::{chrome_trace, exceedance_csv, handle, hist_csv};
 
@@ -61,10 +61,12 @@ proptest! {
         let kind = setup(setup_idx);
         let proto = protocol(seed, three_level, contended, shared);
 
-        let off = collect_execution_times_with(kind, &mut *workload(wl_idx), &proto, None);
+        let off = collect_execution_times(kind, &mut *workload(wl_idx), &proto, None)
+            .expect("valid protocol");
 
         let rec = handle(4096);
-        let on = collect_execution_times_with(kind, &mut *workload(wl_idx), &proto, Some(&rec));
+        let on = collect_execution_times(kind, &mut *workload(wl_idx), &proto, Some(&rec))
+            .expect("valid protocol");
         prop_assert_eq!(&off, &on, "recorder changed the measured times");
         let first = rec.borrow().clone();
         prop_assert!(first.recorded() > 0, "instrumented run recorded no events");
@@ -72,7 +74,8 @@ proptest! {
         // A second recorded run replays the identical event stream:
         // digest, drop count, and per-core histograms all reproduce.
         let rec2 = handle(4096);
-        let again = collect_execution_times_with(kind, &mut *workload(wl_idx), &proto, Some(&rec2));
+        let again = collect_execution_times(kind, &mut *workload(wl_idx), &proto, Some(&rec2))
+            .expect("valid protocol");
         prop_assert_eq!(&on, &again);
         let second = rec2.borrow().clone();
         prop_assert_eq!(first.digest(), second.digest(), "trace digest not reproducible");
@@ -95,8 +98,10 @@ proptest! {
         let proto = protocol(seed, false, false, false);
         let big = handle(1 << 16);
         let tiny = handle(8);
-        collect_execution_times_with(kind, &mut *workload(0), &proto, Some(&big));
-        collect_execution_times_with(kind, &mut *workload(0), &proto, Some(&tiny));
+        collect_execution_times(kind, &mut *workload(0), &proto, Some(&big))
+            .expect("valid protocol");
+        collect_execution_times(kind, &mut *workload(0), &proto, Some(&tiny))
+            .expect("valid protocol");
         let (big, tiny) = (big.borrow(), tiny.borrow());
         prop_assert_eq!(big.digest(), tiny.digest(), "digest depends on ring capacity");
         prop_assert_eq!(big.recorded(), tiny.recorded());
@@ -120,7 +125,8 @@ fn golden_trace_and_curve_digests_for_the_fixed_seed() {
     let mut layout = Layout::new(0x10_000);
     let mut sweep = ArraySweep::standard(&mut layout);
     let proto = MeasurementProtocol { runs: 8, rng_seed: 0x5eed, ..Default::default() };
-    let times = collect_execution_times_with(SetupKind::TsCache, &mut sweep, &proto, Some(&rec));
+    let times = collect_execution_times(SetupKind::TsCache, &mut sweep, &proto, Some(&rec))
+        .expect("valid protocol");
     let rec = rec.borrow();
 
     let chrome = chrome_trace(&rec.records());

@@ -34,7 +34,7 @@ fn main() {
                 evasion,
                 ..DetectionCampaignConfig::standard(target, SetupKind::Deterministic, seed)
             };
-            let out = run_detection_campaign(&cfg);
+            let out = run_detection_campaign(&cfg).expect("valid campaign config");
             print_row(out.target.label(), evasion, &out);
         }
     }
@@ -45,7 +45,7 @@ fn main() {
     // the attack even where the attack itself fails.
     let cfg =
         DetectionCampaignConfig::standard(DetectTarget::FlushReload, SetupKind::TsCache, seed);
-    let out = run_detection_campaign(&cfg);
+    let out = run_detection_campaign(&cfg).expect("valid campaign config");
     print_row("f+r @ tscache", EvasionMode::None, &out);
 
     println!();

@@ -26,11 +26,12 @@ fn main() {
     }
     println!("hyperperiod: {} ms; SWCs: {:?}\n", app.hyperperiod().as_millis(), app.swcs());
 
-    let mut os = TscacheOs::new(
+    let mut os = TscacheOs::try_new(
         app,
         SetupKind::TsCache,
         OsConfig { seed_policy: SeedPolicy::PerSwc, ..OsConfig::default() },
-    );
+    )
+    .expect("valid OS config");
 
     println!("static schedule (one hyperperiod):");
     let jobs: Vec<_> = os.schedule().jobs().to_vec();

@@ -47,7 +47,7 @@ fn main() {
             cfg.contention = Some(ContentionConfig::default());
         }
         cfg.shared_llc = shared;
-        let result = run_attack(cfg);
+        let result = run_attack(cfg).expect("valid sampling config");
         println!("=== {} ===", setup.label());
         println!(
             "key bits determined: {:.1}/128; residual keyspace 2^{:.1}; vulnerable bytes {}/16",

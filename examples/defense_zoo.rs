@@ -20,9 +20,9 @@ use tscache::core::defense::DefenseKind;
 use tscache::core::setup::SetupKind;
 use tscache::mbpta::analysis::{analyze, MbptaConfig};
 use tscache::sca::cross_core::{run_cross_core_prime_probe, CrossCoreConfig};
-use tscache::sca::evict_time::run_evict_time_defended;
+use tscache::sca::evict_time::run_evict_time;
 use tscache::sca::flush_reload::{run_flush_reload, FlushReloadConfig};
-use tscache::sca::prime_probe::run_prime_probe_defended;
+use tscache::sca::prime_probe::run_prime_probe;
 use tscache::sim::layout::Layout;
 use tscache::sim::synthetic::ArraySweep;
 use tscache::sim::workload::{collect_execution_times, MeasurementProtocol};
@@ -43,14 +43,14 @@ struct Verdict {
 fn dual_verdict(defense: DefenseKind) -> Verdict {
     // Leakage half: every attack against the deterministic base — the
     // platform the paper shows leaking — with only `defense` armed.
-    let pp = run_prime_probe_defended(SetupKind::Deterministic, defense, 400, SEED);
-    let et = run_evict_time_defended(SetupKind::Deterministic, defense, 400, SEED);
+    let pp = run_prime_probe(SetupKind::Deterministic, defense, 400, SEED).expect("trials > 0");
+    let et = run_evict_time(SetupKind::Deterministic, defense, 400, SEED).expect("trials > 0");
     let mut cc_cfg = CrossCoreConfig::standard(SetupKind::Deterministic, SEED);
     cc_cfg.defense = defense;
-    let cc = run_cross_core_prime_probe(&cc_cfg);
+    let cc = run_cross_core_prime_probe(&cc_cfg).expect("valid cross-core config");
     let mut fr_cfg = FlushReloadConfig::standard(SetupKind::Deterministic, SEED);
     fr_cfg.defense = defense;
-    let fr = run_flush_reload(&fr_cfg);
+    let fr = run_flush_reload(&fr_cfg).expect("valid flush+reload config");
 
     // Predictability half: the MBPTA battery on the *time-predictable*
     // platform with the same defense armed — does the defense break
@@ -64,7 +64,8 @@ fn dual_verdict(defense: DefenseKind) -> Verdict {
         defense,
         ..Default::default()
     };
-    let times = collect_execution_times(SetupKind::TsCache, &mut sweep, &protocol);
+    let times = collect_execution_times(SetupKind::TsCache, &mut sweep, &protocol, None)
+        .expect("valid protocol");
     let analysis = analyze(&times, &MbptaConfig::default());
 
     Verdict {

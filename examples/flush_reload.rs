@@ -38,7 +38,7 @@ fn main() {
         let mut cfg = FlushReloadConfig::standard(setup, seed);
         cfg.samples = samples;
         cfg.isolation = isolation;
-        let out = run_flush_reload(&cfg);
+        let out = run_flush_reload(&cfg).expect("valid flush+reload config");
         let iso = match isolation {
             FlushReloadIsolation::SharedOpen => "shared, open",
             FlushReloadIsolation::PartitionedReplicated => "partitioned + replicas",

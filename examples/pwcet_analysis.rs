@@ -77,7 +77,7 @@ impl Workload for TwoBufferTask {
 fn measure(setup: SetupKind, pad: u64, rng_seed: u64, runs: u32) -> Vec<u64> {
     let mut task = TwoBufferTask::with_pad(pad);
     let protocol = MeasurementProtocol { runs, rng_seed, depth: depth_arg(), ..Default::default() };
-    collect_execution_times(setup, &mut task, &protocol)
+    collect_execution_times(setup, &mut task, &protocol, None).expect("valid protocol")
 }
 
 fn main() {
@@ -139,7 +139,8 @@ fn main() {
             ..Default::default()
         };
         analyze(
-            &collect_execution_times(SetupKind::Mbpta, &mut sweep, &protocol),
+            &collect_execution_times(SetupKind::Mbpta, &mut sweep, &protocol, None)
+                .expect("valid protocol"),
             &MbptaConfig::default(),
         )
     };

@@ -21,7 +21,8 @@ fn main() {
 
         // MBPTA measurement protocol: fresh seed + flush per run.
         let protocol = MeasurementProtocol { runs: 400, rng_seed: 0xDAC18, ..Default::default() };
-        let times = collect_execution_times(setup, &mut task, &protocol);
+        let times =
+            collect_execution_times(setup, &mut task, &protocol, None).expect("valid protocol");
 
         let min = *times.iter().min().expect("400 runs");
         let max = *times.iter().max().expect("400 runs");

@@ -9,9 +9,9 @@ use tscache::core::defense::DefenseKind;
 use tscache::core::setup::SetupKind;
 use tscache::mbpta::analysis::{analyze, MbptaConfig};
 use tscache::sca::cross_core::{run_cross_core_prime_probe, CrossCoreConfig};
-use tscache::sca::evict_time::run_evict_time_defended;
+use tscache::sca::evict_time::run_evict_time;
 use tscache::sca::flush_reload::{run_flush_reload, FlushReloadConfig};
-use tscache::sca::prime_probe::run_prime_probe_defended;
+use tscache::sca::prime_probe::run_prime_probe;
 use tscache::sim::layout::Layout;
 use tscache::sim::synthetic::ArraySweep;
 use tscache::sim::workload::{collect_execution_times, MeasurementProtocol};
@@ -28,15 +28,18 @@ fn mbpta_times(defense: DefenseKind) -> Vec<u64> {
         defense,
         ..Default::default()
     };
-    collect_execution_times(SetupKind::TsCache, &mut sweep, &protocol)
+    collect_execution_times(SetupKind::TsCache, &mut sweep, &protocol, None)
+        .expect("valid protocol")
 }
 
 #[test]
 fn ttl_blinds_prime_probe_but_inflates_the_pwcet_bound() {
     // Leakage: the deterministic platform leaks Prime+Probe at ~100%
     // accuracy; TTL decay drops the attacker to chance (1/128).
-    let base = run_prime_probe_defended(SetupKind::Deterministic, DefenseKind::Off, 400, SEED);
-    let ttl = run_prime_probe_defended(SetupKind::Deterministic, DefenseKind::Ttl, 400, SEED);
+    let base =
+        run_prime_probe(SetupKind::Deterministic, DefenseKind::Off, 400, SEED).expect("trials > 0");
+    let ttl =
+        run_prime_probe(SetupKind::Deterministic, DefenseKind::Ttl, 400, SEED).expect("trials > 0");
     assert!(base.accuracy > 0.9, "undefended accuracy {}", base.accuracy);
     assert!(ttl.accuracy < 0.1, "TTL accuracy {}", ttl.accuracy);
     assert!(!ttl.leaks());
@@ -62,11 +65,12 @@ fn ttl_does_not_close_the_coarser_channels() {
     // slow to hide *which set* the victim refilled, so Evict+Time and
     // the key-rank attacks still succeed. The zoo records this, the
     // README table shows it.
-    let et = run_evict_time_defended(SetupKind::Deterministic, DefenseKind::Ttl, 400, SEED);
+    let et =
+        run_evict_time(SetupKind::Deterministic, DefenseKind::Ttl, 400, SEED).expect("trials > 0");
     assert!(et.detection_rate > 0.9, "E+T rate {}", et.detection_rate);
     let mut cc = CrossCoreConfig::standard(SetupKind::Deterministic, SEED);
     cc.defense = DefenseKind::Ttl;
-    assert!(run_cross_core_prime_probe(&cc).top_quartile());
+    assert!(run_cross_core_prime_probe(&cc).expect("valid cross-core config").top_quartile());
 }
 
 #[test]
@@ -74,15 +78,16 @@ fn normalization_kills_flush_reload_for_free() {
     // Leakage: reload probing reports victim-refilled lines absent, so
     // the rank collapses to a full 256-way tie (127.5).
     let mut cfg = FlushReloadConfig::standard(SetupKind::Deterministic, SEED);
-    let base = run_flush_reload(&cfg);
+    let base = run_flush_reload(&cfg).expect("valid flush+reload config");
     cfg.defense = DefenseKind::Normalize;
-    let defended = run_flush_reload(&cfg);
+    let defended = run_flush_reload(&cfg).expect("valid flush+reload config");
     assert!(base.correct_rank < 8.0, "undefended rank {}", base.correct_rank);
     assert!(defended.correct_rank >= 64.0, "defended rank {}", defended.correct_rank);
 
     // Orthogonality: presence-probing Prime+Probe is untouched — the
     // attacker only ever probes its own lines.
-    let pp = run_prime_probe_defended(SetupKind::Deterministic, DefenseKind::Normalize, 400, SEED);
+    let pp = run_prime_probe(SetupKind::Deterministic, DefenseKind::Normalize, 400, SEED)
+        .expect("trials > 0");
     assert!(pp.accuracy > 0.9, "normalization should not blunt P+P: {}", pp.accuracy);
 
     // Predictability: a single-process MBPTA campaign never triggers a
@@ -93,16 +98,18 @@ fn normalization_kills_flush_reload_for_free() {
 
 #[test]
 fn random_and_safe_closes_every_channel_and_keeps_compliance() {
-    let pp = run_prime_probe_defended(SetupKind::Deterministic, DefenseKind::RandomSafe, 400, SEED);
+    let pp = run_prime_probe(SetupKind::Deterministic, DefenseKind::RandomSafe, 400, SEED)
+        .expect("trials > 0");
     assert!(pp.accuracy < 0.1, "P+P accuracy {}", pp.accuracy);
-    let et = run_evict_time_defended(SetupKind::Deterministic, DefenseKind::RandomSafe, 400, SEED);
+    let et = run_evict_time(SetupKind::Deterministic, DefenseKind::RandomSafe, 400, SEED)
+        .expect("trials > 0");
     assert!(et.detection_rate < 0.6, "E+T rate {}", et.detection_rate);
     let mut cc = CrossCoreConfig::standard(SetupKind::Deterministic, SEED);
     cc.defense = DefenseKind::RandomSafe;
-    assert!(!run_cross_core_prime_probe(&cc).top_quartile());
+    assert!(!run_cross_core_prime_probe(&cc).expect("valid cross-core config").top_quartile());
     let mut fr = FlushReloadConfig::standard(SetupKind::Deterministic, SEED);
     fr.defense = DefenseKind::RandomSafe;
-    assert!(run_flush_reload(&fr).correct_rank >= 64.0);
+    assert!(run_flush_reload(&fr).expect("valid flush+reload config").correct_rank >= 64.0);
 
     let curve = analyze(&mbpta_times(DefenseKind::RandomSafe), &MbptaConfig::default());
     assert!(curve.is_mbpta_valid(), "{}", curve.iid);
@@ -124,14 +131,14 @@ fn mid_task_seed_rotation_breaks_mbpta_compliance() {
     // defends nothing: the attack runs exactly as undefended.
     let mut cc = CrossCoreConfig::standard(SetupKind::Deterministic, SEED);
     cc.defense = DefenseKind::RotateCore;
-    assert!(run_cross_core_prime_probe(&cc).top_quartile());
+    assert!(run_cross_core_prime_probe(&cc).expect("valid cross-core config").top_quartile());
 }
 
 #[test]
 fn defended_campaigns_reproduce_bit_for_bit() {
     for defense in DefenseKind::ALL {
-        let a = run_prime_probe_defended(SetupKind::Deterministic, defense, 100, SEED);
-        let b = run_prime_probe_defended(SetupKind::Deterministic, defense, 100, SEED);
+        let a = run_prime_probe(SetupKind::Deterministic, defense, 100, SEED).expect("trials > 0");
+        let b = run_prime_probe(SetupKind::Deterministic, defense, 100, SEED).expect("trials > 0");
         assert_eq!(a.accuracy, b.accuracy, "{defense}");
         assert_eq!(a.mean_evictions, b.mean_evictions, "{defense}");
         assert_eq!(mbpta_times(defense), mbpta_times(defense), "{defense}");

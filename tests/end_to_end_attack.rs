@@ -12,7 +12,8 @@ const SEED: u64 = 0xDAC18;
 
 #[test]
 fn deterministic_cache_leaks_many_bits() {
-    let result = run_attack(SamplingConfig::standard(SetupKind::Deterministic, SAMPLES, SEED));
+    let result = run_attack(SamplingConfig::standard(SetupKind::Deterministic, SAMPLES, SEED))
+        .expect("valid sampling config");
     assert!(
         result.bits_determined() > 20.0,
         "expected a strong leak, got {:.1} bits",
@@ -29,7 +30,8 @@ fn deterministic_cache_leaks_many_bits() {
 
 #[test]
 fn tscache_defeats_the_attack() {
-    let result = run_attack(SamplingConfig::standard(SetupKind::TsCache, SAMPLES, SEED));
+    let result = run_attack(SamplingConfig::standard(SetupKind::TsCache, SAMPLES, SEED))
+        .expect("valid sampling config");
     assert!(result.bits_determined() < 4.0, "TSCache leaked {:.1} bits", result.bits_determined());
     assert!(result.residual_keyspace_log2() > 124.0);
 }
@@ -39,7 +41,8 @@ fn true_key_value_never_discarded() {
     // The stringent-threshold rule keeps the correct value feasible by
     // construction; verify end-to-end.
     for setup in [SetupKind::Deterministic, SetupKind::RpCache] {
-        let result = run_attack(SamplingConfig::standard(setup, 10_000, SEED ^ 7));
+        let result = run_attack(SamplingConfig::standard(setup, 10_000, SEED ^ 7))
+            .expect("valid sampling config");
         for b in &result.bytes {
             assert!(b.is_feasible(b.true_value), "{setup}: byte {} lost the key", b.byte);
         }
@@ -49,8 +52,8 @@ fn true_key_value_never_discarded() {
 #[test]
 fn attack_is_deterministic_given_seed() {
     let cfg = SamplingConfig::standard(SetupKind::Deterministic, 5_000, 0xABCD);
-    let a = run_attack(cfg);
-    let b = run_attack(cfg);
+    let a = run_attack(cfg).expect("valid sampling config");
+    let b = run_attack(cfg).expect("valid sampling config");
     assert_eq!(a.bits_determined(), b.bits_determined());
     assert_eq!(a.matrix(), b.matrix());
 }

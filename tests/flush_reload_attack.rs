@@ -16,7 +16,8 @@ const SEED: u64 = 0xF1A5;
 
 #[test]
 fn deterministic_coherent_platform_recovers_the_key_byte() {
-    let out = run_flush_reload(&FlushReloadConfig::standard(SetupKind::Deterministic, SEED));
+    let out = run_flush_reload(&FlushReloadConfig::standard(SetupKind::Deterministic, SEED))
+        .expect("valid flush+reload config");
     assert!(out.top_quartile(), "true byte ranked {:.1}, expected top quartile", out.correct_rank);
     // The channel is line-granular: the true byte ties only with its
     // seven line-mates at the very top.
@@ -32,14 +33,15 @@ fn deterministic_coherent_platform_recovers_the_key_byte() {
 fn partitioned_replicas_reduce_flush_reload_to_chance() {
     let mut cfg = FlushReloadConfig::standard(SetupKind::Deterministic, SEED);
     cfg.isolation = FlushReloadIsolation::PartitionedReplicated;
-    let out = run_flush_reload(&cfg);
+    let out = run_flush_reload(&cfg).expect("valid flush+reload config");
     assert_eq!(out.reload_hits, 0, "the victim touched the attacker's private replica");
     assert_eq!(out.correct_rank, 127.5, "a dead channel ties all 256 candidates");
 }
 
 #[test]
 fn per_process_randomization_blinds_the_reload_without_partitions() {
-    let out = run_flush_reload(&FlushReloadConfig::standard(SetupKind::TsCache, SEED));
+    let out = run_flush_reload(&FlushReloadConfig::standard(SetupKind::TsCache, SEED))
+        .expect("valid flush+reload config");
     assert!(!out.top_quartile(), "TSCache leaked: rank {:.1}", out.correct_rank);
     // Coherence works by physical address — the victim's copies are
     // still drained — but the attacker reloads under its own seed and
@@ -51,8 +53,8 @@ fn per_process_randomization_blinds_the_reload_without_partitions() {
 #[test]
 fn campaign_is_deterministic_given_seed() {
     let cfg = FlushReloadConfig::standard(SetupKind::Deterministic, 0xBEEF);
-    let a = run_flush_reload(&cfg);
-    let b = run_flush_reload(&cfg);
+    let a = run_flush_reload(&cfg).expect("valid flush+reload config");
+    let b = run_flush_reload(&cfg).expect("valid flush+reload config");
     assert_eq!(a.scores, b.scores);
     assert_eq!(a.correct_rank, b.correct_rank);
     assert_eq!(a.reload_hits, b.reload_hits);

@@ -15,7 +15,7 @@ fn measure(setup: SetupKind, runs: u32, seed: u64) -> Vec<u64> {
     let mut layout = Layout::new(0x10_0000);
     let mut task = MultipathTask::standard(&mut layout);
     let protocol = MeasurementProtocol { runs, rng_seed: seed, ..Default::default() };
-    collect_execution_times(setup, &mut task, &protocol)
+    collect_execution_times(setup, &mut task, &protocol, None).expect("valid protocol")
 }
 
 #[test]
@@ -42,7 +42,8 @@ fn tscache_times_pass_both_tests_on_two_workloads() {
     let mut layout = Layout::new(0x40_0000);
     let mut chase = PointerChase::standard(&mut layout);
     let protocol = MeasurementProtocol { runs: 400, rng_seed: 0xD4, ..Default::default() };
-    let chase_times = collect_execution_times(SetupKind::TsCache, &mut chase, &protocol);
+    let chase_times = collect_execution_times(SetupKind::TsCache, &mut chase, &protocol, None)
+        .expect("valid protocol");
     assert!(validate_iid_paper(&to_f64(&chase_times)).passed());
 }
 
@@ -57,7 +58,8 @@ fn contended_pwcet_curve_dominates_solo_curve() {
         let mut sweep = ArraySweep::standard(&mut layout);
         let protocol =
             MeasurementProtocol { runs: 500, rng_seed: 0xC0, contention, ..Default::default() };
-        collect_execution_times(SetupKind::Mbpta, &mut sweep, &protocol)
+        collect_execution_times(SetupKind::Mbpta, &mut sweep, &protocol, None)
+            .expect("valid protocol")
     };
     let solo = collect(None);
     let contended = collect(Some(ContentionConfig {

@@ -14,7 +14,8 @@ fn run(
     hyperperiods: u32,
 ) -> tscache::rtos::os::CampaignReport {
     let config = OsConfig { seed_policy: policy, ..OsConfig::default() };
-    let mut os = TscacheOs::new(Application::figure3_example(), setup, config);
+    let mut os =
+        TscacheOs::try_new(Application::figure3_example(), setup, config).expect("valid OS config");
     os.run(hyperperiods)
 }
 
@@ -74,7 +75,8 @@ fn larger_applications_schedule_correctly() {
         ));
     }
     assert_eq!(app.hyperperiod(), ms(40));
-    let mut os = TscacheOs::new(app, SetupKind::TsCache, OsConfig::default());
+    let mut os =
+        TscacheOs::try_new(app, SetupKind::TsCache, OsConfig::default()).expect("valid OS config");
     // 8 + 4 + 2 + 1 jobs per hyperperiod.
     assert_eq!(os.schedule().len(), 15);
     let report = os.run(5);

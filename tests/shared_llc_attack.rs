@@ -15,7 +15,8 @@ const SEED: u64 = 0xDAC18;
 #[test]
 fn deterministic_shared_llc_recovers_the_key_byte() {
     let out =
-        run_cross_core_prime_probe(&CrossCoreConfig::standard(SetupKind::Deterministic, SEED));
+        run_cross_core_prime_probe(&CrossCoreConfig::standard(SetupKind::Deterministic, SEED))
+            .expect("valid cross-core config");
     assert!(out.top_quartile(), "true byte ranked {:.1}, expected top quartile", out.correct_rank);
     // The channel is line-granular: the true byte ties only with its
     // seven line-mates at the very top.
@@ -28,7 +29,7 @@ fn deterministic_shared_llc_recovers_the_key_byte() {
 fn per_core_partitions_eliminate_the_cross_core_channel() {
     let mut cfg = CrossCoreConfig::standard(SetupKind::Deterministic, SEED);
     cfg.partition = LlcPartition::PerCore;
-    let out = run_cross_core_prime_probe(&cfg);
+    let out = run_cross_core_prime_probe(&cfg).expect("valid cross-core config");
     assert!(
         !out.top_quartile(),
         "partitioned campaign still ranked the true byte {:.1}",
@@ -39,7 +40,8 @@ fn per_core_partitions_eliminate_the_cross_core_channel() {
 
 #[test]
 fn per_process_randomization_defeats_the_attack_without_partitions() {
-    let out = run_cross_core_prime_probe(&CrossCoreConfig::standard(SetupKind::TsCache, SEED));
+    let out = run_cross_core_prime_probe(&CrossCoreConfig::standard(SetupKind::TsCache, SEED))
+        .expect("valid cross-core config");
     assert!(!out.top_quartile(), "TSCache leaked: rank {:.1}", out.correct_rank);
     // The attacker cannot even land its primes on the victim's sets:
     // the probe stays blind.
@@ -49,8 +51,8 @@ fn per_process_randomization_defeats_the_attack_without_partitions() {
 #[test]
 fn campaign_is_deterministic_given_seed() {
     let cfg = CrossCoreConfig::standard(SetupKind::Deterministic, 0xABCD);
-    let a = run_cross_core_prime_probe(&cfg);
-    let b = run_cross_core_prime_probe(&cfg);
+    let a = run_cross_core_prime_probe(&cfg).expect("valid cross-core config");
+    let b = run_cross_core_prime_probe(&cfg).expect("valid cross-core config");
     assert_eq!(a.scores, b.scores);
     assert_eq!(a.correct_rank, b.correct_rank);
     assert_eq!(a.cross_core_evictions, b.cross_core_evictions);
