@@ -340,13 +340,15 @@ fn main() {
             "mbpta_chase",
             collect_execution_times_par(SetupKind::Mbpta, &protocol, || {
                 PointerChase::standard(&mut Layout::new(0x10_0000))
-            }),
+            })
+            .expect("valid protocol"),
         ),
         (
             "mbpta_matrix",
             collect_execution_times_par(SetupKind::TsCache, &protocol, || {
                 MatrixMult::standard(&mut Layout::new(0x10_0000))
-            }),
+            })
+            .expect("valid protocol"),
         ),
     ] {
         let mut d = Digest::new();

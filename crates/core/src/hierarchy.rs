@@ -809,23 +809,9 @@ impl Hierarchy {
         Latencies { l1_hit: self.l1_hit, l2_hit: self.levels[0].hit_cycles, memory: self.memory }
     }
 
-    /// Replaces the L1-hit, L2-hit and memory latencies (deeper levels
-    /// keep their configured hit cycles).
-    pub fn set_latencies(&mut self, latencies: Latencies) {
-        self.l1_hit = latencies.l1_hit;
-        self.levels[0].hit_cycles = latencies.l2_hit;
-        self.memory = latencies.memory;
-    }
-
     /// Number of cache levels (the split L1 pair counts as one).
     pub fn depth(&self) -> usize {
         1 + self.levels.len()
-    }
-
-    /// Cycles of an L1 hit (safe on L1-only private hierarchies, where
-    /// [`latencies`](Self::latencies) has no unified level to report).
-    pub fn l1_hit_cycles(&self) -> u32 {
-        self.l1_hit
     }
 
     /// Additional hit cycles of unified level `i` (0 = L2).

@@ -9,84 +9,34 @@
 //! per-index `SplitMix64` stream instead of sharing one RNG), and
 //! results are returned in index order.
 //!
-//! Two schedulers back [`par_map_indexed`]:
-//!
-//! * with the `rayon` cargo feature (on by default), a **work-stealing
-//!   range scheduler**: each worker owns a contiguous index range,
-//!   claims grains from its front, and — once empty — steals the back
-//!   half of the fullest remaining range. Heterogeneous trial costs
-//!   (contended vs solo campaigns, deep vs shallow hierarchies) no
-//!   longer leave workers idle behind one slow fixed chunk;
-//! * without it (`--no-default-features`), the original fixed-chunk
-//!   static split.
-//!
-//! Both schedulers place each result by its index, so the output — and
-//! any seed derivation keyed on the index — is identical whichever
-//! worker computes it, in whatever order.
-//!
-//! Worker panics are **isolated**: a panicking index can no longer
-//! poison the fan-out. [`try_par_map_indexed`] and [`try_join`] surface
-//! the first panic (lowest index) as a typed [`WorkerPanic`]; the
-//! panicking variants re-raise it with a clean message. Remaining
-//! workers drain quickly via a stop flag instead of running the loop to
-//! completion.
+//! [`par_map_indexed`] has one scheduler: workers claim fixed-size
+//! grains of indices from one shared cursor, in increasing order, and
+//! place each result by its index. **Panics do not depend on thread
+//! count either:** workers skip only indices above the lowest panic
+//! seen so far, so the lowest panicking index is always the one
+//! re-raised, with the same message for 1 or 64 threads.
 //!
 //! The thread count honours `RAYON_NUM_THREADS` (the convention users
-//! of rayon-based tools expect) and `TSCACHE_THREADS`, falling back to
-//! the machine's available parallelism.
+//! of rayon-based tools expect), falling back to the machine's
+//! available parallelism.
 
 use std::any::Any;
 use std::env;
-use std::error::Error;
-use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-/// The worker-thread count used by [`par_map_indexed`].
-///
-/// Resolution order: `RAYON_NUM_THREADS`, then `TSCACHE_THREADS`, then
-/// [`std::thread::available_parallelism`]. Values of 0 or unparsable
-/// strings fall through to the next source.
+/// The worker-thread count used by [`par_map_indexed`] and [`join`]:
+/// `RAYON_NUM_THREADS` when it parses to a positive count, else
+/// [`std::thread::available_parallelism`].
 pub fn thread_count() -> usize {
-    for var in ["RAYON_NUM_THREADS", "TSCACHE_THREADS"] {
-        if let Ok(v) = env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-    }
-    thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
+    env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1))
 }
-
-/// A worker closure panicked during a parallel fan-out.
-///
-/// Carries the index whose computation panicked (the lowest such index
-/// when several workers fail in the same fan-out, so the error itself
-/// is deterministic) and the stringified panic payload. Campaign
-/// executors use this to distinguish "this shard's computation
-/// crashed" (retryable) from a bad configuration (a
-/// [`ConfigError`](crate::error::ConfigError), never retried).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// The loop index whose closure panicked (for [`try_join`]: 0 for
-    /// the first closure, 1 for the second).
-    pub index: usize,
-    /// The panic payload, stringified.
-    pub message: String,
-}
-
-impl fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "worker panicked at index {}: {}", self.index, self.message)
-    }
-}
-
-impl Error for WorkerPanic {}
 
 /// Extracts the human-readable message from a caught panic payload
 /// (`&str` or `String` payloads; anything else gets a placeholder).
@@ -102,270 +52,108 @@ pub fn payload_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Runs `f(i)` with panic isolation.
-fn run_isolated<T, F: Fn(usize) -> T>(f: &F, i: usize) -> Result<T, WorkerPanic> {
-    panic::catch_unwind(AssertUnwindSafe(|| f(i)))
-        .map_err(|p| WorkerPanic { index: i, message: payload_message(p.as_ref()) })
-}
-
-/// Records the panic with the lowest index (deterministic winner).
-fn record_panic(slot: &Mutex<Option<WorkerPanic>>, stop: &AtomicBool, e: WorkerPanic) {
-    stop.store(true, Ordering::Relaxed);
-    let mut guard = slot.lock().unwrap();
-    match &*guard {
-        Some(prev) if prev.index <= e.index => {}
-        _ => *guard = Some(e),
-    }
-}
-
-/// One worker's index range; the front is claimed by the owner, the
-/// back stolen by idle workers. A `Mutex` rather than lock-free
-/// atomics: claims happen once per *grain* (tens to thousands of
-/// indices), so contention is negligible next to the work itself.
-struct RangeQueue {
-    span: Mutex<(usize, usize)>,
-}
-
-impl RangeQueue {
-    fn new(lo: usize, hi: usize) -> Self {
-        RangeQueue { span: Mutex::new((lo, hi)) }
-    }
-
-    /// Claims up to `grain` indices from the front.
-    fn pop_front(&self, grain: usize) -> Option<(usize, usize)> {
-        let mut g = self.span.lock().unwrap();
-        if g.0 >= g.1 {
-            return None;
-        }
-        let lo = g.0;
-        let hi = (lo + grain).min(g.1);
-        g.0 = hi;
-        Some((lo, hi))
-    }
-
-    /// Indices still queued.
-    #[cfg(feature = "rayon")]
-    fn remaining(&self) -> usize {
-        let g = self.span.lock().unwrap();
-        g.1 - g.0
-    }
-
-    /// Steals the back half of the range (work-stealing).
-    #[cfg(feature = "rayon")]
-    fn steal_back(&self) -> Option<(usize, usize)> {
-        let mut g = self.span.lock().unwrap();
-        let len = g.1 - g.0;
-        if len == 0 {
-            return None;
-        }
-        let take = len.div_ceil(2);
-        let hi = g.1;
-        g.1 -= take;
-        Some((g.1, hi))
-    }
-}
-
-/// Finds the fullest victim queue and steals from it. Compiled out
-/// without the `rayon` feature (fixed-chunk static split).
-#[cfg(feature = "rayon")]
-fn steal(queues: &[RangeQueue], me: usize) -> Option<(usize, usize)> {
-    loop {
-        let victim = queues
-            .iter()
-            .enumerate()
-            .filter(|(t, _)| *t != me)
-            .map(|(t, q)| (q.remaining(), t))
-            .max()?;
-        if victim.0 == 0 {
-            return None;
-        }
-        // The victim may drain between the scan and the steal; retry
-        // until a steal lands or everyone is empty.
-        if let Some(block) = queues[victim.1].steal_back() {
-            return Some(block);
-        }
-    }
-}
-
-#[cfg(not(feature = "rayon"))]
-fn steal(_queues: &[RangeQueue], _me: usize) -> Option<(usize, usize)> {
-    None
-}
-
-/// Maps `f` over `0..n` in parallel, returning results in index order,
-/// or the first (lowest-index) [`WorkerPanic`] if any index's closure
-/// panicked.
+/// Maps `f` over `0..n` in parallel, returning results in index order.
 ///
 /// `f` must be a pure function of its index (derive any randomness
 /// from the index, e.g. `SplitMix64::new(mix64(master ^ i as u64))`);
-/// the output is then identical for every thread count **and every
-/// scheduler** — the work-stealing and fixed-chunk paths agree
-/// bit-for-bit, including 1 worker.
+/// the output is then identical for every thread count, including 1.
 ///
-/// On `Err`, the results of the non-panicking indices are discarded:
-/// a deterministic caller re-runs the whole fan-out (or, like the
-/// fleet executor, retries at shard granularity instead).
+/// # Panics
 ///
-/// # Examples
-///
-/// ```
-/// use tscache_core::parallel::try_par_map_indexed;
-///
-/// let squares = try_par_map_indexed(4, |i| (i * i) as u64).unwrap();
-/// assert_eq!(squares, vec![0, 1, 4, 9]);
-///
-/// let err = try_par_map_indexed(4, |i| {
-///     if i == 2 {
-///         panic!("boom");
-///     }
-///     i
-/// })
-/// .unwrap_err();
-/// assert_eq!(err.index, 2);
-/// assert_eq!(err.message, "boom");
-/// ```
-pub fn try_par_map_indexed<T, F>(n: usize, f: F) -> Result<Vec<T>, WorkerPanic>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = thread_count().min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(run_isolated(&f, i)?);
-        }
-        return Ok(out);
-    }
-
-    // Per-worker initial ranges: the same contiguous split as the old
-    // fixed-chunk scheduler; stealing only redistributes who *computes*
-    // an index, never which index feeds which result slot.
-    let chunk = n.div_ceil(threads);
-    let queues: Vec<RangeQueue> = (0..threads)
-        .map(|t| RangeQueue::new((t * chunk).min(n), ((t + 1) * chunk).min(n)))
-        .collect();
-    let grain = (chunk / 8).clamp(1, 1024);
-    let stop = AtomicBool::new(false);
-    let panic_slot: Mutex<Option<WorkerPanic>> = Mutex::new(None);
-
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let parts = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let f = &f;
-                let queues = &queues;
-                let stop = &stop;
-                let panic_slot = &panic_slot;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    'work: while !stop.load(Ordering::Relaxed) {
-                        let block = match queues[t].pop_front(grain) {
-                            Some(b) => b,
-                            None => match steal(queues, t) {
-                                Some(b) => b,
-                                None => break 'work,
-                            },
-                        };
-                        for i in block.0..block.1 {
-                            if stop.load(Ordering::Relaxed) {
-                                break 'work;
-                            }
-                            match run_isolated(f, i) {
-                                Ok(v) => local.push((i, v)),
-                                Err(e) => {
-                                    record_panic(panic_slot, stop, e);
-                                    break 'work;
-                                }
-                            }
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-    });
-
-    for part in parts {
-        match part {
-            Ok(pairs) => {
-                for (i, v) in pairs {
-                    out[i] = Some(v);
-                }
-            }
-            // The worker harness itself panicked (not the closure —
-            // that is caught inside): still a typed error.
-            Err(p) => record_panic(
-                &panic_slot,
-                &stop,
-                WorkerPanic { index: usize::MAX, message: payload_message(p.as_ref()) },
-            ),
-        }
-    }
-    if let Some(e) = panic_slot.into_inner().unwrap() {
-        return Err(e);
-    }
-    Ok(out.into_iter().map(|s| s.expect("worker filled every slot")).collect())
-}
-
-/// Maps `f` over `0..n` in parallel, returning results in index order.
-///
-/// Infallible wrapper over [`try_par_map_indexed`]: a worker panic is
-/// re-raised on the calling thread with a clean `WorkerPanic` message
-/// instead of poisoning the thread scope.
+/// If `f` panics at some index, every lower index still runs and the
+/// lowest panicking index is re-raised on the calling thread as
+/// `worker panicked at index {i}: {message}`, whatever the thread
+/// count. The results of the other indices are discarded.
 ///
 /// # Examples
 ///
 /// ```
-/// use tscache_core::parallel::par_map_indexed;
+/// use tscache_core::parallel::{par_map_indexed, payload_message};
 ///
 /// let squares = par_map_indexed(8, |i| (i * i) as u64);
 /// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+///
+/// let caught = std::panic::catch_unwind(|| {
+///     par_map_indexed(8, |i| if i % 3 == 2 { panic!("boom {i}") } else { i })
+/// })
+/// .unwrap_err();
+/// assert_eq!(payload_message(caught.as_ref()), "worker panicked at index 2: boom 2");
 /// ```
 pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    match try_par_map_indexed(n, f) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
+    fan_out(thread_count(), n, f)
 }
 
-/// Runs two independent closures, in parallel when more than one
-/// worker thread is configured; a panic in either surfaces as a typed
-/// [`WorkerPanic`] (index 0 = first closure, 1 = second; if both
-/// panic, the first wins deterministically).
-pub fn try_join<A, B, RA, RB>(a: A, b: B) -> Result<(RA, RB), WorkerPanic>
+/// [`par_map_indexed`] on exactly `threads` workers (at most one per
+/// index; one runs inline on the calling thread).
+fn fan_out<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
 where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
+    T: Send,
+    F: Fn(usize) -> T + Sync,
 {
-    fn catch<T>(i: usize, r: thread::Result<T>) -> Result<T, WorkerPanic> {
-        r.map_err(|p| WorkerPanic { index: i, message: payload_message(p.as_ref()) })
-    }
-    if thread_count() <= 1 {
-        let ra = catch(0, panic::catch_unwind(AssertUnwindSafe(a)))?;
-        let rb = catch(1, panic::catch_unwind(AssertUnwindSafe(b)))?;
-        return Ok((ra, rb));
-    }
-    let (ra, rb) = thread::scope(|scope| {
-        let handle = scope.spawn(|| panic::catch_unwind(AssertUnwindSafe(b)));
-        let ra = panic::catch_unwind(AssertUnwindSafe(a));
-        (ra, handle.join().expect("join-worker harness panicked"))
+    let threads = threads.clamp(1, n.max(1));
+    let grain = (n / (8 * threads)).clamp(1, 1024);
+    // Both atomics publish nothing but their own value (results travel
+    // through the scope's joins), and each only moves one way, so
+    // `Relaxed` suffices: a stale `lowest_panic` is never below the
+    // final one, so no index below the final lowest panic is skipped.
+    let cursor = AtomicUsize::new(0);
+    let lowest_panic = AtomicUsize::new(usize::MAX);
+    let work = || {
+        let mut done = Vec::new();
+        let mut panicked = None;
+        loop {
+            let lo = cursor.fetch_add(grain, Ordering::Relaxed);
+            if lo >= n.min(lowest_panic.load(Ordering::Relaxed)) {
+                return (done, panicked);
+            }
+            for i in lo..(lo + grain).min(n) {
+                if i > lowest_panic.load(Ordering::Relaxed) {
+                    break;
+                }
+                match panic::catch_unwind(AssertUnwindSafe(|| f(i))) {
+                    Ok(v) => done.push((i, v)),
+                    Err(payload) => {
+                        lowest_panic.fetch_min(i, Ordering::Relaxed);
+                        panicked = Some((i, payload_message(payload.as_ref())));
+                        break;
+                    }
+                }
+            }
+        }
+    };
+    let parts: Vec<_> = thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let joined = helpers.into_iter().map(|h| h.join().expect("workers catch panics of `f`"));
+        // `work()` runs here, on the calling thread, before any join.
+        std::iter::once(work()).chain(joined).collect()
     });
-    Ok((catch(0, ra)?, catch(1, rb)?))
+
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let mut lowest: Option<(usize, String)> = None;
+    for (done, panicked) in parts {
+        for (i, v) in done {
+            slots[i] = Some(v);
+        }
+        lowest = lowest.into_iter().chain(panicked).min();
+    }
+    if let Some((i, message)) = lowest {
+        panic!("worker panicked at index {i}: {message}");
+    }
+    slots.into_iter().map(|s| s.expect("every index runs when none panics")).collect()
 }
 
 /// Runs two independent closures, in parallel when more than one
 /// worker thread is configured, and returns both results.
 ///
-/// Infallible wrapper over [`try_join`]; panics with a clean
-/// [`WorkerPanic`] message if either closure panicked.
+/// # Panics
+///
+/// If either closure panics, both still run to completion, then the
+/// panic is re-raised as `worker panicked at index {i}: {message}`
+/// with index 0 for `a` and 1 for `b` (`a` wins when both panic).
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -373,16 +161,27 @@ where
     RA: Send,
     RB: Send,
 {
-    match try_join(a, b) {
-        Ok(pair) => pair,
-        Err(e) => panic!("{e}"),
+    let run_b = || panic::catch_unwind(AssertUnwindSafe(b));
+    let (ra, rb) = if thread_count() <= 1 {
+        (panic::catch_unwind(AssertUnwindSafe(a)), run_b())
+    } else {
+        thread::scope(|scope| {
+            let handle = scope.spawn(run_b);
+            let ra = panic::catch_unwind(AssertUnwindSafe(a));
+            (ra, handle.join().expect("the join worker catches the panic of `b`"))
+        })
+    };
+    match (ra, rb) {
+        (Ok(ra), Ok(rb)) => (ra, rb),
+        (Err(p), _) => panic!("worker panicked at index 0: {}", payload_message(p.as_ref())),
+        (_, Err(p)) => panic!("worker panicked at index 1: {}", payload_message(p.as_ref())),
     }
 }
 
-/// A drained permutation of `0..n`: the order in which a work-stealing
-/// run with `workers` hypothetical workers *could* complete indices.
-/// Used by robustness tests to prove completion order cannot reach
-/// results; callers wanting real scheduling jitter use the pool above.
+/// A deterministic permutation of `0..n` seeded by `seed`: an order in
+/// which a parallel run *could* complete indices. Used by robustness
+/// tests (and the fleet's scrambled queue) to prove completion order
+/// cannot reach results.
 pub fn scrambled_indices(n: usize, seed: u64) -> Vec<usize> {
     use crate::prng::{mix64, Prng, SplitMix64};
     let mut order: Vec<usize> = (0..n).collect();
@@ -400,31 +199,47 @@ mod tests {
     use super::*;
     use crate::prng::{mix64, Prng, SplitMix64};
 
+    /// Thread counts every scheduling test runs at: serial, even, odd,
+    /// and one worker per index of the 8-index panic scenario.
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+    /// Runs `run`, which must panic, and returns its payload message.
+    fn panic_message<R>(run: impl FnOnce() -> R) -> String {
+        let payload = panic::catch_unwind(AssertUnwindSafe(run)).err().expect("the run panicked");
+        payload_message(payload.as_ref())
+    }
+
     #[test]
     fn results_are_in_index_order() {
-        let v = par_map_indexed(100, |i| i);
-        assert_eq!(v, (0..100).collect::<Vec<_>>());
+        for threads in THREADS {
+            assert_eq!(fan_out(threads, 100, |i| i), (0..100).collect::<Vec<_>>(), "{threads}");
+        }
     }
 
     #[test]
     fn empty_and_single_inputs() {
         assert_eq!(par_map_indexed(0, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_indexed(1, |i| i + 7), vec![7]);
+        assert_eq!(fan_out(8, 0, |i| i), Vec::<usize>::new());
     }
 
     #[test]
     fn per_index_streams_are_thread_count_independent() {
-        // Not a real test of concurrency (the container may have one
-        // core); asserts the contract: same per-index derivation, same
-        // output vector.
-        let run = || par_map_indexed(64, |i| SplitMix64::new(mix64(0xabc ^ i as u64)).next_u64());
-        assert_eq!(run(), run());
+        // The container may have one core, so this checks the contract
+        // (same per-index derivation, same output vector) rather than
+        // real concurrency.
+        let run =
+            |threads| fan_out(threads, 64, |i| SplitMix64::new(mix64(0xabc ^ i as u64)).next_u64());
+        let serial = run(1);
+        for threads in THREADS {
+            assert_eq!(run(threads), serial, "{threads} threads");
+        }
     }
 
     #[test]
     fn uneven_work_completes_and_stays_ordered() {
-        // Heterogeneous per-index cost: the work-stealing path must
-        // still produce index-ordered results.
+        // Heterogeneous per-index cost must still give index-ordered
+        // results.
         let v = par_map_indexed(257, |i| {
             let spin = if i % 31 == 0 { 20_000 } else { 10 };
             let mut acc = i as u64;
@@ -438,49 +253,71 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_surfaces_as_typed_error() {
-        let err = try_par_map_indexed(64, |i| {
-            if i == 13 {
-                panic!("injected fault at {i}");
-            }
-            i
-        })
-        .unwrap_err();
-        assert_eq!(err.index, 13);
-        assert!(err.message.contains("injected fault"));
-        assert!(err.to_string().contains("index 13"));
+    fn lowest_panic_is_reported_at_every_thread_count() {
+        // Index 0 spins, so on more than one thread index 5 can panic
+        // while index 0 still runs; index 1 must still run and be the
+        // one reported.
+        for threads in THREADS {
+            let msg = panic_message(|| {
+                fan_out(threads, 8, |i| {
+                    if i == 0 {
+                        let mut acc = 0u64;
+                        for k in 0..2_000_000u64 {
+                            acc = std::hint::black_box(acc.wrapping_add(k));
+                        }
+                    }
+                    if i == 1 || i == 5 {
+                        panic!("fault {i}");
+                    }
+                    i
+                })
+            });
+            assert_eq!(msg, "worker panicked at index 1: fault 1", "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn worker_panic_surfaces_with_its_index() {
+        for threads in THREADS {
+            let msg = panic_message(|| {
+                fan_out(threads, 64, |i| {
+                    if i == 13 {
+                        panic!("injected fault at {i}");
+                    }
+                    i
+                })
+            });
+            assert_eq!(msg, "worker panicked at index 13: injected fault at 13", "{threads}");
+        }
     }
 
     #[test]
     fn lowest_panicking_index_wins() {
-        // Every index panics; the reported index must be 0 regardless
-        // of scheduling (the deterministic-winner rule).
-        let err = try_par_map_indexed(32, |i| -> usize { panic!("fault {i}") }).unwrap_err();
-        assert_eq!(err.index, 0);
+        // Every index panics; the reported index must be 0.
+        for threads in THREADS {
+            let msg = panic_message(|| fan_out(threads, 32, |i| -> usize { panic!("fault {i}") }));
+            assert_eq!(msg, "worker panicked at index 0: fault 0", "{threads} threads");
+        }
     }
 
     #[test]
     fn panicking_wrapper_raises_clean_message() {
-        let caught = std::panic::catch_unwind(|| {
-            par_map_indexed(8, |i| if i == 3 { panic!("shard died") } else { i })
-        })
-        .unwrap_err();
-        let msg = payload_message(caught.as_ref());
-        assert!(msg.contains("index 3") && msg.contains("shard died"), "got: {msg}");
+        let msg =
+            panic_message(|| par_map_indexed(8, |i| if i == 3 { panic!("shard died") } else { i }));
+        assert_eq!(msg, "worker panicked at index 3: shard died");
     }
 
     #[test]
     fn fan_out_survives_panic_and_reruns_clean() {
         // The poisoning regression: after a panicked fan-out, the next
         // fan-out on the same thread must work normally.
-        let _ = try_par_map_indexed(16, |i| -> usize {
-            if i == 5 {
-                panic!("first run dies")
-            } else {
-                i
-            }
-        });
-        assert_eq!(par_map_indexed(16, |i| i * 2), (0..16).map(|i| i * 2).collect::<Vec<_>>());
+        for threads in THREADS {
+            panic_message(|| {
+                fan_out(threads, 16, |i| if i == 5 { panic!("first run dies") } else { i })
+            });
+            let doubled = fan_out(threads, 16, |i| i * 2);
+            assert_eq!(doubled, (0..16).map(|i| i * 2).collect::<Vec<_>>(), "{threads}");
+        }
     }
 
     #[test]
@@ -491,12 +328,14 @@ mod tests {
     }
 
     #[test]
-    fn try_join_reports_panicking_side() {
-        let err = try_join(|| 1, || -> u32 { panic!("right side died") }).unwrap_err();
-        assert_eq!(err.index, 1);
-        assert!(err.message.contains("right side died"));
-        let err = try_join(|| -> u32 { panic!("left") }, || 2).unwrap_err();
-        assert_eq!(err.index, 0);
+    fn join_reports_panicking_side() {
+        let msg = panic_message(|| join(|| 1, || -> u32 { panic!("right side died") }));
+        assert_eq!(msg, "worker panicked at index 1: right side died");
+        let msg = panic_message(|| join(|| -> u32 { panic!("left") }, || 2));
+        assert_eq!(msg, "worker panicked at index 0: left");
+        let msg =
+            panic_message(|| join(|| -> u32 { panic!("left") }, || -> u32 { panic!("right") }));
+        assert_eq!(msg, "worker panicked at index 0: left");
     }
 
     #[test]

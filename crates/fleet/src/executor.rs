@@ -271,9 +271,9 @@ enum Step {
 
 /// The main thread's single-owner campaign state: persistence handle,
 /// accumulated records, quarantine list, and checkpoint bookkeeping.
-/// Both execution paths (serial and threaded) funnel every attempt
-/// outcome through [`Progress::absorb`], so the retry/quarantine/
-/// checkpoint policy cannot diverge between them.
+/// Every attempt outcome, from any worker, funnels through
+/// [`Progress::absorb`], which applies the retry/quarantine/checkpoint
+/// policy in one place.
 struct Progress<'a> {
     cd: CampaignDir,
     spec: &'a SweepSpec,
@@ -451,27 +451,9 @@ fn run_attempt(
     }
 }
 
-/// The single-worker path: run shards inline on this thread, no
-/// thread scope, channel, or idle polling — a lone worker gains
-/// nothing from them, and campaigns of small shards would pay the
-/// fixed cost on every launch.
-fn drive_serial(pending: Vec<ShardJob>, progress: &mut Progress<'_>) -> Option<Step> {
-    let mut queue: std::collections::VecDeque<(ShardJob, u32)> =
-        pending.into_iter().map(|j| (j, 1)).collect();
-    while let Some((job, attempt)) = queue.pop_front() {
-        let opts = ShardOptions { keep_times: progress.cfg.keep_times, trace: progress.cfg.trace };
-        let result = run_attempt(&job, attempt, progress.faults, opts);
-        match progress.absorb(job, attempt, result) {
-            Step::Continue => {}
-            Step::Retry(job, next_attempt) => queue.push_back((job, next_attempt)),
-            halt @ Step::Halt(_) => return Some(halt),
-        }
-    }
-    None
-}
-
-/// The threaded path: panic-isolated workers pull from a shared queue
-/// and stream outcomes to this thread, which owns all persistence.
+/// The drive loop, for every worker count: panic-isolated workers pull
+/// from a shared queue and stream outcomes to this thread, which owns
+/// all persistence.
 fn drive_parallel(
     pending: Vec<ShardJob>,
     workers: usize,
@@ -574,12 +556,7 @@ fn drive(
         started: Instant::now(),
     };
 
-    let halt = if workers <= 1 {
-        drive_serial(pending, &mut progress)
-    } else {
-        drive_parallel(pending, workers, &mut progress)
-    };
-    if let Some(Step::Halt(outcome)) = halt {
+    if let Some(Step::Halt(outcome)) = drive_parallel(pending, workers, &mut progress) {
         return outcome;
     }
 

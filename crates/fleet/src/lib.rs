@@ -50,7 +50,6 @@
 //! ```
 
 pub mod checkpoint;
-pub mod digest;
 pub mod executor;
 pub mod fault;
 pub mod job;
@@ -64,3 +63,5 @@ pub use fault::FaultPlan;
 pub use job::{run_shard, run_shard_with, trace_shard, ShardOptions, ShardOutput};
 pub use report::write_campaign_report;
 pub use spec::{AttackKind, FleetError, PlatformKind, Scenario, ShardJob, SweepSpec};
+/// The FNV-1a fingerprints, shared with the trace layer.
+pub use tscache_telemetry::digest;

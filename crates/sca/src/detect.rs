@@ -28,7 +28,7 @@
 //! attack scenarios are pure functions of the configuration, so
 //! outcomes are bit-identical for any worker-thread count.
 
-use crate::prime_probe::{assign_seeds, l1_policy};
+use crate::prime_probe::assign_seeds;
 use crate::{key_rank, random_block, seed_machine, shared_llc, TE0_LINES, VICTIM_KEY};
 use tscache_aes::sim_cipher::{AesLayout, SimAes128};
 use tscache_core::addr::{Addr, LineAddr};
@@ -379,7 +379,7 @@ fn machine_snapshot(machine: &Machine) -> PmuSnapshot {
 fn prime_probe_trace(cfg: &DetectionCampaignConfig, attack: bool) -> WindowTrace {
     let setup = cfg.defense.effective_setup(cfg.setup);
     let geom = CacheGeometry::paper_l1();
-    let (placement, replacement) = l1_policy(setup);
+    let (placement, replacement) = setup.l1_policy();
     let victim = ProcessId::new(1);
     let other = ProcessId::new(2);
     let mut cache = Cache::new("L1D", geom, placement, replacement, cfg.master_seed);

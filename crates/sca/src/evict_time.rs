@@ -7,7 +7,7 @@
 //! per-process seeds the "targeted" set lands somewhere unrelated in
 //! the victim's layout.
 
-use crate::prime_probe::{assign_seeds, l1_policy};
+use crate::prime_probe::assign_seeds;
 use tscache_core::addr::LineAddr;
 use tscache_core::cache::Cache;
 use tscache_core::defense::DefenseKind;
@@ -66,7 +66,7 @@ pub fn run_evict_time(
     }
     let setup = defense.effective_setup(setup);
     let geom = CacheGeometry::paper_l1();
-    let (placement, replacement) = l1_policy(setup);
+    let (placement, replacement) = setup.l1_policy();
     let victim = ProcessId::new(1);
     let attacker = ProcessId::new(2);
 

@@ -13,9 +13,7 @@ use tscache_core::defense::DefenseKind;
 use tscache_core::error::ConfigError;
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::parallel::par_map_indexed;
-use tscache_core::placement::PlacementKind;
 use tscache_core::prng::{mix64, Prng, SplitMix64};
-use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{SeedSharing, SetupKind};
 
@@ -69,7 +67,7 @@ pub fn run_prime_probe(
     }
     let setup = defense.effective_setup(setup);
     let geom = CacheGeometry::paper_l1();
-    let (placement, replacement) = l1_policy(setup);
+    let (placement, replacement) = setup.l1_policy();
     let victim = ProcessId::new(1);
     let attacker = ProcessId::new(2);
     // Prime working set: 4 pages of attacker lines fill every set
@@ -111,18 +109,6 @@ pub fn run_prime_probe(
         accuracy: hits as f64 / trials as f64,
         mean_evictions: total_evictions as f64 / trials as f64,
     })
-}
-
-/// The L1 policy pair of each setup (mirrors `SetupKind::build`).
-pub(crate) fn l1_policy(setup: SetupKind) -> (PlacementKind, ReplacementKind) {
-    match setup {
-        SetupKind::Deterministic => (PlacementKind::Modulo, ReplacementKind::Lru),
-        SetupKind::RpCache => (PlacementKind::RpCache, ReplacementKind::Lru),
-        SetupKind::Mbpta | SetupKind::TsCache => {
-            (PlacementKind::RandomModulo, ReplacementKind::Random)
-        }
-        SetupKind::RandomSafe => (PlacementKind::HashRp, ReplacementKind::Random),
-    }
 }
 
 /// Seeds a two-process cache per the setup's sharing policy.

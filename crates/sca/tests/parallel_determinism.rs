@@ -107,6 +107,7 @@ fn attack_and_mbpta_results_are_bit_identical_across_thread_counts() {
         collect_execution_times_par(SetupKind::Mbpta, &protocol, || {
             ArraySweep::standard(&mut Layout::new(0x10_0000))
         })
+        .expect("valid protocol")
     });
 
     // Contended campaigns: co-runner cores, shared-bus arbitration and
@@ -127,6 +128,7 @@ fn attack_and_mbpta_results_are_bit_identical_across_thread_counts() {
         collect_execution_times_par(SetupKind::TsCache, &contended_protocol, || {
             ArraySweep::standard(&mut Layout::new(0x10_0000))
         })
+        .expect("valid protocol")
     });
 
     // Shared-LLC contended campaigns: enemy cores now perturb the
@@ -156,5 +158,6 @@ fn attack_and_mbpta_results_are_bit_identical_across_thread_counts() {
         collect_execution_times_par(SetupKind::TsCache, &shared_protocol, || {
             ArraySweep::standard(&mut Layout::new(0x10_0000))
         })
+        .expect("valid protocol")
     });
 }

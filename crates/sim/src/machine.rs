@@ -108,12 +108,6 @@ impl Machine {
         self.recorder = Some(recorder);
     }
 
-    /// Detaches the telemetry recorder, returning the machine to the
-    /// bookkeeping-free hot path.
-    pub fn clear_recorder(&mut self) {
-        self.recorder = None;
-    }
-
     /// The attached telemetry recorder, if any.
     pub fn recorder(&self) -> Option<&RecorderHandle> {
         self.recorder.as_ref()
@@ -149,11 +143,6 @@ impl Machine {
     /// (e.g. the three-level presets with an L3).
     pub fn from_setup_depth(setup: SetupKind, depth: HierarchyDepth, rng_seed: u64) -> Self {
         Machine::new(setup.build_depth(depth, rng_seed))
-    }
-
-    /// Replaces the pipeline cost model.
-    pub fn set_pipeline(&mut self, pipeline: PipelineModel) {
-        self.pipeline = pipeline;
     }
 
     /// The pipeline cost model.
@@ -200,14 +189,6 @@ impl Machine {
         if let Some(llc) = self.shared_llc.as_mut() {
             llc.apply_defense(defense);
         }
-    }
-
-    /// Installs a shared last-level cache behind the (private)
-    /// hierarchy; from then on every access resolves its last level
-    /// against it. Prefer [`from_setup_shared`](Self::from_setup_shared)
-    /// unless you need a custom LLC.
-    pub fn set_shared_llc(&mut self, llc: SharedLlc) {
-        self.shared_llc = Some(llc);
     }
 
     /// The shared last level, when this machine runs on one.

@@ -210,26 +210,29 @@ pub fn collect_execution_times(
 /// function's single RNG stream, so the two functions return different
 /// (equally valid) samples of the same distribution.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics unless `protocol.flush_between_runs` and
-/// `protocol.reseed_between_runs` are both set: without them runs are
+/// [`ConfigError`] when [`MeasurementProtocol::validate`] rejects
+/// `protocol`, or when `protocol.flush_between_runs` or
+/// `protocol.reseed_between_runs` is unset: without both, runs are
 /// state-dependent and cannot be reordered across threads.
 pub fn collect_execution_times_par<W, F>(
     setup: SetupKind,
     protocol: &MeasurementProtocol,
     make_workload: F,
-) -> Vec<u64>
+) -> Result<Vec<u64>, ConfigError>
 where
     W: Workload,
     F: Fn() -> W + Sync,
 {
-    assert!(
-        protocol.flush_between_runs && protocol.reseed_between_runs,
-        "parallel collection requires independent runs (flush + reseed between runs)"
-    );
+    protocol.validate()?;
+    if !(protocol.flush_between_runs && protocol.reseed_between_runs) {
+        return Err(ConfigError::incompatible(
+            "parallel collection requires independent runs (flush + reseed between runs)",
+        ));
+    }
     let pid = ProcessId::new(1);
-    par_map_indexed(protocol.runs as usize, |run| {
+    Ok(par_map_indexed(protocol.runs as usize, |run| {
         // Derive the machine RNG (random replacement, RPCache remaps)
         // per run as well: a shared stream would correlate the runs'
         // victim selections and understate sample variance.
@@ -247,7 +250,7 @@ where
         machine.reset_counters();
         workload.run(&mut machine);
         machine.cycles()
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -315,8 +318,10 @@ mod tests {
         // may be sequential — the derivation is what's under test.)
         let make = || Touch { addrs: (0..64).map(|i| 0x1000 + i * 4096 / 8 * 3).collect() };
         let protocol = MeasurementProtocol { runs: 16, ..Default::default() };
-        let a = collect_execution_times_par(SetupKind::Mbpta, &protocol, make);
-        let b = collect_execution_times_par(SetupKind::Mbpta, &protocol, make);
+        let a =
+            collect_execution_times_par(SetupKind::Mbpta, &protocol, make).expect("valid protocol");
+        let b =
+            collect_execution_times_par(SetupKind::Mbpta, &protocol, make).expect("valid protocol");
         assert_eq!(a, b);
         assert_eq!(a.len(), 16);
         let distinct: std::collections::BTreeSet<u64> = a.iter().copied().collect();
@@ -324,11 +329,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "independent runs")]
-    fn parallel_collection_rejects_stateful_protocols() {
-        let protocol =
+    fn parallel_collection_rejects_invalid_protocols() {
+        let make = || Touch { addrs: vec![0] };
+        let no_flush =
             MeasurementProtocol { runs: 2, flush_between_runs: false, ..Default::default() };
-        collect_execution_times_par(SetupKind::Mbpta, &protocol, || Touch { addrs: vec![0] });
+        // Passes `validate`; only the independence check rejects it.
+        let no_reseed =
+            MeasurementProtocol { runs: 2, reseed_between_runs: false, ..Default::default() };
+        let zero_runs = MeasurementProtocol { runs: 0, ..Default::default() };
+        let rotate_private =
+            MeasurementProtocol { runs: 2, defense: DefenseKind::RotateCore, ..Default::default() };
+        for protocol in [no_flush, no_reseed, zero_runs, rotate_private] {
+            let result = collect_execution_times_par(SetupKind::Mbpta, &protocol, make);
+            assert!(result.is_err(), "{protocol:?} accepted: {result:?}");
+        }
     }
 
     #[test]
@@ -363,8 +377,10 @@ mod tests {
             ..Default::default()
         };
         let make = || FirFilter::standard(&mut Layout::new(0x10_0000));
-        let a = collect_execution_times_par(SetupKind::TsCache, &protocol, make);
-        let b = collect_execution_times_par(SetupKind::TsCache, &protocol, make);
+        let a = collect_execution_times_par(SetupKind::TsCache, &protocol, make)
+            .expect("valid protocol");
+        let b = collect_execution_times_par(SetupKind::TsCache, &protocol, make)
+            .expect("valid protocol");
         assert_eq!(a, b);
     }
 
@@ -379,8 +395,10 @@ mod tests {
             ..Default::default()
         };
         let make = || ArraySweep::standard(&mut Layout::new(0x10_0000));
-        let a = collect_execution_times_par(SetupKind::Mbpta, &protocol, make);
-        let b = collect_execution_times_par(SetupKind::Mbpta, &protocol, make);
+        let a =
+            collect_execution_times_par(SetupKind::Mbpta, &protocol, make).expect("valid protocol");
+        let b =
+            collect_execution_times_par(SetupKind::Mbpta, &protocol, make).expect("valid protocol");
         assert_eq!(a, b, "shared-LLC collection must be thread-count invariant");
         // Contention on a shared level may shift cache outcomes either
         // way per run; the distributional claim lives in the pWCET

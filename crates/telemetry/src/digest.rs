@@ -1,9 +1,6 @@
-//! FNV-1a digests — the trace layer's bit-identity fingerprints.
-//!
-//! Same algorithm (and same test vectors) as `tscache_fleet::digest`,
-//! duplicated here so the telemetry crate stays a dependency-free leaf
-//! every layer can use: the fleet depends on telemetry, not the other
-//! way around.
+//! FNV-1a digests — the bit-identity fingerprints of traces and of
+//! fleet campaigns (re-exported as `tscache_fleet::digest`). FNV-1a is
+//! not cryptographic: it fingerprints determinism, not adversaries.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -72,8 +69,30 @@ mod tests {
 
     #[test]
     fn matches_reference_vectors() {
+        // Standard FNV-1a 64-bit test vectors.
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn incremental_equals_one_shot() {
+        let mut h = Fnv64::new();
+        h.write(b"foo").write(b"bar");
+        assert_eq!(h.finish(), fnv64(b"foobar"));
+    }
+
+    #[test]
+    fn u64_and_f64_are_order_sensitive() {
+        let mut a = Fnv64::new();
+        a.write_u64(1).write_u64(2);
+        let mut b = Fnv64::new();
+        b.write_u64(2).write_u64(1);
+        assert_ne!(a.finish(), b.finish());
+        let mut x = Fnv64::new();
+        x.write_f64(1.5);
+        let mut y = Fnv64::new();
+        y.write_f64(1.5);
+        assert_eq!(x.finish(), y.finish());
     }
 }
