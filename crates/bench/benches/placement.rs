@@ -2,54 +2,11 @@
 //! design (the §6.2.3 "no operating-frequency degradation" claim
 //! translates to placement being cheap combinational logic; here we
 //! check the software models are cheap too), comparing boxed and
-//! enum dispatch.
+//! enum dispatch. The suite is shared with `bench_report`.
 
-use std::hint::black_box;
-use tscache_bench::harness::{bench, render_table};
-use tscache_core::addr::LineAddr;
-use tscache_core::geometry::CacheGeometry;
-use tscache_core::placement::PlacementKind;
-use tscache_core::seed::Seed;
+use tscache_bench::harness::render_table;
+use tscache_bench::suites::placement_suite;
 
 fn main() {
-    let mut results = Vec::new();
-    let geom = CacheGeometry::paper_l1();
-    let seed = Seed::new(0xdead_beef);
-
-    for kind in PlacementKind::ALL {
-        let mut boxed = kind.build(&geom);
-        let mut line = 0u64;
-        results.push(bench(format!("placement/{kind}/boxed"), "placements", 100, || {
-            for _ in 0..8192u64 {
-                line = line.wrapping_add(97);
-                black_box(boxed.place(LineAddr::new(black_box(line)), seed));
-            }
-            8192
-        }));
-
-        let mut engine = kind.engine(&geom);
-        let mut line = 0u64;
-        results.push(bench(format!("placement/{kind}/enum"), "placements", 100, || {
-            for _ in 0..8192u64 {
-                line = line.wrapping_add(97);
-                black_box(engine.place(LineAddr::new(black_box(line)), seed));
-            }
-            8192
-        }));
-    }
-
-    let l2 = CacheGeometry::paper_l2();
-    for kind in [PlacementKind::Modulo, PlacementKind::HashRp] {
-        let mut engine = kind.engine(&l2);
-        let mut line = 0u64;
-        results.push(bench(format!("placement-l2/{kind}/enum"), "placements", 100, || {
-            for _ in 0..8192u64 {
-                line = line.wrapping_add(131);
-                black_box(engine.place(LineAddr::new(black_box(line)), Seed::new(0x1234_5678)));
-            }
-            8192
-        }));
-    }
-
-    print!("{}", render_table(&results));
+    print!("{}", render_table(&placement_suite(100)));
 }

@@ -6,7 +6,11 @@
 //!
 //! * cache accesses/sec — boxed-dispatch baseline vs enum-dispatch
 //!   scalar vs the batch API, measured **in the same run** on the same
-//!   recorded trace (the dispatch-overhaul speedup);
+//!   recorded trace (the dispatch-overhaul speedup), once on a trace
+//!   that fits the placement memo and once on one that overflows it
+//!   (`cache/<placement>/overflow/*`);
+//! * placements/sec per placement policy, unmemoized, through boxed and
+//!   enum dispatch (`placement/*`, `placement-l2/*`);
 //! * hierarchy accesses/sec — the per-op `Hierarchy::access` walk on
 //!   an L2-heavy trace, on two- and three-level setups;
 //! * simulated-AES encryptions/sec per cache setup, at both hierarchy
@@ -29,7 +33,7 @@ use std::hint::black_box;
 use tscache_bench::harness::{bench, parse_report_metrics, render_table, to_json, Measurement};
 use tscache_bench::suites::{
     cache_dispatch_suite, coherence_suite, contended_machine_suite, defense_suite, detector_suite,
-    fleet_suite, hierarchy_suite, shared_llc_machine_suite, telemetry_suite,
+    fleet_suite, hierarchy_suite, placement_suite, shared_llc_machine_suite, telemetry_suite,
 };
 use tscache_bench::Args;
 use tscache_core::defense::DefenseKind;
@@ -53,6 +57,9 @@ fn main() {
     for placement in [PlacementKind::Modulo, PlacementKind::RandomModulo] {
         results.extend(cache_dispatch_suite(placement, ms));
     }
+
+    // The placement functions alone, unmemoized, per policy.
+    results.extend(placement_suite(ms));
 
     // The hierarchy walk on L2-heavy traffic, two- and three-level, on
     // the deterministic and TSCache setups.

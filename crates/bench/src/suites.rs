@@ -19,45 +19,109 @@ use tscache_sim::machine::Machine;
 
 /// The standard access trace for the dispatch comparison: a 24 KiB
 /// working set cycled over the paper's 16 KiB L1, mixing hits and
-/// misses.
+/// misses. Its 768 lines fit the L1's 1024-entry placement memo, so the
+/// memoized placements almost always hit it.
 pub fn dispatch_trace() -> Vec<LineAddr> {
     (0..8192u64).map(|i| LineAddr::new((i * 7) % 768)).collect()
+}
+
+/// The memo-overflow trace: 4096 distinct lines (128 KiB), 4× the L1's
+/// 1024-entry placement memo, cycled so every memo slot is revisited
+/// only after three other lines evicted it — each access re-runs the
+/// placement function, the regime of an MBPTA run after a reseed.
+fn overflow_trace() -> Vec<LineAddr> {
+    (0..8192u64).map(|i| LineAddr::new((i * 7) % 4096)).collect()
 }
 
 /// The dispatch-overhaul comparison, measured in one run: the boxed
 /// seed implementation, the enum-dispatch scalar path, and the batch
 /// API, on the same recorded trace, for `placement` with random
-/// replacement.
+/// replacement. It runs [`dispatch_trace`] as `cache/<placement>/*` and
+/// `overflow_trace` as `cache/<placement>/overflow/*`.
 pub fn cache_dispatch_suite(placement: PlacementKind, min_ms: u64) -> Vec<Measurement> {
     let pid = ProcessId::new(1);
     let geom = CacheGeometry::paper_l1();
-    let lines = dispatch_trace();
-    let mut results = Vec::with_capacity(3);
+    let mut results = Vec::with_capacity(6);
 
-    let mut boxed = BoxedCache::new(geom, placement, ReplacementKind::Random, 7);
-    boxed.set_seed(pid, Seed::new(42));
-    results.push(bench(format!("cache/{placement}/boxed"), "accesses", min_ms, || {
-        for &l in &lines {
-            black_box(boxed.access(pid, black_box(l)));
-        }
-        lines.len() as u64
-    }));
+    for (trace, lines) in [("", dispatch_trace()), ("/overflow", overflow_trace())] {
+        let prefix = format!("cache/{placement}{trace}");
 
-    let mut scalar = Cache::new("b", geom, placement, ReplacementKind::Random, 7);
-    scalar.set_seed(pid, Seed::new(42));
-    results.push(bench(format!("cache/{placement}/enum"), "accesses", min_ms, || {
-        for &l in &lines {
-            black_box(scalar.access(pid, black_box(l)));
-        }
-        lines.len() as u64
-    }));
+        let mut boxed = BoxedCache::new(geom, placement, ReplacementKind::Random, 7);
+        boxed.set_seed(pid, Seed::new(42));
+        results.push(bench(format!("{prefix}/boxed"), "accesses", min_ms, || {
+            for &l in &lines {
+                black_box(boxed.access(pid, black_box(l)));
+            }
+            lines.len() as u64
+        }));
 
-    let mut batched = Cache::new("b", geom, placement, ReplacementKind::Random, 7);
-    batched.set_seed(pid, Seed::new(42));
-    results.push(bench(format!("cache/{placement}/batch"), "accesses", min_ms, || {
-        black_box(batched.access_batch(pid, black_box(&lines)));
-        lines.len() as u64
-    }));
+        let mut scalar = Cache::new("b", geom, placement, ReplacementKind::Random, 7);
+        scalar.set_seed(pid, Seed::new(42));
+        results.push(bench(format!("{prefix}/enum"), "accesses", min_ms, || {
+            for &l in &lines {
+                black_box(scalar.access(pid, black_box(l)));
+            }
+            lines.len() as u64
+        }));
+
+        let mut batched = Cache::new("b", geom, placement, ReplacementKind::Random, 7);
+        batched.set_seed(pid, Seed::new(42));
+        results.push(bench(format!("{prefix}/batch"), "accesses", min_ms, || {
+            black_box(batched.access_batch(pid, black_box(&lines)));
+            lines.len() as u64
+        }));
+    }
+
+    results
+}
+
+/// Placement-function cost per design, unmemoized: every policy at the
+/// paper's L1 geometry through boxed (`Box<dyn Placement>`) and enum
+/// dispatch as `placement/<kind>/{boxed,enum}`, then the two L2
+/// policies' engines at the L2 geometry as `placement-l2/<kind>/enum`.
+/// A stride-97 (L1) or stride-131 (L2) line walk gives every call a
+/// new line. The §6.2.3 "no operating-frequency degradation"
+/// claim makes placement cheap combinational logic in hardware; this
+/// records what the software models cost.
+pub fn placement_suite(min_ms: u64) -> Vec<Measurement> {
+    let mut results = Vec::new();
+    let geom = CacheGeometry::paper_l1();
+    let seed = Seed::new(0xdead_beef);
+
+    for kind in PlacementKind::ALL {
+        let mut boxed = kind.build(&geom);
+        let mut line = 0u64;
+        results.push(bench(format!("placement/{kind}/boxed"), "placements", min_ms, || {
+            for _ in 0..8192u64 {
+                line = line.wrapping_add(97);
+                black_box(boxed.place(LineAddr::new(black_box(line)), seed));
+            }
+            8192
+        }));
+
+        let mut engine = kind.engine(&geom);
+        let mut line = 0u64;
+        results.push(bench(format!("placement/{kind}/enum"), "placements", min_ms, || {
+            for _ in 0..8192u64 {
+                line = line.wrapping_add(97);
+                black_box(engine.place(LineAddr::new(black_box(line)), seed));
+            }
+            8192
+        }));
+    }
+
+    let l2 = CacheGeometry::paper_l2();
+    for kind in [PlacementKind::Modulo, PlacementKind::HashRp] {
+        let mut engine = kind.engine(&l2);
+        let mut line = 0u64;
+        results.push(bench(format!("placement-l2/{kind}/enum"), "placements", min_ms, || {
+            for _ in 0..8192u64 {
+                line = line.wrapping_add(131);
+                black_box(engine.place(LineAddr::new(black_box(line)), Seed::new(0x1234_5678)));
+            }
+            8192
+        }));
+    }
 
     results
 }
@@ -649,7 +713,39 @@ mod tests {
     fn suite_reports_three_dispatch_variants() {
         let results = cache_dispatch_suite(PlacementKind::Modulo, 1);
         let names: Vec<&str> = results.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, ["cache/modulo/boxed", "cache/modulo/enum", "cache/modulo/batch"]);
+        assert_eq!(
+            names,
+            [
+                "cache/modulo/boxed",
+                "cache/modulo/enum",
+                "cache/modulo/batch",
+                "cache/modulo/overflow/boxed",
+                "cache/modulo/overflow/enum",
+                "cache/modulo/overflow/batch"
+            ]
+        );
+        assert!(results.iter().all(|m| m.per_sec() > 0.0));
+    }
+
+    #[test]
+    fn overflow_trace_outgrows_the_l1_placement_memo() {
+        let distinct: std::collections::BTreeSet<_> = overflow_trace().into_iter().collect();
+        assert_eq!(distinct.len(), 4 * 1024);
+        let fits: std::collections::BTreeSet<_> = dispatch_trace().into_iter().collect();
+        assert!(fits.len() <= 1024);
+    }
+
+    #[test]
+    fn placement_suite_reports_every_kind_and_the_l2_engines() {
+        let results = placement_suite(1);
+        let names: Vec<&str> = results.iter().map(|m| m.name.as_str()).collect();
+        let mut expected: Vec<String> = PlacementKind::ALL
+            .iter()
+            .flat_map(|k| [format!("placement/{k}/boxed"), format!("placement/{k}/enum")])
+            .collect();
+        expected.push("placement-l2/modulo/enum".into());
+        expected.push("placement-l2/hash-rp/enum".into());
+        assert_eq!(names, expected);
         assert!(results.iter().all(|m| m.per_sec() > 0.0));
     }
 }

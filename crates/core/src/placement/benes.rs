@@ -12,6 +12,26 @@
 //! This module implements the network as `2k−1` stages of disjoint
 //! controlled bit-position swaps, the same expressiveness class as the
 //! hardware network (an affine-in-GF(2) permutation per control word).
+//!
+//! # Evaluation
+//!
+//! Stage `s` pairs bit positions `(2t+s, 2t+1+s) mod k`, `t < ⌊k/2⌋`.
+//! In a frame rotated right by `s` these are the adjacent pairs
+//! `(2t, 2t+1)`, which never wrap, so each stage is one delta swap on
+//! the even/odd pairs followed by a one-bit rotate into the next
+//! stage's frame; one final rotate undoes the frame. Nothing branches
+//! on the value, only the refill check below branches on the control
+//! word, and nothing divides.
+//!
+//! # Control-stream contract
+//!
+//! Switch `t` of stage `s` takes the next bit of a stream that starts
+//! as the control word, low bit first. When taking a bit leaves the
+//! stream zero, the stream is refilled right after it with
+//! `mix64(control ^ (s << 32) ^ t)`. Every Random Modulo placement
+//! depends on this rule bit for bit; the evaluation order does not.
+
+use crate::prng::mix64;
 
 /// A controlled-exchange permutation network on `k`-bit values.
 ///
@@ -69,7 +89,15 @@ impl PermutationNetwork {
     /// Applies the permutation selected by `control` to `value`.
     ///
     /// The result is a bijection of the `2^k` value space for every
-    /// `control`; the identity when `k < 2`.
+    /// `control`; the identity when `k < 2`. Switch `t` of stage `s`
+    /// exchanges bit positions `(2t+s, 2t+1+s) mod k` when its bit of
+    /// the control stream (see the [module docs](self)) is set.
+    ///
+    /// Stages run in the rotated frame. While the stream holds more
+    /// than `⌊k/2⌋` bits, no refill can fall inside a stage, and its
+    /// bits are taken as one chunk; otherwise a cold helper reads them
+    /// one at a time under the refill rule (at `k = 7`, only for
+    /// controls below `2^39`).
     ///
     /// # Panics
     ///
@@ -85,55 +113,53 @@ impl PermutationNetwork {
         if k < 2 {
             return value;
         }
+        let half = k / 2;
+        let rotate_right_one = |x: u32| (x >> 1) | ((x & 1) << (k - 1));
         let mut x = value;
         let mut ctrl = control;
-        let switches_per_stage = k / 2;
         for stage in 0..self.stages() {
-            // Stage `stage` pairs bit positions (2t+stage, 2t+1+stage)
-            // mod k; the pairs are disjoint, so the stage is a valid
-            // layer of exchange switches.
-            for t in 0..switches_per_stage {
-                let take = ctrl & 1;
-                ctrl >>= 1;
-                if ctrl == 0 {
-                    // Refill the control stream deterministically so
-                    // deep networks never run out of bits.
-                    ctrl = crate::prng::mix64(control ^ ((stage as u64) << 32) ^ t as u64);
-                }
-                if take == 1 {
-                    let i = (2 * t + stage) % k;
-                    let j = (2 * t + 1 + stage) % k;
-                    x = swap_bits(x, i, j);
-                }
-            }
+            let takes = if ctrl >> half != 0 {
+                let chunk = ctrl as u32 & ((1 << half) - 1);
+                ctrl >>= half;
+                chunk
+            } else {
+                takes_with_refill(&mut ctrl, control, stage, half)
+            };
+            let d = (x ^ (x >> 1)) & spread_even(takes);
+            x = rotate_right_one(x ^ d ^ (d << 1));
         }
-        x
+        // The 2k−1 stage rotates plus this one make two full turns.
+        rotate_right_one(x)
     }
 }
 
-/// Swaps bit positions `i` and `j` of `x` (no-op when the bits are
-/// equal).
-#[inline]
-fn swap_bits(x: u32, i: u32, j: u32) -> u32 {
-    let bit_i = (x >> i) & 1;
-    let bit_j = (x >> j) & 1;
-    if bit_i == bit_j {
-        x
-    } else {
-        x ^ (1 << i) ^ (1 << j)
+/// Takes stage `stage`'s `half` switch bits one at a time under the
+/// refill rule; switch `t`'s bit is returned at position `t`.
+#[cold]
+fn takes_with_refill(ctrl: &mut u64, control: u64, stage: u32, half: u32) -> u32 {
+    let mut takes = 0;
+    for t in 0..half {
+        takes |= (*ctrl as u32 & 1) << t;
+        *ctrl >>= 1;
+        if *ctrl == 0 {
+            *ctrl = mix64(control ^ (u64::from(stage) << 32) ^ u64::from(t));
+        }
     }
+    takes
+}
+
+/// Moves bit `t` of `bits` (`bits < 2^16`) to bit `2t`.
+#[inline]
+fn spread_even(bits: u32) -> u32 {
+    let m = (bits | (bits << 8)) & 0x00ff_00ff;
+    let m = (m | (m << 4)) & 0x0f0f_0f0f;
+    let m = (m | (m << 2)) & 0x3333_3333;
+    (m | (m << 1)) & 0x5555_5555
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn swap_bits_works() {
-        assert_eq!(swap_bits(0b01, 0, 1), 0b10);
-        assert_eq!(swap_bits(0b11, 0, 1), 0b11);
-        assert_eq!(swap_bits(0b100, 2, 0), 0b001);
-    }
 
     #[test]
     fn identity_for_tiny_widths() {

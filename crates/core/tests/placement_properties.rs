@@ -5,9 +5,109 @@ use proptest::prelude::*;
 use tscache_core::addr::LineAddr;
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::placement::{PermutationNetwork, PlacementKind};
+use tscache_core::prng::mix64;
 use tscache_core::seed::Seed;
 
+/// The network evaluated switch by switch, straight from its
+/// definition, as an oracle independent of `PermutationNetwork::apply`
+/// (the boxed reference cache builds Random Modulo from the same
+/// network, so it cannot catch a network bug).
+fn reference_apply(k: u32, value: u32, control: u64) -> u32 {
+    if k < 2 {
+        return value;
+    }
+    let stages = 2 * k - 1;
+    let mut x = value;
+    let mut ctrl = control;
+    let switches_per_stage = k / 2;
+    for stage in 0..stages {
+        // Stage `stage` pairs bit positions (2t+stage, 2t+1+stage)
+        // mod k; the pairs are disjoint, so the stage is a valid
+        // layer of exchange switches.
+        for t in 0..switches_per_stage {
+            let take = ctrl & 1;
+            ctrl >>= 1;
+            if ctrl == 0 {
+                // Refill the control stream deterministically so
+                // deep networks never run out of bits.
+                ctrl = mix64(control ^ ((stage as u64) << 32) ^ t as u64);
+            }
+            if take == 1 {
+                let i = (2 * t + stage) % k;
+                let j = (2 * t + 1 + stage) % k;
+                x = swap_bits(x, i, j);
+            }
+        }
+    }
+    x
+}
+
+/// Swaps bit positions `i` and `j` of `x` (no-op when the bits are
+/// equal).
+fn swap_bits(x: u32, i: u32, j: u32) -> u32 {
+    let bit_i = (x >> i) & 1;
+    let bit_j = (x >> j) & 1;
+    if bit_i == bit_j {
+        x
+    } else {
+        x ^ (1 << i) ^ (1 << j)
+    }
+}
+
+/// `(k, value, control) → output`, recorded from the bit-serial
+/// network. Controls 0, 5 and `1 << 37` at `k = 7` run out of bits
+/// mid-evaluation and take the refill rule.
+const GOLDEN: [(u32, u32, u64, u32); 8] = [
+    (7, 0x59, 0, 0x2b),
+    (7, 0x59, 5, 0x6a),
+    (7, 0x59, 1 << 37, 0x5a),
+    (7, 0x59, 0xdead_beef, 0x56),
+    (7, 0x0b, u64::MAX, 0x61),
+    (8, 0xa5, 0x0123_4567_89ab_cdef, 0xc6),
+    (11, 0x5a3, 12345, 0x4c7),
+    (31, 0x2aaa_5555, 0xfeed_face_cafe_beef, 0x165a_ba1a),
+];
+
+#[test]
+fn benes_reproduces_recorded_outputs() {
+    for (k, value, control, expected) in GOLDEN {
+        let net = PermutationNetwork::new(k);
+        assert_eq!(
+            net.apply(value, control),
+            expected,
+            "k={k} value={value:#x} control={control:#x}"
+        );
+        assert_eq!(reference_apply(k, value, control), expected, "reference at k={k}");
+    }
+}
+
 proptest! {
+    /// The network equals the bit-serial reference at every width, for
+    /// full-width controls, for controls short enough that the refill
+    /// rule fires mid-evaluation, and for tiny controls.
+    #[test]
+    fn benes_matches_bit_serial_reference(
+        value in any::<u32>(),
+        control in any::<u64>(),
+        shift in 26u32..64,
+        small in 0u64..4096,
+    ) {
+        for k in 0..=31u32 {
+            let net = PermutationNetwork::new(k);
+            let v = value & ((1u64 << k) - 1) as u32;
+            for c in [control, control >> shift, small] {
+                prop_assert_eq!(
+                    net.apply(v, c),
+                    reference_apply(k, v, c),
+                    "k={} value={:#x} control={:#x}",
+                    k,
+                    v,
+                    c
+                );
+            }
+        }
+    }
+
     /// The permutation network is a bijection for every control word.
     #[test]
     fn benes_bijective_k7(control in any::<u64>()) {
