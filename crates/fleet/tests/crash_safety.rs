@@ -113,6 +113,29 @@ fn launch_rejects_bad_specs_and_occupied_dirs() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn resume_rejects_a_corrupt_manifest() {
+    let dir = fresh_dir("bad-manifest");
+    finish(launch(&tiny_spec(), &dir, &cfg(1), &FaultPlan::none()).unwrap());
+    let path = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let torn = text[..text.len() / 2].to_string();
+    let non_hex = text.replacen("\"0x", "\"0xg", 1);
+    let non_numeric = text.replace("\"quarantined\":[]", "\"quarantined\":[x]");
+    for bad in [torn, non_hex, non_numeric] {
+        assert_ne!(bad, text);
+        std::fs::write(&path, &bad).unwrap();
+        assert!(
+            matches!(
+                resume(&tiny_spec(), &dir, &cfg(1), &FaultPlan::none()),
+                Err(FleetError::Corrupt(_))
+            ),
+            "resume accepted {bad:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 proptest! {
     /// Kill the campaign after any number of durable records, resume
     /// under any worker count of the matrix (with a scrambled queue):
