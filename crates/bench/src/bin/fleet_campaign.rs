@@ -12,7 +12,7 @@
 //!                [--workers N]         worker threads (0 = RAYON_NUM_THREADS/auto)
 //!                [--retries N]         crash retries per shard before quarantine
 //!                [--checkpoint-every N] manifest cadence in records
-//!                [--scramble SEED]     deterministically shuffle the work queue
+//!                [--scramble SEED]     deterministically shuffle the pending shards
 //!                [--kill-after N]      fault: hard-stop after N durable records
 //!                [--torn-after N]      fault: tear the append after N records
 //!                [--panic-shard S]     fault: panic shard S (through --panic-through
@@ -27,7 +27,8 @@
 //! Exit codes: 0 = finished (report + `campaign_digest.txt` written,
 //! possibly with quarantined shards) or halted by an injected
 //! kill/torn fault (resume to continue); 1 = error (bad spec, I/O,
-//! spec mismatch on resume).
+//! spec mismatch on resume, an integer flag that does not parse or
+//! fit its type).
 
 use tscache_bench::Args;
 use tscache_fleet::executor::{launch, resume, ExecutorConfig, RunOutcome};
@@ -35,28 +36,33 @@ use tscache_fleet::fault::FaultPlan;
 use tscache_fleet::report::write_campaign_report;
 use tscache_fleet::spec::SweepSpec;
 
+/// Parses a flag value (decimal or 0x-hex) into `T`: `None` when it is
+/// not an integer or does not fit `T`, so `--retries 4294967296` is an
+/// error rather than a silent 0.
+fn parse_int<T: TryFrom<u64>>(v: &str) -> Option<T> {
+    let n = match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    }?;
+    T::try_from(n).ok()
+}
+
 /// Reads an optional `--key value` flag by presence: absent → `None`,
-/// present → parsed (decimal or 0x-hex), unparseable → exit 1. Unlike
-/// a sentinel default, this keeps every value — including `0` and
-/// `u64::MAX` — meaningful, matching the `FaultPlan` semantics where
-/// e.g. `--kill-after 0` means "kill before the first record".
-fn opt_u64(args: &Args, key: &str) -> Option<u64> {
-    match args.get_str(key, "") {
-        v if v.is_empty() => None,
-        v => {
-            let parsed = match v.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => v.parse().ok(),
-            };
-            match parsed {
-                Some(n) => Some(n),
-                None => {
-                    eprintln!("fleet_campaign: --{key} {v}: not an integer");
-                    std::process::exit(1);
-                }
-            }
-        }
+/// present → [`parse_int`], unparseable or out of range → exit 1.
+/// Unlike a sentinel default, this keeps every value — including `0`
+/// and `u64::MAX` — meaningful, matching the `FaultPlan` semantics
+/// where e.g. `--kill-after 0` means "kill before the first record".
+fn opt_int<T: TryFrom<u64>>(args: &Args, key: &str) -> Option<T> {
+    let v = args.get_str(key, "");
+    if v.is_empty() {
+        return None;
     }
+    let parsed = parse_int(&v);
+    if parsed.is_none() {
+        eprintln!("fleet_campaign: --{key} {v}: not a {} integer", std::any::type_name::<T>());
+        std::process::exit(1);
+    }
+    parsed
 }
 
 fn main() {
@@ -85,20 +91,20 @@ fn main() {
 
     let cfg = ExecutorConfig {
         workers: args.get_u64("workers", 0) as usize,
-        max_retries: args.get_u64("retries", 2) as u32,
+        max_retries: opt_int(&args, "retries").unwrap_or(2),
         checkpoint_every: args.get_u64("checkpoint-every", 8),
-        scramble_seed: opt_u64(&args, "scramble"),
+        scramble_seed: opt_int(&args, "scramble"),
         keep_times: true,
         trace: args.get_u64("trace", 0) != 0,
         progress: args.get_u64("quiet", 0) == 0,
     };
 
     let mut faults = FaultPlan::none();
-    faults.kill_after_records = opt_u64(&args, "kill-after");
-    faults.torn_write_after = opt_u64(&args, "torn-after");
-    if let Some(shard) = opt_u64(&args, "panic-shard") {
-        let through = args.get_u64("panic-through", 1) as u32;
-        faults.panic_on.push((shard as usize, through));
+    faults.kill_after_records = opt_int(&args, "kill-after");
+    faults.torn_write_after = opt_int(&args, "torn-after");
+    let panic_through = opt_int(&args, "panic-through").unwrap_or(1);
+    if let Some(shard) = opt_int(&args, "panic-shard") {
+        faults.panic_on.push((shard, panic_through));
     }
 
     let shards = spec.jobs().map(|j| j.len()).unwrap_or(0);
@@ -158,5 +164,24 @@ fn main() {
             eprintln!("fleet_campaign: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_int;
+
+    #[test]
+    fn integer_flags_reject_values_that_do_not_fit() {
+        assert_eq!(parse_int::<u32>("4294967295"), Some(u32::MAX));
+        assert_eq!(parse_int::<u32>("0xffffffff"), Some(u32::MAX));
+        // One past u32::MAX must be refused, not wrapped to 0.
+        assert_eq!(parse_int::<u32>("4294967296"), None);
+        assert_eq!(parse_int::<u32>("0x100000000"), None);
+        assert_eq!(parse_int::<u32>("two"), None);
+        assert_eq!(parse_int::<u32>("-1"), None);
+        assert_eq!(parse_int::<u64>("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(parse_int::<u64>("18446744073709551616"), None);
+        assert_eq!(parse_int::<usize>("5"), Some(5));
     }
 }

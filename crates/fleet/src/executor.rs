@@ -15,13 +15,14 @@
 //!   same spec fails the same way forever, so the shard quarantines
 //!   immediately, no retry.
 //! * **Worker crash** (panic, caught per-shard with `catch_unwind`):
-//!   retried up to [`ExecutorConfig::max_retries`] with deterministic
-//!   backoff *accounting* (exponential `2^(attempt-1)` units,
-//!   saturating at `u64::MAX`, recorded rather than slept — the
-//!   simulation has no wall clock worth burning), then
-//!   quarantined. The campaign completes around quarantined shards
-//!   with explicit per-scenario coverage, and a resume re-attempts
-//!   them fresh (the fault may have been environmental).
+//!   the worker that caught it runs the shard again at once, up to
+//!   [`ExecutorConfig::max_retries`] times, with deterministic backoff
+//!   *accounting* (exponential `2^(attempt-1)` units, saturating at
+//!   `u64::MAX`, recorded rather than slept — the simulation has no
+//!   wall clock worth burning), then the shard is quarantined. The
+//!   campaign completes around quarantined shards with explicit
+//!   per-scenario coverage, and a resume re-attempts them fresh (the
+//!   fault may have been environmental).
 //! * **I/O error** persisting a record: the campaign halts with the
 //!   error; every already-durable record survives and `resume`
 //!   finishes the job.
@@ -39,10 +40,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tscache_core::error::ConfigError;
 use tscache_core::parallel::{payload_message, scrambled_indices, thread_count};
 use tscache_mbpta::stats::Summary;
@@ -64,7 +64,7 @@ pub struct ExecutorConfig {
     pub max_retries: u32,
     /// Manifest checkpoint cadence, in records.
     pub checkpoint_every: u64,
-    /// When set, the pending-job queue is deterministically shuffled
+    /// When set, the pending shards are deterministically shuffled
     /// with this seed — the tests' tool for proving completion-order
     /// invariance.
     pub scramble_seed: Option<u64>,
@@ -247,47 +247,33 @@ pub fn resume(
 /// What a worker hands back per attempt.
 enum AttemptResult {
     Done(ShardRecord),
-    Crashed { message: String },
+    /// The attempt panicked; `retry` is whether the same worker runs
+    /// the shard again (`attempt <= max_retries`) or gives it up.
+    Crashed {
+        message: String,
+        retry: bool,
+    },
     BadSpec(ConfigError),
-}
-
-/// The shared work queue plus liveness flags.
-struct Dispatch {
-    queue: Mutex<std::collections::VecDeque<(ShardJob, u32)>>,
-    /// Set when the run must stop (kill fault, fatal error, or all
-    /// work finalized).
-    stop: AtomicBool,
-}
-
-/// What [`Progress::absorb`] decided about one attempt outcome.
-enum Step {
-    /// Keep going.
-    Continue,
-    /// Requeue the shard for another attempt.
-    Retry(ShardJob, u32),
-    /// Stop the run now with this outcome.
-    Halt(Result<RunOutcome, FleetError>),
 }
 
 /// The main thread's single-owner campaign state: persistence handle,
 /// accumulated records, quarantine list, and checkpoint bookkeeping.
 /// Every attempt outcome, from any worker, funnels through
-/// [`Progress::absorb`], which applies the retry/quarantine/checkpoint
-/// policy in one place.
+/// [`Progress::absorb`], which persists, checkpoints, quarantines and
+/// accounts retries in one place. Whether a crash is retried is
+/// settled in [`run_attempt`]; the worker runs the retry itself.
 struct Progress<'a> {
     cd: CampaignDir,
     spec: &'a SweepSpec,
     total_shards: usize,
     cfg: &'a ExecutorConfig,
     faults: &'a FaultPlan,
+    /// Records on disk, from earlier runs and this one.
     records: Vec<ShardRecord>,
     quarantined: Vec<Quarantined>,
     accounting: Accounting,
+    /// Records this run appended (drives the checkpoint cadence).
     durable_appends: u64,
-    /// Records already on disk before this run (count toward the kill
-    /// threshold so "kill after N records" means N records total).
-    prior_durable: u64,
-    finalized: usize,
     /// `(records, quarantined)` counts at the last manifest write this
     /// run — lets the finish path skip a manifest that would be
     /// byte-identical to the one already on disk.
@@ -302,6 +288,9 @@ struct Progress<'a> {
     /// Wall-clock start, for the progress line's records/sec.
     started: Instant,
 }
+
+/// How a run ends early: killed (injected kill or torn write) or failed.
+type Halt = Result<RunOutcome, FleetError>;
 
 impl Progress<'_> {
     fn checkpoint(&mut self) -> Result<(), FleetError> {
@@ -339,72 +328,62 @@ impl Progress<'_> {
         );
     }
 
-    fn absorb(&mut self, job: ShardJob, attempt: u32, result: AttemptResult) -> Step {
-        match result {
+    /// Applies one attempt outcome; `Some` means the run must stop now.
+    fn absorb(&mut self, job: &ShardJob, attempt: u32, result: AttemptResult) -> Option<Halt> {
+        let shard = job.shard as u32;
+        let reason = match result {
             AttemptResult::Done(record) => {
-                self.lifecycle_event(Event::ShardAttempt { shard: job.shard as u32, attempt });
-                match self.cd.append_record(&record, self.faults) {
-                    Ok(AppendOutcome::Durable) => {}
-                    Ok(AppendOutcome::TornWrite) => {
-                        // Half a line is on disk; halt as if killed.
-                        return Step::Halt(Ok(RunOutcome::Killed {
-                            records_durable: self.prior_durable + self.durable_appends,
-                        }));
-                    }
-                    Err(e) => return Step::Halt(Err(e)),
+                self.lifecycle_event(Event::ShardAttempt { shard, attempt });
+                if let Some(halt) = self.persist(record) {
+                    return Some(halt);
                 }
-                self.durable_appends += 1;
-                self.records.push(record);
-                self.finalized += 1;
-                if self.faults.should_kill(self.prior_durable + self.durable_appends) {
-                    // Make the appends durable so `records_durable` is
-                    // honest even against an OS crash.
-                    return Step::Halt(self.cd.sync_results().map(|()| RunOutcome::Killed {
-                        records_durable: self.prior_durable + self.durable_appends,
-                    }));
-                }
-                if self.durable_appends.is_multiple_of(self.cfg.checkpoint_every.max(1)) {
-                    if let Err(e) = self.checkpoint() {
-                        return Step::Halt(Err(e));
-                    }
-                }
-                self.progress_line();
-                Step::Continue
+                None
             }
-            AttemptResult::BadSpec(config_err) => {
-                // Deterministic misconfiguration: retrying cannot
-                // help, quarantine immediately.
-                self.lifecycle_event(Event::ShardQuarantine { shard: job.shard as u32 });
-                self.quarantined.push(Quarantined {
-                    shard: job.shard,
-                    scenario: job.scenario.key.clone(),
-                    reason: QuarantineReason::BadSpec(config_err.to_string()),
-                });
-                self.finalized += 1;
-                self.progress_line();
-                Step::Continue
+            AttemptResult::Crashed { retry: true, .. } => {
+                self.lifecycle_event(Event::ShardRetry { shard, attempt });
+                self.accounting.retries = self.accounting.retries.saturating_add(1);
+                self.accounting.backoff_units =
+                    self.accounting.backoff_units.saturating_add(backoff_units_for(attempt));
+                None
             }
-            AttemptResult::Crashed { message } => {
-                if attempt <= self.cfg.max_retries {
-                    self.lifecycle_event(Event::ShardRetry { shard: job.shard as u32, attempt });
-                    self.accounting.retries = self.accounting.retries.saturating_add(1);
-                    self.accounting.backoff_units =
-                        self.accounting.backoff_units.saturating_add(backoff_units_for(attempt));
-                    self.progress_line();
-                    Step::Retry(job, attempt + 1)
-                } else {
-                    self.lifecycle_event(Event::ShardQuarantine { shard: job.shard as u32 });
-                    self.quarantined.push(Quarantined {
-                        shard: job.shard,
-                        scenario: job.scenario.key.clone(),
-                        reason: QuarantineReason::Crashed { attempts: attempt, message },
-                    });
-                    self.finalized += 1;
-                    self.progress_line();
-                    Step::Continue
-                }
+            AttemptResult::Crashed { message, retry: false } => {
+                Some(QuarantineReason::Crashed { attempts: attempt, message })
             }
+            // Deterministic misconfiguration: retrying cannot help.
+            AttemptResult::BadSpec(e) => Some(QuarantineReason::BadSpec(e.to_string())),
+        };
+        if let Some(reason) = reason {
+            self.lifecycle_event(Event::ShardQuarantine { shard });
+            let scenario = job.scenario.key.clone();
+            self.quarantined.push(Quarantined { shard: job.shard, scenario, reason });
         }
+        self.progress_line();
+        None
+    }
+
+    /// Appends a finished shard's record, then applies the kill fault
+    /// and the checkpoint cadence.
+    fn persist(&mut self, record: ShardRecord) -> Option<Halt> {
+        let killed = |records: usize| RunOutcome::Killed { records_durable: records as u64 };
+        match self.cd.append_record(&record, self.faults) {
+            Ok(AppendOutcome::Durable) => {}
+            // Half a line is on disk; halt as if killed.
+            Ok(AppendOutcome::TornWrite) => return Some(Ok(killed(self.records.len()))),
+            Err(e) => return Some(Err(e)),
+        }
+        self.durable_appends += 1;
+        self.records.push(record);
+        // `records` includes earlier runs', so "kill after N records"
+        // means N records in total.
+        if self.faults.should_kill(self.records.len() as u64) {
+            // Make the appends durable so `records_durable` is honest
+            // even against an OS crash.
+            return Some(self.cd.sync_results().map(|()| killed(self.records.len())));
+        }
+        if self.durable_appends.is_multiple_of(self.cfg.checkpoint_every.max(1)) {
+            return self.checkpoint().err().map(Err);
+        }
+        None
     }
 }
 
@@ -412,9 +391,10 @@ impl Progress<'_> {
 fn run_attempt(
     job: &ShardJob,
     attempt: u32,
+    cfg: &ExecutorConfig,
     faults: &FaultPlan,
-    opts: ShardOptions,
 ) -> AttemptResult {
+    let opts = ShardOptions { keep_times: cfg.keep_times, trace: cfg.trace };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if faults.should_panic(job.shard, attempt) {
             // detlint: allow(R1, deliberate injected fault; lands in catch_unwind, exercising the crash-retry taxonomy)
@@ -434,88 +414,53 @@ fn run_attempt(
             scenario: job.scenario.key.clone(),
             seed: job.seed,
             attempt,
-            digest: output.digest,
-            n: output.n,
-            mean: output.mean,
-            variance: output.variance,
-            min: output.min,
-            max: output.max,
-            times: output.times,
-            hist: output.hist,
-            pmu: output.pmu,
-            roc: output.roc,
-            trace_digest: output.trace_digest,
+            output,
         }),
         Ok(Err(config_err)) => AttemptResult::BadSpec(config_err),
-        Err(payload) => AttemptResult::Crashed { message: payload_message(payload.as_ref()) },
+        Err(payload) => AttemptResult::Crashed {
+            message: payload_message(payload.as_ref()),
+            retry: attempt <= cfg.max_retries,
+        },
     }
 }
 
-/// The drive loop, for every worker count: panic-isolated workers pull
-/// from a shared queue and stream outcomes to this thread, which owns
-/// all persistence.
+/// The drive loop, for every worker count. Workers claim shards from
+/// `pending` through one atomic cursor, run every attempt of a shard
+/// (a crash with retries left runs again in place), and stream each
+/// outcome to this thread, which owns all persistence. A worker exits
+/// when the cursor passes the end, or at its next send once a halt has
+/// dropped the receiver.
 fn drive_parallel(
-    pending: Vec<ShardJob>,
+    pending: &[ShardJob],
     workers: usize,
     progress: &mut Progress<'_>,
-) -> Option<Step> {
-    let to_finalize = pending.len();
-    let dispatch = Dispatch {
-        queue: Mutex::new(pending.into_iter().map(|j| (j, 1)).collect()),
-        stop: AtomicBool::new(false),
-    };
-    let (tx, rx) = mpsc::channel::<(ShardJob, u32, AttemptResult)>();
-    let faults = progress.faults;
-    let opts = ShardOptions { keep_times: progress.cfg.keep_times, trace: progress.cfg.trace };
-
-    let mut halt: Option<Step> = None;
+) -> Option<Halt> {
+    // `Relaxed` suffices: the cursor only hands out distinct indices
+    // into a slice no thread writes; results travel over the channel.
+    let cursor = AtomicUsize::new(0);
+    let (cfg, faults) = (progress.cfg, progress.faults);
     std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel();
         for _ in 0..workers {
-            let tx = tx.clone();
-            let dispatch = &dispatch;
+            let (tx, cursor) = (tx.clone(), &cursor);
             scope.spawn(move || {
-                loop {
-                    if dispatch.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let next = dispatch.queue.lock().unwrap_or_else(|e| e.into_inner()).pop_front();
-                    let Some((job, attempt)) = next else {
-                        // Queue may refill with retries; idle briefly.
-                        std::thread::sleep(Duration::from_micros(200));
-                        continue;
-                    };
-                    let result = run_attempt(&job, attempt, faults, opts);
-                    if tx.send((job, attempt, result)).is_err() {
-                        return; // main thread is gone
+                while let Some(job) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    for attempt in 1.. {
+                        let result = run_attempt(job, attempt, cfg, faults);
+                        let retry = matches!(result, AttemptResult::Crashed { retry: true, .. });
+                        if tx.send((job, attempt, result)).is_err() {
+                            return; // halted: the receiver is gone
+                        }
+                        if !retry {
+                            break;
+                        }
                     }
                 }
             });
         }
         drop(tx);
-
-        while progress.finalized < to_finalize {
-            let Ok((job, attempt, result)) = rx.recv() else {
-                break; // all workers exited (stop flag)
-            };
-            match progress.absorb(job, attempt, result) {
-                Step::Continue => {}
-                Step::Retry(job, next_attempt) => {
-                    dispatch
-                        .queue
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push_back((job, next_attempt));
-                }
-                step @ Step::Halt(_) => {
-                    dispatch.stop.store(true, Ordering::Release);
-                    halt = Some(step);
-                    break;
-                }
-            }
-        }
-        dispatch.stop.store(true, Ordering::Release);
-    });
-    halt
+        rx.iter().find_map(|(job, attempt, result)| progress.absorb(job, attempt, result))
+    })
 }
 
 fn drive(
@@ -535,7 +480,6 @@ fn drive(
     }
 
     let workers = if cfg.workers == 0 { thread_count() } else { cfg.workers };
-    let prior_durable = prior_records.len() as u64;
     let mut progress = Progress {
         cd,
         spec,
@@ -546,8 +490,6 @@ fn drive(
         quarantined: Vec::new(),
         accounting: Accounting::default(),
         durable_appends: 0,
-        prior_durable,
-        finalized: 0,
         last_manifest: None,
         lifecycle: cfg.trace.then(|| TraceRecorder::new(TRACE_RING_CAPACITY)),
         seq: 0,
@@ -556,8 +498,8 @@ fn drive(
         started: Instant::now(),
     };
 
-    if let Some(Step::Halt(outcome)) = drive_parallel(pending, workers, &mut progress) {
-        return outcome;
+    if let Some(halt) = drive_parallel(&pending, workers, &mut progress) {
+        return halt;
     }
 
     // All pending work finalized: checkpoint (unless the last one
@@ -623,14 +565,15 @@ fn merge(
             };
             completed += 1;
             h.write_u64(rec.result_digest());
+            let o = &rec.output;
             summaries.push(Summary {
-                n: rec.n as usize,
-                mean: rec.mean,
-                variance: rec.variance,
-                min: rec.min,
-                max: rec.max,
+                n: o.n as usize,
+                mean: o.mean,
+                variance: o.variance,
+                min: o.min,
+                max: o.max,
             });
-            match &rec.times {
+            match &o.times {
                 Some(t) => times.push((local, t.clone())),
                 None => all_have_times = false,
             }

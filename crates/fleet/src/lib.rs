@@ -15,10 +15,10 @@
 //! * [`executor`] — panic-isolated workers (`catch_unwind` per shard),
 //!   bounded retry with deterministic backoff accounting, quarantine,
 //!   and the shard-order merge;
-//! * [`checkpoint`] — append-only JSON-lines results (fsync per
-//!   record) plus an atomically-renamed manifest, so a `kill -9` at
-//!   any byte loses at most one torn line and [`executor::resume`]
-//!   replays only unfinished shards;
+//! * [`checkpoint`] — append-only JSON-lines results, group-committed
+//!   (fsync'd at each manifest checkpoint), plus an atomically-renamed
+//!   manifest, so a `kill -9` at any byte loses at most one torn line
+//!   and [`executor::resume`] replays only unfinished shards;
 //! * [`fault`] — scripted fault injection (panic-at-shard, I/O error,
 //!   torn write, hard kill) so the recovery paths are *tested*, not
 //!   trusted;

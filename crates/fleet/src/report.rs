@@ -84,11 +84,11 @@ pub fn write_campaign_report(
                 continue;
             };
             completed += 1;
-            match &rec.times {
+            match &rec.output.times {
                 Some(t) => times.extend_from_slice(t),
                 None => have_all_times = false,
             }
-            if let Some(pairs) = &rec.hist {
+            if let Some(pairs) = &rec.output.hist {
                 // A sparse hist a shard wrote is one a shard's own
                 // recorder produced; a malformed one is corruption.
                 let shard_hist = LatencyHistogram::from_sparse(pairs).ok_or_else(|| {
@@ -96,7 +96,7 @@ pub fn write_campaign_report(
                 })?;
                 hist.get_or_insert_with(LatencyHistogram::new).merge(&shard_hist);
             }
-            if let Some(points) = &rec.roc {
+            if let Some(points) = &rec.output.roc {
                 roc_rows.extend(points.iter().map(|&(t, f, p)| (rec.shard as u64, t, f, p)));
             }
         }

@@ -137,14 +137,15 @@ pub enum Event {
         /// Whether the window crossed the detection threshold.
         fired: bool,
     },
-    /// Fleet: a shard attempt started.
+    /// Fleet: a shard attempt finished with a result.
     ShardAttempt {
         /// Shard index.
         shard: u32,
-        /// Attempt ordinal (0 = first).
+        /// Attempt ordinal (1 = first).
         attempt: u32,
     },
-    /// Fleet: a crashed shard was re-queued.
+    /// Fleet: a crashed shard attempt will be retried, next and on the
+    /// same worker.
     ShardRetry {
         /// Shard index.
         shard: u32,
