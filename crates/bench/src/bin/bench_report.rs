@@ -19,6 +19,8 @@
 //!   bounds attack-campaign scale), solo and with an active co-runner;
 //! * contended-vs-solo `Machine::run_trace` throughput per arbitration
 //!   policy (what the interference layer costs the hot path);
+//! * the same on the shared-LLC platform, plus builds/sec of its
+//!   contended machine (`machine/*-shared/build-contended`);
 //! * Prime+Probe trials/sec through the parallel harness.
 //!
 //! Usage: `bench_report [--pr 3] [--out BENCH_PR3.json] [--ms 300]
@@ -189,6 +191,8 @@ fn main() {
         rate("machine/tscache-l2-shared/contended") / rate("machine/tscache-l2-shared/solo");
     let coherent_vs_shared_solo =
         rate("machine/tscache-l2-shared-coherent/solo") / rate("machine/tscache-l2-shared/solo");
+    let build_us =
+        |depth: &str| 1e6 / rate(&format!("machine/tscache-{depth}-shared/build-contended"));
     let fleet_checkpoint_ratio = rate("fleet/shards/checkpointed") / rate("fleet/shards/raw");
     let rtos_detector_ratio = rate("rtos/detector/on") / rate("rtos/detector/off");
     let detect_sampled_ratio =
@@ -238,6 +242,7 @@ fn main() {
     println!("  solo vs private-LLC solo: {shared_vs_private_solo:.2}x");
     println!("  contended vs solo: {shared_contended_ratio:.2}x");
     println!("  coherent-trace vs coherence-free solo: {coherent_vs_shared_solo:.2}x");
+    println!("  contended machine build: l2 {:.1} µs, l3 {:.1} µs", build_us("l2"), build_us("l3"));
     println!("fleet executor (same run):");
     println!("  checkpointed campaign vs raw shards: {fleet_checkpoint_ratio:.2}x");
     println!("online detection (same run):");

@@ -127,7 +127,7 @@ fn main() {
             CoRunner::new(
                 h,
                 ProcessId::new(9),
-                TraceOp::mixed_trace(0x11 + salt, 400 + 32 * salt as usize, 1 << 17),
+                TraceOp::mixed_trace(0x11 + salt, 400 + 32 * salt as usize, 1 << 17).into(),
             )
         };
         let mut h = SetupKind::TsCache.build(1);
@@ -205,7 +205,7 @@ fn main() {
                         addr: Addr::new(op.addr.as_u64() + ((1 + salt) << 25)),
                     })
                     .collect();
-            CoRunner::new(h, ProcessId::new(9 + salt as u16), ops)
+            CoRunner::new(h, ProcessId::new(9 + salt as u16), ops.into())
         };
         let mut h = SetupKind::TsCache.build_private(HierarchyDepth::TwoLevel, 1);
         h.set_process_seed(ProcessId::new(1), Seed::new(6));

@@ -211,6 +211,9 @@ pub fn contended_machine_suite(
 /// FIR co-runner *inside* the shared cache — the per-PR record of what
 /// threading one shared cache through the merge loop costs relative
 /// to the private batch path (`contended_machine_suite`'s numbers).
+/// A third row times building that contended machine
+/// (`from_setup_shared` plus `attach_standard_enemies`) in steady
+/// state, once the warm-up call has memoized the enemy trace.
 pub fn shared_llc_machine_suite(
     setup: SetupKind,
     depth: HierarchyDepth,
@@ -219,7 +222,7 @@ pub fn shared_llc_machine_suite(
     let pid = ProcessId::new(1);
     let ops = l2_heavy_trace();
     let tag = format!("{}-{}-shared", setup.label(), depth.label());
-    let mut results = Vec::with_capacity(2);
+    let mut results = Vec::with_capacity(3);
 
     let mut solo = Machine::from_setup_shared(setup, depth, SystemConfig::default(), 21);
     solo.set_process(pid);
@@ -236,6 +239,13 @@ pub fn shared_llc_machine_suite(
     results.push(bench(format!("machine/{tag}/contended"), "accesses", min_ms, || {
         black_box(contended.run_trace(black_box(&ops)));
         ops.len() as u64
+    }));
+
+    results.push(bench(format!("machine/{tag}/build-contended"), "builds", min_ms, || {
+        let mut m = Machine::from_setup_shared(setup, depth, SystemConfig::default(), 21);
+        m.attach_standard_enemies(setup, depth, &ContentionConfig::default(), 77);
+        black_box(m);
+        1
     }));
 
     results
@@ -304,7 +314,7 @@ pub fn coherence_suite(setup: SetupKind, min_ms: u64) -> Vec<Measurement> {
 /// setup, eight shards each (32 shards total) — small enough to run a
 /// whole campaign per bench iteration, big enough that per-campaign
 /// setup (directory, spec write, final artifacts) amortizes the way it
-/// does in real sweeps (the smoke sweep is 96 shards), so the measured
+/// does in real sweeps (the smoke sweep is 282 shards), so the measured
 /// overhead is the steady-state checkpoint cost, not launch fixed
 /// cost.
 pub fn fleet_bench_spec() -> tscache_fleet::SweepSpec {
@@ -669,9 +679,14 @@ mod tests {
         let names: Vec<&str> = results.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
             names,
-            ["machine/tscache-l2-shared/solo", "machine/tscache-l2-shared/contended"]
+            [
+                "machine/tscache-l2-shared/solo",
+                "machine/tscache-l2-shared/contended",
+                "machine/tscache-l2-shared/build-contended"
+            ]
         );
         assert!(results.iter().all(|m| m.per_sec() > 0.0));
+        assert_eq!(results[2].unit, "builds");
     }
 
     #[test]

@@ -323,10 +323,12 @@ impl SweepSpec {
     }
 
     /// The CI smoke sweep: small but crossing every subsystem —
-    /// two setups, both depths, all platforms, both contention values,
-    /// every attack family, detection off and monitoring, the
-    /// undefended baseline plus one TTL and one rotation defense; tiny
-    /// shards so a kill+resume round trip stays in seconds.
+    /// two setups at the two-level depth, all platforms, both
+    /// contention values, every attack family, detection off and
+    /// monitoring, the undefended baseline plus one TTL and one
+    /// rotation defense; tiny shards so a kill+resume round trip stays
+    /// in seconds. It expands to 94 scenarios and 282 shards, 78 of
+    /// them contended.
     pub fn smoke() -> Self {
         SweepSpec {
             campaign_seed: 0xf1ee7,
@@ -699,6 +701,17 @@ mod tests {
         let reparsed = SweepSpec::parse(&spec.canonical()).unwrap();
         assert_eq!(spec, reparsed);
         assert_eq!(spec.digest(), reparsed.digest());
+    }
+
+    #[test]
+    fn smoke_sweep_size_is_pinned() {
+        // The README's fleet section and `fleet_bench_spec`'s doc in
+        // tscache-bench quote these counts.
+        let spec = SweepSpec::smoke();
+        assert_eq!(spec.expand().unwrap().len(), 94);
+        let jobs = spec.jobs().unwrap();
+        assert_eq!(jobs.len(), 282);
+        assert_eq!(jobs.iter().filter(|j| j.scenario.contended).count(), 78);
     }
 
     #[test]

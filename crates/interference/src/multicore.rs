@@ -69,6 +69,7 @@
 
 use crate::bus::{Bus, BusReport};
 use crate::mshr::{MshrConfig, MshrFile, MshrOutcome};
+use std::sync::Arc;
 use tscache_core::addr::LineAddr;
 use tscache_core::cache::Writeback;
 use tscache_core::hierarchy::{
@@ -749,11 +750,13 @@ const CO_CHUNK: usize = 128;
 /// an enemy trace alongside the measured core. Trace position and
 /// cache state persist across segments, so a long campaign sees the
 /// enemy's steady-state working set rather than a cold cache per job.
+/// The trace itself is read-only and shared: co-runners replaying the
+/// same trace hold one allocation.
 #[derive(Debug)]
 pub struct CoRunner {
     hierarchy: Hierarchy,
     pid: ProcessId,
-    ops: Vec<TraceOp>,
+    ops: Arc<[TraceOp]>,
     offset_bits: u32,
     /// Next trace position not yet walked or pre-executed.
     pos: usize,
@@ -769,17 +772,23 @@ pub struct CoRunner {
     seq: u64,
     /// Memoized [`prebatchable`] verdict for this co-runner's (fixed)
     /// trace on the platform's LLC, computed on first shared-mode use.
+    /// It depends only on the trace and the LLC's coherent ranges, so
+    /// a [`flush`](Self::flush) keeps it; only
+    /// [`reclassify`](Self::reclassify) clears it.
     prebatch: Option<bool>,
 }
 
 impl CoRunner {
     /// Creates an enemy core replaying `ops` (cyclically) as `pid` on
-    /// its own `hierarchy`.
+    /// its own `hierarchy`. The trace is shared, never copied: any
+    /// number of co-runners may replay one `Arc`. The
+    /// pre-batchability verdict is computed on first shared-mode use
+    /// and kept until [`reclassify`](Self::reclassify).
     ///
     /// # Panics
     ///
     /// Panics if `ops` is empty.
-    pub fn new(hierarchy: Hierarchy, pid: ProcessId, ops: Vec<TraceOp>) -> Self {
+    pub fn new(hierarchy: Hierarchy, pid: ProcessId, ops: Arc<[TraceOp]>) -> Self {
         assert!(!ops.is_empty(), "co-runner needs a non-empty trace");
         let offset_bits = hierarchy.l1i().geometry().offset_bits();
         CoRunner {
@@ -811,23 +820,18 @@ impl CoRunner {
         self.pid
     }
 
-    /// Discards the pre-executed lookahead, rewinding the trace
-    /// cursor to the first position the merge has not yet consumed
-    /// (a per-op co-runner has no lookahead and keeps its cursor),
-    /// and forgets the memoized pre-batchability verdict. Required
-    /// whenever the platform's coherence configuration changes after
-    /// this co-runner already ran: the buffered chunk was pre-executed
-    /// under the old classification.
+    /// The cyclic trace this enemy core replays.
+    pub fn trace(&self) -> &[TraceOp] {
+        &self.ops
+    }
+
+    /// Discards the pre-executed lookahead and forgets the memoized
+    /// pre-batchability verdict. Required whenever the platform's
+    /// coherence configuration changes after this co-runner already
+    /// ran: the buffered chunk was pre-executed, and the verdict
+    /// reached, under the old classification.
     pub fn reclassify(&mut self) {
-        if self.chunk_pos < self.chunk.events.len() {
-            // Unconsumed lookahead: rewind to the first unmerged op. A
-            // per-op co-runner (or a fully drained chunk) already has
-            // `pos` at the next op.
-            self.pos = self.chunk_start + self.chunk_pos;
-        }
-        self.chunk_start = self.pos;
-        self.chunk.clear();
-        self.chunk_pos = 0;
+        self.discard_lookahead();
         self.prebatch = None;
     }
 
@@ -837,11 +841,28 @@ impl CoRunner {
     /// hyperperiod flush lands between segments, where the buffered
     /// lookahead is model speculation (pre-executed against the
     /// pre-flush state), not architected history — so it is dropped
-    /// rather than replayed; the trace *position* survives. Dirty
+    /// rather than replayed; the trace *position* survives, and so
+    /// does the pre-batchability verdict (a flush changes neither the
+    /// trace nor the coherent ranges it was computed from). Dirty
     /// lines drain to memory, counted by the caches they leave.
     pub fn flush(&mut self) {
-        self.reclassify();
+        self.discard_lookahead();
         self.hierarchy.flush_all();
+    }
+
+    /// Drops the pre-executed lookahead, rewinding the trace cursor to
+    /// the first position the merge has not yet consumed (a per-op
+    /// co-runner has no lookahead and keeps its cursor).
+    fn discard_lookahead(&mut self) {
+        if self.chunk_pos < self.chunk.events.len() {
+            // Unconsumed lookahead: rewind to the first unmerged op. A
+            // per-op co-runner (or a fully drained chunk) already has
+            // `pos` at the next op.
+            self.pos = self.chunk_start + self.chunk_pos;
+        }
+        self.chunk_start = self.pos;
+        self.chunk.clear();
+        self.chunk_pos = 0;
     }
 
     /// Drains this enemy core's private copies of `line` — the
@@ -852,8 +873,8 @@ impl CoRunner {
     }
 
     /// Whether this co-runner's trace may be pre-executed in chunks
-    /// (memoized on a shared level — the trace and the LLC's coherent
-    /// ranges are fixed for the co-runner's lifetime).
+    /// (memoized on a shared level until the next
+    /// [`reclassify`](Self::reclassify)).
     fn prebatchable_on(&mut self, llc: Option<&SharedLlc>) -> bool {
         let Some(llc) = llc else { return true };
         *self.prebatch.get_or_insert_with(|| prebatchable(&self.ops, llc, self.offset_bits))
@@ -1000,7 +1021,7 @@ mod tests {
     fn contended_segment_is_deterministic_and_no_cheaper_than_solo() {
         let run = || {
             let (mut h, enemy) = pair();
-            let mut co = vec![CoRunner::new(enemy, ProcessId::new(9), trace(11, 300))];
+            let mut co = vec![CoRunner::new(enemy, ProcessId::new(9), trace(11, 300).into())];
             let t = trace(12, 500);
             batch(
                 &mut [CoreRun { hierarchy: &mut h, pid: ProcessId::new(1), ops: &t }],
@@ -1232,7 +1253,7 @@ mod tests {
             let mut hs = hs.drain(..);
             let mut h = hs.next().unwrap();
             let enemy = hs.next().unwrap();
-            let mut co = vec![CoRunner::new(enemy, pids[1], trace(31, 300))];
+            let mut co = vec![CoRunner::new(enemy, pids[1], trace(31, 300).into())];
             let t = trace(32, 500);
             let out = batch(
                 &mut [CoreRun { hierarchy: &mut h, pid: pids[0], ops: &t }],
@@ -1262,7 +1283,7 @@ mod tests {
         // move it (the chunk cursors stay 0 in this mode, so the naive
         // rewind would restart the trace from op 0).
         let (mut hs, pids, mut llc) = shared_platform(1, 3);
-        let mut co = CoRunner::new(hs.remove(0), pids[0], ops.clone());
+        let mut co = CoRunner::new(hs.remove(0), pids[0], ops.as_slice().into());
         for _ in 0..5 {
             co.next(Some(&mut llc), false, &mut wbs);
         }
@@ -1272,7 +1293,7 @@ mod tests {
         // Chunked mode: unconsumed lookahead is discarded, resuming at
         // the first unmerged op (which re-executes on the cold cache).
         let (mut hs, pids, mut llc) = shared_platform(1, 4);
-        let mut co = CoRunner::new(hs.remove(0), pids[0], ops.clone());
+        let mut co = CoRunner::new(hs.remove(0), pids[0], ops.as_slice().into());
         for _ in 0..3 {
             co.next(Some(&mut llc), true, &mut wbs);
         }
@@ -1285,7 +1306,7 @@ mod tests {
     fn reclassify_reacts_to_late_coherent_ranges() {
         let ops: Vec<TraceOp> = (0..12u64).map(|i| TraceOp::read(Addr::new(i * 4096))).collect();
         let (mut hs, pids, mut llc) = shared_platform(1, 5);
-        let mut co = CoRunner::new(hs.remove(0), pids[0], ops.clone());
+        let mut co = CoRunner::new(hs.remove(0), pids[0], ops.as_slice().into());
         let mut wbs = Vec::new();
         assert!(co.prebatchable_on(Some(&llc)), "coherence-free trace must be batchable");
         for _ in 0..4 {
@@ -1299,6 +1320,12 @@ mod tests {
         assert!(!co.prebatchable_on(Some(&llc)), "stale pre-batchability verdict survived");
         let (_, op, _) = co.next(Some(&mut llc), true, &mut wbs);
         assert_eq!(op, ops[4], "reclassify lost the first unconsumed op");
+        // A flush changes neither the trace nor the coherent ranges:
+        // the verdict survives it, and only a reclassify clears it.
+        co.flush();
+        assert_eq!(co.prebatch, Some(false), "flush dropped the memoized verdict");
+        co.reclassify();
+        assert_eq!(co.prebatch, None, "reclassify kept the memoized verdict");
     }
 
     #[test]
@@ -1361,7 +1388,7 @@ mod tests {
             (0..16u64).map(|i| TraceOp::read(Addr::new(i * 128 * 32))).collect();
         let mut enemy = SetupKind::Deterministic.build(3);
         enemy.access_batch_cycles(ProcessId::new(9), &enemy_ops); // warm L2
-        let mut co = vec![CoRunner::new(enemy, ProcessId::new(9), enemy_ops)];
+        let mut co = vec![CoRunner::new(enemy, ProcessId::new(9), enemy_ops.into())];
         let mut h = SetupKind::Deterministic.build(1);
         let t = trace(5, 2000);
         let out = batch(

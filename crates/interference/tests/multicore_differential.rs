@@ -578,7 +578,7 @@ fn segment_axis_execute_is_bit_identical_to_scalar() {
                                 .into_iter()
                                 .zip(&pids[1..])
                                 .zip(&co_traces)
-                                .map(|((h, &pid), t)| CoRunner::new(h, pid, t.clone()))
+                                .map(|((h, &pid), t)| CoRunner::new(h, pid, t.as_slice().into()))
                                 .collect();
                             let mut scratch = EngineScratch::default();
                             let outs: Vec<InterferenceOutcome> = segments

@@ -272,7 +272,7 @@ impl TscacheOs {
                 machine.add_co_runner(CoRunner::new(
                     enemy,
                     r.swc().process_id(),
-                    workloads[i].ops.clone(),
+                    workloads[i].ops.as_slice().into(),
                 ));
             }
         }

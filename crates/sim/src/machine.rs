@@ -8,6 +8,8 @@
 //! variability flows through the cache hierarchy.
 
 use crate::pipeline::PipelineModel;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 use tscache_core::addr::Addr;
 use tscache_core::cache::WritePolicy;
 use tscache_core::defense::DefenseKind;
@@ -24,6 +26,10 @@ use tscache_telemetry::{Event, RecorderHandle};
 /// [`Machine::run_trace`] (defined in `tscache_core::hierarchy`, whose
 /// walk executes it).
 pub use tscache_core::hierarchy::TraceOp;
+
+/// Standard enemy traces by (L1I line bytes, address offset), each
+/// about 2.5 MB (see [`Machine::attach_standard_enemies`]).
+type EnemyTraces = BTreeMap<(u32, u64), Arc<[TraceOp]>>;
 
 /// An execution-driven machine.
 ///
@@ -299,6 +305,11 @@ impl Machine {
     /// this machine) to write-back caches so dirty evictions join the
     /// bus traffic. Everything derives from `seed`, so campaigns stay
     /// reproducible.
+    ///
+    /// The enemy trace depends only on this machine's L1I line size
+    /// and the enemy core's address offset, so it is built once per
+    /// process and per such key, on first use, and shared read-only by
+    /// every later machine: attaching enemies copies no trace.
     pub fn attach_standard_enemies(
         &mut self,
         setup: SetupKind,
@@ -314,23 +325,6 @@ impl Machine {
             }
         }
         self.set_interference(con.system);
-        let mut layout = crate::layout::Layout::new(0x10_0000);
-        let mut fir = crate::synthetic::FirFilter::standard(&mut layout);
-        let fir_ops = fir.trace_ops(self);
-        // Interleave a 512 KiB cyclic read stream (one read per eight
-        // compute ops) through the FIR kernel: the buffer exceeds
-        // every cache level, so the enemy sustains real memory traffic
-        // even once the FIR working set is L2-resident — the DMA-like
-        // bus pressure a compute-only kernel lacks.
-        let mut ops = Vec::with_capacity(fir_ops.len() + fir_ops.len() / 8 + 1);
-        let mut stream = 0u64;
-        for (i, op) in fir_ops.iter().enumerate() {
-            ops.push(*op);
-            if i % 8 == 7 {
-                ops.push(TraceOp::read(Addr::new(0x80_0000 + (stream % 16384) * 32)));
-                stream += 1;
-            }
-        }
         for k in 0..con.co_runners {
             let mut enemy = if shared {
                 setup.build_private(depth, mix64(seed ^ 0xc0de ^ k as u64))
@@ -348,19 +342,51 @@ impl Machine {
             // 16 MiB): co-runner interference flows through shared-LLC
             // *contention*, not accidental data sharing, and the shared
             // level sees the enemy under its own pid and seed.
-            let ops = if shared {
-                if let Some(llc) = self.shared_llc.as_mut() {
-                    llc.set_process_seed(pid, enemy_seed);
-                }
-                let base = (1 + k as u64) << 24;
-                ops.iter()
-                    .map(|op| TraceOp { kind: op.kind, addr: Addr::new(op.addr.as_u64() + base) })
-                    .collect()
-            } else {
-                ops.clone()
-            };
+            let offset = if shared { (1 + k as u64) << 24 } else { 0 };
+            if let Some(llc) = self.shared_llc.as_mut() {
+                llc.set_process_seed(pid, enemy_seed);
+            }
+            let ops = self.enemy_trace(offset);
             self.add_co_runner(CoRunner::new(enemy, pid, ops));
         }
+    }
+
+    /// The standard enemy trace for this machine's L1I line size,
+    /// shifted by `offset` bytes, from the process-wide memo. A missing
+    /// key is built outside the lock, so a panicking build leaves the
+    /// memo usable; when two threads build the same key at once, the
+    /// first insert wins and both share it.
+    fn enemy_trace(&self, offset: u64) -> Arc<[TraceOp]> {
+        static TRACES: Mutex<EnemyTraces> = Mutex::new(BTreeMap::new());
+        let key = (self.hierarchy.l1i().geometry().line_bytes(), offset);
+        let traces = || TRACES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(ops) = traces().get(&key) {
+            return Arc::clone(ops);
+        }
+        let ops = self.build_enemy_trace(offset);
+        Arc::clone(traces().entry(key).or_insert(ops))
+    }
+
+    /// Builds the enemy trace: the FIR kernel with a 512 KiB cyclic
+    /// read stream interleaved (one read per eight compute ops), every
+    /// address shifted by `offset`. The buffer exceeds every cache
+    /// level, so the enemy sustains real memory traffic even once the
+    /// FIR working set is L2-resident — the DMA-like bus pressure a
+    /// compute-only kernel lacks.
+    fn build_enemy_trace(&self, offset: u64) -> Arc<[TraceOp]> {
+        let mut layout = crate::layout::Layout::new(0x10_0000);
+        let fir_ops = crate::synthetic::FirFilter::standard(&mut layout).trace_ops(self);
+        let shift = |kind, addr: u64| TraceOp { kind, addr: Addr::new(addr + offset) };
+        let mut ops = Vec::with_capacity(fir_ops.len() + fir_ops.len() / 8 + 1);
+        let mut stream = 0u64;
+        for (i, op) in fir_ops.iter().enumerate() {
+            ops.push(shift(op.kind, op.addr.as_u64()));
+            if i % 8 == 7 {
+                ops.push(shift(AccessKind::Read, 0x80_0000 + (stream % 16384) * 32));
+                stream += 1;
+            }
+        }
+        ops.into()
     }
 
     /// The attached enemy cores.
