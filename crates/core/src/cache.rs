@@ -134,16 +134,13 @@ pub struct EvictedLine {
 }
 
 /// One dirty-eviction writeback travelling down a hierarchy: the victim
-/// line, its owner, and the index of the trace op whose fill evicted
-/// it.
+/// line and its owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Writeback {
     /// The dirty line written back.
     pub line: LineAddr,
     /// The process that owned (and dirtied) the line.
     pub owner: ProcessId,
-    /// Originating op index.
-    pub op_idx: u32,
 }
 
 /// Result of a cache access.

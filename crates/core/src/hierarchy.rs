@@ -10,10 +10,13 @@
 //! before the fill proceeds. [`Hierarchy::access`],
 //! [`Hierarchy::access_detailed`], [`Hierarchy::access_upper_detailed`]
 //! and [`Hierarchy::access_batch_cycles`] (a loop over `access`) differ
-//! only in what they report and in where a writeback that no level
-//! absorbs goes: to memory, or toward a [`SharedLlc`] owned elsewhere.
-//! The differential suite checks the walk against a reference
-//! hierarchy of boxed-dispatch caches.
+//! only in what they report. `access_detailed` composes the walk with
+//! memory itself. `access_upper_detailed` stops at the private levels
+//! and hands the caller the fill request and the writebacks no level
+//! absorbed; the multicore engine composes those with memory, or with a
+//! [`SharedLlc`] owned elsewhere, for every core it runs. The
+//! differential suite checks the walk against a reference hierarchy of
+//! boxed-dispatch caches.
 
 use crate::addr::{Addr, LineAddr};
 use crate::cache::{AccessOutcome, Cache, InvalidatedCopy, WritePolicy, Writeback};
@@ -160,26 +163,28 @@ impl OpTiming {
     }
 }
 
-/// Timing of one op through the *private* levels of a hierarchy whose
-/// last unified level lives elsewhere (a shared LLC): produced by
-/// [`Hierarchy::access_upper_detailed`]. The shared-level cost is
-/// composed by the caller once it resolves [`fill`](Self::fill)
-/// against the shared cache.
+/// Timing of one op through a hierarchy's own levels, before whatever
+/// lies behind them: produced by [`Hierarchy::access_upper_detailed`].
+/// The caller composes the cost of [`fill`](Self::fill) and of the
+/// escaped writebacks: with memory on a private platform, or with the
+/// shared cache on a shared-LLC one. The multicore engine walks every
+/// core this way; only its co-runners buffer these outcomes a chunk
+/// ahead of the merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpperOutcome {
     /// Cycle cost through the private levels (L1 hit plus each
     /// consulted private unified level's hit cycles).
     pub cycles: u32,
     /// Bit `0` = missed the L1; bit `k` = missed private unified level
-    /// `k-1`. The shared level's bit is composed by the caller.
+    /// `k-1`. A shared level's bit is composed by the caller.
     pub miss_mask: u8,
-    /// The line to request from the shared level (every private level
-    /// missed), or `None` on a private hit.
+    /// The line to request from behind the hierarchy (every level
+    /// missed), or `None` on a hit.
     pub fill: Option<LineAddr>,
-    /// Writebacks this op forced straight to memory, bypassing the
+    /// Writebacks this op forced straight to memory, bypassing any
     /// shared level: the dirty private copies a [`AccessKind::Flush`]
     /// op drains (zero for ordinary accesses, whose escaped writebacks
-    /// travel through the exported request stream instead).
+    /// go to the caller's buffer instead).
     pub mem_writebacks: u8,
 }
 
@@ -192,54 +197,6 @@ pub struct HierarchyInvalidation {
     pub copies: u32,
     /// Dropped copies that were dirty (data forced out).
     pub dirty: u32,
-}
-
-/// The request stream one core sends its shared last-level cache for a
-/// trace segment, collected from [`Hierarchy::access_upper_detailed`]
-/// op by op: the last private level's miss stream (fill requests, with
-/// originating op indices) and the dirty-eviction writebacks no
-/// private level absorbed, both in op order. `writebacks` carry
-/// nondecreasing `op_idx`, and a writeback of op `i` precedes op `i`'s
-/// fill — the order the walk's victim buffer drains.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LlcRequests {
-    /// Fill requests (lines that missed every private level).
-    pub fills: Vec<LineAddr>,
-    /// Originating op index per fill, parallel to `fills`.
-    pub fill_idx: Vec<u32>,
-    /// Writebacks bound for the shared level, in delivery order.
-    pub writebacks: Vec<Writeback>,
-}
-
-impl LlcRequests {
-    /// Empties all three streams.
-    pub fn clear(&mut self) {
-        self.fills.clear();
-        self.fill_idx.clear();
-        self.writebacks.clear();
-    }
-
-    /// Consumes op `op_idx`'s requests off the front of the streams,
-    /// advancing the caller's cursors: the writebacks the op escaped
-    /// (to deliver *before* its fill) and the fill request, if any.
-    pub fn take_for_op(
-        &self,
-        op_idx: u32,
-        fill_pos: &mut usize,
-        wb_pos: &mut usize,
-    ) -> (Option<LineAddr>, &[Writeback]) {
-        let wb_start = *wb_pos;
-        while *wb_pos < self.writebacks.len() && self.writebacks[*wb_pos].op_idx == op_idx {
-            *wb_pos += 1;
-        }
-        let fill = if *fill_pos < self.fills.len() && self.fill_idx[*fill_pos] == op_idx {
-            *fill_pos += 1;
-            Some(self.fills[*fill_pos - 1])
-        } else {
-            None
-        };
-        (fill, &self.writebacks[wb_start..*wb_pos])
-    }
 }
 
 /// A last-level cache shared by every core of a multicore platform:
@@ -601,7 +558,7 @@ impl SharedLlc {
     /// `pid`: the op's escaped private-level writebacks are delivered
     /// first (victim-drain order), then the fill request, if any. This
     /// is THE shared-level resolution — every consumer (the multicore
-    /// engines' per-op composition and the machine's scalar ops)
+    /// engine's per-op composition and the machine's scalar ops)
     /// funnels through it, so the latency/traffic contract cannot
     /// silently diverge between paths.
     pub fn resolve(
@@ -610,21 +567,7 @@ impl SharedLlc {
         fill: Option<LineAddr>,
         writebacks: &[Writeback],
     ) -> LlcResolution {
-        self.resolve_evict(pid, fill, writebacks).0
-    }
-
-    /// [`resolve`](Self::resolve), additionally reporting the line the
-    /// fill displaced from the shared level (if any) so the coherence
-    /// layer can back-invalidate a tracked victim's private copies
-    /// (inclusive-LLC semantics).
-    pub fn resolve_evict(
-        &mut self,
-        pid: ProcessId,
-        fill: Option<LineAddr>,
-        writebacks: &[Writeback],
-    ) -> (LlcResolution, Option<LineAddr>) {
-        let mut r = LlcResolution { cycles: 0, miss: false, mem_writebacks: 0 };
-        let mut evicted_line = None;
+        let mut r = LlcResolution { cycles: 0, miss: false, mem_writebacks: 0, evicted: None };
         if fill.is_some() {
             self.rotation_tick();
         }
@@ -642,12 +585,12 @@ impl SharedLlc {
                     r.cycles += self.memory;
                     if let Some(ev) = evicted {
                         r.mem_writebacks += ev.dirty as u8;
-                        evicted_line = Some(ev.line);
+                        r.evicted = Some(ev.line);
                     }
                 }
             }
         }
-        (r, evicted_line)
+        r
     }
 }
 
@@ -665,6 +608,10 @@ pub struct LlcResolution {
     /// private writebacks plus a dirty shared-level victim) — bus
     /// write transactions.
     pub mem_writebacks: u8,
+    /// The line the fill displaced from the shared level, so the
+    /// coherence layer can back-invalidate a tracked victim's private
+    /// copies (inclusive-LLC semantics).
+    pub evicted: Option<LineAddr>,
 }
 
 /// One unified cache level below the split L1s.
@@ -746,8 +693,10 @@ impl Hierarchy {
     /// keeps only the L1s per core.
     ///
     /// Drive such a hierarchy through
-    /// [`access_upper_detailed`](Self::access_upper_detailed); the
-    /// full-walk entry points would charge the memory penalty on a
+    /// [`access_upper_detailed`](Self::access_upper_detailed) and
+    /// resolve its fill and writebacks against the shared level, as the
+    /// multicore engine does op by op in merge order; the full-walk
+    /// entry points would charge the memory penalty on a
     /// last-*private*-level miss, ignoring the shared level.
     ///
     /// # Panics
@@ -859,7 +808,15 @@ impl Hierarchy {
     #[inline]
     pub fn access_detailed(&mut self, pid: ProcessId, kind: AccessKind, addr: Addr) -> OpTiming {
         let mut escaped = 0u8;
-        let up = self.walk_op(pid, kind, addr, 0, |_| escaped += 1);
+        let up = self.walk_op(pid, kind, addr, |_| escaped += 1);
+        self.with_memory(up, escaped)
+    }
+
+    /// Composes a walk `up` of this hierarchy with memory behind it: a
+    /// fill pays the memory penalty, and each of the `escaped`
+    /// writebacks no level absorbed is a memory write.
+    #[inline]
+    pub fn with_memory(&self, up: UpperOutcome, escaped: u8) -> OpTiming {
         OpTiming {
             cycles: up.cycles + if up.fill.is_some() { self.memory } else { 0 },
             miss_mask: up.miss_mask,
@@ -867,27 +824,25 @@ impl Hierarchy {
         }
     }
 
-    /// [`access_detailed`](Self::access_detailed) for a core whose last
-    /// unified level is a [`SharedLlc`] owned elsewhere: walks only the
-    /// private levels, and instead of charging the memory penalty
-    /// reports the shared-level fill request (if every private level
-    /// missed). Writebacks no private level absorbs are appended to
-    /// `writebacks`, tagged `op_idx`, in the exact order the victim
-    /// buffer drains them — all before the op's fill would reach the
-    /// shared level.
+    /// [`access_detailed`](Self::access_detailed) without what lies
+    /// behind the hierarchy: walks only its own levels, and instead of
+    /// charging the memory penalty reports the fill request (if every
+    /// level missed). Writebacks no level absorbs are appended to
+    /// `writebacks` in the exact order the victim buffer drains them —
+    /// all before the op's fill would reach the next level.
     ///
-    /// The caller (the multicore interference engine) resolves the
-    /// request stream against the shared cache and composes the final
-    /// [`OpTiming`].
+    /// The caller (the multicore interference engine) composes the
+    /// final [`OpTiming`]: with [`with_memory`](Self::with_memory) on a
+    /// private platform, or by resolving the fill and writebacks
+    /// against a [`SharedLlc`].
     pub fn access_upper_detailed(
         &mut self,
         pid: ProcessId,
         kind: AccessKind,
         addr: Addr,
-        op_idx: u32,
         writebacks: &mut Vec<Writeback>,
     ) -> UpperOutcome {
-        self.walk_op(pid, kind, addr, op_idx, |wb| writebacks.push(wb))
+        self.walk_op(pid, kind, addr, |wb| writebacks.push(wb))
     }
 
     /// The one walk behind every entry point: one op down the levels
@@ -911,7 +866,6 @@ impl Hierarchy {
         pid: ProcessId,
         kind: AccessKind,
         addr: Addr,
-        op_idx: u32,
         mut escaped: impl FnMut(Writeback),
     ) -> UpperOutcome {
         if kind == AccessKind::Flush {
@@ -936,7 +890,7 @@ impl Hierarchy {
         let res = l1.access_rw(pid, line, write);
         if let AccessOutcome::Miss { evicted: Some(ev), .. } = res {
             if ev.dirty {
-                let wb = Writeback { line: ev.line, owner: ev.owner, op_idx };
+                let wb = Writeback { line: ev.line, owner: ev.owner };
                 self.cascade_writeback(0, wb, &mut escaped);
             }
         }
@@ -949,7 +903,7 @@ impl Hierarchy {
             let res = self.levels[k].cache.access(pid, line);
             if let AccessOutcome::Miss { evicted: Some(ev), .. } = res {
                 if ev.dirty {
-                    let wb = Writeback { line: ev.line, owner: ev.owner, op_idx };
+                    let wb = Writeback { line: ev.line, owner: ev.owner };
                     self.cascade_writeback(k + 1, wb, &mut escaped);
                 }
             }
@@ -1482,18 +1436,15 @@ mod tests {
             assert_eq!(h.access_detailed(pid(), AccessKind::Read, a).miss_mask, every_level);
         }
         // In front of a shared level the drained data bypasses the
-        // exported writeback stream as well.
+        // caller's writeback buffer as well.
         let mut h = private_hierarchy(1, WritePolicy::WriteBack);
         let mut wbs = Vec::new();
-        h.access_upper_detailed(pid(), AccessKind::Write, a, 0, &mut wbs);
-        let up = h.access_upper_detailed(pid(), AccessKind::Flush, a, 1, &mut wbs);
+        h.access_upper_detailed(pid(), AccessKind::Write, a, &mut wbs);
+        let up = h.access_upper_detailed(pid(), AccessKind::Flush, a, &mut wbs);
         assert_eq!((up.cycles, up.fill, up.mem_writebacks), (1, None, 1));
         assert!(wbs.is_empty());
         let line = h.l1d().geometry().line_of(a);
-        assert_eq!(
-            h.access_upper_detailed(pid(), AccessKind::Read, a, 2, &mut wbs).fill,
-            Some(line)
-        );
+        assert_eq!(h.access_upper_detailed(pid(), AccessKind::Read, a, &mut wbs).fill, Some(line));
     }
 
     #[test]

@@ -430,7 +430,7 @@ mod tests {
         for i in 0..3000u64 {
             let a = Addr::new((i * 2083) % (1 << 19));
             full.access(pid, AccessKind::Read, a);
-            private.access_upper_detailed(pid, AccessKind::Read, a, i as u32, &mut wbs);
+            private.access_upper_detailed(pid, AccessKind::Read, a, &mut wbs);
         }
         assert_eq!(full.l1d().stats(), private.l1d().stats());
         assert_eq!(full.l2().stats(), private.l2().stats());

@@ -14,13 +14,19 @@
 //!   running finite cores ([`CoreRun`]) and cyclic enemy cores
 //!   ([`CoRunner`]) on private
 //!   [`Hierarchy`](tscache_core::hierarchy::Hierarchy) instances,
-//!   optionally in front of one shared last level. It has two modes:
-//!   [`execute`] pre-executes every core whose private outcomes do not
-//!   depend on the interleaving, and [`execute_scalar`], the
-//!   reference, walks every core op by op. A differential suite pins
-//!   them bit-identical. [`solo_op`] runs one op of core 0 through the
+//!   optionally in front of one shared last level. Every op runs one
+//!   private walk and one resolve against memory or the shared level,
+//!   and finite cores walk op by op at merge time. Only co-runners
+//!   pre-execute: [`execute`] walks a co-runner whose private outcomes
+//!   do not depend on the interleaving one chunk ahead of the merge.
+//!   The chunks stay because they are observable: a flush drops the
+//!   walked ops the merge never consumed, and their replacement-RNG
+//!   draws stay spent. [`execute_scalar`] walks co-runners op by op
+//!   and stays as their reference; a differential suite pins the two
+//!   bit-identical. [`solo_op`] runs one op of core 0 through the
 //!   same walk and MSI steps without the bus: the simulator machine's
-//!   scalar op.
+//!   scalar op. [`SystemConfig::validate`] rejects the bus and MSHR
+//!   models the engine cannot run.
 //!
 //! With private hierarchies, contention is timing-only by
 //! construction: per-core cache contents, statistics and RNG streams

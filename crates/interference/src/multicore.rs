@@ -3,7 +3,7 @@
 //! MSHR files bound per-level miss parallelism, and on a shared-LLC
 //! platform every core's last level is one shared cache.
 //!
-//! # One engine, two modes
+//! # One engine, one walk
 //!
 //! [`execute`] and [`execute_scalar`] run the same deterministic
 //! discrete-event merge over two kinds of participant: *finite* cores
@@ -18,29 +18,40 @@
 //! its solo hierarchy cost ([`OpTiming::cycles`]) plus any MSHR
 //! structural stall plus the queuing delay of its bus transactions.
 //!
-//! The two modes differ only in *when* a core's private levels run.
-//! [`execute_scalar`], the reference, walks every core's op through
-//! its private levels at merge time ([`Hierarchy::access_detailed`],
-//! or [`Hierarchy::access_upper_detailed`] in front of a shared
-//! level). [`execute`] pre-executes every core whose private outcomes
-//! cannot depend on the interleaving (the same per-op walks, run ahead
-//! of the merge and buffered: finite cores whole, co-runners a chunk
-//! at a time) and walks only the others at merge time. Either way the
-//! merge consumes identical per-op outcomes, which the differential
-//! suite pins bit for bit.
+//! Every op runs one private walk
+//! ([`Hierarchy::access_upper_detailed`]) and one resolve, which
+//! composes the walk with memory on a private platform or with the
+//! [`SharedLlc`] on a shared one. Finite cores walk op by op at merge
+//! time in both modes. The modes differ only for co-runners:
+//! [`execute`] pre-executes a co-runner whose private outcomes cannot
+//! depend on the interleaving, walking its private levels one 128-op
+//! chunk ahead of the merge and resolving each buffered op in merge
+//! order; [`execute_scalar`] walks co-runners op by op as well and
+//! stays as their reference. The differential suite pins the two bit
+//! for bit.
+//!
+//! Co-runners keep their chunks because dropping them is observable. A
+//! co-runner's flush drops the ops its chunk walked but the merge never
+//! consumed, and their replacement-RNG draws stay spent: walking
+//! co-runners op by op moves the campaign digests of random-replacement
+//! platforms that flush before every run. A finite core's private
+//! levels are touched by nothing else, so walking them ahead of the
+//! merge or at merge time gives the same outcomes, and they walk at
+//! merge time.
 //!
 //! # Private hierarchies (`llc = None`)
 //!
 //! Every core's last level is private, with memory behind it.
 //! Contention is then *timing-only*: cache contents, hit/miss
 //! outcomes, statistics and RNG draws per core are exactly those of
-//! the same trace run solo, so every core is pre-executed. Permuting
-//! distinct cores may shift individual queuing waits (ties resolve by
-//! index), but everything the caches and MSHRs decide — per-core base
-//! cycles, transaction, stall and coalesce counts — is invariant under
-//! core reordering (for a machine segment this holds for the measured
-//! core; enemy *progress* is interleaving-dependent by construction),
-//! and the unit and probe suites pin exactly that split.
+//! the same trace run solo, so every co-runner is pre-executable.
+//! Permuting distinct cores may shift individual queuing waits (ties
+//! resolve by index), but everything the caches and MSHRs decide —
+//! per-core base cycles, transaction, stall and coalesce counts — is
+//! invariant under core reordering (for a machine segment this holds
+//! for the measured core; enemy *progress* is interleaving-dependent
+//! by construction), and the unit and probe suites pin exactly that
+//! split.
 //!
 //! # Shared last level (`llc = Some(..)`)
 //!
@@ -49,11 +60,11 @@
 //! time*, in exact global op order. Contention is then **not**
 //! timing-only: cores evict each other's shared-level lines (the
 //! cross-core Prime+Probe channel) unless per-core way partitions on
-//! the shared level restore isolation. A core is pre-executed through
-//! its private levels only when its trace has no flush and touches no
-//! coherence-tracked line: only then are its private outcomes
-//! interleaving-independent. With coherence armed, every op then runs
-//! the MSI actions in one canonical sequence: inclusive
+//! the shared level restore isolation. A co-runner is pre-executed
+//! through its private levels only when its trace has no flush and
+//! touches no coherence-tracked line: only then are its private
+//! outcomes interleaving-independent. With coherence armed, every op
+//! runs the MSI actions in one canonical sequence: inclusive
 //! back-invalidation of a tracked shared-level victim, sharer
 //! recording for a tracked fill, upgrade invalidations for a write,
 //! and the flush broadcast. [`solo_op`] runs one op through the same
@@ -72,8 +83,9 @@ use crate::mshr::{MshrConfig, MshrFile, MshrOutcome};
 use std::sync::Arc;
 use tscache_core::addr::LineAddr;
 use tscache_core::cache::Writeback;
+use tscache_core::error::ConfigError;
 use tscache_core::hierarchy::{
-    AccessKind, Hierarchy, HierarchyInvalidation, LlcRequests, OpTiming, SharedLlc, TraceOp,
+    AccessKind, Hierarchy, HierarchyInvalidation, OpTiming, SharedLlc, TraceOp, UpperOutcome,
 };
 use tscache_core::seed::ProcessId;
 use tscache_telemetry::{Event, RecorderHandle};
@@ -94,6 +106,35 @@ pub struct SystemConfig {
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig { bus: BusConfig::default(), mshr: Some(MshrConfig::default()) }
+    }
+}
+
+impl SystemConfig {
+    /// Rejects a bus or MSHR model the engine cannot run: a TDMA bus
+    /// with zero-cycle slots (its schedule has no period) or an MSHR
+    /// file with no entries. Campaign entry points call this, so such
+    /// a config comes back as a [`ConfigError`] instead of a panic
+    /// inside the engine.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tscache_interference::{Arbitration, BusConfig, MshrConfig, SystemConfig};
+    ///
+    /// assert!(SystemConfig::default().validate().is_ok());
+    /// let tdma = BusConfig { arbitration: Arbitration::Tdma { slot_cycles: 0 }, service_cycles: 8 };
+    /// assert!(SystemConfig { bus: tdma, mshr: None }.validate().is_err());
+    /// let mshr = Some(MshrConfig { entries: 0, ..MshrConfig::default() });
+    /// assert!(SystemConfig { mshr, ..SystemConfig::default() }.validate().is_err());
+    /// ```
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if matches!(self.bus.arbitration, Arbitration::Tdma { slot_cycles: 0 }) {
+            return Err(ConfigError::incompatible("TDMA bus arbitration needs slot_cycles > 0"));
+        }
+        if self.mshr.is_some_and(|m| m.entries == 0) {
+            return Err(ConfigError::incompatible("an MSHR file needs entries > 0"));
+        }
+        Ok(())
     }
 }
 
@@ -168,26 +209,27 @@ pub struct InterferenceOutcome {
     pub bus: BusReport,
 }
 
-/// Buffers [`execute`] and [`solo_op`] reuse from call to call: each
-/// finite core's pre-executed private walk and the per-op writeback
-/// sink. A caller that runs many segments (the simulator's machine)
-/// keeps one, so the hot path allocates nothing per segment or op; a
-/// one-shot caller passes a fresh one.
+/// The per-op writeback buffer [`execute`] and [`solo_op`] reuse from
+/// call to call: every op walked at merge time collects its escaped
+/// writebacks here. Finite cores keep no buffer of their own, because
+/// they never pre-execute, and co-runners carry their chunks with
+/// them. A caller that runs many segments (the simulator's machine)
+/// keeps one, so the hot path allocates nothing per op; a one-shot
+/// caller passes a fresh one.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
-    lanes: Vec<Lane>,
     writebacks: Vec<Writeback>,
 }
 
 /// The production engine: finite `cores` against the cyclic
 /// co-runners `co`, on private hierarchies (`llc = None`) or in front
 /// of one shared last level, until every finite core has exhausted its
-/// trace. Every core whose private outcomes are interleaving-independent
-/// is pre-executed; the rest walk per op at merge time. Bit-identical
-/// to [`execute_scalar`] — engine outcomes (coherence counters
-/// included), every private level, and the shared cache. Bus and MSHR
-/// state start fresh per call; co-runner trace position and cache
-/// state carry over.
+/// trace. Finite cores walk op by op at merge time; a co-runner whose
+/// private outcomes are interleaving-independent is pre-executed a
+/// chunk at a time. Bit-identical to [`execute_scalar`] — engine
+/// outcomes (coherence counters included), every private level, and
+/// the shared cache. Bus and MSHR state start fresh per call;
+/// co-runner trace position and cache state carry over.
 ///
 /// `recorder` is observer-only: outcomes are bit-identical with and
 /// without it.
@@ -203,8 +245,8 @@ pub fn execute(
 }
 
 /// The reference engine: the same merge as [`execute`], with every
-/// core — co-runners included — walking its private levels op by op
-/// at merge time.
+/// co-runner walking its private levels op by op at merge time, as
+/// finite cores always do. It stays as the co-runner chunks' reference.
 pub fn execute_scalar(
     cores: &mut [CoreRun<'_>],
     co: &mut [CoRunner],
@@ -215,7 +257,7 @@ pub fn execute_scalar(
 }
 
 /// The one merge loop behind both engines; `batch` selects whether
-/// pre-executable cores are pre-executed.
+/// pre-executable co-runners are pre-executed.
 fn run(
     cores: &mut [CoreRun<'_>],
     co: &mut [CoRunner],
@@ -241,45 +283,31 @@ fn run(
         .chain(co.iter().map(|r| r.offset_bits))
         .collect();
     let mut merger = Merger::new(cfg, depths, offsets, recorder);
-    let EngineScratch { lanes, writebacks } = scratch;
-    if lanes.len() < nf {
-        lanes.resize_with(nf, Lane::default);
-    }
-    for (c, (core, lane)) in cores.iter_mut().zip(lanes.iter_mut()).enumerate() {
-        lane.pos = 0;
-        lane.batched =
-            batch && llc.as_deref().is_none_or(|l| prebatchable(core.ops, l, merger.offsets[c]));
-        if lane.batched {
-            lane.walk.fill(core.hierarchy, core.pid, core.ops, shared);
-        }
-    }
     let coherent = llc.as_deref().is_some_and(SharedLlc::has_coherence);
     let mut live = cores.iter().filter(|c| !c.ops.is_empty()).count();
     let reports = vec![CoreReport::default(); merger.clocks.len()];
     let mut cores = Cores { finite: cores, co, reports };
+    // A finite core's next op is the count of ops it has merged so far.
+    let next_op = |cores: &Cores<'_, '_>, c: usize| cores.reports[c].ops as usize;
     while live > 0 {
         let c = merger
-            .next_core(|c| c >= nf || lanes[c].pos < cores.finite[c].ops.len())
+            .next_core(|c| c >= nf || next_op(&cores, c) < cores.finite[c].ops.len())
             .expect("a live finite core is always eligible");
         // (1)+(2): the private walk, then the op's writebacks and fill
         // against the shared level.
         let (seq, op, mut res) = if c < nf {
-            let (core, lane) = (&mut cores.finite[c], &mut lanes[c]);
-            let i = lane.pos;
-            lane.pos += 1;
-            if lane.pos == core.ops.len() {
+            let i = next_op(&cores, c);
+            let core = &mut cores.finite[c];
+            if i + 1 == core.ops.len() {
                 live -= 1;
             }
             let op = core.ops[i];
-            let res = if lane.batched {
-                lane.walk.take(i, core.pid, llc.as_deref_mut(), core.hierarchy.depth())
-            } else {
-                walk(core.hierarchy, core.pid, op, llc.as_deref_mut(), writebacks)
-            };
+            let res =
+                walk(core.hierarchy, core.pid, op, llc.as_deref_mut(), &mut scratch.writebacks);
             // A finite core's MSHR sequence number is its op position.
             (i as u64, op, res)
         } else {
-            cores.co[c - nf].next(llc.as_deref_mut(), batch, writebacks)
+            cores.co[c - nf].next(llc.as_deref_mut(), batch, &mut scratch.writebacks)
         };
         let line = op.addr.line(merger.offsets[c]);
         let record = |e| merger.record(merger.clocks[c], e);
@@ -325,29 +353,32 @@ struct Resolved {
     evicted: Option<LineAddr>,
 }
 
-/// Composes an op's private-level timing `t` with its shared-level
-/// traffic, resolved against `llc` now — that is, in merge order. A
-/// hit costs only the shared level's hit cycles (no bus transaction),
-/// a miss adds the memory penalty and sets the shared level's miss bit
-/// (bit `private_depth`), and unabsorbed writebacks plus a dirty
-/// shared-level victim become memory-bound bus writes. Without a
-/// shared level, `t` already ends in memory.
+/// Composes `hierarchy`'s private walk `up` of one op, and the
+/// `writebacks` it escaped, with what lies behind the hierarchy — now,
+/// that is, in merge order. Without a shared level that is memory
+/// ([`Hierarchy::with_memory`]). In front of `llc`, a hit costs only
+/// the shared level's hit cycles (no bus transaction), a miss adds the
+/// memory penalty and sets the shared level's miss bit (bit
+/// `hierarchy.depth()`), and unabsorbed writebacks plus a dirty
+/// shared-level victim become memory-bound bus writes.
 fn resolve(
-    llc: Option<&mut SharedLlc>,
+    hierarchy: &Hierarchy,
     pid: ProcessId,
-    mut t: OpTiming,
-    fill: Option<LineAddr>,
+    up: UpperOutcome,
     writebacks: &[Writeback],
-    private_depth: usize,
+    llc: Option<&mut SharedLlc>,
 ) -> Resolved {
-    let Some(llc) = llc else { return Resolved { t, fill: None, evicted: None } };
-    let (r, evicted) = llc.resolve_evict(pid, fill, writebacks);
-    t.cycles += r.cycles;
-    if r.miss {
-        t.miss_mask |= 1 << private_depth;
-    }
-    t.mem_writebacks += r.mem_writebacks;
-    Resolved { t, fill, evicted }
+    let Some(llc) = llc else {
+        let t = hierarchy.with_memory(up, writebacks.len() as u8);
+        return Resolved { t, fill: up.fill, evicted: None };
+    };
+    let r = llc.resolve(pid, up.fill, writebacks);
+    let t = OpTiming {
+        cycles: up.cycles + r.cycles,
+        miss_mask: up.miss_mask | (r.miss as u8) << hierarchy.depth(),
+        mem_writebacks: up.mem_writebacks + r.mem_writebacks,
+    };
+    Resolved { t, fill: up.fill, evicted: r.evicted }
 }
 
 /// One op walked through `hierarchy` at merge time, so coherence
@@ -359,25 +390,19 @@ fn walk(
     llc: Option<&mut SharedLlc>,
     writebacks: &mut Vec<Writeback>,
 ) -> Resolved {
-    if llc.is_none() {
-        let t = hierarchy.access_detailed(pid, op.kind, op.addr);
-        return Resolved { t, fill: None, evicted: None };
-    }
     writebacks.clear();
-    let up = hierarchy.access_upper_detailed(pid, op.kind, op.addr, 0, writebacks);
-    let t =
-        OpTiming { cycles: up.cycles, miss_mask: up.miss_mask, mem_writebacks: up.mem_writebacks };
-    resolve(llc, pid, t, up.fill, writebacks, hierarchy.depth())
+    let up = hierarchy.access_upper_detailed(pid, op.kind, op.addr, writebacks);
+    resolve(hierarchy, pid, up, writebacks, llc)
 }
 
-/// Whether a core's trace may be pre-executed through its private
+/// Whether a co-runner's trace may be pre-executed through its private
 /// levels on a shared platform: it must contain no
 /// [`AccessKind::Flush`] ops (their shared-level and coherence side
 /// runs at merge time) and — once coherence is armed — touch no
 /// coherence-tracked line (other cores' invalidations may then reach
 /// into this core's private levels mid-trace, so its private outcomes
-/// are no longer a pure function of its own trace). A core that fails
-/// the test walks op by op at merge time instead; a core that passes
+/// are no longer a pure function of its own trace). A co-runner that
+/// fails the test walks op by op at merge time instead; one that passes
 /// can never hold a tracked line, so no invalidation ever reaches it —
 /// which is exactly what keeps its pre-execution sound. On private
 /// hierarchies every trace passes.
@@ -389,82 +414,38 @@ fn prebatchable(ops: &[TraceOp], llc: &SharedLlc, offset_bits: u32) -> bool {
     })
 }
 
-/// A pre-executed private walk: per-op timings and, in front of a
-/// shared level, the exported shared-level request stream with its
-/// consumption cursors. A finite core's covers its whole trace, a
-/// co-runner's one chunk.
+/// A co-runner's pre-executed chunk: the per-op private walks, each
+/// with the end offset of its escaped writebacks in one buffer. Every
+/// buffered op is resolved in merge order, against whatever lies
+/// behind the hierarchy then.
 #[derive(Debug, Default)]
 struct Lookahead {
-    events: Vec<OpTiming>,
-    requests: LlcRequests,
-    fill_pos: usize,
-    wb_pos: usize,
-    /// The walk stopped at the private levels (a shared level follows).
-    shared: bool,
+    /// Per op: its walk and the end of its writebacks in `writebacks`.
+    walks: Vec<(UpperOutcome, usize)>,
+    writebacks: Vec<Writeback>,
 }
 
 impl Lookahead {
-    /// Pre-executes `ops` on `hierarchy`, op by op: the full walk to
-    /// memory, or — when `shared` — the private levels only, collecting
-    /// the request stream.
-    fn fill(&mut self, hierarchy: &mut Hierarchy, pid: ProcessId, ops: &[TraceOp], shared: bool) {
-        assert!(ops.len() <= u32::MAX as usize, "trace segment too long for 32-bit op indices");
+    /// Pre-executes `ops` on `hierarchy`'s private levels, op by op.
+    fn fill(&mut self, hierarchy: &mut Hierarchy, pid: ProcessId, ops: &[TraceOp]) {
         self.clear();
-        self.shared = shared;
-        if !shared {
-            self.events
-                .extend(ops.iter().map(|op| hierarchy.access_detailed(pid, op.kind, op.addr)));
-            return;
-        }
-        for (i, op) in ops.iter().enumerate() {
-            let wbs = &mut self.requests.writebacks;
-            let up = hierarchy.access_upper_detailed(pid, op.kind, op.addr, i as u32, wbs);
-            self.events.push(OpTiming {
-                cycles: up.cycles,
-                miss_mask: up.miss_mask,
-                mem_writebacks: up.mem_writebacks,
-            });
-            if let Some(line) = up.fill {
-                self.requests.fills.push(line);
-                self.requests.fill_idx.push(i as u32);
-            }
+        for op in ops {
+            let up = hierarchy.access_upper_detailed(pid, op.kind, op.addr, &mut self.writebacks);
+            self.walks.push((up, self.writebacks.len()));
         }
     }
 
-    /// Op `i`'s buffered outcome, its shared-level requests resolved
-    /// against `llc` now. Ops must be taken in order.
-    fn take(
-        &mut self,
-        i: usize,
-        pid: ProcessId,
-        llc: Option<&mut SharedLlc>,
-        private_depth: usize,
-    ) -> Resolved {
-        // A private walk carries memory penalties in its timings and no
-        // request stream: replaying it in front of a shared level would
-        // silently skip that level (and vice versa), so a platform
-        // switch mid-walk is a hard error.
-        assert_eq!(self.shared, llc.is_some(), "pre-executed walk replayed on another platform");
-        let (fill, wbs) = self.requests.take_for_op(i as u32, &mut self.fill_pos, &mut self.wb_pos);
-        resolve(llc, pid, self.events[i], fill, wbs, private_depth)
+    /// Op `i`'s walk and the writebacks it escaped.
+    fn get(&self, i: usize) -> (UpperOutcome, &[Writeback]) {
+        let start = i.checked_sub(1).map_or(0, |prev| self.walks[prev].1);
+        let (up, end) = self.walks[i];
+        (up, &self.writebacks[start..end])
     }
 
     fn clear(&mut self) {
-        self.events.clear();
-        self.requests.clear();
-        self.fill_pos = 0;
-        self.wb_pos = 0;
+        self.walks.clear();
+        self.writebacks.clear();
     }
-}
-
-/// A finite core's state in one run.
-#[derive(Debug, Default)]
-struct Lane {
-    /// Next op to merge.
-    pos: usize,
-    /// Pre-executed this run (otherwise walked per op).
-    batched: bool,
-    walk: Lookahead,
 }
 
 /// The participants of one run, indexed as the merge numbers them:
@@ -629,23 +610,14 @@ impl Merger {
     ) {
         let depth = self.depths[core];
         let ts0 = self.clocks[core];
-        if let Some(rec) = &self.recorder {
-            // The per-level walk view: level l was consulted iff every
-            // lower level missed; the walk stops at the first hit.
-            let mut r = rec.borrow_mut();
-            for level in 0..depth {
-                let miss = t.miss_mask >> level & 1 == 1;
-                r.record(
-                    ts0,
-                    Event::LevelAccess { core: core as u8, level: level as u8, hit: !miss },
-                );
-                if !miss {
-                    break;
-                }
+        let (id, recorder) = (core as u8, &self.recorder);
+        let record = |ts, event| {
+            if let Some(rec) = recorder {
+                rec.borrow_mut().record(ts, event);
             }
-            if t.mem_writebacks > 0 {
-                r.record(ts0, Event::Writeback { core: core as u8, count: t.mem_writebacks });
-            }
+        };
+        if let Some(rec) = recorder {
+            rec.borrow_mut().record_walk(ts0, id, depth, t.miss_mask, t.mem_writebacks);
         }
         let mut stall = 0u64;
         let mut mem_read = t.memory_read(depth);
@@ -659,44 +631,24 @@ impl Merger {
                             // off-chip read.
                             mem_read = false;
                         }
-                        if let Some(rec) = &self.recorder {
-                            rec.borrow_mut().record(
-                                ts0,
-                                Event::MshrCoalesce { core: core as u8, level: level as u8 },
-                            );
-                        }
+                        record(ts0, Event::MshrCoalesce { core: id, level: level as u8 });
                     }
                     MshrOutcome::Allocated => {}
                     MshrOutcome::Stalled => {
-                        stall += file.stall_cycles() as u64;
-                        if let Some(rec) = &self.recorder {
-                            rec.borrow_mut().record(
-                                ts0,
-                                Event::MshrStall {
-                                    core: core as u8,
-                                    level: level as u8,
-                                    cycles: file.stall_cycles(),
-                                },
-                            );
-                        }
+                        let cycles = file.stall_cycles();
+                        stall += cycles as u64;
+                        record(ts0, Event::MshrStall { core: id, level: level as u8, cycles });
                     }
                 }
             }
         }
         let mut at = self.clocks[core] + stall + t.cycles as u64;
         let mut wait = 0u64;
+        let service = self.bus_service;
         let bus_txn = |bus: &mut Bus, at: &mut u64, wait: &mut u64| {
             let g = bus.grant(core, *at);
-            if let Some(rec) = &self.recorder {
-                rec.borrow_mut().record(
-                    g,
-                    Event::BusGrant {
-                        core: core as u8,
-                        wait: (g - *at).min(u32::MAX as u64) as u32,
-                        service: self.bus_service,
-                    },
-                );
-            }
+            let waited = (g - *at).min(u32::MAX as u64) as u32;
+            record(g, Event::BusGrant { core: id, wait: waited, service });
             *wait += g - *at;
             *at = g;
         };
@@ -718,16 +670,8 @@ impl Merger {
         report.bus_wait += wait;
         report.mshr_stall_cycles += stall;
         self.clocks[core] = at;
-        if let Some(rec) = &self.recorder {
-            rec.borrow_mut().record(
-                ts0,
-                Event::Op {
-                    core: core as u8,
-                    cycles: (stall + t.cycles as u64 + wait).min(u32::MAX as u64) as u32,
-                    miss_mask: t.miss_mask,
-                },
-            );
-        }
+        let cycles = (stall + t.cycles as u64 + wait).min(u32::MAX as u64) as u32;
+        record(ts0, Event::Op { core: id, cycles, miss_mask: t.miss_mask });
     }
 
     /// The core to advance next: smallest clock among `eligible` cores,
@@ -854,7 +798,7 @@ impl CoRunner {
     /// the first position the merge has not yet consumed (a per-op
     /// co-runner has no lookahead and keeps its cursor).
     fn discard_lookahead(&mut self) {
-        if self.chunk_pos < self.chunk.events.len() {
+        if self.chunk_pos < self.chunk.walks.len() {
             // Unconsumed lookahead: rewind to the first unmerged op. A
             // per-op co-runner (or a fully drained chunk) already has
             // `pos` at the next op.
@@ -893,24 +837,24 @@ impl CoRunner {
         let seq = self.seq;
         self.seq += 1;
         if batch && self.prebatchable_on(llc.as_deref()) {
-            if self.chunk_pos >= self.chunk.events.len() {
+            if self.chunk_pos >= self.chunk.walks.len() {
                 if self.pos >= self.ops.len() {
                     self.pos = 0;
                 }
                 let end = (self.pos + CO_CHUNK).min(self.ops.len());
                 self.chunk_start = self.pos;
-                let ops = &self.ops[self.pos..end];
-                self.chunk.fill(&mut self.hierarchy, self.pid, ops, llc.is_some());
+                self.chunk.fill(&mut self.hierarchy, self.pid, &self.ops[self.pos..end]);
                 self.chunk_pos = 0;
                 self.pos = end;
             }
             let i = self.chunk_pos;
             self.chunk_pos += 1;
             let op = self.ops[self.chunk_start + i];
-            (seq, op, self.chunk.take(i, self.pid, llc, self.hierarchy.depth()))
+            let (up, writebacks) = self.chunk.get(i);
+            (seq, op, resolve(&self.hierarchy, self.pid, up, writebacks, llc))
         } else {
             assert!(
-                self.chunk_pos >= self.chunk.events.len(),
+                self.chunk_pos >= self.chunk.walks.len(),
                 "co-runner switched to per-op mode mid-chunk"
             );
             if self.pos >= self.ops.len() {
@@ -927,8 +871,10 @@ impl CoRunner {
 mod tests {
     use super::*;
     use tscache_core::addr::Addr;
+    use tscache_core::cache::WritePolicy;
     use tscache_core::seed::Seed;
-    use tscache_core::setup::SetupKind;
+    use tscache_core::setup::{HierarchyDepth, SetupKind};
+    use tscache_core::stats::CacheStats;
 
     fn trace(salt: u64, len: usize) -> Vec<TraceOp> {
         TraceOp::mixed_trace(salt, len, 1 << 17)
@@ -988,6 +934,67 @@ mod tests {
             assert_eq!(scalar, batched, "{arbitration}");
             assert_eq!(a0.total_stats(), b0.total_stats(), "{arbitration}");
             assert_eq!(a1.total_stats(), b1.total_stats(), "{arbitration}");
+        }
+    }
+
+    /// Everything one cache level decided: statistics, contents (set,
+    /// way, line, owner) and the dirty-line count.
+    type LevelState = (CacheStats, Vec<(u32, u32, u64, u16)>, usize);
+
+    /// The [`LevelState`] of every level of `h`.
+    fn levels_state(h: &Hierarchy) -> Vec<LevelState> {
+        [h.l1i(), h.l1d()]
+            .into_iter()
+            .chain(h.unified_levels())
+            .map(|c| {
+                let contents: Vec<_> =
+                    c.contents().map(|(s, w, l, o)| (s, w, l.as_u64(), o.as_u16())).collect();
+                (*c.stats(), contents, c.dirty_lines())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn private_platform_composes_each_walk_with_memory() {
+        // A finite core on a private platform walks each op through its
+        // private levels at merge time and composes the walk with
+        // memory. Op by op, that must add up to what the hierarchy's own
+        // composition (`access_detailed`) reports on a twin: solo
+        // cycles, off-chip reads and memory-bound writebacks, and the
+        // same caches left behind. No MSHR file, so no read coalesces.
+        let cfg = SystemConfig { mshr: None, ..SystemConfig::default() };
+        let pid = ProcessId::new(1);
+        let ops = TraceOp::mixed_trace(91, 40_000, 1 << 22);
+        for setup in SetupKind::ALL {
+            for depth in HierarchyDepth::ALL {
+                let build = || {
+                    let mut h = setup.build_depth(depth, 7);
+                    h.set_process_seed(pid, Seed::new(0x77));
+                    h.set_write_policy(WritePolicy::WriteBack);
+                    h
+                };
+                let (mut h, mut twin) = (build(), build());
+                let out = batch(
+                    &mut [CoreRun { hierarchy: &mut h, pid, ops: &ops }],
+                    &mut [],
+                    None,
+                    &cfg,
+                );
+                let (mut cycles, mut reads, mut writebacks) = (0u64, 0u64, 0u64);
+                for op in &ops {
+                    let t = twin.access_detailed(pid, op.kind, op.addr);
+                    cycles += t.cycles as u64;
+                    reads += t.memory_read(twin.depth()) as u64;
+                    writebacks += t.mem_writebacks as u64;
+                }
+                let label = format!("{setup}/{depth}");
+                let core = out.cores[0];
+                assert_eq!(core.base_cycles, cycles, "{label}: base cycles");
+                assert_eq!(core.mem_reads, reads, "{label}: off-chip reads");
+                assert_eq!(core.mem_writebacks, writebacks, "{label}: memory-bound writebacks");
+                assert!(writebacks > 0, "{label}: no writeback reached memory");
+                assert_eq!(levels_state(&h), levels_state(&twin), "{label}: hierarchies diverge");
+            }
         }
     }
 

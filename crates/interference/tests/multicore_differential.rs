@@ -7,6 +7,13 @@
 //! write-back caches on; on private, shared-LLC and coherent
 //! platforms; and in the segment shape `Machine::run_trace` drives (one
 //! finite core against cyclic co-runners).
+//!
+//! Finite cores walk op by op at merge time in both engines, so the
+//! finite-core axes pin the merge, bus, MSHR and coherence order rather
+//! than two walks. Only co-runners pre-execute, so the segment axis is
+//! the one that compares two walks: buffered co-runner chunks against
+//! the per-op reference, under every arbitration policy and both
+//! shared-level write policies.
 
 use tscache_core::addr::Addr;
 use tscache_core::cache::{Cache, WritePolicy};
@@ -509,25 +516,44 @@ fn segment_axis_execute_is_bit_identical_to_scalar() {
     // segments that share the co-runners (trace position, lookahead
     // and cache state carry over) and, in the production engine, one
     // scratch. Private, shared and coherent platforms × placement ×
-    // replacement × depth, write-back on, under two workloads: plain
-    // traffic everywhere (every core pre-executed), or a primary and
+    // replacement × depth, under two workloads: plain traffic
+    // everywhere (every co-runner pre-executed), or a primary and
     // first co-runner that read, write and flush the coherent segment
-    // beside a second co-runner that never touches it. Engine
-    // outcomes, every private level and the shared LLC must match.
+    // beside a second co-runner that never touches it. The bus
+    // arbitration and the shared level's write policy rotate across
+    // the placement × replacement loop, so every arbitration policy
+    // meets both write policies on every platform. Private levels stay
+    // write-back, so their writebacks keep reaching the shared level;
+    // the private platform, which has no shared level, gives the
+    // rotating policy to every level. Engine outcomes, every private
+    // level and the shared LLC must match.
     const SHARED_BASE: u64 = 1 << 20;
-    let cfg = SystemConfig {
-        bus: BusConfig::default(),
-        mshr: Some(MshrConfig { entries: 2, window_ops: 6, stall_cycles: 5 }),
-    };
     let (mut ran_ahead, mut wrapped) = (false, false);
+    let mut covered = std::collections::BTreeSet::new();
+    let mut case = 0usize;
     for platform in ["private", "shared", "coherent"] {
         for coherent_mix in [false, true] {
             for depth in HierarchyDepth::ALL {
                 for placement in PlacementKind::ALL {
                     for replacement in ReplacementKind::ALL {
+                        let arbitration = Arbitration::ALL[case % Arbitration::ALL.len()];
+                        let llc_policy =
+                            [WritePolicy::WriteThrough, WritePolicy::WriteBack][case % 2];
+                        case += 1;
+                        covered.insert((
+                            platform,
+                            arbitration.label(),
+                            llc_policy == WritePolicy::WriteBack,
+                        ));
+                        let cfg = SystemConfig {
+                            bus: BusConfig { arbitration, ..BusConfig::default() },
+                            mshr: Some(MshrConfig { entries: 2, window_ops: 6, stall_cycles: 5 }),
+                        };
                         let mix = if coherent_mix { "coherent-mix" } else { "plain" };
-                        let label =
-                            format!("segment/{platform}/{mix}/{placement}/{replacement}/{depth}");
+                        let label = format!(
+                            "segment/{platform}/{mix}/{placement}/{replacement}/{depth}/\
+                             {arbitration}/{llc_policy:?}"
+                        );
                         let salt = (placement as usize * 64
                             + replacement as usize * 8
                             + depth as usize) as u64
@@ -553,18 +579,15 @@ fn segment_axis_execute_is_bit_identical_to_scalar() {
                                         let policy = WritePolicy::WriteBack;
                                         small_private(placement, replacement, depth, policy, c)
                                     } else {
-                                        let h = small_hierarchy(placement, replacement, depth, c);
+                                        let mut h =
+                                            small_hierarchy(placement, replacement, depth, c);
+                                        h.set_write_policy(llc_policy);
                                         (h, ProcessId::new(1))
                                     }
                                 })
                                 .unzip();
                             let mut llc = shared.then(|| {
-                                small_shared_llc(
-                                    placement,
-                                    replacement,
-                                    WritePolicy::WriteBack,
-                                    &pids,
-                                )
+                                small_shared_llc(placement, replacement, llc_policy, &pids)
                             });
                             if platform == "coherent" {
                                 let llc = llc.as_mut().expect("coherent platforms share an LLC");
@@ -642,6 +665,8 @@ fn segment_axis_execute_is_bit_identical_to_scalar() {
     }
     assert!(ran_ahead, "no pre-executed co-runner ever ran ahead of the merge");
     assert!(wrapped, "no co-runner ever wrapped around its trace");
+    let want = 3 * Arbitration::ALL.len() * 2;
+    assert_eq!(covered.len(), want, "some platform missed an arbitration × write-policy pair");
 }
 
 #[test]

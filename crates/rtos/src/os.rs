@@ -192,7 +192,8 @@ impl TscacheOs {
     /// # Errors
     ///
     /// Configuration errors (a coherent image requested on a private
-    /// platform, an invalid detector config) come back as typed
+    /// platform, an invalid detector config, a bus or MSHR model the
+    /// engine cannot run) come back as typed
     /// [`ConfigError`]s instead of aborting, so a campaign runner can
     /// quarantine the scenario and keep going.
     pub fn try_new(
@@ -208,6 +209,9 @@ impl TscacheOs {
         }
         if let Some(detector) = &config.detector {
             detector.validate()?;
+        }
+        if let Some(system) = &config.interference {
+            system.validate()?;
         }
         let schedule = Schedule::build(&app);
         let mut layout = Layout::new(0x20_0000);
@@ -720,6 +724,27 @@ mod tests {
             panic!("coherent image on a private platform must be rejected")
         };
         assert!(err.to_string().contains("shared"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn unrunnable_bus_and_mshr_models_are_typed_errors() {
+        use tscache_interference::{Arbitration, BusConfig, MshrConfig};
+        let tdma =
+            BusConfig { arbitration: Arbitration::Tdma { slot_cycles: 0 }, service_cycles: 8 };
+        let no_entries = Some(MshrConfig { entries: 0, ..MshrConfig::default() });
+        for system in [
+            SystemConfig { bus: tdma, ..SystemConfig::default() },
+            SystemConfig { mshr: no_entries, ..SystemConfig::default() },
+        ] {
+            let config =
+                OsConfig { interference: Some(system), shared_llc: true, ..OsConfig::default() };
+            let Err(err) =
+                TscacheOs::try_new(Application::figure3_example(), SetupKind::TsCache, config)
+            else {
+                panic!("the engine cannot run this bus or MSHR model")
+            };
+            assert!(err.to_string().contains("> 0"), "unhelpful error: {err}");
+        }
     }
 
     #[test]

@@ -150,6 +150,9 @@ impl SamplingConfig {
                 "seed-rotation defenses need shared_llc: there is no shared level to rotate",
             ));
         }
+        if let Some(contention) = &self.contention {
+            contention.system.validate()?;
+        }
         Ok(())
     }
 
@@ -625,6 +628,25 @@ mod tests {
         let err = CryptoNode::try_new(llc_no_shared, Role::Victim, &[1; 16]).unwrap_err();
         assert!(err.to_string().contains("shared_llc"));
         assert!(collect_pair(llc_no_shared, &[0; 16], &[1; 16]).is_err());
+    }
+
+    #[test]
+    fn unrunnable_bus_and_mshr_models_are_config_errors() {
+        use tscache_interference::{Arbitration, BusConfig, MshrConfig, SystemConfig};
+        let tdma =
+            BusConfig { arbitration: Arbitration::Tdma { slot_cycles: 0 }, service_cycles: 8 };
+        let no_entries = Some(MshrConfig { entries: 0, ..MshrConfig::default() });
+        for system in [
+            SystemConfig { bus: tdma, ..SystemConfig::default() },
+            SystemConfig { mshr: no_entries, ..SystemConfig::default() },
+        ] {
+            let mut bad = cfg(SetupKind::TsCache, 10);
+            bad.contention = Some(ContentionConfig { system, ..ContentionConfig::default() });
+            assert!(bad.validate().is_err());
+            let err = CryptoNode::try_new(bad, Role::Victim, &[1; 16]).unwrap_err();
+            assert!(err.to_string().contains("> 0"), "{err}");
+            assert!(collect_pair(bad, &[0; 16], &[1; 16]).is_err());
+        }
     }
 
     #[test]

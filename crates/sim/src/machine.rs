@@ -580,16 +580,7 @@ impl Machine {
             for op in ops {
                 let t = self.hierarchy.access_detailed(self.pid, op.kind, op.addr);
                 let ts = self.cycles;
-                for level in 0..depth {
-                    let miss = t.miss_mask >> level & 1 == 1;
-                    r.record(ts, Event::LevelAccess { core: 0, level: level as u8, hit: !miss });
-                    if !miss {
-                        break;
-                    }
-                }
-                if t.mem_writebacks > 0 {
-                    r.record(ts, Event::Writeback { core: 0, count: t.mem_writebacks });
-                }
+                r.record_walk(ts, 0, depth, t.miss_mask, t.mem_writebacks);
                 r.record(ts, Event::Op { core: 0, cycles: t.cycles, miss_mask: t.miss_mask });
                 self.cycles += t.cycles as u64;
             }

@@ -84,6 +84,25 @@ impl TraceRecorder {
         }
     }
 
+    /// Records the walk view of one op of `core` at `ts`: a
+    /// [`Event::LevelAccess`] per consulted level of a `depth`-level
+    /// walk (level `l` is consulted iff every lower level missed, as
+    /// `miss_mask` says; the walk stops at the first hit), then an
+    /// [`Event::Writeback`] when the op sent `writebacks` > 0 lines to
+    /// memory.
+    pub fn record_walk(&mut self, ts: u64, core: u8, depth: usize, miss_mask: u8, writebacks: u8) {
+        for level in 0..depth {
+            let miss = miss_mask >> level & 1 == 1;
+            self.record(ts, Event::LevelAccess { core, level: level as u8, hit: !miss });
+            if !miss {
+                break;
+            }
+        }
+        if writebacks > 0 {
+            self.record(ts, Event::Writeback { core, count: writebacks });
+        }
+    }
+
     /// Digest of the full recorded stream (timestamps + events, in
     /// order) — independent of ring capacity.
     pub fn digest(&self) -> u64 {
