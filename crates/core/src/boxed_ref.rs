@@ -179,10 +179,10 @@ impl BoxedCache {
         let mut redirected = false;
         let mut way = match self.find_invalid_way(set, lo, hi) {
             Some(w) => w,
-            None if full_width => self.replacement.victim(set, &mut self.rng),
+            None if full_width => self.replacement.victim(set, lo, hi, &mut self.rng),
             None => {
                 let i = self.part_rng_index(pid);
-                self.replacement.victim_in(set, lo, hi, &mut self.part_rngs[i].1)
+                self.replacement.victim(set, lo, hi, &mut self.part_rngs[i].1)
             }
         };
 
@@ -197,10 +197,10 @@ impl BoxedCache {
                 redirected = true;
                 way = match self.find_invalid_way(set, lo, hi) {
                     Some(w) => w,
-                    None if full_width => self.replacement.victim(set, &mut self.rng),
+                    None if full_width => self.replacement.victim(set, lo, hi, &mut self.rng),
                     None => {
                         let i = self.part_rng_index(pid);
-                        self.replacement.victim_in(set, lo, hi, &mut self.part_rngs[i].1)
+                        self.replacement.victim(set, lo, hi, &mut self.part_rngs[i].1)
                     }
                 };
             }

@@ -107,10 +107,6 @@ impl Placement for HashRp {
         folded & mask
     }
 
-    fn name(&self) -> &'static str {
-        "hash-rp"
-    }
-
     fn mbpta_class(&self) -> MbptaClass {
         MbptaClass::FullRandom
     }

@@ -35,10 +35,6 @@ impl Placement for IdealRandom {
             & (self.sets - 1) as u64) as u32
     }
 
-    fn name(&self) -> &'static str {
-        "ideal-random"
-    }
-
     fn mbpta_class(&self) -> MbptaClass {
         MbptaClass::FullRandom
     }

@@ -94,9 +94,6 @@ pub trait Placement: fmt::Debug + Send {
     /// their per-seed state lazily; pure policies ignore the mutability.
     fn place(&mut self, line: LineAddr, seed: Seed) -> u32;
 
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-
     /// The policy's MBPTA-compliance class (paper §2–§4).
     fn mbpta_class(&self) -> MbptaClass;
 
@@ -199,7 +196,7 @@ impl PlacementEngine {
 
     /// Short policy name for reports.
     pub fn name(&self) -> &'static str {
-        place_dispatch!(self, p => Placement::name(p))
+        self.kind().label()
     }
 
     /// The policy's MBPTA-compliance class (paper §2–§4).
@@ -289,6 +286,18 @@ impl PlacementKind {
         PlacementEngine::new(self, geom)
     }
 
+    /// Short policy name for reports (also the `Display` form).
+    pub const fn label(self) -> &'static str {
+        match self {
+            PlacementKind::Modulo => "modulo",
+            PlacementKind::XorIndex => "xor-index",
+            PlacementKind::RpCache => "rpcache",
+            PlacementKind::HashRp => "hash-rp",
+            PlacementKind::RandomModulo => "random-modulo",
+            PlacementKind::IdealRandom => "ideal-random",
+        }
+    }
+
     /// All kinds, in presentation order.
     pub const ALL: [PlacementKind; 6] = [
         PlacementKind::Modulo,
@@ -302,15 +311,7 @@ impl PlacementKind {
 
 impl fmt::Display for PlacementKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            PlacementKind::Modulo => "modulo",
-            PlacementKind::XorIndex => "xor-index",
-            PlacementKind::RpCache => "rpcache",
-            PlacementKind::HashRp => "hash-rp",
-            PlacementKind::RandomModulo => "random-modulo",
-            PlacementKind::IdealRandom => "ideal-random",
-        };
-        f.write_str(s)
+        f.write_str(self.label())
     }
 }
 
@@ -385,7 +386,7 @@ mod tests {
             let mut engine = kind.engine(&geom);
             let mut boxed = kind.build(&geom);
             assert_eq!(engine.kind(), kind);
-            assert_eq!(engine.name(), boxed.name());
+            assert_eq!(engine.name(), kind.to_string());
             assert_eq!(engine.sets(), boxed.sets());
             assert_eq!(engine.mbpta_class(), boxed.mbpta_class());
             assert_eq!(engine.randomizes_interference(), boxed.randomizes_interference());
@@ -408,7 +409,11 @@ mod tests {
 
     #[test]
     fn display_names_are_stable() {
-        assert_eq!(PlacementKind::RandomModulo.to_string(), "random-modulo");
+        let names = PlacementKind::ALL.map(|kind| kind.to_string());
+        assert_eq!(
+            names,
+            ["modulo", "xor-index", "rpcache", "hash-rp", "random-modulo", "ideal-random"]
+        );
         assert_eq!(MbptaClass::PartialApop.to_string(), "partial APOP-fixed randomness (mbpta-p3)");
     }
 }

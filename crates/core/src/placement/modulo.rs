@@ -48,10 +48,6 @@ impl Placement for Modulo {
         line.index_bits(self.index_bits) as u32
     }
 
-    fn name(&self) -> &'static str {
-        "modulo"
-    }
-
     fn mbpta_class(&self) -> MbptaClass {
         MbptaClass::Deterministic
     }

@@ -71,10 +71,6 @@ impl Placement for RandomModulo {
         self.network.apply(data, control)
     }
 
-    fn name(&self) -> &'static str {
-        "random-modulo"
-    }
-
     fn mbpta_class(&self) -> MbptaClass {
         MbptaClass::PartialApop
     }

@@ -84,10 +84,6 @@ impl Placement for RpCachePerm {
         self.table(seed).perm[idx] as u32
     }
 
-    fn name(&self) -> &'static str {
-        "rpcache"
-    }
-
     fn mbpta_class(&self) -> MbptaClass {
         MbptaClass::AddressDependent
     }

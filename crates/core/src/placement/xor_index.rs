@@ -59,10 +59,6 @@ impl Placement for XorIndex {
         ((line.index_bits(self.index_bits) ^ r) & mask) as u32
     }
 
-    fn name(&self) -> &'static str {
-        "xor-index"
-    }
-
     fn mbpta_class(&self) -> MbptaClass {
         MbptaClass::AddressDependent
     }

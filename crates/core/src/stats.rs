@@ -86,24 +86,8 @@ impl CacheStats {
         self.ttl_expiries += 1;
     }
 
-    /// Records an aggregated batch of accesses in one update (the
-    /// amortized bookkeeping path of `Cache::access_batch`).
-    #[inline]
-    pub fn record_batch(
-        &mut self,
-        hits: u64,
-        misses: u64,
-        evictions: u64,
-        cross_process_evictions: u64,
-    ) {
-        self.hits += hits;
-        self.misses += misses;
-        self.evictions += evictions;
-        self.cross_process_evictions += cross_process_evictions;
-    }
-
-    /// Records `n` writebacks in one update (the batch path's amortized
-    /// counterpart of [`record_writeback`](Self::record_writeback)).
+    /// Records `n` writebacks in one update (the dirty lines a flush
+    /// drains).
     #[inline]
     pub fn record_writebacks(&mut self, n: u64) {
         self.writebacks += n;
