@@ -22,7 +22,6 @@
 //! the defense working as designed, and its miss transient must not
 //! read as an attack.
 
-use std::collections::VecDeque;
 use tscache_core::error::ConfigError;
 use tscache_core::pmu::PmuDelta;
 
@@ -49,10 +48,6 @@ pub struct DetectorConfig {
     /// Windows to discard after each OS-owned flush (the flush
     /// transient is expected churn, not an attack).
     pub flush_mask_windows: u32,
-    /// Sliding history length used for the smoothed score
-    /// ([`DetectorReport::peak_smoothed`]); the raw per-window score
-    /// drives events.
-    pub history: usize,
 }
 
 impl Default for DetectorConfig {
@@ -63,7 +58,6 @@ impl Default for DetectorConfig {
             inval_weight: 4.0,
             cross_weight: 0.0,
             flush_mask_windows: 1,
-            history: 8,
         }
     }
 }
@@ -131,8 +125,6 @@ pub struct DetectorReport {
     pub events: Vec<DetectionEvent>,
     /// Highest single-window score seen (0 when no windows scored).
     pub max_score: f64,
-    /// Highest sliding-mean score over the configured history length.
-    pub peak_smoothed: f64,
 }
 
 impl DetectorReport {
@@ -156,18 +148,12 @@ pub struct SlidingWindowDetector {
     cfg: DetectorConfig,
     report: DetectorReport,
     mask_remaining: u32,
-    recent: VecDeque<f64>,
 }
 
 impl SlidingWindowDetector {
     /// Creates a detector with the given configuration.
     pub fn new(cfg: DetectorConfig) -> Self {
-        SlidingWindowDetector {
-            cfg,
-            report: DetectorReport::default(),
-            mask_remaining: 0,
-            recent: VecDeque::with_capacity(cfg.history.max(1)),
-        }
+        SlidingWindowDetector { cfg, report: DetectorReport::default(), mask_remaining: 0 }
     }
 
     /// The configuration in force.
@@ -205,16 +191,6 @@ impl SlidingWindowDetector {
         self.report.deltas.push(delta.clone());
         if score > self.report.max_score {
             self.report.max_score = score;
-        }
-        if self.cfg.history > 0 {
-            if self.recent.len() == self.cfg.history {
-                self.recent.pop_front();
-            }
-            self.recent.push_back(score);
-            let mean = self.recent.iter().sum::<f64>() / self.recent.len() as f64;
-            if mean > self.report.peak_smoothed {
-                self.report.peak_smoothed = mean;
-            }
         }
         if score > self.cfg.threshold {
             let miss_term = delta.miss_rate();
@@ -290,6 +266,8 @@ mod tests {
         assert_eq!(event.kind, DetectionKind::MissRate);
         assert_eq!(event.window, 1);
         assert_eq!(det.report().first_detection(), Some(1));
+        det.ingest(&delta(100, 0, 0, 0)); // score 0.0
+        assert_eq!(det.report().max_score, event.score, "a quiet window lowered the peak");
     }
 
     #[test]
@@ -321,16 +299,5 @@ mod tests {
         assert!(bad.validate().is_err());
         let nan = DetectorConfig { threshold: f64::NAN, ..DetectorConfig::default() };
         assert!(nan.validate().is_err());
-    }
-
-    #[test]
-    fn smoothed_peak_tracks_history_mean() {
-        let cfg = DetectorConfig { history: 2, threshold: 10.0, ..DetectorConfig::default() };
-        let mut det = SlidingWindowDetector::new(cfg);
-        det.ingest(&delta(0, 100, 0, 0)); // score 1.0
-        det.ingest(&delta(100, 0, 0, 0)); // score 0.0
-        let report = det.into_report();
-        assert!((report.peak_smoothed - 1.0).abs() < 1e-12, "{}", report.peak_smoothed);
-        assert!((report.max_score - 1.0).abs() < 1e-12);
     }
 }
