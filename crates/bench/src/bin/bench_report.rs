@@ -5,9 +5,10 @@
 //! Metrics:
 //!
 //! * cache accesses/sec — boxed-dispatch baseline vs enum-dispatch
-//!   scalar vs the batch API, measured **in the same run** on the same
-//!   recorded trace (the dispatch-overhaul speedup), once on a trace
-//!   that fits the placement memo and once on one that overflows it
+//!   scalar vs `Cache::access_batch` (a loop over the scalar access),
+//!   measured **in the same run** on the same recorded trace (the
+//!   dispatch-overhaul speedup), once on a trace that fits the
+//!   placement memo and once on one that overflows it
 //!   (`cache/<placement>/overflow/*`);
 //! * placements/sec per placement policy, unmemoized, through boxed and
 //!   enum dispatch (`placement/*`, `placement-l2/*`);

@@ -34,10 +34,11 @@ fn overflow_trace() -> Vec<LineAddr> {
 }
 
 /// The dispatch-overhaul comparison, measured in one run: the boxed
-/// seed implementation, the enum-dispatch scalar path, and the batch
-/// API, on the same recorded trace, for `placement` with random
-/// replacement. It runs [`dispatch_trace`] as `cache/<placement>/*` and
-/// `overflow_trace` as `cache/<placement>/overflow/*`.
+/// seed implementation, the enum-dispatch scalar path, and
+/// `Cache::access_batch` (a loop over it), on the same recorded trace,
+/// for `placement` with random replacement. It runs [`dispatch_trace`]
+/// as `cache/<placement>/*` and `overflow_trace` as
+/// `cache/<placement>/overflow/*`.
 pub fn cache_dispatch_suite(placement: PlacementKind, min_ms: u64) -> Vec<Measurement> {
     let pid = ProcessId::new(1);
     let geom = CacheGeometry::paper_l1();
