@@ -1,7 +1,7 @@
 //! End-to-end hierarchy access throughput for each of the paper's four
 //! setups (simulator speed is what bounds attack sample counts), plus
-//! the raw-cache dispatch comparison: boxed baseline vs enum-dispatch
-//! scalar vs `Cache::access_batch` (a loop over the scalar access).
+//! one raw cache level: the scalar `Cache::access` path vs
+//! `Cache::access_batch` (a loop over the scalar access).
 
 use std::hint::black_box;
 use tscache_bench::harness::{bench, render_table};

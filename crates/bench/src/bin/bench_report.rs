@@ -4,14 +4,13 @@
 //!
 //! Metrics:
 //!
-//! * cache accesses/sec — boxed-dispatch baseline vs enum-dispatch
-//!   scalar vs `Cache::access_batch` (a loop over the scalar access),
-//!   measured **in the same run** on the same recorded trace (the
-//!   dispatch-overhaul speedup), once on a trace that fits the
-//!   placement memo and once on one that overflows it
-//!   (`cache/<placement>/overflow/*`);
-//! * placements/sec per placement policy, unmemoized, through boxed and
-//!   enum dispatch (`placement/*`, `placement-l2/*`);
+//! * cache accesses/sec — the scalar `Cache::access` path (`enum`) vs
+//!   `Cache::access_batch` (`batch`, a loop over the scalar access),
+//!   measured **in the same run** on the same recorded trace, once on a
+//!   trace that fits the placement memo and once on one that overflows
+//!   it (`cache/<placement>/overflow/*`);
+//! * placements/sec per placement policy, unmemoized, through the
+//!   placement engine (`placement/*/enum`, `placement-l2/*/enum`);
 //! * hierarchy accesses/sec — the per-op `Hierarchy::access` walk on
 //!   an L2-heavy trace, on two- and three-level setups;
 //! * simulated-AES encryptions/sec per cache setup, at both hierarchy
@@ -176,10 +175,6 @@ fn main() {
     let rate = |name: &str| {
         results.iter().find(|m| m.name == name).map(|m| m.per_sec()).unwrap_or(f64::NAN)
     };
-    let speedup_enum_modulo = rate("cache/modulo/enum") / rate("cache/modulo/boxed");
-    let speedup_batch_modulo = rate("cache/modulo/batch") / rate("cache/modulo/boxed");
-    let speedup_enum_rm = rate("cache/random-modulo/enum") / rate("cache/random-modulo/boxed");
-    let speedup_batch_rm = rate("cache/random-modulo/batch") / rate("cache/random-modulo/boxed");
     let contention_rr = rate("machine/tscache-l2-round-robin/contended")
         / rate("machine/tscache-l2-round-robin/solo");
     let contention_tdma =
@@ -209,10 +204,6 @@ fn main() {
     let extra = [
         ("pr", pr as f64),
         ("threads", parallel::thread_count() as f64),
-        ("speedup_enum_vs_boxed_modulo", speedup_enum_modulo),
-        ("speedup_batch_vs_boxed_modulo", speedup_batch_modulo),
-        ("speedup_enum_vs_boxed_random_modulo", speedup_enum_rm),
-        ("speedup_batch_vs_boxed_random_modulo", speedup_batch_rm),
         ("throughput_ratio_contended_round_robin", contention_rr),
         ("throughput_ratio_contended_tdma", contention_tdma),
         ("throughput_ratio_bernstein_contended", bernstein_contended_ratio),
@@ -233,9 +224,6 @@ fn main() {
 
     print!("{}", render_table(&results));
     println!();
-    println!("speedup vs boxed baseline (same run):");
-    println!("  modulo:        enum {speedup_enum_modulo:.2}x, batch {speedup_batch_modulo:.2}x");
-    println!("  random-modulo: enum {speedup_enum_rm:.2}x, batch {speedup_batch_rm:.2}x");
     println!("contended vs solo throughput (same run):");
     println!("  machine run_trace: round-robin {contention_rr:.2}x, tdma {contention_tdma:.2}x");
     println!("  bernstein sampling: {bernstein_contended_ratio:.2}x");

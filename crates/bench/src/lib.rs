@@ -20,8 +20,8 @@
 //! container has no network access, so Criterion is replaced by a
 //! small self-contained timer) cover simulator throughput: placement
 //! policies, cache accesses, simulated AES, and attack analysis. The
-//! `bench_report` binary runs the headline metrics — boxed-dispatch
-//! baseline vs enum-dispatch scalar vs batch, simulated-AES
+//! `bench_report` binary runs the headline metrics — scalar vs batch
+//! cache accesses, placement cost per policy, simulated-AES
 //! encryptions/sec, Bernstein samples/sec — and emits a
 //! `BENCH_PR<N>.json` perf-trajectory artifact.
 

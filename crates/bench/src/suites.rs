@@ -6,18 +6,17 @@
 use crate::harness::{bench, Measurement};
 use std::hint::black_box;
 use tscache_core::addr::{Addr, LineAddr};
-use tscache_core::boxed_ref::BoxedCache;
 use tscache_core::cache::Cache;
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::hierarchy::TraceOp;
-use tscache_core::placement::PlacementKind;
+use tscache_core::placement::{PlacementEngine, PlacementKind};
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
 use tscache_interference::{Arbitration, BusConfig, ContentionConfig, SystemConfig};
 use tscache_sim::machine::Machine;
 
-/// The standard access trace for the dispatch comparison: a 24 KiB
+/// The standard access trace for the cache-level rows: a 24 KiB
 /// working set cycled over the paper's 16 KiB L1, mixing hits and
 /// misses. Its 768 lines fit the L1's 1024-entry placement memo, so the
 /// memoized placements almost always hit it.
@@ -33,28 +32,18 @@ fn overflow_trace() -> Vec<LineAddr> {
     (0..8192u64).map(|i| LineAddr::new((i * 7) % 4096)).collect()
 }
 
-/// The dispatch-overhaul comparison, measured in one run: the boxed
-/// seed implementation, the enum-dispatch scalar path, and
-/// `Cache::access_batch` (a loop over it), on the same recorded trace,
-/// for `placement` with random replacement. It runs [`dispatch_trace`]
-/// as `cache/<placement>/*` and `overflow_trace` as
-/// `cache/<placement>/overflow/*`.
+/// One cache level measured in one run: the scalar `Cache::access`
+/// path (`enum`) and `Cache::access_batch` (`batch`, a loop over it),
+/// on the same recorded trace, for `placement` with random
+/// replacement. It runs [`dispatch_trace`] as `cache/<placement>/*`
+/// and `overflow_trace` as `cache/<placement>/overflow/*`.
 pub fn cache_dispatch_suite(placement: PlacementKind, min_ms: u64) -> Vec<Measurement> {
     let pid = ProcessId::new(1);
     let geom = CacheGeometry::paper_l1();
-    let mut results = Vec::with_capacity(6);
+    let mut results = Vec::with_capacity(4);
 
     for (trace, lines) in [("", dispatch_trace()), ("/overflow", overflow_trace())] {
         let prefix = format!("cache/{placement}{trace}");
-
-        let mut boxed = BoxedCache::new(geom, placement, ReplacementKind::Random, 7);
-        boxed.set_seed(pid, Seed::new(42));
-        results.push(bench(format!("{prefix}/boxed"), "accesses", min_ms, || {
-            for &l in &lines {
-                black_box(boxed.access(pid, black_box(l)));
-            }
-            lines.len() as u64
-        }));
 
         let mut scalar = Cache::new("b", geom, placement, ReplacementKind::Random, 7);
         scalar.set_seed(pid, Seed::new(42));
@@ -76,10 +65,10 @@ pub fn cache_dispatch_suite(placement: PlacementKind, min_ms: u64) -> Vec<Measur
     results
 }
 
-/// Placement-function cost per design, unmemoized: every policy at the
-/// paper's L1 geometry through boxed (`Box<dyn Placement>`) and enum
-/// dispatch as `placement/<kind>/{boxed,enum}`, then the two L2
-/// policies' engines at the L2 geometry as `placement-l2/<kind>/enum`.
+/// Placement-function cost per design, unmemoized: every policy's
+/// engine at the paper's L1 geometry as `placement/<kind>/enum`, then
+/// the two L2 policies' engines at the L2 geometry as
+/// `placement-l2/<kind>/enum`.
 /// A stride-97 (L1) or stride-131 (L2) line walk gives every call a
 /// new line. The §6.2.3 "no operating-frequency degradation"
 /// claim makes placement cheap combinational logic in hardware; this
@@ -90,17 +79,7 @@ pub fn placement_suite(min_ms: u64) -> Vec<Measurement> {
     let seed = Seed::new(0xdead_beef);
 
     for kind in PlacementKind::ALL {
-        let mut boxed = kind.build(&geom);
-        let mut line = 0u64;
-        results.push(bench(format!("placement/{kind}/boxed"), "placements", min_ms, || {
-            for _ in 0..8192u64 {
-                line = line.wrapping_add(97);
-                black_box(boxed.place(LineAddr::new(black_box(line)), seed));
-            }
-            8192
-        }));
-
-        let mut engine = kind.engine(&geom);
+        let mut engine = PlacementEngine::new(kind, &geom);
         let mut line = 0u64;
         results.push(bench(format!("placement/{kind}/enum"), "placements", min_ms, || {
             for _ in 0..8192u64 {
@@ -113,7 +92,7 @@ pub fn placement_suite(min_ms: u64) -> Vec<Measurement> {
 
     let l2 = CacheGeometry::paper_l2();
     for kind in [PlacementKind::Modulo, PlacementKind::HashRp] {
-        let mut engine = kind.engine(&l2);
+        let mut engine = PlacementEngine::new(kind, &l2);
         let mut line = 0u64;
         results.push(bench(format!("placement-l2/{kind}/enum"), "placements", min_ms, || {
             for _ in 0..8192u64 {
@@ -726,16 +705,14 @@ mod tests {
     }
 
     #[test]
-    fn suite_reports_three_dispatch_variants() {
+    fn suite_reports_scalar_and_batch_rows() {
         let results = cache_dispatch_suite(PlacementKind::Modulo, 1);
         let names: Vec<&str> = results.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
             names,
             [
-                "cache/modulo/boxed",
                 "cache/modulo/enum",
                 "cache/modulo/batch",
-                "cache/modulo/overflow/boxed",
                 "cache/modulo/overflow/enum",
                 "cache/modulo/overflow/batch"
             ]
@@ -755,10 +732,8 @@ mod tests {
     fn placement_suite_reports_every_kind_and_the_l2_engines() {
         let results = placement_suite(1);
         let names: Vec<&str> = results.iter().map(|m| m.name.as_str()).collect();
-        let mut expected: Vec<String> = PlacementKind::ALL
-            .iter()
-            .flat_map(|k| [format!("placement/{k}/boxed"), format!("placement/{k}/enum")])
-            .collect();
+        let mut expected: Vec<String> =
+            PlacementKind::ALL.iter().map(|k| format!("placement/{k}/enum")).collect();
         expected.push("placement-l2/modulo/enum".into());
         expected.push("placement-l2/hash-rp/enum".into());
         assert_eq!(names, expected);

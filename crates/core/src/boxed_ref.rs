@@ -1,35 +1,35 @@
-//! The original boxed-dispatch cache, preserved verbatim as a
-//! reference implementation.
+//! The seed repository's cache layout, kept as a structural reference.
 //!
-//! [`BoxedCache`] is the pre-optimization `Cache`: `Box<dyn Placement>`
-//! / `Box<dyn Replacement>` dispatch, parallel `Vec<u64>`/`Vec<bool>`
-//! metadata arrays, and linear scans for partitions and protected
-//! ranges. It exists for two purposes:
-//!
-//! 1. **differential testing** — the enum-dispatch
-//!    [`Cache`](crate::cache::Cache) must produce identical access
-//!    outcomes on any trace (`tests/engine_equivalence.rs`);
-//! 2. **perf baselining** — `bench_report` measures the boxed and
-//!    enum engines in the same run so every PR records a dispatch-
-//!    overhead trajectory.
+//! [`BoxedCache`] keeps the pre-optimization `Cache`'s structure:
+//! parallel `Vec<u64>`/`Vec<bool>` metadata arrays, linear scans for
+//! partitions and protected ranges, and its own fill-way code. It
+//! calls the same [`PlacementEngine`] and [`ReplacementEngine`] as
+//! [`Cache`](crate::cache::Cache), so it checks the cache's structure
+//! (tag store, fill-way choice, RPCache redirect, flush reset) and no
+//! longer checks dispatch: the differential tests
+//! (`tests/engine_equivalence.rs`, `tests/flush_determinism.rs`,
+//! `tests/hierarchy_differential.rs`) require identical access
+//! outcomes on any trace. It has no dirty state, no flush cascade, no
+//! TTL and no normalization; one reference model that covers those is
+//! planned to replace it.
 //!
 //! It is not used by any simulator or attack code path.
 
 use crate::addr::LineAddr;
 use crate::cache::{AccessOutcome, EvictedLine};
 use crate::geometry::CacheGeometry;
-use crate::placement::{Placement, PlacementKind};
+use crate::placement::{PlacementEngine, PlacementKind};
 use crate::prng::{mix64, SplitMix64};
-use crate::replacement::{Replacement, ReplacementKind};
+use crate::replacement::{ReplacementEngine, ReplacementKind};
 use crate::seed::{ProcessId, Seed, SeedTable};
 use crate::stats::CacheStats;
 
-/// The seed repository's original set-associative cache (boxed trait
-/// objects, scattered metadata, linear configuration scans).
+/// The seed repository's original set-associative cache (scattered
+/// metadata, linear configuration scans).
 pub struct BoxedCache {
     geom: CacheGeometry,
-    placement: Box<dyn Placement>,
-    replacement: Box<dyn Replacement>,
+    placement: PlacementEngine,
+    replacement: ReplacementEngine,
     tags: Vec<u64>,
     valid: Vec<bool>,
     owners: Vec<u16>,
@@ -58,8 +58,8 @@ impl BoxedCache {
         let n = geom.total_lines() as usize;
         BoxedCache {
             geom,
-            placement: placement.build(&geom),
-            replacement: replacement.build(&geom),
+            placement: PlacementEngine::new(placement, &geom),
+            replacement: ReplacementEngine::new(replacement, &geom),
             tags: vec![0; n],
             valid: vec![false; n],
             owners: vec![0; n],

@@ -7,9 +7,9 @@
 //! Every experiment in the reproduction funnels through
 //! [`Cache::access`], so the model is organized for throughput:
 //!
-//! * placement and replacement run through enum-dispatch engines
-//!   ([`PlacementEngine`]/[`ReplacementEngine`]) — direct, inlinable
-//!   match arms instead of `Box<dyn …>` virtual calls;
+//! * placement and replacement run through the policy engines
+//!   ([`PlacementEngine`]/[`ReplacementEngine`]), the only way to build
+//!   and call a policy — direct, inlinable match arms;
 //! * per-line metadata is packed: one contiguous `tags` array using a
 //!   sentinel value ([`INVALID_TAG`]) for invalid lines, plus one
 //!   `LineMeta` byte-pair array (owner + flag byte), so a set's ways
@@ -25,10 +25,10 @@
 //! fill-way choice serves both the normal fill and an RPCache
 //! redirect.
 //!
-//! The original boxed-dispatch implementation survives as
-//! [`BoxedCache`](crate::boxed_ref::BoxedCache) for differential tests
-//! and dispatch-overhead baselining; both draw identical randomness
-//! streams and produce identical access outcomes.
+//! The seed repository's cache layout survives as
+//! [`BoxedCache`](crate::boxed_ref::BoxedCache), a structural reference
+//! for differential tests: it calls the same engines, draws identical
+//! randomness streams and produces identical access outcomes.
 
 use crate::addr::LineAddr;
 use crate::defense::TtlConfig;
@@ -343,7 +343,7 @@ impl Cache {
         rng_seed: u64,
     ) -> Self {
         let n = geom.total_lines() as usize;
-        let placement = placement.engine(&geom);
+        let placement = PlacementEngine::new(placement, &geom);
         let place_memo = if placement.memoizable() {
             let entries =
                 n.next_power_of_two().clamp(PLACE_MEMO_MIN_ENTRIES, PLACE_MEMO_MAX_ENTRIES);
@@ -356,7 +356,7 @@ impl Cache {
             geom,
             ways: geom.ways(),
             placement,
-            replacement: replacement.engine(&geom),
+            replacement: ReplacementEngine::new(replacement, &geom),
             tags: vec![INVALID_TAG; n],
             meta: vec![LineMeta::EMPTY; n],
             protected_ranges: Vec::new(),

@@ -57,9 +57,9 @@ pub use defense::{DefenseKind, RotationPolicy, TtlConfig};
 pub use error::ConfigError;
 pub use geometry::CacheGeometry;
 pub use hierarchy::{AccessKind, Hierarchy, Latencies, OpTiming, TraceOp};
-pub use placement::{MbptaClass, Placement, PlacementEngine, PlacementKind};
+pub use placement::{MbptaClass, PlacementEngine, PlacementKind};
 pub use pmu::{PmuCounters, PmuDelta, PmuSampler, PmuSnapshot};
-pub use replacement::{Replacement, ReplacementEngine, ReplacementKind};
+pub use replacement::{ReplacementEngine, ReplacementKind};
 pub use seed::{ProcessId, Seed, SeedTable};
 pub use setup::{HierarchyDepth, SeedSharing, SetupKind};
 pub use stats::CacheStats;

@@ -3,7 +3,6 @@
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
-use crate::placement::{MbptaClass, Placement};
 use crate::prng::mix64;
 use crate::seed::Seed;
 
@@ -35,10 +34,10 @@ use crate::seed::Seed;
 /// ```
 /// use tscache_core::addr::LineAddr;
 /// use tscache_core::geometry::CacheGeometry;
-/// use tscache_core::placement::{HashRp, Placement};
+/// use tscache_core::placement::HashRp;
 /// use tscache_core::seed::Seed;
 ///
-/// let mut p = HashRp::new(&CacheGeometry::paper_l2());
+/// let p = HashRp::new(&CacheGeometry::paper_l2());
 /// let a = LineAddr::new(0x12345);
 /// // The same address relocates as the seed changes:
 /// assert_ne!(p.place(a, Seed::new(1)), p.place(a, Seed::new(2)));
@@ -56,6 +55,16 @@ impl HashRp {
     /// Creates HashRP placement for `geom`.
     pub fn new(geom: &CacheGeometry) -> Self {
         HashRp { index_bits: geom.index_bits(), sets: geom.sets() }
+    }
+
+    /// Maps `line` under `seed` to its set.
+    #[inline]
+    pub fn place(&self, line: LineAddr, seed: Seed) -> u32 {
+        let h = self.hash16(line.as_u64(), seed.as_u64()) as u32;
+        // Fold all 16 hash bits down to the index width.
+        let mask = self.sets - 1;
+        let folded = h ^ (h >> self.index_bits) ^ (h >> (2 * self.index_bits).min(31));
+        folded & mask
     }
 
     /// The raw 16-bit hash before reduction to the index width.
@@ -93,25 +102,6 @@ fn round(x: u8, k: u8) -> u8 {
     (mix64(((x as u64) << 8) | k as u64) & 0xff) as u8
 }
 
-impl Placement for HashRp {
-    fn sets(&self) -> u32 {
-        self.sets
-    }
-
-    #[inline]
-    fn place(&mut self, line: LineAddr, seed: Seed) -> u32 {
-        let h = self.hash16(line.as_u64(), seed.as_u64()) as u32;
-        // Fold all 16 hash bits down to the index width.
-        let mask = self.sets - 1;
-        let folded = h ^ (h >> self.index_bits) ^ (h >> (2 * self.index_bits).min(31));
-        folded & mask
-    }
-
-    fn mbpta_class(&self) -> MbptaClass {
-        MbptaClass::FullRandom
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +111,7 @@ mod tests {
     fn address_relocates_across_seeds() {
         // mbpta-p2(1): there exist seeds mapping A to different sets
         // and seeds mapping A to the same set.
-        let mut p = HashRp::new(&CacheGeometry::paper_l1());
+        let p = HashRp::new(&CacheGeometry::paper_l1());
         let a = LineAddr::new(0xbeef);
         let placements: Vec<u32> = (0..200).map(|s| p.place(a, Seed::new(s))).collect();
         let distinct: BTreeSet<u32> = placements.iter().copied().collect();
@@ -135,7 +125,7 @@ mod tests {
         // mbpta-p2(2): for some seeds A and B collide, for others not —
         // including pairs with identical modulo index bits and pairs
         // differing in a single address bit.
-        let mut p = HashRp::new(&CacheGeometry::paper_l1());
+        let p = HashRp::new(&CacheGeometry::paper_l1());
         let pairs = [
             (LineAddr::new(0x010), LineAddr::new(0x090)), // same modulo index
             (LineAddr::new(0x010), LineAddr::new(0x011)), // single-bit difference
@@ -160,7 +150,7 @@ mod tests {
     #[test]
     fn roughly_uniform_over_sets() {
         let geom = CacheGeometry::paper_l1();
-        let mut p = HashRp::new(&geom);
+        let p = HashRp::new(&geom);
         let mut counts = vec![0u32; geom.sets() as usize];
         let n = 128_000u64;
         for i in 0..n {
@@ -181,7 +171,7 @@ mod tests {
     #[test]
     fn l2_geometry_in_range() {
         let geom = CacheGeometry::paper_l2();
-        let mut p = HashRp::new(&geom);
+        let p = HashRp::new(&geom);
         for i in 0..10_000u64 {
             assert!(p.place(LineAddr::new(i * 131), Seed::new(i)) < geom.sets());
         }
@@ -189,7 +179,7 @@ mod tests {
 
     #[test]
     fn zero_address_still_moves_with_seed() {
-        let mut p = HashRp::new(&CacheGeometry::paper_l1());
+        let p = HashRp::new(&CacheGeometry::paper_l1());
         let distinct: BTreeSet<u32> =
             (0..50).map(|s| p.place(LineAddr::new(0), Seed::new(s))).collect();
         assert!(distinct.len() > 8);
@@ -200,7 +190,7 @@ mod tests {
         // Pair collision probability should be close to 1/sets, the
         // "random and independent" conflict behaviour of mbpta-p2.
         let geom = CacheGeometry::paper_l1();
-        let mut p = HashRp::new(&geom);
+        let p = HashRp::new(&geom);
         let (a, b) = (LineAddr::new(0x88), LineAddr::new(0x108));
         let n = 60_000u64;
         let collisions =

@@ -2,7 +2,6 @@
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
-use crate::placement::{MbptaClass, Placement};
 use crate::prng::mix64;
 use crate::seed::Seed;
 
@@ -22,21 +21,12 @@ impl IdealRandom {
     pub fn new(geom: &CacheGeometry) -> Self {
         IdealRandom { sets: geom.sets() }
     }
-}
 
-impl Placement for IdealRandom {
-    fn sets(&self) -> u32 {
-        self.sets
-    }
-
+    /// Maps `line` under `seed` to its set.
     #[inline]
-    fn place(&mut self, line: LineAddr, seed: Seed) -> u32 {
+    pub fn place(&self, line: LineAddr, seed: Seed) -> u32 {
         (mix64(line.as_u64().wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed.as_u64())
             & (self.sets - 1) as u64) as u32
-    }
-
-    fn mbpta_class(&self) -> MbptaClass {
-        MbptaClass::FullRandom
     }
 }
 
@@ -47,7 +37,7 @@ mod tests {
     #[test]
     fn uniformity_chi2() {
         let geom = CacheGeometry::paper_l1();
-        let mut p = IdealRandom::new(&geom);
+        let p = IdealRandom::new(&geom);
         let mut counts = vec![0u32; geom.sets() as usize];
         let n = 128_000u64;
         for i in 0..n {
@@ -67,7 +57,7 @@ mod tests {
     #[test]
     fn pair_collision_rate_near_one_over_sets() {
         let geom = CacheGeometry::paper_l1();
-        let mut p = IdealRandom::new(&geom);
+        let p = IdealRandom::new(&geom);
         let (a, b) = (LineAddr::new(100), LineAddr::new(228));
         let n = 50_000u64;
         let collisions =

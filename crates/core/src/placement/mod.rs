@@ -14,10 +14,13 @@
 //! [`IdealRandom`] is an idealized uniform hash used as a gold standard
 //! in property tests.
 //!
-//! Every policy implements [`Placement`]: a deterministic function of
-//! `(line address, seed)`. Stateful behaviour (RPCache's dynamic
-//! remapping on cross-process contention) is exposed through
-//! [`Placement::remap_on_contention`].
+//! Each policy's `place` is a deterministic function of
+//! `(line address, seed)`. [`PlacementEngine::new`] is the one way to
+//! build a policy and the engine the one way to call it; the declared
+//! MBPTA class of each design is one table,
+//! [`PlacementKind::mbpta_class`]. Stateful behaviour (RPCache's
+//! dynamic remapping on cross-process contention) is exposed through
+//! [`PlacementEngine::remap_on_contention`].
 
 mod benes;
 mod hash_rp;
@@ -79,56 +82,28 @@ impl fmt::Display for MbptaClass {
     }
 }
 
-/// A cache placement policy: maps `(line, seed)` to a set index.
-///
-/// Implementations must be deterministic in `(line, seed)` except across
-/// calls to [`remap_on_contention`](Placement::remap_on_contention),
-/// which only RPCache uses.
-pub trait Placement: fmt::Debug + Send {
-    /// Number of sets this policy maps into.
-    fn sets(&self) -> u32;
-
-    /// Maps a line address under `seed` to a set index in `0..sets()`.
-    ///
-    /// Takes `&mut self` so table-based policies (RPCache) can build
-    /// their per-seed state lazily; pure policies ignore the mutability.
-    fn place(&mut self, line: LineAddr, seed: Seed) -> u32;
-
-    /// The policy's MBPTA-compliance class (paper §2–§4).
-    fn mbpta_class(&self) -> MbptaClass;
-
-    /// Whether the policy randomizes cross-process interference
-    /// (RPCache's security mechanism, §3).
-    fn randomizes_interference(&self) -> bool {
-        false
-    }
-
-    /// Reacts to a cross-process contention event on `line` (the
-    /// incoming line whose fill would evict another process's data).
-    ///
-    /// RPCache redirects the fill to a random set and updates its
-    /// permutation so future lookups of the line find it; other
-    /// policies return `None` (no remapping).
-    fn remap_on_contention(
-        &mut self,
-        _line: LineAddr,
-        _seed: Seed,
-        _rng: &mut SplitMix64,
-    ) -> Option<u32> {
-        None
-    }
-}
-
-/// Enum-dispatch placement engine: the hot-path counterpart of the
-/// boxed [`Placement`] objects.
+/// The placement engine: the policies in an enum, so
+/// [`place`](PlacementEngine::place) compiles to a direct match over
+/// inlinable policy bodies.
 ///
 /// Set selection runs on every cache access — hundreds of times per
 /// simulated AES encryption and millions of times per attack campaign.
-/// `PlacementEngine` holds the concrete policies in an enum so
-/// [`place`](PlacementEngine::place) compiles to a direct match over
-/// inlinable policy bodies instead of a virtual call through
-/// `Box<dyn Placement>`. The boxed form stays available through
-/// [`PlacementKind::build`] for extension and differential testing.
+/// [`new`](PlacementEngine::new) is the only way to build a policy,
+/// and the engine the only way to call one.
+///
+/// # Examples
+///
+/// ```
+/// use tscache_core::addr::LineAddr;
+/// use tscache_core::geometry::CacheGeometry;
+/// use tscache_core::placement::{PlacementEngine, PlacementKind};
+/// use tscache_core::seed::Seed;
+///
+/// let geom = CacheGeometry::paper_l1();
+/// let mut p = PlacementEngine::new(PlacementKind::RandomModulo, &geom);
+/// let set = p.place(LineAddr::new(0x1234), Seed::new(99));
+/// assert!(set < geom.sets());
+/// ```
 #[derive(Debug)]
 pub enum PlacementEngine {
     /// Conventional modulo indexing.
@@ -143,19 +118,6 @@ pub enum PlacementEngine {
     RandomModulo(RandomModulo),
     /// Idealized uniform hash.
     IdealRandom(IdealRandom),
-}
-
-macro_rules! place_dispatch {
-    ($self:ident, $inner:ident => $e:expr) => {
-        match $self {
-            PlacementEngine::Modulo($inner) => $e,
-            PlacementEngine::XorIndex($inner) => $e,
-            PlacementEngine::RpCache($inner) => $e,
-            PlacementEngine::HashRp($inner) => $e,
-            PlacementEngine::RandomModulo($inner) => $e,
-            PlacementEngine::IdealRandom($inner) => $e,
-        }
-    };
 }
 
 impl PlacementEngine {
@@ -183,15 +145,19 @@ impl PlacementEngine {
         }
     }
 
-    /// Number of sets this policy maps into.
-    pub fn sets(&self) -> u32 {
-        place_dispatch!(self, p => Placement::sets(p))
-    }
-
-    /// Maps a line address under `seed` to a set index in `0..sets()`.
+    /// Maps a line address under `seed` to a set index in
+    /// `0..geom.sets()`. Takes `&mut self` because RPCache builds its
+    /// per-seed tables lazily.
     #[inline]
     pub fn place(&mut self, line: LineAddr, seed: Seed) -> u32 {
-        place_dispatch!(self, p => p.place(line, seed))
+        match self {
+            PlacementEngine::Modulo(p) => p.place(line, seed),
+            PlacementEngine::XorIndex(p) => p.place(line, seed),
+            PlacementEngine::RpCache(p) => p.place(line, seed),
+            PlacementEngine::HashRp(p) => p.place(line, seed),
+            PlacementEngine::RandomModulo(p) => p.place(line, seed),
+            PlacementEngine::IdealRandom(p) => p.place(line, seed),
+        }
     }
 
     /// Short policy name for reports.
@@ -199,12 +165,8 @@ impl PlacementEngine {
         self.kind().label()
     }
 
-    /// The policy's MBPTA-compliance class (paper §2–§4).
-    pub fn mbpta_class(&self) -> MbptaClass {
-        place_dispatch!(self, p => p.mbpta_class())
-    }
-
-    /// Whether the policy randomizes cross-process interference.
+    /// Whether the policy randomizes cross-process interference
+    /// (RPCache's security mechanism, §3).
     #[inline]
     pub fn randomizes_interference(&self) -> bool {
         matches!(self, PlacementEngine::RpCache(_))
@@ -221,8 +183,11 @@ impl PlacementEngine {
         matches!(self, PlacementEngine::RandomModulo(_) | PlacementEngine::HashRp(_))
     }
 
-    /// Reacts to a cross-process contention event on `line` (RPCache's
-    /// dynamic remap; `None` for every other policy).
+    /// Reacts to a cross-process contention event on `line` (the
+    /// incoming line whose fill would evict another process's data).
+    /// RPCache redirects the fill to a random set and returns it (see
+    /// [`RpCachePerm::remap_on_contention`]); every other policy
+    /// returns `None`.
     #[inline]
     pub fn remap_on_contention(
         &mut self,
@@ -230,26 +195,16 @@ impl PlacementEngine {
         seed: Seed,
         rng: &mut SplitMix64,
     ) -> Option<u32> {
-        place_dispatch!(self, p => p.remap_on_contention(line, seed, rng))
+        match self {
+            PlacementEngine::RpCache(p) => Some(p.remap_on_contention(line, seed, rng)),
+            _ => None,
+        }
     }
 }
 
 /// Configuration enum naming each placement policy, used to build
-/// caches from a declarative description.
-///
-/// # Examples
-///
-/// ```
-/// use tscache_core::geometry::CacheGeometry;
-/// use tscache_core::placement::{PlacementKind, Placement};
-/// use tscache_core::seed::Seed;
-/// use tscache_core::addr::LineAddr;
-///
-/// let geom = CacheGeometry::paper_l1();
-/// let mut p = PlacementKind::RandomModulo.build(&geom);
-/// let set = p.place(LineAddr::new(0x1234), Seed::new(99));
-/// assert!(set < geom.sets());
-/// ```
+/// caches from a declarative description; [`PlacementEngine::new`]
+/// builds the policy itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementKind {
     /// Conventional modulo indexing.
@@ -269,23 +224,6 @@ pub enum PlacementKind {
 }
 
 impl PlacementKind {
-    /// Builds the policy for the given geometry.
-    pub fn build(self, geom: &CacheGeometry) -> Box<dyn Placement> {
-        match self {
-            PlacementKind::Modulo => Box::new(Modulo::new(geom)),
-            PlacementKind::XorIndex => Box::new(XorIndex::new(geom)),
-            PlacementKind::RpCache => Box::new(RpCachePerm::new(geom)),
-            PlacementKind::HashRp => Box::new(HashRp::new(geom)),
-            PlacementKind::RandomModulo => Box::new(RandomModulo::new(geom)),
-            PlacementKind::IdealRandom => Box::new(IdealRandom::new(geom)),
-        }
-    }
-
-    /// Builds the enum-dispatch engine used by the cache hot path.
-    pub fn engine(self, geom: &CacheGeometry) -> PlacementEngine {
-        PlacementEngine::new(self, geom)
-    }
-
     /// Short policy name for reports (also the `Display` form).
     pub const fn label(self) -> &'static str {
         match self {
@@ -295,6 +233,17 @@ impl PlacementKind {
             PlacementKind::HashRp => "hash-rp",
             PlacementKind::RandomModulo => "random-modulo",
             PlacementKind::IdealRandom => "ideal-random",
+        }
+    }
+
+    /// The policy's declared MBPTA-compliance class (paper §2–§4);
+    /// [`properties`](crate::properties) measures it empirically.
+    pub const fn mbpta_class(self) -> MbptaClass {
+        match self {
+            PlacementKind::Modulo => MbptaClass::Deterministic,
+            PlacementKind::XorIndex | PlacementKind::RpCache => MbptaClass::AddressDependent,
+            PlacementKind::HashRp | PlacementKind::IdealRandom => MbptaClass::FullRandom,
+            PlacementKind::RandomModulo => MbptaClass::PartialApop,
         }
     }
 
@@ -323,8 +272,9 @@ mod tests {
     fn all_kinds_build_and_place_in_range() {
         let geom = CacheGeometry::paper_l1();
         for kind in PlacementKind::ALL {
-            let mut p = kind.build(&geom);
-            assert_eq!(p.sets(), geom.sets());
+            let mut p = PlacementEngine::new(kind, &geom);
+            assert_eq!(p.kind(), kind);
+            assert_eq!(p.name(), kind.to_string());
             for raw in [0u64, 1, 0x7f, 0x80, 0xffff, 0xdead_beef] {
                 for s in [0u64, 1, 0xffff_ffff] {
                     let set = p.place(LineAddr::new(raw), Seed::new(s));
@@ -338,7 +288,7 @@ mod tests {
     fn placement_is_deterministic_per_line_and_seed() {
         let geom = CacheGeometry::paper_l2();
         for kind in PlacementKind::ALL {
-            let mut p = kind.build(&geom);
+            let mut p = PlacementEngine::new(kind, &geom);
             let line = LineAddr::new(0xabcd_ef01);
             let seed = Seed::new(0x1357_9bdf);
             let first = p.place(line, seed);
@@ -350,15 +300,12 @@ mod tests {
 
     #[test]
     fn mbpta_classes_match_paper_analysis() {
-        let geom = CacheGeometry::paper_l1();
-        assert_eq!(PlacementKind::Modulo.build(&geom).mbpta_class(), MbptaClass::Deterministic);
-        assert_eq!(
-            PlacementKind::XorIndex.build(&geom).mbpta_class(),
-            MbptaClass::AddressDependent
-        );
-        assert_eq!(PlacementKind::RpCache.build(&geom).mbpta_class(), MbptaClass::AddressDependent);
-        assert_eq!(PlacementKind::HashRp.build(&geom).mbpta_class(), MbptaClass::FullRandom);
-        assert_eq!(PlacementKind::RandomModulo.build(&geom).mbpta_class(), MbptaClass::PartialApop);
+        assert_eq!(PlacementKind::Modulo.mbpta_class(), MbptaClass::Deterministic);
+        assert_eq!(PlacementKind::XorIndex.mbpta_class(), MbptaClass::AddressDependent);
+        assert_eq!(PlacementKind::RpCache.mbpta_class(), MbptaClass::AddressDependent);
+        assert_eq!(PlacementKind::HashRp.mbpta_class(), MbptaClass::FullRandom);
+        assert_eq!(PlacementKind::RandomModulo.mbpta_class(), MbptaClass::PartialApop);
+        assert_eq!(PlacementKind::IdealRandom.mbpta_class(), MbptaClass::FullRandom);
     }
 
     #[test]
@@ -372,38 +319,13 @@ mod tests {
     #[test]
     fn only_rpcache_randomizes_interference() {
         let geom = CacheGeometry::paper_l1();
+        let mut rng = SplitMix64::new(3);
         for kind in PlacementKind::ALL {
-            let p = kind.build(&geom);
-            assert_eq!(p.randomizes_interference(), kind == PlacementKind::RpCache, "{kind}");
-        }
-    }
-
-    #[test]
-    fn engine_matches_boxed_policy_exactly() {
-        use crate::prng::SplitMix64;
-        let geom = CacheGeometry::paper_l1();
-        for kind in PlacementKind::ALL {
-            let mut engine = kind.engine(&geom);
-            let mut boxed = kind.build(&geom);
-            assert_eq!(engine.kind(), kind);
-            assert_eq!(engine.name(), kind.to_string());
-            assert_eq!(engine.sets(), boxed.sets());
-            assert_eq!(engine.mbpta_class(), boxed.mbpta_class());
-            assert_eq!(engine.randomizes_interference(), boxed.randomizes_interference());
-            let mut rng_e = SplitMix64::new(3);
-            let mut rng_b = SplitMix64::new(3);
-            for i in 0..2000u64 {
-                let line = LineAddr::new(i.wrapping_mul(0x9e37_79b9));
-                let seed = Seed::new(i / 7);
-                assert_eq!(engine.place(line, seed), boxed.place(line, seed), "{kind}");
-                if i % 37 == 0 {
-                    assert_eq!(
-                        engine.remap_on_contention(line, seed, &mut rng_e),
-                        boxed.remap_on_contention(line, seed, &mut rng_b),
-                        "{kind}"
-                    );
-                }
-            }
+            let mut p = PlacementEngine::new(kind, &geom);
+            let rpcache = kind == PlacementKind::RpCache;
+            assert_eq!(p.randomizes_interference(), rpcache, "{kind}");
+            let remap = p.remap_on_contention(LineAddr::new(0x42), Seed::new(7), &mut rng);
+            assert_eq!(remap.is_some(), rpcache, "{kind}");
         }
     }
 

@@ -2,7 +2,6 @@
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
-use crate::placement::{MbptaClass, Placement};
 use crate::seed::Seed;
 
 /// Modulo placement: the set is the low index bits of the line address.
@@ -17,10 +16,10 @@ use crate::seed::Seed;
 /// ```
 /// use tscache_core::addr::LineAddr;
 /// use tscache_core::geometry::CacheGeometry;
-/// use tscache_core::placement::{Modulo, Placement};
+/// use tscache_core::placement::Modulo;
 /// use tscache_core::seed::Seed;
 ///
-/// let mut p = Modulo::new(&CacheGeometry::paper_l1());
+/// let p = Modulo::new(&CacheGeometry::paper_l1());
 /// // The seed is ignored: placement is a pure function of the address.
 /// assert_eq!(p.place(LineAddr::new(0x81), Seed::new(1)), 1);
 /// assert_eq!(p.place(LineAddr::new(0x81), Seed::new(2)), 1);
@@ -28,28 +27,18 @@ use crate::seed::Seed;
 #[derive(Debug, Clone)]
 pub struct Modulo {
     index_bits: u32,
-    sets: u32,
 }
 
 impl Modulo {
     /// Creates modulo placement for `geom`.
     pub fn new(geom: &CacheGeometry) -> Self {
-        Modulo { index_bits: geom.index_bits(), sets: geom.sets() }
-    }
-}
-
-impl Placement for Modulo {
-    fn sets(&self) -> u32 {
-        self.sets
+        Modulo { index_bits: geom.index_bits() }
     }
 
+    /// Maps `line` to its set; the seed is ignored.
     #[inline]
-    fn place(&mut self, line: LineAddr, _seed: Seed) -> u32 {
+    pub fn place(&self, line: LineAddr, _seed: Seed) -> u32 {
         line.index_bits(self.index_bits) as u32
-    }
-
-    fn mbpta_class(&self) -> MbptaClass {
-        MbptaClass::Deterministic
     }
 }
 
@@ -59,7 +48,7 @@ mod tests {
 
     #[test]
     fn ignores_seed() {
-        let mut p = Modulo::new(&CacheGeometry::paper_l1());
+        let p = Modulo::new(&CacheGeometry::paper_l1());
         let line = LineAddr::new(0xabcde);
         let s0 = p.place(line, Seed::new(0));
         for s in 1..100u64 {
@@ -69,7 +58,7 @@ mod tests {
 
     #[test]
     fn consecutive_lines_round_robin_sets() {
-        let mut p = Modulo::new(&CacheGeometry::paper_l1());
+        let p = Modulo::new(&CacheGeometry::paper_l1());
         for i in 0..256u64 {
             assert_eq!(p.place(LineAddr::new(i), Seed::ZERO), (i % 128) as u32);
         }
@@ -79,7 +68,7 @@ mod tests {
     fn same_index_always_conflicts() {
         // The deterministic conflict structure exploited by contention
         // attacks: lines 0 and 128 share a set under every "seed".
-        let mut p = Modulo::new(&CacheGeometry::paper_l1());
+        let p = Modulo::new(&CacheGeometry::paper_l1());
         for s in 0..20u64 {
             let seed = Seed::new(s);
             assert_eq!(p.place(LineAddr::new(0), seed), p.place(LineAddr::new(128), seed));

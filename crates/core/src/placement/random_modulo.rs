@@ -3,7 +3,7 @@
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
-use crate::placement::{MbptaClass, PermutationNetwork, Placement};
+use crate::placement::PermutationNetwork;
 use crate::prng::mix64;
 use crate::seed::Seed;
 
@@ -27,10 +27,10 @@ use crate::seed::Seed;
 /// ```
 /// use tscache_core::addr::LineAddr;
 /// use tscache_core::geometry::CacheGeometry;
-/// use tscache_core::placement::{Placement, RandomModulo};
+/// use tscache_core::placement::RandomModulo;
 /// use tscache_core::seed::Seed;
 ///
-/// let mut p = RandomModulo::new(&CacheGeometry::paper_l1());
+/// let p = RandomModulo::new(&CacheGeometry::paper_l1());
 /// let seed = Seed::new(7);
 /// // Lines 0 and 1 are in the same page: they can never collide.
 /// assert_ne!(p.place(LineAddr::new(0), seed), p.place(LineAddr::new(1), seed));
@@ -51,15 +51,10 @@ impl RandomModulo {
             network: PermutationNetwork::new(geom.index_bits()),
         }
     }
-}
 
-impl Placement for RandomModulo {
-    fn sets(&self) -> u32 {
-        self.sets
-    }
-
+    /// Maps `line` under `seed` to its set.
     #[inline]
-    fn place(&mut self, line: LineAddr, seed: Seed) -> u32 {
+    pub fn place(&self, line: LineAddr, seed: Seed) -> u32 {
         let mask = (self.sets - 1) as u64;
         let s = seed.as_u64();
         // Input stage: index bits XORed with seed bits (Fig. 2b).
@@ -69,10 +64,6 @@ impl Placement for RandomModulo {
         let tag = line.tag_bits(self.index_bits);
         let control = mix64(tag ^ s.rotate_left(32));
         self.network.apply(data, control)
-    }
-
-    fn mbpta_class(&self) -> MbptaClass {
-        MbptaClass::PartialApop
     }
 }
 
@@ -86,7 +77,7 @@ mod tests {
         // mbpta-p3(1): null probability of intra-page conflicts, for
         // any seed. A page holds exactly `sets` lines for the paper L1.
         let geom = CacheGeometry::paper_l1();
-        let mut p = RandomModulo::new(&geom);
+        let p = RandomModulo::new(&geom);
         for s in 0..25u64 {
             let seed = Seed::new(mix64(s));
             let mut seen = vec![false; geom.sets() as usize];
@@ -103,7 +94,7 @@ mod tests {
     fn cross_page_conflicts_vary_with_seed() {
         // mbpta-p3(2): across pages, full-randomization principles
         // apply — conflicts must not be systematic.
-        let mut p = RandomModulo::new(&CacheGeometry::paper_l1());
+        let p = RandomModulo::new(&CacheGeometry::paper_l1());
         let a = LineAddr::new(0x080); // page 1, index 0
         let b = LineAddr::new(0x100); // page 2, index 0
         let mut collide = 0;
@@ -125,7 +116,7 @@ mod tests {
 
     #[test]
     fn address_relocates_across_seeds() {
-        let mut p = RandomModulo::new(&CacheGeometry::paper_l1());
+        let p = RandomModulo::new(&CacheGeometry::paper_l1());
         let line = LineAddr::new(0x1234);
         let distinct: BTreeSet<u32> = (0..300).map(|s| p.place(line, Seed::new(s))).collect();
         assert!(distinct.len() > 64, "{} distinct sets", distinct.len());
@@ -134,7 +125,7 @@ mod tests {
     #[test]
     fn uniform_over_sets_across_seeds() {
         let geom = CacheGeometry::paper_l1();
-        let mut p = RandomModulo::new(&geom);
+        let p = RandomModulo::new(&geom);
         let line = LineAddr::new(0x777);
         let mut counts = vec![0u32; geom.sets() as usize];
         let n = 128_000u64;
@@ -155,7 +146,7 @@ mod tests {
     #[test]
     fn zero_seed_is_a_valid_layout() {
         let geom = CacheGeometry::paper_l1();
-        let mut p = RandomModulo::new(&geom);
+        let p = RandomModulo::new(&geom);
         let mut seen = vec![false; geom.sets() as usize];
         for i in 0..128u64 {
             seen[p.place(LineAddr::new(i), Seed::ZERO) as usize] = true;

@@ -2,7 +2,6 @@
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
-use crate::placement::{MbptaClass, Placement};
 use crate::prng::{Prng, SplitMix64};
 use crate::seed::Seed;
 use std::collections::BTreeMap;
@@ -71,33 +70,21 @@ impl RpCachePerm {
     pub fn table_count(&self) -> usize {
         self.tables.len()
     }
-}
 
-impl Placement for RpCachePerm {
-    fn sets(&self) -> u32 {
-        self.sets
-    }
-
+    /// Maps `line` under `seed` to its set, building `seed`'s table on
+    /// first use.
     #[inline]
-    fn place(&mut self, line: LineAddr, seed: Seed) -> u32 {
+    pub fn place(&mut self, line: LineAddr, seed: Seed) -> u32 {
         let idx = line.index_bits(self.index_bits) as usize;
         self.table(seed).perm[idx] as u32
     }
 
-    fn mbpta_class(&self) -> MbptaClass {
-        MbptaClass::AddressDependent
-    }
-
-    fn randomizes_interference(&self) -> bool {
-        true
-    }
-
-    fn remap_on_contention(
-        &mut self,
-        line: LineAddr,
-        seed: Seed,
-        rng: &mut SplitMix64,
-    ) -> Option<u32> {
+    /// Reacts to a cross-process contention event on `line` (the
+    /// incoming line whose fill would evict another process's data):
+    /// redirects the fill to a random set and updates `seed`'s
+    /// permutation so future lookups of the line find it there.
+    /// Returns the new set.
+    pub fn remap_on_contention(&mut self, line: LineAddr, seed: Seed, rng: &mut SplitMix64) -> u32 {
         let sets = self.sets;
         let idx = line.index_bits(self.index_bits) as usize;
         let target_set = rng.below(sets) as usize;
@@ -107,7 +94,7 @@ impl Placement for RpCachePerm {
         // (the RPCache permutation-register update).
         let other_idx = table.inv[target_set] as usize;
         table.swap_images(idx, other_idx);
-        Some(target_set as u32)
+        target_set as u32
     }
 }
 
@@ -158,7 +145,7 @@ mod tests {
         let line = LineAddr::new(0x42);
         let before = p.place(line, seed);
         let mut rng = SplitMix64::new(9);
-        let new_set = p.remap_on_contention(line, seed, &mut rng).expect("rpcache remaps");
+        let new_set = p.remap_on_contention(line, seed, &mut rng);
         // Future lookups follow the remap.
         assert_eq!(p.place(line, seed), new_set);
         // The table remains a bijection.

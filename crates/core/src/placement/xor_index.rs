@@ -2,7 +2,6 @@
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
-use crate::placement::{MbptaClass, Placement};
 use crate::prng::mix64;
 use crate::seed::Seed;
 
@@ -21,10 +20,10 @@ use crate::seed::Seed;
 /// ```
 /// use tscache_core::addr::LineAddr;
 /// use tscache_core::geometry::CacheGeometry;
-/// use tscache_core::placement::{Placement, XorIndex};
+/// use tscache_core::placement::XorIndex;
 /// use tscache_core::seed::Seed;
 ///
-/// let mut p = XorIndex::new(&CacheGeometry::paper_l1());
+/// let p = XorIndex::new(&CacheGeometry::paper_l1());
 /// let (a, b) = (LineAddr::new(0x005), LineAddr::new(0x085)); // same index bits
 /// for s in 0..8 {
 ///     let seed = Seed::new(s);
@@ -42,25 +41,16 @@ impl XorIndex {
     pub fn new(geom: &CacheGeometry) -> Self {
         XorIndex { index_bits: geom.index_bits(), sets: geom.sets() }
     }
-}
 
-impl Placement for XorIndex {
-    fn sets(&self) -> u32 {
-        self.sets
-    }
-
+    /// Maps `line` under `seed` to its set.
     #[inline]
-    fn place(&mut self, line: LineAddr, seed: Seed) -> u32 {
+    pub fn place(&self, line: LineAddr, seed: Seed) -> u32 {
         let mask = (self.sets - 1) as u64;
         // The hardware XORs the index bits with a random number; we
         // derive that number from the seed with a mixer so nearby seeds
         // do not produce nearby offsets.
         let r = mix64(seed.as_u64()) & mask;
         ((line.index_bits(self.index_bits) ^ r) & mask) as u32
-    }
-
-    fn mbpta_class(&self) -> MbptaClass {
-        MbptaClass::AddressDependent
     }
 }
 
@@ -71,7 +61,7 @@ mod tests {
     #[test]
     fn moves_across_seeds() {
         // Individual addresses do relocate with the seed…
-        let mut p = XorIndex::new(&CacheGeometry::paper_l1());
+        let p = XorIndex::new(&CacheGeometry::paper_l1());
         let line = LineAddr::new(0x42);
         let sets: std::collections::BTreeSet<u32> =
             (0..64).map(|s| p.place(line, Seed::new(s))).collect();
@@ -81,7 +71,7 @@ mod tests {
     #[test]
     fn conflict_structure_is_seed_invariant() {
         // …but pairwise conflicts never change (the §3 flaw).
-        let mut p = XorIndex::new(&CacheGeometry::paper_l1());
+        let p = XorIndex::new(&CacheGeometry::paper_l1());
         let same_index = (LineAddr::new(0x010), LineAddr::new(0x090));
         let diff_index = (LineAddr::new(0x010), LineAddr::new(0x011));
         for s in 0..50u64 {
@@ -94,7 +84,7 @@ mod tests {
     #[test]
     fn stays_in_range() {
         let geom = CacheGeometry::paper_l2();
-        let mut p = XorIndex::new(&geom);
+        let p = XorIndex::new(&geom);
         for i in 0..1000u64 {
             assert!(p.place(LineAddr::new(i * 37), Seed::new(i)) < geom.sets());
         }

@@ -9,7 +9,7 @@
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
-use crate::placement::{MbptaClass, Placement, PlacementKind};
+use crate::placement::{MbptaClass, PlacementEngine, PlacementKind};
 use crate::prng::{mix64, Prng, SplitMix64};
 use crate::seed::Seed;
 use core::fmt;
@@ -134,21 +134,21 @@ pub fn check_placement(
     geom: &CacheGeometry,
     cfg: &CheckConfig,
 ) -> PlacementProperties {
-    let mut policy = kind.build(geom);
+    let mut policy = PlacementEngine::new(kind, geom);
     let mut rng = SplitMix64::new(cfg.rng_seed);
     let lines_per_page = 1u64 << (cfg.page_bits - geom.offset_bits());
 
-    let relocates = check_relocation(policy.as_mut(), cfg, &mut rng);
+    let relocates = check_relocation(&mut policy, cfg, &mut rng);
     let (pair_random, structure_invariant) =
-        check_pairwise(policy.as_mut(), geom, cfg, &mut rng, lines_per_page);
-    let intra_page_free = check_intra_page(policy.as_mut(), geom, cfg, lines_per_page);
-    let cross_page_random = check_cross_page(policy.as_mut(), cfg, &mut rng, lines_per_page);
-    let cross_seed_random = check_cross_seed(policy.as_mut(), cfg, &mut rng);
-    let (chi2, dof) = uniformity_chi2(policy.as_mut(), geom, cfg);
+        check_pairwise(&mut policy, geom, cfg, &mut rng, lines_per_page);
+    let intra_page_free = check_intra_page(&mut policy, geom, cfg, lines_per_page);
+    let cross_page_random = check_cross_page(&mut policy, cfg, &mut rng, lines_per_page);
+    let cross_seed_random = check_cross_seed(&mut policy, cfg, &mut rng);
+    let (chi2, dof) = uniformity_chi2(&mut policy, geom, cfg);
 
     PlacementProperties {
         policy: kind,
-        declared_class: policy.mbpta_class(),
+        declared_class: kind.mbpta_class(),
         relocates_across_seeds: relocates,
         pairwise_conflicts_randomized: pair_random,
         conflict_structure_seed_invariant: structure_invariant,
@@ -164,7 +164,7 @@ fn sample_seeds(cfg: &CheckConfig) -> impl Iterator<Item = Seed> + '_ {
     (0..cfg.seeds as u64).map(move |i| Seed::new(mix64(cfg.rng_seed ^ i)))
 }
 
-fn check_relocation(policy: &mut dyn Placement, cfg: &CheckConfig, rng: &mut SplitMix64) -> bool {
+fn check_relocation(policy: &mut PlacementEngine, cfg: &CheckConfig, rng: &mut SplitMix64) -> bool {
     // mbpta-p2(1): sampled addresses must occupy >1 set across seeds.
     (0..16).all(|_| {
         let line = LineAddr::new(rng.next_u64() >> 16);
@@ -177,7 +177,7 @@ fn check_relocation(policy: &mut dyn Placement, cfg: &CheckConfig, rng: &mut Spl
 }
 
 fn check_pairwise(
-    policy: &mut dyn Placement,
+    policy: &mut PlacementEngine,
     geom: &CacheGeometry,
     cfg: &CheckConfig,
     rng: &mut SplitMix64,
@@ -220,7 +220,7 @@ fn check_pairwise(
 }
 
 fn check_intra_page(
-    policy: &mut dyn Placement,
+    policy: &mut PlacementEngine,
     geom: &CacheGeometry,
     cfg: &CheckConfig,
     lines_per_page: u64,
@@ -246,7 +246,7 @@ fn check_intra_page(
 }
 
 fn check_cross_page(
-    policy: &mut dyn Placement,
+    policy: &mut PlacementEngine,
     cfg: &CheckConfig,
     rng: &mut SplitMix64,
     lines_per_page: u64,
@@ -271,7 +271,7 @@ fn check_cross_page(
     true
 }
 
-fn check_cross_seed(policy: &mut dyn Placement, cfg: &CheckConfig, rng: &mut SplitMix64) -> bool {
+fn check_cross_seed(policy: &mut PlacementEngine, cfg: &CheckConfig, rng: &mut SplitMix64) -> bool {
     // sca-p1 precondition: victim line under seed s1 vs attacker line
     // under seed s2 — collisions must vary across (s1, s2) draws.
     for _ in 0..16 {
@@ -296,7 +296,7 @@ fn check_cross_seed(policy: &mut dyn Placement, cfg: &CheckConfig, rng: &mut Spl
 }
 
 fn uniformity_chi2(
-    policy: &mut dyn Placement,
+    policy: &mut PlacementEngine,
     geom: &CacheGeometry,
     cfg: &CheckConfig,
 ) -> (f64, u32) {
@@ -358,6 +358,7 @@ mod tests {
         // But with per-process tables, cross-process contention IS
         // randomized (its security mechanism).
         assert!(r.sca_robust_with_unique_seeds());
+        assert!(r.consistent_with_declared());
     }
 
     #[test]
@@ -387,6 +388,7 @@ mod tests {
         assert_eq!(r.empirical_class(), MbptaClass::FullRandom);
         // Chi-square within a loose bound of the 127-dof expectation.
         assert!(r.uniformity_chi2 < 250.0, "chi2 {}", r.uniformity_chi2);
+        assert!(r.consistent_with_declared());
     }
 
     #[test]

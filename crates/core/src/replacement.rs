@@ -5,50 +5,26 @@
 //! cache asks the policy for a victim way only when every way of the
 //! fill range (the whole set, or the filling process's way partition)
 //! holds valid data — invalid ways are always filled first.
+//!
+//! [`ReplacementEngine::new`] is the one way to build a policy and the
+//! engine the one way to call it. Every policy keeps per-set
+//! bookkeeping indexed as `set * ways + way`, tolerates a reset at any
+//! time (cache flush), and answers "which way" with one method whose
+//! range is either the whole set or one way partition.
 
 use crate::geometry::CacheGeometry;
 use crate::prng::{Prng, SplitMix64};
 use core::fmt;
 
-/// A per-set replacement policy.
-///
-/// Implementations keep per-set bookkeeping indexed as
-/// `set * ways + way` and must tolerate [`reset`](Replacement::reset)
-/// at any time (cache flush). One method answers "which way": the
-/// range it chooses in is either the whole set or one way partition.
-pub trait Replacement: fmt::Debug + Send {
-    /// Records a hit on `(set, way)`.
-    fn on_hit(&mut self, set: u32, way: u32);
-
-    /// Records a fill of `(set, way)`.
-    fn on_fill(&mut self, set: u32, way: u32);
-
-    /// Chooses the victim way of `set` within the way range `lo..hi`:
-    /// `0..ways` for the whole set, or one way partition (paper §7).
-    /// The cache asks only when every way of the range holds valid
-    /// data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    fn victim(&mut self, set: u32, lo: u32, hi: u32, rng: &mut SplitMix64) -> u32;
-
-    /// Clears all bookkeeping (cache flush).
-    fn reset(&mut self);
-}
-
-/// Enum-dispatch replacement engine: the hot-path counterpart of the
-/// boxed [`Replacement`] objects.
+/// The replacement engine: the policies in an enum, so every policy
+/// method (the hit and fill hooks and the one ranged
+/// [`victim`](ReplacementEngine::victim)) compiles to a direct, inlinable
+/// match arm.
 ///
 /// [`Cache`](crate::cache::Cache) accesses run victim selection and
-/// hit/fill bookkeeping millions of times per experiment; routing them
-/// through a `Box<dyn Replacement>` costs an indirect call each.
-/// `ReplacementEngine` holds the concrete policies in an enum so every
-/// policy method (the hit and fill hooks and the one ranged
-/// [`victim`](ReplacementEngine::victim)) compiles to a direct (and
-/// inlinable) match arm. The
-/// boxed trait objects remain available through
-/// [`ReplacementKind::build`] for extension and differential testing.
+/// hit/fill bookkeeping millions of times per experiment.
+/// [`new`](ReplacementEngine::new) is the only way to build a policy,
+/// and the engine the only way to call one.
 #[derive(Debug)]
 pub enum ReplacementEngine {
     /// True LRU.
@@ -115,8 +91,14 @@ impl ReplacementEngine {
         repl_dispatch!(self, p => p.on_fill(set, way))
     }
 
-    /// Chooses the victim way of `set` within `lo..hi` (the whole set
-    /// or one way partition; see [`Replacement::victim`]).
+    /// Chooses the victim way of `set` within the way range `lo..hi`:
+    /// `0..ways` for the whole set, or one way partition (paper §7).
+    /// The cache asks only when every way of the range holds valid
+    /// data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo >= hi`.
     #[inline]
     pub fn victim(&mut self, set: u32, lo: u32, hi: u32, rng: &mut SplitMix64) -> u32 {
         repl_dispatch!(self, p => p.victim(set, lo, hi, rng))
@@ -128,7 +110,8 @@ impl ReplacementEngine {
     }
 }
 
-/// Configuration enum naming each replacement policy.
+/// Configuration enum naming each replacement policy;
+/// [`ReplacementEngine::new`] builds the policy itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplacementKind {
     /// Least recently used.
@@ -144,22 +127,6 @@ pub enum ReplacementKind {
 }
 
 impl ReplacementKind {
-    /// Builds the policy for the given geometry.
-    pub fn build(self, geom: &CacheGeometry) -> Box<dyn Replacement> {
-        match self {
-            ReplacementKind::Lru => Box::new(Lru::new(geom)),
-            ReplacementKind::Fifo => Box::new(Fifo::new(geom)),
-            ReplacementKind::Random => Box::new(RandomRepl),
-            ReplacementKind::PlruTree => Box::new(PlruTree::new(geom)),
-            ReplacementKind::Nru => Box::new(Nru::new(geom)),
-        }
-    }
-
-    /// Builds the enum-dispatch engine used by the cache hot path.
-    pub fn engine(self, geom: &CacheGeometry) -> ReplacementEngine {
-        ReplacementEngine::new(self, geom)
-    }
-
     /// Short policy name for reports (also the `Display` form).
     pub const fn label(self) -> &'static str {
         match self {
@@ -240,9 +207,7 @@ impl Lru {
     pub fn new(geom: &CacheGeometry) -> Self {
         Lru(Stamps::new(geom))
     }
-}
 
-impl Replacement for Lru {
     fn on_hit(&mut self, set: u32, way: u32) {
         self.0.stamp(set, way);
     }
@@ -269,9 +234,7 @@ impl Fifo {
     pub fn new(geom: &CacheGeometry) -> Self {
         Fifo(Stamps::new(geom))
     }
-}
 
-impl Replacement for Fifo {
     fn on_hit(&mut self, _set: u32, _way: u32) {
         // Hits do not refresh FIFO order.
     }
@@ -294,7 +257,7 @@ impl Replacement for Fifo {
 #[derive(Debug)]
 pub struct RandomRepl;
 
-impl Replacement for RandomRepl {
+impl RandomRepl {
     fn on_hit(&mut self, _set: u32, _way: u32) {}
 
     fn on_fill(&mut self, _set: u32, _way: u32) {}
@@ -346,9 +309,7 @@ impl PlruTree {
             node = 2 * node + 1 + go_right;
         }
     }
-}
 
-impl Replacement for PlruTree {
     fn on_hit(&mut self, set: u32, way: u32) {
         self.touch(set, way);
     }
@@ -393,9 +354,7 @@ impl Nru {
     pub fn new(geom: &CacheGeometry) -> Self {
         Nru { ways: geom.ways(), refs: vec![false; geom.total_lines() as usize] }
     }
-}
 
-impl Replacement for Nru {
     fn on_hit(&mut self, set: u32, way: u32) {
         self.refs[(set * self.ways + way) as usize] = true;
     }
@@ -538,48 +497,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_boxed_policy_exactly() {
-        let g = CacheGeometry::paper_l1();
-        for kind in ReplacementKind::ALL {
-            let mut engine = kind.engine(&g);
-            let mut boxed = kind.build(&g);
-            assert_eq!(engine.kind(), kind);
-            assert_eq!(engine.name(), kind.to_string());
-            let mut rng_e = SplitMix64::new(77);
-            let mut rng_b = SplitMix64::new(77);
-            let mut drive = SplitMix64::new(5);
-            for _ in 0..2000 {
-                let set = drive.below(128);
-                match drive.below(4) {
-                    0 => {
-                        let way = drive.below(4);
-                        engine.on_hit(set, way);
-                        boxed.on_hit(set, way);
-                    }
-                    1 => {
-                        let way = drive.below(4);
-                        engine.on_fill(set, way);
-                        boxed.on_fill(set, way);
-                    }
-                    n => {
-                        let (lo, hi) = if n == 2 { (0, 4) } else { (1, 3) };
-                        assert_eq!(
-                            engine.victim(set, lo, hi, &mut rng_e),
-                            boxed.victim(set, lo, hi, &mut rng_b),
-                            "{kind}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn victims_always_in_range() {
         let g = CacheGeometry::paper_l1();
         let mut rng = SplitMix64::new(1);
         for kind in ReplacementKind::ALL {
-            let mut r = kind.build(&g);
+            let mut r = ReplacementEngine::new(kind, &g);
+            assert_eq!((r.kind(), r.name()), (kind, kind.label()));
             for set in [0u32, 63, 127] {
                 for (lo, hi) in [(0, g.ways()), (1, 3), (3, 4)] {
                     for _ in 0..32 {

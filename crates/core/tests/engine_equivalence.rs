@@ -1,5 +1,5 @@
-//! Differential tests: the enum-dispatch, packed-metadata `Cache` must
-//! reproduce the seed repository's boxed-dispatch implementation
+//! Differential tests: the packed-metadata `Cache` must reproduce the
+//! seed repository's cache layout (`BoxedCache`, same policy engines)
 //! access-for-access, plus the partitioning and RPCache-redirection
 //! invariants the optimized fill path has to preserve.
 

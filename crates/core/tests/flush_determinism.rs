@@ -99,9 +99,9 @@ fn flush_process_restarts_the_flushed_pids_stream_only() {
 
 #[test]
 fn boxed_reference_mirrors_the_flush_reset() {
-    // The boxed seed implementation must stay draw-for-draw identical
-    // to the enum cache across a flush boundary, or the differential
-    // suites lose their baseline.
+    // The seed-layout reference must stay draw-for-draw identical to
+    // `Cache` across a flush boundary, or the differential suites lose
+    // their baseline.
     let ops = trace(0x99, 1200);
     let mut fast = build(PlacementKind::RandomModulo, ReplacementKind::Random);
     let mut boxed = BoxedCache::new(

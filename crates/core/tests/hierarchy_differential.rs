@@ -1,5 +1,5 @@
 //! Differential tests pinning the hierarchy walk against an
-//! independent reference: a test-local hierarchy of boxed-dispatch
+//! independent reference: a test-local hierarchy of seed-layout
 //! caches (`boxed_ref::BoxedCache`), walked op by op in the plainest
 //! way. Cycles, per-level statistics and final contents must agree on
 //! fetch/read/write traces under write-through (where a write behaves

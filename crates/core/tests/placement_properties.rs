@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use tscache_core::addr::LineAddr;
 use tscache_core::geometry::CacheGeometry;
-use tscache_core::placement::{PermutationNetwork, PlacementKind};
+use tscache_core::placement::{PermutationNetwork, PlacementEngine, PlacementKind};
 use tscache_core::prng::mix64;
 use tscache_core::seed::Seed;
 
@@ -137,7 +137,7 @@ proptest! {
     fn placement_in_range(line in any::<u64>(), seed in any::<u64>()) {
         let geom = CacheGeometry::paper_l1();
         for kind in PlacementKind::ALL {
-            let mut p = kind.build(&geom);
+            let mut p = PlacementEngine::new(kind, &geom);
             let set = p.place(LineAddr::new(line >> 5), Seed::new(seed));
             prop_assert!(set < geom.sets(), "{kind}: {set}");
         }
@@ -149,7 +149,7 @@ proptest! {
     fn placement_deterministic(line in any::<u64>(), seed in any::<u64>()) {
         let geom = CacheGeometry::paper_l1();
         for kind in PlacementKind::ALL {
-            let mut p = kind.build(&geom);
+            let mut p = PlacementEngine::new(kind, &geom);
             let l = LineAddr::new(line >> 5);
             let s = Seed::new(seed);
             prop_assert_eq!(p.place(l, s), p.place(l, s), "{}", kind);
@@ -161,7 +161,7 @@ proptest! {
     #[test]
     fn random_modulo_intra_page_injective(page in 0u64..1_000_000, seed in any::<u64>()) {
         let geom = CacheGeometry::paper_l1();
-        let mut p = PlacementKind::RandomModulo.build(&geom);
+        let mut p = PlacementEngine::new(PlacementKind::RandomModulo, &geom);
         let lines_per_page = 128u64; // 4 KiB page / 32 B lines
         let s = Seed::new(seed);
         let mut seen = [false; 128];
@@ -176,7 +176,7 @@ proptest! {
     #[test]
     fn modulo_seed_invariant(line in any::<u64>(), s1 in any::<u64>(), s2 in any::<u64>()) {
         let geom = CacheGeometry::paper_l2();
-        let mut p = PlacementKind::Modulo.build(&geom);
+        let mut p = PlacementEngine::new(PlacementKind::Modulo, &geom);
         let l = LineAddr::new(line >> 5);
         prop_assert_eq!(p.place(l, Seed::new(s1)), p.place(l, Seed::new(s2)));
     }
@@ -189,8 +189,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let geom = CacheGeometry::paper_l1();
-        let mut xor = PlacementKind::XorIndex.build(&geom);
-        let mut modulo = PlacementKind::Modulo.build(&geom);
+        let mut xor = PlacementEngine::new(PlacementKind::XorIndex, &geom);
+        let mut modulo = PlacementEngine::new(PlacementKind::Modulo, &geom);
         let (la, lb) = (LineAddr::new(a >> 5), LineAddr::new(b >> 5));
         let s = Seed::new(seed);
         let conflict_mod = modulo.place(la, Seed::ZERO) == modulo.place(lb, Seed::ZERO);
@@ -202,7 +202,7 @@ proptest! {
     #[test]
     fn rpcache_tables_bijective(seed in any::<u64>()) {
         let geom = CacheGeometry::paper_l1();
-        let mut p = PlacementKind::RpCache.build(&geom);
+        let mut p = PlacementEngine::new(PlacementKind::RpCache, &geom);
         let s = Seed::new(seed);
         let mut seen = [false; 128];
         for i in 0..128u64 {
@@ -218,7 +218,7 @@ proptest! {
     #[test]
     fn hash_rp_single_bit_pairs_collide_sometimes(base in any::<u64>(), bit in 0u32..40) {
         let geom = CacheGeometry::paper_l1();
-        let mut p = PlacementKind::HashRp.build(&geom);
+        let mut p = PlacementEngine::new(PlacementKind::HashRp, &geom);
         let a = LineAddr::new(base >> 10);
         let b = LineAddr::new((base >> 10) ^ (1u64 << bit));
         prop_assume!(a != b);

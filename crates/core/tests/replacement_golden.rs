@@ -2,8 +2,8 @@
 //!
 //! Every `SetupKind` uses LRU or random replacement, so FIFO,
 //! tree-PLRU and NRU reach no probe golden or benchmark digest, and
-//! the engine-vs-boxed differentials run the same policy code on both
-//! sides. These constants pin each policy's choices directly: a fixed
+//! the `Cache`-vs-`BoxedCache` differentials run the same policy code
+//! on both sides. These constants pin each policy's choices directly: a fixed
 //! sequence of hits, fills and victim calls over whole-set and
 //! way-partition ranges, and a two-process L1 replay with one process
 //! way-partitioned. A change to any victim rule, or to which RNG
@@ -14,7 +14,7 @@ use tscache_core::cache::Cache;
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::placement::PlacementKind;
 use tscache_core::prng::{mix64, Prng, SplitMix64};
-use tscache_core::replacement::ReplacementKind;
+use tscache_core::replacement::{ReplacementEngine, ReplacementKind};
 use tscache_core::seed::{ProcessId, Seed};
 
 /// One digest per policy, in [`ReplacementKind::ALL`] order.
@@ -39,7 +39,7 @@ fn engine_digest(kind: ReplacementKind) -> u64 {
     for geom in [CacheGeometry::paper_l1(), CacheGeometry::new(64, 8, 32).unwrap()] {
         let ways = geom.ways();
         let parts = [(0, 1), (0, ways / 2), (ways / 2, ways), (1, ways - 1), (ways - 1, ways)];
-        let mut engine = kind.engine(&geom);
+        let mut engine = ReplacementEngine::new(kind, &geom);
         let mut shared = SplitMix64::new(0x5eed);
         let mut part = SplitMix64::new(0x9a27);
         let mut drive = SplitMix64::new(mix64(ways as u64));
