@@ -233,6 +233,11 @@ pub struct EngineScratch {
 ///
 /// `recorder` is observer-only: outcomes are bit-identical with and
 /// without it.
+///
+/// # Panics
+///
+/// Panics if `llc` has a coherent range and the run has more than
+/// [`SharedLlc::DIRECTORY_CORES`] cores (finite cores plus co-runners).
 pub fn execute(
     cores: &mut [CoreRun<'_>],
     co: &mut [CoRunner],
@@ -284,6 +289,14 @@ fn run(
         .collect();
     let mut merger = Merger::new(cfg, depths, offsets, recorder);
     let coherent = llc.as_deref().is_some_and(SharedLlc::has_coherence);
+    // The sharer directory is a 32-bit bitmap: a larger coherent run
+    // would alias core 32's bit onto core 0.
+    assert!(
+        !coherent || nf + co.len() <= SharedLlc::DIRECTORY_CORES,
+        "a coherent run of {} cores exceeds the {}-core sharer directory",
+        nf + co.len(),
+        SharedLlc::DIRECTORY_CORES
+    );
     let mut live = cores.iter().filter(|c| !c.ops.is_empty()).count();
     let reports = vec![CoreReport::default(); merger.clocks.len()];
     let mut cores = Cores { finite: cores, co, reports };
@@ -1307,6 +1320,28 @@ mod tests {
         co.flush();
         let (_, op, _) = co.next(Some(&mut llc), true, &mut wbs);
         assert_eq!(op, ops[3], "flush did not resume at the first unconsumed op");
+    }
+
+    #[test]
+    fn coherent_run_fits_the_sharer_directory_or_panics() {
+        // Every core writes the one tracked line, so each sets its own
+        // sharer bit and drains the others'.
+        let ops = [TraceOp::write(Addr::new(0)), TraceOp::read(Addr::new(0))];
+        let run = |n: usize| {
+            let (mut hs, pids, mut llc) = shared_platform(n, 3);
+            llc.add_coherent_range(Addr::new(0), 32);
+            let mut cores: Vec<CoreRun<'_>> = hs
+                .iter_mut()
+                .zip(&pids)
+                .map(|(h, &pid)| CoreRun { hierarchy: h, pid, ops: &ops })
+                .collect();
+            batch(&mut cores, &mut [], Some(&mut llc), &SystemConfig::default())
+        };
+        assert_eq!(run(SharedLlc::DIRECTORY_CORES).cores.len(), SharedLlc::DIRECTORY_CORES);
+        let panic = std::panic::catch_unwind(|| run(SharedLlc::DIRECTORY_CORES + 1))
+            .expect_err("a 33-core coherent run must not alias a sharer bit");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("exceeds the 32-core sharer directory"), "{msg}");
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::model::{Application, SwcId};
 use crate::schedule::Schedule;
 use core::fmt;
 use tscache_core::error::ConfigError;
+use tscache_core::hierarchy::SharedLlc;
 use tscache_core::pmu::{delta_u64, PmuSampler, PmuSnapshot};
 use tscache_core::prng::SplitMix64;
 use tscache_core::seed::{ProcessId, Seed};
@@ -192,7 +193,8 @@ impl TscacheOs {
     /// # Errors
     ///
     /// Configuration errors (a coherent image requested on a private
-    /// platform, an invalid detector config, a bus or MSHR model the
+    /// platform or with more pinned runnables than the sharer directory
+    /// can name, an invalid detector config, a bus or MSHR model the
     /// engine cannot run) come back as typed
     /// [`ConfigError`]s instead of aborting, so a campaign runner can
     /// quarantine the scenario and keep going.
@@ -206,6 +208,17 @@ impl TscacheOs {
                 "coherent_image requires a shared-LLC platform (shared_llc = true): \
                  a private hierarchy has no shared level to keep the image coherent in",
             ));
+        }
+        let pinned: Vec<usize> =
+            (0..app.runnables().len()).filter(|&i| app.runnables()[i].core() != 0).collect();
+        if config.coherent_image && pinned.len() >= SharedLlc::DIRECTORY_CORES {
+            return Err(ConfigError::incompatible(format!(
+                "coherent_image supports at most {} pinned runnables, got {}: the sharer \
+                 directory names {} cores, the measured core included",
+                SharedLlc::DIRECTORY_CORES - 1,
+                pinned.len(),
+                SharedLlc::DIRECTORY_CORES
+            )));
         }
         if let Some(detector) = &config.detector {
             detector.validate()?;
@@ -261,8 +274,6 @@ impl TscacheOs {
         }
         // Pinned runnables become co-runner cores replaying their
         // workload trace against the shared bus.
-        let pinned: Vec<usize> =
-            (0..app.runnables().len()).filter(|&i| app.runnables()[i].core() != 0).collect();
         if !pinned.is_empty() {
             machine.set_interference(config.interference.unwrap_or_default());
             for &i in &pinned {
@@ -724,6 +735,29 @@ mod tests {
             panic!("coherent image on a private platform must be rejected")
         };
         assert!(err.to_string().contains("shared"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn coherent_image_beyond_the_sharer_directory_is_a_typed_error() {
+        use crate::model::{Runnable, SwcId};
+        use core::time::Duration;
+        // The measured core plus 31 pinned runnables fill the 32-bit
+        // sharer directory; a 32nd pinned runnable would alias core
+        // 32's sharer bit onto core 0.
+        let app = |pinned: usize| {
+            let mut app = Application::figure3_example();
+            for i in 0..pinned as u32 {
+                let period = Duration::from_millis(20);
+                app.add(Runnable::new(format!("pinned{i}"), SwcId(9), period, 400).on_core(1 + i));
+            }
+            app
+        };
+        let config = OsConfig { shared_llc: true, coherent_image: true, ..OsConfig::default() };
+        let Err(err) = TscacheOs::try_new(app(32), SetupKind::TsCache, config) else {
+            panic!("32 pinned runnables on a coherent image must be rejected")
+        };
+        assert!(err.to_string().contains("at most 31 pinned runnables"), "unhelpful error: {err}");
+        assert!(TscacheOs::try_new(app(31), SetupKind::TsCache, config).is_ok());
     }
 
     #[test]
