@@ -127,6 +127,17 @@ impl CacheGeometry {
         addr.line(self.offset_bits())
     }
 
+    /// The line-address range `first..end` that `size` bytes at `start`
+    /// touch: every line holding one of the bytes, and an empty range
+    /// (`first..first`) when `size` is 0.
+    pub(crate) const fn line_range(&self, start: Addr, size: u64) -> (LineAddr, LineAddr) {
+        let first = self.line_of(start);
+        if size == 0 {
+            return (first, first);
+        }
+        (first, self.line_of(start.offset(size - 1)).offset(1))
+    }
+
     /// Modulo set index of a line (the deterministic baseline mapping).
     #[inline]
     pub const fn modulo_index(&self, line: LineAddr) -> u32 {
