@@ -25,10 +25,10 @@
 //! fill-way choice serves both the normal fill and an RPCache
 //! redirect.
 //!
-//! The seed repository's cache layout survives as
-//! [`BoxedCache`](crate::boxed_ref::BoxedCache), a structural reference
-//! for differential tests: it calls the same engines, draws identical
-//! randomness streams and produces identical access outcomes.
+//! The differential suite `tests/engine_equivalence.rs` checks every
+//! public operation op by op against a naive reference model in the
+//! test tree (`tests/model/`), which states the same rules with linear
+//! scans and no memo or hot context.
 
 use crate::addr::LineAddr;
 use crate::defense::TtlConfig;

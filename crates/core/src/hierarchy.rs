@@ -15,8 +15,8 @@
 //! and hands the caller the fill request and the writebacks no level
 //! absorbed; the multicore engine composes those with memory, or with a
 //! [`SharedLlc`] owned elsewhere, for every core it runs. The
-//! differential suite checks the walk against a reference hierarchy of
-//! seed-layout caches (`boxed_ref::BoxedCache`).
+//! differential suite `tests/hierarchy_differential.rs` checks the walk
+//! against a hierarchy of reference-model caches (`tests/model/`).
 
 use crate::addr::{Addr, LineAddr};
 use crate::cache::{AccessOutcome, Cache, InvalidatedCopy, WritePolicy, Writeback};

@@ -1,8 +1,8 @@
-//! Property and differential tests for the defense zoo
-//! (`tscache_core::defense`): TTL expiry accounting, the TTL=∞
-//! identity, timed-access normalization semantics, shared-level seed
-//! rotation, and scalar-vs-batch bit-identity with every defense
-//! armed.
+//! Property tests for the defense zoo (`tscache_core::defense`): TTL
+//! expiry accounting, the TTL=∞ identity, timed-access normalization
+//! semantics and shared-level seed rotation. The hierarchy walk with
+//! TTL or normalization armed is checked against the reference model
+//! in `hierarchy_differential.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use tscache_core::cache::{AccessOutcome, Cache, WritePolicy};
 use tscache_core::defense::{DefenseKind, RotationPolicy, TtlConfig};
 use tscache_core::geometry::CacheGeometry;
-use tscache_core::hierarchy::{Hierarchy, SharedLlc, TraceOp};
+use tscache_core::hierarchy::SharedLlc;
 use tscache_core::placement::PlacementKind;
 use tscache_core::prng::{mix64, Prng, SplitMix64};
 use tscache_core::seed::{ProcessId, Seed};
@@ -264,101 +264,6 @@ fn rotation_reproduces_bit_for_bit() {
     llc.set_rotation(RotationPolicy::PerCore { period: 48 });
     drive_rotation(&mut llc, 500);
     assert!(llc.rotation_epoch() >= 10, "epoch {}", llc.rotation_epoch());
-}
-
-/// Chunked replay under every defense × placement × replacement ×
-/// depth: a trace replayed through `access_batch_cycles` in chunks,
-/// the process switching at chunk boundaries, must leave cycles,
-/// statistics and contents bit-identical to the per-op `access` loop
-/// (TTL ticks and normalization transfers happen in access order
-/// either way; the defenses must not disturb that).
-#[test]
-fn chunked_replay_bit_identical_under_every_defense() {
-    use tscache_core::replacement::ReplacementKind;
-
-    fn small_hierarchy(
-        placement: PlacementKind,
-        replacement: ReplacementKind,
-        depth: HierarchyDepth,
-    ) -> Hierarchy {
-        let l1 = CacheGeometry::new(8, 2, 32).unwrap();
-        let l2 = CacheGeometry::new(32, 4, 32).unwrap();
-        let l3 = CacheGeometry::new(64, 4, 32).unwrap();
-        let mut unified = vec![(Cache::new("L2", l2, placement, replacement, 0x33), 10)];
-        if depth == HierarchyDepth::ThreeLevel {
-            unified.push((Cache::new("L3", l3, placement, replacement, 0x44), 30));
-        }
-        let mut h = Hierarchy::from_parts(
-            Cache::new("L1I", l1, placement, replacement, 0x11),
-            Cache::new("L1D", l1, placement, replacement, 0x22),
-            unified,
-            1,
-            80,
-        );
-        h.set_process_seed(pid(1), Seed::new(0xaaaa));
-        h.set_process_seed(pid(2), Seed::new(0xbbbb));
-        h.set_write_policy(WritePolicy::WriteBack);
-        h
-    }
-
-    fn contents_of(c: &Cache) -> Vec<(u32, u32, u64, u16)> {
-        c.contents().map(|(s, w, l, o)| (s, w, l.as_u64(), o.as_u16())).collect()
-    }
-
-    // Two processes interleaving over a *shared* footprint, so
-    // normalization's ownership transfers actually occur.
-    let pid_of = |i: usize| if (i / 61).is_multiple_of(2) { pid(1) } else { pid(2) };
-
-    for defense in DefenseKind::ALL {
-        for depth in HierarchyDepth::ALL {
-            for placement in PlacementKind::ALL {
-                for replacement in ReplacementKind::ALL {
-                    let label = format!("{defense}/{placement}/{replacement}/{depth}");
-                    let trace = TraceOp::mixed_trace(
-                        mix64(defense as u64 * 31 + placement as u64),
-                        600,
-                        1 << 13,
-                    );
-                    let mut scalar = small_hierarchy(placement, replacement, depth);
-                    let mut batched = small_hierarchy(placement, replacement, depth);
-                    scalar.apply_defense(defense);
-                    batched.apply_defense(defense);
-
-                    let mut scalar_cycles = 0u64;
-                    for (i, op) in trace.iter().enumerate() {
-                        scalar_cycles += scalar.access(pid_of(i), op.kind, op.addr) as u64;
-                    }
-                    let mut batch_cycles = 0u64;
-                    for (seg, chunk) in trace.chunks(61).enumerate() {
-                        batch_cycles += batched.access_batch_cycles(pid_of(seg * 61), chunk);
-                    }
-
-                    assert_eq!(batch_cycles, scalar_cycles, "{label}: cycles diverge");
-                    let pairs = [(scalar.l1i(), batched.l1i()), (scalar.l1d(), batched.l1d())];
-                    for (a, b) in pairs
-                        .into_iter()
-                        .chain(scalar.unified_levels().zip(batched.unified_levels()))
-                    {
-                        assert_eq!(a.stats(), b.stats(), "{label}: {} stats diverge", a.label());
-                        assert_eq!(
-                            contents_of(a),
-                            contents_of(b),
-                            "{label}: {} contents diverge",
-                            a.label()
-                        );
-                    }
-                    if defense == DefenseKind::Ttl {
-                        let expiries: u64 = [scalar.l1i(), scalar.l1d()]
-                            .into_iter()
-                            .chain(scalar.unified_levels())
-                            .map(|c| c.stats().ttl_expiries())
-                            .sum();
-                        assert!(expiries > 0, "{label}: TTL armed but never fired");
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[test]

@@ -1,114 +1,119 @@
-//! Differential tests: the packed-metadata `Cache` must reproduce the
-//! seed repository's cache layout (`BoxedCache`, same policy engines)
-//! access-for-access, plus the partitioning and RPCache-redirection
-//! invariants the optimized fill path has to preserve.
+//! Differential tests: the packed-metadata `Cache` must match the
+//! reference model (`model::ModelCache`) op for op on every policy,
+//! write policy, defense and partitioning, plus the partitioning and
+//! RPCache-redirection invariants the optimized fill path has to
+//! preserve.
 
+mod model;
+
+use model::ModelCache;
 use tscache_core::addr::LineAddr;
-use tscache_core::boxed_ref::BoxedCache;
-use tscache_core::cache::{AccessOutcome, Cache};
+use tscache_core::cache::{AccessOutcome, Cache, WritePolicy};
+use tscache_core::defense::DefenseKind;
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::placement::PlacementKind;
 use tscache_core::prng::{mix64, Prng, SplitMix64};
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
 
-/// A mixed-pid recorded trace with locality (reuses a window of recent
-/// lines) so hits, misses, evictions and redirects all occur.
-fn recorded_trace(len: usize, salt: u64) -> Vec<(ProcessId, LineAddr)> {
-    let mut rng = SplitMix64::new(mix64(salt));
+/// The coherent range; the protected ranges overlap on purpose (the
+/// cache merges them, the model scans them as registered).
+const COHERENT: (u64, u64) = (1000, 1200);
+const PROTECTED: [(u64, u64); 3] = [(0, 64), (32, 96), (500, 600)];
+
+/// Replays 4,000 ops from three pids through a `Cache` and the model,
+/// comparing every op's result, then statistics, contents, dirty lines
+/// and the coherence state of the coherent range under every pid. Each
+/// op picks one of the last 64 fresh lines, and half the ops draw a
+/// fresh one first, so hits, misses, evictions, redirects, normalized
+/// transfers and dirty drains all occur.
+fn assert_matches_model(
+    (placement, replacement): (PlacementKind, ReplacementKind),
+    write_policy: WritePolicy,
+    defense: DefenseKind,
+    partitioned: bool,
+) {
+    let label = format!("{placement}/{replacement}/{write_policy:?}/{defense}/{partitioned}");
+    let geom = CacheGeometry::paper_l1();
+    let mut cache = Cache::new("sut", geom, placement, replacement, 0xfeed);
+    let mut model = ModelCache::new(geom, placement, replacement, 0xfeed);
+    macro_rules! both {
+        ($call:ident($($arg:expr),*)) => {{
+            cache.$call($($arg),*);
+            model.$call($($arg),*);
+        }};
+    }
+    for pid in (1..=3).map(ProcessId::new) {
+        both!(set_seed(pid, Seed::new(mix64(0x5eed ^ pid.as_u16() as u64))));
+    }
+    for (s, e) in PROTECTED {
+        both!(add_protected_range(LineAddr::new(s), LineAddr::new(e)));
+    }
+    both!(add_coherent_range(LineAddr::new(COHERENT.0), LineAddr::new(COHERENT.1)));
+    if partitioned {
+        both!(set_way_partition(ProcessId::new(1), 0, 2));
+        both!(set_way_partition(ProcessId::new(2), 2, 4));
+    }
+    both!(set_write_policy(write_policy));
+    both!(set_ttl(defense.ttl()));
+    both!(set_normalize(defense.normalize()));
+
+    let mut rng = SplitMix64::new(mix64(0xabc ^ ((defense as u64) << 8) ^ partitioned as u64));
     let mut recent: Vec<u64> = Vec::new();
-    let mut trace = Vec::with_capacity(len);
-    for _ in 0..len {
+    for i in 0..4000 {
         let pid = ProcessId::new(1 + rng.below(3) as u16);
-        let line = if !recent.is_empty() && rng.below(4) < 2 {
-            recent[rng.below(recent.len() as u32) as usize]
-        } else {
-            let l = rng.below(2048) as u64;
-            recent.push(l);
+        if recent.is_empty() || rng.below(2) == 0 {
+            recent.push(rng.below(2048) as u64);
             if recent.len() > 64 {
                 recent.remove(0);
             }
-            l
-        };
-        trace.push((pid, LineAddr::new(line)));
+        }
+        let line = LineAddr::new(recent[rng.below(recent.len() as u32) as usize]);
+        macro_rules! same {
+            ($call:ident($($arg:expr),*)) => {
+                assert_eq!(
+                    cache.$call($($arg),*),
+                    model.$call($($arg),*),
+                    "{label}: op {i}, {}({pid}, {line}) diverged",
+                    stringify!($call)
+                )
+            };
+        }
+        match rng.below(1000) {
+            0..=449 => same!(access_rw(pid, line, false)),
+            450..=749 => same!(access_rw(pid, line, true)),
+            750..=849 => same!(probe(pid, line)),
+            850..=919 => same!(receive_writeback(pid, line)),
+            920..=994 => same!(invalidate_line(pid, line)),
+            995..=998 => same!(flush_process(pid)),
+            _ => same!(flush()),
+        }
     }
-    trace
-}
-
-fn configure_pair(
-    placement: PlacementKind,
-    replacement: ReplacementKind,
-    with_partitions: bool,
-) -> (Cache, BoxedCache) {
-    let geom = CacheGeometry::paper_l1();
-    let mut cache = Cache::new("sut", geom, placement, replacement, 0xfeed);
-    let mut boxed = BoxedCache::new(geom, placement, replacement, 0xfeed);
-    for pid in 1..=3u16 {
-        let seed = Seed::new(mix64(0x5eed ^ pid as u64));
-        cache.set_seed(ProcessId::new(pid), seed);
-        boxed.set_seed(ProcessId::new(pid), seed);
+    assert_eq!(cache.stats(), model.stats(), "{label}: stats");
+    let contents: Vec<_> = cache.contents().collect();
+    assert_eq!(contents, model.contents(), "{label}: contents");
+    assert_eq!(cache.dirty_lines(), model.dirty_lines(), "{label}: dirty lines");
+    for pid in (1..=3).map(ProcessId::new) {
+        for line in (COHERENT.0..COHERENT.1).map(LineAddr::new) {
+            let (a, b) = (cache.coherence_state(pid, line), model.coherence_state(pid, line));
+            assert_eq!(a, b, "{label}: coherence state of {line} under {pid}");
+        }
     }
-    // Overlapping registrations on purpose: the packed cache merges
-    // them, the boxed one scans them as-is — lookups must still agree.
-    for (s, e) in [(0u64, 64), (32, 96), (500, 600)] {
-        cache.add_protected_range(LineAddr::new(s), LineAddr::new(e));
-        boxed.add_protected_range(LineAddr::new(s), LineAddr::new(e));
-    }
-    if with_partitions {
-        cache.set_way_partition(ProcessId::new(1), 0, 2);
-        boxed.set_way_partition(ProcessId::new(1), 0, 2);
-        cache.set_way_partition(ProcessId::new(2), 2, 4);
-        boxed.set_way_partition(ProcessId::new(2), 2, 4);
-    }
-    (cache, boxed)
 }
 
 #[test]
-fn enum_engine_matches_boxed_reference_on_recorded_traces() {
+fn cache_matches_the_model_op_by_op() {
     for placement in PlacementKind::ALL {
         for replacement in ReplacementKind::ALL {
-            for with_partitions in [false, true] {
-                let (mut cache, mut boxed) =
-                    configure_pair(placement, replacement, with_partitions);
-                let trace = recorded_trace(4000, 0xabc ^ with_partitions as u64);
-                for (i, &(pid, line)) in trace.iter().enumerate() {
-                    let a = cache.access(pid, line);
-                    let b = boxed.access(pid, line);
-                    assert_eq!(
-                        a, b,
-                        "{placement}/{replacement} partitions={with_partitions}: \
-                         outcome diverged at access {i} ({pid}, {line})"
-                    );
+            for write_policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+                for defense in [DefenseKind::Off, DefenseKind::Ttl, DefenseKind::Normalize] {
+                    for partitioned in [false, true] {
+                        let policies = (placement, replacement);
+                        assert_matches_model(policies, write_policy, defense, partitioned);
+                    }
                 }
-                assert_eq!(cache.stats(), boxed.stats(), "{placement}/{replacement}");
-                assert_eq!(cache.occupancy(), boxed.occupancy());
-                let a: Vec<_> = cache.contents().collect();
-                let b: Vec<_> = boxed.contents().collect();
-                assert_eq!(a, b, "{placement}/{replacement}: contents diverge");
             }
         }
-    }
-}
-
-#[test]
-fn batch_api_matches_boxed_reference() {
-    let geom = CacheGeometry::paper_l1();
-    for placement in [PlacementKind::Modulo, PlacementKind::RandomModulo, PlacementKind::RpCache] {
-        let mut cache = Cache::new("sut", geom, placement, ReplacementKind::Random, 3);
-        let mut boxed = BoxedCache::new(geom, placement, ReplacementKind::Random, 3);
-        let pid = ProcessId::new(1);
-        cache.set_seed(pid, Seed::new(99));
-        boxed.set_seed(pid, Seed::new(99));
-        let mut rng = SplitMix64::new(4);
-        let lines: Vec<LineAddr> =
-            (0..5000).map(|_| LineAddr::new(rng.below(1024) as u64)).collect();
-        let out = cache.access_batch(pid, &lines);
-        let mut hits = 0u64;
-        for &l in &lines {
-            hits += boxed.access(pid, l).is_hit() as u64;
-        }
-        assert_eq!(out.hits, hits, "{placement}");
-        assert_eq!(cache.stats(), boxed.stats(), "{placement}");
     }
 }
 

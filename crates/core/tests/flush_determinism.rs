@@ -14,7 +14,6 @@
 //! victim draws come exclusively from the per-process streams.
 
 use tscache_core::addr::LineAddr;
-use tscache_core::boxed_ref::BoxedCache;
 use tscache_core::cache::Cache;
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::placement::PlacementKind;
@@ -95,37 +94,6 @@ fn flush_process_restarts_the_flushed_pids_stream_only() {
             "{replacement}: flush_process + replay diverged for the flushed pid"
         );
     }
-}
-
-#[test]
-fn boxed_reference_mirrors_the_flush_reset() {
-    // The seed-layout reference must stay draw-for-draw identical to
-    // `Cache` across a flush boundary, or the differential suites lose
-    // their baseline.
-    let ops = trace(0x99, 1200);
-    let mut fast = build(PlacementKind::RandomModulo, ReplacementKind::Random);
-    let mut boxed = BoxedCache::new(
-        CacheGeometry::new(16, 4, 32).unwrap(),
-        PlacementKind::RandomModulo,
-        ReplacementKind::Random,
-        0xf1,
-    );
-    for (pid, lo, hi) in [(1u16, 0u32, 2u32), (2, 2, 4)] {
-        let p = ProcessId::new(pid);
-        boxed.set_seed(p, Seed::new(0x5eed ^ pid as u64));
-        boxed.set_way_partition(p, lo, hi);
-    }
-    let run_pair = |fast: &mut Cache, boxed: &mut BoxedCache| {
-        for &(pid, line) in &ops {
-            let a = fast.access(pid, line).is_hit();
-            let b = boxed.access(pid, line).is_hit();
-            assert_eq!(a, b, "boxed and enum caches diverged");
-        }
-    };
-    run_pair(&mut fast, &mut boxed);
-    fast.flush();
-    boxed.flush();
-    run_pair(&mut fast, &mut boxed);
 }
 
 #[test]

@@ -1,16 +1,19 @@
-//! Differential tests pinning the hierarchy walk against an
-//! independent reference: a test-local hierarchy of seed-layout
-//! caches (`boxed_ref::BoxedCache`), walked op by op in the plainest
-//! way. Cycles, per-level statistics and final contents must agree on
-//! fetch/read/write traces under write-through (where a write behaves
-//! as a read), across every placement × replacement combination, both
-//! depths and the paper presets. A walk that skips a level, charges a
-//! wrong latency, routes a port to the wrong L1 or seeds a level
-//! differently shows up here as a cycle, counter or contents mismatch.
+//! Differential tests pinning the hierarchy walk against the reference
+//! model (`model::ModelHierarchy`), walked op by op in the plainest way.
+//! Cycles, per-level statistics, contents and dirty counts must agree
+//! on fetch/read/write/flush traces under both write policies, with
+//! the TTL and normalization defenses armed or not, across every
+//! placement × replacement combination, both depths and the paper
+//! presets. A walk that skips a level, charges a wrong latency, routes
+//! a port to the wrong L1, seeds a level differently or loses a
+//! writeback shows up here as a cycle, counter or contents mismatch.
 
+mod model;
+
+use model::{ModelCache, ModelHierarchy};
 use tscache_core::addr::Addr;
-use tscache_core::boxed_ref::BoxedCache;
-use tscache_core::cache::{AccessOutcome, Cache};
+use tscache_core::cache::{Cache, WritePolicy};
+use tscache_core::defense::DefenseKind;
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::hierarchy::{AccessKind, Hierarchy, TraceOp, L3_HIT_CYCLES};
 use tscache_core::placement::PlacementKind;
@@ -90,123 +93,104 @@ impl Spec {
         )
     }
 
-    fn build_reference(&self) -> Reference {
+    fn build_model(&self) -> ModelHierarchy {
         let ((l1p, l1r), (up, ur)) = (self.l1_policy, self.unified_policy);
-        Reference {
-            l1i: BoxedCache::new(self.l1, l1p, l1r, self.rng_seed ^ 0x11),
-            l1d: BoxedCache::new(self.l1, l1p, l1r, self.rng_seed ^ 0x22),
+        ModelHierarchy {
+            l1i: ModelCache::new(self.l1, l1p, l1r, self.rng_seed ^ 0x11),
+            l1d: ModelCache::new(self.l1, l1p, l1r, self.rng_seed ^ 0x22),
             unified: self
                 .unified
                 .iter()
                 .enumerate()
-                .map(|(k, &(g, hit))| (BoxedCache::new(g, up, ur, self.level_rng(k)), hit))
+                .map(|(k, &(g, hit))| (ModelCache::new(g, up, ur, self.level_rng(k)), hit))
                 .collect(),
-            offset_bits: self.l1.offset_bits(),
+            l1_hit: 1,
+            memory: 80,
             redirects: 0,
         }
     }
 }
 
-/// The reference hierarchy: an op goes to its L1 (fetches to the L1I,
-/// reads and writes to the L1D), then down the unified levels until
-/// one hits, each consulted level filling on its miss; the cost is the
-/// L1 hit plus every consulted unified level's hit cycles, plus memory
-/// when all miss.
-struct Reference {
-    l1i: BoxedCache,
-    l1d: BoxedCache,
-    unified: Vec<(BoxedCache, u32)>,
-    offset_bits: u32,
-    /// Fills RPCache redirected, summed over every level.
-    redirects: u64,
+/// Every way a level can be armed: both write policies, each with no
+/// defense, TTL and normalization.
+fn armings() -> impl Iterator<Item = (WritePolicy, DefenseKind)> {
+    [WritePolicy::WriteThrough, WritePolicy::WriteBack]
+        .into_iter()
+        .flat_map(|w| [DefenseKind::Off, DefenseKind::Ttl, DefenseKind::Normalize].map(|d| (w, d)))
 }
 
-impl Reference {
-    fn access(&mut self, pid: ProcessId, kind: AccessKind, addr: Addr) -> u32 {
-        let line = addr.line(self.offset_bits);
-        let l1 = if kind == AccessKind::Fetch { &mut self.l1i } else { &mut self.l1d };
-        let levels = std::iter::once((l1, 1)).chain(self.unified.iter_mut().map(|(c, h)| (c, *h)));
-        let mut cycles = 0;
-        for (cache, hit_cycles) in levels {
-            cycles += hit_cycles;
-            match cache.access(pid, line) {
-                AccessOutcome::Hit => return cycles,
-                AccessOutcome::Miss { redirected, .. } => self.redirects += redirected as u64,
-            }
-        }
-        cycles + 80
-    }
-
-    /// `Hierarchy::set_process_seed`'s per-level derivation.
-    fn set_process_seed(&mut self, pid: ProcessId, seed: Seed) {
-        self.l1i.set_seed(pid, seed.derive(1));
-        self.l1d.set_seed(pid, seed.derive(2));
-        for (k, (cache, _)) in self.unified.iter_mut().enumerate() {
-            cache.set_seed(pid, seed.derive(3 + k as u64));
-        }
-    }
-
-    /// `Hierarchy::add_protected_range`: the data side of every level.
-    fn add_protected_range(&mut self, start: Addr, size: u64) {
-        let first = start.line(self.offset_bits);
-        let last = start.offset(size - 1).line(self.offset_bits).offset(1);
-        self.l1d.add_protected_range(first, last);
-        for (cache, _) in &mut self.unified {
-            cache.add_protected_range(first, last);
-        }
-    }
-
-    fn set_l1_way_partition(&mut self, pid: ProcessId, lo: u32, hi: u32) {
-        self.l1i.set_way_partition(pid, lo, hi);
-        self.l1d.set_way_partition(pid, lo, hi);
-    }
-
-    fn levels(&self) -> impl Iterator<Item = &BoxedCache> {
-        [&self.l1i, &self.l1d].into_iter().chain(self.unified.iter().map(|(c, _)| c))
-    }
-}
-
-/// Builds the hierarchy and its reference, both with two seeded
-/// processes, a protected data range and an L1 way partition for
-/// pid 2.
-fn pair(spec: &Spec) -> (Hierarchy, Reference) {
+/// Builds the hierarchy and the model, both armed with `write_policy`
+/// and `defense` at every level, with two seeded processes, a protected
+/// data range and an L1 way partition for pid 2.
+fn pair(
+    spec: &Spec,
+    write_policy: WritePolicy,
+    defense: DefenseKind,
+) -> (Hierarchy, ModelHierarchy) {
     let mut h = spec.build();
-    let mut r = spec.build_reference();
+    let mut m = spec.build_model();
+    h.set_write_policy(write_policy);
+    h.apply_defense(defense);
+    for cache in m.levels() {
+        cache.set_write_policy(write_policy);
+        cache.set_ttl(defense.ttl());
+        cache.set_normalize(defense.normalize());
+    }
     for (pid, seed) in [(1u16, 0xaaaa), (2, 0xbbbb)] {
         h.set_process_seed(ProcessId::new(pid), Seed::new(seed));
-        r.set_process_seed(ProcessId::new(pid), Seed::new(seed));
+        m.set_process_seed(ProcessId::new(pid), Seed::new(seed));
     }
     h.add_protected_range(Addr::new(0x200), 256);
-    r.add_protected_range(Addr::new(0x200), 256);
+    m.add_protected_range(Addr::new(0x200), 256);
     h.set_l1_way_partition(ProcessId::new(2), 0, 1);
-    r.set_l1_way_partition(ProcessId::new(2), 0, 1);
-    (h, r)
+    m.l1i.set_way_partition(ProcessId::new(2), 0, 1);
+    m.l1d.set_way_partition(ProcessId::new(2), 0, 1);
+    (h, m)
 }
 
-/// Replays `trace` through `access_batch_cycles` in 97-op chunks, the
-/// chunks alternating between pids 1 and 2, and through the reference
-/// op by op; then compares cycles, every level's statistics and every
-/// level's contents.
-fn assert_matches_reference(spec: &Spec, trace: &[TraceOp], label: &str) -> Reference {
-    let (mut h, mut r) = pair(spec);
-    let pid_of = |chunk: usize| ProcessId::new(1 + (chunk % 2) as u16);
-    let mut cycles = 0u64;
-    let mut ref_cycles = 0u64;
-    for (k, chunk) in trace.chunks(97).enumerate() {
-        cycles += h.access_batch_cycles(pid_of(k), chunk);
-        for op in chunk {
-            ref_cycles += r.access(pid_of(k), op.kind, op.addr) as u64;
+/// Replays `trace`, every 37th op turned into a flush, through
+/// `access_batch_cycles` in 97-op chunks alternating between pids 1
+/// and 2, and through the model op by op, flushing the chunk's pid
+/// from both after every 13th chunk. Compares each chunk's cycles,
+/// then every level's statistics, contents and dirty lines, and checks
+/// that lines expired exactly when TTL was armed.
+fn assert_matches_model(spec: &Spec, trace: &[TraceOp], label: &str) -> ModelHierarchy {
+    let trace: Vec<TraceOp> = trace
+        .iter()
+        .enumerate()
+        .map(|(i, op)| if i % 37 == 36 { TraceOp::flush(op.addr) } else { *op })
+        .collect();
+    let mut last = None;
+    for (write_policy, defense) in armings() {
+        let label = format!("{label}/{write_policy:?}/{defense}");
+        let (mut h, mut m) = pair(spec, write_policy, defense);
+        for (k, chunk) in trace.chunks(97).enumerate() {
+            let pid = ProcessId::new(1 + (k % 2) as u16);
+            let cycles = h.access_batch_cycles(pid, chunk);
+            let model_cycles: u64 =
+                chunk.iter().map(|op| m.walk(pid, op.kind, op.addr) as u64).sum();
+            assert_eq!(cycles, model_cycles, "{label}: chunk {k} cycles diverge");
+            if k % 13 == 12 {
+                h.flush_process(pid);
+                for cache in m.levels() {
+                    cache.flush_process(pid);
+                }
+            }
         }
+        let levels: Vec<&Cache> =
+            [h.l1i(), h.l1d()].into_iter().chain(h.unified_levels()).collect();
+        assert_eq!(levels.len(), m.levels().count(), "{label}: depth");
+        for (a, b) in levels.iter().zip(m.levels()) {
+            assert_eq!(a.stats(), b.stats(), "{label}: {} stats diverge", a.label());
+            let contents: Vec<_> = a.contents().collect();
+            assert_eq!(contents, b.contents(), "{label}: {} contents diverge", a.label());
+            assert_eq!(a.dirty_lines(), b.dirty_lines(), "{label}: {} dirty lines", a.label());
+        }
+        let expiries: u64 = levels.iter().map(|c| c.stats().ttl_expiries()).sum();
+        assert_eq!(expiries > 0, defense == DefenseKind::Ttl, "{label}: {expiries} TTL expiries");
+        last = Some(m);
     }
-    assert_eq!(cycles, ref_cycles, "{label}: cycle totals diverge");
-    let levels: Vec<&Cache> = [h.l1i(), h.l1d()].into_iter().chain(h.unified_levels()).collect();
-    assert_eq!(levels.len(), r.levels().count(), "{label}: depth");
-    for (a, b) in levels.into_iter().zip(r.levels()) {
-        assert_eq!(a.stats(), b.stats(), "{label}: {} stats diverge", a.label());
-        let (ca, cb): (Vec<_>, Vec<_>) = (a.contents().collect(), b.contents().collect());
-        assert_eq!(ca, cb, "{label}: {} contents diverge", a.label());
-    }
-    r
+    last.unwrap()
 }
 
 #[test]
@@ -217,12 +201,12 @@ fn walk_matches_reference_across_all_policy_combinations() {
                 let label = format!("{placement}/{replacement}/{depth}");
                 let salt = (placement as usize * 16 + replacement as usize) as u64 + 1;
                 let trace = TraceOp::mixed_trace(salt, 700, 1 << 14);
-                let r = assert_matches_reference(
+                let mut m = assert_matches_model(
                     &Spec::small(placement, replacement, depth),
                     &trace,
                     &label,
                 );
-                let last = r.levels().last().unwrap().stats();
+                let last = m.levels().last().unwrap().stats();
                 assert!(last.evictions() > 0, "{label}: the trace never evicted at the last level");
             }
         }
@@ -234,7 +218,7 @@ fn walk_matches_reference_on_paper_presets() {
     for depth in HierarchyDepth::ALL {
         for setup in SetupKind::ALL {
             let trace = TraceOp::mixed_trace(0x5e7 ^ setup as u64, 2500, 1 << 16);
-            assert_matches_reference(
+            assert_matches_model(
                 &Spec::preset(setup, depth, 42),
                 &trace,
                 &format!("{setup}/{depth}"),
@@ -246,17 +230,17 @@ fn walk_matches_reference_on_paper_presets() {
 #[test]
 fn rpcache_redirects_match_reference() {
     // RPCache's contention remap is the trickiest fill path (extra RNG
-    // draws, alias invalidation); the reference counts its redirects.
+    // draws, alias invalidation); the model counts its redirects.
     let spec =
         Spec::small(PlacementKind::RpCache, ReplacementKind::Lru, HierarchyDepth::ThreeLevel);
-    let r = assert_matches_reference(&spec, &TraceOp::mixed_trace(99, 900, 1 << 14), "rpcache");
-    assert!(r.redirects > 0, "contention-heavy RPCache trace never redirected");
+    let m = assert_matches_model(&spec, &TraceOp::mixed_trace(99, 900, 1 << 14), "rpcache");
+    assert!(m.redirects > 0, "contention-heavy RPCache trace never redirected");
 }
 
 #[test]
 fn access_kinds_route_to_expected_l1() {
     let spec = Spec::small(PlacementKind::Modulo, ReplacementKind::Lru, HierarchyDepth::TwoLevel);
-    let (mut h, _) = pair(&spec);
+    let (mut h, _) = pair(&spec, WritePolicy::WriteThrough, DefenseKind::Off);
     let pid = ProcessId::new(1);
     h.access_batch_cycles(
         pid,

@@ -10,7 +10,7 @@ use tscache_core::seed::Seed;
 
 /// The network evaluated switch by switch, straight from its
 /// definition, as an oracle independent of `PermutationNetwork::apply`
-/// (the boxed reference cache builds Random Modulo from the same
+/// (the reference cache model builds Random Modulo from the same
 /// network, so it cannot catch a network bug).
 fn reference_apply(k: u32, value: u32, control: u64) -> u32 {
     if k < 2 {

@@ -2,12 +2,13 @@
 //!
 //! Every `SetupKind` uses LRU or random replacement, so FIFO,
 //! tree-PLRU and NRU reach no probe golden or benchmark digest, and
-//! the `Cache`-vs-`BoxedCache` differentials run the same policy code
-//! on both sides. These constants pin each policy's choices directly: a fixed
-//! sequence of hits, fills and victim calls over whole-set and
-//! way-partition ranges, and a two-process L1 replay with one process
-//! way-partitioned. A change to any victim rule, or to which RNG
-//! stream a partitioned fill draws from, moves a constant.
+//! the reference model the differential suites check `Cache` against
+//! (`tests/model/`) calls the same policy engines. These constants pin
+//! each policy's choices directly: a fixed sequence of hits, fills and
+//! victim calls over whole-set and way-partition ranges, and a
+//! two-process L1 replay with one process way-partitioned. A change to
+//! any victim rule, or to which RNG stream a partitioned fill draws
+//! from, moves a constant.
 
 use tscache_core::addr::LineAddr;
 use tscache_core::cache::Cache;
