@@ -1,6 +1,6 @@
 //! Address newtypes used throughout the cache models.
 //!
-//! Three granularities appear in the simulator:
+//! Two granularities appear in the simulator:
 //!
 //! * [`Addr`] — a byte address, as issued by a load/store or an
 //!   instruction fetch.
@@ -8,9 +8,10 @@
 //!   intra-line offset stripped. All placement policies operate on line
 //!   addresses because the offset bits never participate in set
 //!   selection (paper §2.1).
-//! * [`PageAddr`] — a memory-page address. The *Random Modulo* placement
-//!   guarantees that lines of the same page never collide in cache
-//!   (`mbpta-p3`), so pages are a first-class concept.
+//!
+//! Pages have no type of their own: the `mbpta-p3` checks in
+//! [`properties`](crate::properties) build page `p`'s lines as
+//! `p * lines_per_page + i`.
 
 use core::fmt;
 
@@ -45,12 +46,6 @@ impl Addr {
     #[inline]
     pub const fn line(self, offset_bits: u32) -> LineAddr {
         LineAddr(self.0 >> offset_bits)
-    }
-
-    /// Returns the page address for pages of `2^page_bits` bytes.
-    #[inline]
-    pub const fn page(self, page_bits: u32) -> PageAddr {
-        PageAddr(self.0 >> page_bits)
     }
 
     /// Returns the byte offset within a line of `2^offset_bits` bytes.
@@ -133,13 +128,6 @@ impl LineAddr {
         Addr(self.0 << offset_bits)
     }
 
-    /// Returns the page this line belongs to, for `2^page_bits`-byte
-    /// pages and `2^offset_bits`-byte lines.
-    #[inline]
-    pub const fn page(self, page_bits: u32, offset_bits: u32) -> PageAddr {
-        PageAddr(self.0 >> (page_bits - offset_bits))
-    }
-
     /// Returns the line advanced by `n` lines.
     #[inline]
     pub const fn offset(self, n: u64) -> LineAddr {
@@ -159,36 +147,6 @@ impl From<u64> for LineAddr {
     }
 }
 
-/// A memory-page address: byte address divided by the page size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PageAddr(u64);
-
-impl PageAddr {
-    /// Creates a page address from its raw (already shifted) value.
-    #[inline]
-    pub const fn new(raw: u64) -> Self {
-        PageAddr(raw)
-    }
-
-    /// Returns the raw page-address value.
-    #[inline]
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for PageAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "page:{:#x}", self.0)
-    }
-}
-
-impl From<u64> for PageAddr {
-    fn from(raw: u64) -> Self {
-        PageAddr(raw)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,12 +156,6 @@ mod tests {
         let a = Addr::new(0b1111_0110);
         assert_eq!(a.line(5).as_u64(), 0b111);
         assert_eq!(a.line_offset(5), 0b10110);
-    }
-
-    #[test]
-    fn addr_page_strips_page_offset() {
-        let a = Addr::new(0x12345);
-        assert_eq!(a.page(12).as_u64(), 0x12);
     }
 
     #[test]
@@ -222,17 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn line_page_consistent_with_addr_page() {
-        // 4 KiB pages, 32 B lines.
-        let a = Addr::new(0x0123_4567);
-        assert_eq!(a.line(5).page(12, 5), a.page(12));
-    }
-
-    #[test]
     fn display_formats_are_nonempty_and_hex() {
         assert_eq!(Addr::new(0xff).to_string(), "0xff");
         assert_eq!(LineAddr::new(0xff).to_string(), "line:0xff");
-        assert_eq!(PageAddr::new(0xff).to_string(), "page:0xff");
     }
 
     #[test]

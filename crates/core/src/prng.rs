@@ -2,16 +2,12 @@
 //!
 //! Random caches need a hardware-friendly PRNG to draw seeds and random
 //! replacement victims (paper §2.1 cites IEC-61508-compliant PRNGs, reference \[3\]).
-//! We provide three generators:
+//! Every stream in the simulator is a [`SplitMix64`], the de-facto
+//! standard 64-bit mixer, behind the [`Prng`] interface; its stateless
+//! [`mix64`] finalizer serves placement hashes and seed derivation.
 //!
-//! * [`SplitMix64`] — the de-facto standard 64-bit mixer; also the
-//!   stateless [`mix64`] finalizer used by placement hashes.
-//! * [`Xoroshiro128pp`] — fast, high-quality general-purpose stream.
-//! * [`Lfsr32`] — a 32-bit maximal-length Galois LFSR, the kind of
-//!   generator that fits in a few gates of cache control logic.
-//!
-//! All generators are deterministic functions of their 64-bit seed, so
-//! every experiment in this repository is bit-reproducible.
+//! A generator is a deterministic function of its 64-bit seed, so every
+//! experiment in this repository is bit-reproducible.
 
 /// Stateless 64-bit finalizer (the SplitMix64 output function).
 ///
@@ -35,7 +31,7 @@ pub const fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Common interface of the deterministic generators in this module.
+/// The draws every stream offers, built on its raw 64-bit output.
 pub trait Prng {
     /// Returns the next 64 pseudo-random bits.
     fn next_u64(&mut self) -> u64;
@@ -121,88 +117,6 @@ impl Prng for SplitMix64 {
     }
 }
 
-/// Xoroshiro128++: fast general-purpose generator (Blackman & Vigna).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Xoroshiro128pp {
-    s0: u64,
-    s1: u64,
-}
-
-impl Xoroshiro128pp {
-    /// Creates a generator, expanding the 64-bit seed with SplitMix64 as
-    /// the reference implementation recommends.
-    pub fn new(seed: u64) -> Self {
-        let mut sm = SplitMix64::new(seed);
-        let s0 = sm.next_u64();
-        let mut s1 = sm.next_u64();
-        if s0 == 0 && s1 == 0 {
-            s1 = 1; // the all-zero state is the one forbidden state
-        }
-        Xoroshiro128pp { s0, s1 }
-    }
-}
-
-impl Prng for Xoroshiro128pp {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        let (s0, mut s1) = (self.s0, self.s1);
-        let result = s0.wrapping_add(s1).rotate_left(17).wrapping_add(s0);
-        s1 ^= s0;
-        self.s0 = s0.rotate_left(49) ^ s1 ^ (s1 << 21);
-        self.s1 = s1.rotate_left(28);
-        result
-    }
-}
-
-/// A 32-bit maximal-length Galois LFSR (taps 32,22,2,1 — polynomial
-/// 0x80200003), representative of the low-overhead PRNGs used in
-/// time-randomized cache hardware.
-///
-/// The all-zero state is unreachable and is corrected at construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lfsr32 {
-    state: u32,
-}
-
-impl Lfsr32 {
-    /// Creates an LFSR from a seed; a zero seed is mapped to a fixed
-    /// non-zero state because zero is a fixed point of the recurrence.
-    pub fn new(seed: u64) -> Self {
-        let folded = (seed as u32) ^ ((seed >> 32) as u32);
-        Lfsr32 { state: if folded == 0 { 0xace1_u32 } else { folded } }
-    }
-
-    /// Advances one bit.
-    #[inline]
-    fn step(&mut self) -> u32 {
-        let lsb = self.state & 1;
-        self.state >>= 1;
-        if lsb != 0 {
-            self.state ^= 0x8020_0003;
-        }
-        lsb
-    }
-}
-
-impl Prng for Lfsr32 {
-    fn next_u64(&mut self) -> u64 {
-        let mut out = 0u64;
-        // One bit per step, like the serial hardware implementation.
-        for _ in 0..64 {
-            out = (out << 1) | self.step() as u64;
-        }
-        out
-    }
-
-    fn next_u32(&mut self) -> u32 {
-        let mut out = 0u32;
-        for _ in 0..32 {
-            out = (out << 1) | self.step();
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,47 +143,6 @@ mod tests {
         let mut a = SplitMix64::new(1);
         let mut b = SplitMix64::new(2);
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn xoroshiro_reproducible_and_nonzero() {
-        let mut a = Xoroshiro128pp::new(99);
-        let mut b = Xoroshiro128pp::new(99);
-        let mut any_nonzero = false;
-        for _ in 0..100 {
-            let v = a.next_u64();
-            assert_eq!(v, b.next_u64());
-            any_nonzero |= v != 0;
-        }
-        assert!(any_nonzero);
-    }
-
-    #[test]
-    fn lfsr_zero_seed_is_fixed_up() {
-        let mut l = Lfsr32::new(0);
-        assert_ne!(l.next_u32(), 0xffff_ffff); // progresses, no lock-up
-        let mut prev = l.next_u32();
-        let mut changes = 0;
-        for _ in 0..10 {
-            let v = l.next_u32();
-            if v != prev {
-                changes += 1;
-            }
-            prev = v;
-        }
-        assert!(changes >= 9);
-    }
-
-    #[test]
-    fn lfsr_period_is_long() {
-        // The state must not revisit the seed within a small horizon
-        // (full period is 2^32-1; we just sanity-check a prefix).
-        let mut l = Lfsr32::new(0xdead_beef);
-        let start = l.clone();
-        for i in 0..10_000 {
-            l.next_u32();
-            assert_ne!(l, start, "period too short: {i}");
-        }
     }
 
     #[test]
@@ -300,7 +173,7 @@ mod tests {
 
     #[test]
     fn next_f64_in_unit_interval() {
-        let mut r = Xoroshiro128pp::new(11);
+        let mut r = SplitMix64::new(11);
         for _ in 0..1000 {
             let v = r.next_f64();
             assert!((0.0..1.0).contains(&v));
@@ -309,7 +182,7 @@ mod tests {
 
     #[test]
     fn below_is_roughly_uniform() {
-        let mut r = Xoroshiro128pp::new(3);
+        let mut r = SplitMix64::new(3);
         let mut counts = [0u32; 10];
         let n = 100_000;
         for _ in 0..n {

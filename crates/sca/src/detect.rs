@@ -141,11 +141,6 @@ pub struct DetectionCampaignConfig {
     /// Defense-zoo policy armed on the platform under test
     /// ([`DefenseKind::Off`] = the undefended baseline).
     pub defense: DefenseKind,
-    /// Run the Flush+Reload campaign on a private (per-core) platform
-    /// with no shared LLC. That scenario has no coherent shared level
-    /// for the attacker to flush or reload through, so the campaign
-    /// reports a typed [`ConfigError`] instead of tracing.
-    pub private_platform: bool,
 }
 
 /// Margin added to the benign maximum score to form the operating
@@ -175,7 +170,6 @@ impl DetectionCampaignConfig {
             detector,
             sample: true,
             defense: DefenseKind::Off,
-            private_platform: false,
         }
     }
 
@@ -439,12 +433,6 @@ fn rank_progress(votes: &[u32], true_byte: u8) -> f64 {
 /// [`crate::flush_reload`], but with per-window PMU instrumentation.
 /// The benign co-runner warms its own disjoint LLC working set and
 /// never flushes.
-///
-/// On a `private_platform` campaign the machine has no shared LLC, so
-/// both the benign co-runner's warm loop and the attacker's reload
-/// probe have no level to act on: each borrows the shared level
-/// fallibly and surfaces a typed [`ConfigError`] (these sites used to
-/// panic via `expect("shared platform")`).
 fn flush_reload_trace(
     cfg: &DetectionCampaignConfig,
     attack: bool,
@@ -452,16 +440,12 @@ fn flush_reload_trace(
     let setup = cfg.defense.effective_setup(cfg.setup);
     let victim = ProcessId::new(1);
     let attacker = ProcessId::new(2);
-    let mut machine = if cfg.private_platform {
-        Machine::from_setup_depth(setup, HierarchyDepth::TwoLevel, cfg.master_seed)
-    } else {
-        Machine::from_setup_shared(
-            setup,
-            HierarchyDepth::TwoLevel,
-            SystemConfig::default(),
-            cfg.master_seed,
-        )
-    };
+    let mut machine = Machine::from_setup_shared(
+        setup,
+        HierarchyDepth::TwoLevel,
+        SystemConfig::default(),
+        cfg.master_seed,
+    );
     machine.apply_defense(cfg.defense);
     machine.set_process(victim);
     seed_machine(&mut machine, setup, victim, attacker, cfg.master_seed ^ 0x000f_1a54);
@@ -836,36 +820,6 @@ mod tests {
         // All-NaN inputs also survive and read as an uninformative curve.
         let degenerate = RocCurve::from_scores(&[f64::NAN], &[f64::NAN]);
         assert!(degenerate.auc().is_finite());
-    }
-
-    #[test]
-    fn private_platform_flush_reload_is_a_typed_error_not_a_panic() {
-        // Both former `expect("shared platform")` sites: the sampled
-        // campaign dies first in the benign co-runner warm loop, the
-        // unsampled baseline only ever reaches the attacker's reload
-        // branch. Each must surface as a ConfigError.
-        let base = DetectionCampaignConfig::standard(
-            DetectTarget::FlushReload,
-            SetupKind::Deterministic,
-            7,
-        );
-        let private = DetectionCampaignConfig { private_platform: true, ..base };
-        let err = run_detection_campaign(&private).expect_err("no shared level to reload from");
-        assert!(err.to_string().contains("shared-LLC"), "{err}");
-        let unsampled = DetectionCampaignConfig { sample: false, ..private };
-        assert!(run_detection_campaign(&unsampled).is_err());
-    }
-
-    #[test]
-    fn private_platform_leaves_other_targets_untouched() {
-        // The knob only constrains Flush+Reload — the L1 and private
-        // hierarchy campaigns never had a shared level to lose.
-        for target in [DetectTarget::PrimeProbe, DetectTarget::Bernstein] {
-            let base = DetectionCampaignConfig::standard(target, SetupKind::Deterministic, 7);
-            let private = DetectionCampaignConfig { private_platform: true, ..base };
-            let out = run_detection_campaign(&private).expect("private platforms are fine");
-            assert_eq!(out, campaign(&base), "{target:?}");
-        }
     }
 
     #[test]

@@ -145,11 +145,7 @@ impl SamplingConfig {
                 "partition_llc_ways needs shared_llc: there is no shared level to partition",
             ));
         }
-        if self.defense.needs_shared_level() && !self.shared_llc {
-            return Err(ConfigError::incompatible(
-                "seed-rotation defenses need shared_llc: there is no shared level to rotate",
-            ));
-        }
+        self.defense.validate_platform(self.shared_llc)?;
         if let Some(contention) = &self.contention {
             contention.system.validate()?;
         }

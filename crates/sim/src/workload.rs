@@ -78,11 +78,7 @@ impl MeasurementProtocol {
                  cache image (the paper's §5 protocol flushes at every seed change)",
             ));
         }
-        if self.defense.needs_shared_level() && !self.shared_llc {
-            return Err(ConfigError::incompatible(
-                "seed-rotation defenses need shared_llc: there is no shared level to rotate",
-            ));
-        }
+        self.defense.validate_platform(self.shared_llc)?;
         if let Some(contention) = &self.contention {
             contention.system.validate()?;
         }
