@@ -90,9 +90,9 @@ fn main() {
     };
 
     let cfg = ExecutorConfig {
-        workers: args.get_u64("workers", 0) as usize,
+        workers: opt_int(&args, "workers").unwrap_or(0),
         max_retries: opt_int(&args, "retries").unwrap_or(2),
-        checkpoint_every: args.get_u64("checkpoint-every", 8),
+        checkpoint_every: opt_int(&args, "checkpoint-every").unwrap_or(8),
         scramble_seed: opt_int(&args, "scramble"),
         keep_times: true,
         trace: args.get_u64("trace", 0) != 0,

@@ -34,7 +34,7 @@ use crate::checkpoint::{campaign_digest, AppendOutcome, CampaignDir, Manifest};
 use crate::digest::{fnv64, Fnv64};
 use crate::fault::FaultPlan;
 use crate::job::{run_shard_with, ShardOptions, TRACE_RING_CAPACITY};
-use crate::jsonl::ShardRecord;
+use crate::jsonl::{push_json_string, ShardRecord};
 use crate::spec::{AttackKind, FleetError, ShardJob, SweepSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -424,12 +424,13 @@ fn run_attempt(
     }
 }
 
-/// The drive loop, for every worker count. Workers claim shards from
-/// `pending` through one atomic cursor, run every attempt of a shard
-/// (a crash with retries left runs again in place), and stream each
-/// outcome to this thread, which owns all persistence. A worker exits
-/// when the cursor passes the end, or at its next send once a halt has
-/// dropped the receiver.
+/// The drive loop, for every worker count. At most one worker per
+/// pending shard starts. Workers claim shards from `pending` through
+/// one atomic cursor, run every attempt of a shard (a crash with
+/// retries left runs again in place), and stream each outcome to this
+/// thread, which owns all persistence. A worker exits when the cursor
+/// passes the end, or at its next send once a halt has dropped the
+/// receiver.
 fn drive_parallel(
     pending: &[ShardJob],
     workers: usize,
@@ -441,7 +442,7 @@ fn drive_parallel(
     let (cfg, faults) = (progress.cfg, progress.faults);
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel();
-        for _ in 0..workers {
+        for _ in 0..workers.min(pending.len()) {
             let (tx, cursor) = (tx.clone(), &cursor);
             scope.spawn(move || {
                 while let Some(job) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
@@ -623,10 +624,12 @@ pub fn render_report(result: &CampaignResult) -> String {
         result.is_complete()
     );
     for (i, s) in result.scenarios.iter().enumerate() {
+        out.push_str("    {\"key\": ");
+        push_json_string(&mut out, &s.key);
         let _ = write!(
             out,
-            "    {{\"key\": \"{}\", \"shards\": \"{}/{}\", \"digest\": \"{:#018x}\"",
-            s.key, s.shards_completed, s.shards_expected, s.digest
+            ", \"shards\": \"{}/{}\", \"digest\": \"{:#018x}\"",
+            s.shards_completed, s.shards_expected, s.digest
         );
         if let Some(sum) = &s.summary {
             let _ = write!(
@@ -652,13 +655,11 @@ pub fn render_report(result: &CampaignResult) -> String {
                 format!("crashed after {attempts} attempts: {message}")
             }
         };
-        let _ = write!(
-            out,
-            "    {{\"shard\": {}, \"scenario\": \"{}\", \"reason\": \"{}\"}}",
-            q.shard,
-            q.scenario,
-            reason.replace('"', "'")
-        );
+        let _ = write!(out, "    {{\"shard\": {}, \"scenario\": ", q.shard);
+        push_json_string(&mut out, &q.scenario);
+        out.push_str(", \"reason\": ");
+        push_json_string(&mut out, &reason);
+        out.push('}');
         if i + 1 < result.quarantined.len() {
             out.push(',');
         }
@@ -705,5 +706,31 @@ mod tests {
         assert_eq!(acc, u64::MAX);
         acc = acc.saturating_add(backoff_units_for(65));
         assert_eq!(acc, u64::MAX);
+    }
+
+    #[test]
+    fn report_escapes_quarantine_reasons() {
+        // A multi-line assertion message with a quote and a backslash,
+        // the shape a real shard panic leaves.
+        let message = "assertion `left == right` failed: \"C:\\tmp\"\n  left: 1\n right: 2";
+        let result = CampaignResult {
+            scenarios: Vec::new(),
+            shards_expected: 1,
+            shards_completed: 0,
+            quarantined: vec![Quarantined {
+                shard: 0,
+                scenario: "pwcet/det".to_string(),
+                reason: QuarantineReason::Crashed { attempts: 3, message: message.to_string() },
+            }],
+            accounting: Accounting::default(),
+            campaign_digest: 0,
+        };
+        let report = render_report(&result);
+        let entry = report.lines().find(|l| l.contains("\"reason\"")).expect("quarantine entry");
+        let expected = concat!(
+            r#"    {"shard": 0, "scenario": "pwcet/det", "reason": "crashed after 3 attempts: "#,
+            r#"assertion `left == right` failed: \"C:\\tmp\"\n  left: 1\n right: 2"}"#,
+        );
+        assert_eq!(entry, expected);
     }
 }

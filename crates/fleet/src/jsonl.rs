@@ -68,7 +68,9 @@ fn push_f64(out: &mut String, v: f64) -> fmt::Result {
     }
 }
 
-fn push_json_string(out: &mut String, s: &str) {
+/// Writes `s` as a JSON string literal: quotes, backslashes and
+/// control characters escaped.
+pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
