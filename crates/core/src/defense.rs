@@ -19,7 +19,8 @@
 //!   every level — the [`SetupKind::RandomSafe`] preset.
 //! - **Seed rotation** beyond per-hyperperiod: the shared level
 //!   re-derives per-process placement seeds on a deterministic op
-//!   cadence, per partition group or per core.
+//!   cadence, for the whole shared level at once or one core at a
+//!   time.
 //!
 //! All knobs are deterministic: the TTL jitter stream and rotation
 //! schedule derive from the owning cache's seed, so scalar and batch
@@ -77,19 +78,20 @@ impl TtlConfig {
 ///
 /// The paper rotates seeds per hyperperiod; the zoo adds finer
 /// policies that re-derive per-process placement seeds after every
-/// `period` fill requests the shared level resolves, one rotation
-/// group at a time (round-robin), flushing the rotated processes'
-/// lines for §5 seed-change consistency.
+/// `period` fill requests the shared level resolves, flushing the
+/// rotated processes' lines for §5 seed-change consistency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RotationPolicy {
     /// No rotation (per-hyperperiod rotation stays the RTOS's job).
     Off,
-    /// Rotate one partition group's seeds every `period` fills.
+    /// Rotate every process's seed on the whole shared level every
+    /// `period` fills.
     PerPartition {
         /// Fill requests between rotations.
         period: u64,
     },
-    /// Rotate one core's (process's) seed every `period` fills.
+    /// Rotate one core's (process's) seed every `period` fills,
+    /// round-robin over the processes.
     PerCore {
         /// Fill requests between rotations.
         period: u64,
@@ -138,7 +140,8 @@ pub enum DefenseKind {
     /// Random-and-Safe composite configuration (replaces the base
     /// setup with [`SetupKind::RandomSafe`]).
     RandomSafe,
-    /// Per-partition seed rotation on the shared level.
+    /// Whole-shared-level seed rotation: every process is re-keyed
+    /// and flushed together each period.
     RotatePartition,
     /// Per-core seed rotation on the shared level.
     RotateCore,

@@ -248,17 +248,13 @@ pub struct SharedLlc {
     /// Fill requests resolved since construction (the rotation clock;
     /// only ticked while a rotation policy is armed).
     rotation_ops: u64,
-    /// Completed rotations (drives both round-robin group selection
+    /// Completed rotations (drives both the round-robin core selection
     /// and the per-epoch seed derivation).
     rotation_epoch: u64,
     /// Pre-derivation base seed per process, recorded by
     /// [`set_process_seed`](Self::set_process_seed), sorted by pid —
     /// what each rotation epoch re-derives from.
     rotation_base: Vec<(u16, Seed)>,
-    /// Partition-group membership `(pid, group)`, sorted by pid, for
-    /// [`RotationPolicy::PerPartition`]. Processes without an entry
-    /// form implicit singleton groups.
-    rotation_groups: Vec<(u16, u8)>,
 }
 
 /// Outcome of one fill request against a [`SharedLlc`].
@@ -291,7 +287,6 @@ impl SharedLlc {
             rotation_ops: 0,
             rotation_epoch: 0,
             rotation_base: Vec::new(),
-            rotation_groups: Vec::new(),
         }
     }
 
@@ -329,12 +324,12 @@ impl SharedLlc {
     }
 
     /// Arms (or disarms) a seed-rotation policy. The rotation clock
-    /// counts fill requests; every `period` fills one rotation group
-    /// (round-robin over partition groups for
-    /// [`RotationPolicy::PerPartition`], over processes for
-    /// [`RotationPolicy::PerCore`]) gets its seeds re-derived from the
+    /// counts fill requests; every `period` fills the rotated
+    /// processes (every process with a recorded base for
+    /// [`RotationPolicy::PerPartition`], one process round-robin for
+    /// [`RotationPolicy::PerCore`]) get their seeds re-derived from the
     /// bases recorded by [`set_process_seed`](Self::set_process_seed),
-    /// and its lines flushed (the §5 seed-change consistency flush).
+    /// and their lines flushed (the §5 seed-change consistency flush).
     pub fn set_rotation(&mut self, policy: RotationPolicy) {
         self.rotation = policy;
     }
@@ -347,18 +342,6 @@ impl SharedLlc {
     /// Completed rotation epochs (0 until the first rotation fires).
     pub fn rotation_epoch(&self) -> u64 {
         self.rotation_epoch
-    }
-
-    /// Declares `pid` a member of partition `group` for
-    /// [`RotationPolicy::PerPartition`] (typically the core index that
-    /// owns the pid's way partition). Processes never declared form
-    /// implicit singleton groups.
-    pub fn set_rotation_group(&mut self, pid: ProcessId, group: u8) {
-        let raw = pid.as_u16();
-        match self.rotation_groups.binary_search_by_key(&raw, |&(p, _)| p) {
-            Ok(i) => self.rotation_groups[i] = (raw, group),
-            Err(i) => self.rotation_groups.insert(i, (raw, group)),
-        }
     }
 
     /// Arms the TTL / normalization knobs of `defense` on the shared
@@ -384,37 +367,15 @@ impl SharedLlc {
         }
         self.rotation_epoch += 1;
         let epoch = self.rotation_epoch;
-        let members: Vec<(u16, Seed)> = match self.rotation {
+        let members = match self.rotation {
             RotationPolicy::PerCore { .. } => {
                 let idx = ((epoch - 1) % self.rotation_base.len() as u64) as usize;
-                vec![self.rotation_base[idx]]
+                idx..idx + 1
             }
-            RotationPolicy::PerPartition { .. } => {
-                // Distinct declared groups, round-robin; processes
-                // without a group rotate together as the implicit
-                // remainder group when no group is declared at all.
-                let mut groups: Vec<u8> = self.rotation_groups.iter().map(|&(_, g)| g).collect();
-                groups.sort_unstable();
-                groups.dedup();
-                if groups.is_empty() {
-                    self.rotation_base.clone()
-                } else {
-                    let g = groups[((epoch - 1) % groups.len() as u64) as usize];
-                    self.rotation_base
-                        .iter()
-                        .copied()
-                        .filter(|&(p, _)| {
-                            self.rotation_groups
-                                .binary_search_by_key(&p, |&(q, _)| q)
-                                .map(|i| self.rotation_groups[i].1)
-                                == Ok(g)
-                        })
-                        .collect()
-                }
-            }
+            RotationPolicy::PerPartition { .. } => 0..self.rotation_base.len(),
             RotationPolicy::Off => unreachable!("period() returned Some"),
         };
-        for (raw, base) in members {
+        for &(raw, base) in &self.rotation_base[members] {
             let pid = ProcessId::new(raw);
             // Chain past the construction-time derivation so every
             // epoch lands on a fresh, reproducible seed.

@@ -134,14 +134,6 @@ impl SeedTable {
         self.seeds.iter().find(|(p, _)| *p == pid).map(|(_, s)| *s).unwrap_or(Seed::ZERO)
     }
 
-    /// Sets every known process to the same seed (the "shared seed"
-    /// configuration that makes plain MBPTA caches attackable, §4).
-    pub fn set_all(&mut self, seed: Seed) {
-        for entry in &mut self.seeds {
-            entry.1 = seed;
-        }
-    }
-
     /// Iterates over `(pid, seed)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, Seed)> + '_ {
         self.seeds.iter().copied()
@@ -194,17 +186,6 @@ mod tests {
         t.set(p, Seed::new(20));
         assert_eq!(t.get(p), Seed::new(20));
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn seed_table_set_all_overwrites_known_only() {
-        let mut t = SeedTable::new();
-        t.set(ProcessId::new(1), Seed::new(1));
-        t.set(ProcessId::new(2), Seed::new(2));
-        t.set_all(Seed::new(7));
-        assert_eq!(t.get(ProcessId::new(1)), Seed::new(7));
-        assert_eq!(t.get(ProcessId::new(2)), Seed::new(7));
-        assert_eq!(t.get(ProcessId::new(3)), Seed::ZERO);
     }
 
     #[test]

@@ -5,9 +5,7 @@ use crate::cache::Cache;
 use crate::geometry::CacheGeometry;
 use crate::hierarchy::{Hierarchy, SharedLlc, L3_HIT_CYCLES};
 use crate::placement::PlacementKind;
-use crate::prng::{Prng, SplitMix64};
 use crate::replacement::ReplacementKind;
-use crate::seed::{ProcessId, Seed};
 use core::fmt;
 
 /// How many cache levels a built hierarchy has. The paper's platform
@@ -246,32 +244,6 @@ impl SetupKind {
         }
     }
 
-    /// Assigns per-run seeds to `pids` in `hierarchy` according to the
-    /// setup's policy, drawing randomness from `rng`.
-    ///
-    /// Call once per run (job) before executing; the paper re-seeds at
-    /// job or hyperperiod granularity (§5).
-    pub fn assign_seeds<R: Prng>(self, hierarchy: &mut Hierarchy, pids: &[ProcessId], rng: &mut R) {
-        match self.seed_sharing() {
-            SeedSharing::Irrelevant => {
-                for &pid in pids {
-                    hierarchy.set_process_seed(pid, Seed::ZERO);
-                }
-            }
-            SeedSharing::Shared => {
-                let seed = Seed::random(rng);
-                for &pid in pids {
-                    hierarchy.set_process_seed(pid, seed);
-                }
-            }
-            SeedSharing::PerProcess => {
-                for &pid in pids {
-                    hierarchy.set_process_seed(pid, Seed::random(rng));
-                }
-            }
-        }
-    }
-
     /// Short label used in figures.
     pub fn label(self) -> &'static str {
         match self {
@@ -290,23 +262,10 @@ impl fmt::Display for SetupKind {
     }
 }
 
-/// Convenience: builds a hierarchy and seeds two processes (victim and
-/// attacker) per the setup policy; returns the hierarchy.
-pub fn build_two_process(
-    kind: SetupKind,
-    victim: ProcessId,
-    attacker: ProcessId,
-    run_seed: u64,
-) -> Hierarchy {
-    let mut h = kind.build(run_seed);
-    let mut rng = SplitMix64::new(run_seed ^ 0x5eed);
-    kind.assign_seeds(&mut h, &[victim, attacker], &mut rng);
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seed::{ProcessId, Seed};
 
     #[test]
     fn setups_build_expected_policies() {
@@ -333,36 +292,6 @@ mod tests {
         assert_eq!(a.l1d().placement_name(), b.l1d().placement_name());
         assert_eq!(a.l2().placement_name(), b.l2().placement_name());
         assert_ne!(SetupKind::Mbpta.seed_sharing(), SetupKind::TsCache.seed_sharing());
-    }
-
-    #[test]
-    fn shared_seeds_are_equal_per_process_differ() {
-        let (v, a) = (ProcessId::new(1), ProcessId::new(2));
-        let mut rng = SplitMix64::new(7);
-
-        let mut h = SetupKind::Mbpta.build(1);
-        SetupKind::Mbpta.assign_seeds(&mut h, &[v, a], &mut rng);
-        assert_eq!(h.l1d().seed(v), h.l1d().seed(a));
-
-        let mut h = SetupKind::TsCache.build(1);
-        SetupKind::TsCache.assign_seeds(&mut h, &[v, a], &mut rng);
-        assert_ne!(h.l1d().seed(v), h.l1d().seed(a));
-    }
-
-    #[test]
-    fn deterministic_assigns_zero_seed() {
-        let (v, a) = (ProcessId::new(1), ProcessId::new(2));
-        let mut h = SetupKind::Deterministic.build(1);
-        let mut rng = SplitMix64::new(7);
-        SetupKind::Deterministic.assign_seeds(&mut h, &[v, a], &mut rng);
-        assert_eq!(h.l1d().seed(v), Seed::new(0).derive(2));
-    }
-
-    #[test]
-    fn build_two_process_seeds_both() {
-        let (v, a) = (ProcessId::new(1), ProcessId::new(2));
-        let h = build_two_process(SetupKind::TsCache, v, a, 99);
-        assert_ne!(h.l1d().seed(v), h.l1d().seed(a));
     }
 
     #[test]

@@ -222,30 +222,27 @@ fn per_core_rotation_fires_on_schedule_and_flushes_the_rotated_core() {
 }
 
 #[test]
-fn per_partition_rotation_rotates_declared_groups_together() {
+fn per_partition_rotation_rotates_every_process_together() {
     let mut llc = shared_level();
     llc.set_rotation(RotationPolicy::PerPartition { period: 32 });
-    llc.set_rotation_group(pid(1), 0);
-    llc.set_rotation_group(pid(2), 0);
-    llc.set_rotation_group(pid(3), 1);
 
-    for p in 1..=3u16 {
-        for i in 0..6u64 {
-            llc.resolve(
-                pid(p),
-                Some(tscache_core::addr::LineAddr::new(0xb000 + p as u64 * 64 + i)),
-                &[],
-            );
-        }
+    // 31 fills by three processes stay one short of the period.
+    for i in 0..31u64 {
+        let p = pid((i % 3) as u16 + 1);
+        llc.resolve(p, Some(tscache_core::addr::LineAddr::new(0xb000 + i)), &[]);
     }
-    // 18 fills so far; 14 more by pid 3 reach the period.
-    for i in 0..14u64 {
-        llc.resolve(pid(3), Some(tscache_core::addr::LineAddr::new(0xc000 + i)), &[]);
-    }
-    assert_eq!(llc.rotation_epoch(), 1);
+    assert_eq!(llc.rotation_epoch(), 0);
     let owners: BTreeSet<u16> = llc.cache().contents().map(|(_, _, _, o)| o.as_u16()).collect();
-    assert!(!owners.contains(&1) && !owners.contains(&2), "group 0 must rotate together");
-    assert!(owners.contains(&3), "group 1 rotates in a later epoch");
+    assert_eq!(owners, BTreeSet::from([1, 2, 3]));
+
+    // The 32nd fill rotates all three processes before it lands, so
+    // its line is the only one left.
+    let last = tscache_core::addr::LineAddr::new(0xc000);
+    llc.resolve(pid(1), Some(last), &[]);
+    assert_eq!(llc.rotation_epoch(), 1);
+    let resident: Vec<(u64, u16)> =
+        llc.cache().contents().map(|(_, _, l, o)| (l.as_u64(), o.as_u16())).collect();
+    assert_eq!(resident, [(last.as_u64(), 1)], "a rotated process kept a line");
 }
 
 #[test]

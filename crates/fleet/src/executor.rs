@@ -34,7 +34,7 @@ use crate::checkpoint::{campaign_digest, AppendOutcome, CampaignDir, Manifest};
 use crate::digest::{fnv64, Fnv64};
 use crate::fault::FaultPlan;
 use crate::job::{run_shard_with, ShardOptions, TRACE_RING_CAPACITY};
-use crate::jsonl::{push_json_string, ShardRecord};
+use crate::jsonl::{push_f64, push_json_string, ShardRecord};
 use crate::spec::{AttackKind, FleetError, ShardJob, SweepSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -611,7 +611,9 @@ fn merge(
 
 /// Renders the merged report as JSON. Scenario entries are in spec
 /// expansion order; the accounting block is bookkeeping and excluded
-/// from the campaign digest.
+/// from the campaign digest. Statistics are encoded as in the shard
+/// records: finite values as numbers, non-finite ones as `"0x…"`
+/// bit-pattern strings.
 pub fn render_report(result: &CampaignResult) -> String {
     let mut out = String::new();
     let _ = write!(
@@ -632,14 +634,17 @@ pub fn render_report(result: &CampaignResult) -> String {
             s.shards_completed, s.shards_expected, s.digest
         );
         if let Some(sum) = &s.summary {
-            let _ = write!(
-                out,
-                ", \"n\": {}, \"mean\": {}, \"variance\": {}, \"min\": {}, \"max\": {}",
-                sum.n, sum.mean, sum.variance, sum.min, sum.max
-            );
+            let _ = write!(out, ", \"n\": {}", sum.n);
+            for (name, v) in
+                [("mean", sum.mean), ("variance", sum.variance), ("min", sum.min), ("max", sum.max)]
+            {
+                let _ = write!(out, ", \"{name}\": ");
+                let _ = push_f64(&mut out, v);
+            }
         }
         if let Some(p) = s.pwcet {
-            let _ = write!(out, ", \"pwcet_1e12\": {p}");
+            out.push_str(", \"pwcet_1e12\": ");
+            let _ = push_f64(&mut out, p);
         }
         out.push('}');
         if i + 1 < result.scenarios.len() {
@@ -706,6 +711,34 @@ mod tests {
         assert_eq!(acc, u64::MAX);
         acc = acc.saturating_add(backoff_units_for(65));
         assert_eq!(acc, u64::MAX);
+    }
+
+    #[test]
+    fn report_stays_json_when_a_statistic_is_not_finite() {
+        let summary = Summary { n: 2, mean: 1.5, variance: f64::NAN, min: 1.0, max: f64::INFINITY };
+        let result = CampaignResult {
+            scenarios: vec![ScenarioReport {
+                key: "pwcet/det".to_string(),
+                shards_expected: 1,
+                shards_completed: 1,
+                digest: 0,
+                summary: Some(summary),
+                pwcet: Some(f64::INFINITY),
+            }],
+            shards_expected: 1,
+            shards_completed: 1,
+            quarantined: Vec::new(),
+            accounting: Accounting::default(),
+            campaign_digest: 0,
+        };
+        let report = render_report(&result);
+        let entry = report.lines().find(|l| l.contains("\"key\"")).expect("scenario entry");
+        let expected = concat!(
+            r#"    {"key": "pwcet/det", "shards": "1/1", "digest": "0x0000000000000000", "#,
+            r#""n": 2, "mean": 1.5, "variance": "0x7ff8000000000000", "min": 1, "#,
+            r#""max": "0x7ff0000000000000", "pwcet_1e12": "0x7ff0000000000000"}"#,
+        );
+        assert_eq!(entry, expected);
     }
 
     #[test]

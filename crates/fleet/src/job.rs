@@ -189,7 +189,6 @@ fn run_pwcet(
         contention: scenario.contended.then(ContentionConfig::default),
         shared_llc: scenario.platform == PlatformKind::Shared,
         defense: scenario.defense,
-        ..MeasurementProtocol::default()
     };
     let mut workload = ArraySweep::standard(&mut Layout::new(0x10_0000));
     let times = collect_execution_times(scenario.setup, &mut workload, &protocol, recorder)?;

@@ -60,7 +60,7 @@ pub(crate) fn push_list<T>(
 /// roundtrip), `"0x…"` bit-pattern hex for NaN/±inf — `Display` would
 /// emit `NaN`/`inf`, which no number parser accepts, so one non-finite
 /// statistic would otherwise make the whole record unparseable.
-fn push_f64(out: &mut String, v: f64) -> fmt::Result {
+pub(crate) fn push_f64(out: &mut String, v: f64) -> fmt::Result {
     if v.is_finite() {
         write!(out, "{v}")
     } else {

@@ -6,7 +6,7 @@
 //! and the detector reduces each window to a scalar *suspicion score*
 //!
 //! ```text
-//! score = miss_rate + inval_weight · inval_rate + cross_weight · xev_rate
+//! score = miss_rate + 4 · inval_rate + cross_weight · xev_rate
 //! ```
 //!
 //! combining the two statistics the paper's counters expose directly:
@@ -17,13 +17,16 @@
 //! kept in the [`DetectorReport`] so campaigns can sweep the threshold
 //! afterwards and build ROC curves without re-running anything.
 //!
-//! Windows right after an *OS-owned* cache flush are masked
+//! The window right after an *OS-owned* cache flush is masked
 //! ([`SlidingWindowDetector::note_flush`]): the hyperperiod flush is
 //! the defense working as designed, and its miss transient must not
 //! read as an attack.
 
 use tscache_core::error::ConfigError;
 use tscache_core::pmu::PmuDelta;
+
+/// Weight of the coherence-invalidation rate in the score.
+const INVAL_WEIGHT: f64 = 4.0;
 
 /// Detector tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,8 +38,6 @@ pub struct DetectorConfig {
     /// schedules (including contended and coherent-image campaigns)
     /// stay silent while the in-repo attack campaigns trip it.
     pub threshold: f64,
-    /// Weight of the coherence-invalidation rate in the score.
-    pub inval_weight: f64,
     /// Weight of the cross-process-eviction rate in the score. The
     /// default is **zero**: on a time-sliced schedule every context
     /// switch legitimately evicts the previous SWC's lines, so
@@ -45,20 +46,11 @@ pub struct DetectorConfig {
     /// detection harness) raise it — there, sustained cross-process
     /// eviction pressure is exactly the attack.
     pub cross_weight: f64,
-    /// Windows to discard after each OS-owned flush (the flush
-    /// transient is expected churn, not an attack).
-    pub flush_mask_windows: u32,
 }
 
 impl Default for DetectorConfig {
     fn default() -> Self {
-        DetectorConfig {
-            window_ops: 1024,
-            threshold: 1.10,
-            inval_weight: 4.0,
-            cross_weight: 0.0,
-            flush_mask_windows: 1,
-        }
+        DetectorConfig { window_ops: 1024, threshold: 1.10, cross_weight: 0.0 }
     }
 }
 
@@ -68,11 +60,7 @@ impl DetectorConfig {
         if self.window_ops == 0 {
             return Err(ConfigError::incompatible("detector window_ops must be >= 1"));
         }
-        for (name, v) in [
-            ("threshold", self.threshold),
-            ("inval_weight", self.inval_weight),
-            ("cross_weight", self.cross_weight),
-        ] {
+        for (name, v) in [("threshold", self.threshold), ("cross_weight", self.cross_weight)] {
             if !v.is_finite() || v < 0.0 {
                 return Err(ConfigError::incompatible(format!(
                     "detector {name} must be finite and non-negative (got {v})"
@@ -147,13 +135,14 @@ impl DetectorReport {
 pub struct SlidingWindowDetector {
     cfg: DetectorConfig,
     report: DetectorReport,
-    mask_remaining: u32,
+    /// Whether the next window follows an OS-owned flush.
+    mask_next: bool,
 }
 
 impl SlidingWindowDetector {
     /// Creates a detector with the given configuration.
     pub fn new(cfg: DetectorConfig) -> Self {
-        SlidingWindowDetector { cfg, report: DetectorReport::default(), mask_remaining: 0 }
+        SlidingWindowDetector { cfg, report: DetectorReport::default(), mask_next: false }
     }
 
     /// The configuration in force.
@@ -165,22 +154,22 @@ impl SlidingWindowDetector {
     /// campaigns can re-score recorded deltas during threshold sweeps.
     pub fn score(cfg: &DetectorConfig, delta: &PmuDelta) -> f64 {
         delta.miss_rate()
-            + cfg.inval_weight * delta.inval_rate()
+            + INVAL_WEIGHT * delta.inval_rate()
             + cfg.cross_weight * delta.cross_eviction_rate()
     }
 
-    /// Marks an OS-owned flush: the next
-    /// [`DetectorConfig::flush_mask_windows`] windows are discarded
-    /// instead of scored.
+    /// Marks an OS-owned flush: the next window is discarded instead
+    /// of scored (the flush transient is expected churn, not an
+    /// attack).
     pub fn note_flush(&mut self) {
-        self.mask_remaining = self.mask_remaining.max(self.cfg.flush_mask_windows);
+        self.mask_next = true;
     }
 
     /// Scores one window delta; returns the event if the threshold was
     /// crossed (the event is also recorded in the report).
     pub fn ingest(&mut self, delta: &PmuDelta) -> Option<DetectionEvent> {
-        if self.mask_remaining > 0 {
-            self.mask_remaining -= 1;
+        if self.mask_next {
+            self.mask_next = false;
             self.report.masked += 1;
             return None;
         }
@@ -194,7 +183,7 @@ impl SlidingWindowDetector {
         }
         if score > self.cfg.threshold {
             let miss_term = delta.miss_rate();
-            let coh_term = self.cfg.inval_weight * delta.inval_rate();
+            let coh_term = INVAL_WEIGHT * delta.inval_rate();
             let kind = if coh_term > miss_term + self.cfg.cross_weight * delta.cross_eviction_rate()
             {
                 DetectionKind::Coherence

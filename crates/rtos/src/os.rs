@@ -47,14 +47,15 @@ impl fmt::Display for SeedPolicy {
     }
 }
 
+/// Bookkeeping cycles the OS charges per context switch, on top of the
+/// pipeline drain.
+const CONTEXT_SWITCH_CYCLES: u32 = 30;
+
 /// OS configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct OsConfig {
     /// Seed assignment policy.
     pub seed_policy: SeedPolicy,
-    /// Bookkeeping cycles charged per context switch (on top of the
-    /// pipeline drain).
-    pub context_switch_cycles: u32,
     /// RNG seed for the OS's seed generator.
     pub rng_seed: u64,
     /// Bus/MSHR model used when the application pins runnables to
@@ -89,7 +90,6 @@ impl Default for OsConfig {
     fn default() -> Self {
         OsConfig {
             seed_policy: SeedPolicy::PerSwc,
-            context_switch_cycles: 30,
             rng_seed: 0x05,
             interference: None,
             shared_llc: false,
@@ -433,8 +433,7 @@ impl TscacheOs {
                 if current_swc != Some(swc) {
                     // Context switch: drain pipeline, save/restore seed.
                     let t0 = self.machine.cycles();
-                    self.machine
-                        .context_switch(swc.process_id(), self.config.context_switch_cycles);
+                    self.machine.context_switch(swc.process_id(), CONTEXT_SWITCH_CYCLES);
                     report.context_switches += 1;
                     report.seed_swaps += 1;
                     report.overhead_cycles += delta_u64(self.machine.cycles(), t0);

@@ -54,7 +54,8 @@ pub enum LlcPartition {
     PerCore,
 }
 
-/// Parameters of a cross-core Prime+Probe campaign.
+/// Parameters of a cross-core Prime+Probe campaign. The victim's secret
+/// key is [`VICTIM_KEY`].
 #[derive(Debug, Clone, Copy)]
 pub struct CrossCoreConfig {
     /// Cache setup of the shared platform (the LLC inherits its
@@ -65,8 +66,6 @@ pub struct CrossCoreConfig {
     pub samples: u32,
     /// Master seed; plaintexts and placement seeds derive from it.
     pub master_seed: u64,
-    /// The victim's secret key.
-    pub victim_key: [u8; 16],
     /// Shared-level partitioning.
     pub partition: LlcPartition,
     /// Defense-zoo policy armed on the whole platform. The rotation
@@ -83,7 +82,6 @@ impl CrossCoreConfig {
             setup,
             samples: 256,
             master_seed,
-            victim_key: VICTIM_KEY,
             partition: LlcPartition::None,
             defense: DefenseKind::Off,
         }
@@ -152,7 +150,7 @@ pub fn run_cross_core_prime_probe(cfg: &CrossCoreConfig) -> Result<CrossCoreOutc
 
     let mut layout = Layout::new(0x10_0000);
     let aes_layout = AesLayout::install(&mut layout, "victim");
-    let aes = SimAes128::new(&cfg.victim_key, aes_layout);
+    let aes = SimAes128::new(&VICTIM_KEY, aes_layout);
     let te0_base_line = aes_layout.table(0).base().as_u64() >> 5;
     let llc_sets = shared_llc(&mut machine, CAMPAIGN)?.cache().geometry().sets() as u64;
 
@@ -208,7 +206,7 @@ pub fn run_cross_core_prime_probe(cfg: &CrossCoreConfig) -> Result<CrossCoreOutc
         }
     }
 
-    let [key0, ..] = cfg.victim_key;
+    let [key0, ..] = VICTIM_KEY;
     let correct_rank = key_rank(&scores, key0);
     let cross_core_evictions =
         shared_llc(&mut machine, CAMPAIGN)?.cache().stats().cross_process_evictions();

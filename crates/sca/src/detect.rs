@@ -28,7 +28,7 @@
 //! attack scenarios are pure functions of the configuration, so
 //! outcomes are bit-identical for any worker-thread count.
 
-use crate::prime_probe::assign_seeds;
+use crate::prime_probe::seed_cache;
 use crate::{key_rank, random_block, seed_machine, shared_llc, TE0_LINES, VICTIM_KEY};
 use tscache_aes::sim_cipher::{AesLayout, SimAes128};
 use tscache_core::addr::{Addr, LineAddr};
@@ -379,7 +379,7 @@ fn prime_probe_trace(cfg: &DetectionCampaignConfig, attack: bool) -> WindowTrace
     let mut cache = Cache::new("L1D", geom, placement, replacement, cfg.master_seed);
     cache.set_ttl(cfg.defense.ttl());
     cache.set_normalize(cfg.defense.normalize());
-    assign_seeds(&mut cache, setup, victim, other, cfg.master_seed, 0);
+    seed_cache(&mut cache, setup, victim, other, cfg.master_seed, 0);
 
     let prime_lines: Vec<LineAddr> = (0..512u64).map(LineAddr::new).collect();
     let co_lines: Vec<LineAddr> = (0..48u64).map(|i| LineAddr::new(0x20_000 + i)).collect();
@@ -794,7 +794,7 @@ mod tests {
         assert!(DetectionCampaignConfig { window_rounds: good.rounds + 1, ..good }
             .validate()
             .is_err());
-        let bad_detector = DetectorConfig { inval_weight: f64::NAN, ..DetectorConfig::default() };
+        let bad_detector = DetectorConfig { cross_weight: f64::NAN, ..DetectorConfig::default() };
         assert!(DetectionCampaignConfig { detector: bad_detector, ..good }.validate().is_err());
         assert!(run_detection_campaign(&DetectionCampaignConfig { rounds: 0, ..good }).is_err());
     }

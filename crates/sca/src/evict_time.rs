@@ -7,7 +7,7 @@
 //! per-process seeds the "targeted" set lands somewhere unrelated in
 //! the victim's layout.
 
-use crate::prime_probe::assign_seeds;
+use crate::prime_probe::seed_cache;
 use tscache_core::addr::LineAddr;
 use tscache_core::cache::Cache;
 use tscache_core::defense::DefenseKind;
@@ -78,7 +78,7 @@ pub fn run_evict_time(
         let mut cache = Cache::new("L1D", geom, placement, replacement, master_seed ^ trial as u64);
         cache.set_ttl(defense.ttl());
         cache.set_normalize(defense.normalize());
-        assign_seeds(&mut cache, setup, victim, attacker, master_seed, trial);
+        seed_cache(&mut cache, setup, victim, attacker, master_seed, trial);
 
         let secret_index = trial_rng.below(128) as u64;
         let victim_line = LineAddr::new(0x10_000 + secret_index);

@@ -61,7 +61,8 @@ pub enum FlushReloadIsolation {
     PartitionedReplicated,
 }
 
-/// Parameters of a Flush+Reload campaign.
+/// Parameters of a Flush+Reload campaign. The victim's secret
+/// key is [`VICTIM_KEY`].
 #[derive(Debug, Clone, Copy)]
 pub struct FlushReloadConfig {
     /// Cache setup of the shared platform (the LLC inherits its
@@ -72,8 +73,6 @@ pub struct FlushReloadConfig {
     pub samples: u32,
     /// Master seed; plaintexts and placement seeds derive from it.
     pub master_seed: u64,
-    /// The victim's secret key.
-    pub victim_key: [u8; 16],
     /// Sharing/partitioning configuration.
     pub isolation: FlushReloadIsolation,
     /// Defense-zoo policy armed on the whole platform (private levels
@@ -99,7 +98,6 @@ impl FlushReloadConfig {
             setup,
             samples: 256,
             master_seed,
-            victim_key: VICTIM_KEY,
             isolation: FlushReloadIsolation::SharedOpen,
             defense: DefenseKind::Off,
         }
@@ -164,7 +162,7 @@ pub fn run_flush_reload(cfg: &FlushReloadConfig) -> Result<FlushReloadOutcome, C
 
     let mut layout = Layout::new(0x10_0000);
     let aes_layout = AesLayout::install(&mut layout, "victim");
-    let aes = SimAes128::new(&cfg.victim_key, aes_layout);
+    let aes = SimAes128::new(&VICTIM_KEY, aes_layout);
     let offset_bits = 5u32; // 32-byte lines on every preset
 
     // The monitored lines: the shared segment's TE0 in the open
@@ -230,7 +228,7 @@ pub fn run_flush_reload(cfg: &FlushReloadConfig) -> Result<FlushReloadOutcome, C
         }
     }
 
-    let [key0, ..] = cfg.victim_key;
+    let [key0, ..] = VICTIM_KEY;
     let correct_rank = key_rank(&scores, key0);
     let victim_invalidations = machine.hierarchy().total_stats().coh_invalidations();
     Ok(FlushReloadOutcome {

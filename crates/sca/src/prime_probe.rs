@@ -83,7 +83,7 @@ pub fn run_prime_probe(
         let mut cache = Cache::new("L1D", geom, placement, replacement, master_seed ^ trial as u64);
         cache.set_ttl(defense.ttl());
         cache.set_normalize(defense.normalize());
-        assign_seeds(&mut cache, setup, victim, attacker, master_seed, trial);
+        seed_cache(&mut cache, setup, victim, attacker, master_seed, trial);
 
         cache.access_batch(attacker, &prime_lines);
 
@@ -112,7 +112,7 @@ pub fn run_prime_probe(
 }
 
 /// Seeds a two-process cache per the setup's sharing policy.
-pub(crate) fn assign_seeds(
+pub(crate) fn seed_cache(
     cache: &mut Cache,
     setup: SetupKind,
     victim: ProcessId,

@@ -74,8 +74,6 @@ pub struct SamplingConfig {
     /// Jobs per seed epoch (hyperperiod); re-seed + flush at each
     /// boundary. 0 means a single epoch for the whole campaign.
     pub reseed_every: u32,
-    /// OS activity period in jobs (0 = no OS noise).
-    pub os_noise_every: u32,
     /// Untimed warm-up jobs run after every epoch flush, so the timed
     /// samples measure the steady state rather than the compulsory-
     /// miss transient (which is layout-independent and would mask the
@@ -113,6 +111,10 @@ impl SamplingConfig {
     /// `partition_task_ways` partitions).
     const L1_WAYS: u32 = 4;
 
+    /// Associativity of the shared level at either depth (what
+    /// `partition_llc_ways` partitions).
+    const LLC_WAYS: u32 = 4;
+
     /// Validates the configuration, so campaign executors can reject a
     /// bad spec up front — as a [`ConfigError`], distinct from a
     /// worker crash — instead of panicking (or silently clamping)
@@ -145,6 +147,14 @@ impl SamplingConfig {
                 "partition_llc_ways needs shared_llc: there is no shared level to partition",
             ));
         }
+        if self.partition_llc_ways >= Self::LLC_WAYS {
+            return Err(ConfigError::incompatible(format!(
+                "partition_llc_ways {} leaves no way for the enemy cores (the shared level \
+                 has {} ways)",
+                self.partition_llc_ways,
+                Self::LLC_WAYS
+            )));
+        }
         self.defense.validate_platform(self.shared_llc)?;
         if let Some(contention) = &self.contention {
             contention.system.validate()?;
@@ -163,7 +173,6 @@ impl SamplingConfig {
             samples,
             master_seed,
             reseed_every: 32_768,
-            os_noise_every: 16,
             warmup_jobs: 8,
             app_target_lines: 10,
             partition_task_ways: 0,
@@ -174,6 +183,9 @@ impl SamplingConfig {
         }
     }
 }
+
+/// OS activity period in jobs: the OS runs before every 16th job.
+const OS_NOISE_EVERY: u32 = 16;
 
 /// A simulated ECU node running the AES task.
 #[derive(Debug)]
@@ -251,8 +263,7 @@ impl CryptoNode {
             // `validate()` guarantees a shared level when
             // `cfg.shared_llc` is set; stay panic-free regardless.
             if let Some(llc) = machine.shared_llc_mut() {
-                let ways = llc.cache().geometry().ways();
-                let k = cfg.partition_llc_ways.min(ways - 1);
+                let (k, ways) = (cfg.partition_llc_ways, llc.cache().geometry().ways());
                 llc.set_way_partition(ProcessId::new(1), 0, k);
                 llc.set_way_partition(ProcessId::OS, 0, k);
                 for pid in enemy_pids {
@@ -271,8 +282,7 @@ impl CryptoNode {
         }
         // Optional §7-style way partitioning: task vs OS.
         if cfg.partition_task_ways > 0 {
-            let ways = 4;
-            let k = cfg.partition_task_ways.min(ways - 1);
+            let (k, ways) = (cfg.partition_task_ways, SamplingConfig::L1_WAYS);
             machine.hierarchy_mut().set_l1_way_partition(ProcessId::new(1), 0, k);
             machine.hierarchy_mut().set_l1_way_partition(ProcessId::OS, k, ways);
         }
@@ -394,8 +404,7 @@ impl CryptoNode {
             if self.cfg.reseed_every > 0 && job > 0 && job.is_multiple_of(self.cfg.reseed_every) {
                 self.start_epoch((job / self.cfg.reseed_every) as u64);
             }
-            let os_adjacent =
-                self.cfg.os_noise_every > 0 && job.is_multiple_of(self.cfg.os_noise_every);
+            let os_adjacent = job.is_multiple_of(OS_NOISE_EVERY);
             if os_adjacent {
                 self.os_tick();
             }
@@ -624,6 +633,27 @@ mod tests {
         let err = CryptoNode::try_new(llc_no_shared, Role::Victim, &[1; 16]).unwrap_err();
         assert!(err.to_string().contains("shared_llc"));
         assert!(collect_pair(llc_no_shared, &[0; 16], &[1; 16]).is_err());
+
+        let mut llc_all_ways = ok;
+        llc_all_ways.shared_llc = true;
+        llc_all_ways.partition_llc_ways = 4;
+        let err = CryptoNode::try_new(llc_all_ways, Role::Victim, &[1; 16]).unwrap_err();
+        assert!(err.to_string().contains("partition_llc_ways"), "{err}");
+        assert!(collect_pair(llc_all_ways, &[0; 16], &[1; 16]).is_err());
+    }
+
+    #[test]
+    fn way_limits_match_the_built_platform() {
+        for depth in [HierarchyDepth::TwoLevel, HierarchyDepth::ThreeLevel] {
+            let mut c = cfg(SetupKind::TsCache, 1);
+            c.depth = depth;
+            c.shared_llc = true;
+            let node = new_node(c, Role::Victim, &[1; 16]);
+            let llc = node.machine().shared_llc().expect("shared platform");
+            assert_eq!(llc.cache().geometry().ways(), SamplingConfig::LLC_WAYS, "{depth}");
+            let l1d = node.machine().hierarchy().l1d();
+            assert_eq!(l1d.geometry().ways(), SamplingConfig::L1_WAYS, "{depth}");
+        }
     }
 
     #[test]

@@ -111,21 +111,6 @@ impl Layout {
     pub fn cursor(&self) -> u64 {
         self.cursor
     }
-
-    /// Re-creates this layout shifted by `delta` bytes — the paper's
-    /// "different software integration" scenario where every object
-    /// moves (page alignment is preserved if `delta` is page-sized).
-    pub fn relinked(&self, delta: u64) -> Layout {
-        let mut out = Layout::new(self.cursor + delta);
-        out.regions = self
-            .regions
-            .iter()
-            .map(|(n, r)| {
-                (n.clone(), Region { base: Addr::new(r.base.as_u64() + delta), size: r.size })
-            })
-            .collect();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -162,19 +147,6 @@ mod tests {
         let mut l = Layout::new(0);
         l.alloc("x", 8, 1);
         l.alloc("x", 8, 1);
-    }
-
-    #[test]
-    fn relink_shifts_every_region() {
-        let mut l = Layout::new(0x1000);
-        l.alloc("code", 4096, 4096);
-        l.alloc("data", 4096, 4096);
-        let moved = l.relinked(0x1_0000);
-        assert_eq!(
-            moved.region("code").unwrap().base().as_u64(),
-            l.region("code").unwrap().base().as_u64() + 0x1_0000
-        );
-        assert_eq!(moved.region("data").unwrap().size(), 4096);
     }
 
     #[test]

@@ -470,15 +470,6 @@ impl Machine {
         self.issue(AccessKind::Read, addr)
     }
 
-    /// Issues a data load whose value feeds the next instruction,
-    /// adding the load-use stall.
-    #[inline]
-    pub fn load_use(&mut self, addr: Addr) -> u32 {
-        let cost = self.load(addr) + self.pipeline.load_use_stall;
-        self.cycles += self.pipeline.load_use_stall as u64;
-        cost
-    }
-
     /// Issues a data store; returns its cycle cost.
     #[inline]
     pub fn store(&mut self, addr: Addr) -> u32 {
@@ -499,8 +490,8 @@ impl Machine {
     }
 
     /// Charges `cycles` of raw stall time (no instructions retired, no
-    /// memory traffic) — the batch-port equivalent of the load-use
-    /// stall that [`load_use`](Machine::load_use) folds in.
+    /// memory traffic) — how the synthetic workloads charge their
+    /// load-use stalls.
     #[inline]
     pub fn charge_stall(&mut self, cycles: u64) {
         self.cycles += cycles;
@@ -651,15 +642,6 @@ mod tests {
         assert_eq!(cold, 91);
         assert_eq!(warm, 1);
         assert_eq!(m.cycles(), 92);
-    }
-
-    #[test]
-    fn load_use_adds_stall() {
-        let mut m = machine();
-        let a = Addr::new(0x9000);
-        m.load(a); // warm the line
-        let c = m.load_use(a);
-        assert_eq!(c, 1 + 1);
     }
 
     #[test]

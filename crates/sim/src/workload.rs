@@ -21,18 +21,16 @@ pub trait Workload {
 }
 
 /// Options for [`collect_execution_times`].
+///
+/// Every run draws a fresh placement seed (MBPTA's "new random cache
+/// layout on every program run", §2.1) and then flushes the caches
+/// (the paper flushes at seed-change boundaries for consistency, §5).
 #[derive(Debug, Clone, Copy)]
 pub struct MeasurementProtocol {
     /// Number of runs (jobs) to measure.
     pub runs: u32,
     /// Base seed for the per-run placement-seed stream.
     pub rng_seed: u64,
-    /// Whether to flush caches before every run (the paper flushes at
-    /// seed-change boundaries for consistency, §5).
-    pub flush_between_runs: bool,
-    /// Whether to draw a fresh placement seed per run (MBPTA's
-    /// "new random cache layout on every program run", §2.1).
-    pub reseed_between_runs: bool,
     /// Hierarchy depth of the measured platform.
     pub depth: HierarchyDepth,
     /// When set, the machine runs with enemy co-runner cores on a
@@ -72,12 +70,6 @@ impl MeasurementProtocol {
         if self.runs == 0 {
             return Err(ConfigError::incompatible("measurement protocol needs runs > 0"));
         }
-        if self.reseed_between_runs && !self.flush_between_runs {
-            return Err(ConfigError::incompatible(
-                "reseed_between_runs without flush_between_runs mixes layouts within one \
-                 cache image (the paper's §5 protocol flushes at every seed change)",
-            ));
-        }
         self.defense.validate_platform(self.shared_llc)?;
         if let Some(contention) = &self.contention {
             contention.system.validate()?;
@@ -91,8 +83,6 @@ impl Default for MeasurementProtocol {
         MeasurementProtocol {
             runs: 1000,
             rng_seed: 0x4d42_5054,
-            flush_between_runs: true,
-            reseed_between_runs: true,
             depth: HierarchyDepth::TwoLevel,
             contention: None,
             shared_llc: false,
@@ -177,15 +167,10 @@ pub fn collect_execution_times(
     let mut times = Vec::with_capacity(protocol.runs as usize);
     let mut elapsed = 0u64;
     for _ in 0..protocol.runs {
-        if protocol.reseed_between_runs {
-            machine.set_process_seed(pid, Seed::random(&mut rng));
-        }
-        if protocol.flush_between_runs {
-            machine.flush_caches();
-            if let Some(rec) = recorder {
-                rec.borrow_mut()
-                    .record(elapsed, Event::CacheFlush { scope: FlushScope::Measurement });
-            }
+        machine.set_process_seed(pid, Seed::random(&mut rng));
+        machine.flush_caches();
+        if let Some(rec) = recorder {
+            rec.borrow_mut().record(elapsed, Event::CacheFlush { scope: FlushScope::Measurement });
         }
         machine.reset_counters();
         workload.run(&mut machine);
@@ -195,8 +180,9 @@ pub fn collect_execution_times(
     Ok(times)
 }
 
-/// Parallel variant of [`collect_execution_times`] for the independent-
-/// runs protocol (flush + reseed between runs, the MBPTA default).
+/// Parallel variant of [`collect_execution_times`]: every run reseeds
+/// and flushes, so runs are independent and can be reordered across
+/// threads.
 ///
 /// Runs fan out over worker threads via
 /// [`tscache_core::parallel::par_map_indexed`]; each run builds its own
@@ -212,9 +198,7 @@ pub fn collect_execution_times(
 /// # Errors
 ///
 /// [`ConfigError`] when [`MeasurementProtocol::validate`] rejects
-/// `protocol`, or when `protocol.flush_between_runs` or
-/// `protocol.reseed_between_runs` is unset: without both, runs are
-/// state-dependent and cannot be reordered across threads.
+/// `protocol`.
 pub fn collect_execution_times_par<W, F>(
     setup: SetupKind,
     protocol: &MeasurementProtocol,
@@ -225,11 +209,6 @@ where
     F: Fn() -> W + Sync,
 {
     protocol.validate()?;
-    if !(protocol.flush_between_runs && protocol.reseed_between_runs) {
-        return Err(ConfigError::incompatible(
-            "parallel collection requires independent runs (flush + reseed between runs)",
-        ));
-    }
     let pid = ProcessId::new(1);
     Ok(par_map_indexed(protocol.runs as usize, |run| {
         // Derive the machine RNG (random replacement, RPCache remaps)
@@ -352,15 +331,10 @@ mod tests {
     #[test]
     fn parallel_collection_rejects_invalid_protocols() {
         let make = || Touch { addrs: vec![0] };
-        let no_flush =
-            MeasurementProtocol { runs: 2, flush_between_runs: false, ..Default::default() };
-        // Passes `validate`; only the independence check rejects it.
-        let no_reseed =
-            MeasurementProtocol { runs: 2, reseed_between_runs: false, ..Default::default() };
         let zero_runs = MeasurementProtocol { runs: 0, ..Default::default() };
         let rotate_private =
             MeasurementProtocol { runs: 2, defense: DefenseKind::RotateCore, ..Default::default() };
-        for protocol in [no_flush, no_reseed, zero_runs, rotate_private] {
+        for protocol in [zero_runs, rotate_private] {
             let result = collect_execution_times_par(SetupKind::Mbpta, &protocol, make);
             assert!(result.is_err(), "{protocol:?} accepted: {result:?}");
         }
@@ -427,20 +401,5 @@ mod tests {
         let m = protocol_machine(SetupKind::Mbpta, &protocol, 7);
         assert!(m.shared_llc().is_some());
         assert_eq!(m.hierarchy().depth(), 1, "two-level shared platform keeps L1-only cores");
-    }
-
-    #[test]
-    fn no_reseed_no_flush_converges_to_warm() {
-        let mut w = Touch { addrs: (0..8).map(|i| 0x1000 + i * 32).collect() };
-        let protocol = MeasurementProtocol {
-            runs: 3,
-            flush_between_runs: false,
-            reseed_between_runs: false,
-            ..Default::default()
-        };
-        let times = collect_execution_times(SetupKind::Deterministic, &mut w, &protocol, None)
-            .expect("valid protocol");
-        assert!(times[1] < times[0], "second run should be warm");
-        assert_eq!(times[1], times[2]);
     }
 }
