@@ -125,9 +125,12 @@ const CAMPAIGN: &str = "cross-core prime+probe";
 ///
 /// # Errors
 ///
-/// Every configuration problem surfaces as a [`ConfigError`] instead
-/// of an abort.
+/// Every configuration problem (no samples, a platform without a
+/// shared level) surfaces as a [`ConfigError`] instead of an abort.
 pub fn run_cross_core_prime_probe(cfg: &CrossCoreConfig) -> Result<CrossCoreOutcome, ConfigError> {
+    if cfg.samples == 0 {
+        return Err(ConfigError::incompatible("cross-core prime+probe needs samples > 0"));
+    }
     let setup = cfg.defense.effective_setup(cfg.setup);
     let victim = ProcessId::new(1);
     let attacker = ProcessId::new(2);
@@ -222,6 +225,14 @@ pub fn run_cross_core_prime_probe(cfg: &CrossCoreConfig) -> Result<CrossCoreOutc
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zero_samples_is_a_config_error() {
+        let mut cfg = CrossCoreConfig::standard(SetupKind::Deterministic, 7);
+        cfg.samples = 0;
+        let err = run_cross_core_prime_probe(&cfg).unwrap_err();
+        assert!(err.to_string().contains("samples > 0"), "{err}");
+    }
 
     #[test]
     fn deterministic_shared_llc_leaks_the_key_byte() {
