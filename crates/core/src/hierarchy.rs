@@ -26,15 +26,14 @@ use crate::placement::PlacementKind;
 use crate::replacement::ReplacementKind;
 use crate::seed::{ProcessId, Seed};
 use crate::stats::CacheStats;
-use core::fmt;
 
 /// Access latencies in cycles for the classic two-level platform,
 /// modelled after an ARM920T-class part (paper §6.1.2): single-cycle
 /// L1 hits, a 10-cycle L2 penalty and an 80-cycle memory penalty.
 ///
 /// Deeper hierarchies carry one hit latency per unified level inside
-/// [`Hierarchy`]; this struct remains the convenient two-level view
-/// (see [`Hierarchy::latencies`]).
+/// [`Hierarchy`] (see [`Hierarchy::level_hit_cycles`]); this struct
+/// configures the two-level platform [`Hierarchy::new`] builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Latencies {
     /// Cycles for an L1 hit.
@@ -51,12 +50,6 @@ pub const L3_HIT_CYCLES: u32 = 30;
 impl Default for Latencies {
     fn default() -> Self {
         Latencies { l1_hit: 1, l2_hit: 10, memory: 80 }
-    }
-}
-
-impl fmt::Display for Latencies {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "L1 {}c / +L2 {}c / +mem {}c", self.l1_hit, self.l2_hit, self.memory)
     }
 }
 
@@ -713,13 +706,6 @@ impl Hierarchy {
             Cache::new("L2", l2, l2_placement, l2_replacement, rng_seed ^ 0x33),
             Latencies::default(),
         )
-    }
-
-    /// The two-level latency view: L1 hit, first-unified-level hit,
-    /// memory. Deeper levels' latencies are read per level via
-    /// [`level_hit_cycles`](Self::level_hit_cycles).
-    pub fn latencies(&self) -> Latencies {
-        Latencies { l1_hit: self.l1_hit, l2_hit: self.levels[0].hit_cycles, memory: self.memory }
     }
 
     /// Number of cache levels (the split L1 pair counts as one).
