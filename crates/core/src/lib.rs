@@ -8,7 +8,7 @@
 //!
 //! * set-associative [`cache::Cache`]s with pluggable
 //!   [`placement`] (modulo, XOR-index, RPCache, HashRP, Random Modulo)
-//!   and [`replacement`] (LRU, FIFO, random, PLRU, NRU) policies;
+//!   and [`replacement`] (LRU, random) policies;
 //! * per-process placement [`seed`]s — the mechanism TSCache uses to
 //!   decouple attacker and victim cache layouts;
 //! * a three-level [`hierarchy::Hierarchy`] matching the paper's

@@ -29,26 +29,8 @@ use core::fmt;
 pub enum ReplacementEngine {
     /// True LRU.
     Lru(Lru),
-    /// FIFO.
-    Fifo(Fifo),
     /// Uniform random.
     Random(RandomRepl),
-    /// Tree pseudo-LRU.
-    PlruTree(PlruTree),
-    /// Not-recently-used.
-    Nru(Nru),
-}
-
-macro_rules! repl_dispatch {
-    ($self:ident, $inner:ident => $e:expr) => {
-        match $self {
-            ReplacementEngine::Lru($inner) => $e,
-            ReplacementEngine::Fifo($inner) => $e,
-            ReplacementEngine::Random($inner) => $e,
-            ReplacementEngine::PlruTree($inner) => $e,
-            ReplacementEngine::Nru($inner) => $e,
-        }
-    };
 }
 
 impl ReplacementEngine {
@@ -56,10 +38,7 @@ impl ReplacementEngine {
     pub fn new(kind: ReplacementKind, geom: &CacheGeometry) -> Self {
         match kind {
             ReplacementKind::Lru => ReplacementEngine::Lru(Lru::new(geom)),
-            ReplacementKind::Fifo => ReplacementEngine::Fifo(Fifo::new(geom)),
             ReplacementKind::Random => ReplacementEngine::Random(RandomRepl),
-            ReplacementKind::PlruTree => ReplacementEngine::PlruTree(PlruTree::new(geom)),
-            ReplacementKind::Nru => ReplacementEngine::Nru(Nru::new(geom)),
         }
     }
 
@@ -67,10 +46,7 @@ impl ReplacementEngine {
     pub fn kind(&self) -> ReplacementKind {
         match self {
             ReplacementEngine::Lru(_) => ReplacementKind::Lru,
-            ReplacementEngine::Fifo(_) => ReplacementKind::Fifo,
             ReplacementEngine::Random(_) => ReplacementKind::Random,
-            ReplacementEngine::PlruTree(_) => ReplacementKind::PlruTree,
-            ReplacementEngine::Nru(_) => ReplacementKind::Nru,
         }
     }
 
@@ -82,13 +58,19 @@ impl ReplacementEngine {
     /// Records a hit on `(set, way)`.
     #[inline]
     pub fn on_hit(&mut self, set: u32, way: u32) {
-        repl_dispatch!(self, p => p.on_hit(set, way))
+        match self {
+            ReplacementEngine::Lru(p) => p.on_hit(set, way),
+            ReplacementEngine::Random(_) => {}
+        }
     }
 
     /// Records a fill of `(set, way)`.
     #[inline]
     pub fn on_fill(&mut self, set: u32, way: u32) {
-        repl_dispatch!(self, p => p.on_fill(set, way))
+        match self {
+            ReplacementEngine::Lru(p) => p.on_fill(set, way),
+            ReplacementEngine::Random(_) => {}
+        }
     }
 
     /// Chooses the victim way of `set` within the way range `lo..hi`:
@@ -101,12 +83,18 @@ impl ReplacementEngine {
     /// Panics if `lo >= hi`.
     #[inline]
     pub fn victim(&mut self, set: u32, lo: u32, hi: u32, rng: &mut SplitMix64) -> u32 {
-        repl_dispatch!(self, p => p.victim(set, lo, hi, rng))
+        match self {
+            ReplacementEngine::Lru(p) => p.victim(set, lo, hi, rng),
+            ReplacementEngine::Random(p) => p.victim(set, lo, hi, rng),
+        }
     }
 
     /// Clears all bookkeeping (cache flush).
     pub fn reset(&mut self) {
-        repl_dispatch!(self, p => p.reset())
+        match self {
+            ReplacementEngine::Lru(p) => p.reset(),
+            ReplacementEngine::Random(_) => {}
+        }
     }
 }
 
@@ -116,14 +104,8 @@ impl ReplacementEngine {
 pub enum ReplacementKind {
     /// Least recently used.
     Lru,
-    /// First in, first out (fill order).
-    Fifo,
     /// Uniformly random victim (the paper's optional random replacement).
     Random,
-    /// Tree pseudo-LRU.
-    PlruTree,
-    /// Not-recently-used (single reference bit per line).
-    Nru,
 }
 
 impl ReplacementKind {
@@ -131,21 +113,12 @@ impl ReplacementKind {
     pub const fn label(self) -> &'static str {
         match self {
             ReplacementKind::Lru => "lru",
-            ReplacementKind::Fifo => "fifo",
             ReplacementKind::Random => "random",
-            ReplacementKind::PlruTree => "plru-tree",
-            ReplacementKind::Nru => "nru",
         }
     }
 
     /// All kinds, in presentation order.
-    pub const ALL: [ReplacementKind; 5] = [
-        ReplacementKind::Lru,
-        ReplacementKind::Fifo,
-        ReplacementKind::Random,
-        ReplacementKind::PlruTree,
-        ReplacementKind::Nru,
-    ];
+    pub const ALL: [ReplacementKind; 2] = [ReplacementKind::Lru, ReplacementKind::Random];
 }
 
 impl fmt::Display for ReplacementKind {
@@ -154,30 +127,35 @@ impl fmt::Display for ReplacementKind {
     }
 }
 
-/// Per-line stamps from a per-cache clock: the bookkeeping LRU (which
-/// stamps every touch) and FIFO (which stamps fills only) share. Both
-/// evict the oldest stamp.
+/// True LRU via per-line stamps from a per-cache clock: every hit and
+/// every fill stamps its line, and the victim is the oldest stamp.
 #[derive(Debug)]
-struct Stamps {
+pub struct Lru {
     ways: u32,
     stamps: Vec<u64>,
     clock: u64,
 }
 
-impl Stamps {
-    fn new(geom: &CacheGeometry) -> Self {
-        Stamps { ways: geom.ways(), stamps: vec![0; geom.total_lines() as usize], clock: 0 }
+impl Lru {
+    /// Creates LRU bookkeeping for `geom`.
+    pub fn new(geom: &CacheGeometry) -> Self {
+        Lru { ways: geom.ways(), stamps: vec![0; geom.total_lines() as usize], clock: 0 }
     }
 
     #[inline]
-    fn stamp(&mut self, set: u32, way: u32) {
+    fn on_hit(&mut self, set: u32, way: u32) {
         self.clock += 1;
         self.stamps[(set * self.ways + way) as usize] = self.clock;
     }
 
+    #[inline]
+    fn on_fill(&mut self, set: u32, way: u32) {
+        self.on_hit(set, way);
+    }
+
     /// The way in `lo..hi` with the oldest stamp; ties go to the
     /// lowest way.
-    fn oldest(&self, set: u32, lo: u32, hi: u32) -> u32 {
+    fn victim(&mut self, set: u32, lo: u32, hi: u32, _rng: &mut SplitMix64) -> u32 {
         assert!(lo < hi, "empty way partition");
         let base = (set * self.ways) as usize;
         let mut best = lo;
@@ -198,185 +176,15 @@ impl Stamps {
     }
 }
 
-/// True LRU via monotonically increasing access stamps.
-#[derive(Debug)]
-pub struct Lru(Stamps);
-
-impl Lru {
-    /// Creates LRU bookkeeping for `geom`.
-    pub fn new(geom: &CacheGeometry) -> Self {
-        Lru(Stamps::new(geom))
-    }
-
-    fn on_hit(&mut self, set: u32, way: u32) {
-        self.0.stamp(set, way);
-    }
-
-    fn on_fill(&mut self, set: u32, way: u32) {
-        self.0.stamp(set, way);
-    }
-
-    fn victim(&mut self, set: u32, lo: u32, hi: u32, _rng: &mut SplitMix64) -> u32 {
-        self.0.oldest(set, lo, hi)
-    }
-
-    fn reset(&mut self) {
-        self.0.reset();
-    }
-}
-
-/// FIFO: victim is the oldest fill.
-#[derive(Debug)]
-pub struct Fifo(Stamps);
-
-impl Fifo {
-    /// Creates FIFO bookkeeping for `geom`.
-    pub fn new(geom: &CacheGeometry) -> Self {
-        Fifo(Stamps::new(geom))
-    }
-
-    fn on_hit(&mut self, _set: u32, _way: u32) {
-        // Hits do not refresh FIFO order.
-    }
-
-    fn on_fill(&mut self, set: u32, way: u32) {
-        self.0.stamp(set, way);
-    }
-
-    fn victim(&mut self, set: u32, lo: u32, hi: u32, _rng: &mut SplitMix64) -> u32 {
-        self.0.oldest(set, lo, hi)
-    }
-
-    fn reset(&mut self) {
-        self.0.reset();
-    }
-}
-
 /// Uniformly random replacement (paper §2.1: the optional randomized
 /// replacement of MBPTA caches). Stateless: every victim is one draw.
 #[derive(Debug)]
 pub struct RandomRepl;
 
 impl RandomRepl {
-    fn on_hit(&mut self, _set: u32, _way: u32) {}
-
-    fn on_fill(&mut self, _set: u32, _way: u32) {}
-
     fn victim(&mut self, _set: u32, lo: u32, hi: u32, rng: &mut SplitMix64) -> u32 {
         assert!(lo < hi, "empty way partition");
         lo + rng.below(hi - lo)
-    }
-
-    fn reset(&mut self) {}
-}
-
-/// Tree pseudo-LRU (binary decision tree per set).
-///
-/// # Panics
-///
-/// Construction panics if the geometry's way count is not a power of
-/// two (the tree requires it); `CacheGeometry` already guarantees this.
-#[derive(Debug)]
-pub struct PlruTree {
-    ways: u32,
-    /// `ways - 1` tree bits per set, packed one `u32` per set (supports
-    /// up to 32 ways).
-    bits: Vec<u32>,
-}
-
-impl PlruTree {
-    /// Creates tree-PLRU bookkeeping for `geom`.
-    pub fn new(geom: &CacheGeometry) -> Self {
-        assert!(geom.ways() <= 32, "plru-tree supports at most 32 ways");
-        PlruTree { ways: geom.ways(), bits: vec![0; geom.sets() as usize] }
-    }
-
-    /// Walks the tree towards `way`, setting each node to point *away*
-    /// from it (the touched side becomes "recently used").
-    fn touch(&mut self, set: u32, way: u32) {
-        let levels = self.ways.trailing_zeros();
-        let bits = &mut self.bits[set as usize];
-        let mut node = 0u32; // root at node 0; children of n are 2n+1, 2n+2
-        for level in (0..levels).rev() {
-            let go_right = (way >> level) & 1;
-            // Node bit = 1 means "next victim is on the right"; point
-            // away from the touched side.
-            if go_right == 1 {
-                *bits &= !(1 << node);
-            } else {
-                *bits |= 1 << node;
-            }
-            node = 2 * node + 1 + go_right;
-        }
-    }
-
-    fn on_hit(&mut self, set: u32, way: u32) {
-        self.touch(set, way);
-    }
-
-    fn on_fill(&mut self, set: u32, way: u32) {
-        self.touch(set, way);
-    }
-
-    /// Walks the tree over the whole set; the tree has no notion of a
-    /// way partition, so inside one the victim is a uniform draw.
-    fn victim(&mut self, set: u32, lo: u32, hi: u32, rng: &mut SplitMix64) -> u32 {
-        assert!(lo < hi, "empty way partition");
-        if hi - lo < self.ways {
-            return lo + rng.below(hi - lo);
-        }
-        let bits = self.bits[set as usize];
-        let mut node = 0u32;
-        let mut way = 0u32;
-        for _ in 0..self.ways.trailing_zeros() {
-            let dir = (bits >> node) & 1;
-            way = (way << 1) | dir;
-            node = 2 * node + 1 + dir;
-        }
-        way
-    }
-
-    fn reset(&mut self) {
-        self.bits.fill(0);
-    }
-}
-
-/// Not-recently-used: one reference bit per line; victim is the first
-/// way with a clear bit, clearing all bits when the set saturates.
-#[derive(Debug)]
-pub struct Nru {
-    ways: u32,
-    refs: Vec<bool>,
-}
-
-impl Nru {
-    /// Creates NRU bookkeeping for `geom`.
-    pub fn new(geom: &CacheGeometry) -> Self {
-        Nru { ways: geom.ways(), refs: vec![false; geom.total_lines() as usize] }
-    }
-
-    fn on_hit(&mut self, set: u32, way: u32) {
-        self.refs[(set * self.ways + way) as usize] = true;
-    }
-
-    fn on_fill(&mut self, set: u32, way: u32) {
-        self.on_hit(set, way);
-    }
-
-    fn victim(&mut self, set: u32, lo: u32, hi: u32, _rng: &mut SplitMix64) -> u32 {
-        assert!(lo < hi, "empty way partition");
-        let base = (set * self.ways) as usize;
-        let refs = &mut self.refs[base + lo as usize..base + hi as usize];
-        if let Some(w) = refs.iter().position(|&r| !r) {
-            return lo + w as u32;
-        }
-        // Saturated: age the range and evict its first way.
-        refs.fill(false);
-        lo
-    }
-
-    fn reset(&mut self) {
-        self.refs.fill(false);
     }
 }
 
@@ -414,17 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_hits() {
-        let mut fifo = Fifo::new(&geom());
-        let mut rng = SplitMix64::new(0);
-        for w in 0..4 {
-            fifo.on_fill(0, w);
-        }
-        fifo.on_hit(0, 0); // must not refresh
-        assert_eq!(fifo.victim(0, 0, 4, &mut rng), 0);
-    }
-
-    #[test]
     fn random_victim_covers_all_ways_and_is_seeded() {
         let mut r1 = RandomRepl;
         let mut r2 = RandomRepl;
@@ -437,45 +234,6 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn plru_points_away_from_recent() {
-        let mut plru = PlruTree::new(&geom());
-        let mut rng = SplitMix64::new(0);
-        for w in 0..4 {
-            plru.on_fill(0, w);
-        }
-        // After touching 0,1,2,3 in order the victim must be on the
-        // left half (ways 0/1), specifically way 0 for the tree walk.
-        let v = plru.victim(0, 0, 4, &mut rng);
-        assert!(v < 2, "victim {v} should be in the cold half");
-    }
-
-    #[test]
-    fn plru_victim_never_most_recent() {
-        let mut plru = PlruTree::new(&geom());
-        let mut rng = SplitMix64::new(0);
-        for pattern in 0..64u32 {
-            let way = pattern % 4;
-            plru.on_hit(0, way);
-            assert_ne!(plru.victim(0, 0, 4, &mut rng), way);
-        }
-    }
-
-    #[test]
-    fn nru_picks_first_unreferenced_then_ages() {
-        let mut nru = Nru::new(&geom());
-        let mut rng = SplitMix64::new(0);
-        nru.on_fill(0, 0);
-        nru.on_fill(0, 1);
-        assert_eq!(nru.victim(0, 0, 4, &mut rng), 2);
-        nru.on_fill(0, 2);
-        nru.on_fill(0, 3);
-        // All referenced: ages and returns way 0.
-        assert_eq!(nru.victim(0, 0, 4, &mut rng), 0);
-        // After aging, way 0 (still unreferenced) is chosen again.
-        assert_eq!(nru.victim(0, 0, 4, &mut rng), 0);
     }
 
     #[test]
@@ -493,7 +251,7 @@ mod tests {
     #[test]
     fn display_names_are_stable() {
         let names = ReplacementKind::ALL.map(|kind| kind.to_string());
-        assert_eq!(names, ["lru", "fifo", "random", "plru-tree", "nru"]);
+        assert_eq!(names, ["lru", "random"]);
     }
 
     #[test]

@@ -62,7 +62,7 @@ proptest! {
     fn structural_invariants(
         accesses in prop::collection::vec((0u64..256, 1u16..4), 1..200),
         placement_idx in 0usize..6,
-        replacement_idx in 0usize..5,
+        replacement_idx in 0..ReplacementKind::ALL.len(),
         seed in any::<u64>(),
     ) {
         let geom = CacheGeometry::new(16, 4, 32).unwrap();

@@ -55,7 +55,7 @@ proptest! {
     fn full_partition_makes_victim_llc_sequence_invariant(
         salt in any::<u64>(),
         placement_sel in 0usize..6,
-        replacement_sel in 0usize..5,
+        replacement_sel in 0..ReplacementKind::ALL.len(),
         burst in 1u64..4,
     ) {
         let placement = PlacementKind::ALL[placement_sel];
