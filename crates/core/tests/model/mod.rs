@@ -4,10 +4,10 @@
 //!
 //! [`ModelCache`] states every cache rule in the plainest form: each set
 //! is a `Vec<Option<Slot>>`, every lookup is a linear scan, and there is
-//! no placement memo, hot-process context or packed metadata. It takes
-//! its placement and replacement decisions from the policy engines;
-//! `placement_properties` and `replacement_golden` pin those on their
-//! own. [`ModelHierarchy::walk`] walks an op through a split-L1 stack of
+//! no placement memo, hot-process context or packed metadata. It writes
+//! LRU and random replacement out itself; only placement comes from
+//! the policy engines, and `placement_properties` pins that on its own.
+//! [`ModelHierarchy::walk`] walks an op through a split-L1 stack of
 //! model caches.
 
 // Each suite that includes this module uses a different part of it.
@@ -20,7 +20,7 @@ use tscache_core::geometry::CacheGeometry;
 use tscache_core::hierarchy::AccessKind;
 use tscache_core::placement::{PlacementEngine, PlacementKind};
 use tscache_core::prng::{mix64, Prng, SplitMix64};
-use tscache_core::replacement::{ReplacementEngine, ReplacementKind};
+use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed, SeedTable};
 use tscache_core::stats::CacheStats;
 
@@ -34,6 +34,8 @@ struct Slot {
     coherent: bool,
     /// Remaining lifetime in accesses to the set; 0 never expires.
     ttl: u8,
+    /// The cache's LRU clock at this line's last hit or fill.
+    stamp: u64,
 }
 
 /// Empties `slot`; dirty data leaving the cache counts a writeback.
@@ -49,7 +51,9 @@ fn drain(stats: &mut CacheStats, slot: &mut Option<Slot>) -> bool {
 pub struct ModelCache {
     geom: CacheGeometry,
     placement: PlacementEngine,
-    replacement: ReplacementEngine,
+    replacement: ReplacementKind,
+    /// Ticks on every hit and fill; `flush` resets it.
+    clock: u64,
     sets: Vec<Vec<Option<Slot>>>,
     seeds: SeedTable,
     partitions: Vec<(ProcessId, u32, u32)>,
@@ -78,7 +82,8 @@ impl ModelCache {
         ModelCache {
             geom,
             placement: PlacementEngine::new(placement, &geom),
-            replacement: ReplacementEngine::new(replacement, &geom),
+            replacement,
+            clock: 0,
             sets: vec![vec![None; geom.ways() as usize]; geom.sets() as usize],
             seeds: SeedTable::new(),
             partitions: Vec::new(),
@@ -164,8 +169,9 @@ impl ModelCache {
         }
         let dirty = write && self.write_back;
         if let Some(way) = self.find(set, line) {
-            self.replacement.on_hit(set as u32, way as u32);
+            self.clock += 1;
             let slot = self.sets[set][way].as_mut().unwrap();
+            slot.stamp = self.clock;
             slot.dirty |= dirty;
             if self.normalize && slot.owner != pid {
                 // Normalized: ownership moves, the access reports a
@@ -220,6 +226,7 @@ impl ModelCache {
             Some(cfg) => cfg.base,
             None => 0,
         };
+        self.clock += 1;
         self.sets[set][way] = Some(Slot {
             line,
             owner: pid,
@@ -227,14 +234,15 @@ impl ModelCache {
             protected: within(&self.protected),
             coherent: within(&self.coherent),
             ttl,
+            stamp: self.clock,
         });
-        self.replacement.on_fill(set as u32, way as u32);
         AccessOutcome::Miss { evicted, redirected }
     }
 
-    /// The first free way of `pid`'s range, else the engine's victim:
-    /// drawn from the shared stream when the range is the whole set,
-    /// from `pid`'s own stream inside a partition.
+    /// The first free way of `pid`'s range, else its victim: the oldest
+    /// stamp under LRU (ties to the lowest way), a uniform draw under
+    /// random replacement, from the shared stream when the range is the
+    /// whole set and from `pid`'s own stream inside a partition.
     fn fill_way(&mut self, pid: ProcessId, set: usize) -> usize {
         let (lo, hi) = self
             .partitions
@@ -243,6 +251,10 @@ impl ModelCache {
             .map_or((0, self.geom.ways()), |&(_, lo, hi)| (lo, hi));
         if let Some(way) = (lo..hi).find(|&w| self.sets[set][w as usize].is_none()) {
             return way as usize;
+        }
+        if self.replacement == ReplacementKind::Lru {
+            let stamp = |w: &u32| self.sets[set][*w as usize].unwrap().stamp;
+            return (lo..hi).min_by_key(stamp).unwrap() as usize;
         }
         let rng = if hi - lo == self.geom.ways() {
             &mut self.rng
@@ -253,7 +265,7 @@ impl ModelCache {
             }
             &mut self.part_rngs.iter_mut().find(|(p, _)| *p == pid).unwrap().1
         };
-        self.replacement.victim(set as u32, lo, hi, rng) as usize
+        (lo + rng.below(hi - lo)) as usize
     }
 
     /// One access to `set` ages its lines; a line at 1 expires.
@@ -301,12 +313,12 @@ impl ModelCache {
         slot.coherent.then_some(if slot.dirty { CohState::Modified } else { CohState::Shared })
     }
 
-    /// Drains every line; resets replacement state, the partition
-    /// streams and the TTL stream, but not the shared stream.
+    /// Drains every line; resets the LRU clock, the partition streams
+    /// and the TTL stream, but not the shared stream.
     pub fn flush(&mut self) -> u64 {
         let drained =
             self.sets.iter_mut().flatten().map(|s| drain(&mut self.stats, s) as u64).sum();
-        self.replacement.reset();
+        self.clock = 0;
         self.part_rngs.clear();
         self.ttl_rng = SplitMix64::new(mix64(self.rng_seed ^ 0x0074_746c));
         self.stats.record_flush();
