@@ -101,7 +101,7 @@ fn main() {
     println!("bernstein_attack {:016x}", d.0);
 
     // A contended Bernstein campaign: co-runner cores, shared-bus
-    // arbitration and MSHR stalls must stay bit-identical across
+    // arbitration and MSHR coalescing must stay bit-identical across
     // worker-thread counts too.
     let mut contended = SamplingConfig::standard(SetupKind::TsCache, 800, 0xc0);
     contended.contention = Some(ContentionConfig::default());
@@ -147,9 +147,8 @@ fn main() {
         )
     };
     let (plain, swapped) = (segment(false), segment(true));
-    let invariant = |r: &CoreReport| {
-        (r.ops, r.base_cycles, r.mem_reads, r.mem_writebacks, r.mshr_stall_cycles, r.mshr_coalesced)
-    };
+    let invariant =
+        |r: &CoreReport| (r.ops, r.base_cycles, r.mem_reads, r.mem_writebacks, r.mshr_coalesced);
     // Only the measured core's cache/MSHR outcomes are ordering-
     // invariant in a segment (enemy progress legitimately depends on
     // the interleaving, since the loop stops with the primary); the

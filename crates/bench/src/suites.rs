@@ -13,7 +13,7 @@ use tscache_core::placement::{PlacementEngine, PlacementKind};
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
-use tscache_interference::{Arbitration, BusConfig, ContentionConfig, SystemConfig};
+use tscache_interference::{Arbitration, ContentionConfig, SystemConfig};
 use tscache_sim::machine::Machine;
 
 /// The standard access trace for the cache-level rows: a 24 KiB
@@ -168,13 +168,7 @@ pub fn contended_machine_suite(
     contended.attach_standard_enemies(
         setup,
         depth,
-        &ContentionConfig {
-            system: SystemConfig {
-                bus: BusConfig { arbitration, ..BusConfig::default() },
-                ..SystemConfig::default()
-            },
-            ..ContentionConfig::default()
-        },
+        &ContentionConfig { system: SystemConfig { arbitration }, ..ContentionConfig::default() },
         77,
     );
     results.push(bench(format!("machine/{tag}/contended"), "accesses", min_ms, || {

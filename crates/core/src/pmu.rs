@@ -105,7 +105,7 @@ pub struct PmuSnapshot {
     /// levels, then any extra levels appended via
     /// [`with_level`](Self::with_level) — e.g. a shared LLC).
     pub levels: Vec<PmuCounters>,
-    /// Cycles lost to shared-bus queuing and MSHR stalls.
+    /// Cycles lost to shared-bus queuing.
     pub bus_wait_cycles: u64,
     /// Total cycles elapsed on the monitored core.
     pub cycles: u64,

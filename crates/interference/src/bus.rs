@@ -12,11 +12,21 @@
 
 use core::fmt;
 
+/// Cycles one transaction occupies the bus: the transfer slot. The
+/// end-to-end memory latency itself stays in the hierarchy's memory
+/// penalty.
+pub(crate) const SERVICE_CYCLES: u32 = 8;
+
+/// Length of each core's TDMA slot in cycles: four service slots.
+pub(crate) const TDMA_SLOT_CYCLES: u32 = 32;
+
 /// How the shared bus arbitrates between cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Arbitration {
     /// First-come first-served with rotating tie-breaks: a transaction
-    /// waits only for the bus to drain (the average-case policy).
+    /// waits only for the bus to drain (the average-case policy, and
+    /// the default).
+    #[default]
     RoundRobin,
     /// Lower core index = higher priority. On a collision (the bus is
     /// busy at request time) a low-priority core additionally waits
@@ -25,31 +35,24 @@ pub enum Arbitration {
     /// rounds to them.
     FixedPriority,
     /// Time-division multiple access: core `c` may only *start* a
-    /// transaction inside its own slot of `slot_cycles` cycles in a
-    /// rotating schedule of `n_cores` slots — the composable policy
-    /// real-time multicores use, trading bandwidth for a contention
-    /// bound that is independent of co-runner behaviour.
-    Tdma {
-        /// Length of each core's slot in cycles.
-        slot_cycles: u32,
-    },
+    /// transaction inside its own 32-cycle slot in a rotating schedule
+    /// of `n_cores` slots — the composable policy real-time multicores
+    /// use, trading bandwidth for a contention bound that is
+    /// independent of co-runner behaviour.
+    Tdma,
 }
 
 impl Arbitration {
-    /// The three policies, in presentation order (TDMA with the
-    /// default 4-service-slot length).
-    pub const ALL: [Arbitration; 3] = [
-        Arbitration::RoundRobin,
-        Arbitration::FixedPriority,
-        Arbitration::Tdma { slot_cycles: 32 },
-    ];
+    /// The three policies, in presentation order.
+    pub const ALL: [Arbitration; 3] =
+        [Arbitration::RoundRobin, Arbitration::FixedPriority, Arbitration::Tdma];
 
     /// Short label used in figures and bench names.
     pub fn label(self) -> &'static str {
         match self {
             Arbitration::RoundRobin => "round-robin",
             Arbitration::FixedPriority => "fixed-priority",
-            Arbitration::Tdma { .. } => "tdma",
+            Arbitration::Tdma => "tdma",
         }
     }
 }
@@ -57,23 +60,6 @@ impl Arbitration {
 impl fmt::Display for Arbitration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Shared-bus configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BusConfig {
-    /// Arbitration policy.
-    pub arbitration: Arbitration,
-    /// Cycles one transaction occupies the bus (the transfer slot; the
-    /// end-to-end memory latency itself stays in the hierarchy's
-    /// memory penalty).
-    pub service_cycles: u32,
-}
-
-impl Default for BusConfig {
-    fn default() -> Self {
-        BusConfig { arbitration: Arbitration::RoundRobin, service_cycles: 8 }
     }
 }
 
@@ -91,7 +77,7 @@ pub struct BusReport {
 /// The shared bus state during one engine run.
 #[derive(Debug)]
 pub struct Bus {
-    cfg: BusConfig,
+    arbitration: Arbitration,
     n_cores: usize,
     /// First cycle the bus is free again.
     free_at: u64,
@@ -102,20 +88,15 @@ pub struct Bus {
 
 impl Bus {
     /// Creates an idle bus for `n_cores` cores.
-    pub fn new(cfg: BusConfig, n_cores: usize) -> Self {
+    pub fn new(arbitration: Arbitration, n_cores: usize) -> Self {
         assert!(n_cores > 0, "bus needs at least one core");
         Bus {
-            cfg,
+            arbitration,
             n_cores,
             free_at: 0,
             last_grant: vec![u64::MAX; n_cores],
             report: BusReport::default(),
         }
-    }
-
-    /// The configuration the bus was built with.
-    pub fn config(&self) -> BusConfig {
-        self.cfg
     }
 
     /// Accounting so far.
@@ -125,11 +106,11 @@ impl Bus {
 
     /// Grants `core` a transaction requested at cycle `request`;
     /// returns the grant cycle (`≥ request`). The transaction occupies
-    /// the bus for `service_cycles` from the grant.
+    /// the bus for the 8-cycle service slot from the grant.
     pub fn grant(&mut self, core: usize, request: u64) -> u64 {
-        let service = self.cfg.service_cycles as u64;
+        let service = SERVICE_CYCLES as u64;
         let mut grant = request.max(self.free_at);
-        match self.cfg.arbitration {
+        match self.arbitration {
             Arbitration::RoundRobin => {}
             Arbitration::FixedPriority => {
                 if grant > request {
@@ -144,8 +125,8 @@ impl Bus {
                     grant += recent * service;
                 }
             }
-            Arbitration::Tdma { slot_cycles } => {
-                let slot = slot_cycles as u64;
+            Arbitration::Tdma => {
+                let slot = TDMA_SLOT_CYCLES as u64;
                 let period = slot * self.n_cores as u64;
                 let my_start = core as u64 * slot;
                 let pos = grant % period;
@@ -173,7 +154,7 @@ mod tests {
 
     #[test]
     fn uncontended_round_robin_grants_immediately() {
-        let mut bus = Bus::new(BusConfig::default(), 2);
+        let mut bus = Bus::new(Arbitration::RoundRobin, 2);
         assert_eq!(bus.grant(0, 100), 100);
         // Next request after the service slot: no wait.
         assert_eq!(bus.grant(1, 108), 108);
@@ -183,7 +164,7 @@ mod tests {
 
     #[test]
     fn busy_bus_queues_the_second_request() {
-        let mut bus = Bus::new(BusConfig::default(), 2);
+        let mut bus = Bus::new(Arbitration::RoundRobin, 2);
         bus.grant(0, 100);
         // Requested mid-service: waits until 108.
         assert_eq!(bus.grant(1, 103), 108);
@@ -192,9 +173,8 @@ mod tests {
 
     #[test]
     fn fixed_priority_penalizes_low_priority_collisions() {
-        let cfg = BusConfig { arbitration: Arbitration::FixedPriority, service_cycles: 8 };
-        let mut rr = Bus::new(BusConfig::default(), 2);
-        let mut fp = Bus::new(cfg, 2);
+        let mut rr = Bus::new(Arbitration::RoundRobin, 2);
+        let mut fp = Bus::new(Arbitration::FixedPriority, 2);
         for bus in [&mut rr, &mut fp] {
             bus.grant(0, 100);
         }
@@ -209,24 +189,22 @@ mod tests {
 
     #[test]
     fn tdma_waits_for_the_owned_slot() {
-        let cfg =
-            BusConfig { arbitration: Arbitration::Tdma { slot_cycles: 16 }, service_cycles: 8 };
-        let mut bus = Bus::new(cfg, 2);
-        // Period 32: core 0 owns [0, 16), core 1 owns [16, 32).
+        let mut bus = Bus::new(Arbitration::Tdma, 2);
+        // Period 64: core 0 owns [0, 32), core 1 owns [32, 64).
         assert_eq!(bus.grant(0, 5), 5);
-        assert_eq!(bus.grant(1, 33), 48, "core 1 waits for its slot");
-        assert_eq!(bus.grant(0, 70), 70, "in-slot request starts at once");
+        assert_eq!(bus.grant(1, 65), 96, "core 1 waits for its slot");
+        assert_eq!(bus.grant(0, 130), 130, "in-slot request starts at once");
         // Wait never exceeds one full period.
-        for t in 0..200u64 {
-            let mut b = Bus::new(cfg, 2);
-            assert!(b.grant(1, t) - t <= 32, "t={t}");
+        for t in 0..300u64 {
+            let mut b = Bus::new(Arbitration::Tdma, 2);
+            assert!(b.grant(1, t) - t <= 64, "t={t}");
         }
     }
 
     #[test]
     fn labels_are_stable() {
         assert_eq!(Arbitration::RoundRobin.to_string(), "round-robin");
-        assert_eq!(Arbitration::Tdma { slot_cycles: 4 }.to_string(), "tdma");
+        assert_eq!(Arbitration::Tdma.to_string(), "tdma");
         assert_eq!(Arbitration::ALL.len(), 3);
     }
 }

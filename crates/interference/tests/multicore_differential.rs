@@ -25,8 +25,8 @@ use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
 use tscache_core::stats::CacheStats;
 use tscache_interference::{
-    execute, execute_scalar, Arbitration, BusConfig, CoRunner, CoreRun, EngineScratch,
-    InterferenceOutcome, MshrConfig, SystemConfig,
+    execute, execute_scalar, Arbitration, CoRunner, CoreRun, EngineScratch, InterferenceOutcome,
+    SystemConfig,
 };
 
 /// The reference engine or the production one (fresh scratch, no
@@ -100,18 +100,21 @@ fn assert_hierarchies_identical(a: &Hierarchy, b: &Hierarchy, label: &str) {
     }
 }
 
+/// Misses the MSHR files coalesced across every core of `out`.
+fn coalesced(out: &InterferenceOutcome) -> u64 {
+    out.cores.iter().map(|c| c.mshr_coalesced).sum()
+}
+
 #[test]
 fn contended_batch_is_bit_identical_to_scalar_interleaving() {
     let pid = ProcessId::new(1);
+    let mut coalesces = 0;
     for depth in HierarchyDepth::ALL {
         for placement in PlacementKind::ALL {
             for replacement in ReplacementKind::ALL {
                 for arbitration in Arbitration::ALL {
                     let label = format!("{placement}/{replacement}/{depth}/{arbitration}");
-                    let cfg = SystemConfig {
-                        bus: BusConfig { arbitration, ..BusConfig::default() },
-                        mshr: Some(MshrConfig { entries: 2, window_ops: 6, stall_cycles: 5 }),
-                    };
+                    let cfg = SystemConfig { arbitration };
                     let salt = (placement as usize * 64 + replacement as usize * 8 + depth as usize)
                         as u64
                         + 1;
@@ -144,10 +147,12 @@ fn contended_batch_is_bit_identical_to_scalar_interleaving() {
                     for (i, (a, b)) in scalar_h.iter().zip(&batch_h).enumerate() {
                         assert_hierarchies_identical(a, b, &format!("{label}/core{i}"));
                     }
+                    coalesces += coalesced(&scalar);
                 }
             }
         }
     }
+    assert!(coalesces > 0, "no miss ever coalesced into an MSHR entry");
 }
 
 #[test]
@@ -260,6 +265,7 @@ fn shared_llc_batch_is_bit_identical_to_scalar_interleaving() {
     // policy × private depth. Everything must match: engine outcomes,
     // every private level, and the shared cache itself — stats,
     // contents, dirty lines.
+    let mut coalesces = 0;
     for depth in HierarchyDepth::ALL {
         for placement in PlacementKind::ALL {
             for replacement in ReplacementKind::ALL {
@@ -268,10 +274,7 @@ fn shared_llc_batch_is_bit_identical_to_scalar_interleaving() {
                         let label = format!(
                             "shared/{placement}/{replacement}/{depth}/{arbitration}/{policy:?}"
                         );
-                        let cfg = SystemConfig {
-                            bus: BusConfig { arbitration, ..BusConfig::default() },
-                            mshr: Some(MshrConfig { entries: 2, window_ops: 6, stall_cycles: 5 }),
-                        };
+                        let cfg = SystemConfig { arbitration };
                         let salt = (placement as usize * 64
                             + replacement as usize * 8
                             + depth as usize) as u64
@@ -313,11 +316,13 @@ fn shared_llc_batch_is_bit_identical_to_scalar_interleaving() {
                             cache_state(batch_llc.cache()),
                             "{label}: shared LLC diverges"
                         );
+                        coalesces += coalesced(&scalar_out);
                     }
                 }
             }
         }
     }
+    assert!(coalesces > 0, "no miss ever coalesced into an MSHR entry");
 }
 
 #[test]
@@ -411,15 +416,13 @@ fn coherence_axis_batch_is_bit_identical_to_scalar_interleaving() {
     // counters*, every private level (stats carry per-cache
     // invalidation counts), and the shared cache.
     const SHARED_BASE: u64 = 1 << 20;
+    let mut coalesces = 0;
     for depth in HierarchyDepth::ALL {
         for placement in PlacementKind::ALL {
             for replacement in ReplacementKind::ALL {
                 for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
                     let label = format!("coherent/{placement}/{replacement}/{depth}/{policy:?}");
-                    let cfg = SystemConfig {
-                        bus: BusConfig::default(),
-                        mshr: Some(MshrConfig { entries: 2, window_ops: 6, stall_cycles: 5 }),
-                    };
+                    let cfg = SystemConfig::default();
                     let salt = (placement as usize * 64 + replacement as usize * 8 + depth as usize)
                         as u64
                         + 0xc0;
@@ -473,10 +476,12 @@ fn coherence_axis_batch_is_bit_identical_to_scalar_interleaving() {
                         scalar_out.cores[2].coh_invalidations, 0,
                         "{label}: coherence traffic reached the private core"
                     );
+                    coalesces += coalesced(&scalar_out);
                 }
             }
         }
     }
+    assert!(coalesces > 0, "no miss ever coalesced into an MSHR entry");
 }
 
 /// Walks the next ops of a co-runner's cyclic `trace` through
@@ -528,7 +533,7 @@ fn segment_axis_execute_is_bit_identical_to_scalar() {
     // rotating policy to every level. Engine outcomes, every private
     // level and the shared LLC must match.
     const SHARED_BASE: u64 = 1 << 20;
-    let (mut ran_ahead, mut wrapped) = (false, false);
+    let (mut ran_ahead, mut wrapped, mut coalesces) = (false, false, 0);
     let mut covered = std::collections::BTreeSet::new();
     let mut case = 0usize;
     for platform in ["private", "shared", "coherent"] {
@@ -545,10 +550,7 @@ fn segment_axis_execute_is_bit_identical_to_scalar() {
                             arbitration.label(),
                             llc_policy == WritePolicy::WriteBack,
                         ));
-                        let cfg = SystemConfig {
-                            bus: BusConfig { arbitration, ..BusConfig::default() },
-                            mshr: Some(MshrConfig { entries: 2, window_ops: 6, stall_cycles: 5 }),
-                        };
+                        let cfg = SystemConfig { arbitration };
                         let mix = if coherent_mix { "coherent-mix" } else { "plain" };
                         let label = format!(
                             "segment/{platform}/{mix}/{placement}/{replacement}/{depth}/\
@@ -622,6 +624,7 @@ fn segment_axis_execute_is_bit_identical_to_scalar() {
                         let (ref_outs, ref_primary, mut ref_co, ref_llc) = run(true);
                         let (outs, primary, co, llc) = run(false);
                         assert_eq!(ref_outs, outs, "{label}: engine outcomes diverge");
+                        coalesces += ref_outs.iter().map(coalesced).sum::<u64>();
                         assert_hierarchies_identical(
                             &ref_primary,
                             &primary,
@@ -665,6 +668,7 @@ fn segment_axis_execute_is_bit_identical_to_scalar() {
     }
     assert!(ran_ahead, "no pre-executed co-runner ever ran ahead of the merge");
     assert!(wrapped, "no co-runner ever wrapped around its trace");
+    assert!(coalesces > 0, "no miss ever coalesced into an MSHR entry");
     let want = 3 * Arbitration::ALL.len() * 2;
     assert_eq!(covered.len(), want, "some platform missed an arbitration × write-policy pair");
 }
@@ -677,8 +681,7 @@ fn arbitration_policies_differ_and_order_sensibly() {
     let pid = ProcessId::new(1);
     let mut waits = Vec::new();
     for arbitration in Arbitration::ALL {
-        let cfg =
-            SystemConfig { bus: BusConfig { arbitration, ..BusConfig::default() }, mshr: None };
+        let cfg = SystemConfig { arbitration };
         let traces: Vec<Vec<TraceOp>> =
             (0..2).map(|c| recorded_trace(0xaa ^ c as u64, 800)).collect();
         let mut hs: Vec<Hierarchy> = (0..2)
@@ -701,7 +704,7 @@ fn arbitration_policies_differ_and_order_sensibly() {
         assert!(wait > 0, "{arbitration}: two miss-heavy cores never collided");
         waits.push((arbitration, wait));
     }
-    let tdma = waits.iter().find(|(a, _)| matches!(a, Arbitration::Tdma { .. })).unwrap().1;
+    let tdma = waits.iter().find(|(a, _)| matches!(a, Arbitration::Tdma)).unwrap().1;
     let rr = waits.iter().find(|(a, _)| matches!(a, Arbitration::RoundRobin)).unwrap().1;
     assert!(tdma > rr, "TDMA should pay more queuing than round-robin (tdma {tdma}, rr {rr})");
 }

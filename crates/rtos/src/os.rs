@@ -58,9 +58,6 @@ pub struct OsConfig {
     pub seed_policy: SeedPolicy,
     /// RNG seed for the OS's seed generator.
     pub rng_seed: u64,
-    /// Bus/MSHR model used when the application pins runnables to
-    /// cores other than 0 (`None` = the default contention model).
-    pub interference: Option<SystemConfig>,
     /// Run the platform with a *shared* last-level cache: the measured
     /// core and every pinned-runnable core resolve their last level
     /// against one shared L2, so pinned runnables perturb the measured
@@ -91,7 +88,6 @@ impl Default for OsConfig {
         OsConfig {
             seed_policy: SeedPolicy::PerSwc,
             rng_seed: 0x05,
-            interference: None,
             shared_llc: false,
             coherent_image: false,
             detector: None,
@@ -115,8 +111,8 @@ pub struct CampaignReport {
     pub overhead_cycles: u64,
     /// Cycles spent executing runnables.
     pub work_cycles: u64,
-    /// Cycles core 0 lost to shared-bus queuing and MSHR stalls
-    /// (non-zero only when runnables are pinned to other cores).
+    /// Cycles core 0 lost to shared-bus queuing (non-zero only when
+    /// runnables are pinned to other cores).
     pub bus_wait_cycles: u64,
     /// Line copies coherence actions drained from the measured core's
     /// private levels over the campaign (zero unless the platform has
@@ -187,15 +183,14 @@ impl TscacheOs {
     /// [`Runnable::on_core`](crate::model::Runnable::on_core)) are not
     /// scheduled on the measured core: each becomes a free-running
     /// co-runner replaying its workload trace on its own hierarchy,
-    /// contending for the shared bus under `config.interference` —
-    /// their slots in [`CampaignReport::times`] stay empty.
+    /// contending for the round-robin shared bus — their slots in
+    /// [`CampaignReport::times`] stay empty.
     ///
     /// # Errors
     ///
     /// Configuration errors (a coherent image requested on a private
     /// platform or with more pinned runnables than the sharer directory
-    /// can name, an invalid detector config, a bus or MSHR model the
-    /// engine cannot run) come back as typed
+    /// can name, an invalid detector config) come back as typed
     /// [`ConfigError`]s instead of aborting, so a campaign runner can
     /// quarantine the scenario and keep going.
     pub fn try_new(
@@ -223,16 +218,13 @@ impl TscacheOs {
         if let Some(detector) = &config.detector {
             detector.validate()?;
         }
-        if let Some(system) = &config.interference {
-            system.validate()?;
-        }
         let schedule = Schedule::build(&app);
         let mut layout = Layout::new(0x20_0000);
         let mut machine = if config.shared_llc {
             Machine::from_setup_shared(
                 setup,
                 tscache_core::setup::HierarchyDepth::TwoLevel,
-                config.interference.unwrap_or_default(),
+                SystemConfig::default(),
                 config.rng_seed ^ 0x05_05,
             )
         } else {
@@ -275,7 +267,7 @@ impl TscacheOs {
         // Pinned runnables become co-runner cores replaying their
         // workload trace against the shared bus.
         if !pinned.is_empty() {
-            machine.set_interference(config.interference.unwrap_or_default());
+            machine.set_interference(SystemConfig::default());
             for &i in &pinned {
                 let r = &app.runnables()[i];
                 let enemy_seed = config.rng_seed ^ 0xc0de ^ ((r.core() as u64) << 16) ^ i as u64;
@@ -757,27 +749,6 @@ mod tests {
         };
         assert!(err.to_string().contains("at most 31 pinned runnables"), "unhelpful error: {err}");
         assert!(TscacheOs::try_new(app(31), SetupKind::TsCache, config).is_ok());
-    }
-
-    #[test]
-    fn unrunnable_bus_and_mshr_models_are_typed_errors() {
-        use tscache_interference::{Arbitration, BusConfig, MshrConfig};
-        let tdma =
-            BusConfig { arbitration: Arbitration::Tdma { slot_cycles: 0 }, service_cycles: 8 };
-        let no_entries = Some(MshrConfig { entries: 0, ..MshrConfig::default() });
-        for system in [
-            SystemConfig { bus: tdma, ..SystemConfig::default() },
-            SystemConfig { mshr: no_entries, ..SystemConfig::default() },
-        ] {
-            let config =
-                OsConfig { interference: Some(system), shared_llc: true, ..OsConfig::default() };
-            let Err(err) =
-                TscacheOs::try_new(Application::figure3_example(), SetupKind::TsCache, config)
-            else {
-                panic!("the engine cannot run this bus or MSHR model")
-            };
-            assert!(err.to_string().contains("> 0"), "unhelpful error: {err}");
-        }
     }
 
     #[test]

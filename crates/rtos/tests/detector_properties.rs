@@ -52,7 +52,6 @@ proptest! {
             shared_llc,
             coherent_image,
             detector: Some(DetectorConfig::default()),
-            ..OsConfig::default()
         };
         let mut sim = TscacheOs::try_new(benign_app(pinned), setup, config).expect("valid config");
         let report = sim.run(hyperperiods);

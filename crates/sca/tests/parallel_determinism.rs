@@ -111,7 +111,7 @@ fn attack_and_mbpta_results_are_bit_identical_across_thread_counts() {
     });
 
     // Contended campaigns: co-runner cores, shared-bus arbitration and
-    // MSHR stalls must not break thread-count invariance anywhere.
+    // MSHR coalescing must not break thread-count invariance anywhere.
     let mut contended = SamplingConfig::standard(SetupKind::TsCache, 150, 0xd00d);
     contended.contention = Some(tscache_interference::ContentionConfig::default());
     contended.reseed_every = 32;

@@ -61,10 +61,10 @@ pub struct Machine {
     instret: u64,
     /// Enemy cores contending for the shared bus (empty = solo).
     co_runners: Vec<CoRunner>,
-    /// Bus/MSHR model; armed by [`set_interference`](Self::set_interference).
+    /// Bus arbitration; armed by [`set_interference`](Self::set_interference).
     interference: Option<SystemConfig>,
-    /// Lifetime cycles lost to bus queuing + MSHR stalls (survives
-    /// `reset_counters`; see [`contention_cycles`](Self::contention_cycles)).
+    /// Lifetime cycles lost to bus queuing (survives `reset_counters`;
+    /// see [`contention_cycles`](Self::contention_cycles)).
     contention_cycles: u64,
     /// The platform's shared last-level cache, when this machine runs
     /// on a shared-LLC multicore (the per-core `hierarchy` then holds
@@ -122,7 +122,7 @@ impl Machine {
     /// Creates a machine on a shared-LLC multicore platform: the
     /// per-core private hierarchy ([`SetupKind::build_private`]) in
     /// front of the platform's shared last level
-    /// ([`SetupKind::build_shared_llc`]), with the bus/MSHR model
+    /// ([`SetupKind::build_shared_llc`]), with the contention model
     /// armed. Co-runner cores attach via
     /// [`attach_standard_enemies`](Self::attach_standard_enemies) or
     /// [`add_co_runner`](Self::add_co_runner) and then contend for the
@@ -278,9 +278,8 @@ impl Machine {
 
     /// Arms the multi-core interference model: once at least one
     /// co-runner is attached, every [`run_trace`](Self::run_trace)
-    /// segment contends with the enemies for the shared bus (and pays
-    /// MSHR structural stalls). The scalar convenience ops
-    /// ([`load`](Self::load), [`store`](Self::store),
+    /// segment contends with the enemies for the shared bus. The scalar
+    /// convenience ops ([`load`](Self::load), [`store`](Self::store),
     /// [`run_block`](Self::run_block)) stay uncontended — they model
     /// background activity, not the measured trace replay.
     pub fn set_interference(&mut self, cfg: SystemConfig) {
@@ -300,7 +299,7 @@ impl Machine {
 
     /// Attaches `con.co_runners` enemy cores, each a fresh hierarchy
     /// of `setup` at `depth` cyclically replaying the FIR enemy kernel
-    /// (`crate::synthetic::FirFilter`), arms the bus/MSHR model, and —
+    /// (`crate::synthetic::FirFilter`), arms the contention model, and —
     /// when `con.write_back` is set — switches every core (including
     /// this machine) to write-back caches so dirty evictions join the
     /// bus traffic. Everything derives from `seed`, so campaigns stay
@@ -405,8 +404,8 @@ impl Machine {
         self.interference.is_some() && !self.co_runners.is_empty()
     }
 
-    /// Cycles this machine has lost to shared-bus queuing and MSHR
-    /// structural stalls over its whole lifetime. Unlike
+    /// Cycles this machine has lost to shared-bus queuing over its
+    /// whole lifetime. Unlike
     /// [`cycles`](Self::cycles) this counter is *not* cleared by
     /// [`reset_counters`](Self::reset_counters), so campaign layers
     /// that reset per job can still difference it across epochs (the
@@ -559,7 +558,7 @@ impl Machine {
             );
             let primary = out.cores[0];
             self.cycles += primary.cycles;
-            self.contention_cycles += primary.bus_wait + primary.mshr_stall_cycles;
+            self.contention_cycles += primary.bus_wait;
             return primary.cycles;
         }
         if let Some(rec) = self.recorder.clone() {

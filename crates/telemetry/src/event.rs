@@ -85,15 +85,6 @@ pub enum Event {
         /// Level whose MSHR file coalesced the miss.
         level: u8,
     },
-    /// A miss stalled on a full MSHR file.
-    MshrStall {
-        /// Issuing core.
-        core: u8,
-        /// Level whose MSHR file was full.
-        level: u8,
-        /// Structural stall cycles charged.
-        cycles: u32,
-    },
     /// A write hit on a shared coherent line upgraded to Modified,
     /// invalidating other sharers.
     CohUpgrade {
@@ -188,10 +179,9 @@ impl Event {
             Event::MshrCoalesce { core, level } => {
                 h.write_u64(5).write_u64(core as u64).write_u64(level as u64);
             }
-            Event::MshrStall { core, level, cycles } => {
-                h.write_u64(6).write_u64(core as u64).write_u64(level as u64);
-                h.write_u64(cycles as u64);
-            }
+            // Tag 6 stays unused: it folded the deleted MSHR stall
+            // event, and a reused tag could make an old stream's
+            // digest match a new one.
             Event::CohUpgrade { core, invalidated } => {
                 h.write_u64(7).write_u64(core as u64).write_u64(invalidated as u64);
             }
@@ -264,6 +254,35 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
+    }
+
+    #[test]
+    fn fold_encoding_is_pinned() {
+        // One event of every variant, folded in order: a changed tag or
+        // field order, or a reuse of the retired tag 6, moves the
+        // digest, and with it every recorded trace digest.
+        let events = [
+            Event::LevelAccess { core: 1, level: 2, hit: true },
+            Event::Writeback { core: 1, count: 3 },
+            Event::Op { core: 2, cycles: 91, miss_mask: 3 },
+            Event::BusGrant { core: 3, wait: 5, service: 8 },
+            Event::MshrCoalesce { core: 0, level: 1 },
+            Event::CohUpgrade { core: 1, invalidated: 2 },
+            Event::CohFlush { core: 2, invalidated: 1 },
+            Event::CohBackInvalidate { core: 3 },
+            Event::CacheFlush { scope: FlushScope::Measurement },
+            Event::ScheduleSlice { runnable: 4, swc: 2, cycles: 1234 },
+            Event::DetectorWindow { window: 9, score: 1.5, fired: true },
+            Event::ShardAttempt { shard: 7, attempt: 2 },
+            Event::ShardRetry { shard: 7, attempt: 1 },
+            Event::ShardQuarantine { shard: 7 },
+            Event::Checkpoint { records: 42 },
+        ];
+        let mut h = Fnv64::new();
+        for e in &events {
+            e.fold(&mut h);
+        }
+        assert_eq!(h.finish(), 0xeaf6_7061_6bca_0be8);
     }
 
     #[test]

@@ -80,14 +80,6 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
                 ts,
                 &format!("\"level\":{level}"),
             ),
-            Event::MshrStall { core, level, cycles } => push_complete(
-                &mut out,
-                "mshr-stall",
-                core as u32,
-                ts,
-                cycles as u64,
-                &format!("\"level\":{level}"),
-            ),
             Event::CohUpgrade { core, invalidated } => push_instant(
                 &mut out,
                 "coh-upgrade",
