@@ -15,8 +15,8 @@ use tscache_sca::sampling::SamplingConfig;
 
 fn main() {
     let args = Args::from_env();
-    let max = args.get_u64("max-samples", 160_000) as u32;
-    let seed = args.get_u64("seed", 0xDAC18);
+    let max: u32 = args.get_int("max-samples", 160_000);
+    let seed: u64 = args.get_int("seed", 0xDAC18);
 
     println!("== ablation: sample count vs key bits determined ==\n");
     println!("{:>9}  {:<14} {:>7}  {:<26}  {:<14} {:>7}", "samples", "", "bits", "", "", "bits");

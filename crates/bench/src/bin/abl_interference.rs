@@ -18,8 +18,8 @@ use tscache_sca::sampling::SamplingConfig;
 
 fn main() {
     let args = Args::from_env();
-    let samples = args.get_u64("samples", 80_000) as u32;
-    let seed = args.get_u64("seed", 0xDAC18);
+    let samples: u32 = args.get_int("samples", 80_000);
+    let seed: u64 = args.get_int("seed", 0xDAC18);
 
     println!("== ablation: aliased table lines vs leak ==");
     println!("{samples} samples per node\n");

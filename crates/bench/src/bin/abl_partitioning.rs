@@ -67,9 +67,9 @@ fn miss_rate(workload_id: usize, ways: u32, runs: u32, seed: u64) -> f64 {
 
 fn main() {
     let args = Args::from_env();
-    let samples = args.get_u64("samples", 80_000) as u32;
-    let runs = args.get_u64("runs", 150) as u32;
-    let seed = args.get_u64("seed", 0xDAC18);
+    let samples: u32 = args.get_int("samples", 80_000);
+    let runs: u32 = args.get_int("runs", 150);
+    let seed: u64 = args.get_int("seed", 0xDAC18);
 
     println!("== §7 ablation (a): associativity cost of way partitioning ==");
     println!("modulo + LRU, {runs} runs per cell; task confined to k of 4 ways\n");

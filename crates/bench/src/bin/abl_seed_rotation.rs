@@ -19,8 +19,8 @@ use tscache_sca::sampling::SamplingConfig;
 
 fn main() {
     let args = Args::from_env();
-    let samples = args.get_u64("samples", 120_000) as u32;
-    let seed = args.get_u64("seed", 0xDAC18);
+    let samples: u32 = args.get_int("samples", 120_000);
+    let seed: u64 = args.get_int("seed", 0xDAC18);
 
     println!("== ablation: seed rotation period vs Bernstein attack ==");
     println!("{samples} samples per node\n");

@@ -49,8 +49,8 @@ use tscache_sca::sampling::{CryptoNode, Role, SamplingConfig};
 
 fn main() {
     let args = Args::from_env();
-    let pr = args.get_u64("pr", 3);
-    let ms = args.get_u64("ms", 300);
+    let pr: u64 = args.get_int("pr", 3);
+    let ms: u64 = args.get_int("ms", 300);
     let out_path = args.get_str("out", &format!("BENCH_PR{pr}.json"));
 
     let mut results: Vec<Measurement> = Vec::new();

@@ -20,9 +20,9 @@ use tscache_sim::workload::{collect_execution_times, MeasurementProtocol};
 
 fn main() {
     let args = Args::from_env();
-    let runs = args.get_u64("runs", 1000) as u32;
-    let block = args.get_u64("block", 20) as usize;
-    let seed = args.get_u64("seed", 0xDAC18);
+    let runs: u32 = args.get_int("runs", 1000);
+    let block: usize = args.get_int("block", 20);
+    let seed: u64 = args.get_int("seed", 0xDAC18);
 
     println!("== Figure 1 (right): pWCET curve ==");
     println!("task: multipath control task; cache: MBPTACache (RM L1 + HashRP L2)");

@@ -20,9 +20,9 @@ use tscache_sca::sampling::{CryptoNode, Role, SamplingConfig};
 
 fn main() {
     let args = Args::from_env();
-    let samples = args.get_u64("samples", 200_000) as u32;
-    let byte = args.get_u64("byte", 4) as usize % 16;
-    let seed = args.get_u64("seed", 0xDAC18);
+    let samples: u32 = args.get_int("samples", 200_000);
+    let byte = args.get_int::<usize>("byte", 4) % 16;
+    let seed: u64 = args.get_int("seed", 0xDAC18);
 
     println!("== Figure 4: per-value timing deviation, input byte {byte} ==");
     println!("setup: deterministic caches; samples: {samples}\n");

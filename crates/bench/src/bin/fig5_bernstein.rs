@@ -21,9 +21,9 @@ use tscache_sca::sampling::SamplingConfig;
 
 fn main() {
     let args = Args::from_env();
-    let samples = args.get_u64("samples", 200_000) as u32;
-    let seed = args.get_u64("seed", 0xDAC18);
-    let full = args.get_u64("full", 0) != 0;
+    let samples: u32 = args.get_int("samples", 200_000);
+    let seed: u64 = args.get_int("seed", 0xDAC18);
+    let full = args.get_int::<u64>("full", 0) != 0;
 
     println!("== Figure 5: Bernstein attack effectiveness ==");
     println!("samples per node: {samples} (paper: 10^7; the simulator is noiseless)\n");

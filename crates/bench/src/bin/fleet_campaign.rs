@@ -36,35 +36,6 @@ use tscache_fleet::fault::FaultPlan;
 use tscache_fleet::report::write_campaign_report;
 use tscache_fleet::spec::SweepSpec;
 
-/// Parses a flag value (decimal or 0x-hex) into `T`: `None` when it is
-/// not an integer or does not fit `T`, so `--retries 4294967296` is an
-/// error rather than a silent 0.
-fn parse_int<T: TryFrom<u64>>(v: &str) -> Option<T> {
-    let n = match v.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse().ok(),
-    }?;
-    T::try_from(n).ok()
-}
-
-/// Reads an optional `--key value` flag by presence: absent → `None`,
-/// present → [`parse_int`], unparseable or out of range → exit 1.
-/// Unlike a sentinel default, this keeps every value — including `0`
-/// and `u64::MAX` — meaningful, matching the `FaultPlan` semantics
-/// where e.g. `--kill-after 0` means "kill before the first record".
-fn opt_int<T: TryFrom<u64>>(args: &Args, key: &str) -> Option<T> {
-    let v = args.get_str(key, "");
-    if v.is_empty() {
-        return None;
-    }
-    let parsed = parse_int(&v);
-    if parsed.is_none() {
-        eprintln!("fleet_campaign: --{key} {v}: not a {} integer", std::any::type_name::<T>());
-        std::process::exit(1);
-    }
-    parsed
-}
-
 fn main() {
     let args = Args::from_env();
     let dir = args.get_str("dir", "fleet-campaign");
@@ -90,25 +61,25 @@ fn main() {
     };
 
     let cfg = ExecutorConfig {
-        workers: opt_int(&args, "workers").unwrap_or(0),
-        max_retries: opt_int(&args, "retries").unwrap_or(2),
-        checkpoint_every: opt_int(&args, "checkpoint-every").unwrap_or(8),
-        scramble_seed: opt_int(&args, "scramble"),
+        workers: args.get_int("workers", 0),
+        max_retries: args.get_int("retries", 2),
+        checkpoint_every: args.get_int("checkpoint-every", 8),
+        scramble_seed: args.opt_int("scramble"),
         keep_times: true,
-        trace: args.get_u64("trace", 0) != 0,
-        progress: args.get_u64("quiet", 0) == 0,
+        trace: args.get_int::<u64>("trace", 0) != 0,
+        progress: args.get_int::<u64>("quiet", 0) == 0,
     };
 
     let mut faults = FaultPlan::none();
-    faults.kill_after_records = opt_int(&args, "kill-after");
-    faults.torn_write_after = opt_int(&args, "torn-after");
-    let panic_through = opt_int(&args, "panic-through").unwrap_or(1);
-    if let Some(shard) = opt_int(&args, "panic-shard") {
+    faults.kill_after_records = args.opt_int("kill-after");
+    faults.torn_write_after = args.opt_int("torn-after");
+    let panic_through = args.get_int("panic-through", 1);
+    if let Some(shard) = args.opt_int("panic-shard") {
         faults.panic_on.push((shard, panic_through));
     }
 
     let shards = spec.jobs().map(|j| j.len()).unwrap_or(0);
-    let resuming = args.get_u64("resume", 0) != 0;
+    let resuming = args.get_int::<u64>("resume", 0) != 0;
     println!(
         "{} campaign in {dir}: {} scenarios, {shards} shards, {} workers{}",
         if resuming { "resuming" } else { "launching" },
@@ -146,7 +117,7 @@ fn main() {
             if !result.is_complete() {
                 println!("INCOMPLETE: resume to re-attempt quarantined shards");
             }
-            if args.get_u64("report", 0) != 0 {
+            if args.get_int::<u64>("report", 0) != 0 {
                 match write_campaign_report(&spec, &dir) {
                     Ok(report_dir) => println!("report written to {}", report_dir.display()),
                     Err(e) => {
@@ -164,24 +135,5 @@ fn main() {
             eprintln!("fleet_campaign: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_int;
-
-    #[test]
-    fn integer_flags_reject_values_that_do_not_fit() {
-        assert_eq!(parse_int::<u32>("4294967295"), Some(u32::MAX));
-        assert_eq!(parse_int::<u32>("0xffffffff"), Some(u32::MAX));
-        // One past u32::MAX must be refused, not wrapped to 0.
-        assert_eq!(parse_int::<u32>("4294967296"), None);
-        assert_eq!(parse_int::<u32>("0x100000000"), None);
-        assert_eq!(parse_int::<u32>("two"), None);
-        assert_eq!(parse_int::<u32>("-1"), None);
-        assert_eq!(parse_int::<u64>("18446744073709551615"), Some(u64::MAX));
-        assert_eq!(parse_int::<u64>("18446744073709551616"), None);
-        assert_eq!(parse_int::<usize>("5"), Some(5));
     }
 }

@@ -25,10 +25,10 @@ fn yn(b: bool) -> &'static str {
 fn main() {
     let args = Args::from_env();
     let cfg = CheckConfig {
-        seeds: args.get_u64("seeds", 2048) as u32,
-        pairs: args.get_u64("pairs", 48) as u32,
-        page_bits: args.get_u64("page-bits", 12) as u32,
-        rng_seed: args.get_u64("seed", 0x70707),
+        seeds: args.get_int("seeds", 2048),
+        pairs: args.get_int("pairs", 48),
+        page_bits: args.get_int("page-bits", 12),
+        rng_seed: args.get_int("seed", 0x70707),
     };
     let geom = CacheGeometry::paper_l1();
 

@@ -20,8 +20,8 @@ use tscache_sca::prime_probe::run_prime_probe;
 
 fn main() {
     let args = Args::from_env();
-    let trials = args.get_u64("trials", 1000) as u32;
-    let seed = args.get_u64("seed", 0xDAC18);
+    let trials: u32 = args.get_int("trials", 1000);
+    let seed: u64 = args.get_int("seed", 0xDAC18);
 
     println!("== §6.2.1: contention attack primitives ({trials} trials each) ==\n");
     println!(

@@ -21,9 +21,9 @@ use tscache_sim::workload::{collect_execution_times, MeasurementProtocol, Worklo
 
 fn main() {
     let args = Args::from_env();
-    let runs = args.get_u64("runs", 500) as u32;
+    let runs: u32 = args.get_int("runs", 500);
     let alpha = args.get_f64("alpha", 0.05);
-    let seed = args.get_u64("seed", 0xDAC18);
+    let seed: u64 = args.get_int("seed", 0xDAC18);
 
     println!("== §6.2.2: i.i.d. validation (Ljung-Box 20 lags + two-sample KS, alpha={alpha}) ==");
     println!("runs per (setup, workload): {runs}\n");

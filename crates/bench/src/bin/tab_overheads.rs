@@ -64,9 +64,9 @@ fn miss_rate(
 
 fn main() {
     let args = Args::from_env();
-    let runs = args.get_u64("runs", 200) as u32;
-    let hyperperiods = args.get_u64("hyperperiods", 50) as u32;
-    let seed = args.get_u64("seed", 0xDAC18);
+    let runs: u32 = args.get_int("runs", 200);
+    let hyperperiods: u32 = args.get_int("hyperperiods", 50);
+    let seed: u64 = args.get_int("seed", 0xDAC18);
 
     println!("== §6.2.3 (a): L1 miss rate by placement policy ==");
     println!("{runs} runs per cell, fresh seed + flush per run; random replacement");
