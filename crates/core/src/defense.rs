@@ -119,7 +119,6 @@ impl RotationPolicy {
 /// use tscache_core::defense::DefenseKind;
 /// use tscache_core::setup::SetupKind;
 ///
-/// assert_eq!(DefenseKind::parse("ttl"), Some(DefenseKind::Ttl));
 /// assert_eq!(
 ///     DefenseKind::RandomSafe.effective_setup(SetupKind::Deterministic),
 ///     SetupKind::RandomSafe,
@@ -172,11 +171,6 @@ impl DefenseKind {
             DefenseKind::RotatePartition => "rotate-partition",
             DefenseKind::RotateCore => "rotate-core",
         }
-    }
-
-    /// Parses a [`label`](Self::label) back into a kind.
-    pub fn parse(label: &str) -> Option<DefenseKind> {
-        DefenseKind::ALL.into_iter().find(|k| k.label() == label)
     }
 
     /// The TTL configuration this defense arms, if any.
@@ -243,14 +237,6 @@ impl fmt::Display for DefenseKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_round_trip() {
-        for kind in DefenseKind::ALL {
-            assert_eq!(DefenseKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(DefenseKind::parse("nonsense"), None);
-    }
 
     #[test]
     fn labels_are_stable() {
