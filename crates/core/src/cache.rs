@@ -18,7 +18,12 @@
 //!   fill instead of a linear scan over possibly overlapping entries);
 //! * way partitions are kept sorted by pid, and a one-entry hot-pid
 //!   context cache memoizes the `(seed, way range)` pair of the
-//!   currently accessing process.
+//!   currently accessing process;
+//! * each fill records its set (after any RPCache redirect) the first
+//!   time that set fills after a flush, so [`Cache::flush`] and
+//!   [`Cache::flush_process`] visit only the sets filled since the
+//!   last flush. An MBPTA run touches a few hundred of an L3's 8,192
+//!   sets, so its flush costs what the run touched, not the capacity.
 //!
 //! Every access, including each line of [`Cache::access_batch`], runs
 //! one path: [`Cache::access_rw`] records its statistics, and one
@@ -289,6 +294,12 @@ pub struct Cache {
     /// memoization can't apply or wouldn't pay (RPCache mutates its
     /// mapping on contention; modulo/XOR are already single-op).
     place_memo: Vec<PlaceMemoEntry>,
+    /// The sets that took a fill since the last [`flush`](Cache::flush),
+    /// in first-fill order; `filled[set]` marks membership. A fill is
+    /// the only way a line becomes valid, so every valid line and every
+    /// set with replacement state sits in a listed set.
+    filled_sets: Vec<u32>,
+    filled: Vec<bool>,
     rng: SplitMix64,
     /// The raw constructor seed, kept to derive per-process partition
     /// streams lazily.
@@ -366,6 +377,8 @@ impl Cache {
             write_policy: WritePolicy::WriteThrough,
             hot: HotContext::EMPTY,
             place_memo,
+            filled_sets: Vec::new(),
+            filled: vec![false; geom.sets() as usize],
             rng: SplitMix64::new(rng_seed ^ 0x6361_6368_6521),
             rng_seed,
             part_rngs: Vec::new(),
@@ -679,12 +692,24 @@ impl Cache {
     /// partitioned victim selection (the shared hardware RNG stream is
     /// *not* rewound: it models free-running LFSR state that survives
     /// a flush). Returns the number of dirty lines drained.
+    ///
+    /// Visits only the sets filled since the last flush: every other
+    /// set is already empty.
     pub fn flush(&mut self) -> u64 {
-        let drained = self.dirty_lines() as u64;
+        let ways = self.ways as usize;
+        let mut drained = 0u64;
+        for &set in &self.filled_sets {
+            let slots = set as usize * ways..(set as usize + 1) * ways;
+            for (tag, meta) in self.tags[slots.clone()].iter_mut().zip(&mut self.meta[slots]) {
+                drained += (*tag != INVALID_TAG && meta.dirty()) as u64;
+                *tag = INVALID_TAG;
+                *meta = LineMeta::EMPTY;
+            }
+            self.replacement.reset_set(set);
+            self.filled[set as usize] = false;
+        }
+        self.filled_sets.clear();
         self.stats.record_writebacks(drained);
-        self.tags.fill(INVALID_TAG);
-        self.meta.fill(LineMeta::EMPTY);
-        self.replacement.reset();
         self.part_rngs.clear();
         self.ttl_rng = SplitMix64::new(mix64(self.rng_seed ^ 0x0074_746c));
         self.stats.record_flush();
@@ -695,15 +720,19 @@ impl Cache {
     /// to memory (counted) and dropping its partition-replacement
     /// stream (it re-derives from the constructor seed on next use, so
     /// the process restarts from a reproducible victim-selection
-    /// state). Returns the number of dirty lines drained.
+    /// state). Returns the number of dirty lines drained. Visits only
+    /// the sets filled since the last [`flush`](Self::flush).
     pub fn flush_process(&mut self, pid: ProcessId) -> u64 {
         let raw = pid.as_u16();
+        let ways = self.ways as usize;
         let mut drained = 0u64;
-        for (tag, meta) in self.tags.iter_mut().zip(self.meta.iter_mut()) {
-            if meta.owner == raw && *tag != INVALID_TAG {
-                drained += meta.dirty() as u64;
-                *tag = INVALID_TAG;
-                *meta = LineMeta::EMPTY;
+        for &set in &self.filled_sets {
+            for slot in set as usize * ways..(set as usize + 1) * ways {
+                if self.meta[slot].owner == raw && self.tags[slot] != INVALID_TAG {
+                    drained += self.meta[slot].dirty() as u64;
+                    self.tags[slot] = INVALID_TAG;
+                    self.meta[slot] = LineMeta::EMPTY;
+                }
             }
         }
         self.stats.record_writebacks(drained);
@@ -936,6 +965,10 @@ impl Cache {
         }
         self.meta[slot] = LineMeta { owner: pid.as_u16(), flags, ttl: self.fill_ttl() };
         self.replacement.on_fill(set, way);
+        if !self.filled[set as usize] {
+            self.filled[set as usize] = true;
+            self.filled_sets.push(set);
+        }
         AccessOutcome::Miss { evicted, redirected }
     }
 
@@ -1100,6 +1133,7 @@ mod tests {
         assert!(c.occupancy() > 0);
         c.flush();
         assert_eq!(c.occupancy(), 0);
+        assert!(c.replacement.is_clear(), "flush left replacement state behind");
         assert!(c.access(pid(1), LineAddr::new(0)).is_miss());
     }
 

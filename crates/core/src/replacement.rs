@@ -8,9 +8,10 @@
 //!
 //! [`ReplacementEngine::new`] is the one way to build a policy and the
 //! engine the one way to call it. Every policy keeps per-set
-//! bookkeeping indexed as `set * ways + way`, tolerates a reset at any
-//! time (cache flush), and answers "which way" with one method whose
-//! range is either the whole set or one way partition.
+//! bookkeeping indexed as `set * ways + way`, tolerates a reset of any
+//! set at any time (a cache flush resets the sets it empties), and
+//! answers "which way" with one method whose range is either the whole
+//! set or one way partition.
 
 use crate::geometry::CacheGeometry;
 use crate::prng::{Prng, SplitMix64};
@@ -89,10 +90,23 @@ impl ReplacementEngine {
         }
     }
 
-    /// Clears all bookkeeping (cache flush).
-    pub fn reset(&mut self) {
+    /// Whether no set holds bookkeeping, as in a new engine. A cache
+    /// never reads the bookkeeping of a way it has not filled since a
+    /// flush, so only this shows whether a flush reset it.
+    #[cfg(test)]
+    pub(crate) fn is_clear(&self) -> bool {
         match self {
-            ReplacementEngine::Lru(p) => p.reset(),
+            ReplacementEngine::Lru(p) => p.stamps.iter().all(|&s| s == 0),
+            ReplacementEngine::Random(_) => true,
+        }
+    }
+
+    /// Clears the bookkeeping of `set`. A cache flush resets each set
+    /// it empties, and a set that held no line since its last reset
+    /// has nothing to clear.
+    pub fn reset_set(&mut self, set: u32) {
+        match self {
+            ReplacementEngine::Lru(p) => p.reset_set(set),
             ReplacementEngine::Random(_) => {}
         }
     }
@@ -170,9 +184,12 @@ impl Lru {
         best
     }
 
-    fn reset(&mut self) {
-        self.stamps.fill(0);
-        self.clock = 0;
+    /// Zeroes `set`'s stamps. The clock runs on: stamps only order
+    /// the lines of one set, and every stamp after the reset is newer
+    /// than zero, as it would be after a rewind.
+    fn reset_set(&mut self, set: u32) {
+        let base = (set * self.ways) as usize;
+        self.stamps[base..base + self.ways as usize].fill(0);
     }
 }
 
@@ -237,15 +254,18 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
+    fn reset_set_clears_that_set_only() {
         let mut lru = Lru::new(&geom());
         let mut rng = SplitMix64::new(0);
         for w in 0..4 {
-            lru.on_fill(0, w);
+            lru.on_fill(0, 3 - w);
+            lru.on_fill(1, 3 - w);
         }
-        lru.reset();
-        // After reset all stamps are equal; the scan picks way 0.
+        lru.reset_set(0);
+        // Set 0's stamps are all equal again, so the scan picks way 0;
+        // set 1 keeps its order, oldest way 3.
         assert_eq!(lru.victim(0, 0, 4, &mut rng), 0);
+        assert_eq!(lru.victim(1, 0, 4, &mut rng), 3);
     }
 
     #[test]
