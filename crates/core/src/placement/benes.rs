@@ -23,6 +23,20 @@
 //! on the value, only the refill check below branches on the control
 //! word, and nothing divides.
 //!
+//! # Position labels
+//!
+//! [`PermutationNetwork::bit_permutation`] runs the same stages on a
+//! word of `k` 4-bit lanes, lane `i` starting as the label `i`. Each
+//! stage does to lanes exactly what [`apply`](PermutationNetwork::apply)
+//! does to bits: the delta swap exchanges lanes `2t` and `2t+1` where
+//! switch `t` is set, and the frame rotate moves every lane down one.
+//! The switches depend on the control word alone, never on the value,
+//! so after the last rotate lane `j` holds the input bit position that
+//! `apply` moves to output bit `j`, for every value at once. One
+//! evaluation costs about one `apply`; it needs `k ≤ 16`, so that `k`
+//! lanes fit one `u64`. Random Modulo builds its per-page lookup
+//! tables from it.
+//!
 //! # Control-stream contract
 //!
 //! Switch `t` of stage `s` takes the next bit of a stream that starts
@@ -30,6 +44,8 @@
 //! stream zero, the stream is refilled right after it with
 //! `mix64(control ^ (s << 32) ^ t)`. Every Random Modulo placement
 //! depends on this rule bit for bit; the evaluation order does not.
+//! `apply` and `bit_permutation` read the stream through one helper,
+//! so they take the same switch bits.
 
 use crate::prng::mix64;
 
@@ -93,12 +109,6 @@ impl PermutationNetwork {
     /// exchanges bit positions `(2t+s, 2t+1+s) mod k` when its bit of
     /// the control stream (see the [module docs](self)) is set.
     ///
-    /// Stages run in the rotated frame. While the stream holds more
-    /// than `⌊k/2⌋` bits, no refill can fall inside a stage, and its
-    /// bits are taken as one chunk; otherwise a cold helper reads them
-    /// one at a time under the refill rule (at `k = 7`, only for
-    /// controls below `2^39`).
-    ///
     /// # Panics
     ///
     /// Panics (debug builds) if `value` has bits above `k`.
@@ -113,23 +123,57 @@ impl PermutationNetwork {
         if k < 2 {
             return value;
         }
-        let half = k / 2;
-        let rotate_right_one = |x: u32| (x >> 1) | ((x & 1) << (k - 1));
         let mut x = value;
+        self.for_each_stage(control, |takes| x = swap_bits(x, takes, k));
+        // The 2k−1 stage rotates plus this one make two full turns.
+        rotate_bits(x, k)
+    }
+
+    /// The bit permutation `control` selects, as `k` position labels:
+    /// nibble `j` of the result is the input bit position that
+    /// [`apply`](Self::apply) moves to output bit `j`, so bit `j` of
+    /// `apply(v, control)` is bit `(labels >> 4j) & 15` of `v` for every
+    /// `v`. The labels are 0 when `k < 2`. One pass over the stages on
+    /// position labels instead of bits (see the [module docs](self)),
+    /// at about the cost of one `apply`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > 16`: the labels of wider networks do not fit a
+    /// `u64`.
+    #[inline]
+    pub fn bit_permutation(&self, control: u64) -> u64 {
+        let k = self.k;
+        assert!(k <= 16, "position labels of a {k}-bit network exceed 64 bits");
+        if k < 2 {
+            return 0;
+        }
+        // Lane i holds label i.
+        let mut labels = 0xfedc_ba98_7654_3210 & (u64::MAX >> (64 - 4 * k));
+        self.for_each_stage(control, |takes| labels = swap_lanes(labels, takes, k));
+        rotate_lanes(labels, k)
+    }
+
+    /// Hands each stage's switch bits to `stage`, in stage order,
+    /// switch `t`'s bit at position `t`. While the stream holds more
+    /// than `⌊k/2⌋` bits, no refill can fall inside a stage, and its
+    /// bits are taken as one chunk; otherwise a cold helper reads them
+    /// one at a time under the refill rule (at `k = 7`, only for
+    /// controls below `2^39`).
+    #[inline]
+    fn for_each_stage(&self, control: u64, mut stage: impl FnMut(u32)) {
+        let half = self.k / 2;
         let mut ctrl = control;
-        for stage in 0..self.stages() {
+        for s in 0..self.stages() {
             let takes = if ctrl >> half != 0 {
                 let chunk = ctrl as u32 & ((1 << half) - 1);
                 ctrl >>= half;
                 chunk
             } else {
-                takes_with_refill(&mut ctrl, control, stage, half)
+                takes_with_refill(&mut ctrl, control, s, half)
             };
-            let d = (x ^ (x >> 1)) & spread_even(takes);
-            x = rotate_right_one(x ^ d ^ (d << 1));
+            stage(takes);
         }
-        // The 2k−1 stage rotates plus this one make two full turns.
-        rotate_right_one(x)
     }
 }
 
@@ -148,6 +192,35 @@ fn takes_with_refill(ctrl: &mut u64, control: u64, stage: u32, half: u32) -> u32
     takes
 }
 
+/// One stage on bits in the rotated frame: swaps bits `2t` and `2t+1`
+/// where switch bit `t` of `takes` is set, then rotates the `k` bits
+/// right by one into the next stage's frame.
+#[inline]
+fn swap_bits(x: u32, takes: u32, k: u32) -> u32 {
+    let d = (x ^ (x >> 1)) & spread_even(takes);
+    rotate_bits(x ^ d ^ (d << 1), k)
+}
+
+/// Rotates the `k` low bits of `x` right by one.
+#[inline]
+fn rotate_bits(x: u32, k: u32) -> u32 {
+    (x >> 1) | ((x & 1) << (k - 1))
+}
+
+/// [`swap_bits`] on `k` 4-bit lanes: swaps lanes `2t` and `2t+1` where
+/// switch bit `t` is set, then rotates the lanes right by one.
+#[inline]
+fn swap_lanes(x: u64, takes: u32, k: u32) -> u64 {
+    let d = (x ^ (x >> 4)) & spread_even_nibbles(takes);
+    rotate_lanes(x ^ d ^ (d << 4), k)
+}
+
+/// Rotates the `k` low 4-bit lanes of `x` right by one lane.
+#[inline]
+fn rotate_lanes(x: u64, k: u32) -> u64 {
+    (x >> 4) | ((x & 0xf) << (4 * (k - 1)))
+}
+
 /// Moves bit `t` of `bits` (`bits < 2^16`) to bit `2t`.
 #[inline]
 fn spread_even(bits: u32) -> u32 {
@@ -155,6 +228,18 @@ fn spread_even(bits: u32) -> u32 {
     let m = (m | (m << 4)) & 0x0f0f_0f0f;
     let m = (m | (m << 2)) & 0x3333_3333;
     (m | (m << 1)) & 0x5555_5555
+}
+
+/// Sets nibble `2t` of the result to `0xf` for each bit `t` of `bits`
+/// (`bits < 2^8`). Shifts and masks place bit `t` at bit `8t`, where
+/// multiplying by `0xf` fills its nibble without a carry.
+#[inline]
+fn spread_even_nibbles(bits: u32) -> u64 {
+    let m = u64::from(bits);
+    let m = (m | (m << 28)) & 0x0000_000f_0000_000f;
+    let m = (m | (m << 14)) & 0x0003_0003_0003_0003;
+    let m = (m | (m << 7)) & 0x0101_0101_0101_0101;
+    m * 0xf
 }
 
 #[cfg(test)]

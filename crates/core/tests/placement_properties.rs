@@ -108,6 +108,84 @@ proptest! {
         }
     }
 
+    /// The position labels name, for every output bit, the input bit
+    /// the bit-serial reference moves there, at every width the labels
+    /// fit, for full-width controls, for controls short enough that the
+    /// refill rule fires mid-evaluation, and for tiny controls. Unit
+    /// values pin every label; the drawn value checks them together.
+    #[test]
+    fn bit_permutation_matches_bit_serial_reference(
+        value in any::<u32>(),
+        control in any::<u64>(),
+        shift in 26u32..64,
+        small in 0u64..4096,
+    ) {
+        for k in 2..=16u32 {
+            let net = PermutationNetwork::new(k);
+            let v = value & ((1u64 << k) - 1) as u32;
+            for c in [control, control >> shift, small] {
+                let labels = net.bit_permutation(c);
+                for v in (0..k).map(|p| 1 << p).chain([v]) {
+                    let permuted = (0..k).fold(0, |out, j| {
+                        out | ((v >> ((labels >> (4 * j)) & 0xf)) & 1) << j
+                    });
+                    prop_assert_eq!(
+                        permuted,
+                        reference_apply(k, v, c),
+                        "k={} value={:#x} control={:#x} labels={:#x}",
+                        k,
+                        v,
+                        c,
+                        labels
+                    );
+                }
+            }
+        }
+    }
+
+    /// Random Modulo places every line where the bit-serial network
+    /// does, at every width it is built at (0..=16 index bits), through
+    /// its page memo: each page is revisited, two seeds alternate, and
+    /// three of the four pages share one memo slot under each seed
+    /// (tags 256 apart; the slot is `(tag ^ seed·φ) mod 256`), so every
+    /// revisit may find its slot refilled by another page.
+    #[test]
+    fn random_modulo_matches_the_bit_serial_network(
+        tag in 0u64..1 << 40,
+        other_tag in 0u64..1 << 40,
+        seeds in (any::<u64>(), any::<u64>()),
+        indices in prop::collection::vec(any::<u64>(), 4..9),
+    ) {
+        let pages = [tag, tag + 256, other_tag, tag + 512];
+        for k in 0..=16u32 {
+            let geom = CacheGeometry::new(1 << k, 4, 32).unwrap();
+            let mut p = PlacementEngine::new(PlacementKind::RandomModulo, &geom);
+            let mask = (1u64 << k) - 1;
+            for _round in 0..2 {
+                for seed in [seeds.0, seeds.1] {
+                    for page in pages {
+                        for &index in &indices {
+                            let line = LineAddr::new((page << k) | (index & mask));
+                            let expected = reference_apply(
+                                k,
+                                ((index ^ seed) & mask) as u32,
+                                mix64(page ^ seed.rotate_left(32)),
+                            );
+                            prop_assert_eq!(
+                                p.place(line, Seed::new(seed)),
+                                expected,
+                                "k={} line={:#x} seed={:#x}",
+                                k,
+                                line.as_u64(),
+                                seed
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The permutation network is a bijection for every control word.
     #[test]
     fn benes_bijective_k7(control in any::<u64>()) {
