@@ -9,14 +9,16 @@
 //! cargo run --release --example attack_detection [seed]
 //! ```
 
+mod cli;
+
 use tscache::core::setup::SetupKind;
 use tscache::sca::detect::{
     run_detection_campaign, DetectTarget, DetectionCampaignConfig, EvasionMode,
 };
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(7);
+    let args = cli::args();
+    let seed: u64 = cli::integer(&args, 0, "seed", 7);
 
     println!("Online attack detection demo (seed {seed})\n");
     println!("Each campaign: 192 rounds, a PMU delta cut every 8 rounds (24");

@@ -13,20 +13,25 @@
 //! level a single instance shared with the co-runner, so enemy
 //! traffic perturbs the victim's cache state, not just its timing.
 
+mod cli;
+
 use tscache::core::setup::{HierarchyDepth, SetupKind};
 use tscache::interference::ContentionConfig;
 use tscache::sca::bernstein::run_attack;
 use tscache::sca::sampling::SamplingConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let samples: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(100_000);
-    let depth = match args.get(2).map(String::as_str) {
-        Some("l3") => HierarchyDepth::ThreeLevel,
+    let args = cli::args();
+    let samples: u32 = cli::integer(&args, 0, "samples", 100_000);
+    let depth = match cli::word(&args, 1, "depth", &["l2", "l3"], "l2") {
+        "l3" => HierarchyDepth::ThreeLevel,
         _ => HierarchyDepth::TwoLevel,
     };
-    let shared = args.iter().any(|a| a == "shared");
-    let contended = shared || args.iter().any(|a| a == "contended");
+    let modes: Vec<&str> = (2..args.len())
+        .map(|i| cli::word(&args, i, "mode", &["contended", "shared"], ""))
+        .collect();
+    let shared = modes.contains(&"shared");
+    let contended = shared || modes.contains(&"contended");
 
     println!(
         "Bernstein attack demo: {samples} timing samples per node ({depth} hierarchy{})\n",

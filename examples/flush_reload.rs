@@ -9,13 +9,15 @@
 //! cargo run --release --example flush_reload [samples] [seed]
 //! ```
 
+mod cli;
+
 use tscache::core::setup::SetupKind;
 use tscache::sca::flush_reload::{run_flush_reload, FlushReloadConfig, FlushReloadIsolation};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let samples: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(256);
-    let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0xF1A5);
+    let args = cli::args();
+    let samples: u32 = cli::integer(&args, 0, "samples", 256);
+    let seed: u64 = cli::integer(&args, 1, "seed", 0xF1A5);
 
     println!("Flush+Reload demo: {samples} flush→encrypt→reload rounds per campaign\n");
     println!("The victim's AES T-tables live in a shared coherent segment; per");
