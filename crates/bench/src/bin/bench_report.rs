@@ -9,10 +9,15 @@
 //!   measured **in the same run** on the same recorded trace, once on a
 //!   trace that fits the placement memo and once on one that overflows
 //!   it (`cache/<placement>/overflow/*`);
-//! * placements/sec per placement policy, unmemoized, through the
-//!   placement engine (`placement/*/enum`, `placement-l2/*/enum`);
+//! * placements/sec per placement policy through the placement engine,
+//!   without `Cache`'s memo (`placement/*/enum`, `placement-l2/*/enum`),
+//!   and Random Modulo with every call on a page its page memo has not
+//!   seen (`placement/random-modulo/page-cold`);
 //! * hierarchy accesses/sec — the per-op `Hierarchy::access` walk on
 //!   an L2-heavy trace, on two- and three-level setups;
+//! * MBPTA run boundaries/sec: reseed plus flush after one array-sweep
+//!   run, on the deterministic and TSCache setups at both depths
+//!   (`flush/<setup>-<depth>`, timing only the boundary);
 //! * simulated-AES encryptions/sec per cache setup, at both hierarchy
 //!   depths;
 //! * Bernstein sampling throughput (samples/sec, the quantity that
@@ -35,7 +40,8 @@ use std::hint::black_box;
 use tscache_bench::harness::{bench, parse_report_metrics, render_table, to_json, Measurement};
 use tscache_bench::suites::{
     cache_dispatch_suite, coherence_suite, contended_machine_suite, defense_suite, detector_suite,
-    fleet_suite, hierarchy_suite, placement_suite, shared_llc_machine_suite, telemetry_suite,
+    fleet_suite, flush_suite, hierarchy_suite, placement_suite, shared_llc_machine_suite,
+    telemetry_suite,
 };
 use tscache_bench::Args;
 use tscache_core::defense::DefenseKind;
@@ -68,6 +74,14 @@ fn main() {
     for setup in [SetupKind::Deterministic, SetupKind::TsCache] {
         for depth in HierarchyDepth::ALL {
             results.push(hierarchy_suite(setup, depth, ms));
+        }
+    }
+
+    // The MBPTA run boundary (reseed + flush after one array-sweep
+    // run) on the same setups and depths.
+    for setup in [SetupKind::Deterministic, SetupKind::TsCache] {
+        for depth in HierarchyDepth::ALL {
+            results.push(flush_suite(setup, depth, ms));
         }
     }
 

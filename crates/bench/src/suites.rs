@@ -5,16 +5,21 @@
 
 use crate::harness::{bench, Measurement};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 use tscache_core::addr::{Addr, LineAddr};
 use tscache_core::cache::Cache;
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::hierarchy::TraceOp;
 use tscache_core::placement::{PlacementEngine, PlacementKind};
+use tscache_core::prng::mix64;
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
 use tscache_interference::{Arbitration, ContentionConfig, SystemConfig};
+use tscache_sim::layout::Layout;
 use tscache_sim::machine::Machine;
+use tscache_sim::synthetic::ArraySweep;
+use tscache_sim::workload::Workload;
 
 /// The standard access trace for the cache-level rows: a 24 KiB
 /// working set cycled over the paper's 16 KiB L1, mixing hits and
@@ -65,14 +70,20 @@ pub fn cache_dispatch_suite(placement: PlacementKind, min_ms: u64) -> Vec<Measur
     results
 }
 
-/// Placement-function cost per design, unmemoized: every policy's
-/// engine at the paper's L1 geometry as `placement/<kind>/enum`, then
-/// the two L2 policies' engines at the L2 geometry as
-/// `placement-l2/<kind>/enum`.
+/// Placement-function cost per design, without `Cache`'s memo: every
+/// policy's engine at the paper's L1 geometry as
+/// `placement/<kind>/enum`, then the two L2 policies' engines at the
+/// L2 geometry as `placement-l2/<kind>/enum`.
 /// A stride-97 (L1) or stride-131 (L2) line walk gives every call a
-/// new line. The §6.2.3 "no operating-frequency degradation"
-/// claim makes placement cheap combinational logic in hardware; this
-/// records what the software models cost.
+/// new line (Random Modulo's page memo serves its revisits of a page,
+/// about one call in four). The §6.2.3 "no operating-frequency
+/// degradation" claim makes placement cheap combinational logic in
+/// hardware; this records what the software models cost.
+///
+/// `placement/random-modulo/page-cold` times Random Modulo's page
+/// builds: one line per page over 8,192 pages, under a fresh seed
+/// every 8,192 calls, so no call finds its page in the engine's
+/// 256-slot page memo.
 pub fn placement_suite(min_ms: u64) -> Vec<Measurement> {
     let mut results = Vec::new();
     let geom = CacheGeometry::paper_l1();
@@ -89,6 +100,18 @@ pub fn placement_suite(min_ms: u64) -> Vec<Measurement> {
             8192
         }));
     }
+
+    let mut engine = PlacementEngine::new(PlacementKind::RandomModulo, &geom);
+    let mut round = 0u64;
+    results.push(bench("placement/random-modulo/page-cold", "placements", min_ms, || {
+        round += 1;
+        let seed = Seed::new(mix64(round));
+        for page in 0..8192u64 {
+            let line = (page << geom.index_bits()) | (page * 37 % u64::from(geom.sets()));
+            black_box(engine.place(LineAddr::new(black_box(line)), seed));
+        }
+        8192
+    }));
 
     let l2 = CacheGeometry::paper_l2();
     for kind in [PlacementKind::Modulo, PlacementKind::HashRp] {
@@ -136,6 +159,40 @@ pub fn hierarchy_suite(setup: SetupKind, depth: HierarchyDepth, min_ms: u64) -> 
         }
         ops.len() as u64
     })
+}
+
+/// The MBPTA run boundary on a solo `setup` machine at `depth`, as
+/// `flush/<setup>-<depth>`: a reseed plus `Machine::flush_caches` (the
+/// hierarchy's `flush_all`) after one `ArraySweep::standard` run, the
+/// state every run of an MBPTA campaign leaves behind. Only the
+/// boundary is timed; the sweeps between boundaries run untimed until
+/// `min_ms` of wall time has passed.
+pub fn flush_suite(setup: SetupKind, depth: HierarchyDepth, min_ms: u64) -> Measurement {
+    let pid = ProcessId::new(1);
+    let mut machine = Machine::from_setup_depth(setup, depth, 21);
+    machine.set_process(pid);
+    let mut sweep = ArraySweep::standard(&mut Layout::new(0x10_0000));
+    // One untimed run and boundary first, which builds the sweep's
+    // trace.
+    sweep.run(&mut machine);
+    machine.flush_caches();
+    let budget = Duration::from_millis(min_ms);
+    let started = Instant::now();
+    let (mut flushes, mut timed) = (0u64, Duration::ZERO);
+    while flushes == 0 || started.elapsed() < budget {
+        sweep.run(&mut machine);
+        let start = Instant::now();
+        machine.set_process_seed(pid, Seed::new(mix64(flushes)));
+        machine.flush_caches();
+        timed += start.elapsed();
+        flushes += 1;
+    }
+    Measurement {
+        name: format!("flush/{}-{}", setup.label(), depth.label()),
+        unit: "flushes",
+        units: flushes,
+        elapsed_ns: timed.as_nanos(),
+    }
 }
 
 /// The contended-vs-solo machine comparison, measured in one run: the
@@ -625,6 +682,13 @@ mod tests {
     }
 
     #[test]
+    fn flush_suite_times_run_boundaries() {
+        let m = flush_suite(SetupKind::TsCache, HierarchyDepth::ThreeLevel, 1);
+        assert_eq!(m.name, "flush/tscache-l3");
+        assert!(m.units > 0 && m.per_sec() > 0.0);
+    }
+
+    #[test]
     fn l2_heavy_trace_mixes_ports() {
         let ops = l2_heavy_trace();
         assert!(ops.iter().any(|o| o.kind == tscache_core::hierarchy::AccessKind::Fetch));
@@ -728,6 +792,7 @@ mod tests {
         let names: Vec<&str> = results.iter().map(|m| m.name.as_str()).collect();
         let mut expected: Vec<String> =
             PlacementKind::ALL.iter().map(|k| format!("placement/{k}/enum")).collect();
+        expected.push("placement/random-modulo/page-cold".into());
         expected.push("placement-l2/modulo/enum".into());
         expected.push("placement-l2/hash-rp/enum".into());
         assert_eq!(names, expected);
