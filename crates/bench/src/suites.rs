@@ -83,7 +83,7 @@ pub fn cache_dispatch_suite(placement: PlacementKind, min_ms: u64) -> Vec<Measur
 /// `placement/random-modulo/page-cold` times Random Modulo's page
 /// builds: one line per page over 8,192 pages, under a fresh seed
 /// every 8,192 calls, so no call finds its page in the engine's
-/// 256-slot page memo.
+/// 128-slot page memo.
 pub fn placement_suite(min_ms: u64) -> Vec<Measurement> {
     let mut results = Vec::new();
     let geom = CacheGeometry::paper_l1();

@@ -13,29 +13,25 @@
 //! controlled bit-position swaps, the same expressiveness class as the
 //! hardware network (an affine-in-GF(2) permutation per control word).
 //!
-//! # Evaluation
+//! # Evaluation on position labels
 //!
-//! Stage `s` pairs bit positions `(2t+s, 2t+1+s) mod k`, `t < ⌊k/2⌋`.
-//! In a frame rotated right by `s` these are the adjacent pairs
+//! The switches depend on the control word alone, never on the value
+//! being permuted, so one control word selects one permutation of the
+//! `k` bit positions. [`PermutationNetwork::bit_permutation`] computes
+//! it once, for every value at once: it runs the stages on a word of
+//! `k` 4-bit lanes, lane `i` starting as the label `i`, and moves lanes
+//! exactly as the network moves bits. After the last stage lane `j`
+//! holds the input bit position the network moves to output bit `j`.
+//! Labels fit one `u64` up to 16 wires, the most a network takes.
+//! Random Modulo builds its per-page lookup tables from them.
+//!
+//! Stage `s` pairs positions `(2t+s, 2t+1+s) mod k`, `t < ⌊k/2⌋`. In
+//! a frame rotated right by `s` these are the adjacent pairs
 //! `(2t, 2t+1)`, which never wrap, so each stage is one delta swap on
-//! the even/odd pairs followed by a one-bit rotate into the next
-//! stage's frame; one final rotate undoes the frame. Nothing branches
-//! on the value, only the refill check below branches on the control
-//! word, and nothing divides.
-//!
-//! # Position labels
-//!
-//! [`PermutationNetwork::bit_permutation`] runs the same stages on a
-//! word of `k` 4-bit lanes, lane `i` starting as the label `i`. Each
-//! stage does to lanes exactly what [`apply`](PermutationNetwork::apply)
-//! does to bits: the delta swap exchanges lanes `2t` and `2t+1` where
-//! switch `t` is set, and the frame rotate moves every lane down one.
-//! The switches depend on the control word alone, never on the value,
-//! so after the last rotate lane `j` holds the input bit position that
-//! `apply` moves to output bit `j`, for every value at once. One
-//! evaluation costs about one `apply`; it needs `k ≤ 16`, so that `k`
-//! lanes fit one `u64`. Random Modulo builds its per-page lookup
-//! tables from it.
+//! the even/odd lane pairs followed by a one-lane rotate into the next
+//! stage's frame; one final rotate undoes the frame. A 256-entry table
+//! spreads a stage's switch bits onto its lane pairs. Only the refill
+//! check below branches, on the control word, and nothing divides.
 //!
 //! # Control-stream contract
 //!
@@ -44,10 +40,12 @@
 //! stream zero, the stream is refilled right after it with
 //! `mix64(control ^ (s << 32) ^ t)`. Every Random Modulo placement
 //! depends on this rule bit for bit; the evaluation order does not.
-//! `apply` and `bit_permutation` read the stream through one helper,
-//! so they take the same switch bits.
 
 use crate::prng::mix64;
+
+/// The most wires a network takes: `k` position labels of 4 bits fill
+/// one `u64`.
+const MAX_WIRES: u32 = 16;
 
 /// A controlled-exchange permutation network on `k`-bit values.
 ///
@@ -57,10 +55,13 @@ use crate::prng::mix64;
 /// use tscache_core::placement::PermutationNetwork;
 ///
 /// let net = PermutationNetwork::new(7);
-/// // For any control word the map is a bijection on 0..128:
-/// let mut seen = vec![false; 128];
-/// for v in 0..128u32 {
-///     seen[net.apply(v, 0xdead_beef) as usize] = true;
+/// let labels = net.bit_permutation(0xdead_beef);
+/// // Output bit j takes input bit `labels >> 4j & 15`, so the seven
+/// // labels name every input bit once: the map is a bijection on
+/// // 0..128 for any control word.
+/// let mut seen = [false; 7];
+/// for j in 0..7 {
+///     seen[(labels >> (4 * j) & 15) as usize] = true;
 /// }
 /// assert!(seen.iter().all(|&b| b));
 /// ```
@@ -75,9 +76,9 @@ impl PermutationNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `k > 31`.
+    /// Panics if `k > 16`.
     pub fn new(k: u32) -> Self {
-        assert!(k <= 31, "index width {k} exceeds 31 bits");
+        assert!(k <= MAX_WIRES, "a permutation network takes at most {MAX_WIRES} wires, not {k}");
         PermutationNetwork { k }
     }
 
@@ -102,156 +103,103 @@ impl PermutationNetwork {
         self.stages() * (self.k / 2)
     }
 
-    /// Applies the permutation selected by `control` to `value`.
-    ///
-    /// The result is a bijection of the `2^k` value space for every
-    /// `control`; the identity when `k < 2`. Switch `t` of stage `s`
-    /// exchanges bit positions `(2t+s, 2t+1+s) mod k` when its bit of
-    /// the control stream (see the [module docs](self)) is set.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `value` has bits above `k`.
-    #[inline]
-    pub fn apply(&self, value: u32, control: u64) -> u32 {
-        debug_assert!(
-            self.k == 0 || value < (1 << self.k),
-            "value {value} wider than {} bits",
-            self.k
-        );
-        let k = self.k;
-        if k < 2 {
-            return value;
-        }
-        let mut x = value;
-        self.for_each_stage(control, |takes| x = swap_bits(x, takes, k));
-        // The 2k−1 stage rotates plus this one make two full turns.
-        rotate_bits(x, k)
-    }
-
     /// The bit permutation `control` selects, as `k` position labels:
-    /// nibble `j` of the result is the input bit position that
-    /// [`apply`](Self::apply) moves to output bit `j`, so bit `j` of
-    /// `apply(v, control)` is bit `(labels >> 4j) & 15` of `v` for every
-    /// `v`. The labels are 0 when `k < 2`. One pass over the stages on
-    /// position labels instead of bits (see the [module docs](self)),
-    /// at about the cost of one `apply`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > 16`: the labels of wider networks do not fit a
-    /// `u64`.
+    /// bit `j` of the permuted value is bit `labels >> 4j & 15` of the
+    /// input, for every input. Switch `t` of stage `s` exchanges bit
+    /// positions `(2t+s, 2t+1+s) mod k` when its bit of the control
+    /// stream (see the [module docs](self)) is set. For every control
+    /// word the labels name each of the `k` positions once, so the map
+    /// is a bijection of the `2^k` values. The labels are 0 when
+    /// `k < 2`, where the network is the identity.
     #[inline]
     pub fn bit_permutation(&self, control: u64) -> u64 {
         let k = self.k;
-        assert!(k <= 16, "position labels of a {k}-bit network exceed 64 bits");
         if k < 2 {
             return 0;
         }
+        let half = k / 2;
+        let rotate_right_one = |x: u64| (x >> 4) | ((x & 0xf) << (4 * (k - 1)));
         // Lane i holds label i.
         let mut labels = 0xfedc_ba98_7654_3210 & (u64::MAX >> (64 - 4 * k));
-        self.for_each_stage(control, |takes| labels = swap_lanes(labels, takes, k));
-        rotate_lanes(labels, k)
-    }
-
-    /// Hands each stage's switch bits to `stage`, in stage order,
-    /// switch `t`'s bit at position `t`. While the stream holds more
-    /// than `⌊k/2⌋` bits, no refill can fall inside a stage, and its
-    /// bits are taken as one chunk; otherwise a cold helper reads them
-    /// one at a time under the refill rule (at `k = 7`, only for
-    /// controls below `2^39`).
-    #[inline]
-    fn for_each_stage(&self, control: u64, mut stage: impl FnMut(u32)) {
-        let half = self.k / 2;
         let mut ctrl = control;
-        for s in 0..self.stages() {
-            let takes = if ctrl >> half != 0 {
-                let chunk = ctrl as u32 & ((1 << half) - 1);
-                ctrl >>= half;
-                chunk
+        for stage in 0..self.stages() {
+            // While the stream holds more than ⌊k/2⌋ bits no refill can
+            // fall inside this stage, so its bits are taken as one
+            // chunk; otherwise a cold helper reads them one at a time
+            // under the refill rule (at k = 7, only for controls below
+            // 2^39).
+            let takes;
+            (takes, ctrl) = if ctrl >> half != 0 {
+                ((ctrl & ((1 << half) - 1)) as u8, ctrl >> half)
             } else {
-                takes_with_refill(&mut ctrl, control, s, half)
+                takes_with_refill(ctrl, control, stage, half)
             };
-            stage(takes);
+            // The swap is `labels ^ d ^ (d << 4)`. The rotate
+            // distributes over `^` and takes `d << 4`, which has nothing
+            // in lane 0, back to `d`, so `labels` rotates while `d` is
+            // computed.
+            let d = (labels ^ (labels >> 4)) & SPREAD_EVEN_LANES[usize::from(takes)];
+            labels = rotate_right_one(labels) ^ rotate_right_one(d) ^ d;
         }
+        // The 2k−1 stage rotates plus this one make two full turns.
+        rotate_right_one(labels)
     }
 }
 
-/// Takes stage `stage`'s `half` switch bits one at a time under the
-/// refill rule; switch `t`'s bit is returned at position `t`.
+/// Takes stage `stage`'s `half` switch bits from the stream `ctrl` one
+/// at a time under the refill rule. Returns them, switch `t`'s bit at
+/// position `t`, and the stream left after them.
 #[cold]
-fn takes_with_refill(ctrl: &mut u64, control: u64, stage: u32, half: u32) -> u32 {
+fn takes_with_refill(mut ctrl: u64, control: u64, stage: u32, half: u32) -> (u8, u64) {
     let mut takes = 0;
     for t in 0..half {
-        takes |= (*ctrl as u32 & 1) << t;
-        *ctrl >>= 1;
-        if *ctrl == 0 {
-            *ctrl = mix64(control ^ (u64::from(stage) << 32) ^ u64::from(t));
+        takes |= (ctrl as u8 & 1) << t;
+        ctrl >>= 1;
+        if ctrl == 0 {
+            ctrl = mix64(control ^ (u64::from(stage) << 32) ^ u64::from(t));
         }
     }
-    takes
+    (takes, ctrl)
 }
 
-/// One stage on bits in the rotated frame: swaps bits `2t` and `2t+1`
-/// where switch bit `t` of `takes` is set, then rotates the `k` bits
-/// right by one into the next stage's frame.
-#[inline]
-fn swap_bits(x: u32, takes: u32, k: u32) -> u32 {
-    let d = (x ^ (x >> 1)) & spread_even(takes);
-    rotate_bits(x ^ d ^ (d << 1), k)
-}
+/// Entry `b` sets lane `2t` (bits `8t..8t+4`) to `0xf` for each bit `t`
+/// of `b`: the lanes a stage whose switch bits are `b` swaps with their
+/// upper neighbours. A stage has at most 8 switches.
+static SPREAD_EVEN_LANES: [u64; 256] = spread_even_lanes();
 
-/// Rotates the `k` low bits of `x` right by one.
-#[inline]
-fn rotate_bits(x: u32, k: u32) -> u32 {
-    (x >> 1) | ((x & 1) << (k - 1))
-}
-
-/// [`swap_bits`] on `k` 4-bit lanes: swaps lanes `2t` and `2t+1` where
-/// switch bit `t` is set, then rotates the lanes right by one.
-#[inline]
-fn swap_lanes(x: u64, takes: u32, k: u32) -> u64 {
-    let d = (x ^ (x >> 4)) & spread_even_nibbles(takes);
-    rotate_lanes(x ^ d ^ (d << 4), k)
-}
-
-/// Rotates the `k` low 4-bit lanes of `x` right by one lane.
-#[inline]
-fn rotate_lanes(x: u64, k: u32) -> u64 {
-    (x >> 4) | ((x & 0xf) << (4 * (k - 1)))
-}
-
-/// Moves bit `t` of `bits` (`bits < 2^16`) to bit `2t`.
-#[inline]
-fn spread_even(bits: u32) -> u32 {
-    let m = (bits | (bits << 8)) & 0x00ff_00ff;
-    let m = (m | (m << 4)) & 0x0f0f_0f0f;
-    let m = (m | (m << 2)) & 0x3333_3333;
-    (m | (m << 1)) & 0x5555_5555
-}
-
-/// Sets nibble `2t` of the result to `0xf` for each bit `t` of `bits`
-/// (`bits < 2^8`). Shifts and masks place bit `t` at bit `8t`, where
-/// multiplying by `0xf` fills its nibble without a carry.
-#[inline]
-fn spread_even_nibbles(bits: u32) -> u64 {
-    let m = u64::from(bits);
-    let m = (m | (m << 28)) & 0x0000_000f_0000_000f;
-    let m = (m | (m << 14)) & 0x0003_0003_0003_0003;
-    let m = (m | (m << 7)) & 0x0101_0101_0101_0101;
-    m * 0xf
+const fn spread_even_lanes() -> [u64; 256] {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut t = 0;
+        while t < 8 {
+            if b >> t & 1 == 1 {
+                table[b] |= 0xf << (8 * t);
+            }
+            t += 1;
+        }
+        b += 1;
+    }
+    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Permutes `v` through `labels`: bit `j` of the result is bit
+    /// `labels >> 4j & 15` of `v`.
+    fn permute(labels: u64, k: u32, v: u32) -> u32 {
+        (0..k).fold(0, |out, j| out | (v >> (labels >> (4 * j) & 15) & 1) << j)
+    }
+
     #[test]
     fn identity_for_tiny_widths() {
         for k in [0u32, 1] {
-            let net = PermutationNetwork::new(k);
+            let labels = PermutationNetwork::new(k).bit_permutation(12345);
+            assert_eq!(labels, 0);
             for v in 0..(1u32 << k) {
-                assert_eq!(net.apply(v, 12345), v);
+                assert_eq!(permute(labels, k, v), v);
             }
         }
     }
@@ -260,9 +208,10 @@ mod tests {
     fn bijective_for_every_sampled_control_k7() {
         let net = PermutationNetwork::new(7);
         for c in [0u64, 1, 0xff, 0xdead_beef, u64::MAX, 0x0123_4567_89ab_cdef] {
+            let labels = net.bit_permutation(c);
             let mut seen = [false; 128];
             for v in 0..128u32 {
-                let out = net.apply(v, c) as usize;
+                let out = permute(labels, 7, v) as usize;
                 assert!(!seen[out], "control {c:#x}: collision at {out}");
                 seen[out] = true;
             }
@@ -273,9 +222,10 @@ mod tests {
     fn bijective_for_every_sampled_control_k11() {
         let net = PermutationNetwork::new(11);
         for c in [3u64, 0xabcdef, u64::MAX / 3] {
+            let labels = net.bit_permutation(c);
             let mut seen = vec![false; 2048];
             for v in 0..2048u32 {
-                let out = net.apply(v, c) as usize;
+                let out = permute(labels, 11, v) as usize;
                 assert!(!seen[out], "control {c:#x}: collision at {out}");
                 seen[out] = true;
             }
@@ -285,12 +235,8 @@ mod tests {
     #[test]
     fn different_controls_give_different_permutations() {
         let net = PermutationNetwork::new(7);
-        let mut distinct = 0;
-        for c in 1..64u64 {
-            if (0..128).any(|v| net.apply(v, c) != net.apply(v, 0)) {
-                distinct += 1;
-            }
-        }
+        let base = net.bit_permutation(0);
+        let distinct = (1..64u64).filter(|&c| net.bit_permutation(c) != base).count();
         assert!(distinct > 55, "only {distinct}/63 controls differ from control 0");
     }
 
@@ -301,8 +247,9 @@ mod tests {
         // stage in RandomModulo is what breaks this symmetry).
         let net = PermutationNetwork::new(7);
         for c in [7u64, 99, 12345] {
+            let labels = net.bit_permutation(c);
             for v in 0..128u32 {
-                assert_eq!(net.apply(v, c).count_ones(), v.count_ones());
+                assert_eq!(permute(labels, 7, v).count_ones(), v.count_ones());
             }
         }
     }
