@@ -296,8 +296,8 @@ pub struct Cache {
     place_memo: Vec<PlaceMemoEntry>,
     /// The sets that took a fill since the last [`flush`](Cache::flush),
     /// in first-fill order; `filled[set]` marks membership. A fill is
-    /// the only way a line becomes valid, so every valid line and every
-    /// set with replacement state sits in a listed set.
+    /// the only way a line becomes valid, so every valid line sits in a
+    /// listed set.
     filled_sets: Vec<u32>,
     filled: Vec<bool>,
     rng: SplitMix64,
@@ -682,7 +682,7 @@ impl Cache {
         self.seeds.get(pid)
     }
 
-    /// Invalidates every line and resets replacement bookkeeping.
+    /// Invalidates every line.
     ///
     /// Dirty lines are *drained*: their data is written to memory (one
     /// counted writeback each) before invalidation — a flush may not
@@ -694,7 +694,9 @@ impl Cache {
     /// a flush). Returns the number of dirty lines drained.
     ///
     /// Visits only the sets filled since the last flush: every other
-    /// set is already empty.
+    /// set is already empty. Replacement bookkeeping is left as it is:
+    /// a victim is drawn only when every way of its range holds a line
+    /// filled since this flush, so no choice reads older bookkeeping.
     pub fn flush(&mut self) -> u64 {
         let ways = self.ways as usize;
         let mut drained = 0u64;
@@ -705,7 +707,6 @@ impl Cache {
                 *tag = INVALID_TAG;
                 *meta = LineMeta::EMPTY;
             }
-            self.replacement.reset_set(set);
             self.filled[set as usize] = false;
         }
         self.filled_sets.clear();
@@ -1133,7 +1134,6 @@ mod tests {
         assert!(c.occupancy() > 0);
         c.flush();
         assert_eq!(c.occupancy(), 0);
-        assert!(c.replacement.is_clear(), "flush left replacement state behind");
         assert!(c.access(pid(1), LineAddr::new(0)).is_miss());
     }
 

@@ -8,10 +8,11 @@
 //!
 //! [`ReplacementEngine::new`] is the one way to build a policy and the
 //! engine the one way to call it. Every policy keeps per-set
-//! bookkeeping indexed as `set * ways + way`, tolerates a reset of any
-//! set at any time (a cache flush resets the sets it empties), and
-//! answers "which way" with one method whose range is either the whole
-//! set or one way partition.
+//! bookkeeping indexed as `set * ways + way` and answers "which way"
+//! with one method whose range is either the whole set or one way
+//! partition. A cache flush leaves the bookkeeping as it is: after it,
+//! a victim is drawn only among ways filled since, and every fill
+//! records its way anew.
 
 use crate::geometry::CacheGeometry;
 use crate::prng::{Prng, SplitMix64};
@@ -89,27 +90,6 @@ impl ReplacementEngine {
             ReplacementEngine::Random(p) => p.victim(set, lo, hi, rng),
         }
     }
-
-    /// Whether no set holds bookkeeping, as in a new engine. A cache
-    /// never reads the bookkeeping of a way it has not filled since a
-    /// flush, so only this shows whether a flush reset it.
-    #[cfg(test)]
-    pub(crate) fn is_clear(&self) -> bool {
-        match self {
-            ReplacementEngine::Lru(p) => p.stamps.iter().all(|&s| s == 0),
-            ReplacementEngine::Random(_) => true,
-        }
-    }
-
-    /// Clears the bookkeeping of `set`. A cache flush resets each set
-    /// it empties, and a set that held no line since its last reset
-    /// has nothing to clear.
-    pub fn reset_set(&mut self, set: u32) {
-        match self {
-            ReplacementEngine::Lru(p) => p.reset_set(set),
-            ReplacementEngine::Random(_) => {}
-        }
-    }
 }
 
 /// Configuration enum naming each replacement policy;
@@ -143,6 +123,8 @@ impl fmt::Display for ReplacementKind {
 
 /// True LRU via per-line stamps from a per-cache clock: every hit and
 /// every fill stamps its line, and the victim is the oldest stamp.
+/// Stamps are never cleared: the clock only grows, so each stamp a
+/// fill gives after a flush is newer than any left from before it.
 #[derive(Debug)]
 pub struct Lru {
     ways: u32,
@@ -182,14 +164,6 @@ impl Lru {
             }
         }
         best
-    }
-
-    /// Zeroes `set`'s stamps. The clock runs on: stamps only order
-    /// the lines of one set, and every stamp after the reset is newer
-    /// than zero, as it would be after a rewind.
-    fn reset_set(&mut self, set: u32) {
-        let base = (set * self.ways) as usize;
-        self.stamps[base..base + self.ways as usize].fill(0);
     }
 }
 
@@ -251,21 +225,6 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn reset_set_clears_that_set_only() {
-        let mut lru = Lru::new(&geom());
-        let mut rng = SplitMix64::new(0);
-        for w in 0..4 {
-            lru.on_fill(0, 3 - w);
-            lru.on_fill(1, 3 - w);
-        }
-        lru.reset_set(0);
-        // Set 0's stamps are all equal again, so the scan picks way 0;
-        // set 1 keeps its order, oldest way 3.
-        assert_eq!(lru.victim(0, 0, 4, &mut rng), 0);
-        assert_eq!(lru.victim(1, 0, 4, &mut rng), 3);
     }
 
     #[test]

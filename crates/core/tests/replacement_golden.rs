@@ -31,8 +31,8 @@ fn fold(h: u64, v: u64) -> u64 {
 /// Drives the policy engine directly on a 4-way and an 8-way geometry:
 /// random hits and fills on a few sets, interleaved with whole-set
 /// victims (shared stream) and victims inside proper way partitions
-/// (a second stream), with a reset of every driven set half way.
-/// Folds every victim.
+/// (a second stream), on a fresh engine for the second half. Folds
+/// every victim.
 fn engine_digest(kind: ReplacementKind) -> u64 {
     let mut h = 0u64;
     for geom in [CacheGeometry::paper_l1(), CacheGeometry::new(64, 8, 32).unwrap()] {
@@ -44,9 +44,7 @@ fn engine_digest(kind: ReplacementKind) -> u64 {
         let mut drive = SplitMix64::new(mix64(ways as u64));
         for step in 0..6000 {
             if step == 3000 {
-                for set in 0..8 {
-                    engine.reset_set(set);
-                }
+                engine = ReplacementEngine::new(kind, &geom);
             }
             let set = drive.below(8);
             match drive.below(6) {
