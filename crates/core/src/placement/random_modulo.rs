@@ -135,17 +135,32 @@ impl RandomModulo {
         // expanded into switch controls.
         let mut labels = self.network.bit_permutation(mix64(tag ^ s.rotate_left(32)));
         // weight[p]: the set bit that index bit p becomes.
-        let mut weight = [0u16; 16];
-        for j in 0..self.index_bits {
-            weight[(labels & 0xf) as usize] = 1 << j;
+        let mut weight = [0u64; 16];
+        let mut bit = 1;
+        for _ in 0..self.index_bits {
+            weight[(labels & 0xf) as usize] = bit;
             labels >>= 4;
+            bit <<= 1;
         }
         self.keys[slot] = (tag, s);
         let tables = self.tables[slot].chunks_exact_mut(16).zip(weight.chunks_exact(4));
         for (table, w) in tables.take(self.index_bits.div_ceil(4) as usize) {
-            for (n, t) in table.iter_mut().enumerate() {
-                let bit = |b: usize| 0u16.wrapping_sub((n >> b & 1) as u16);
-                *t = (w[0] & bit(0)) | (w[1] & bit(1)) | (w[2] & bit(2)) | (w[3] & bit(3));
+            // Entry n ORs the weights of n's set bits, built four
+            // entries to a u64 in registers: entries 4m..4m+4 are
+            // entries 0..4 ORed with the weights of m's bits. (A
+            // per-entry build, which the compiler vectorizes with wide
+            // loads of the weights just stored, made a page build about
+            // 10% slower.)
+            let lanes = |v: u64| v * 0x0001_0001_0001_0001;
+            let low = (w[0] << 16) | (w[1] << 32) | ((w[0] | w[1]) << 48);
+            let words = [low, low | lanes(w[2]), low | lanes(w[3]), low | lanes(w[2] | w[3])];
+            for (quad, word) in table.chunks_exact_mut(4).zip(words) {
+                quad.copy_from_slice(&[
+                    word as u16,
+                    (word >> 16) as u16,
+                    (word >> 32) as u16,
+                    (word >> 48) as u16,
+                ]);
             }
         }
         lookup(&self.tables[slot], x)
