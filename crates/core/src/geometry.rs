@@ -158,25 +158,6 @@ impl CacheGeometry {
         let way = self.way_size_bytes();
         page >= way && page.is_multiple_of(way)
     }
-
-    /// Validating form of
-    /// [`random_modulo_compatible`](Self::random_modulo_compatible).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the page size is not a multiple of
-    /// the way size, with a message naming both.
-    pub fn require_random_modulo_compatible(&self, page_bits: u32) -> Result<(), ConfigError> {
-        if self.random_modulo_compatible(page_bits) {
-            Ok(())
-        } else {
-            Err(ConfigError::incompatible(format!(
-                "random modulo requires the page size ({}B) to be a multiple of the way size ({}B)",
-                1u64 << page_bits,
-                self.way_size_bytes()
-            )))
-        }
-    }
 }
 
 impl fmt::Display for CacheGeometry {
@@ -237,14 +218,6 @@ mod tests {
         let line = LineAddr::new(0b1011_0101_1010);
         assert_eq!(g.modulo_index(line), 0b101_1010);
         assert_eq!(g.tag_of(line), 0b10110);
-    }
-
-    #[test]
-    fn require_rm_compatibility_reports_sizes() {
-        let err = CacheGeometry::paper_l2().require_random_modulo_compatible(12).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("4096B") && msg.contains("65536B"), "{msg}");
-        assert!(CacheGeometry::paper_l1().require_random_modulo_compatible(12).is_ok());
     }
 
     #[test]

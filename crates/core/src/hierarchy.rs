@@ -1,6 +1,7 @@
 //! Multi-level memory hierarchy: split L1 (instruction + data) backed
-//! by a configurable stack of unified levels (L2, and optionally an L3
-//! or deeper), with per-level hit latencies.
+//! by a stack of unified levels (L2, and optionally an L3), priced by
+//! one fixed latency ladder ([`L1_HIT_CYCLES`], [`UNIFIED_HIT_CYCLES`],
+//! [`MEMORY_CYCLES`]).
 //!
 //! # One walk
 //!
@@ -13,8 +14,10 @@
 //! only in what they report. `access_detailed` composes the walk with
 //! memory itself. `access_upper_detailed` stops at the private levels
 //! and hands the caller the fill request and the writebacks no level
-//! absorbed; the multicore engine composes those with memory, or with a
-//! [`SharedLlc`] owned elsewhere, for every core it runs. The
+//! absorbed; the multicore engine composes those with memory
+//! ([`Hierarchy::with_memory`]), or with what a [`SharedLlc`] owned
+//! elsewhere reports ([`Hierarchy::with_shared`]), for every core it
+//! runs. Only the hierarchy charges cycles. The
 //! differential suite `tests/hierarchy_differential.rs` checks the walk
 //! against a hierarchy of reference-model caches (`tests/model/`).
 
@@ -27,31 +30,21 @@ use crate::replacement::ReplacementKind;
 use crate::seed::{ProcessId, Seed};
 use crate::stats::CacheStats;
 
-/// Access latencies in cycles for the classic two-level platform,
-/// modelled after an ARM920T-class part (paper §6.1.2): single-cycle
-/// L1 hits, a 10-cycle L2 penalty and an 80-cycle memory penalty.
-///
-/// Deeper hierarchies carry one hit latency per unified level inside
-/// [`Hierarchy`] (see [`Hierarchy::level_hit_cycles`]); this struct
-/// configures the two-level platform [`Hierarchy::new`] builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Latencies {
-    /// Cycles for an L1 hit.
-    pub l1_hit: u32,
-    /// Additional cycles when the access hits in L2.
-    pub l2_hit: u32,
-    /// Additional cycles when the access goes to memory.
-    pub memory: u32,
-}
+/// Cycles of an L1 hit, the cost every op pays: the paper's
+/// ARM920T-class platform (§6.1.2).
+pub const L1_HIT_CYCLES: u32 = 1;
 
-/// Additional cycles charged for an L3 hit in the three-level presets.
-pub const L3_HIT_CYCLES: u32 = 30;
+/// Additional cycles when a lookup reaches a unified level, indexed by
+/// the level's position below the L1s, private or shared: the paper's
+/// 10-cycle L2 and the 30-cycle L3 of the three-level presets (the
+/// multi-level randomized-cache literature, ClepsydraCache and
+/// friends). No hierarchy has more unified levels than this ladder
+/// names.
+pub const UNIFIED_HIT_CYCLES: [u32; 2] = [10, 30];
 
-impl Default for Latencies {
-    fn default() -> Self {
-        Latencies { l1_hit: 1, l2_hit: 10, memory: 80 }
-    }
-}
+/// Additional cycles when every level misses and the line comes from
+/// memory (paper §6.1.2).
+pub const MEMORY_CYCLES: u32 = 80;
 
 /// Which first-level cache an access goes through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,17 +152,19 @@ impl OpTiming {
 /// Timing of one op through a hierarchy's own levels, before whatever
 /// lies behind them: produced by [`Hierarchy::access_upper_detailed`].
 /// The caller composes the cost of [`fill`](Self::fill) and of the
-/// escaped writebacks: with memory on a private platform, or with the
-/// shared cache on a shared-LLC one. The multicore engine walks every
-/// core this way; only its co-runners buffer these outcomes a chunk
-/// ahead of the merge.
+/// escaped writebacks: with memory on a private platform
+/// ([`Hierarchy::with_memory`]), or with the shared cache on a
+/// shared-LLC one ([`Hierarchy::with_shared`]). The multicore engine
+/// walks every core this way; only its co-runners buffer these
+/// outcomes a chunk ahead of the merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpperOutcome {
     /// Cycle cost through the private levels (L1 hit plus each
     /// consulted private unified level's hit cycles).
     pub cycles: u32,
     /// Bit `0` = missed the L1; bit `k` = missed private unified level
-    /// `k-1`. A shared level's bit is composed by the caller.
+    /// `k-1`. A shared level's bit is composed by
+    /// [`Hierarchy::with_shared`].
     pub miss_mask: u8,
     /// The line to request from behind the hierarchy (every level
     /// missed), or `None` on a hit.
@@ -193,11 +188,12 @@ pub struct HierarchyInvalidation {
 }
 
 /// A last-level cache shared by every core of a multicore platform:
-/// one [`Cache`] instance plus the hit and memory latencies the levels
-/// above it compose with. Per-core traffic enters under each core's
-/// own [`ProcessId`], so per-core way partitions (the §7 partitioning
-/// alternative, applied at the shared level) and cross-core eviction
-/// accounting fall out of the existing cache model.
+/// one [`Cache`] instance that reports what each op's traffic did there
+/// ([`resolve`](Self::resolve)); the core's [`Hierarchy::with_shared`]
+/// prices it on the latency ladder. Per-core traffic enters under each
+/// core's own [`ProcessId`], so per-core way partitions (the §7
+/// partitioning alternative, applied at the shared level) and
+/// cross-core eviction accounting fall out of the existing cache model.
 ///
 /// # Coherence
 ///
@@ -221,8 +217,6 @@ pub struct HierarchyInvalidation {
 #[derive(Debug)]
 pub struct SharedLlc {
     cache: Cache,
-    hit_cycles: u32,
-    memory: u32,
     /// Coherence directory: tracked line → bitmap of cores holding
     /// private copies. Only lines inside a declared coherent range
     /// ever enter; empty on platforms without coherence.
@@ -250,29 +244,16 @@ pub struct SharedLlc {
     rotation_base: Vec<(u16, Seed)>,
 }
 
-/// Outcome of one fill request against a [`SharedLlc`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LlcFill {
-    /// The line was present in the shared level.
-    pub hit: bool,
-    /// The fill displaced a dirty line, which must be written to
-    /// memory (one bus write transaction).
-    pub mem_writeback: bool,
-}
-
 impl SharedLlc {
     /// Cores the coherence directory can name: each entry is a 32-bit
     /// sharer bitmap, so a coherent platform holds at most this many
     /// cores (the measured one included).
     pub const DIRECTORY_CORES: usize = 32;
 
-    /// Wraps `cache` as a shared last level with the given additional
-    /// hit cycles and memory penalty.
-    pub fn new(cache: Cache, hit_cycles: u32, memory: u32) -> Self {
+    /// Wraps `cache` as a shared last level.
+    pub fn new(cache: Cache) -> Self {
         SharedLlc {
             cache,
-            hit_cycles,
-            memory,
             #[allow(clippy::disallowed_types)]
             // detlint: allow(D2, ctor for the keyed-lookup-only directory field; see field doc)
             directory: std::collections::HashMap::new(),
@@ -292,16 +273,6 @@ impl SharedLlc {
     /// management, probes).
     pub fn cache_mut(&mut self) -> &mut Cache {
         &mut self.cache
-    }
-
-    /// Additional cycles charged when a lookup reaches this level.
-    pub fn hit_cycles(&self) -> u32 {
-        self.hit_cycles
-    }
-
-    /// Additional cycles charged when this level misses.
-    pub fn memory_cycles(&self) -> u32 {
-        self.memory
     }
 
     /// Sets the placement seed of `pid`, on a derivation stream
@@ -491,19 +462,6 @@ impl SharedLlc {
         self.cache.invalidate_line(pid, line)
     }
 
-    /// One fill request on behalf of `pid`: fills on a miss, reporting
-    /// whether a dirty victim must travel to memory. Latency is
-    /// composed by the caller from [`hit_cycles`](Self::hit_cycles)
-    /// and [`memory_cycles`](Self::memory_cycles).
-    pub fn access(&mut self, pid: ProcessId, line: LineAddr) -> LlcFill {
-        match self.cache.access(pid, line) {
-            AccessOutcome::Hit => LlcFill { hit: true, mem_writeback: false },
-            AccessOutcome::Miss { evicted, .. } => {
-                LlcFill { hit: false, mem_writeback: evicted.is_some_and(|ev| ev.dirty) }
-            }
-        }
-    }
-
     /// Delivers a writeback emitted by a core's private levels; returns
     /// `true` when the shared level absorbed it (present copy,
     /// write-back policy), `false` when it must continue to memory.
@@ -516,15 +474,16 @@ impl SharedLlc {
     /// first (victim-drain order), then the fill request, if any. This
     /// is THE shared-level resolution — every consumer (the multicore
     /// engine's per-op composition and the machine's scalar ops)
-    /// funnels through it, so the latency/traffic contract cannot
-    /// silently diverge between paths.
+    /// funnels through it, so the traffic contract cannot silently
+    /// diverge between paths. It reports what happened; the cost is
+    /// [`Hierarchy::with_shared`]'s.
     pub fn resolve(
         &mut self,
         pid: ProcessId,
         fill: Option<LineAddr>,
         writebacks: &[Writeback],
     ) -> LlcResolution {
-        let mut r = LlcResolution { cycles: 0, miss: false, mem_writebacks: 0, evicted: None };
+        let mut r = LlcResolution { miss: false, mem_writebacks: 0, evicted: None };
         if fill.is_some() {
             self.rotation_tick();
         }
@@ -534,16 +493,11 @@ impl SharedLlc {
             }
         }
         if let Some(line) = fill {
-            r.cycles += self.hit_cycles;
-            match self.cache.access(pid, line) {
-                AccessOutcome::Hit => {}
-                AccessOutcome::Miss { evicted, .. } => {
-                    r.miss = true;
-                    r.cycles += self.memory;
-                    if let Some(ev) = evicted {
-                        r.mem_writebacks += ev.dirty as u8;
-                        r.evicted = Some(ev.line);
-                    }
+            if let AccessOutcome::Miss { evicted, .. } = self.cache.access(pid, line) {
+                r.miss = true;
+                if let Some(ev) = evicted {
+                    r.mem_writebacks += ev.dirty as u8;
+                    r.evicted = Some(ev.line);
                 }
             }
         }
@@ -552,12 +506,9 @@ impl SharedLlc {
 }
 
 /// Outcome of [`SharedLlc::resolve`]: what one op's shared-level
-/// traffic costs and sends to memory.
+/// traffic did and sends to memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlcResolution {
-    /// Additional cycles the shared level charges (hit cycles, plus
-    /// the memory penalty on a miss; zero without a fill request).
-    pub cycles: u32,
     /// The fill missed the shared level (an off-chip read — one bus
     /// read transaction).
     pub miss: bool,
@@ -571,15 +522,8 @@ pub struct LlcResolution {
     pub evicted: Option<LineAddr>,
 }
 
-/// One unified cache level below the split L1s.
-#[derive(Debug)]
-struct UnifiedLevel {
-    cache: Cache,
-    /// Additional cycles charged when the lookup reaches this level.
-    hit_cycles: u32,
-}
-
-/// A split-L1 hierarchy over a configurable vector of unified levels.
+/// A split-L1 hierarchy over a vector of unified levels, priced by the
+/// latency ladder.
 ///
 /// All levels must share one line size so a line address carries
 /// unchanged down the miss path (asserted at construction; every
@@ -605,41 +549,20 @@ pub struct Hierarchy {
     l1i: Cache,
     l1d: Cache,
     /// Unified levels in lookup order (L2 first).
-    levels: Vec<UnifiedLevel>,
-    l1_hit: u32,
-    memory: u32,
+    levels: Vec<Cache>,
 }
 
 impl Hierarchy {
-    /// Assembles the classic two-level hierarchy from three caches and
-    /// a latency model. The caches are taken in `(l1i, l1d, l2)` order.
-    pub fn new(l1i: Cache, l1d: Cache, l2: Cache, latencies: Latencies) -> Self {
-        Hierarchy::from_parts(
-            l1i,
-            l1d,
-            vec![(l2, latencies.l2_hit)],
-            latencies.l1_hit,
-            latencies.memory,
-        )
-    }
-
-    /// Assembles a hierarchy of arbitrary depth: split L1s plus one
-    /// `(cache, additional hit cycles)` pair per unified level, in
-    /// lookup order.
+    /// Assembles a hierarchy: split L1s plus the unified levels in
+    /// lookup order, charged [`UNIFIED_HIT_CYCLES`] by position.
     ///
     /// # Panics
     ///
-    /// Panics if `unified` is empty or any level's line size differs
-    /// from the L1s'.
-    pub fn from_parts(
-        l1i: Cache,
-        l1d: Cache,
-        unified: Vec<(Cache, u32)>,
-        l1_hit: u32,
-        memory: u32,
-    ) -> Self {
+    /// Panics if `unified` is empty or longer than the ladder, or any
+    /// level's line size differs from the L1s'.
+    pub fn from_parts(l1i: Cache, l1d: Cache, unified: Vec<Cache>) -> Self {
         assert!(!unified.is_empty(), "hierarchy needs at least one unified level");
-        Hierarchy::from_private_parts(l1i, l1d, unified, l1_hit, memory)
+        Hierarchy::from_private_parts(l1i, l1d, unified)
     }
 
     /// Assembles the *private* portion of a core on a shared-LLC
@@ -651,24 +574,26 @@ impl Hierarchy {
     ///
     /// Drive such a hierarchy through
     /// [`access_upper_detailed`](Self::access_upper_detailed) and
-    /// resolve its fill and writebacks against the shared level, as the
-    /// multicore engine does op by op in merge order; the full-walk
-    /// entry points would charge the memory penalty on a
-    /// last-*private*-level miss, ignoring the shared level.
+    /// compose each walk with the shared level's resolution through
+    /// [`with_shared`](Self::with_shared), as the multicore engine does
+    /// op by op in merge order; the full-walk entry points would charge
+    /// the memory penalty on a last-*private*-level miss, ignoring the
+    /// shared level.
     ///
     /// # Panics
     ///
-    /// Panics if any level's line size differs from the L1s'.
-    pub fn from_private_parts(
-        l1i: Cache,
-        l1d: Cache,
-        unified: Vec<(Cache, u32)>,
-        l1_hit: u32,
-        memory: u32,
-    ) -> Self {
+    /// Panics if `unified` is longer than the ladder or any level's
+    /// line size differs from the L1s'.
+    pub fn from_private_parts(l1i: Cache, l1d: Cache, unified: Vec<Cache>) -> Self {
+        assert!(
+            unified.len() <= UNIFIED_HIT_CYCLES.len(),
+            "the latency ladder prices {} unified levels, not {}",
+            UNIFIED_HIT_CYCLES.len(),
+            unified.len()
+        );
         let line = l1i.geometry().line_bytes();
         assert_eq!(l1d.geometry().line_bytes(), line, "L1D line size differs from L1I");
-        for (cache, _) in &unified {
+        for cache in &unified {
             assert_eq!(
                 cache.geometry().line_bytes(),
                 line,
@@ -677,16 +602,7 @@ impl Hierarchy {
                 line
             );
         }
-        Hierarchy {
-            l1i,
-            l1d,
-            levels: unified
-                .into_iter()
-                .map(|(cache, hit_cycles)| UnifiedLevel { cache, hit_cycles })
-                .collect(),
-            l1_hit,
-            memory,
-        }
+        Hierarchy { l1i, l1d, levels: unified }
     }
 
     /// Builds the paper's two-level geometry with uniform policies in
@@ -700,11 +616,10 @@ impl Hierarchy {
     ) -> Self {
         let l1 = CacheGeometry::paper_l1();
         let l2 = CacheGeometry::paper_l2();
-        Hierarchy::new(
+        Hierarchy::from_parts(
             Cache::new("L1I", l1, l1_placement, l1_replacement, rng_seed ^ 0x11),
             Cache::new("L1D", l1, l1_placement, l1_replacement, rng_seed ^ 0x22),
-            Cache::new("L2", l2, l2_placement, l2_replacement, rng_seed ^ 0x33),
-            Latencies::default(),
+            vec![Cache::new("L2", l2, l2_placement, l2_replacement, rng_seed ^ 0x33)],
         )
     }
 
@@ -713,15 +628,10 @@ impl Hierarchy {
         1 + self.levels.len()
     }
 
-    /// Additional hit cycles of unified level `i` (0 = L2).
-    pub fn level_hit_cycles(&self, i: usize) -> u32 {
-        self.levels[i].hit_cycles
-    }
-
-    /// Performs an access and returns its cost in cycles: the L1 hit
-    /// cost, plus each consulted unified level's hit cycles, plus the
-    /// memory penalty when every level misses. Each consulted level
-    /// fills on its miss.
+    /// Performs an access and returns its cost on the latency ladder:
+    /// the L1 hit cost, plus each consulted unified level's hit cycles,
+    /// plus the memory penalty when every level misses. Each consulted
+    /// level fills on its miss.
     pub fn access(&mut self, pid: ProcessId, kind: AccessKind, addr: Addr) -> u32 {
         self.access_detailed(pid, kind, addr).cycles
     }
@@ -768,9 +678,42 @@ impl Hierarchy {
     #[inline]
     pub fn with_memory(&self, up: UpperOutcome, escaped: u8) -> OpTiming {
         OpTiming {
-            cycles: up.cycles + if up.fill.is_some() { self.memory } else { 0 },
+            cycles: up.cycles + if up.fill.is_some() { MEMORY_CYCLES } else { 0 },
             miss_mask: up.miss_mask,
             mem_writebacks: up.mem_writebacks + escaped,
+        }
+    }
+
+    /// Composes a walk `up` of this hierarchy's private levels with the
+    /// shared level behind them, given what [`SharedLlc::resolve`] did
+    /// with the walk's fill and escaped writebacks: a fill pays the
+    /// ladder's hit cycles at the position just below this hierarchy's
+    /// own levels, plus the memory penalty when the shared level
+    /// missed, whose miss bit is bit [`depth`](Self::depth).
+    ///
+    /// # Panics
+    ///
+    /// Panics if this hierarchy already holds every unified level the
+    /// ladder prices, leaving no position for a shared one.
+    #[inline]
+    pub fn with_shared(&self, up: UpperOutcome, resolution: &LlcResolution) -> OpTiming {
+        let Some(&hit) = UNIFIED_HIT_CYCLES.get(self.levels.len()) else {
+            panic!(
+                "the latency ladder prices {} unified levels, so no shared level fits behind {} \
+                 private ones",
+                UNIFIED_HIT_CYCLES.len(),
+                self.levels.len()
+            );
+        };
+        let shared = match (up.fill, resolution.miss) {
+            (None, _) => 0,
+            (Some(_), false) => hit,
+            (Some(_), true) => hit + MEMORY_CYCLES,
+        };
+        OpTiming {
+            cycles: up.cycles + shared,
+            miss_mask: up.miss_mask | (resolution.miss as u8) << self.depth(),
+            mem_writebacks: up.mem_writebacks + resolution.mem_writebacks,
         }
     }
 
@@ -783,8 +726,8 @@ impl Hierarchy {
     ///
     /// The caller (the multicore interference engine) composes the
     /// final [`OpTiming`]: with [`with_memory`](Self::with_memory) on a
-    /// private platform, or by resolving the fill and writebacks
-    /// against a [`SharedLlc`].
+    /// private platform, or with [`with_shared`](Self::with_shared)
+    /// after resolving the fill and writebacks against a [`SharedLlc`].
     pub fn access_upper_detailed(
         &mut self,
         pid: ProcessId,
@@ -822,7 +765,7 @@ impl Hierarchy {
             let line = self.l1d.geometry().line_of(addr);
             let inv = self.invalidate_line(pid, line);
             return UpperOutcome {
-                cycles: self.l1_hit,
+                cycles: L1_HIT_CYCLES,
                 miss_mask: 0,
                 fill: None,
                 mem_writebacks: inv.dirty.min(u8::MAX as u32) as u8,
@@ -836,7 +779,7 @@ impl Hierarchy {
         };
         let line = l1.geometry().line_of(addr);
         let mut out =
-            UpperOutcome { cycles: self.l1_hit, miss_mask: 0, fill: None, mem_writebacks: 0 };
+            UpperOutcome { cycles: L1_HIT_CYCLES, miss_mask: 0, fill: None, mem_writebacks: 0 };
         let res = l1.access_rw(pid, line, write);
         if let AccessOutcome::Miss { evicted: Some(ev), .. } = res {
             if ev.dirty {
@@ -848,9 +791,9 @@ impl Hierarchy {
             return out;
         }
         out.miss_mask |= 1;
-        for k in 0..self.levels.len() {
-            out.cycles += self.levels[k].hit_cycles;
-            let res = self.levels[k].cache.access(pid, line);
+        for (k, &hit) in UNIFIED_HIT_CYCLES.iter().enumerate().take(self.levels.len()) {
+            out.cycles += hit;
+            let res = self.levels[k].access(pid, line);
             if let AccessOutcome::Miss { evicted: Some(ev), .. } = res {
                 if ev.dirty {
                     let wb = Writeback { line: ev.line, owner: ev.owner };
@@ -875,7 +818,7 @@ impl Hierarchy {
         escaped: &mut impl FnMut(Writeback),
     ) {
         for k in start..self.levels.len() {
-            if self.levels[k].cache.receive_writeback(wb.owner, wb.line) {
+            if self.levels[k].receive_writeback(wb.owner, wb.line) {
                 return;
             }
         }
@@ -888,7 +831,7 @@ impl Hierarchy {
         self.l1i.set_write_policy(policy);
         self.l1d.set_write_policy(policy);
         for level in &mut self.levels {
-            level.cache.set_write_policy(policy);
+            level.set_write_policy(policy);
         }
     }
 
@@ -898,7 +841,7 @@ impl Hierarchy {
         self.l1i.set_seed(pid, seed.derive(1));
         self.l1d.set_seed(pid, seed.derive(2));
         for (k, level) in self.levels.iter_mut().enumerate() {
-            level.cache.set_seed(pid, seed.derive(3 + k as u64));
+            level.set_seed(pid, seed.derive(3 + k as u64));
         }
     }
 
@@ -909,10 +852,7 @@ impl Hierarchy {
     /// platform with [`DefenseKind::effective_setup`] instead of
     /// toggling a knob here.
     pub fn apply_defense(&mut self, defense: DefenseKind) {
-        for cache in [&mut self.l1i, &mut self.l1d]
-            .into_iter()
-            .chain(self.levels.iter_mut().map(|l| &mut l.cache))
-        {
+        for cache in [&mut self.l1i, &mut self.l1d].into_iter().chain(&mut self.levels) {
             cache.set_ttl(defense.ttl());
             cache.set_normalize(defense.normalize());
         }
@@ -943,7 +883,7 @@ impl Hierarchy {
         self.l1i.set_way_partition(pid, lo, hi);
         self.l1d.set_way_partition(pid, lo, hi);
         for level in &mut self.levels {
-            level.cache.set_way_partition(pid, lo, hi);
+            level.set_way_partition(pid, lo, hi);
         }
     }
 
@@ -954,7 +894,7 @@ impl Hierarchy {
         let (first, last) = self.l1d.geometry().line_range(start, size);
         self.l1d.add_protected_range(first, last);
         for level in &mut self.levels {
-            level.cache.add_protected_range(first, last);
+            level.add_protected_range(first, last);
         }
     }
 
@@ -968,7 +908,7 @@ impl Hierarchy {
         self.l1i.add_coherent_range(first, last);
         self.l1d.add_coherent_range(first, last);
         for level in &mut self.levels {
-            level.cache.add_coherent_range(first, last);
+            level.add_coherent_range(first, last);
         }
     }
 
@@ -987,7 +927,7 @@ impl Hierarchy {
         absorb(self.l1i.invalidate_line(pid, line));
         absorb(self.l1d.invalidate_line(pid, line));
         for level in &mut self.levels {
-            absorb(level.cache.invalidate_line(pid, line));
+            absorb(level.invalidate_line(pid, line));
         }
         out
     }
@@ -997,7 +937,7 @@ impl Hierarchy {
         self.l1i.flush();
         self.l1d.flush();
         for level in &mut self.levels {
-            level.cache.flush();
+            level.flush();
         }
     }
 
@@ -1006,7 +946,7 @@ impl Hierarchy {
         self.l1i.flush_process(pid);
         self.l1d.flush_process(pid);
         for level in &mut self.levels {
-            level.cache.flush_process(pid);
+            level.flush_process(pid);
         }
     }
 
@@ -1022,24 +962,24 @@ impl Hierarchy {
 
     /// The unified L2 (the first level below the L1s).
     pub fn l2(&self) -> &Cache {
-        &self.levels[0].cache
+        &self.levels[0]
     }
 
     /// The unified L3, when the hierarchy has one.
     pub fn l3(&self) -> Option<&Cache> {
-        self.levels.get(1).map(|l| &l.cache)
+        self.levels.get(1)
     }
 
     /// The unified levels in lookup order (L2 first).
     pub fn unified_levels(&self) -> impl Iterator<Item = &Cache> {
-        self.levels.iter().map(|l| &l.cache)
+        self.levels.iter()
     }
 
     /// Summed statistics of all levels.
     pub fn total_stats(&self) -> CacheStats {
         let mut total = *self.l1i.stats() + *self.l1d.stats();
         for level in &self.levels {
-            total += *level.cache.stats();
+            total += *level.stats();
         }
         total
     }
@@ -1049,7 +989,7 @@ impl Hierarchy {
         self.l1i.reset_stats();
         self.l1d.reset_stats();
         for level in &mut self.levels {
-            level.cache.reset_stats();
+            level.reset_stats();
         }
     }
 }
@@ -1201,7 +1141,18 @@ mod tests {
         let l1 = CacheGeometry::paper_l1();
         let mk =
             |label: &str| Cache::new(label, l1, PlacementKind::Modulo, ReplacementKind::Lru, 1);
-        Hierarchy::from_parts(mk("L1I"), mk("L1D"), Vec::new(), 1, 80);
+        Hierarchy::from_parts(mk("L1I"), mk("L1D"), Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "latency ladder prices 2 unified levels, not 3")]
+    fn from_parts_rejects_levels_the_ladder_does_not_price() {
+        let mk = |label: &str, geom| {
+            Cache::new(label, geom, PlacementKind::Modulo, ReplacementKind::Lru, 1)
+        };
+        let l1 = CacheGeometry::paper_l1();
+        let unified = ["L2", "L3", "L4"].map(|l| mk(l, CacheGeometry::paper_l2())).into();
+        Hierarchy::from_parts(mk("L1I", l1), mk("L1D", l1), unified);
     }
 
     #[test]
@@ -1212,7 +1163,7 @@ mod tests {
         let mk =
             |label: &str| Cache::new(label, l1, PlacementKind::Modulo, ReplacementKind::Lru, 1);
         let l2 = Cache::new("L2", odd, PlacementKind::Modulo, ReplacementKind::Lru, 1);
-        Hierarchy::from_parts(mk("L1I"), mk("L1D"), vec![(l2, 10)], 1, 80);
+        Hierarchy::from_parts(mk("L1I"), mk("L1D"), vec![l2]);
     }
 
     #[test]
@@ -1297,10 +1248,9 @@ mod tests {
         let mk = |label: &str, geom, salt| {
             Cache::new(label, geom, PlacementKind::RandomModulo, ReplacementKind::Random, salt)
         };
-        let unified =
-            (0..private_unified).map(|k| (mk("L2", l2, 0x33 + k as u64), 10)).collect::<Vec<_>>();
+        let unified = (0..private_unified).map(|k| mk("L2", l2, 0x33 + k as u64)).collect();
         let mut h =
-            Hierarchy::from_private_parts(mk("L1I", l1, 0x11), mk("L1D", l1, 0x22), unified, 1, 80);
+            Hierarchy::from_private_parts(mk("L1I", l1, 0x11), mk("L1D", l1, 0x22), unified);
         h.set_process_seed(pid(), Seed::new(0x5eed));
         h.set_write_policy(policy);
         h
@@ -1314,27 +1264,31 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "prices 2 unified levels, so no shared level fits behind 2 private")]
+    fn with_shared_refuses_a_shared_level_the_ladder_does_not_price() {
+        let h = private_hierarchy(2, WritePolicy::WriteThrough);
+        let up = UpperOutcome { cycles: 1, miss_mask: 0, fill: None, mem_writebacks: 0 };
+        h.with_shared(up, &LlcResolution { miss: false, mem_writebacks: 0, evicted: None });
+    }
+
+    #[test]
     fn shared_llc_fills_hits_and_writes_back() {
         let geom = CacheGeometry::new(8, 2, 32).unwrap();
-        let mut llc = SharedLlc::new(
-            Cache::new("SL2", geom, PlacementKind::Modulo, ReplacementKind::Lru, 1),
-            10,
-            80,
-        );
+        let mut llc =
+            SharedLlc::new(Cache::new("SL2", geom, PlacementKind::Modulo, ReplacementKind::Lru, 1));
         llc.set_write_policy(WritePolicy::WriteBack);
         let p = pid();
-        assert_eq!(llc.hit_cycles(), 10);
-        assert_eq!(llc.memory_cycles(), 80);
         let line = LineAddr::new(5);
-        assert!(!llc.access(p, line).hit, "cold fill");
-        assert!(llc.access(p, line).hit, "warm hit");
+        assert!(!llc.cache_mut().access(p, line).is_hit(), "cold fill");
+        assert!(llc.cache_mut().access(p, line).is_hit(), "warm hit");
         // An absorbed writeback dirties the copy; evicting it later
         // must report a memory-bound writeback.
         assert!(llc.receive_writeback(p, line));
         assert_eq!(llc.cache().dirty_lines(), 1);
-        let evictions =
-            (1..=2u64).map(|i| llc.access(p, LineAddr::new(5 + 8 * i))).collect::<Vec<_>>();
-        assert!(evictions.iter().any(|f| f.mem_writeback), "dirty victim never reached memory");
+        let written: u8 = (1..=2u64)
+            .map(|i| llc.resolve(p, Some(LineAddr::new(5 + 8 * i)), &[]).mem_writebacks)
+            .sum();
+        assert_eq!(written, 1, "the dirty victim must reach memory once");
         // An absent line forwards the writeback to memory.
         assert!(!llc.receive_writeback(p, LineAddr::new(99)));
         llc.flush();
@@ -1344,17 +1298,14 @@ mod tests {
     #[test]
     fn shared_llc_partitions_confine_fills_per_core() {
         let geom = CacheGeometry::new(8, 2, 32).unwrap();
-        let mut llc = SharedLlc::new(
-            Cache::new("SL2", geom, PlacementKind::Modulo, ReplacementKind::Lru, 1),
-            10,
-            80,
-        );
+        let mut llc =
+            SharedLlc::new(Cache::new("SL2", geom, PlacementKind::Modulo, ReplacementKind::Lru, 1));
         let (core0, core1) = (ProcessId::new(1), ProcessId::new(2));
         llc.set_way_partition(core0, 0, 1);
         llc.set_way_partition(core1, 1, 2);
         for i in 0..64u64 {
-            llc.access(core0, LineAddr::new(i));
-            llc.access(core1, LineAddr::new(1000 + i));
+            llc.cache_mut().access(core0, LineAddr::new(i));
+            llc.cache_mut().access(core1, LineAddr::new(1000 + i));
         }
         assert_eq!(llc.cache().stats().cross_process_evictions(), 0);
         for (_, way, _, owner) in llc.cache().contents() {
@@ -1417,11 +1368,8 @@ mod tests {
         let base = Addr::new(0x4000); // line 0x200 at 32-byte lines
         let mut h = three_level();
         let geom = CacheGeometry::new(8, 2, 32).unwrap();
-        let mut llc = SharedLlc::new(
-            Cache::new("SL2", geom, PlacementKind::Modulo, ReplacementKind::Lru, 1),
-            10,
-            80,
-        );
+        let mut llc =
+            SharedLlc::new(Cache::new("SL2", geom, PlacementKind::Modulo, ReplacementKind::Lru, 1));
         h.add_protected_range(base, 0);
         h.add_coherent_range(base, 0);
         llc.add_protected_range(base, 0);

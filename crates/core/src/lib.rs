@@ -55,7 +55,7 @@ pub use cache::{AccessOutcome, BatchOutcome, Cache, EvictedLine, WritePolicy, Wr
 pub use defense::{DefenseKind, RotationPolicy, TtlConfig};
 pub use error::ConfigError;
 pub use geometry::CacheGeometry;
-pub use hierarchy::{AccessKind, Hierarchy, Latencies, OpTiming, TraceOp};
+pub use hierarchy::{AccessKind, Hierarchy, OpTiming, TraceOp};
 pub use placement::{MbptaClass, PlacementEngine, PlacementKind};
 pub use pmu::{PmuCounters, PmuDelta, PmuSampler, PmuSnapshot};
 pub use replacement::{ReplacementEngine, ReplacementKind};

@@ -3,7 +3,7 @@
 
 use crate::cache::Cache;
 use crate::geometry::CacheGeometry;
-use crate::hierarchy::{Hierarchy, SharedLlc, L3_HIT_CYCLES};
+use crate::hierarchy::{Hierarchy, SharedLlc};
 use crate::placement::PlacementKind;
 use crate::replacement::ReplacementKind;
 use core::fmt;
@@ -168,19 +168,14 @@ impl SetupKind {
         let (lup, lur) = self.unified_policy();
         let l1 = CacheGeometry::paper_l1();
         let mut unified =
-            vec![(Cache::new("L2", CacheGeometry::paper_l2(), lup, lur, rng_seed ^ 0x33), 10)];
+            vec![Cache::new("L2", CacheGeometry::paper_l2(), lup, lur, rng_seed ^ 0x33)];
         if depth == HierarchyDepth::ThreeLevel {
-            unified.push((
-                Cache::new("L3", CacheGeometry::paper_l3(), lup, lur, rng_seed ^ 0x44),
-                L3_HIT_CYCLES,
-            ));
+            unified.push(Cache::new("L3", CacheGeometry::paper_l3(), lup, lur, rng_seed ^ 0x44));
         }
         Hierarchy::from_parts(
             Cache::new("L1I", l1, l1p, l1r, rng_seed ^ 0x11),
             Cache::new("L1D", l1, l1p, l1r, rng_seed ^ 0x22),
             unified,
-            1,
-            80,
         )
     }
 
@@ -200,37 +195,29 @@ impl SetupKind {
         let l1 = CacheGeometry::paper_l1();
         let mut unified = Vec::new();
         if depth == HierarchyDepth::ThreeLevel {
-            unified
-                .push((Cache::new("L2", CacheGeometry::paper_l2(), lup, lur, rng_seed ^ 0x33), 10));
+            unified.push(Cache::new("L2", CacheGeometry::paper_l2(), lup, lur, rng_seed ^ 0x33));
         }
         Hierarchy::from_private_parts(
             Cache::new("L1I", l1, l1p, l1r, rng_seed ^ 0x11),
             Cache::new("L1D", l1, l1p, l1r, rng_seed ^ 0x22),
             unified,
-            1,
-            80,
         )
     }
 
     /// Builds the shared last-level cache of a shared-LLC platform at
     /// `depth`, reusing the setup's unified policy: the paper L2
-    /// geometry (10-cycle hits) when the platform is two-level, the
-    /// 1 MiB L3 preset ([`L3_HIT_CYCLES`]) when three-level. Per-core
+    /// geometry when the platform is two-level, the 1 MiB L3 preset
+    /// when three-level. It sits just below the private levels of
+    /// [`build_private`](Self::build_private), so the latency ladder
+    /// charges it as an L2 (10 cycles) or an L3 (30 cycles). Per-core
     /// way partitions go on via [`SharedLlc::set_way_partition`].
     pub fn build_shared_llc(self, depth: HierarchyDepth, rng_seed: u64) -> SharedLlc {
         let (lup, lur) = self.unified_policy();
-        match depth {
-            HierarchyDepth::TwoLevel => SharedLlc::new(
-                Cache::new("SL2", CacheGeometry::paper_l2(), lup, lur, rng_seed ^ 0x55),
-                10,
-                80,
-            ),
-            HierarchyDepth::ThreeLevel => SharedLlc::new(
-                Cache::new("SL3", CacheGeometry::paper_l3(), lup, lur, rng_seed ^ 0x55),
-                L3_HIT_CYCLES,
-                80,
-            ),
-        }
+        let (label, geometry) = match depth {
+            HierarchyDepth::TwoLevel => ("SL2", CacheGeometry::paper_l2()),
+            HierarchyDepth::ThreeLevel => ("SL3", CacheGeometry::paper_l3()),
+        };
+        SharedLlc::new(Cache::new(label, geometry, lup, lur, rng_seed ^ 0x55))
     }
 
     /// The seed-management policy of this setup.
@@ -316,7 +303,6 @@ mod tests {
             // The L3 reuses the setup's unified policy.
             assert_eq!(l3.placement_name(), three.l2().placement_name(), "{kind}");
             assert_eq!(l3.geometry().size_bytes(), 1024 * 1024);
-            assert_eq!(three.level_hit_cycles(1), crate::hierarchy::L3_HIT_CYCLES);
         }
     }
 
@@ -328,7 +314,6 @@ mod tests {
             assert_eq!(private.depth(), 1, "{kind}");
             let llc = kind.build_shared_llc(HierarchyDepth::TwoLevel, 7);
             assert_eq!(llc.cache().geometry().size_bytes(), 256 * 1024, "{kind}");
-            assert_eq!(llc.hit_cycles(), 10);
             assert_eq!(
                 llc.cache().placement_name(),
                 kind.build(7).l2().placement_name(),
@@ -340,7 +325,6 @@ mod tests {
             assert_eq!(private.l2().geometry().size_bytes(), 256 * 1024, "{kind}");
             let llc = kind.build_shared_llc(HierarchyDepth::ThreeLevel, 7);
             assert_eq!(llc.cache().geometry().size_bytes(), 1024 * 1024, "{kind}");
-            assert_eq!(llc.hit_cycles(), crate::hierarchy::L3_HIT_CYCLES);
         }
     }
 

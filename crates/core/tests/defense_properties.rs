@@ -179,7 +179,7 @@ fn shared_level() -> SharedLlc {
         tscache_core::replacement::ReplacementKind::Random,
         0x5e,
     );
-    let mut llc = SharedLlc::new(cache, 10, 80);
+    let mut llc = SharedLlc::new(cache);
     for p in 1..=3u16 {
         llc.set_process_seed(pid(p), Seed::new(0x1000 + p as u64));
     }

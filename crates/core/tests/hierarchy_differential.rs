@@ -15,21 +15,21 @@ use tscache_core::addr::Addr;
 use tscache_core::cache::{Cache, WritePolicy};
 use tscache_core::defense::DefenseKind;
 use tscache_core::geometry::CacheGeometry;
-use tscache_core::hierarchy::{AccessKind, Hierarchy, TraceOp, L3_HIT_CYCLES};
+use tscache_core::hierarchy::{AccessKind, Hierarchy, TraceOp};
 use tscache_core::placement::PlacementKind;
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
 
-/// One platform shape: split L1s plus unified levels `(geometry, hit
-/// cycles)`, uniform policies per side, 1-cycle L1 hits and an
-/// 80-cycle memory penalty. Level RNG seeds follow the presets'
+/// One platform shape: split L1s plus the unified levels' geometries,
+/// uniform policies per side. Level RNG seeds follow the presets'
 /// derivation (`rng_seed ^ 0x11` for the L1I, `^ 0x22` for the L1D,
-/// `^ 0x33`, `^ 0x44` for L2, L3).
+/// `^ 0x33`, `^ 0x44` for L2, L3). Latencies are no part of a shape:
+/// the model writes the paper's ladder out itself.
 struct Spec {
     l1: CacheGeometry,
     l1_policy: (PlacementKind, ReplacementKind),
-    unified: Vec<(CacheGeometry, u32)>,
+    unified: Vec<CacheGeometry>,
     unified_policy: (PlacementKind, ReplacementKind),
     rng_seed: u64,
 }
@@ -42,9 +42,9 @@ impl Spec {
         replacement: ReplacementKind,
         depth: HierarchyDepth,
     ) -> Self {
-        let mut unified = vec![(CacheGeometry::new(32, 4, 32).unwrap(), 10)];
+        let mut unified = vec![CacheGeometry::new(32, 4, 32).unwrap()];
         if depth == HierarchyDepth::ThreeLevel {
-            unified.push((CacheGeometry::new(64, 4, 32).unwrap(), 30));
+            unified.push(CacheGeometry::new(64, 4, 32).unwrap());
         }
         Spec {
             l1: CacheGeometry::new(8, 2, 32).unwrap(),
@@ -57,9 +57,9 @@ impl Spec {
 
     /// The shape `SetupKind::build_depth(depth, rng_seed)` documents.
     fn preset(setup: SetupKind, depth: HierarchyDepth, rng_seed: u64) -> Self {
-        let mut unified = vec![(CacheGeometry::paper_l2(), 10)];
+        let mut unified = vec![CacheGeometry::paper_l2()];
         if depth == HierarchyDepth::ThreeLevel {
-            unified.push((CacheGeometry::paper_l3(), L3_HIT_CYCLES));
+            unified.push(CacheGeometry::paper_l3());
         }
         Spec {
             l1: CacheGeometry::paper_l1(),
@@ -80,16 +80,12 @@ impl Spec {
             .unified
             .iter()
             .enumerate()
-            .map(|(k, &(g, hit))| {
-                (Cache::new(format!("L{}", k + 2), g, up, ur, self.level_rng(k)), hit)
-            })
+            .map(|(k, &g)| Cache::new(format!("L{}", k + 2), g, up, ur, self.level_rng(k)))
             .collect();
         Hierarchy::from_parts(
             Cache::new("L1I", self.l1, l1p, l1r, self.rng_seed ^ 0x11),
             Cache::new("L1D", self.l1, l1p, l1r, self.rng_seed ^ 0x22),
             unified,
-            1,
-            80,
         )
     }
 
@@ -102,10 +98,8 @@ impl Spec {
                 .unified
                 .iter()
                 .enumerate()
-                .map(|(k, &(g, hit))| (ModelCache::new(g, up, ur, self.level_rng(k)), hit))
+                .map(|(k, &g)| ModelCache::new(g, up, ur, self.level_rng(k)))
                 .collect(),
-            l1_hit: 1,
-            memory: 80,
             redirects: 0,
         }
     }

@@ -28,7 +28,7 @@ fn lru_hierarchy(l1_ways: u32, l2_ways: u32) -> Hierarchy {
     let l2 = CacheGeometry::new(64, l2_ways, 32).unwrap();
     let mk =
         |label: &str, geom| Cache::new(label, geom, PlacementKind::Modulo, ReplacementKind::Lru, 5);
-    Hierarchy::from_parts(mk("L1I", l1), mk("L1D", l1), vec![(mk("L2", l2), 10)], 1, 80)
+    Hierarchy::from_parts(mk("L1I", l1), mk("L1D", l1), vec![mk("L2", l2)])
 }
 
 proptest! {

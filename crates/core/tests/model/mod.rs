@@ -335,13 +335,13 @@ impl ModelCache {
     }
 }
 
-/// Split L1s over unified levels `(cache, hit cycles)`.
+/// Split L1s over unified levels, priced by the paper's latency
+/// ladder written out here: a 1-cycle L1 hit, 10 more cycles at the
+/// first unified level, 30 at the second and 80 from memory.
 pub struct ModelHierarchy {
     pub l1i: ModelCache,
     pub l1d: ModelCache,
-    pub unified: Vec<(ModelCache, u32)>,
-    pub l1_hit: u32,
-    pub memory: u32,
+    pub unified: Vec<ModelCache>,
     /// Fills RPCache redirected, summed over every level.
     pub redirects: u64,
 }
@@ -349,7 +349,7 @@ pub struct ModelHierarchy {
 impl ModelHierarchy {
     /// Every level, L1I and L1D first.
     pub fn levels(&mut self) -> impl Iterator<Item = &mut ModelCache> {
-        [&mut self.l1i, &mut self.l1d].into_iter().chain(self.unified.iter_mut().map(|(c, _)| c))
+        [&mut self.l1i, &mut self.l1d].into_iter().chain(&mut self.unified)
     }
 
     /// `seed.derive(1)` for the L1I, `2` for the L1D, `3 + k` for
@@ -384,11 +384,11 @@ impl ModelHierarchy {
             for cache in self.levels() {
                 cache.invalidate_line(pid, line);
             }
-            return self.l1_hit;
+            return 1;
         }
         let l1 = if kind == AccessKind::Fetch { &mut self.l1i } else { &mut self.l1d };
         let mut outcome = l1.access_rw(pid, line, kind == AccessKind::Write);
-        let mut cycles = self.l1_hit;
+        let mut cycles = 1;
         for k in 0..=self.unified.len() {
             let AccessOutcome::Miss { evicted, redirected } = outcome else {
                 return cycles;
@@ -396,12 +396,12 @@ impl ModelHierarchy {
             self.redirects += redirected as u64;
             if let Some(ev) = evicted.filter(|ev| ev.dirty) {
                 let mut below = self.unified[k..].iter_mut();
-                below.any(|(c, _)| c.receive_writeback(ev.owner, ev.line));
+                below.any(|c| c.receive_writeback(ev.owner, ev.line));
             }
-            let Some((cache, hit)) = self.unified.get_mut(k) else { break };
-            cycles += *hit;
+            let Some(cache) = self.unified.get_mut(k) else { break };
+            cycles += [10, 30][k];
             outcome = cache.access_rw(pid, line, false);
         }
-        cycles + self.memory
+        cycles + 80
     }
 }

@@ -325,11 +325,11 @@ struct Resolved {
 /// Composes `hierarchy`'s private walk `up` of one op, and the
 /// `writebacks` it escaped, with what lies behind the hierarchy — now,
 /// that is, in merge order. Without a shared level that is memory
-/// ([`Hierarchy::with_memory`]). In front of `llc`, a hit costs only
-/// the shared level's hit cycles (no bus transaction), a miss adds the
-/// memory penalty and sets the shared level's miss bit (bit
-/// `hierarchy.depth()`), and unabsorbed writebacks plus a dirty
-/// shared-level victim become memory-bound bus writes.
+/// ([`Hierarchy::with_memory`]). In front of `llc`, the shared level
+/// resolves the fill and writebacks and the hierarchy prices the
+/// outcome ([`Hierarchy::with_shared`]): a hit pays no bus transaction,
+/// while unabsorbed writebacks plus a dirty shared-level victim become
+/// memory-bound bus writes.
 fn resolve(
     hierarchy: &Hierarchy,
     pid: ProcessId,
@@ -342,12 +342,7 @@ fn resolve(
         return Resolved { t, fill: up.fill, evicted: None };
     };
     let r = llc.resolve(pid, up.fill, writebacks);
-    let t = OpTiming {
-        cycles: up.cycles + r.cycles,
-        miss_mask: up.miss_mask | (r.miss as u8) << hierarchy.depth(),
-        mem_writebacks: up.mem_writebacks + r.mem_writebacks,
-    };
-    Resolved { t, fill: up.fill, evicted: r.evicted }
+    Resolved { t: hierarchy.with_shared(up, &r), fill: up.fill, evicted: r.evicted }
 }
 
 /// One op walked through `hierarchy` at merge time, so coherence
@@ -1085,8 +1080,6 @@ mod tests {
                 mk("L1I", l1, salt ^ c ^ 0x11),
                 mk("L1D", l1, salt ^ c ^ 0x22),
                 Vec::new(),
-                1,
-                80,
             );
             let pid = ProcessId::new(1 + c as u16);
             h.set_process_seed(pid, Seed::new(salt.wrapping_mul(31) ^ c | 1));
@@ -1094,7 +1087,7 @@ mod tests {
             pids.push(pid);
         }
         let mut llc =
-            SharedLlc::new(mk("SLLC", CacheGeometry::new(64, 4, 32).unwrap(), salt ^ 0x55), 10, 80);
+            SharedLlc::new(mk("SLLC", CacheGeometry::new(64, 4, 32).unwrap(), salt ^ 0x55));
         for (c, &pid) in pids.iter().enumerate() {
             llc.set_process_seed(pid, Seed::new(salt.wrapping_mul(77) ^ c as u64 | 1));
         }
@@ -1391,7 +1384,7 @@ mod tests {
         use tscache_core::replacement::ReplacementKind;
         let geom = CacheGeometry::new(8, 1, 32).unwrap();
         let l1 = |label| Cache::new(label, geom, PlacementKind::Modulo, ReplacementKind::Lru, 1);
-        let mut h = Hierarchy::from_private_parts(l1("L1I"), l1("L1D"), Vec::new(), 1, 80);
+        let mut h = Hierarchy::from_private_parts(l1("L1I"), l1("L1D"), Vec::new());
         let [a, b, x] = [0, 256, 32].map(|at| TraceOp::read(Addr::new(at)));
         // Ops:     0  1  2  3  4  5  6  7  8  9
         let ops = [a, b, x, x, x, x, x, a, x, b];

@@ -36,8 +36,6 @@ fn build_core(pid: ProcessId, salt: u64, core: u64) -> Hierarchy {
         mk("L1I", salt ^ core ^ 0x11),
         mk("L1D", salt ^ core ^ 0x22),
         Vec::new(),
-        1,
-        80,
     );
     h.set_process_seed(pid, Seed::new(salt ^ core | 1));
     h.add_coherent_range(Addr::new(COHERENT_BASE), COHERENT_BYTES);
@@ -45,17 +43,13 @@ fn build_core(pid: ProcessId, salt: u64, core: u64) -> Hierarchy {
 }
 
 fn build_llc(salt: u64, pids: &[ProcessId]) -> SharedLlc {
-    let mut llc = SharedLlc::new(
-        Cache::new(
-            "SLLC",
-            CacheGeometry::new(16, 4, 32).unwrap(),
-            PlacementKind::RandomModulo,
-            ReplacementKind::Random,
-            salt ^ 0x55,
-        ),
-        10,
-        80,
-    );
+    let mut llc = SharedLlc::new(Cache::new(
+        "SLLC",
+        CacheGeometry::new(16, 4, 32).unwrap(),
+        PlacementKind::RandomModulo,
+        ReplacementKind::Random,
+        salt ^ 0x55,
+    ));
     llc.add_coherent_range(Addr::new(COHERENT_BASE), COHERENT_BYTES);
     for (k, &pid) in pids.iter().enumerate() {
         llc.set_process_seed(pid, Seed::new(salt.wrapping_mul(31) ^ k as u64 | 1));
@@ -154,7 +148,7 @@ proptest! {
             let mut llc = build_llc(salt, &pids);
             llc.set_way_partition(victim, 0, 2);
             llc.set_way_partition(enemy, 2, 4);
-            victim_lines.iter().map(|&l| llc.access(victim, l).hit).collect()
+            victim_lines.iter().map(|&l| llc.cache_mut().access(victim, l).is_hit()).collect()
         };
         let mut llc = build_llc(salt, &pids);
         llc.set_way_partition(victim, 0, 2);
@@ -167,14 +161,14 @@ proptest! {
                 for _ in 0..burst {
                     // Enemy fill + flush-style drain of its own copy:
                     // the directory churns, the victim must not see it.
-                    llc.access(enemy, coh_line(k));
+                    llc.cache_mut().access(enemy, coh_line(k));
                     if k.is_multiple_of(3) {
                         llc.clear_sharers(coh_line(k));
                         llc.invalidate_copy(enemy, coh_line(k));
                     }
                     k += 1;
                 }
-                llc.access(victim, l).hit
+                llc.cache_mut().access(victim, l).is_hit()
             })
             .collect();
         prop_assert_eq!(&contended, &solo, "enemy coherence churn leaked into the victim");

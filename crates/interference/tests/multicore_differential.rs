@@ -61,16 +61,14 @@ fn small_hierarchy(
     let l1 = CacheGeometry::new(8, 2, 32).unwrap();
     let l2 = CacheGeometry::new(32, 4, 32).unwrap();
     let l3 = CacheGeometry::new(64, 4, 32).unwrap();
-    let mut unified = vec![(Cache::new("L2", l2, placement, replacement, core ^ 0x33), 10)];
+    let mut unified = vec![Cache::new("L2", l2, placement, replacement, core ^ 0x33)];
     if depth == HierarchyDepth::ThreeLevel {
-        unified.push((Cache::new("L3", l3, placement, replacement, core ^ 0x44), 30));
+        unified.push(Cache::new("L3", l3, placement, replacement, core ^ 0x44));
     }
     let mut h = Hierarchy::from_parts(
         Cache::new("L1I", l1, placement, replacement, core ^ 0x11),
         Cache::new("L1D", l1, placement, replacement, core ^ 0x22),
         unified,
-        1,
-        80,
     );
     h.set_process_seed(ProcessId::new(1), Seed::new(core.wrapping_mul(0xabcd) | 1));
     h.set_write_policy(WritePolicy::WriteBack);
@@ -224,14 +222,12 @@ fn small_private(
     let l2 = CacheGeometry::new(32, 4, 32).unwrap();
     let mut unified = Vec::new();
     if depth == HierarchyDepth::ThreeLevel {
-        unified.push((Cache::new("L2", l2, placement, replacement, core ^ 0x33), 10));
+        unified.push(Cache::new("L2", l2, placement, replacement, core ^ 0x33));
     }
     let mut h = Hierarchy::from_private_parts(
         Cache::new("L1I", l1, placement, replacement, core ^ 0x11),
         Cache::new("L1D", l1, placement, replacement, core ^ 0x22),
         unified,
-        1,
-        80,
     );
     let pid = ProcessId::new(1 + core as u16);
     h.set_process_seed(pid, Seed::new(core.wrapping_mul(0xabcd) | 1));
@@ -245,11 +241,13 @@ fn small_shared_llc(
     policy: WritePolicy,
     pids: &[ProcessId],
 ) -> SharedLlc {
-    let mut llc = SharedLlc::new(
-        Cache::new("SLLC", CacheGeometry::new(64, 4, 32).unwrap(), placement, replacement, 0x55),
-        10,
-        80,
-    );
+    let mut llc = SharedLlc::new(Cache::new(
+        "SLLC",
+        CacheGeometry::new(64, 4, 32).unwrap(),
+        placement,
+        replacement,
+        0x55,
+    ));
     llc.set_write_policy(policy);
     for (k, &pid) in pids.iter().enumerate() {
         llc.set_process_seed(pid, Seed::new(0x511c ^ (k as u64) << 8 | 1));

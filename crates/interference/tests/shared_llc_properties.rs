@@ -24,11 +24,13 @@ use tscache_core::seed::{ProcessId, Seed};
 use tscache_interference::{execute, CoreRun, EngineScratch, SystemConfig};
 
 fn llc(placement: PlacementKind, replacement: ReplacementKind, salt: u64) -> SharedLlc {
-    let mut llc = SharedLlc::new(
-        Cache::new("SLLC", CacheGeometry::new(16, 4, 32).unwrap(), placement, replacement, salt),
-        10,
-        80,
-    );
+    let mut llc = SharedLlc::new(Cache::new(
+        "SLLC",
+        CacheGeometry::new(16, 4, 32).unwrap(),
+        placement,
+        replacement,
+        salt,
+    ));
     llc.set_process_seed(ProcessId::new(1), Seed::new(salt ^ 0xa | 1));
     llc.set_process_seed(ProcessId::new(2), Seed::new(salt ^ 0xb | 1));
     llc
@@ -68,7 +70,7 @@ proptest! {
             let mut llc = llc(placement, replacement, salt);
             llc.set_way_partition(victim, 0, 2);
             llc.set_way_partition(enemy, 2, 4);
-            victim_lines.iter().map(|&l| llc.access(victim, l).hit).collect()
+            victim_lines.iter().map(|&l| llc.cache_mut().access(victim, l).is_hit()).collect()
         };
 
         let mut llc = llc(placement, replacement, salt);
@@ -81,10 +83,10 @@ proptest! {
                 // Adversarial interleaving: `burst` enemy accesses
                 // around every victim access.
                 for _ in 0..burst {
-                    llc.access(enemy, enemy_lines[e % enemy_lines.len()]);
+                    llc.cache_mut().access(enemy, enemy_lines[e % enemy_lines.len()]);
                     e += 1;
                 }
-                llc.access(victim, l).hit
+                llc.cache_mut().access(victim, l).is_hit()
             })
             .collect();
         prop_assert_eq!(
@@ -110,7 +112,7 @@ proptest! {
         llc.set_way_partition(victim, 0, 3);
         llc.set_way_partition(enemy, 2, 4);
         for &l in &line_seq(salt, 400, 0, 251) {
-            llc.access(victim, l);
+            llc.cache_mut().access(victim, l);
         }
         let safe: Vec<(u32, u32, u64)> = llc
             .cache()
@@ -121,7 +123,7 @@ proptest! {
         prop_assume!(!safe.is_empty());
         // Enemy storm: far more lines than the cache holds.
         for &l in &line_seq(salt ^ 0x5707, 3000, 1 << 20, 4099) {
-            llc.access(enemy, l);
+            llc.cache_mut().access(enemy, l);
         }
         let after: std::collections::BTreeSet<(u32, u32, u64)> = llc
             .cache()
@@ -155,8 +157,6 @@ proptest! {
                 mk("L1I", core ^ 0x11),
                 mk("L1D", core ^ 0x22),
                 Vec::new(),
-                1,
-                80,
             );
             h.set_process_seed(pid, Seed::new(salt ^ core | 1));
             h

@@ -177,7 +177,7 @@ pub fn run_cross_core_prime_probe(cfg: &CrossCoreConfig) -> Result<CrossCoreOutc
     for _ in 0..cfg.samples {
         // Prime: fill every monitored set with attacker lines.
         {
-            let llc = shared_llc(&mut machine, CAMPAIGN)?;
+            let llc = shared_llc(&mut machine, CAMPAIGN)?.cache_mut();
             for lines in &prime_lines {
                 for &line in lines {
                     llc.access(attacker, line);

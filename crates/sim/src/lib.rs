@@ -2,14 +2,15 @@
 //!
 //! A lightweight substitute for the paper's SoCLib-based cycle-accurate
 //! ARM920T model: workloads drive a [`machine::Machine`] that charges
-//! per-instruction pipeline costs plus exact cache hit/miss latencies
-//! through a [`tscache_core::hierarchy::Hierarchy`]. All input-dependent
+//! the fixed per-instruction pipeline costs plus exact cache hit/miss
+//! latencies from the latency ladder of a
+//! [`tscache_core::hierarchy::Hierarchy`]. All input-dependent
 //! timing flows through the caches, which is the channel both MBPTA and
 //! the side-channel attacks observe.
 //!
 //! * [`machine`] — the machine: loads/stores/fetches/ALU batches,
 //!   cycle accounting, per-process seeds, context switches.
-//! * [`pipeline`] — the 5-stage in-order cost model.
+//! * [`pipeline`] — the 5-stage in-order core's costs, as constants.
 //! * [`layout`] — linker-style memory maps (and re-linking, for the
 //!   time-composability experiments).
 //! * [`workload`] — the workload trait and the MBPTA measurement
@@ -41,7 +42,6 @@ pub mod workload;
 
 pub use layout::{Layout, Region};
 pub use machine::{Machine, TraceOp};
-pub use pipeline::PipelineModel;
 pub use workload::{
     collect_execution_times, collect_execution_times_par, MeasurementProtocol, Workload,
 };

@@ -1,5 +1,5 @@
-//! The execution-driven machine: a cache hierarchy plus a pipeline
-//! cost model and a cycle counter.
+//! The execution-driven machine: a cache hierarchy plus the pipeline
+//! costs of [`crate::pipeline`] and a cycle counter.
 //!
 //! Workloads (the instrumented AES cipher, the synthetic kernels) issue
 //! loads, stores, instruction fetches and ALU batches; the machine
@@ -7,7 +7,7 @@
 //! the paper's cycle-accurate simulator: *all* input-dependent timing
 //! variability flows through the cache hierarchy.
 
-use crate::pipeline::PipelineModel;
+use crate::pipeline;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use tscache_core::addr::Addr;
@@ -52,7 +52,6 @@ type EnemyTraces = BTreeMap<(u32, u64), Arc<[TraceOp]>>;
 #[derive(Debug)]
 pub struct Machine {
     hierarchy: Hierarchy,
-    pipeline: PipelineModel,
     pid: ProcessId,
     cycles: u64,
     /// The ops issued since [`enable_trace`](Self::enable_trace), when
@@ -87,7 +86,6 @@ impl Machine {
     pub fn new(hierarchy: Hierarchy) -> Self {
         Machine {
             hierarchy,
-            pipeline: PipelineModel::default(),
             pid: ProcessId::new(1),
             cycles: 0,
             trace: None,
@@ -151,11 +149,6 @@ impl Machine {
         Machine::new(setup.build_depth(depth, rng_seed))
     }
 
-    /// The pipeline cost model.
-    pub fn pipeline(&self) -> PipelineModel {
-        self.pipeline
-    }
-
     /// Switches the executing process (does not drain the pipeline; use
     /// [`context_switch`](Machine::context_switch) for the full cost).
     pub fn set_process(&mut self, pid: ProcessId) {
@@ -171,7 +164,7 @@ impl Machine {
     /// (the seed-swap cost of §5) and charges `extra_cycles` of OS
     /// bookkeeping.
     pub fn context_switch(&mut self, pid: ProcessId, extra_cycles: u32) {
-        self.cycles += self.pipeline.drain_cycles() as u64 + extra_cycles as u64;
+        self.cycles += pipeline::DEPTH as u64 + extra_cycles as u64;
         self.pid = pid;
     }
 
@@ -478,14 +471,14 @@ impl Machine {
     /// Retires `n` ALU instructions (no memory traffic).
     #[inline]
     pub fn execute(&mut self, n: u32) {
-        self.cycles += (n * self.pipeline.cpi) as u64;
+        self.cycles += (n * pipeline::CPI) as u64;
         self.instret += n as u64;
     }
 
     /// Takes a branch (refill penalty).
     #[inline]
     pub fn branch(&mut self) {
-        self.cycles += self.pipeline.branch_penalty as u64;
+        self.cycles += pipeline::BRANCH_PENALTY as u64;
     }
 
     /// Charges `cycles` of raw stall time (no instructions retired, no
@@ -993,6 +986,28 @@ mod tests {
         );
         assert_eq!(m3.hierarchy().depth(), 2);
         assert!(m3.shared_llc().is_some());
+    }
+
+    #[test]
+    fn shared_levels_cost_their_place_on_the_ladder() {
+        // The shared level sits right below the private ones: a shared
+        // L2 costs 10 cycles, a shared L3 behind a private L2 costs 30.
+        let a = Addr::new(0x9000);
+        for (depth, cold, reload) in
+            [(HierarchyDepth::TwoLevel, 91, 11), (HierarchyDepth::ThreeLevel, 121, 41)]
+        {
+            let mut m = Machine::from_setup_shared(
+                SetupKind::Deterministic,
+                depth,
+                SystemConfig::default(),
+                5,
+            );
+            assert_eq!(m.load(a), cold, "{depth}: cold load");
+            // Only the private levels flush, so the reload hits the
+            // shared level.
+            m.hierarchy_mut().flush_all();
+            assert_eq!(m.load(a), reload, "{depth}: reload from the shared level");
+        }
     }
 
     #[test]

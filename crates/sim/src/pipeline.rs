@@ -4,72 +4,18 @@
 //! §6.1.2). For the experiments reproduced here only the *memory-
 //! induced* execution-time variability matters, so the pipeline is
 //! modelled as per-instruction base costs plus stall cycles; cache
-//! latencies come from the hierarchy.
+//! latencies come from the hierarchy's latency ladder.
 
-use core::fmt;
+/// Pipeline depth in stages: the cycles a context switch spends
+/// draining it (the TSCache OS empties the pipeline when swapping
+/// seeds, §5).
+pub const DEPTH: u32 = 5;
 
-/// Cost parameters of an in-order pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineModel {
-    /// Pipeline depth in stages (drained on context switches; the
-    /// TSCache OS empties the pipeline when swapping seeds, §5).
-    pub depth: u32,
-    /// Base cycles per ALU instruction.
-    pub cpi: u32,
-    /// Extra cycles on a taken branch (refill bubble).
-    pub branch_penalty: u32,
-    /// Extra cycles between a load and a dependent use.
-    pub load_use_stall: u32,
-}
+/// Base cycles per ALU instruction.
+pub const CPI: u32 = 1;
 
-impl PipelineModel {
-    /// The ARM920T-class 5-stage configuration used by the paper's
-    /// simulator.
-    pub const fn arm920t() -> Self {
-        PipelineModel { depth: 5, cpi: 1, branch_penalty: 2, load_use_stall: 1 }
-    }
+/// Extra cycles on a taken branch (refill bubble).
+pub const BRANCH_PENALTY: u32 = 2;
 
-    /// Cycles to drain the pipeline (seed swap on SWC context switch).
-    pub const fn drain_cycles(&self) -> u32 {
-        self.depth
-    }
-}
-
-impl Default for PipelineModel {
-    fn default() -> Self {
-        Self::arm920t()
-    }
-}
-
-impl fmt::Display for PipelineModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}-stage in-order, CPI {}, branch +{}, load-use +{}",
-            self.depth, self.cpi, self.branch_penalty, self.load_use_stall
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn arm920t_is_five_stages() {
-        let p = PipelineModel::arm920t();
-        assert_eq!(p.depth, 5);
-        assert_eq!(p.drain_cycles(), 5);
-        assert_eq!(p.cpi, 1);
-    }
-
-    #[test]
-    fn default_is_arm920t() {
-        assert_eq!(PipelineModel::default(), PipelineModel::arm920t());
-    }
-
-    #[test]
-    fn display_mentions_stages() {
-        assert!(PipelineModel::default().to_string().contains("5-stage"));
-    }
-}
+/// Extra cycles between a load and a dependent use.
+pub const LOAD_USE_STALL: u32 = 1;

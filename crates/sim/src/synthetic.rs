@@ -7,6 +7,7 @@
 
 use crate::layout::{Layout, Region};
 use crate::machine::{Machine, TraceOp};
+use crate::pipeline::{BRANCH_PENALTY, LOAD_USE_STALL};
 use crate::workload::Workload;
 use tscache_core::addr::Addr;
 use tscache_core::prng::{Prng, SplitMix64};
@@ -146,7 +147,7 @@ impl Workload for PointerChase {
         machine.run_trace(ops);
         machine.execute(3 * self.steps);
         // The load-use stall of every dependent load.
-        machine.charge_stall(self.steps as u64 * machine.pipeline().load_use_stall as u64);
+        machine.charge_stall(self.steps as u64 * LOAD_USE_STALL as u64);
     }
 }
 
@@ -218,9 +219,8 @@ impl Workload for MatrixMult {
             machine.execute(chunk);
             instrs -= chunk as u64;
         }
-        let pipeline = machine.pipeline();
-        machine.charge_stall((n * n * n) * pipeline.load_use_stall as u64);
-        machine.charge_stall((n * n) * pipeline.branch_penalty as u64);
+        machine.charge_stall((n * n * n) * LOAD_USE_STALL as u64);
+        machine.charge_stall((n * n) * BRANCH_PENALTY as u64);
     }
 }
 
@@ -284,7 +284,7 @@ impl Workload for MultipathTask {
         machine.run_trace(ops);
         let steps = self.inputs.len() as u32;
         machine.execute((8 + 16) * steps);
-        machine.charge_stall(steps as u64 * machine.pipeline().branch_penalty as u64);
+        machine.charge_stall(steps as u64 * BRANCH_PENALTY as u64);
         let _ = self.paths;
     }
 }
@@ -387,10 +387,8 @@ impl Workload for FirFilter {
         // 6 block instructions plus 2 per multiply-accumulate per
         // sample; each MAC's signal load feeds the multiplier.
         machine.execute((6 + 2 * self.taps) * self.samples);
-        let pipeline = machine.pipeline();
-        machine
-            .charge_stall(self.samples as u64 * self.taps as u64 * pipeline.load_use_stall as u64);
-        machine.charge_stall(self.samples as u64 * pipeline.branch_penalty as u64);
+        machine.charge_stall(self.samples as u64 * self.taps as u64 * LOAD_USE_STALL as u64);
+        machine.charge_stall(self.samples as u64 * BRANCH_PENALTY as u64);
     }
 }
 
@@ -483,7 +481,7 @@ mod tests {
     fn cached_trace_rebuilds_on_different_line_size() {
         use tscache_core::cache::Cache;
         use tscache_core::geometry::CacheGeometry;
-        use tscache_core::hierarchy::{Hierarchy, Latencies};
+        use tscache_core::hierarchy::Hierarchy;
         use tscache_core::placement::PlacementKind;
         use tscache_core::replacement::ReplacementKind;
 
@@ -503,20 +501,18 @@ mod tests {
         // matching a fresh workload's accounting exactly.
         let mut narrow = Machine::from_setup(SetupKind::Deterministic, 1);
         w.run(&mut narrow);
-        let mut wide = Machine::new(Hierarchy::new(
+        let mut wide = Machine::new(Hierarchy::from_parts(
             wide_lines("L1I", 64),
             wide_lines("L1D", 64),
-            wide_lines("L2", 1024),
-            Latencies::default(),
+            vec![wide_lines("L2", 1024)],
         ));
         w.run(&mut wide);
         let mut l2 = layout();
         let mut fresh = ArraySweep::standard(&mut l2);
-        let mut wide_fresh = Machine::new(Hierarchy::new(
+        let mut wide_fresh = Machine::new(Hierarchy::from_parts(
             wide_lines("L1I", 64),
             wide_lines("L1D", 64),
-            wide_lines("L2", 1024),
-            Latencies::default(),
+            vec![wide_lines("L2", 1024)],
         ));
         fresh.run(&mut wide_fresh);
         assert_eq!(wide.cycles(), wide_fresh.cycles(), "stale trace replayed");
