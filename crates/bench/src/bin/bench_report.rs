@@ -22,8 +22,10 @@
 //!   depths;
 //! * Bernstein sampling throughput (samples/sec, the quantity that
 //!   bounds attack-campaign scale), solo and with an active co-runner;
-//! * contended-vs-solo `Machine::run_trace` throughput per arbitration
-//!   policy (what the interference layer costs the hot path);
+//! * contended-vs-solo `Machine::run_trace` throughput on the private
+//!   two-level TSCache machine (`machine/tscache-l2-round-robin/*`; the
+//!   name predates the bus's one policy), what the interference layer
+//!   costs the hot path;
 //! * the same on the shared-LLC platform, plus builds/sec of its
 //!   contended machine (`machine/*-shared/build-contended`);
 //! * Prime+Probe trials/sec through the parallel harness.
@@ -49,7 +51,7 @@ use tscache_core::parallel;
 use tscache_core::placement::PlacementKind;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
-use tscache_interference::{Arbitration, ContentionConfig};
+use tscache_interference::ContentionConfig;
 use tscache_sca::prime_probe::run_prime_probe;
 use tscache_sca::sampling::{CryptoNode, Role, SamplingConfig};
 
@@ -111,16 +113,9 @@ fn main() {
         }
     }
 
-    // The contended machine path per arbitration policy: solo vs
-    // co-runner run_trace throughput on the L2-heavy trace.
-    for arbitration in Arbitration::ALL {
-        results.extend(contended_machine_suite(
-            SetupKind::TsCache,
-            HierarchyDepth::TwoLevel,
-            arbitration,
-            ms,
-        ));
-    }
+    // The contended machine path: solo vs co-runner run_trace
+    // throughput on the L2-heavy trace.
+    results.extend(contended_machine_suite(SetupKind::TsCache, HierarchyDepth::TwoLevel, ms));
 
     // The shared-LLC platform on the same trace: solo and contended,
     // at both depths (what the shared-level merge loop costs relative
@@ -191,8 +186,6 @@ fn main() {
     };
     let contention_rr = rate("machine/tscache-l2-round-robin/contended")
         / rate("machine/tscache-l2-round-robin/solo");
-    let contention_tdma =
-        rate("machine/tscache-l2-tdma/contended") / rate("machine/tscache-l2-tdma/solo");
     let bernstein_contended_ratio =
         rate("bernstein/sampling-contended") / rate("bernstein/sampling");
     let shared_vs_private_solo =
@@ -219,7 +212,6 @@ fn main() {
         ("pr", pr as f64),
         ("threads", parallel::thread_count() as f64),
         ("throughput_ratio_contended_round_robin", contention_rr),
-        ("throughput_ratio_contended_tdma", contention_tdma),
         ("throughput_ratio_bernstein_contended", bernstein_contended_ratio),
         ("throughput_ratio_shared_vs_private_llc_solo", shared_vs_private_solo),
         ("throughput_ratio_shared_llc_contended", shared_contended_ratio),
@@ -239,7 +231,7 @@ fn main() {
     print!("{}", render_table(&results));
     println!();
     println!("contended vs solo throughput (same run):");
-    println!("  machine run_trace: round-robin {contention_rr:.2}x, tdma {contention_tdma:.2}x");
+    println!("  machine run_trace: {contention_rr:.2}x");
     println!("  bernstein sampling: {bernstein_contended_ratio:.2}x");
     println!("shared-LLC platform (same run):");
     println!("  solo vs private-LLC solo: {shared_vs_private_solo:.2}x");

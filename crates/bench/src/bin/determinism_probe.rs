@@ -23,7 +23,6 @@ use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
 use tscache_interference::{
     execute, CoRunner, ContentionConfig, CoreReport, CoreRun, EngineScratch, InterferenceOutcome,
-    SystemConfig,
 };
 use tscache_sca::bernstein::run_attack;
 use tscache_sca::detect::{run_detection_campaign, DetectTarget, DetectionCampaignConfig};
@@ -101,7 +100,7 @@ fn main() {
     println!("bernstein_attack {:016x}", d.0);
 
     // A contended Bernstein campaign: co-runner cores, shared-bus
-    // arbitration and MSHR coalescing must stay bit-identical across
+    // queuing and MSHR coalescing must stay bit-identical across
     // worker-thread counts too.
     let mut contended = SamplingConfig::standard(SetupKind::TsCache, 800, 0xc0);
     contended.contention = Some(ContentionConfig::default());
@@ -141,7 +140,6 @@ fn main() {
             &mut [CoreRun { hierarchy: &mut h, pid: ProcessId::new(1), ops: &trace }],
             &mut co,
             None,
-            &SystemConfig::default(),
             None,
             &mut EngineScratch::default(),
         )
@@ -226,7 +224,6 @@ fn main() {
             &mut [CoreRun { hierarchy: &mut h, pid: ProcessId::new(1), ops: &trace }],
             &mut co,
             Some(&mut llc),
-            &SystemConfig::default(),
             None,
             &mut EngineScratch::default(),
         )

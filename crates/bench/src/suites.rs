@@ -15,7 +15,7 @@ use tscache_core::prng::mix64;
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
-use tscache_interference::{Arbitration, ContentionConfig, SystemConfig};
+use tscache_interference::{ContentionConfig, SystemConfig};
 use tscache_sim::layout::Layout;
 use tscache_sim::machine::Machine;
 use tscache_sim::synthetic::ArraySweep;
@@ -197,18 +197,19 @@ pub fn flush_suite(setup: SetupKind, depth: HierarchyDepth, min_ms: u64) -> Meas
 
 /// The contended-vs-solo machine comparison, measured in one run: the
 /// same L2-heavy trace replayed through `Machine::run_trace` on a solo
-/// machine and on one with an active FIR co-runner under `arbitration`
-/// — the per-PR record of what the interference layer costs the hot
-/// path and how much timing the contention model injects.
+/// machine and on one with an active FIR co-runner — the per-PR record
+/// of what the interference layer costs the hot path and how much
+/// timing the contention model injects. The rows keep the
+/// `round-robin` tag they had while the bus had other policies, so
+/// `bench_report --compare` still pairs them with older reports.
 pub fn contended_machine_suite(
     setup: SetupKind,
     depth: HierarchyDepth,
-    arbitration: Arbitration,
     min_ms: u64,
 ) -> Vec<Measurement> {
     let pid = ProcessId::new(1);
     let ops = l2_heavy_trace();
-    let tag = format!("{}-{}-{}", setup.label(), depth.label(), arbitration.label());
+    let tag = format!("{}-{}-round-robin", setup.label(), depth.label());
     let mut results = Vec::with_capacity(2);
 
     let mut solo = Machine::from_setup_depth(setup, depth, 21);
@@ -222,12 +223,7 @@ pub fn contended_machine_suite(
     let mut contended = Machine::from_setup_depth(setup, depth, 21);
     contended.set_process(pid);
     contended.set_process_seed(pid, Seed::new(42));
-    contended.attach_standard_enemies(
-        setup,
-        depth,
-        &ContentionConfig { system: SystemConfig { arbitration }, ..ContentionConfig::default() },
-        77,
-    );
+    contended.attach_standard_enemies(setup, depth, &ContentionConfig::default(), 77);
     results.push(bench(format!("machine/{tag}/contended"), "accesses", min_ms, || {
         black_box(contended.run_trace(black_box(&ops)));
         ops.len() as u64
@@ -255,7 +251,7 @@ pub fn shared_llc_machine_suite(
     let tag = format!("{}-{}-shared", setup.label(), depth.label());
     let mut results = Vec::with_capacity(3);
 
-    let mut solo = Machine::from_setup_shared(setup, depth, SystemConfig::default(), 21);
+    let mut solo = Machine::from_setup_shared(setup, depth, SystemConfig, 21);
     solo.set_process(pid);
     solo.set_process_seed(pid, Seed::new(42));
     results.push(bench(format!("machine/{tag}/solo"), "accesses", min_ms, || {
@@ -263,7 +259,7 @@ pub fn shared_llc_machine_suite(
         ops.len() as u64
     }));
 
-    let mut contended = Machine::from_setup_shared(setup, depth, SystemConfig::default(), 21);
+    let mut contended = Machine::from_setup_shared(setup, depth, SystemConfig, 21);
     contended.set_process(pid);
     contended.set_process_seed(pid, Seed::new(42));
     contended.attach_standard_enemies(setup, depth, &ContentionConfig::default(), 77);
@@ -273,7 +269,7 @@ pub fn shared_llc_machine_suite(
     }));
 
     results.push(bench(format!("machine/{tag}/build-contended"), "builds", min_ms, || {
-        let mut m = Machine::from_setup_shared(setup, depth, SystemConfig::default(), 21);
+        let mut m = Machine::from_setup_shared(setup, depth, SystemConfig, 21);
         m.attach_standard_enemies(setup, depth, &ContentionConfig::default(), 77);
         black_box(m);
         1
@@ -313,7 +309,7 @@ pub fn coherence_suite(setup: SetupKind, min_ms: u64) -> Vec<Measurement> {
         .collect();
 
     let mut coherent =
-        Machine::from_setup_shared(setup, HierarchyDepth::TwoLevel, SystemConfig::default(), 21);
+        Machine::from_setup_shared(setup, HierarchyDepth::TwoLevel, SystemConfig, 21);
     coherent.set_process(pid);
     coherent.set_process_seed(pid, Seed::new(42));
     coherent.add_coherent_range(Addr::new(coherent_base), 16 * 32);
@@ -546,7 +542,7 @@ pub fn defense_suite(min_ms: u64) -> Vec<Measurement> {
             let mut machine = Machine::from_setup_shared(
                 SetupKind::TsCache,
                 HierarchyDepth::TwoLevel,
-                SystemConfig::default(),
+                SystemConfig,
                 21,
             );
             machine.set_process(pid);
@@ -697,12 +693,7 @@ mod tests {
 
     #[test]
     fn contended_suite_reports_solo_and_contended() {
-        let results = contended_machine_suite(
-            SetupKind::TsCache,
-            HierarchyDepth::TwoLevel,
-            Arbitration::RoundRobin,
-            1,
-        );
+        let results = contended_machine_suite(SetupKind::TsCache, HierarchyDepth::TwoLevel, 1);
         let names: Vec<&str> = results.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
             names,

@@ -490,7 +490,6 @@ impl SweepSpec {
     /// the attack cannot express.
     fn canonicalize(
         attack: AttackKind,
-        _setup: SetupKind,
         depth: HierarchyDepth,
         platform: PlatformKind,
         contended: bool,
@@ -509,14 +508,9 @@ impl SweepSpec {
                 AttackKind::FlushReload => {
                     Some((HierarchyDepth::TwoLevel, PlatformKind::Coherent, false))
                 }
-                AttackKind::Rtos if detection == DetectionMode::Monitor => Self::canonicalize(
-                    attack,
-                    _setup,
-                    depth,
-                    platform,
-                    contended,
-                    DetectionMode::Off,
-                ),
+                AttackKind::Rtos if detection == DetectionMode::Monitor => {
+                    Self::canonicalize(attack, depth, platform, contended, DetectionMode::Off)
+                }
                 _ => None,
             };
         }
@@ -577,7 +571,7 @@ impl SweepSpec {
                             for &detection in &self.detection {
                                 for &defense in &self.defenses {
                                     let Some((depth, platform, contended)) = Self::canonicalize(
-                                        attack, setup, depth, platform, contended, detection,
+                                        attack, depth, platform, contended, detection,
                                     ) else {
                                         continue;
                                     };

@@ -1,67 +1,20 @@
 //! The shared memory bus: a single port serializing every off-chip
 //! transaction (last-level miss fills and dirty writebacks) of all
-//! cores, under a configurable arbitration policy.
+//! cores, first come first served.
 //!
 //! The bus works on *transaction request times*: a core that needs the
-//! bus at cycle `t` is granted it at some cycle `g ≥ t`, and `g − t`
-//! is the queuing delay charged on top of the core's solo cycle count.
-//! Grants are computed from the bus's own history only (no lookahead),
-//! so the model is deterministic in the order transactions are
-//! presented — which the multi-core engine fixes by always advancing
-//! the core with the smallest clock.
-
-use core::fmt;
+//! bus at cycle `t` is granted it at the first cycle `g ≥ t` the bus is
+//! free, and `g − t` is the queuing delay charged on top of the core's
+//! solo cycle count. Grants are computed from the bus's own history only
+//! (no lookahead), so the model is deterministic in the order
+//! transactions are presented — which the multi-core engine fixes by
+//! always advancing the core with the smallest clock, lowest index on
+//! ties.
 
 /// Cycles one transaction occupies the bus: the transfer slot. The
 /// end-to-end memory latency itself stays in the hierarchy's memory
 /// penalty.
 pub(crate) const SERVICE_CYCLES: u32 = 8;
-
-/// Length of each core's TDMA slot in cycles: four service slots.
-pub(crate) const TDMA_SLOT_CYCLES: u32 = 32;
-
-/// How the shared bus arbitrates between cores.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Arbitration {
-    /// First-come first-served with rotating tie-breaks: a transaction
-    /// waits only for the bus to drain (the average-case policy, and
-    /// the default).
-    #[default]
-    RoundRobin,
-    /// Lower core index = higher priority. On a collision (the bus is
-    /// busy at request time) a low-priority core additionally waits
-    /// out one service slot per higher-priority core with recent bus
-    /// traffic — the deterministic stand-in for losing arbitration
-    /// rounds to them.
-    FixedPriority,
-    /// Time-division multiple access: core `c` may only *start* a
-    /// transaction inside its own 32-cycle slot in a rotating schedule
-    /// of `n_cores` slots — the composable policy real-time multicores
-    /// use, trading bandwidth for a contention bound that is
-    /// independent of co-runner behaviour.
-    Tdma,
-}
-
-impl Arbitration {
-    /// The three policies, in presentation order.
-    pub const ALL: [Arbitration; 3] =
-        [Arbitration::RoundRobin, Arbitration::FixedPriority, Arbitration::Tdma];
-
-    /// Short label used in figures and bench names.
-    pub fn label(self) -> &'static str {
-        match self {
-            Arbitration::RoundRobin => "round-robin",
-            Arbitration::FixedPriority => "fixed-priority",
-            Arbitration::Tdma => "tdma",
-        }
-    }
-}
-
-impl fmt::Display for Arbitration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Aggregate bus accounting of one engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,76 +27,30 @@ pub struct BusReport {
     pub busy_cycles: u64,
 }
 
-/// The shared bus state during one engine run.
-#[derive(Debug)]
-pub struct Bus {
-    arbitration: Arbitration,
-    n_cores: usize,
+/// The shared bus state during one engine run; starts idle.
+#[derive(Debug, Default)]
+pub(crate) struct Bus {
     /// First cycle the bus is free again.
     free_at: u64,
-    /// Per-core time of the most recent grant (`u64::MAX` = never).
-    last_grant: Vec<u64>,
     report: BusReport,
 }
 
 impl Bus {
-    /// Creates an idle bus for `n_cores` cores.
-    pub fn new(arbitration: Arbitration, n_cores: usize) -> Self {
-        assert!(n_cores > 0, "bus needs at least one core");
-        Bus {
-            arbitration,
-            n_cores,
-            free_at: 0,
-            last_grant: vec![u64::MAX; n_cores],
-            report: BusReport::default(),
-        }
-    }
-
     /// Accounting so far.
-    pub fn report(&self) -> BusReport {
+    pub(crate) fn report(&self) -> BusReport {
         self.report
     }
 
-    /// Grants `core` a transaction requested at cycle `request`;
-    /// returns the grant cycle (`≥ request`). The transaction occupies
-    /// the bus for the 8-cycle service slot from the grant.
-    pub fn grant(&mut self, core: usize, request: u64) -> u64 {
+    /// Grants a transaction requested at cycle `request`; returns the
+    /// grant cycle (`≥ request`). The transaction occupies the bus for
+    /// the 8-cycle service slot from the grant.
+    pub(crate) fn grant(&mut self, request: u64) -> u64 {
         let service = SERVICE_CYCLES as u64;
-        let mut grant = request.max(self.free_at);
-        match self.arbitration {
-            Arbitration::RoundRobin => {}
-            Arbitration::FixedPriority => {
-                if grant > request {
-                    // Collided while the bus was draining: lose one
-                    // arbitration round per higher-priority core that
-                    // used the bus within the last rotation.
-                    let window = service * self.n_cores as u64;
-                    let recent = self.last_grant[..core]
-                        .iter()
-                        .filter(|&&g| g != u64::MAX && g + window > request)
-                        .count() as u64;
-                    grant += recent * service;
-                }
-            }
-            Arbitration::Tdma => {
-                let slot = TDMA_SLOT_CYCLES as u64;
-                let period = slot * self.n_cores as u64;
-                let my_start = core as u64 * slot;
-                let pos = grant % period;
-                grant += if pos < my_start {
-                    my_start - pos
-                } else if pos < my_start + slot {
-                    0
-                } else {
-                    period - pos + my_start
-                };
-            }
-        }
+        let grant = request.max(self.free_at);
         self.report.transactions += 1;
         self.report.total_wait += grant - request;
         self.report.busy_cycles += service;
         self.free_at = grant + service;
-        self.last_grant[core] = grant;
         grant
     }
 }
@@ -154,57 +61,21 @@ mod tests {
 
     #[test]
     fn uncontended_round_robin_grants_immediately() {
-        let mut bus = Bus::new(Arbitration::RoundRobin, 2);
-        assert_eq!(bus.grant(0, 100), 100);
+        let mut bus = Bus::default();
+        assert_eq!(bus.grant(100), 100);
         // Next request after the service slot: no wait.
-        assert_eq!(bus.grant(1, 108), 108);
+        assert_eq!(bus.grant(108), 108);
         assert_eq!(bus.report().total_wait, 0);
         assert_eq!(bus.report().transactions, 2);
     }
 
     #[test]
     fn busy_bus_queues_the_second_request() {
-        let mut bus = Bus::new(Arbitration::RoundRobin, 2);
-        bus.grant(0, 100);
+        let mut bus = Bus::default();
+        bus.grant(100);
         // Requested mid-service: waits until 108.
-        assert_eq!(bus.grant(1, 103), 108);
+        assert_eq!(bus.grant(103), 108);
         assert_eq!(bus.report().total_wait, 5);
-    }
-
-    #[test]
-    fn fixed_priority_penalizes_low_priority_collisions() {
-        let mut rr = Bus::new(Arbitration::RoundRobin, 2);
-        let mut fp = Bus::new(Arbitration::FixedPriority, 2);
-        for bus in [&mut rr, &mut fp] {
-            bus.grant(0, 100);
-        }
-        // Core 1 collides; under fixed priority it additionally waits
-        // out core 0's recent traffic.
-        let g_rr = rr.grant(1, 103);
-        let g_fp = fp.grant(1, 103);
-        assert!(g_fp > g_rr, "fixed priority must delay the low-priority core more");
-        // The high-priority core itself never pays the penalty.
-        assert_eq!(fp.grant(0, 200), 200);
-    }
-
-    #[test]
-    fn tdma_waits_for_the_owned_slot() {
-        let mut bus = Bus::new(Arbitration::Tdma, 2);
-        // Period 64: core 0 owns [0, 32), core 1 owns [32, 64).
-        assert_eq!(bus.grant(0, 5), 5);
-        assert_eq!(bus.grant(1, 65), 96, "core 1 waits for its slot");
-        assert_eq!(bus.grant(0, 130), 130, "in-slot request starts at once");
-        // Wait never exceeds one full period.
-        for t in 0..300u64 {
-            let mut b = Bus::new(Arbitration::Tdma, 2);
-            assert!(b.grant(1, t) - t <= 64, "t={t}");
-        }
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(Arbitration::RoundRobin.to_string(), "round-robin");
-        assert_eq!(Arbitration::Tdma.to_string(), "tdma");
-        assert_eq!(Arbitration::ALL.len(), 3);
+        assert_eq!(bus.report().busy_cycles, 16);
     }
 }

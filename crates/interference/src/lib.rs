@@ -6,8 +6,9 @@
 //! crate models the three mechanisms the paper's setting cares about:
 //!
 //! * a **shared memory bus** ([`bus`]) serializing every off-chip
-//!   transaction under round-robin, fixed-priority or TDMA
-//!   arbitration, the one setting of [`SystemConfig`];
+//!   transaction first come first served, one 8-cycle service slot
+//!   each. The contention model has no setting ([`SystemConfig`] has
+//!   no field): a machine contends once a co-runner is attached;
 //! * **MSHR files** ([`mshr`]) coalescing a core's repeat misses to a
 //!   line whose fill is still in flight, per cache level;
 //! * **multi-core execution** ([`multicore`]): one event-merge engine
@@ -46,7 +47,7 @@ pub mod bus;
 pub mod mshr;
 pub mod multicore;
 
-pub use bus::{Arbitration, Bus, BusReport};
+pub use bus::BusReport;
 pub use mshr::MshrFile;
 pub use multicore::{
     execute, execute_scalar, solo_op, CoRunner, ContentionConfig, CoreReport, CoreRun,

@@ -1,7 +1,8 @@
 //! Contended multi-core execution: N cores share one memory bus;
-//! last-level miss fills and memory-bound writebacks arbitrate for it,
-//! MSHR files coalesce repeat misses to a line in flight, and on a
-//! shared-LLC platform every core's last level is one shared cache.
+//! last-level miss fills and memory-bound writebacks queue for it first
+//! come first served, MSHR files coalesce repeat misses to a line in
+//! flight, and on a shared-LLC platform every core's last level is one
+//! shared cache.
 //!
 //! # One engine, one walk
 //!
@@ -78,7 +79,7 @@
 //! parallelism): misses of different cores on the same line never
 //! coalesce with each other.
 
-use crate::bus::{Arbitration, Bus, BusReport, SERVICE_CYCLES};
+use crate::bus::{Bus, BusReport, SERVICE_CYCLES};
 use crate::mshr::MshrFile;
 use std::sync::Arc;
 use tscache_core::addr::LineAddr;
@@ -89,31 +90,28 @@ use tscache_core::hierarchy::{
 use tscache_core::seed::ProcessId;
 use tscache_telemetry::{Event, RecorderHandle};
 
-/// The contention model of a platform: one shared bus, plus an MSHR
-/// file at every cache level of every core.
+/// The contention model, which has no setting: one first-come
+/// first-served bus plus an MSHR file per cache level per core. It
+/// stays only as an argument of `Machine::from_setup_shared`, which the
+/// benchmark package (`campaign_bench`) passes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SystemConfig {
-    /// How the shared bus arbitrates between cores.
-    pub arbitration: Arbitration,
-}
+pub struct SystemConfig;
 
 /// One-knob description of a contended campaign, consumed by the
 /// attack-sampling and measurement layers: how many co-runner cores,
-/// which bus arbitration, and whether caches run write-back (so dirty
-/// evictions join the bus traffic).
+/// and whether caches run write-back (so dirty evictions join the bus
+/// traffic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContentionConfig {
     /// Enemy cores running alongside the measured core.
     pub co_runners: u32,
-    /// Bus arbitration.
-    pub system: SystemConfig,
     /// Run every core's caches write-back.
     pub write_back: bool,
 }
 
 impl Default for ContentionConfig {
     fn default() -> Self {
-        ContentionConfig { co_runners: 1, system: SystemConfig::default(), write_back: true }
+        ContentionConfig { co_runners: 1, write_back: true }
     }
 }
 
@@ -198,11 +196,10 @@ pub fn execute(
     cores: &mut [CoreRun<'_>],
     co: &mut [CoRunner],
     llc: Option<&mut SharedLlc>,
-    cfg: &SystemConfig,
     recorder: Option<&RecorderHandle>,
     scratch: &mut EngineScratch,
 ) -> InterferenceOutcome {
-    run(cores, co, llc, cfg, recorder, scratch, true)
+    run(cores, co, llc, recorder, scratch, true)
 }
 
 /// The reference engine: the same merge as [`execute`], with every
@@ -212,9 +209,8 @@ pub fn execute_scalar(
     cores: &mut [CoreRun<'_>],
     co: &mut [CoRunner],
     llc: Option<&mut SharedLlc>,
-    cfg: &SystemConfig,
 ) -> InterferenceOutcome {
-    run(cores, co, llc, cfg, None, &mut EngineScratch::default(), false)
+    run(cores, co, llc, None, &mut EngineScratch::default(), false)
 }
 
 /// The one merge loop behind both engines; `batch` selects whether
@@ -223,7 +219,6 @@ fn run(
     cores: &mut [CoreRun<'_>],
     co: &mut [CoRunner],
     mut llc: Option<&mut SharedLlc>,
-    cfg: &SystemConfig,
     recorder: Option<&RecorderHandle>,
     scratch: &mut EngineScratch,
     batch: bool,
@@ -243,7 +238,7 @@ fn run(
         .map(|c| c.hierarchy.l1i().geometry().offset_bits())
         .chain(co.iter().map(|r| r.offset_bits))
         .collect();
-    let mut merger = Merger::new(cfg, depths, offsets, recorder);
+    let mut merger = Merger::new(depths, offsets, recorder);
     let coherent = llc.as_deref().is_some_and(SharedLlc::has_coherence);
     // The sharer directory is a 32-bit bitmap: a larger coherent run
     // would alias core 32's bit onto core 0.
@@ -529,17 +524,11 @@ struct Merger {
 }
 
 impl Merger {
-    fn new(
-        cfg: &SystemConfig,
-        depths: Vec<usize>,
-        offsets: Vec<u32>,
-        recorder: Option<&RecorderHandle>,
-    ) -> Self {
-        let n = depths.len();
+    fn new(depths: Vec<usize>, offsets: Vec<u32>, recorder: Option<&RecorderHandle>) -> Self {
         Merger {
-            bus: Bus::new(cfg.arbitration, n),
+            bus: Bus::default(),
             mshr: depths.iter().map(|&d| vec![MshrFile::default(); d]).collect(),
-            clocks: vec![0; n],
+            clocks: vec![0; depths.len()],
             depths,
             offsets,
             recorder: recorder.cloned(),
@@ -553,7 +542,7 @@ impl Merger {
     }
 
     /// Executes op `seq` of `core` (touching `line`) with solo timing
-    /// `t`: MSHR coalescing, then bus arbitration for its read and
+    /// `t`: MSHR coalescing, then a bus grant for each of its read and
     /// writeback transactions and its `coh_txns` coherence
     /// transactions, in that order, accounted in `report`.
     fn step(
@@ -591,7 +580,7 @@ impl Merger {
         let mut at = self.clocks[core] + t.cycles as u64;
         let mut wait = 0u64;
         let bus_txn = |bus: &mut Bus, at: &mut u64, wait: &mut u64| {
-            let g = bus.grant(core, *at);
+            let g = bus.grant(*at);
             let waited = (g - *at).min(u32::MAX as u64) as u32;
             record(g, Event::BusGrant { core: id, wait: waited, service: SERVICE_CYCLES });
             *wait += g - *at;
@@ -829,9 +818,8 @@ mod tests {
         cores: &mut [CoreRun<'_>],
         co: &mut [CoRunner],
         llc: Option<&mut SharedLlc>,
-        cfg: &SystemConfig,
     ) -> InterferenceOutcome {
-        execute(cores, co, llc, cfg, None, &mut EngineScratch::default())
+        execute(cores, co, llc, None, &mut EngineScratch::default())
     }
 
     fn pair() -> (Hierarchy, Hierarchy) {
@@ -845,37 +833,32 @@ mod tests {
 
     #[test]
     fn batch_engine_matches_scalar_engine() {
-        for arbitration in Arbitration::ALL {
-            let cfg = SystemConfig { arbitration };
-            let (t0, t1) = (trace(3, 900), trace(4, 700));
-            let (mut a0, mut a1) = pair();
-            let (mut b0, mut b1) = pair();
-            for h in [&mut a0, &mut a1, &mut b0, &mut b1] {
-                h.set_write_policy(tscache_core::cache::WritePolicy::WriteBack);
-            }
-            let pid = ProcessId::new(1);
-            let scalar = execute_scalar(
-                &mut [
-                    CoreRun { hierarchy: &mut a0, pid, ops: &t0 },
-                    CoreRun { hierarchy: &mut a1, pid, ops: &t1 },
-                ],
-                &mut [],
-                None,
-                &cfg,
-            );
-            let batched = batch(
-                &mut [
-                    CoreRun { hierarchy: &mut b0, pid, ops: &t0 },
-                    CoreRun { hierarchy: &mut b1, pid, ops: &t1 },
-                ],
-                &mut [],
-                None,
-                &cfg,
-            );
-            assert_eq!(scalar, batched, "{arbitration}");
-            assert_eq!(a0.total_stats(), b0.total_stats(), "{arbitration}");
-            assert_eq!(a1.total_stats(), b1.total_stats(), "{arbitration}");
+        let (t0, t1) = (trace(3, 900), trace(4, 700));
+        let (mut a0, mut a1) = pair();
+        let (mut b0, mut b1) = pair();
+        for h in [&mut a0, &mut a1, &mut b0, &mut b1] {
+            h.set_write_policy(tscache_core::cache::WritePolicy::WriteBack);
         }
+        let pid = ProcessId::new(1);
+        let scalar = execute_scalar(
+            &mut [
+                CoreRun { hierarchy: &mut a0, pid, ops: &t0 },
+                CoreRun { hierarchy: &mut a1, pid, ops: &t1 },
+            ],
+            &mut [],
+            None,
+        );
+        let batched = batch(
+            &mut [
+                CoreRun { hierarchy: &mut b0, pid, ops: &t0 },
+                CoreRun { hierarchy: &mut b1, pid, ops: &t1 },
+            ],
+            &mut [],
+            None,
+        );
+        assert_eq!(scalar, batched);
+        assert_eq!(a0.total_stats(), b0.total_stats());
+        assert_eq!(a1.total_stats(), b1.total_stats());
     }
 
     /// Everything one cache level decided: statistics, contents (set,
@@ -907,7 +890,6 @@ mod tests {
         // behind. The trace ends in 64 read-flush-read triples on fresh
         // lines, so some last-level misses do coalesce: each re-read
         // misses everywhere two ops after its line's fill started.
-        let cfg = SystemConfig::default();
         let pid = ProcessId::new(1);
         let mut ops = TraceOp::mixed_trace(91, 40_000, 1 << 22);
         ops.extend((0..64u64).flat_map(|i| {
@@ -928,7 +910,6 @@ mod tests {
                     &mut [CoreRun { hierarchy: &mut h, pid, ops: &ops }],
                     &mut [],
                     None,
-                    &cfg,
                     Some(&recorder),
                     &mut EngineScratch::default(),
                 );
@@ -968,9 +949,7 @@ mod tests {
         let pid = ProcessId::new(1);
         let t0 = trace(7, 800);
         let t1 = trace(8, 800);
-        let cfg = SystemConfig::default();
-        let solo_out =
-            batch(&mut [CoreRun { hierarchy: &mut solo, pid, ops: &t0 }], &mut [], None, &cfg);
+        let solo_out = batch(&mut [CoreRun { hierarchy: &mut solo, pid, ops: &t0 }], &mut [], None);
         let contended = batch(
             &mut [
                 CoreRun { hierarchy: &mut c0, pid, ops: &t0 },
@@ -978,7 +957,6 @@ mod tests {
             ],
             &mut [],
             None,
-            &cfg,
         );
         assert_eq!(solo_out.cores[0].base_cycles, contended.cores[0].base_cycles);
         assert!(contended.cores[0].cycles >= solo_out.cores[0].cycles);
@@ -997,7 +975,6 @@ mod tests {
                 &mut [CoreRun { hierarchy: &mut h, pid: ProcessId::new(1), ops: &t }],
                 &mut co,
                 None,
-                &SystemConfig::default(),
             )
         };
         let a = run();
@@ -1036,7 +1013,7 @@ mod tests {
                 .zip(perm.iter())
                 .map(|(h, &c)| CoreRun { hierarchy: h, pid: ProcessId::new(1), ops: &traces[c] })
                 .collect();
-            let out = batch(&mut cores, &mut [], None, &SystemConfig::default());
+            let out = batch(&mut cores, &mut [], None);
             // Report per original core id, independent of position.
             let mut by_core = [CoreReport::default(); 3];
             for (pos, &c) in perm.iter().enumerate() {
@@ -1096,32 +1073,29 @@ mod tests {
 
     #[test]
     fn shared_batch_engine_matches_shared_scalar_engine() {
-        for arbitration in Arbitration::ALL {
-            let cfg = SystemConfig { arbitration };
-            let traces = [trace(51, 700), trace(52, 600)];
-            let run = |scalar: bool| {
-                let (mut hs, pids, mut llc) = shared_platform(2, 5);
-                for h in &mut hs {
-                    h.set_write_policy(tscache_core::cache::WritePolicy::WriteBack);
-                }
-                llc.set_write_policy(tscache_core::cache::WritePolicy::WriteBack);
-                let mut cores: Vec<CoreRun<'_>> = hs
-                    .iter_mut()
-                    .zip(&pids)
-                    .zip(&traces)
-                    .map(|((h, &pid), t)| CoreRun { hierarchy: h, pid, ops: t })
-                    .collect();
-                let out = if scalar {
-                    execute_scalar(&mut cores, &mut [], Some(&mut llc), &cfg)
-                } else {
-                    batch(&mut cores, &mut [], Some(&mut llc), &cfg)
-                };
-                let stats: Vec<_> = hs.iter().map(|h| h.total_stats()).collect();
-                let contents: Vec<_> = llc.cache().contents().collect();
-                (out, stats, *llc.cache().stats(), contents)
+        let traces = [trace(51, 700), trace(52, 600)];
+        let run = |scalar: bool| {
+            let (mut hs, pids, mut llc) = shared_platform(2, 5);
+            for h in &mut hs {
+                h.set_write_policy(tscache_core::cache::WritePolicy::WriteBack);
+            }
+            llc.set_write_policy(tscache_core::cache::WritePolicy::WriteBack);
+            let mut cores: Vec<CoreRun<'_>> = hs
+                .iter_mut()
+                .zip(&pids)
+                .zip(&traces)
+                .map(|((h, &pid), t)| CoreRun { hierarchy: h, pid, ops: t })
+                .collect();
+            let out = if scalar {
+                execute_scalar(&mut cores, &mut [], Some(&mut llc))
+            } else {
+                batch(&mut cores, &mut [], Some(&mut llc))
             };
-            assert_eq!(run(true), run(false), "{arbitration}");
-        }
+            let stats: Vec<_> = hs.iter().map(|h| h.total_stats()).collect();
+            let contents: Vec<_> = llc.cache().contents().collect();
+            (out, stats, *llc.cache().stats(), contents)
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -1136,7 +1110,6 @@ mod tests {
             &mut [CoreRun { hierarchy: &mut hs[0], pid: pids[0], ops: &ops }],
             &mut [],
             Some(&mut llc),
-            &SystemConfig::default(),
         );
         let llc_stats = llc.cache().stats();
         assert!(llc_stats.hits() > 0, "no steady-state LLC hits");
@@ -1179,7 +1152,7 @@ mod tests {
                     ops: &enemy_ops,
                 });
             }
-            let out = batch(&mut cores, &mut [], Some(&mut llc), &SystemConfig::default());
+            let out = batch(&mut cores, &mut [], Some(&mut llc));
             (out.cores[0], llc.cache().stats().cross_process_evictions())
         };
         let (solo, _) = run(false, false);
@@ -1214,7 +1187,6 @@ mod tests {
                 &mut [CoreRun { hierarchy: &mut h, pid: pids[0], ops: &t }],
                 &mut co,
                 Some(&mut llc),
-                &SystemConfig::default(),
             );
             (out, *llc.cache().stats())
         };
@@ -1267,7 +1239,7 @@ mod tests {
                 .zip(&pids)
                 .map(|(h, &pid)| CoreRun { hierarchy: h, pid, ops: &ops })
                 .collect();
-            batch(&mut cores, &mut [], Some(&mut llc), &SystemConfig::default())
+            batch(&mut cores, &mut [], Some(&mut llc))
         };
         assert_eq!(run(SharedLlc::DIRECTORY_CORES).cores.len(), SharedLlc::DIRECTORY_CORES);
         let panic = std::panic::catch_unwind(|| run(SharedLlc::DIRECTORY_CORES + 1))
@@ -1303,29 +1275,6 @@ mod tests {
     }
 
     #[test]
-    fn tdma_bounds_per_transaction_wait() {
-        let cfg = SystemConfig { arbitration: Arbitration::Tdma };
-        let (mut c0, mut c1) = pair();
-        let pid = ProcessId::new(1);
-        let (t0, t1) = (trace(31, 600), trace(32, 600));
-        let out = batch(
-            &mut [
-                CoreRun { hierarchy: &mut c0, pid, ops: &t0 },
-                CoreRun { hierarchy: &mut c1, pid, ops: &t1 },
-            ],
-            &mut [],
-            None,
-            &cfg,
-        );
-        // Every transaction waits at most one full TDMA round.
-        let round = crate::bus::TDMA_SLOT_CYCLES as u64 * 2;
-        for (i, core) in out.cores.iter().enumerate() {
-            let txns = core.mem_reads + core.mem_writebacks;
-            assert!(core.bus_wait <= txns * round, "core {i} waited beyond the TDMA bound");
-        }
-    }
-
-    #[test]
     fn co_runner_mshr_windows_expire_with_its_op_sequence() {
         // A cyclic enemy trace of `lines` lines all aliasing one 4-way
         // LRU L1D set, with the L2 warm: every access misses the L1D
@@ -1344,7 +1293,6 @@ mod tests {
                 &mut [CoreRun { hierarchy: &mut h, pid: ProcessId::new(1), ops: &t }],
                 &mut co,
                 None,
-                &SystemConfig::default(),
             );
             let report = out.cores[1];
             assert!(report.ops > 32, "enemy barely ran; test needs several trace cycles");
@@ -1392,7 +1340,6 @@ mod tests {
             &mut [CoreRun { hierarchy: &mut h, pid: ProcessId::new(1), ops: &ops }],
             &mut [],
             None,
-            &SystemConfig::default(),
         );
         assert_eq!(h.l1d().stats().misses(), 5, "A, B, X, A and B miss");
         let core = out.cores[0];

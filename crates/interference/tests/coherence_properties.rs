@@ -20,7 +20,7 @@ use tscache_core::hierarchy::{Hierarchy, SharedLlc, TraceOp};
 use tscache_core::placement::PlacementKind;
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
-use tscache_interference::{execute, execute_scalar, CoreRun, EngineScratch, SystemConfig};
+use tscache_interference::{execute, execute_scalar, CoreRun, EngineScratch};
 
 /// The enemy's coherent segment: 16 lines at 16 MiB, far from any
 /// victim data.
@@ -101,9 +101,7 @@ proptest! {
             if enemy_salt.is_some() {
                 cores.push(CoreRun { hierarchy: &mut eh, pid: enemy, ops: &enemy_ops });
             }
-            let cfg = SystemConfig::default();
-            let out =
-                execute(&mut cores, &mut [], Some(&mut llc), &cfg, None, &mut EngineScratch::default());
+            let out = execute(&mut cores, &mut [], Some(&mut llc), None, &mut EngineScratch::default());
             let v = out.cores[0];
             (
                 (v.ops, v.base_cycles, v.mem_reads, v.mem_writebacks, v.coh_invalidations),
@@ -193,11 +191,10 @@ proptest! {
         }
         {
             let mut cores = vec![CoreRun { hierarchy: &mut h, pid, ops: &ops }];
-            let cfg = SystemConfig::default();
             if scalar {
-                execute_scalar(&mut cores, &mut [], Some(&mut llc), &cfg);
+                execute_scalar(&mut cores, &mut [], Some(&mut llc));
             } else {
-                execute(&mut cores, &mut [], Some(&mut llc), &cfg, None, &mut EngineScratch::default());
+                execute(&mut cores, &mut [], Some(&mut llc), None, &mut EngineScratch::default());
             }
         }
         let first = COHERENT_BASE >> 5;

@@ -3,7 +3,7 @@
 //! ([`execute_scalar`], every core walked op by op) — per-core cycles,
 //! bus waits, MSHR accounting, per-level statistics (including
 //! writeback counters) and final cache contents — across every
-//! placement × replacement × depth × arbitration combination, with
+//! placement × replacement × depth combination, with
 //! write-back caches on; on private, shared-LLC and coherent
 //! platforms; and in the segment shape `Machine::run_trace` drives (one
 //! finite core against cyclic co-runners).
@@ -12,8 +12,7 @@
 //! finite-core axes pin the merge, bus, MSHR and coherence order rather
 //! than two walks. Only co-runners pre-execute, so the segment axis is
 //! the one that compares two walks: buffered co-runner chunks against
-//! the per-op reference, under every arbitration policy and both
-//! shared-level write policies.
+//! the per-op reference, under both shared-level write policies.
 
 use tscache_core::addr::Addr;
 use tscache_core::cache::{Cache, WritePolicy};
@@ -25,8 +24,7 @@ use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
 use tscache_core::stats::CacheStats;
 use tscache_interference::{
-    execute, execute_scalar, Arbitration, CoRunner, CoreRun, EngineScratch, InterferenceOutcome,
-    SystemConfig,
+    execute, execute_scalar, CoRunner, CoreRun, EngineScratch, InterferenceOutcome,
 };
 
 /// The reference engine or the production one (fresh scratch, no
@@ -35,12 +33,11 @@ fn engine(
     scalar: bool,
     cores: &mut [CoreRun<'_>],
     llc: Option<&mut SharedLlc>,
-    cfg: &SystemConfig,
 ) -> InterferenceOutcome {
     if scalar {
-        execute_scalar(cores, &mut [], llc, cfg)
+        execute_scalar(cores, &mut [], llc)
     } else {
-        execute(cores, &mut [], llc, cfg, None, &mut EngineScratch::default())
+        execute(cores, &mut [], llc, None, &mut EngineScratch::default())
     }
 }
 
@@ -110,43 +107,39 @@ fn contended_batch_is_bit_identical_to_scalar_interleaving() {
     for depth in HierarchyDepth::ALL {
         for placement in PlacementKind::ALL {
             for replacement in ReplacementKind::ALL {
-                for arbitration in Arbitration::ALL {
-                    let label = format!("{placement}/{replacement}/{depth}/{arbitration}");
-                    let cfg = SystemConfig { arbitration };
-                    let salt = (placement as usize * 64 + replacement as usize * 8 + depth as usize)
-                        as u64
-                        + 1;
-                    let traces: Vec<Vec<TraceOp>> = (0..3)
-                        .map(|c| recorded_trace(salt ^ (c as u64) << 8, 420 + 60 * c))
+                let label = format!("{placement}/{replacement}/{depth}");
+                let salt = (placement as usize * 64 + replacement as usize * 8 + depth as usize)
+                    as u64
+                    + 1;
+                let traces: Vec<Vec<TraceOp>> =
+                    (0..3).map(|c| recorded_trace(salt ^ (c as u64) << 8, 420 + 60 * c)).collect();
+                let mut scalar_h: Vec<Hierarchy> = (0..3)
+                    .map(|c| small_hierarchy(placement, replacement, depth, c as u64))
+                    .collect();
+                let mut batch_h: Vec<Hierarchy> = (0..3)
+                    .map(|c| small_hierarchy(placement, replacement, depth, c as u64))
+                    .collect();
+                let scalar = {
+                    let mut cores: Vec<CoreRun<'_>> = scalar_h
+                        .iter_mut()
+                        .zip(&traces)
+                        .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
                         .collect();
-                    let mut scalar_h: Vec<Hierarchy> = (0..3)
-                        .map(|c| small_hierarchy(placement, replacement, depth, c as u64))
+                    engine(true, &mut cores, None)
+                };
+                let batch = {
+                    let mut cores: Vec<CoreRun<'_>> = batch_h
+                        .iter_mut()
+                        .zip(&traces)
+                        .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
                         .collect();
-                    let mut batch_h: Vec<Hierarchy> = (0..3)
-                        .map(|c| small_hierarchy(placement, replacement, depth, c as u64))
-                        .collect();
-                    let scalar = {
-                        let mut cores: Vec<CoreRun<'_>> = scalar_h
-                            .iter_mut()
-                            .zip(&traces)
-                            .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
-                            .collect();
-                        engine(true, &mut cores, None, &cfg)
-                    };
-                    let batch = {
-                        let mut cores: Vec<CoreRun<'_>> = batch_h
-                            .iter_mut()
-                            .zip(&traces)
-                            .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
-                            .collect();
-                        engine(false, &mut cores, None, &cfg)
-                    };
-                    assert_eq!(scalar, batch, "{label}: engine outcomes diverge");
-                    for (i, (a, b)) in scalar_h.iter().zip(&batch_h).enumerate() {
-                        assert_hierarchies_identical(a, b, &format!("{label}/core{i}"));
-                    }
-                    coalesces += coalesced(&scalar);
+                    engine(false, &mut cores, None)
+                };
+                assert_eq!(scalar, batch, "{label}: engine outcomes diverge");
+                for (i, (a, b)) in scalar_h.iter().zip(&batch_h).enumerate() {
+                    assert_hierarchies_identical(a, b, &format!("{label}/core{i}"));
                 }
+                coalesces += coalesced(&scalar);
             }
         }
     }
@@ -161,7 +154,6 @@ fn paper_presets_match_across_engines_with_active_writebacks() {
     for setup in SetupKind::ALL {
         for depth in HierarchyDepth::ALL {
             let label = format!("{setup}/{depth}");
-            let cfg = SystemConfig::default();
             // A footprint well past the 16 KiB paper L1, so dirty
             // lines really get evicted.
             let traces: Vec<Vec<TraceOp>> = (0..3)
@@ -181,7 +173,7 @@ fn paper_presets_match_across_engines_with_active_writebacks() {
                     .zip(&traces)
                     .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
                     .collect();
-                engine(true, &mut cores, None, &cfg)
+                engine(true, &mut cores, None)
             };
             let batch = {
                 let mut cores: Vec<CoreRun<'_>> = batch_h
@@ -189,7 +181,7 @@ fn paper_presets_match_across_engines_with_active_writebacks() {
                     .zip(&traces)
                     .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
                     .collect();
-                engine(false, &mut cores, None, &cfg)
+                engine(false, &mut cores, None)
             };
             assert_eq!(scalar, batch, "{label}");
             for (i, (a, b)) in scalar_h.iter().zip(&batch_h).enumerate() {
@@ -259,63 +251,50 @@ fn small_shared_llc(
 fn shared_llc_batch_is_bit_identical_to_scalar_interleaving() {
     // The shared axis of the acceptance criterion: three cores funnel
     // into one shared last level (so cross-core evictions really
-    // happen), across placement × replacement × arbitration × write
-    // policy × private depth. Everything must match: engine outcomes,
+    // happen), across placement × replacement × write policy × private
+    // depth. Everything must match: engine outcomes,
     // every private level, and the shared cache itself — stats,
     // contents, dirty lines.
     let mut coalesces = 0;
     for depth in HierarchyDepth::ALL {
         for placement in PlacementKind::ALL {
             for replacement in ReplacementKind::ALL {
-                for arbitration in Arbitration::ALL {
-                    for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
-                        let label = format!(
-                            "shared/{placement}/{replacement}/{depth}/{arbitration}/{policy:?}"
-                        );
-                        let cfg = SystemConfig { arbitration };
-                        let salt = (placement as usize * 64
-                            + replacement as usize * 8
-                            + depth as usize) as u64
-                            + 0x9000;
-                        let traces: Vec<Vec<TraceOp>> = (0..3)
-                            .map(|c| recorded_trace(salt ^ (c as u64) << 8, 360 + 40 * c))
+                for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+                    let label = format!("shared/{placement}/{replacement}/{depth}/{policy:?}");
+                    let salt = (placement as usize * 64 + replacement as usize * 8 + depth as usize)
+                        as u64
+                        + 0x9000;
+                    let traces: Vec<Vec<TraceOp>> = (0..3)
+                        .map(|c| recorded_trace(salt ^ (c as u64) << 8, 360 + 40 * c))
+                        .collect();
+                    let run = |scalar: bool| {
+                        let mut cores_h: Vec<(Hierarchy, ProcessId)> = (0..3)
+                            .map(|c| small_private(placement, replacement, depth, policy, c as u64))
                             .collect();
-                        let run = |scalar: bool| {
-                            let mut cores_h: Vec<(Hierarchy, ProcessId)> = (0..3)
-                                .map(|c| {
-                                    small_private(placement, replacement, depth, policy, c as u64)
-                                })
+                        let pids: Vec<ProcessId> = cores_h.iter().map(|&(_, pid)| pid).collect();
+                        let mut llc = small_shared_llc(placement, replacement, policy, &pids);
+                        let out = {
+                            let mut cores: Vec<CoreRun<'_>> = cores_h
+                                .iter_mut()
+                                .zip(&traces)
+                                .map(|((h, pid), t)| CoreRun { hierarchy: h, pid: *pid, ops: t })
                                 .collect();
-                            let pids: Vec<ProcessId> =
-                                cores_h.iter().map(|&(_, pid)| pid).collect();
-                            let mut llc = small_shared_llc(placement, replacement, policy, &pids);
-                            let out = {
-                                let mut cores: Vec<CoreRun<'_>> = cores_h
-                                    .iter_mut()
-                                    .zip(&traces)
-                                    .map(|((h, pid), t)| CoreRun {
-                                        hierarchy: h,
-                                        pid: *pid,
-                                        ops: t,
-                                    })
-                                    .collect();
-                                engine(scalar, &mut cores, Some(&mut llc), &cfg)
-                            };
-                            (out, cores_h.into_iter().map(|(h, _)| h).collect::<Vec<_>>(), llc)
+                            engine(scalar, &mut cores, Some(&mut llc))
                         };
-                        let (scalar_out, scalar_h, scalar_llc) = run(true);
-                        let (batch_out, batch_h, batch_llc) = run(false);
-                        assert_eq!(scalar_out, batch_out, "{label}: engine outcomes diverge");
-                        for (i, (a, b)) in scalar_h.iter().zip(&batch_h).enumerate() {
-                            assert_hierarchies_identical(a, b, &format!("{label}/core{i}"));
-                        }
-                        assert_eq!(
-                            cache_state(scalar_llc.cache()),
-                            cache_state(batch_llc.cache()),
-                            "{label}: shared LLC diverges"
-                        );
-                        coalesces += coalesced(&scalar_out);
+                        (out, cores_h.into_iter().map(|(h, _)| h).collect::<Vec<_>>(), llc)
+                    };
+                    let (scalar_out, scalar_h, scalar_llc) = run(true);
+                    let (batch_out, batch_h, batch_llc) = run(false);
+                    assert_eq!(scalar_out, batch_out, "{label}: engine outcomes diverge");
+                    for (i, (a, b)) in scalar_h.iter().zip(&batch_h).enumerate() {
+                        assert_hierarchies_identical(a, b, &format!("{label}/core{i}"));
                     }
+                    assert_eq!(
+                        cache_state(scalar_llc.cache()),
+                        cache_state(batch_llc.cache()),
+                        "{label}: shared LLC diverges"
+                    );
+                    coalesces += coalesced(&scalar_out);
                 }
             }
         }
@@ -332,7 +311,6 @@ fn shared_llc_paper_presets_match_across_engines() {
     for setup in SetupKind::ALL {
         for depth in HierarchyDepth::ALL {
             let label = format!("shared-preset/{setup}/{depth}");
-            let cfg = SystemConfig::default();
             let traces: Vec<Vec<TraceOp>> = (0..3)
                 .map(|c| TraceOp::mixed_trace(0xf00 ^ setup as u64 ^ (c as u64) << 9, 800, 1 << 17))
                 .collect();
@@ -361,7 +339,7 @@ fn shared_llc_paper_presets_match_across_engines() {
                             ops: t,
                         })
                         .collect();
-                    engine(scalar, &mut cores, Some(&mut llc), &cfg)
+                    engine(scalar, &mut cores, Some(&mut llc))
                 };
                 (out, hs, llc)
             };
@@ -420,7 +398,6 @@ fn coherence_axis_batch_is_bit_identical_to_scalar_interleaving() {
             for replacement in ReplacementKind::ALL {
                 for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
                     let label = format!("coherent/{placement}/{replacement}/{depth}/{policy:?}");
-                    let cfg = SystemConfig::default();
                     let salt = (placement as usize * 64 + replacement as usize * 8 + depth as usize)
                         as u64
                         + 0xc0;
@@ -447,7 +424,7 @@ fn coherence_axis_batch_is_bit_identical_to_scalar_interleaving() {
                                 .zip(&traces)
                                 .map(|((h, pid), t)| CoreRun { hierarchy: h, pid: *pid, ops: t })
                                 .collect();
-                            engine(scalar, &mut cores, Some(&mut llc), &cfg)
+                            engine(scalar, &mut cores, Some(&mut llc))
                         };
                         (out, cores_h.into_iter().map(|(h, _)| h).collect::<Vec<_>>(), llc)
                     };
@@ -522,10 +499,9 @@ fn segment_axis_execute_is_bit_identical_to_scalar() {
     // replacement × depth, under two workloads: plain traffic
     // everywhere (every co-runner pre-executed), or a primary and
     // first co-runner that read, write and flush the coherent segment
-    // beside a second co-runner that never touches it. The bus
-    // arbitration and the shared level's write policy rotate across
-    // the placement × replacement loop, so every arbitration policy
-    // meets both write policies on every platform. Private levels stay
+    // beside a second co-runner that never touches it. The shared
+    // level's write policy alternates across the placement ×
+    // replacement loop, so every platform meets both. Private levels stay
     // write-back, so their writebacks keep reaching the shared level;
     // the private platform, which has no shared level, gives the
     // rotating policy to every level. Engine outcomes, every private
@@ -539,20 +515,14 @@ fn segment_axis_execute_is_bit_identical_to_scalar() {
             for depth in HierarchyDepth::ALL {
                 for placement in PlacementKind::ALL {
                     for replacement in ReplacementKind::ALL {
-                        let arbitration = Arbitration::ALL[case % Arbitration::ALL.len()];
                         let llc_policy =
                             [WritePolicy::WriteThrough, WritePolicy::WriteBack][case % 2];
                         case += 1;
-                        covered.insert((
-                            platform,
-                            arbitration.label(),
-                            llc_policy == WritePolicy::WriteBack,
-                        ));
-                        let cfg = SystemConfig { arbitration };
+                        covered.insert((platform, llc_policy == WritePolicy::WriteBack));
                         let mix = if coherent_mix { "coherent-mix" } else { "plain" };
                         let label = format!(
                             "segment/{platform}/{mix}/{placement}/{replacement}/{depth}/\
-                             {arbitration}/{llc_policy:?}"
+                             {llc_policy:?}"
                         );
                         let salt = (placement as usize * 64
                             + replacement as usize * 8
@@ -611,9 +581,9 @@ fn segment_axis_execute_is_bit_identical_to_scalar() {
                                         [CoreRun { hierarchy: &mut primary, pid: pids[0], ops }];
                                     let llc = llc.as_mut();
                                     if scalar {
-                                        execute_scalar(&mut cores, &mut co, llc, &cfg)
+                                        execute_scalar(&mut cores, &mut co, llc)
                                     } else {
-                                        execute(&mut cores, &mut co, llc, &cfg, None, &mut scratch)
+                                        execute(&mut cores, &mut co, llc, None, &mut scratch)
                                     }
                                 })
                                 .collect();
@@ -667,42 +637,5 @@ fn segment_axis_execute_is_bit_identical_to_scalar() {
     assert!(ran_ahead, "no pre-executed co-runner ever ran ahead of the merge");
     assert!(wrapped, "no co-runner ever wrapped around its trace");
     assert!(coalesces > 0, "no miss ever coalesced into an MSHR entry");
-    let want = 3 * Arbitration::ALL.len() * 2;
-    assert_eq!(covered.len(), want, "some platform missed an arbitration × write-policy pair");
-}
-
-#[test]
-fn arbitration_policies_differ_and_order_sensibly() {
-    // Same workload under the three policies: the contended core's
-    // wait should be zero only when it never collides, and TDMA (a
-    // bandwidth-partitioned bus) should generally cost the most.
-    let pid = ProcessId::new(1);
-    let mut waits = Vec::new();
-    for arbitration in Arbitration::ALL {
-        let cfg = SystemConfig { arbitration };
-        let traces: Vec<Vec<TraceOp>> =
-            (0..2).map(|c| recorded_trace(0xaa ^ c as u64, 800)).collect();
-        let mut hs: Vec<Hierarchy> = (0..2)
-            .map(|c| {
-                small_hierarchy(
-                    PlacementKind::Modulo,
-                    ReplacementKind::Lru,
-                    HierarchyDepth::TwoLevel,
-                    c as u64,
-                )
-            })
-            .collect();
-        let mut cores: Vec<CoreRun<'_>> = hs
-            .iter_mut()
-            .zip(&traces)
-            .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
-            .collect();
-        let out = engine(false, &mut cores, None, &cfg);
-        let wait: u64 = out.cores.iter().map(|c| c.bus_wait).sum();
-        assert!(wait > 0, "{arbitration}: two miss-heavy cores never collided");
-        waits.push((arbitration, wait));
-    }
-    let tdma = waits.iter().find(|(a, _)| matches!(a, Arbitration::Tdma)).unwrap().1;
-    let rr = waits.iter().find(|(a, _)| matches!(a, Arbitration::RoundRobin)).unwrap().1;
-    assert!(tdma > rr, "TDMA should pay more queuing than round-robin (tdma {tdma}, rr {rr})");
+    assert_eq!(covered.len(), 3 * 2, "some platform missed a shared-level write policy");
 }

@@ -21,7 +21,7 @@ use tscache_core::hierarchy::{Hierarchy, SharedLlc, TraceOp};
 use tscache_core::placement::PlacementKind;
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
-use tscache_interference::{execute, CoreRun, EngineScratch, SystemConfig};
+use tscache_interference::{execute, CoreRun, EngineScratch};
 
 fn llc(placement: PlacementKind, replacement: ReplacementKind, salt: u64) -> SharedLlc {
     let mut llc = SharedLlc::new(Cache::new(
@@ -182,9 +182,7 @@ proptest! {
             if enemy_salt.is_some() {
                 cores.push(CoreRun { hierarchy: &mut eh, pid: enemy, ops: &enemy_ops });
             }
-            let cfg = SystemConfig::default();
-            let out =
-                execute(&mut cores, &mut [], Some(&mut llc), &cfg, None, &mut EngineScratch::default());
+            let out = execute(&mut cores, &mut [], Some(&mut llc), None, &mut EngineScratch::default());
             let v = out.cores[0];
             (
                 (v.ops, v.base_cycles, v.mem_reads, v.mem_writebacks),

@@ -183,7 +183,7 @@ impl TscacheOs {
     /// [`Runnable::on_core`](crate::model::Runnable::on_core)) are not
     /// scheduled on the measured core: each becomes a free-running
     /// co-runner replaying its workload trace on its own hierarchy,
-    /// contending for the round-robin shared bus — their slots in
+    /// contending for the shared bus — their slots in
     /// [`CampaignReport::times`] stay empty.
     ///
     /// # Errors
@@ -224,7 +224,7 @@ impl TscacheOs {
             Machine::from_setup_shared(
                 setup,
                 tscache_core::setup::HierarchyDepth::TwoLevel,
-                SystemConfig::default(),
+                SystemConfig,
                 config.rng_seed ^ 0x05_05,
             )
         } else {
@@ -265,23 +265,21 @@ impl TscacheOs {
             );
         }
         // Pinned runnables become co-runner cores replaying their
-        // workload trace against the shared bus.
-        if !pinned.is_empty() {
-            machine.set_interference(SystemConfig::default());
-            for &i in &pinned {
-                let r = &app.runnables()[i];
-                let enemy_seed = config.rng_seed ^ 0xc0de ^ ((r.core() as u64) << 16) ^ i as u64;
-                let enemy = if config.shared_llc {
-                    setup.build_private(tscache_core::setup::HierarchyDepth::TwoLevel, enemy_seed)
-                } else {
-                    setup.build(enemy_seed)
-                };
-                machine.add_co_runner(CoRunner::new(
-                    enemy,
-                    r.swc().process_id(),
-                    workloads[i].ops.as_slice().into(),
-                ));
-            }
+        // workload trace against the shared bus; attaching them is what
+        // makes the machine contend.
+        for &i in &pinned {
+            let r = &app.runnables()[i];
+            let enemy_seed = config.rng_seed ^ 0xc0de ^ ((r.core() as u64) << 16) ^ i as u64;
+            let enemy = if config.shared_llc {
+                setup.build_private(tscache_core::setup::HierarchyDepth::TwoLevel, enemy_seed)
+            } else {
+                setup.build(enemy_seed)
+            };
+            machine.add_co_runner(CoRunner::new(
+                enemy,
+                r.swc().process_id(),
+                workloads[i].ops.as_slice().into(),
+            ));
         }
         Ok(TscacheOs {
             machine,

@@ -136,12 +136,8 @@ pub fn run_cross_core_prime_probe(cfg: &CrossCoreConfig) -> Result<CrossCoreOutc
     let attacker = ProcessId::new(2);
 
     // The victim node: private hierarchy + shared LLC.
-    let mut machine = Machine::from_setup_shared(
-        setup,
-        HierarchyDepth::TwoLevel,
-        SystemConfig::default(),
-        cfg.master_seed,
-    );
+    let mut machine =
+        Machine::from_setup_shared(setup, HierarchyDepth::TwoLevel, SystemConfig, cfg.master_seed);
     machine.apply_defense(cfg.defense);
     machine.set_process(victim);
     seed_machine(&mut machine, setup, victim, attacker, cfg.master_seed ^ 0x5eedcc);

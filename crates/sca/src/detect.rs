@@ -440,12 +440,8 @@ fn flush_reload_trace(
     let setup = cfg.defense.effective_setup(cfg.setup);
     let victim = ProcessId::new(1);
     let attacker = ProcessId::new(2);
-    let mut machine = Machine::from_setup_shared(
-        setup,
-        HierarchyDepth::TwoLevel,
-        SystemConfig::default(),
-        cfg.master_seed,
-    );
+    let mut machine =
+        Machine::from_setup_shared(setup, HierarchyDepth::TwoLevel, SystemConfig, cfg.master_seed);
     machine.apply_defense(cfg.defense);
     machine.set_process(victim);
     seed_machine(&mut machine, setup, victim, attacker, cfg.master_seed ^ 0x000f_1a54);

@@ -150,12 +150,8 @@ pub fn run_flush_reload(cfg: &FlushReloadConfig) -> Result<FlushReloadOutcome, C
 
     // The victim node: private hierarchy + shared LLC, coherence to be
     // armed below.
-    let mut machine = Machine::from_setup_shared(
-        setup,
-        HierarchyDepth::TwoLevel,
-        SystemConfig::default(),
-        cfg.master_seed,
-    );
+    let mut machine =
+        Machine::from_setup_shared(setup, HierarchyDepth::TwoLevel, SystemConfig, cfg.master_seed);
     machine.apply_defense(cfg.defense);
     machine.set_process(victim);
     seed_machine(&mut machine, setup, victim, attacker, cfg.master_seed ^ 0x000f_1a54);

@@ -28,7 +28,7 @@ use tscache_core::parallel;
 use tscache_core::prng::{mix64, Prng, SplitMix64};
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SeedSharing, SetupKind};
-use tscache_interference::ContentionConfig;
+use tscache_interference::{ContentionConfig, SystemConfig};
 use tscache_sim::layout::Layout;
 use tscache_sim::machine::{Machine, TraceOp};
 
@@ -235,7 +235,7 @@ impl CryptoNode {
             Machine::from_setup_shared(
                 cfg.setup,
                 cfg.depth,
-                cfg.contention.map(|c| c.system).unwrap_or_default(),
+                SystemConfig,
                 cfg.master_seed ^ role.stream(),
             )
         } else {

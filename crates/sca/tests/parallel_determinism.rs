@@ -110,7 +110,7 @@ fn attack_and_mbpta_results_are_bit_identical_across_thread_counts() {
         .expect("valid protocol")
     });
 
-    // Contended campaigns: co-runner cores, shared-bus arbitration and
+    // Contended campaigns: co-runner cores, shared-bus queuing and
     // MSHR coalescing must not break thread-count invariance anywhere.
     let mut contended = SamplingConfig::standard(SetupKind::TsCache, 150, 0xd00d);
     contended.contention = Some(tscache_interference::ContentionConfig::default());

@@ -60,8 +60,6 @@ pub struct Machine {
     instret: u64,
     /// Enemy cores contending for the shared bus (empty = solo).
     co_runners: Vec<CoRunner>,
-    /// Bus arbitration; armed by [`set_interference`](Self::set_interference).
-    interference: Option<SystemConfig>,
     /// Lifetime cycles lost to bus queuing (survives `reset_counters`;
     /// see [`contention_cycles`](Self::contention_cycles)).
     contention_cycles: u64,
@@ -91,7 +89,6 @@ impl Machine {
             trace: None,
             instret: 0,
             co_runners: Vec::new(),
-            interference: None,
             contention_cycles: 0,
             shared_llc: None,
             coherent_regions: Vec::new(),
@@ -120,20 +117,20 @@ impl Machine {
     /// Creates a machine on a shared-LLC multicore platform: the
     /// per-core private hierarchy ([`SetupKind::build_private`]) in
     /// front of the platform's shared last level
-    /// ([`SetupKind::build_shared_llc`]), with the contention model
-    /// armed. Co-runner cores attach via
+    /// ([`SetupKind::build_shared_llc`]). Trace replay runs through the
+    /// multicore engine from the start; co-runner cores attach via
     /// [`attach_standard_enemies`](Self::attach_standard_enemies) or
     /// [`add_co_runner`](Self::add_co_runner) and then contend for the
-    /// shared cache *state*, not just the bus.
+    /// shared cache *state*, not just the bus. `_system` carries
+    /// nothing: [`SystemConfig`] has no field.
     pub fn from_setup_shared(
         setup: SetupKind,
         depth: HierarchyDepth,
-        system: SystemConfig,
+        _system: SystemConfig,
         rng_seed: u64,
     ) -> Self {
         let mut machine = Machine::new(setup.build_private(depth, rng_seed));
         machine.shared_llc = Some(setup.build_shared_llc(depth, rng_seed));
-        machine.set_interference(system);
         machine
     }
 
@@ -269,20 +266,12 @@ impl Machine {
         &mut self.hierarchy
     }
 
-    /// Arms the multi-core interference model: once at least one
-    /// co-runner is attached, every [`run_trace`](Self::run_trace)
-    /// segment contends with the enemies for the shared bus. The scalar
-    /// convenience ops ([`load`](Self::load), [`store`](Self::store),
-    /// [`run_block`](Self::run_block)) stay uncontended — they model
-    /// background activity, not the measured trace replay.
-    pub fn set_interference(&mut self, cfg: SystemConfig) {
-        self.interference = Some(cfg);
-    }
-
-    /// Attaches an enemy core. Its cache state and trace position
-    /// persist across segments (steady-state interference). The
-    /// machine's declared coherent regions are mirrored into the
-    /// enemy's hierarchy so its fills carry line state too.
+    /// Attaches an enemy core. Attaching one is what makes
+    /// [`run_trace`](Self::run_trace) contend; the scalar ops never
+    /// do. Its cache state and trace position persist across segments
+    /// (steady-state interference). The machine's declared coherent
+    /// regions are mirrored into the enemy's hierarchy so its fills
+    /// carry line state too.
     pub fn add_co_runner(&mut self, mut co: CoRunner) {
         for &(start, size) in &self.coherent_regions {
             co.hierarchy_mut().add_coherent_range(start, size);
@@ -290,13 +279,13 @@ impl Machine {
         self.co_runners.push(co);
     }
 
-    /// Attaches `con.co_runners` enemy cores, each a fresh hierarchy
+    /// Attaches `con.co_runners` enemy cores through
+    /// [`add_co_runner`](Self::add_co_runner), each a fresh hierarchy
     /// of `setup` at `depth` cyclically replaying the FIR enemy kernel
-    /// (`crate::synthetic::FirFilter`), arms the contention model, and —
-    /// when `con.write_back` is set — switches every core (including
-    /// this machine) to write-back caches so dirty evictions join the
-    /// bus traffic. Everything derives from `seed`, so campaigns stay
-    /// reproducible.
+    /// (`crate::synthetic::FirFilter`), and — when `con.write_back` is
+    /// set — switches every core (including this machine) to
+    /// write-back caches so dirty evictions join the bus traffic.
+    /// Everything derives from `seed`, so campaigns stay reproducible.
     ///
     /// The enemy trace depends only on this machine's L1I line size
     /// and the enemy core's address offset, so it is built once per
@@ -316,7 +305,6 @@ impl Machine {
                 llc.set_write_policy(WritePolicy::WriteBack);
             }
         }
-        self.set_interference(con.system);
         for k in 0..con.co_runners {
             let mut enemy = if shared {
                 setup.build_private(depth, mix64(seed ^ 0xc0de ^ k as u64))
@@ -392,9 +380,10 @@ impl Machine {
         &mut self.co_runners
     }
 
-    /// Whether trace replay currently contends with enemy cores.
+    /// Whether trace replay currently contends with enemy cores: whether
+    /// any is attached.
     pub fn is_contended(&self) -> bool {
-        self.interference.is_some() && !self.co_runners.is_empty()
+        !self.co_runners.is_empty()
     }
 
     /// Cycles this machine has lost to shared-bus queuing over its
@@ -545,7 +534,6 @@ impl Machine {
                 &mut [CoreRun { hierarchy: &mut self.hierarchy, pid: self.pid, ops }],
                 &mut self.co_runners,
                 self.shared_llc.as_mut(),
-                &self.interference.unwrap_or_default(),
                 self.recorder.as_ref(),
                 &mut self.engine_scratch,
             );
@@ -797,7 +785,7 @@ mod tests {
                 Machine::from_setup_shared(
                     SetupKind::TsCache,
                     HierarchyDepth::TwoLevel,
-                    SystemConfig::default(),
+                    SystemConfig,
                     5,
                 )
             } else {
@@ -925,6 +913,17 @@ mod tests {
         // write_back=false leaves cache behaviour untouched, so the
         // contended cycle count is exactly solo + contention.
         assert_eq!(contended.iter().sum::<u64>(), solo.iter().sum::<u64>() + wait);
+
+        // A co-runner attached through `add_co_runner` alone, as the
+        // RTOS pins runnables, makes replay contend: no other switch.
+        let mut m = Machine::from_setup(SetupKind::TsCache, 5);
+        let enemy = SetupKind::TsCache.build(9);
+        let enemy_ops = TraceOp::mixed_trace(41, 900, 1 << 18);
+        m.add_co_runner(CoRunner::new(enemy, ProcessId::new(200), enemy_ops.into()));
+        assert!(m.is_contended());
+        m.run_trace(&ops);
+        let enemy_accesses = m.co_runners()[0].hierarchy().total_stats().accesses();
+        assert!(enemy_accesses > 0, "the attached co-runner never ran");
     }
 
     #[test]
@@ -957,7 +956,7 @@ mod tests {
             let mut m = Machine::from_setup_shared(
                 SetupKind::TsCache,
                 HierarchyDepth::TwoLevel,
-                SystemConfig::default(),
+                SystemConfig,
                 5,
             );
             m.set_process_seed(ProcessId::new(1), Seed::new(3));
@@ -981,7 +980,7 @@ mod tests {
         let m3 = Machine::from_setup_shared(
             SetupKind::TsCache,
             HierarchyDepth::ThreeLevel,
-            SystemConfig::default(),
+            SystemConfig,
             5,
         );
         assert_eq!(m3.hierarchy().depth(), 2);
@@ -996,12 +995,8 @@ mod tests {
         for (depth, cold, reload) in
             [(HierarchyDepth::TwoLevel, 91, 11), (HierarchyDepth::ThreeLevel, 121, 41)]
         {
-            let mut m = Machine::from_setup_shared(
-                SetupKind::Deterministic,
-                depth,
-                SystemConfig::default(),
-                5,
-            );
+            let mut m =
+                Machine::from_setup_shared(SetupKind::Deterministic, depth, SystemConfig, 5);
             assert_eq!(m.load(a), cold, "{depth}: cold load");
             // Only the private levels flush, so the reload hits the
             // shared level.
@@ -1018,7 +1013,7 @@ mod tests {
             let mut m = Machine::from_setup_shared(
                 SetupKind::TsCache,
                 HierarchyDepth::TwoLevel,
-                SystemConfig::default(),
+                SystemConfig,
                 5,
             );
             m.set_process_seed(ProcessId::new(1), Seed::new(3));
@@ -1040,7 +1035,7 @@ mod tests {
         let mut solo = Machine::from_setup_shared(
             SetupKind::TsCache,
             HierarchyDepth::TwoLevel,
-            SystemConfig::default(),
+            SystemConfig,
             5,
         );
         solo.set_process_seed(ProcessId::new(1), Seed::new(3));
@@ -1126,7 +1121,7 @@ mod tests {
         let mut m = Machine::from_setup_shared(
             SetupKind::Deterministic,
             HierarchyDepth::TwoLevel,
-            SystemConfig::default(),
+            SystemConfig,
             5,
         );
         let tracked = Addr::new(0x8000);
@@ -1168,7 +1163,7 @@ mod tests {
             let mut m = Machine::from_setup_shared(
                 SetupKind::Deterministic,
                 HierarchyDepth::TwoLevel,
-                SystemConfig::default(),
+                SystemConfig,
                 5,
             );
             m.add_coherent_range(tracked, 512);
@@ -1227,7 +1222,7 @@ mod tests {
             let mut m = Machine::from_setup_shared(
                 SetupKind::Deterministic,
                 HierarchyDepth::TwoLevel,
-                SystemConfig::default(),
+                SystemConfig,
                 5,
             );
             m.add_coherent_range(base, 512);

@@ -7,7 +7,7 @@ use tscache_core::parallel::par_map_indexed;
 use tscache_core::prng::{mix64, SplitMix64};
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
-use tscache_interference::ContentionConfig;
+use tscache_interference::{ContentionConfig, SystemConfig};
 use tscache_telemetry::{Event, FlushScope, RecorderHandle};
 
 /// A program the machine can execute.
@@ -99,12 +99,7 @@ fn protocol_machine(
 ) -> Machine {
     let setup = protocol.defense.effective_setup(setup);
     let mut machine = if protocol.shared_llc {
-        Machine::from_setup_shared(
-            setup,
-            protocol.depth,
-            protocol.contention.map(|c| c.system).unwrap_or_default(),
-            machine_seed,
-        )
+        Machine::from_setup_shared(setup, protocol.depth, SystemConfig, machine_seed)
     } else {
         Machine::from_setup_depth(setup, protocol.depth, machine_seed)
     };

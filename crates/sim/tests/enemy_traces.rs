@@ -37,7 +37,7 @@ fn reference_trace(machine: &Machine, offset: u64) -> Vec<TraceOp> {
 fn contended(shared: bool, depth: HierarchyDepth, co_runners: u32) -> Machine {
     let setup = SetupKind::TsCache;
     let mut m = if shared {
-        Machine::from_setup_shared(setup, depth, SystemConfig::default(), 21)
+        Machine::from_setup_shared(setup, depth, SystemConfig, 21)
     } else {
         Machine::from_setup_depth(setup, depth, 21)
     };

@@ -159,8 +159,8 @@ fn main() {
         );
     }
     println!("\nThe gap is the contention budget a multicore integration must");
-    println!("provision on top of the solo pWCET — bounded and composable under");
-    println!("TDMA, average-case under round-robin.");
+    println!("provision on top of the solo pWCET, measured here against one");
+    println!("co-runner on a first-come first-served bus.");
 
     // The same experiment when the platform's last level is *shared*
     // between the measured core and the co-runner: enemy traffic now

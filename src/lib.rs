@@ -11,8 +11,8 @@
 //!   per-process seeds, the ARM920T-class hierarchy and the paper's
 //!   four experimental setups.
 //! * [`interference`] — multi-core contention: the shared
-//!   memory bus (round-robin / fixed-priority / TDMA), MSHR files,
-//!   and the contended multi-core execution engines.
+//!   first-come first-served memory bus, MSHR files, and the
+//!   contended multi-core execution engines.
 //! * [`sim`] — the execution-driven timing simulator.
 //! * [`aes`] — AES-128 (reference + T-tables + simulator-
 //!   instrumented).
