@@ -36,7 +36,7 @@
 //! scans and no memo or hot context.
 
 use crate::addr::LineAddr;
-use crate::defense::TtlConfig;
+use crate::defense::DefenseKind;
 use crate::geometry::CacheGeometry;
 use crate::placement::{PlacementEngine, PlacementKind};
 use crate::prng::{mix64, Prng, SplitMix64};
@@ -49,6 +49,16 @@ use core::fmt;
 /// addresses shifted right by the line-offset bits, so no reachable
 /// line address collides with it.
 pub const INVALID_TAG: u64 = u64::MAX;
+
+/// Guaranteed lifetime of a line filled under [`DefenseKind::Ttl`], in
+/// accesses to its set.
+pub const TTL_BASE: u8 = 2;
+
+/// Upper bound of the uniform extension a [`DefenseKind::Ttl`] fill
+/// draws on top of [`TTL_BASE`]: lifetimes run from 2 to 5 set
+/// accesses, short enough that primed lines decay within one probe
+/// round, jittered so the decay order leaks no schedule.
+pub const TTL_JITTER: u8 = 3;
 
 /// How the cache propagates stores (the policy knob of the
 /// interference model: write-back caches turn dirty evictions into
@@ -315,19 +325,15 @@ pub struct Cache {
     ///
     /// [`rng`]: Cache::rng
     part_rngs: Vec<(u16, SplitMix64)>,
-    /// Armed ClepsydraCache-style TTL defense; `None` (or an infinite
-    /// config, filtered out by [`set_ttl`](Cache::set_ttl)) leaves the
-    /// access path bit-identical to an undefended cache.
-    ttl: Option<TtlConfig>,
+    /// The armed defense. Only [`DefenseKind::Ttl`] and
+    /// [`DefenseKind::Normalize`] change this cache's access path; under
+    /// any other kind it is bit-identical to an undefended cache.
+    defense: DefenseKind,
     /// Dedicated stream for per-fill TTL jitter, derived from the
     /// constructor seed so arming the defense perturbs no other
     /// randomness stream. Reset to its derivation point on flush,
     /// mirroring [`part_rngs`](Cache::part_rngs).
     ttl_rng: SplitMix64,
-    /// TimeCache-style timed-access normalization: a process's first
-    /// access to a line another process loaded is levelled to miss
-    /// latency (ownership transfers; the line itself stays resident).
-    normalize: bool,
     stats: CacheStats,
 }
 
@@ -382,9 +388,8 @@ impl Cache {
             rng: SplitMix64::new(rng_seed ^ 0x6361_6368_6521),
             rng_seed,
             part_rngs: Vec::new(),
-            ttl: None,
+            defense: DefenseKind::Off,
             ttl_rng: SplitMix64::new(mix64(rng_seed ^ 0x0074_746c)),
-            normalize: false,
             stats: CacheStats::new(),
         }
     }
@@ -444,40 +449,35 @@ impl Cache {
         self.hot = HotContext::EMPTY;
     }
 
-    /// Arms (or disarms) ClepsydraCache-style TTL evictions: every
-    /// fill draws a lifetime of `base + uniform(0..=jitter)` accesses
-    /// to its set; each set access decrements resident lifetimes and
-    /// drains expired lines before lookup. Dirty expiries count a
-    /// writeback (drained straight to memory, like
-    /// [`invalidate_line`](Self::invalidate_line)); every expiry
-    /// counts [`ttl_expiries`](CacheStats::ttl_expiries).
+    /// Arms `defense` on this cache, replacing the one armed before.
     ///
-    /// An *infinite* config (`base == 0`) is normalized to `None`, so
-    /// a TTL=∞ cache is bit-identical to an undefended one — the
-    /// jitter stream is never drawn from. Lines already resident keep
-    /// the lifetime they were filled with (0 = never expires).
-    pub fn set_ttl(&mut self, ttl: Option<TtlConfig>) {
-        self.ttl = ttl.filter(TtlConfig::is_finite);
+    /// - [`DefenseKind::Ttl`] (ClepsydraCache): every fill draws a
+    ///   lifetime of [`TTL_BASE`] + uniform(0..=[`TTL_JITTER`]) accesses
+    ///   to its set; each set access decrements resident lifetimes and
+    ///   drains expired lines before lookup. Dirty expiries count a
+    ///   writeback (drained straight to memory, like
+    ///   [`invalidate_line`](Self::invalidate_line)); every expiry
+    ///   counts [`ttl_expiries`](CacheStats::ttl_expiries). Lines
+    ///   already resident keep the lifetime they were filled with
+    ///   (0 = never expires).
+    /// - [`DefenseKind::Normalize`] (TimeCache): the first access a
+    ///   process makes to a line another process loaded reports a
+    ///   *miss* (full latency) while transferring the line's ownership,
+    ///   so reload/probe timing cannot distinguish a victim-touched line
+    ///   from a cold one. [`probe`](Self::probe) likewise only reports
+    ///   lines the probing process owns.
+    ///
+    /// Every other kind arms nothing here: Random-and-Safe is a
+    /// configuration ([`DefenseKind::effective_setup`]), and a
+    /// [`SharedLlc`](crate::hierarchy::SharedLlc) reads the seed
+    /// rotations from its cache.
+    pub fn apply_defense(&mut self, defense: DefenseKind) {
+        self.defense = defense;
     }
 
-    /// The armed TTL defense, if any.
-    pub fn ttl(&self) -> Option<TtlConfig> {
-        self.ttl
-    }
-
-    /// Arms (or disarms) TimeCache-style timed-access normalization:
-    /// the first access a process makes to a line another process
-    /// loaded reports a *miss* (full latency) while transferring the
-    /// line's ownership — so reload/probe timing cannot distinguish a
-    /// victim-touched line from a cold one. [`probe`](Self::probe)
-    /// likewise only reports lines the probing process owns.
-    pub fn set_normalize(&mut self, on: bool) {
-        self.normalize = on;
-    }
-
-    /// Whether timed-access normalization is armed.
-    pub fn normalize_enabled(&self) -> bool {
-        self.normalize
+    /// The armed defense ([`DefenseKind::Off`] until one is applied).
+    pub fn defense(&self) -> DefenseKind {
+        self.defense
     }
 
     /// Sets the write policy. Switching an already-populated cache to
@@ -762,7 +762,7 @@ impl Cache {
             // is indistinguishable from an absent one — a real access
             // would be levelled to miss latency, so a probe must not
             // see it either.
-            Some(way) if self.normalize => {
+            Some(way) if self.defense == DefenseKind::Normalize => {
                 self.meta[(set * self.ways + way) as usize].owner == pid.as_u16()
             }
             Some(_) => true,
@@ -904,7 +904,7 @@ impl Cache {
     fn access_inner(&mut self, pid: ProcessId, line: LineAddr, write: bool) -> AccessOutcome {
         let (seed, lo, hi) = self.context(pid);
         let mut set = self.place(line, seed);
-        if self.ttl.is_some() {
+        if self.defense == DefenseKind::Ttl {
             self.ttl_tick(set);
         }
         let dirty_fill = write && self.write_policy == WritePolicy::WriteBack;
@@ -915,7 +915,7 @@ impl Cache {
             if dirty_fill {
                 self.meta[slot].flags |= LineMeta::DIRTY;
             }
-            if self.normalize && self.meta[slot].owner != pid.as_u16() {
+            if self.defense == DefenseKind::Normalize && self.meta[slot].owner != pid.as_u16() {
                 // TimeCache levelling: the line stays resident (no
                 // refill, no eviction) but ownership transfers and the
                 // access reports a miss, so its timing is
@@ -993,22 +993,16 @@ impl Cache {
         self.replacement.victim(set, lo, hi, rng)
     }
 
-    /// The lifetime a fill arms: `base + uniform(0..=jitter)` when the
-    /// TTL defense is on, 0 (infinite) otherwise. The jitter stream is
-    /// only drawn from when `jitter > 0`, so a jitter-free config
-    /// leaves [`ttl_rng`](Cache::ttl_rng) untouched.
+    /// The lifetime a fill arms: [`TTL_BASE`] +
+    /// uniform(0..=[`TTL_JITTER`]) under [`DefenseKind::Ttl`], 0
+    /// (infinite) otherwise. Only a TTL fill draws from
+    /// [`ttl_rng`](Cache::ttl_rng).
     #[inline]
     fn fill_ttl(&mut self) -> u8 {
-        match self.ttl {
-            Some(cfg) => {
-                let jitter = if cfg.jitter == 0 {
-                    0
-                } else {
-                    self.ttl_rng.below(cfg.jitter as u32 + 1) as u8
-                };
-                cfg.base.saturating_add(jitter)
-            }
-            None => 0,
+        if self.defense == DefenseKind::Ttl {
+            TTL_BASE + self.ttl_rng.below(TTL_JITTER as u32 + 1) as u8
+        } else {
+            0
         }
     }
 

@@ -4,7 +4,11 @@
 //! predictability preserved?* — is asked of every cache defense, not
 //! just randomized placement. This module names the defenses from the
 //! related work (PAPERS.md) as a single axis that composes with any
-//! [`SetupKind`](crate::setup::SetupKind):
+//! [`SetupKind`](crate::setup::SetupKind). A [`DefenseKind`] is the one
+//! description of a defense: [`Cache::apply_defense`] arms it on a
+//! cache and [`SharedLlc::apply_defense`] on the shared level. The TTL
+//! lifetime and the rotation cadence are constants beside the code
+//! that applies them.
 //!
 //! - **TTL evictions** (ClepsydraCache): every fill arms a randomized
 //!   per-line lifetime; set accesses decrement resident lifetimes and
@@ -18,97 +22,21 @@
 //!   placement with safe (random) replacement and per-process seeds at
 //!   every level — the [`SetupKind::RandomSafe`] preset.
 //! - **Seed rotation** beyond per-hyperperiod: the shared level
-//!   re-derives per-process placement seeds on a deterministic op
+//!   re-derives per-process placement seeds on a deterministic fill
 //!   cadence, for the whole shared level at once or one core at a
 //!   time.
 //!
-//! All knobs are deterministic: the TTL jitter stream and rotation
-//! schedule derive from the owning cache's seed, so scalar and batch
-//! walks stay bit-identical and campaigns reproduce.
+//! Every defense is deterministic: the TTL lifetime stream and the
+//! rotation schedule derive from the owning cache's seed and fill
+//! stream, so campaigns reproduce bit for bit.
+//!
+//! [`Cache::apply_defense`]: crate::cache::Cache::apply_defense
+//! [`SharedLlc::apply_defense`]: crate::hierarchy::SharedLlc::apply_defense
 
 use core::fmt;
 
 use crate::error::ConfigError;
 use crate::setup::SetupKind;
-
-/// Per-line TTL (time-to-live) configuration for ClepsydraCache-style
-/// timed evictions.
-///
-/// Each fill arms the line with `base + uniform(0..=jitter)` remaining
-/// accesses-to-its-set; every access to a set decrements the resident
-/// lines' lifetimes, and a line whose lifetime hits zero is drained
-/// (dirty lines count a writeback, all expiries count
-/// [`ttl_expiries`](crate::stats::CacheStats::ttl_expiries)).
-///
-/// `base == 0` means *infinite* lifetime: the defense is off and the
-/// cache is bit-identical to an undefended one.
-///
-/// # Examples
-///
-/// ```
-/// use tscache_core::defense::TtlConfig;
-///
-/// let ttl = TtlConfig::standard();
-/// assert!(ttl.base > 0);
-/// assert!(!TtlConfig { base: 0, jitter: 0 }.is_finite());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TtlConfig {
-    /// Guaranteed lifetime in set-accesses; 0 disables expiry.
-    pub base: u8,
-    /// Upper bound of the per-fill uniform random lifetime extension.
-    pub jitter: u8,
-}
-
-impl TtlConfig {
-    /// The standard zoo parameters: short enough that primed lines
-    /// decay within one probe round, jittered so decay order leaks no
-    /// schedule.
-    pub const fn standard() -> Self {
-        TtlConfig { base: 2, jitter: 3 }
-    }
-
-    /// Whether lines actually expire (`base > 0`).
-    pub const fn is_finite(&self) -> bool {
-        self.base > 0
-    }
-}
-
-/// Seed-rotation policy on the shared cache level.
-///
-/// The paper rotates seeds per hyperperiod; the zoo adds finer
-/// policies that re-derive per-process placement seeds after every
-/// `period` fill requests the shared level resolves, flushing the
-/// rotated processes' lines for §5 seed-change consistency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RotationPolicy {
-    /// No rotation (per-hyperperiod rotation stays the RTOS's job).
-    Off,
-    /// Rotate every process's seed on the whole shared level every
-    /// `period` fills.
-    PerPartition {
-        /// Fill requests between rotations.
-        period: u64,
-    },
-    /// Rotate one core's (process's) seed every `period` fills,
-    /// round-robin over the processes.
-    PerCore {
-        /// Fill requests between rotations.
-        period: u64,
-    },
-}
-
-impl RotationPolicy {
-    /// The rotation cadence, or `None` when off.
-    pub fn period(&self) -> Option<u64> {
-        match self {
-            RotationPolicy::Off => None,
-            RotationPolicy::PerPartition { period } | RotationPolicy::PerCore { period } => {
-                Some(*period)
-            }
-        }
-    }
-}
 
 /// One defense from the zoo, applied on top of a base
 /// [`SetupKind`](crate::setup::SetupKind).
@@ -132,7 +60,10 @@ impl RotationPolicy {
 pub enum DefenseKind {
     /// Undefended baseline.
     Off,
-    /// ClepsydraCache-style per-line TTL evictions at every level.
+    /// ClepsydraCache-style per-line TTL evictions at every level: each
+    /// fill lives [`TTL_BASE`](crate::cache::TTL_BASE) +
+    /// uniform(0..=[`TTL_JITTER`](crate::cache::TTL_JITTER)) accesses
+    /// to its set, 2 to 5.
     Ttl,
     /// TimeCache-style timed-access normalization at every level.
     Normalize,
@@ -140,9 +71,14 @@ pub enum DefenseKind {
     /// setup with [`SetupKind::RandomSafe`]).
     RandomSafe,
     /// Whole-shared-level seed rotation: every process is re-keyed
-    /// and flushed together each period.
+    /// and flushed together once per
+    /// [`ROTATION_PERIOD`](crate::hierarchy::ROTATION_PERIOD) (2048)
+    /// shared-level fills.
     RotatePartition,
-    /// Per-core seed rotation on the shared level.
+    /// Per-core seed rotation on the shared level: one process,
+    /// round-robin, is re-keyed and flushed once per
+    /// [`ROTATION_PERIOD`](crate::hierarchy::ROTATION_PERIOD) (2048)
+    /// shared-level fills.
     RotateCore,
 }
 
@@ -157,10 +93,6 @@ impl DefenseKind {
         DefenseKind::RotateCore,
     ];
 
-    /// The default rotation cadence (fill requests between rotations)
-    /// for the rotating defenses.
-    pub const STANDARD_ROTATION_PERIOD: u64 = 2048;
-
     /// Stable lowercase label (used in campaign keys and reports).
     pub fn label(&self) -> &'static str {
         match self {
@@ -170,32 +102,6 @@ impl DefenseKind {
             DefenseKind::RandomSafe => "random-safe",
             DefenseKind::RotatePartition => "rotate-partition",
             DefenseKind::RotateCore => "rotate-core",
-        }
-    }
-
-    /// The TTL configuration this defense arms, if any.
-    pub fn ttl(&self) -> Option<TtlConfig> {
-        match self {
-            DefenseKind::Ttl => Some(TtlConfig::standard()),
-            _ => None,
-        }
-    }
-
-    /// Whether this defense arms timed-access normalization.
-    pub fn normalize(&self) -> bool {
-        matches!(self, DefenseKind::Normalize)
-    }
-
-    /// The shared-level seed-rotation policy this defense arms.
-    pub fn rotation(&self) -> RotationPolicy {
-        match self {
-            DefenseKind::RotatePartition => {
-                RotationPolicy::PerPartition { period: Self::STANDARD_ROTATION_PERIOD }
-            }
-            DefenseKind::RotateCore => {
-                RotationPolicy::PerCore { period: Self::STANDARD_ROTATION_PERIOD }
-            }
-            _ => RotationPolicy::Off,
         }
     }
 
@@ -244,19 +150,6 @@ mod tests {
         assert_eq!(
             labels,
             ["off", "ttl", "normalize", "random-safe", "rotate-partition", "rotate-core"],
-        );
-    }
-
-    #[test]
-    fn knob_mapping_is_consistent() {
-        assert!(DefenseKind::Off.ttl().is_none());
-        assert!(DefenseKind::Ttl.ttl().expect("armed").is_finite());
-        assert!(DefenseKind::Normalize.normalize());
-        assert!(!DefenseKind::Ttl.normalize());
-        assert_eq!(DefenseKind::Off.rotation(), RotationPolicy::Off);
-        assert_eq!(
-            DefenseKind::RotateCore.rotation().period(),
-            Some(DefenseKind::STANDARD_ROTATION_PERIOD),
         );
     }
 

@@ -23,7 +23,7 @@
 
 use crate::addr::{Addr, LineAddr};
 use crate::cache::{AccessOutcome, Cache, InvalidatedCopy, WritePolicy, Writeback};
-use crate::defense::{DefenseKind, RotationPolicy};
+use crate::defense::DefenseKind;
 use crate::geometry::CacheGeometry;
 use crate::placement::PlacementKind;
 use crate::replacement::ReplacementKind;
@@ -45,6 +45,10 @@ pub const UNIFIED_HIT_CYCLES: [u32; 2] = [10, 30];
 /// Additional cycles when every level misses and the line comes from
 /// memory (paper §6.1.2).
 pub const MEMORY_CYCLES: u32 = 80;
+
+/// Shared-level fill requests between two seed rotations under
+/// [`DefenseKind::RotatePartition`] and [`DefenseKind::RotateCore`].
+pub const ROTATION_PERIOD: u64 = 2048;
 
 /// Which first-level cache an access goes through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -229,11 +233,8 @@ pub struct SharedLlc {
     #[allow(clippy::disallowed_types)]
     // detlint: allow(D2, keyed lookup only — entry/get/remove, never iterated; hot shared-fill path where BTreeMap costs >10% defense-suite throughput)
     directory: std::collections::HashMap<u64, u32>,
-    /// Armed seed-rotation policy (defense zoo): re-derives placement
-    /// seeds on a deterministic fill-count cadence.
-    rotation: RotationPolicy,
     /// Fill requests resolved since construction (the rotation clock;
-    /// only ticked while a rotation policy is armed).
+    /// only ticked while a rotation defense is armed).
     rotation_ops: u64,
     /// Completed rotations (drives both the round-robin core selection
     /// and the per-epoch seed derivation).
@@ -257,7 +258,6 @@ impl SharedLlc {
             #[allow(clippy::disallowed_types)]
             // detlint: allow(D2, ctor for the keyed-lookup-only directory field; see field doc)
             directory: std::collections::HashMap::new(),
-            rotation: RotationPolicy::Off,
             rotation_ops: 0,
             rotation_epoch: 0,
             rotation_base: Vec::new(),
@@ -287,35 +287,23 @@ impl SharedLlc {
         self.cache.set_seed(pid, seed.derive(0x11c));
     }
 
-    /// Arms (or disarms) a seed-rotation policy. The rotation clock
-    /// counts fill requests; every `period` fills the rotated
-    /// processes (every process with a recorded base for
-    /// [`RotationPolicy::PerPartition`], one process round-robin for
-    /// [`RotationPolicy::PerCore`]) get their seeds re-derived from the
-    /// bases recorded by [`set_process_seed`](Self::set_process_seed),
-    /// and their lines flushed (the §5 seed-change consistency flush).
-    pub fn set_rotation(&mut self, policy: RotationPolicy) {
-        self.rotation = policy;
-    }
-
-    /// The armed rotation policy.
-    pub fn rotation(&self) -> RotationPolicy {
-        self.rotation
-    }
-
     /// Completed rotation epochs (0 until the first rotation fires).
     pub fn rotation_epoch(&self) -> u64 {
         self.rotation_epoch
     }
 
-    /// Arms the TTL / normalization knobs of `defense` on the shared
-    /// cache and its rotation policy on this level.
+    /// Arms `defense` on the shared cache ([`Cache::apply_defense`]),
+    /// which also arms this level's rotation clock: under
+    /// [`DefenseKind::RotatePartition`] and [`DefenseKind::RotateCore`],
+    /// every [`ROTATION_PERIOD`] fill requests the rotated processes
+    /// (every process with a recorded base, or one process round-robin)
+    /// get their seeds re-derived from the bases recorded by
+    /// [`set_process_seed`](Self::set_process_seed), and their lines
+    /// flushed (the §5 seed-change consistency flush).
     /// ([`DefenseKind::RandomSafe`] is a *configuration*: build the
     /// platform with [`DefenseKind::effective_setup`] instead.)
     pub fn apply_defense(&mut self, defense: DefenseKind) {
-        self.cache.set_ttl(defense.ttl());
-        self.cache.set_normalize(defense.normalize());
-        self.set_rotation(defense.rotation());
+        self.cache.apply_defense(defense);
     }
 
     /// Advances the rotation clock by one fill request and fires a
@@ -324,20 +312,21 @@ impl SharedLlc {
     /// schedule is a pure function of the fill stream and scalar/batch
     /// executions cannot diverge.
     fn rotation_tick(&mut self) {
-        let Some(period) = self.rotation.period() else { return };
+        let defense = self.cache.defense();
+        if !defense.needs_shared_level() {
+            return;
+        }
         self.rotation_ops += 1;
-        if !self.rotation_ops.is_multiple_of(period) || self.rotation_base.is_empty() {
+        if !self.rotation_ops.is_multiple_of(ROTATION_PERIOD) || self.rotation_base.is_empty() {
             return;
         }
         self.rotation_epoch += 1;
         let epoch = self.rotation_epoch;
-        let members = match self.rotation {
-            RotationPolicy::PerCore { .. } => {
-                let idx = ((epoch - 1) % self.rotation_base.len() as u64) as usize;
-                idx..idx + 1
-            }
-            RotationPolicy::PerPartition { .. } => 0..self.rotation_base.len(),
-            RotationPolicy::Off => unreachable!("period() returned Some"),
+        let members = if defense == DefenseKind::RotateCore {
+            let idx = ((epoch - 1) % self.rotation_base.len() as u64) as usize;
+            idx..idx + 1
+        } else {
+            0..self.rotation_base.len()
         };
         for &(raw, base) in &self.rotation_base[members] {
             let pid = ProcessId::new(raw);
@@ -845,16 +834,14 @@ impl Hierarchy {
         }
     }
 
-    /// Arms the TTL / normalization knobs of `defense` on every level
-    /// (both L1s and the unified levels). Seed rotation acts on the
-    /// shared level — apply it via [`SharedLlc::apply_defense`] — and
-    /// [`DefenseKind::RandomSafe`] is a *configuration*: build the
-    /// platform with [`DefenseKind::effective_setup`] instead of
-    /// toggling a knob here.
+    /// Arms `defense` on every level (both L1s and the unified
+    /// levels) through [`Cache::apply_defense`]. Seed rotation acts on
+    /// the shared level — apply it via [`SharedLlc::apply_defense`] —
+    /// and [`DefenseKind::RandomSafe`] is a *configuration*: build the
+    /// platform with [`DefenseKind::effective_setup`] instead.
     pub fn apply_defense(&mut self, defense: DefenseKind) {
         for cache in [&mut self.l1i, &mut self.l1d].into_iter().chain(&mut self.levels) {
-            cache.set_ttl(defense.ttl());
-            cache.set_normalize(defense.normalize());
+            cache.apply_defense(defense);
         }
     }
 

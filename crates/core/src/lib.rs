@@ -52,7 +52,7 @@ pub mod stats;
 
 pub use addr::{Addr, LineAddr};
 pub use cache::{AccessOutcome, BatchOutcome, Cache, EvictedLine, WritePolicy, Writeback};
-pub use defense::{DefenseKind, RotationPolicy, TtlConfig};
+pub use defense::DefenseKind;
 pub use error::ConfigError;
 pub use geometry::CacheGeometry;
 pub use hierarchy::{AccessKind, Hierarchy, OpTiming, TraceOp};

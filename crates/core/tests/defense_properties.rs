@@ -1,16 +1,18 @@
-//! Property tests for the defense zoo (`tscache_core::defense`): TTL
-//! expiry accounting, the TTL=∞ identity, timed-access normalization
-//! semantics and shared-level seed rotation. The hierarchy walk with
-//! TTL or normalization armed is checked against the reference model
-//! in `hierarchy_differential.rs`.
+//! Property tests for the defense zoo (`tscache_core::defense`), each
+//! defense armed through `apply_defense`: TTL expiry accounting, the
+//! identity of the defenses a cache does not act on, timed-access
+//! normalization semantics and shared-level seed rotation at
+//! `ROTATION_PERIOD`. The hierarchy walk with TTL or normalization
+//! armed is checked against the reference model in
+//! `hierarchy_differential.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use tscache_core::cache::{AccessOutcome, Cache, WritePolicy};
-use tscache_core::defense::{DefenseKind, RotationPolicy, TtlConfig};
+use tscache_core::defense::DefenseKind;
 use tscache_core::geometry::CacheGeometry;
-use tscache_core::hierarchy::SharedLlc;
+use tscache_core::hierarchy::{SharedLlc, ROTATION_PERIOD};
 use tscache_core::placement::PlacementKind;
 use tscache_core::prng::{mix64, Prng, SplitMix64};
 use tscache_core::seed::{ProcessId, Seed};
@@ -46,7 +48,7 @@ proptest! {
     #[test]
     fn ttl_drains_write_back_exactly_the_dirty_lines(salt in any::<u64>()) {
         let mut cache = small_modulo_cache();
-        cache.set_ttl(Some(TtlConfig { base: 2, jitter: 2 }));
+        cache.apply_defense(DefenseKind::Ttl);
         let mut rng = SplitMix64::new(mix64(salt ^ 0xd4a1));
         let owner = pid(1);
 
@@ -100,36 +102,48 @@ proptest! {
         prop_assert!(cache.stats().ttl_expiries() > 0, "TTL never fired");
     }
 
-    /// A TTL config with `base == 0` (infinite lifetime) is
-    /// bit-identical to an undefended cache: same per-op outcomes,
-    /// same statistics, same final contents — the jitter stream is
-    /// never even drawn from.
+    /// A defense a cache does not act on (off, Random-and-Safe, which
+    /// is a configuration, and the two shared-level rotations), armed
+    /// over TTL, leaves the cache bit-identical to an undefended one:
+    /// same per-op outcomes, same statistics, same final contents, so
+    /// the switch disarmed TTL and no lifetime is ever drawn.
     #[test]
-    fn infinite_ttl_is_bit_identical_to_defense_off(salt in any::<u64>()) {
-        let mut defended = small_modulo_cache();
-        let mut bare = small_modulo_cache();
-        defended.set_ttl(Some(TtlConfig { base: 0, jitter: 7 }));
-        prop_assert!(defended.ttl().is_none(), "infinite config must normalize to None");
+    fn defenses_a_cache_does_not_act_on_are_bit_identical_to_defense_off(
+        salt in any::<u64>(),
+    ) {
+        for kind in [
+            DefenseKind::Off,
+            DefenseKind::RandomSafe,
+            DefenseKind::RotatePartition,
+            DefenseKind::RotateCore,
+        ] {
+            let mut defended = small_modulo_cache();
+            let mut bare = small_modulo_cache();
+            defended.apply_defense(DefenseKind::Ttl);
+            defended.apply_defense(kind);
+            prop_assert_eq!(defended.defense(), kind);
 
-        let mut rng = SplitMix64::new(mix64(salt ^ 0x1f1f));
-        for _ in 0..400 {
-            let line = tscache_core::addr::LineAddr::new(rng.next_u64() % 96);
-            let write = rng.next_u64().is_multiple_of(4);
-            let a = defended.access_rw(pid(1), line, write);
-            let b = bare.access_rw(pid(1), line, write);
-            prop_assert_eq!(a, b);
+            let mut rng = SplitMix64::new(mix64(salt ^ 0x1f1f));
+            for _ in 0..400 {
+                let line = tscache_core::addr::LineAddr::new(rng.next_u64() % 96);
+                let write = rng.next_u64().is_multiple_of(4);
+                let a = defended.access_rw(pid(1), line, write);
+                let b = bare.access_rw(pid(1), line, write);
+                prop_assert_eq!(a, b, "{}", kind);
+                prop_assert_eq!(defended.probe(pid(2), line), bare.probe(pid(2), line));
+            }
+            prop_assert_eq!(defended.stats(), bare.stats(), "{}", kind);
+            let da: Vec<_> = defended.contents().collect();
+            let db: Vec<_> = bare.contents().collect();
+            prop_assert_eq!(da, db, "{}", kind);
         }
-        prop_assert_eq!(defended.stats(), bare.stats());
-        let da: Vec<_> = defended.contents().collect();
-        let db: Vec<_> = bare.contents().collect();
-        prop_assert_eq!(da, db);
     }
 }
 
 #[test]
 fn normalization_levels_the_first_foreign_access() {
     let mut cache = small_modulo_cache();
-    cache.set_normalize(true);
+    cache.apply_defense(DefenseKind::Normalize);
     let line = tscache_core::addr::LineAddr::new(5);
 
     // Victim loads the line.
@@ -161,7 +175,7 @@ fn normalized_probe_hides_foreign_lines() {
 
     // Undefended, a probe sees any resident line.
     assert!(cache.probe(pid(2), line));
-    cache.set_normalize(true);
+    cache.apply_defense(DefenseKind::Normalize);
     // Normalized, only the owner does.
     assert!(!cache.probe(pid(2), line));
     assert!(cache.probe(pid(1), line));
@@ -186,57 +200,54 @@ fn shared_level() -> SharedLlc {
     llc
 }
 
-/// Drives `fills` fill requests round-robin over three processes with
-/// distinct line streams; returns final stats + contents for equality
-/// checks.
-fn drive_rotation(llc: &mut SharedLlc, fills: u64) {
-    for i in 0..fills {
-        let p = pid((i % 3) as u16 + 1);
-        let line = tscache_core::addr::LineAddr::new(0x4000 + (i * 7) % 256);
-        llc.resolve(p, Some(line), &[]);
-    }
-}
-
 #[test]
 fn per_core_rotation_fires_on_schedule_and_flushes_the_rotated_core() {
     let mut llc = shared_level();
-    llc.set_rotation(RotationPolicy::PerCore { period: 64 });
+    llc.apply_defense(DefenseKind::RotateCore);
 
-    // Seed pid 1 with some lines, then let pids 2 and 3 tick the clock
-    // up to one period: epoch 1 rotates rotation_base[0] = pid 1.
+    // Seed pid 1 with some lines, then let pids 2 and 3 re-touch one
+    // line each until the clock stands one fill short of a period.
     for i in 0..10u64 {
         llc.resolve(pid(1), Some(tscache_core::addr::LineAddr::new(0x9000 + i)), &[]);
     }
-    assert_eq!(llc.rotation_epoch(), 0);
-    for i in 0..54u64 {
+    let touch = |llc: &mut SharedLlc, i: u64| {
         let p = pid((i % 2) as u16 + 2);
-        llc.resolve(p, Some(tscache_core::addr::LineAddr::new(0xa000 + i)), &[]);
+        llc.resolve(p, Some(tscache_core::addr::LineAddr::new(0xa000 + p.as_u16() as u64)), &[]);
+    };
+    for i in 10..ROTATION_PERIOD - 1 {
+        touch(&mut llc, i);
     }
-    assert_eq!(llc.rotation_epoch(), 1, "rotation missed its cadence");
+    let owners = |llc: &SharedLlc| -> BTreeSet<u16> {
+        llc.cache().contents().map(|(_, _, _, o)| o.as_u16()).collect()
+    };
+    assert_eq!(llc.rotation_epoch(), 0);
+    assert_eq!(owners(&llc), BTreeSet::from([1, 2, 3]));
 
-    // The rotated core's lines were flushed for seed-change
-    // consistency; the other cores keep theirs.
-    let owners: BTreeSet<u16> = llc.cache().contents().map(|(_, _, _, o)| o.as_u16()).collect();
-    assert!(!owners.contains(&1), "rotated core's lines survived the flush");
-    assert!(owners.contains(&2) && owners.contains(&3));
+    // The period's last fill starts epoch 1, which rotates
+    // rotation_base[0] = pid 1: its lines are flushed for seed-change
+    // consistency, and the other cores keep theirs.
+    touch(&mut llc, ROTATION_PERIOD - 1);
+    assert_eq!(llc.rotation_epoch(), 1, "rotation missed its cadence");
+    assert_eq!(owners(&llc), BTreeSet::from([2, 3]), "rotated core's lines survived the flush");
 }
 
 #[test]
 fn per_partition_rotation_rotates_every_process_together() {
     let mut llc = shared_level();
-    llc.set_rotation(RotationPolicy::PerPartition { period: 32 });
+    llc.apply_defense(DefenseKind::RotatePartition);
 
-    // 31 fills by three processes stay one short of the period.
-    for i in 0..31u64 {
+    // Three processes cycling over ten lines each stay one fill short
+    // of the period.
+    for i in 0..ROTATION_PERIOD - 1 {
         let p = pid((i % 3) as u16 + 1);
-        llc.resolve(p, Some(tscache_core::addr::LineAddr::new(0xb000 + i)), &[]);
+        llc.resolve(p, Some(tscache_core::addr::LineAddr::new(0xb000 + i % 30)), &[]);
     }
     assert_eq!(llc.rotation_epoch(), 0);
     let owners: BTreeSet<u16> = llc.cache().contents().map(|(_, _, _, o)| o.as_u16()).collect();
     assert_eq!(owners, BTreeSet::from([1, 2, 3]));
 
-    // The 32nd fill rotates all three processes before it lands, so
-    // its line is the only one left.
+    // The period's last fill rotates all three processes before it
+    // lands, so its line is the only one left.
     let last = tscache_core::addr::LineAddr::new(0xc000);
     llc.resolve(pid(1), Some(last), &[]);
     assert_eq!(llc.rotation_epoch(), 1);
@@ -249,35 +260,29 @@ fn per_partition_rotation_rotates_every_process_together() {
 fn rotation_reproduces_bit_for_bit() {
     let run = || {
         let mut llc = shared_level();
-        llc.set_rotation(RotationPolicy::PerCore { period: 48 });
-        drive_rotation(&mut llc, 500);
+        llc.apply_defense(DefenseKind::RotateCore);
+        // Ten periods of fill requests round-robin over three processes.
+        for i in 0..10 * ROTATION_PERIOD {
+            let line = tscache_core::addr::LineAddr::new(0x4000 + (i * 7) % 256);
+            llc.resolve(pid((i % 3) as u16 + 1), Some(line), &[]);
+        }
         let contents: Vec<_> =
             llc.cache().contents().map(|(s, w, l, o)| (s, w, l.as_u64(), o.as_u16())).collect();
         (llc.rotation_epoch(), *llc.cache().stats(), contents)
     };
-    assert_eq!(run(), run());
-    // The schedule actually fired several times over 500 fills.
-    let mut llc = shared_level();
-    llc.set_rotation(RotationPolicy::PerCore { period: 48 });
-    drive_rotation(&mut llc, 500);
-    assert!(llc.rotation_epoch() >= 10, "epoch {}", llc.rotation_epoch());
+    let first = run();
+    assert_eq!(first, run());
+    // The schedule fired once per period.
+    assert_eq!(first.0, 10, "epoch {}", first.0);
 }
 
 #[test]
 fn hierarchy_apply_defense_arms_every_level() {
     let mut h = tscache_core::setup::SetupKind::TsCache.build_depth(HierarchyDepth::ThreeLevel, 7);
-    h.apply_defense(DefenseKind::Ttl);
-    assert!(h.l1i().ttl().is_some());
-    assert!(h.l1d().ttl().is_some());
-    assert!(h.unified_levels().all(|c| c.ttl().is_some()));
-    assert!(!h.l1d().normalize_enabled());
-
-    h.apply_defense(DefenseKind::Normalize);
-    assert!(h.l1d().normalize_enabled());
-    assert!(h.unified_levels().all(|c| c.normalize_enabled()));
-    assert!(h.l1i().ttl().is_none(), "switching defenses must disarm the previous one");
-
-    h.apply_defense(DefenseKind::Off);
-    assert!(!h.l1d().normalize_enabled());
-    assert!(h.l1d().ttl().is_none());
+    for defense in [DefenseKind::Ttl, DefenseKind::Normalize, DefenseKind::Off] {
+        // Arming one defense replaces the previous one at every level.
+        h.apply_defense(defense);
+        let mut levels = [h.l1i(), h.l1d()].into_iter().chain(h.unified_levels());
+        assert!(levels.all(|c| c.defense() == defense), "{defense}");
+    }
 }

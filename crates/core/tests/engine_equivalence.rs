@@ -55,8 +55,7 @@ fn assert_matches_model(
         both!(set_way_partition(ProcessId::new(2), 2, 4));
     }
     both!(set_write_policy(write_policy));
-    both!(set_ttl(defense.ttl()));
-    both!(set_normalize(defense.normalize()));
+    both!(apply_defense(defense));
 
     let mut rng = SplitMix64::new(mix64(0xabc ^ ((defense as u64) << 8) ^ partitioned as u64));
     let mut recent: Vec<u64> = Vec::new();

@@ -127,8 +127,7 @@ fn pair(
     h.apply_defense(defense);
     for cache in m.levels() {
         cache.set_write_policy(write_policy);
-        cache.set_ttl(defense.ttl());
-        cache.set_normalize(defense.normalize());
+        cache.apply_defense(defense);
     }
     for (pid, seed) in [(1u16, 0xaaaa), (2, 0xbbbb)] {
         h.set_process_seed(ProcessId::new(pid), Seed::new(seed));

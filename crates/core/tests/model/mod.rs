@@ -15,7 +15,7 @@
 
 use tscache_core::addr::{Addr, LineAddr};
 use tscache_core::cache::{AccessOutcome, CohState, EvictedLine, InvalidatedCopy, WritePolicy};
-use tscache_core::defense::TtlConfig;
+use tscache_core::defense::DefenseKind;
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::hierarchy::AccessKind;
 use tscache_core::placement::{PlacementEngine, PlacementKind};
@@ -60,14 +60,14 @@ pub struct ModelCache {
     protected: Vec<(u64, u64)>,
     coherent: Vec<(u64, u64)>,
     write_back: bool,
-    ttl: Option<TtlConfig>,
-    normalize: bool,
+    /// TTL and normalization are the defenses a cache acts on.
+    defense: DefenseKind,
     rng_seed: u64,
     /// The shared stream: whole-set victims and RPCache remaps.
     rng: SplitMix64,
     /// Per-pid streams for victims inside a way partition.
     part_rngs: Vec<(ProcessId, SplitMix64)>,
-    /// Per-fill TTL jitter.
+    /// Per-fill TTL lifetimes.
     ttl_rng: SplitMix64,
     stats: CacheStats,
 }
@@ -90,8 +90,7 @@ impl ModelCache {
             protected: Vec::new(),
             coherent: Vec::new(),
             write_back: false,
-            ttl: None,
-            normalize: false,
+            defense: DefenseKind::Off,
             rng_seed,
             rng: SplitMix64::new(rng_seed ^ 0x6361_6368_6521),
             part_rngs: Vec::new(),
@@ -121,13 +120,8 @@ impl ModelCache {
         self.write_back = policy == WritePolicy::WriteBack;
     }
 
-    /// An infinite TTL (`base == 0`) disarms it.
-    pub fn set_ttl(&mut self, ttl: Option<TtlConfig>) {
-        self.ttl = ttl.filter(TtlConfig::is_finite);
-    }
-
-    pub fn set_normalize(&mut self, on: bool) {
-        self.normalize = on;
+    pub fn apply_defense(&mut self, defense: DefenseKind) {
+        self.defense = defense;
     }
 
     pub fn stats(&self) -> &CacheStats {
@@ -164,7 +158,7 @@ impl ModelCache {
     pub fn access_rw(&mut self, pid: ProcessId, line: LineAddr, write: bool) -> AccessOutcome {
         let seed = self.seeds.get(pid);
         let mut set = self.placement.place(line, seed) as usize;
-        if self.ttl.is_some() {
+        if self.defense == DefenseKind::Ttl {
             self.ttl_tick(set);
         }
         let dirty = write && self.write_back;
@@ -173,7 +167,7 @@ impl ModelCache {
             let slot = self.sets[set][way].as_mut().unwrap();
             slot.stamp = self.clock;
             slot.dirty |= dirty;
-            if self.normalize && slot.owner != pid {
+            if self.defense == DefenseKind::Normalize && slot.owner != pid {
                 // Normalized: ownership moves, the access reports a
                 // miss, and nothing is filled or evicted.
                 slot.owner = pid;
@@ -219,13 +213,9 @@ impl ModelCache {
         self.stats.record_miss(evicted.is_some());
         let within =
             |ranges: &[(u64, u64)]| ranges.iter().any(|&(s, e)| (s..e).contains(&line.as_u64()));
-        let ttl = match self.ttl {
-            Some(cfg) if cfg.jitter > 0 => {
-                cfg.base.saturating_add(self.ttl_rng.below(cfg.jitter as u32 + 1) as u8)
-            }
-            Some(cfg) => cfg.base,
-            None => 0,
-        };
+        // A TTL fill lives 2 to 5 accesses to its set; 0 never expires.
+        let ttl =
+            if self.defense == DefenseKind::Ttl { 2 + self.ttl_rng.below(4) as u8 } else { 0 };
         self.clock += 1;
         self.sets[set][way] = Some(Slot {
             line,
@@ -284,7 +274,9 @@ impl ModelCache {
 
     pub fn probe(&mut self, pid: ProcessId, line: LineAddr) -> bool {
         match self.lookup(pid, line) {
-            (set, Some(way)) => !self.normalize || self.sets[set][way].unwrap().owner == pid,
+            (set, Some(way)) => {
+                self.defense != DefenseKind::Normalize || self.sets[set][way].unwrap().owner == pid
+            }
             (_, None) => false,
         }
     }

@@ -28,14 +28,13 @@
 //! attack scenarios are pure functions of the configuration, so
 //! outcomes are bit-identical for any worker-thread count.
 
-use crate::prime_probe::seed_cache;
+use crate::prime_probe::attacked_l1d;
 use crate::{key_rank, random_block, seed_machine, shared_llc, TE0_LINES, VICTIM_KEY};
 use tscache_aes::sim_cipher::{AesLayout, SimAes128};
 use tscache_core::addr::{Addr, LineAddr};
 use tscache_core::cache::Cache;
 use tscache_core::defense::DefenseKind;
 use tscache_core::error::ConfigError;
-use tscache_core::geometry::CacheGeometry;
 use tscache_core::parallel;
 use tscache_core::pmu::{PmuDelta, PmuSampler, PmuSnapshot};
 use tscache_core::prng::{mix64, Prng, SplitMix64};
@@ -173,7 +172,9 @@ impl DetectionCampaignConfig {
         }
     }
 
-    /// Validates the campaign parameters.
+    /// Validates the campaign parameters. A seed-rotation defense is
+    /// refused on the Prime+Probe and Bernstein targets: they run on
+    /// private platforms, with no shared level to rotate.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.rounds == 0 {
             return Err(ConfigError::incompatible("detection campaign needs rounds > 0"));
@@ -183,7 +184,8 @@ impl DetectionCampaignConfig {
                 "detection campaign needs 0 < window_rounds <= rounds",
             ));
         }
-        self.detector.validate()
+        self.detector.validate()?;
+        self.defense.validate_platform(self.target == DetectTarget::FlushReload)
     }
 }
 
@@ -371,15 +373,9 @@ fn machine_snapshot(machine: &Machine) -> PmuSnapshot {
 /// cache before the secret access and probes after it; the benign
 /// co-task touches a modest 48-line working set instead.
 fn prime_probe_trace(cfg: &DetectionCampaignConfig, attack: bool) -> WindowTrace {
-    let setup = cfg.defense.effective_setup(cfg.setup);
-    let geom = CacheGeometry::paper_l1();
-    let (placement, replacement) = setup.l1_policy();
     let victim = ProcessId::new(1);
     let other = ProcessId::new(2);
-    let mut cache = Cache::new("L1D", geom, placement, replacement, cfg.master_seed);
-    cache.set_ttl(cfg.defense.ttl());
-    cache.set_normalize(cfg.defense.normalize());
-    seed_cache(&mut cache, setup, victim, other, cfg.master_seed, 0);
+    let mut cache = attacked_l1d(cfg.setup, cfg.defense, cfg.master_seed, 0);
 
     let prime_lines: Vec<LineAddr> = (0..512u64).map(LineAddr::new).collect();
     let co_lines: Vec<LineAddr> = (0..48u64).map(|i| LineAddr::new(0x20_000 + i)).collect();
@@ -793,6 +789,23 @@ mod tests {
         let bad_detector = DetectorConfig { cross_weight: f64::NAN, ..DetectorConfig::default() };
         assert!(DetectionCampaignConfig { detector: bad_detector, ..good }.validate().is_err());
         assert!(run_detection_campaign(&DetectionCampaignConfig { rounds: 0, ..good }).is_err());
+    }
+
+    #[test]
+    fn rotation_is_refused_on_the_private_targets() {
+        for target in DetectTarget::ALL {
+            for defense in [DefenseKind::RotatePartition, DefenseKind::RotateCore] {
+                let cfg = DetectionCampaignConfig {
+                    defense,
+                    ..DetectionCampaignConfig::standard(target, SetupKind::TsCache, 7)
+                };
+                let shared = target == DetectTarget::FlushReload;
+                assert_eq!(cfg.validate().is_ok(), shared, "{} under {defense}", target.label());
+                if !shared {
+                    assert!(run_detection_campaign(&cfg).is_err(), "{}", target.label());
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,12 +7,10 @@
 //! per-process seeds the "targeted" set lands somewhere unrelated in
 //! the victim's layout.
 
-use crate::prime_probe::seed_cache;
+use crate::prime_probe::attacked_l1d;
 use tscache_core::addr::LineAddr;
-use tscache_core::cache::Cache;
 use tscache_core::defense::DefenseKind;
 use tscache_core::error::ConfigError;
-use tscache_core::geometry::CacheGeometry;
 use tscache_core::parallel::par_map_indexed;
 use tscache_core::prng::{mix64, Prng, SplitMix64};
 use tscache_core::seed::ProcessId;
@@ -64,9 +62,6 @@ pub fn run_evict_time(
     if trials == 0 {
         return Err(ConfigError::incompatible("evict+time needs trials > 0"));
     }
-    let setup = defense.effective_setup(setup);
-    let geom = CacheGeometry::paper_l1();
-    let (placement, replacement) = setup.l1_policy();
     let victim = ProcessId::new(1);
     let attacker = ProcessId::new(2);
 
@@ -75,11 +70,7 @@ pub fn run_evict_time(
         let mut trial_rng = SplitMix64::new(mix64(
             master_seed ^ 0xe71c7 ^ (trial as u64).wrapping_mul(0x517c_c1b7_2722_0a95),
         ));
-        let mut cache = Cache::new("L1D", geom, placement, replacement, master_seed ^ trial as u64);
-        cache.set_ttl(defense.ttl());
-        cache.set_normalize(defense.normalize());
-        seed_cache(&mut cache, setup, victim, attacker, master_seed, trial);
-
+        let mut cache = attacked_l1d(setup, defense, master_seed, trial);
         let secret_index = trial_rng.below(128) as u64;
         let victim_line = LineAddr::new(0x10_000 + secret_index);
         // Victim warms its line.

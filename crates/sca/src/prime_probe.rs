@@ -39,8 +39,8 @@ impl PrimeProbeOutcome {
 /// Runs `trials` Prime+Probe rounds against the L1D policy of `setup`
 /// with a [`DefenseKind`] from the zoo layered on top:
 /// [`DefenseKind::RandomSafe`] swaps the platform for the
-/// Random-and-Safe configuration, TTL/normalization arm the cache
-/// knobs, and the rotation defenses are no-ops here (this primitive
+/// Random-and-Safe configuration, TTL and normalization arm the
+/// cache, and the rotation defenses are no-ops here (this primitive
 /// attacks a single private L1 — no shared level to rotate).
 ///
 /// Per trial the victim accesses one secret line (index drawn from the
@@ -65,9 +65,6 @@ pub fn run_prime_probe(
     if trials == 0 {
         return Err(ConfigError::incompatible("prime+probe needs trials > 0"));
     }
-    let setup = defense.effective_setup(setup);
-    let geom = CacheGeometry::paper_l1();
-    let (placement, replacement) = setup.l1_policy();
     let victim = ProcessId::new(1);
     let attacker = ProcessId::new(2);
     // Prime working set: 4 pages of attacker lines fill every set
@@ -80,11 +77,7 @@ pub fn run_prime_probe(
         let mut trial_rng = SplitMix64::new(mix64(
             master_seed ^ 0x9199e ^ (trial as u64).wrapping_mul(0x517c_c1b7_2722_0a95),
         ));
-        let mut cache = Cache::new("L1D", geom, placement, replacement, master_seed ^ trial as u64);
-        cache.set_ttl(defense.ttl());
-        cache.set_normalize(defense.normalize());
-        seed_cache(&mut cache, setup, victim, attacker, master_seed, trial);
-
+        let mut cache = attacked_l1d(setup, defense, master_seed, trial);
         cache.access_batch(attacker, &prime_lines);
 
         // Victim accesses one secret line.
@@ -111,30 +104,30 @@ pub fn run_prime_probe(
     })
 }
 
-/// Seeds a two-process cache per the setup's sharing policy.
-pub(crate) fn seed_cache(
-    cache: &mut Cache,
+/// The defended L1D an L1 contention attack runs against in `trial`:
+/// the L1 policy of `defense`'s effective setup on the paper L1
+/// geometry, with `defense` armed and the victim (pid 1) and the
+/// attacker (pid 2) seeded per that setup's sharing policy.
+pub(crate) fn attacked_l1d(
     setup: SetupKind,
-    victim: ProcessId,
-    attacker: ProcessId,
+    defense: DefenseKind,
     master_seed: u64,
     trial: u32,
-) {
+) -> Cache {
+    let setup = defense.effective_setup(setup);
+    let (placement, replacement) = setup.l1_policy();
+    let rng_seed = master_seed ^ trial as u64;
+    let mut cache = Cache::new("L1D", CacheGeometry::paper_l1(), placement, replacement, rng_seed);
+    cache.apply_defense(defense);
     let base = mix64(master_seed ^ (trial as u64) << 20);
-    match setup.seed_sharing() {
-        SeedSharing::Irrelevant => {
-            cache.set_seed(victim, Seed::ZERO);
-            cache.set_seed(attacker, Seed::ZERO);
-        }
-        SeedSharing::Shared => {
-            cache.set_seed(victim, Seed::new(base));
-            cache.set_seed(attacker, Seed::new(base));
-        }
-        SeedSharing::PerProcess => {
-            cache.set_seed(victim, Seed::new(mix64(base ^ 1)));
-            cache.set_seed(attacker, Seed::new(mix64(base ^ 2)));
-        }
-    }
+    let (victim, attacker) = match setup.seed_sharing() {
+        SeedSharing::Irrelevant => (Seed::ZERO, Seed::ZERO),
+        SeedSharing::Shared => (Seed::new(base), Seed::new(base)),
+        SeedSharing::PerProcess => (Seed::new(mix64(base ^ 1)), Seed::new(mix64(base ^ 2))),
+    };
+    cache.set_seed(ProcessId::new(1), victim);
+    cache.set_seed(ProcessId::new(2), attacker);
+    cache
 }
 
 #[cfg(test)]

@@ -174,10 +174,10 @@ impl Machine {
         }
     }
 
-    /// Arms a defense-zoo policy across this machine: TTL/normalize
-    /// knobs on every private level and — when the machine runs on a
-    /// shared LLC — the seed-rotation schedule there. Attached enemy
-    /// co-runners keep their undefended private hierarchies (the
+    /// Arms a defense-zoo policy across this machine: on every private
+    /// level and — when the machine runs on a shared LLC — on the
+    /// shared level, whose seed-rotation clock it also arms. Attached
+    /// enemy co-runners keep their undefended private hierarchies (the
     /// defense protects the platform under test, not the adversary's
     /// core), matching how the paper evaluates per-core mitigations.
     pub fn apply_defense(&mut self, defense: DefenseKind) {
