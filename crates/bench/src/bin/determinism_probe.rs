@@ -32,40 +32,21 @@ use tscache_sca::sampling::{collect_pair, SamplingConfig};
 use tscache_sim::layout::Layout;
 use tscache_sim::synthetic::{MatrixMult, PointerChase};
 use tscache_sim::workload::{collect_execution_times_par, MeasurementProtocol};
-
-/// FNV-1a over a byte stream; enough to fingerprint result vectors.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-}
+use tscache_telemetry::digest::Fnv64;
 
 fn main() {
     // Prime+Probe and Evict+Time trial fan-outs.
     let pp = run_prime_probe(SetupKind::TsCache, DefenseKind::Off, 256, 11).expect("trials > 0");
-    let mut d = Digest::new();
-    d.f64(pp.accuracy);
-    d.f64(pp.mean_evictions);
-    println!("prime_probe {:016x}", d.0);
+    let mut d = Fnv64::new();
+    d.write_f64(pp.accuracy);
+    d.write_f64(pp.mean_evictions);
+    println!("prime_probe {:016x}", d.finish());
 
     let et =
         run_evict_time(SetupKind::Deterministic, DefenseKind::Off, 256, 13).expect("trials > 0");
-    let mut d = Digest::new();
-    d.f64(et.detection_rate);
-    println!("evict_time {:016x}", d.0);
+    let mut d = Fnv64::new();
+    d.write_f64(et.detection_rate);
+    println!("evict_time {:016x}", d.finish());
 
     // Bernstein sampling pair on both hierarchy depths. Frequent
     // reseeds from a cold start keep first touches missing down the
@@ -78,26 +59,26 @@ fn main() {
         cfg.reseed_every = 64;
         cfg.warmup_jobs = 0;
         let (a, v) = collect_pair(cfg, &[7u8; 16], &[13u8; 16]).expect("valid sampling config");
-        let mut d = Digest::new();
+        let mut d = Fnv64::new();
         for s in a.iter().chain(&v) {
-            d.u64(s.cycles);
+            d.write_u64(s.cycles);
             for b in s.plaintext {
-                d.u64(b as u64);
+                d.write_u64(b as u64);
             }
         }
-        println!("collect_pair_{depth} {:016x}", d.0);
+        println!("collect_pair_{depth} {:016x}", d.finish());
     }
 
     // The full Bernstein analysis pipeline (samples → per-byte sweep).
     let attack = run_attack(SamplingConfig::standard(SetupKind::Deterministic, 2000, 0xa7))
         .expect("valid sampling config");
-    let mut d = Digest::new();
+    let mut d = Fnv64::new();
     for b in &attack.bytes {
         for &s in &b.scores {
-            d.f64(s);
+            d.write_f64(s);
         }
     }
-    println!("bernstein_attack {:016x}", d.0);
+    println!("bernstein_attack {:016x}", d.finish());
 
     // A contended Bernstein campaign: co-runner cores, shared-bus
     // queuing and MSHR coalescing must stay bit-identical across
@@ -107,11 +88,11 @@ fn main() {
     contended.reseed_every = 64;
     contended.warmup_jobs = 2;
     let (a, v) = collect_pair(contended, &[7u8; 16], &[13u8; 16]).expect("valid sampling config");
-    let mut d = Digest::new();
+    let mut d = Fnv64::new();
     for s in a.iter().chain(&v) {
-        d.u64(s.cycles);
+        d.write_u64(s.cycles);
     }
-    println!("contended_collect_pair {:016x}", d.0);
+    println!("contended_collect_pair {:016x}", d.finish());
 
     // Core-ordering split: permuting two *distinct* enemy cores may
     // shift queuing waits (clock ties resolve by core index — a
@@ -156,11 +137,11 @@ fn main() {
         invariant(&swapped.cores[0]),
         "core ordering leaked into the measured core's cache/MSHR outcomes"
     );
-    let mut d = Digest::new();
-    d.u64(plain.cores[0].cycles);
-    d.u64(plain.cores[0].bus_wait);
-    d.u64(plain.bus.transactions);
-    println!("contended_core_order {:016x}", d.0);
+    let mut d = Fnv64::new();
+    d.write_u64(plain.cores[0].cycles);
+    d.write_u64(plain.cores[0].bus_wait);
+    d.write_u64(plain.bus.transactions);
+    println!("contended_core_order {:016x}", d.finish());
 
     // Shared-LLC contended campaigns (enemy cores inside the shared
     // cache, not just on the bus), unpartitioned and per-core
@@ -174,12 +155,12 @@ fn main() {
         shared.reseed_every = 64;
         shared.warmup_jobs = 2;
         let (a, v) = collect_pair(shared, &[7u8; 16], &[13u8; 16]).expect("valid sampling config");
-        let mut d = Digest::new();
+        let mut d = Fnv64::new();
         for s in a.iter().chain(&v) {
-            d.u64(s.cycles);
+            d.write_u64(s.cycles);
         }
         let tag = if partition_llc_ways == 0 { "open" } else { "partitioned" };
-        println!("shared_llc_collect_pair_{tag} {:016x}", d.0);
+        println!("shared_llc_collect_pair_{tag} {:016x}", d.finish());
     }
 
     // Core-order sensitivity on the shared level: with a *full
@@ -241,14 +222,14 @@ fn main() {
                 "core ordering reached a fully partitioned core's shared-level outcomes"
             );
         }
-        let mut d = Digest::new();
-        d.u64(plain.cycles);
-        d.u64(plain.base_cycles);
-        d.u64(swapped.cycles);
-        d.u64(swapped.base_cycles);
-        d.u64(bus_transactions);
+        let mut d = Fnv64::new();
+        d.write_u64(plain.cycles);
+        d.write_u64(plain.base_cycles);
+        d.write_u64(swapped.cycles);
+        d.write_u64(swapped.base_cycles);
+        d.write_u64(bus_transactions);
         let tag = if partitioned { "partitioned" } else { "open" };
-        println!("shared_llc_core_order_{tag} {:016x}", d.0);
+        println!("shared_llc_core_order_{tag} {:016x}", d.finish());
     }
 
     // The coherent Flush+Reload campaigns: sequential by construction,
@@ -259,18 +240,18 @@ fn main() {
         use tscache_sca::flush_reload::{run_flush_reload, FlushReloadConfig};
         let out = run_flush_reload(&FlushReloadConfig::standard(setup, 0xf1a5))
             .expect("valid flush+reload config");
-        let mut d = Digest::new();
+        let mut d = Fnv64::new();
         for &s in &out.scores {
-            d.u64(s as u64);
+            d.write_u64(s as u64);
         }
-        d.u64(out.reload_hits);
-        d.u64(out.victim_invalidations);
-        d.f64(out.correct_rank);
+        d.write_u64(out.reload_hits);
+        d.write_u64(out.victim_invalidations);
+        d.write_f64(out.correct_rank);
         let tag = match setup {
             SetupKind::Deterministic => "deterministic",
             _ => "tscache",
         };
-        println!("flush_reload_{tag} {:016x}", d.0);
+        println!("flush_reload_{tag} {:016x}", d.finish());
     }
 
     // Online-detection campaigns: the benign/attack scenario pair fans
@@ -279,23 +260,23 @@ fn main() {
     for target in DetectTarget::ALL {
         let cfg = DetectionCampaignConfig::standard(target, SetupKind::Deterministic, 17);
         let out = run_detection_campaign(&cfg).expect("valid campaign config");
-        let mut d = Digest::new();
-        d.u64(out.windows);
+        let mut d = Fnv64::new();
+        d.write_u64(out.windows);
         for s in out.attack_scores.iter().chain(&out.benign_scores) {
-            d.f64(*s);
+            d.write_f64(*s);
         }
         for p in &out.roc.points {
-            d.f64(p.threshold);
-            d.f64(p.fpr);
-            d.f64(p.tpr);
+            d.write_f64(p.threshold);
+            d.write_f64(p.fpr);
+            d.write_f64(p.tpr);
         }
-        d.f64(out.operating_threshold);
+        d.write_f64(out.operating_threshold);
         for e in &out.events {
-            d.u64(e.window);
-            d.f64(e.score);
+            d.write_u64(e.window);
+            d.write_f64(e.score);
         }
-        d.u64(out.detection_latency.unwrap_or(u64::MAX));
-        println!("detect_{} {:016x}", target.label(), d.0);
+        d.write_u64(out.detection_latency.unwrap_or(u64::MAX));
+        println!("detect_{} {:016x}", target.label(), d.finish());
     }
 
     // The RTOS-resident detector riding a monitored schedule: window
@@ -314,18 +295,18 @@ fn main() {
             .expect("valid OS config");
         let report = os.run(12);
         let detection = report.detection.expect("detector was enabled");
-        let mut d = Digest::new();
-        d.u64(detection.windows);
-        d.u64(detection.masked);
+        let mut d = Fnv64::new();
+        d.write_u64(detection.windows);
+        d.write_u64(detection.masked);
         for s in &detection.scores {
-            d.f64(*s);
+            d.write_f64(*s);
         }
         for e in &detection.events {
-            d.u64(e.window);
-            d.f64(e.score);
+            d.write_u64(e.window);
+            d.write_f64(e.score);
         }
-        d.f64(detection.max_score);
-        println!("rtos_detector {:016x}", d.0);
+        d.write_f64(detection.max_score);
+        println!("rtos_detector {:016x}", d.finish());
     }
 
     // MBPTA parallel measurement collection over batched-replay
@@ -347,11 +328,11 @@ fn main() {
             .expect("valid protocol"),
         ),
     ] {
-        let mut d = Digest::new();
+        let mut d = Fnv64::new();
         for t in times {
-            d.u64(t);
+            d.write_u64(t);
         }
-        println!("{name} {:016x}", d.0);
+        println!("{name} {:016x}", d.finish());
     }
 
     // Solo trace replay through `access_batch_cycles` on every setup,
@@ -367,7 +348,7 @@ fn main() {
             ops[i] = TraceOp::flush(ops[i - 5].addr);
         }
         let pids = [ProcessId::new(1), ProcessId::new(2)];
-        let mut d = Digest::new();
+        let mut d = Fnv64::new();
         for setup in SetupKind::ALL {
             for depth in HierarchyDepth::ALL {
                 for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
@@ -378,7 +359,7 @@ fn main() {
                         h.set_process_seed(pids[0], Seed::new(31));
                         h.set_process_seed(pids[1], Seed::new(32));
                         for (k, chunk) in ops.chunks(250).enumerate() {
-                            d.u64(h.access_batch_cycles(pids[k % 2], chunk));
+                            d.write_u64(h.access_batch_cycles(pids[k % 2], chunk));
                         }
                         for cache in [h.l1i(), h.l1d()].into_iter().chain(h.unified_levels()) {
                             let s = cache.stats();
@@ -393,13 +374,13 @@ fn main() {
                                 s.ttl_expiries(),
                                 cache.dirty_lines() as u64,
                             ] {
-                                d.u64(v);
+                                d.write_u64(v);
                             }
                         }
                     }
                 }
             }
         }
-        println!("hierarchy_walk {:016x}", d.0);
+        println!("hierarchy_walk {:016x}", d.finish());
     }
 }

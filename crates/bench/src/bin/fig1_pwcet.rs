@@ -34,7 +34,7 @@ fn main() {
     let times = collect_execution_times(SetupKind::Mbpta, &mut task, &protocol, None)
         .expect("valid protocol");
 
-    let analysis = analyze(&times, &MbptaConfig { block_size: block, ..Default::default() });
+    let analysis = analyze(&times, &MbptaConfig { block_size: block });
     println!(
         "observed: mean {:.0}, max (HWM) {:.0} cycles",
         analysis.summary.mean, analysis.summary.max

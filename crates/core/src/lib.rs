@@ -57,7 +57,7 @@ pub use error::ConfigError;
 pub use geometry::CacheGeometry;
 pub use hierarchy::{AccessKind, Hierarchy, OpTiming, TraceOp};
 pub use placement::{MbptaClass, PlacementEngine, PlacementKind};
-pub use pmu::{PmuCounters, PmuDelta, PmuSampler, PmuSnapshot};
+pub use pmu::{PmuDelta, PmuSampler, PmuSnapshot};
 pub use replacement::{ReplacementEngine, ReplacementKind};
 pub use seed::{ProcessId, Seed, SeedTable};
 pub use setup::{HierarchyDepth, SeedSharing, SetupKind};

@@ -5,98 +5,22 @@
 //! they read a handful of aggregated performance counters at coarse
 //! boundaries and reason about *deltas*. This module is that interface
 //! over the simulated platform: [`PmuSnapshot`] captures every
-//! monitored counter (per-level accesses, misses, writebacks,
-//! cross-process evictions, coherence invalidations, plus bus-wait and
-//! cycle totals) in one cheap copy, [`PmuSnapshot::delta`] subtracts
-//! two snapshots with saturating, monotonicity-checked arithmetic, and
-//! [`PmuSampler`] turns a stream of "N ops retired" notifications into
+//! monitored level's [`CacheStats`] plus the bus-wait and cycle totals
+//! in one cheap copy, [`PmuSnapshot::delta`] subtracts two snapshots
+//! level by level through [`CacheStats::since`], and [`PmuSampler`]
+//! turns a stream of "N ops retired" notifications into
 //! window-boundary deltas without touching the per-access fast path.
 //!
-//! Delta safety is the point: counters are plain `u64`s that a future
-//! `reset_stats`/`reset_counters` call can rewind, and a raw `a - b`
-//! would underflow-panic a report (the exact bug class PR 7 fixes in
-//! the RTOS report path). Every subtraction here saturates at zero and
-//! records the violation in [`PmuDelta::monotone`] instead of crashing.
+//! Delta safety is the point: counters are plain `u64`s that
+//! `reset_stats` can rewind, and a raw `a - b` would underflow-panic a
+//! report. Every subtraction here saturates at zero and records the
+//! violation in [`PmuDelta::monotone`] instead of crashing.
 
 use crate::hierarchy::Hierarchy;
 use crate::stats::CacheStats;
 
-/// Saturating counter subtraction for scalar before/after pairs
-/// (cycle counts, contention totals). Never underflows: a rewound
-/// counter yields `0`, not a panic.
-#[inline]
-pub fn delta_u64(after: u64, before: u64) -> u64 {
-    after.saturating_sub(before)
-}
-
-#[inline]
-fn sub_checked(after: u64, before: u64, monotone: &mut bool) -> u64 {
-    if after < before {
-        *monotone = false;
-    }
-    after.saturating_sub(before)
-}
-
-/// One monitored cache level's counter image — the PMU event registers
-/// a counting-mode daemon would read.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PmuCounters {
-    /// Total accesses (hits + misses).
-    pub accesses: u64,
-    /// Misses.
-    pub misses: u64,
-    /// Dirty-line writebacks toward the next level.
-    pub writebacks: u64,
-    /// Evictions that displaced a *different* process's line — the
-    /// Prime+Probe contention signal.
-    pub cross_process_evictions: u64,
-    /// Line copies invalidated by coherence actions (flush broadcasts,
-    /// upgrades, inclusive back-invalidations) — the Flush+Reload
-    /// signal.
-    pub coh_invalidations: u64,
-}
-
-impl PmuCounters {
-    /// Reads the monitored events out of one cache's statistics block.
-    pub fn from_stats(stats: &CacheStats) -> Self {
-        PmuCounters {
-            accesses: stats.accesses(),
-            misses: stats.misses(),
-            writebacks: stats.writebacks(),
-            cross_process_evictions: stats.cross_process_evictions(),
-            coh_invalidations: stats.coh_invalidations(),
-        }
-    }
-
-    fn delta(&self, before: &PmuCounters, monotone: &mut bool) -> PmuCounters {
-        PmuCounters {
-            accesses: sub_checked(self.accesses, before.accesses, monotone),
-            misses: sub_checked(self.misses, before.misses, monotone),
-            writebacks: sub_checked(self.writebacks, before.writebacks, monotone),
-            cross_process_evictions: sub_checked(
-                self.cross_process_evictions,
-                before.cross_process_evictions,
-                monotone,
-            ),
-            coh_invalidations: sub_checked(
-                self.coh_invalidations,
-                before.coh_invalidations,
-                monotone,
-            ),
-        }
-    }
-
-    fn accumulate(&mut self, other: &PmuCounters) {
-        self.accesses += other.accesses;
-        self.misses += other.misses;
-        self.writebacks += other.writebacks;
-        self.cross_process_evictions += other.cross_process_evictions;
-        self.coh_invalidations += other.coh_invalidations;
-    }
-}
-
 /// A point-in-time image of every monitored counter: one
-/// [`PmuCounters`] per cache level plus the scalar bus-wait and cycle
+/// [`CacheStats`] per cache level plus the scalar bus-wait and cycle
 /// totals. Capturing is a handful of `u64` copies — cheap enough for
 /// window boundaries, never done per access.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -104,7 +28,7 @@ pub struct PmuSnapshot {
     /// Per-level counters, in hierarchy order (L1I, L1D, unified
     /// levels, then any extra levels appended via
     /// [`with_level`](Self::with_level) — e.g. a shared LLC).
-    pub levels: Vec<PmuCounters>,
+    pub levels: Vec<CacheStats>,
     /// Cycles lost to shared-bus queuing.
     pub bus_wait_cycles: u64,
     /// Total cycles elapsed on the monitored core.
@@ -118,11 +42,8 @@ impl PmuSnapshot {
     /// / [`with_bus_wait`](Self::with_bus_wait) /
     /// [`with_cycles`](Self::with_cycles).
     pub fn capture(hierarchy: &Hierarchy) -> Self {
-        let mut levels = vec![
-            PmuCounters::from_stats(hierarchy.l1i().stats()),
-            PmuCounters::from_stats(hierarchy.l1d().stats()),
-        ];
-        levels.extend(hierarchy.unified_levels().map(|c| PmuCounters::from_stats(c.stats())));
+        let mut levels = vec![*hierarchy.l1i().stats(), *hierarchy.l1d().stats()];
+        levels.extend(hierarchy.unified_levels().map(|c| *c.stats()));
         PmuSnapshot { levels, bus_wait_cycles: 0, cycles: 0 }
     }
 
@@ -131,16 +52,12 @@ impl PmuSnapshot {
     /// than a full hierarchy (e.g. the single-cache Prime+Probe
     /// campaign).
     pub fn from_level_stats(levels: &[CacheStats]) -> Self {
-        PmuSnapshot {
-            levels: levels.iter().map(PmuCounters::from_stats).collect(),
-            bus_wait_cycles: 0,
-            cycles: 0,
-        }
+        PmuSnapshot { levels: levels.to_vec(), bus_wait_cycles: 0, cycles: 0 }
     }
 
     /// Appends one more monitored level (e.g. the shared LLC).
     pub fn with_level(mut self, stats: &CacheStats) -> Self {
-        self.levels.push(PmuCounters::from_stats(stats));
+        self.levels.push(*stats);
         self
     }
 
@@ -161,21 +78,19 @@ impl PmuSnapshot {
     /// mismatch clears [`PmuDelta::monotone`] instead of panicking;
     /// mismatched snapshots compare over their common level prefix.
     pub fn delta(&self, before: &PmuSnapshot) -> PmuDelta {
-        let mut monotone = self.levels.len() == before.levels.len();
+        let mut monotone = self.levels.len() == before.levels.len()
+            && self.bus_wait_cycles >= before.bus_wait_cycles
+            && self.cycles >= before.cycles;
         let levels = self
             .levels
             .iter()
             .zip(&before.levels)
-            .map(|(after, b)| after.delta(b, &mut monotone))
+            .map(|(a, b)| a.since(b, &mut monotone))
             .collect();
         PmuDelta {
             levels,
-            bus_wait_cycles: sub_checked(
-                self.bus_wait_cycles,
-                before.bus_wait_cycles,
-                &mut monotone,
-            ),
-            cycles: sub_checked(self.cycles, before.cycles, &mut monotone),
+            bus_wait_cycles: self.bus_wait_cycles.saturating_sub(before.bus_wait_cycles),
+            cycles: self.cycles.saturating_sub(before.cycles),
             monotone,
         }
     }
@@ -186,7 +101,7 @@ impl PmuSnapshot {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PmuDelta {
     /// Per-level counter deltas (same order as the snapshots).
-    pub levels: Vec<PmuCounters>,
+    pub levels: Vec<CacheStats>,
     /// Bus-wait cycles accrued in the window.
     pub bus_wait_cycles: u64,
     /// Cycles elapsed in the window.
@@ -200,53 +115,34 @@ pub struct PmuDelta {
 
 impl PmuDelta {
     /// Sums the per-level deltas into one aggregate counter block.
-    pub fn total(&self) -> PmuCounters {
-        let mut total = PmuCounters::default();
-        for level in &self.levels {
-            total.accumulate(level);
-        }
-        total
+    pub fn total(&self) -> CacheStats {
+        self.levels.iter().fold(CacheStats::new(), |sum, &level| sum + level)
     }
 
-    /// Aggregate accesses across all monitored levels.
-    pub fn accesses(&self) -> u64 {
-        self.total().accesses
-    }
-
-    /// Aggregate misses across all monitored levels.
-    pub fn misses(&self) -> u64 {
-        self.total().misses
-    }
-
-    /// Aggregate miss rate in `[0, 1]`; 0 for an empty window. Clamped
-    /// at 1 — counter skew on a non-monotone delta could otherwise
-    /// leave more miss delta than access delta.
+    /// Aggregate miss rate in `[0, 1]`; 0 for an empty window. Each
+    /// level's access delta is its hit delta plus its miss delta, so
+    /// misses never exceed accesses, rewound or not.
     pub fn miss_rate(&self) -> f64 {
-        let t = self.total();
-        if t.accesses == 0 {
-            0.0
-        } else {
-            (t.misses as f64 / t.accesses as f64).min(1.0)
-        }
+        self.total().miss_rate()
     }
 
     /// Coherence invalidations per access; 0 for an empty window.
     pub fn inval_rate(&self) -> f64 {
         let t = self.total();
-        if t.accesses == 0 {
+        if t.accesses() == 0 {
             0.0
         } else {
-            t.coh_invalidations as f64 / t.accesses as f64
+            t.coh_invalidations() as f64 / t.accesses() as f64
         }
     }
 
     /// Cross-process evictions per access; 0 for an empty window.
     pub fn cross_eviction_rate(&self) -> f64 {
         let t = self.total();
-        if t.accesses == 0 {
+        if t.accesses() == 0 {
             0.0
         } else {
-            t.cross_process_evictions as f64 / t.accesses as f64
+            t.cross_process_evictions() as f64 / t.accesses() as f64
         }
     }
 }
@@ -268,11 +164,6 @@ impl PmuSampler {
     /// operations (clamped to ≥ 1), baselined at `initial`.
     pub fn new(window_ops: u64, initial: PmuSnapshot) -> Self {
         PmuSampler { window_ops: window_ops.max(1), pending_ops: 0, windows: 0, baseline: initial }
-    }
-
-    /// The configured window length in ops.
-    pub fn window_ops(&self) -> u64 {
-        self.window_ops
     }
 
     /// Windows cut so far.
@@ -329,8 +220,8 @@ mod tests {
         let after = PmuSnapshot::from_level_stats(&[stats_with(30, 10)]).with_cycles(500);
         let d = after.delta(&before);
         assert!(d.monotone);
-        assert_eq!(d.accesses(), 28);
-        assert_eq!(d.misses(), 8);
+        assert_eq!(d.total().accesses(), 28);
+        assert_eq!(d.total().misses(), 8);
         assert_eq!(d.cycles, 500);
         assert!((d.miss_rate() - 8.0 / 28.0).abs() < 1e-12);
     }
@@ -341,7 +232,7 @@ mod tests {
         let after = PmuSnapshot::from_level_stats(&[stats_with(3, 1)]).with_cycles(1_200);
         let d = after.delta(&before);
         assert!(!d.monotone, "counter rewind must be flagged");
-        assert_eq!(d.misses(), 0, "underflow must clamp to zero, not wrap");
+        assert_eq!(d.total().misses(), 0, "underflow must clamp to zero, not wrap");
         assert_eq!(d.cycles, 200, "untouched counters still subtract exactly");
     }
 
@@ -352,7 +243,7 @@ mod tests {
         let d = after.delta(&before);
         assert!(!d.monotone);
         assert_eq!(d.levels.len(), 1, "compares over the common prefix");
-        assert_eq!(d.accesses(), 5);
+        assert_eq!(d.total().accesses(), 5);
     }
 
     #[test]
@@ -371,7 +262,7 @@ mod tests {
         assert!(sampler.note_ops(1), "100 ops is a full window");
         let d = sampler.cut(PmuSnapshot::from_level_stats(&[stats_with(7, 3)]));
         assert!(d.monotone);
-        assert_eq!(d.misses(), 3);
+        assert_eq!(d.total().misses(), 3);
         assert_eq!(sampler.windows(), 1);
         assert!(!sampler.note_ops(99), "cut resets the pending-op count");
     }
@@ -383,9 +274,9 @@ mod tests {
         let s2 = PmuSnapshot::from_level_stats(&[stats_with(15, 5)]);
         let mut sampler = PmuSampler::new(1, s0);
         sampler.note_ops(1);
-        assert_eq!(sampler.cut(s1).misses(), 4);
+        assert_eq!(sampler.cut(s1).total().misses(), 4);
         sampler.note_ops(1);
-        assert_eq!(sampler.cut(s2).misses(), 1, "second window counts only its own misses");
+        assert_eq!(sampler.cut(s2).total().misses(), 1, "second window counts only its own misses");
     }
 
     #[test]
@@ -397,7 +288,7 @@ mod tests {
         sampler.rebaseline(flushy);
         sampler.note_ops(1);
         let d = sampler.cut(after);
-        assert_eq!(d.misses(), 2, "the flush transient must not leak into the window");
+        assert_eq!(d.total().misses(), 2, "the flush transient must not leak into the window");
         assert_eq!(sampler.windows(), 1, "rebaseline itself emits no window");
     }
 
@@ -406,13 +297,7 @@ mod tests {
         let h = crate::setup::SetupKind::TsCache.build(0xfeed);
         let snap = PmuSnapshot::capture(&h);
         assert_eq!(snap.levels.len(), 3, "paper platform: L1I + L1D + L2");
-        assert_eq!(snap.levels[0], PmuCounters::from_stats(h.l1i().stats()));
-        assert_eq!(snap.levels[1], PmuCounters::from_stats(h.l1d().stats()));
-    }
-
-    #[test]
-    fn delta_u64_saturates() {
-        assert_eq!(delta_u64(10, 3), 7);
-        assert_eq!(delta_u64(3, 10), 0);
+        assert_eq!(snap.levels[0], *h.l1i().stats());
+        assert_eq!(snap.levels[1], *h.l1d().stats());
     }
 }

@@ -166,6 +166,31 @@ impl CacheStats {
     pub fn reset(&mut self) {
         *self = Self::default();
     }
+
+    /// The counts accrued since `before`, counter by counter. Each
+    /// subtraction saturates at zero: a counter that went backwards (a
+    /// [`reset`](Self::reset) between the two reads) reads 0 and
+    /// clears `monotone`, so a window delta is a floor, never a wrapped
+    /// `u64` or a panic.
+    pub fn since(&self, before: &CacheStats, monotone: &mut bool) -> CacheStats {
+        let mut sub = |after: u64, before: u64| {
+            *monotone &= after >= before;
+            after.saturating_sub(before)
+        };
+        CacheStats {
+            hits: sub(self.hits, before.hits),
+            misses: sub(self.misses, before.misses),
+            evictions: sub(self.evictions, before.evictions),
+            cross_process_evictions: sub(
+                self.cross_process_evictions,
+                before.cross_process_evictions,
+            ),
+            writebacks: sub(self.writebacks, before.writebacks),
+            flushes: sub(self.flushes, before.flushes),
+            coh_invalidations: sub(self.coh_invalidations, before.coh_invalidations),
+            ttl_expiries: sub(self.ttl_expiries, before.ttl_expiries),
+        }
+    }
 }
 
 impl Add for CacheStats {
@@ -259,6 +284,35 @@ mod tests {
         s.record_hit();
         s.reset();
         assert_eq!(s.accesses(), 0);
+    }
+
+    #[test]
+    fn since_subtracts_growth_and_saturates_a_rewound_counter() {
+        let mut before = CacheStats::new();
+        before.record_hit();
+        before.record_miss(true);
+        let mut after = before;
+        after.record_hit();
+        after.record_writeback();
+        after.record_ttl_expiry();
+        let mut monotone = true;
+        let grown = after.since(&before, &mut monotone);
+        assert!(monotone);
+        assert_eq!((grown.hits(), grown.misses(), grown.evictions()), (1, 0, 0));
+        assert_eq!((grown.writebacks(), grown.ttl_expiries()), (1, 1));
+
+        let mut rewound = after;
+        rewound.reset();
+        rewound.record_miss(false);
+        let d = rewound.since(&after, &mut monotone);
+        assert!(!monotone, "a rewound counter must clear monotone");
+        assert_eq!(d.hits(), 0, "underflow must clamp to zero, not wrap");
+        assert_eq!(d.misses(), 0);
+        assert_eq!(d.accesses(), 0);
+
+        let mut still = true;
+        after.since(&after, &mut still);
+        assert!(still, "an unchanged block is monotone");
     }
 
     #[test]

@@ -3,16 +3,22 @@
 //! rewind (the underflow bug class the delta-safe path exists for).
 
 use proptest::prelude::*;
-use tscache_core::pmu::{delta_u64, PmuSampler, PmuSnapshot};
+use tscache_core::pmu::{PmuSampler, PmuSnapshot};
 use tscache_core::stats::CacheStats;
 
-fn stats(hits: u64, misses: u64, invals: u64, xev: u64) -> CacheStats {
+/// One level's counts: `((hits, clean misses, evicting misses,
+/// coherence invalidations), (cross-process evictions, writebacks,
+/// flushes, TTL expiries))`, so all eight `CacheStats` counters vary
+/// independently.
+type Level = ((u64, u64, u64, u64), (u64, u64, u64, u64));
+
+fn stats(&((hits, clean, evicting, invals), (xev, wbs, flushes, ttls)): &Level) -> CacheStats {
     let mut s = CacheStats::new();
     for _ in 0..hits {
         s.record_hit();
     }
-    for _ in 0..misses {
-        s.record_miss(true);
+    for k in 0..clean + evicting {
+        s.record_miss(k < evicting);
     }
     for _ in 0..invals {
         s.record_coh_invalidation();
@@ -20,18 +26,34 @@ fn stats(hits: u64, misses: u64, invals: u64, xev: u64) -> CacheStats {
     for _ in 0..xev {
         s.record_cross_process_eviction();
     }
+    s.record_writebacks(wbs);
+    for _ in 0..flushes {
+        s.record_flush();
+    }
+    for _ in 0..ttls {
+        s.record_ttl_expiry();
+    }
     s
 }
 
-type Level = (u64, u64, u64, u64);
+/// A level with only hits and (clean) misses.
+fn hm(hits: u64, misses: u64) -> Level {
+    ((hits, misses, 0, 0), (0, 0, 0, 0))
+}
+
+/// Counter-wise sum of two levels.
+fn sum(&((a0, a1, a2, a3), (a4, a5, a6, a7)): &Level, b: &Level) -> Level {
+    let ((b0, b1, b2, b3), (b4, b5, b6, b7)) = *b;
+    ((a0 + b0, a1 + b1, a2 + b2, a3 + b3), (a4 + b4, a5 + b5, a6 + b6, a7 + b7))
+}
 
 fn snapshot(levels: &[Level], bus: u64, cycles: u64) -> PmuSnapshot {
-    let stats: Vec<CacheStats> = levels.iter().map(|&(h, m, i, x)| stats(h, m, i, x)).collect();
+    let stats: Vec<CacheStats> = levels.iter().map(stats).collect();
     PmuSnapshot::from_level_stats(&stats).with_bus_wait(bus).with_cycles(cycles)
 }
 
 fn level() -> impl Strategy<Value = Level> {
-    (0u64..200, 0u64..200, 0u64..50, 0u64..50)
+    ((0u64..200, 0u64..200, 0u64..50, 0u64..50), (0u64..50, 0u64..50, 0u64..20, 0u64..20))
 }
 
 proptest! {
@@ -51,14 +73,17 @@ proptest! {
         let t = d.total();
         // u64 fields cannot be negative; what matters is that the
         // saturating path never wrapped toward u64::MAX.
-        prop_assert!(t.accesses <= a.levels.iter().map(|l| l.accesses).sum::<u64>());
-        prop_assert!(t.misses <= a.levels.iter().map(|l| l.misses).sum::<u64>());
+        prop_assert!(t.accesses() <= a.levels.iter().map(CacheStats::accesses).sum::<u64>());
+        prop_assert!(t.misses() <= a.levels.iter().map(CacheStats::misses).sum::<u64>());
         prop_assert!(d.bus_wait_cycles <= bus.1);
         prop_assert!(d.cycles <= cyc.1);
         for rate in [d.miss_rate(), d.inval_rate(), d.cross_eviction_rate()] {
             prop_assert!(rate.is_finite() && rate >= 0.0, "rate {rate} out of range");
         }
+        // No clamp: a level's access delta is its hit delta plus its
+        // miss delta, so misses cannot outrun accesses even on a rewind.
         prop_assert!(d.miss_rate() <= 1.0);
+        prop_assert!(t.misses() <= t.accesses());
     }
 
     /// The monotone flag is `true` exactly when no counter rewound and
@@ -71,14 +96,18 @@ proptest! {
         let b = snapshot(&base, 10, 10);
         if base.len() == grow.len() {
             // Growing every counter from the same base is monotone by
-            // construction.
-            let grown: Vec<Level> = base
-                .iter()
-                .zip(&grow)
-                .map(|(x, y)| (x.0 + y.0, x.1 + y.1, x.2 + y.2, x.3 + y.3))
-                .collect();
+            // construction, and each level's delta is exactly the
+            // growth's own counter block, all eight counters of it.
+            let grown: Vec<Level> = base.iter().zip(&grow).map(|(x, y)| sum(x, y)).collect();
             let a = snapshot(&grown, 20, 30);
-            prop_assert!(a.delta(&b).monotone);
+            let d = a.delta(&b);
+            prop_assert!(d.monotone);
+            prop_assert_eq!(d.levels.len(), grow.len());
+            for (level, y) in d.levels.iter().zip(&grow) {
+                prop_assert_eq!(*level, stats(y));
+            }
+            prop_assert_eq!((d.bus_wait_cycles, d.cycles), (10, 20));
+            prop_assert!(d.miss_rate() <= 1.0, "miss rate {} above 1", d.miss_rate());
         } else {
             let a = snapshot(&grow, 20, 30);
             prop_assert!(!a.delta(&b).monotone, "level-count mismatch must clear monotone");
@@ -88,16 +117,17 @@ proptest! {
     /// A reset (counters rewound to zero) clamps instead of wrapping.
     #[test]
     fn reset_mid_window_clamps(
-        lvl in (1u64..100, 1u64..100, 0u64..20, 0u64..20),
+        lvl in level(),
+        hits in 1u64..100,
         bus in 1u64..1_000,
     ) {
-        let b = snapshot(&[lvl], bus, bus);
-        let a = snapshot(&[(0, 0, 0, 0)], 0, 0);
+        let b = snapshot(&[sum(&lvl, &hm(hits, 0))], bus, bus);
+        let a = snapshot(&[hm(0, 0)], 0, 0);
         let d = a.delta(&b);
         prop_assert!(!d.monotone);
-        prop_assert_eq!(d.accesses(), 0);
+        prop_assert_eq!(d.levels[0], CacheStats::new());
         prop_assert_eq!(d.bus_wait_cycles, 0);
-        prop_assert_eq!(delta_u64(0, bus), 0);
+        prop_assert_eq!(d.cycles, 0);
     }
 
     /// Sampler windows partition the run: per-window deltas sum to the
@@ -108,22 +138,22 @@ proptest! {
         window_ops in 1u64..16,
     ) {
         let mut total = (0u64, 0u64);
-        let mut sampler = PmuSampler::new(window_ops, snapshot(&[(0, 0, 0, 0)], 0, 0));
+        let mut sampler = PmuSampler::new(window_ops, snapshot(&[hm(0, 0)], 0, 0));
         let mut seen = (0u64, 0u64);
         for &(h, m) in &steps {
             total.0 += h;
             total.1 += m;
             if sampler.note_ops(h + m) {
-                let d = sampler.cut(snapshot(&[(total.0, total.1, 0, 0)], 0, 0));
+                let d = sampler.cut(snapshot(&[hm(total.0, total.1)], 0, 0));
                 prop_assert!(d.monotone);
-                seen.0 += d.accesses();
-                seen.1 += d.misses();
+                seen.0 += d.total().accesses();
+                seen.1 += d.total().misses();
             }
         }
         // Close the final partial window.
-        let d = sampler.cut(snapshot(&[(total.0, total.1, 0, 0)], 0, 0));
-        seen.0 += d.accesses();
-        seen.1 += d.misses();
+        let d = sampler.cut(snapshot(&[hm(total.0, total.1)], 0, 0));
+        seen.0 += d.total().accesses();
+        seen.1 += d.total().misses();
         prop_assert_eq!(seen.1, total.1, "windows must partition the miss stream");
         prop_assert_eq!(seen.0, total.0 + total.1, "windows must partition the access stream");
     }

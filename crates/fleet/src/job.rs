@@ -100,11 +100,11 @@ fn flatten_pmu_delta(delta: &PmuDelta) -> Vec<u64> {
     row.push(delta.bus_wait_cycles);
     row.push(delta.monotone as u64);
     for level in &delta.levels {
-        row.push(level.accesses);
-        row.push(level.misses);
-        row.push(level.writebacks);
-        row.push(level.cross_process_evictions);
-        row.push(level.coh_invalidations);
+        row.push(level.accesses());
+        row.push(level.misses());
+        row.push(level.writebacks());
+        row.push(level.cross_process_evictions());
+        row.push(level.coh_invalidations());
     }
     row
 }

@@ -1,25 +1,23 @@
 //! End-to-end MBPTA driver: measurements → i.i.d. tests → EVT →
 //! pWCET curve (the full pipeline of paper Fig. 1 left).
 
-use crate::iid::{validate_iid, IidReport};
+use crate::iid::{validate_iid_paper, IidReport};
 use crate::pwcet::PwcetCurve;
 use crate::stats::{summarize, to_f64, Summary};
 use core::fmt;
 
-/// Configuration of the MBPTA pipeline.
+/// Configuration of the MBPTA pipeline. The i.i.d. gate always runs
+/// the paper's protocol (§6.2.2: Ljung-Box over 20 lags and the KS
+/// test, at α = 0.05).
 #[derive(Debug, Clone, Copy)]
 pub struct MbptaConfig {
     /// Block size for block-maxima EVT fitting.
     pub block_size: usize,
-    /// Ljung-Box lags (the paper uses 20).
-    pub lags: usize,
-    /// Significance level for the i.i.d. tests (the paper uses 0.05).
-    pub alpha: f64,
 }
 
 impl Default for MbptaConfig {
     fn default() -> Self {
-        MbptaConfig { block_size: 20, lags: 20, alpha: 0.05 }
+        MbptaConfig { block_size: 20 }
     }
 }
 
@@ -65,8 +63,8 @@ impl fmt::Display for MbptaAnalysis {
 ///
 /// # Panics
 ///
-/// Panics if the series is too short for the configured i.i.d. tests
-/// or block size (roughly `max(2·(lags+2), 2·block_size)` runs).
+/// Panics if the series is too short for the i.i.d. tests or the
+/// block size (roughly `max(44, 2·block_size)` runs).
 ///
 /// # Examples
 ///
@@ -81,7 +79,7 @@ pub fn analyze(times: &[u64], cfg: &MbptaConfig) -> MbptaAnalysis {
     let xs = to_f64(times);
     MbptaAnalysis {
         summary: summarize(&xs),
-        iid: validate_iid(&xs, cfg.lags, cfg.alpha),
+        iid: validate_iid_paper(&xs),
         curve: PwcetCurve::fit(&xs, cfg.block_size),
     }
 }

@@ -32,6 +32,6 @@ pub use cv::{residual_cv, CvResult};
 pub use evt::{fit_gumbel, Gumbel};
 pub use iid::{validate_iid, validate_iid_paper, IidReport};
 pub use ks::{ks_two_sample, KsResult};
-pub use ljung_box::{ljung_box, ljung_box_20, LjungBoxResult};
+pub use ljung_box::{ljung_box, LjungBoxResult};
 pub use merge::{merge_shard_times, pooled_summary};
 pub use pwcet::{PotPwcet, PwcetCurve};

@@ -68,11 +68,6 @@ pub fn ljung_box(sample: &[f64], lags: usize) -> LjungBoxResult {
     LjungBoxResult { statistic: q, lags, p_value: chi2_sf(q, lags as u32), autocorrelations: acs }
 }
 
-/// The paper's configuration: 20 lags (§6.2.2).
-pub fn ljung_box_20(sample: &[f64]) -> LjungBoxResult {
-    ljung_box(sample, 20)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,7 +87,7 @@ mod tests {
     fn white_noise_passes() {
         let mut passes = 0;
         for s in 0..40u64 {
-            if ljung_box_20(&noise(s + 1, 400)).passes(0.05) {
+            if ljung_box(&noise(s + 1, 400), 20).passes(0.05) {
                 passes += 1;
             }
         }
@@ -108,7 +103,7 @@ mod tests {
         for i in 1..500 {
             x[i] = 0.7 * x[i - 1] + e[i];
         }
-        let r = ljung_box_20(&x);
+        let r = ljung_box(&x, 20);
         assert!(!r.passes(0.05), "{r}");
         assert!(r.autocorrelations[0] > 0.4);
     }
@@ -122,7 +117,7 @@ mod tests {
             weak[i] = 0.2 * weak[i - 1] + e[i];
             strong[i] = 0.9 * strong[i - 1] + e[i];
         }
-        assert!(ljung_box_20(&strong).statistic > ljung_box_20(&weak).statistic);
+        assert!(ljung_box(&strong, 20).statistic > ljung_box(&weak, 20).statistic);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use tscache_mbpta::cv::residual_cv;
 use tscache_mbpta::ks::ks_two_sample;
-use tscache_mbpta::ljung_box::{ljung_box, ljung_box_20};
+use tscache_mbpta::ljung_box::ljung_box;
 
 /// The fixture stream: the same LCG the kernels' unit tests use, so
 /// fixtures are reproducible from the seed alone.
@@ -70,7 +70,7 @@ fn ks_two_sample_golden() {
 #[test]
 fn ljung_box_golden() {
     let noise = lcg_stream(7, 500);
-    let r = ljung_box_20(&noise);
+    let r = ljung_box(&noise, 20);
     assert_eq!(r.lags, 20);
     assert_eq!(r.autocorrelations.len(), 20);
     assert_close!(r.statistic, 27.210840904446602, 1e-9, "LB Q (noise)");
@@ -115,7 +115,7 @@ fn print_golden_values() {
     println!("ks shifted: D={:.15} p={:.15}", r2.statistic, r2.p_value);
 
     let noise = lcg_stream(7, 500);
-    let lb = ljung_box_20(&noise);
+    let lb = ljung_box(&noise, 20);
     println!(
         "lb noise: Q={:.15} p={:.15} rho1={:.15}",
         lb.statistic, lb.p_value, lb.autocorrelations[0]

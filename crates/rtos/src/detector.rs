@@ -31,8 +31,6 @@ const INVAL_WEIGHT: f64 = 4.0;
 /// Detector tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
-    /// Sampling window length, in retired memory operations.
-    pub window_ops: u64,
     /// Suspicion-score threshold above which a window raises a
     /// [`DetectionEvent`]. The default is calibrated so benign
     /// schedules (including contended and coherent-image campaigns)
@@ -50,16 +48,13 @@ pub struct DetectorConfig {
 
 impl Default for DetectorConfig {
     fn default() -> Self {
-        DetectorConfig { window_ops: 1024, threshold: 1.10, cross_weight: 0.0 }
+        DetectorConfig { threshold: 1.10, cross_weight: 0.0 }
     }
 }
 
 impl DetectorConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.window_ops == 0 {
-            return Err(ConfigError::incompatible("detector window_ops must be >= 1"));
-        }
         for (name, v) in [("threshold", self.threshold), ("cross_weight", self.cross_weight)] {
             if !v.is_finite() || v < 0.0 {
                 return Err(ConfigError::incompatible(format!(
@@ -282,10 +277,8 @@ mod tests {
     }
 
     #[test]
-    fn default_config_validates_and_zero_window_rejects() {
+    fn default_config_validates_and_nan_threshold_rejects() {
         DetectorConfig::default().validate().expect("default must be valid");
-        let bad = DetectorConfig { window_ops: 0, ..DetectorConfig::default() };
-        assert!(bad.validate().is_err());
         let nan = DetectorConfig { threshold: f64::NAN, ..DetectorConfig::default() };
         assert!(nan.validate().is_err());
     }

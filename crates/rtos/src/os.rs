@@ -13,7 +13,7 @@ use crate::schedule::Schedule;
 use core::fmt;
 use tscache_core::error::ConfigError;
 use tscache_core::hierarchy::SharedLlc;
-use tscache_core::pmu::{delta_u64, PmuSampler, PmuSnapshot};
+use tscache_core::pmu::{PmuSampler, PmuSnapshot};
 use tscache_core::prng::SplitMix64;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::SetupKind;
@@ -51,6 +51,9 @@ impl fmt::Display for SeedPolicy {
 /// pipeline drain.
 const CONTEXT_SWITCH_CYCLES: u32 = 30;
 
+/// The online detector's sampling window, in retired memory operations.
+const DETECTOR_WINDOW_OPS: u64 = 1024;
+
 /// OS configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct OsConfig {
@@ -77,9 +80,10 @@ pub struct OsConfig {
     /// suite pins as deterministic.
     pub coherent_image: bool,
     /// Run the online attack detector alongside the schedule: a
-    /// counting-mode PMU sampler cuts counter deltas at op-window
-    /// boundaries and a sliding-window detector scores them (see
-    /// [`crate::detector`]). `None` (the default) costs nothing.
+    /// counting-mode PMU sampler cuts a counter delta every 1,024
+    /// retired memory operations and a sliding-window detector scores
+    /// it (see [`crate::detector`]). `None` (the default) costs
+    /// nothing.
     pub detector: Option<DetectorConfig>,
 }
 
@@ -339,14 +343,6 @@ impl TscacheOs {
         }
     }
 
-    /// The report-accounting snapshot: private hierarchy only, so the
-    /// campaign counters keep their historical meaning (the shared
-    /// level's own churn is not the measured core's).
-    fn core_snapshot(&self) -> PmuSnapshot {
-        PmuSnapshot::capture(self.machine.hierarchy())
-            .with_bus_wait(self.machine.contention_cycles())
-    }
-
     fn reseed_all(&mut self, report: &mut CampaignReport) {
         let mut assignments: Vec<(ProcessId, Seed)> = Vec::new();
         match self.config.seed_policy {
@@ -381,18 +377,22 @@ impl TscacheOs {
         let start = self.machine.cycles();
         self.machine.run_trace(&w.ops);
         self.machine.execute(w.instrs);
-        delta_u64(self.machine.cycles(), start)
+        self.machine.cycles().saturating_sub(start)
     }
 
     /// Runs `hyperperiods` full passes of the schedule and returns the
     /// per-runnable execution times plus overhead accounting.
     pub fn run(&mut self, hyperperiods: u32) -> CampaignReport {
         let mut report = CampaignReport::new(self.app.runnables().len());
-        let campaign_before = self.core_snapshot();
+        // The report counts the measured core's own bus waits and the
+        // invalidations of its private levels, not the shared level's.
+        let bus_wait_before = self.machine.contention_cycles();
+        let coh_before = self.machine.hierarchy().total_stats().coh_invalidations();
         // Counting-mode monitoring: one integer add per job on the
         // fast path; snapshots only at window boundaries.
         let mut monitor = self.config.detector.map(|cfg| {
-            (PmuSampler::new(cfg.window_ops, self.pmu_snapshot()), SlidingWindowDetector::new(cfg))
+            let sampler = PmuSampler::new(DETECTOR_WINDOW_OPS, self.pmu_snapshot());
+            (sampler, SlidingWindowDetector::new(cfg))
         });
         let jobs: Vec<_> = self.schedule.jobs().to_vec();
         let mut current_swc: Option<SwcId> = None;
@@ -405,7 +405,7 @@ impl TscacheOs {
             if let Some(rec) = &self.recorder {
                 rec.borrow_mut().record(t0, Event::CacheFlush { scope: FlushScope::Hyperperiod });
             }
-            report.overhead_cycles += delta_u64(self.machine.cycles(), t0);
+            report.overhead_cycles += self.machine.cycles().saturating_sub(t0);
             if let Some((sampler, detector)) = monitor.as_mut() {
                 // The OS owns this flush: swallow its counter churn
                 // and mask the cold-restart window that follows.
@@ -426,7 +426,7 @@ impl TscacheOs {
                     self.machine.context_switch(swc.process_id(), CONTEXT_SWITCH_CYCLES);
                     report.context_switches += 1;
                     report.seed_swaps += 1;
-                    report.overhead_cycles += delta_u64(self.machine.cycles(), t0);
+                    report.overhead_cycles += self.machine.cycles().saturating_sub(t0);
                     current_swc = Some(swc);
                 }
                 if self.config.seed_policy == SeedPolicy::PerJob {
@@ -485,9 +485,9 @@ impl TscacheOs {
                 }
             }
         }
-        let campaign_delta = self.core_snapshot().delta(&campaign_before);
-        report.bus_wait_cycles = campaign_delta.bus_wait_cycles;
-        report.coh_invalidations = campaign_delta.total().coh_invalidations;
+        report.bus_wait_cycles = self.machine.contention_cycles().saturating_sub(bus_wait_before);
+        report.coh_invalidations =
+            self.machine.hierarchy().total_stats().coh_invalidations().saturating_sub(coh_before);
         report.detection = monitor.map(|(_, detector)| detector.into_report());
         report
     }
@@ -752,7 +752,7 @@ mod tests {
     #[test]
     fn invalid_detector_config_is_a_typed_error() {
         let detector = Some(crate::detector::DetectorConfig {
-            window_ops: 0,
+            threshold: f64::NAN,
             ..crate::detector::DetectorConfig::default()
         });
         let config = OsConfig { detector, ..OsConfig::default() };

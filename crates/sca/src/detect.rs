@@ -71,6 +71,18 @@ impl DetectTarget {
             DetectTarget::Bernstein => "bernstein",
         }
     }
+
+    /// The detector's cross-process-eviction weight for this target.
+    /// The Prime+Probe and Bernstein campaigns monitor a concurrently
+    /// shared cache, where sustained cross-process eviction pressure is
+    /// the attack; the Flush+Reload campaign relies on the coherence
+    /// term alone.
+    fn cross_weight(self) -> f64 {
+        match self {
+            DetectTarget::PrimeProbe | DetectTarget::Bernstein => 4.0,
+            DetectTarget::FlushReload => 0.0,
+        }
+    }
 }
 
 /// Attacker stealth strategy — the evasion axis.
@@ -127,12 +139,6 @@ pub struct DetectionCampaignConfig {
     pub master_seed: u64,
     /// Attacker stealth strategy.
     pub evasion: EvasionMode,
-    /// Detector weights. [`DetectorConfig::threshold`] is *not* used
-    /// for event generation — the campaign computes its own
-    /// zero-false-positive operating threshold from the benign trace —
-    /// and [`DetectorConfig::window_ops`] is superseded by
-    /// `window_rounds` (the campaign counts rounds, not retired ops).
-    pub detector: DetectorConfig,
     /// When `false`, the benign run and all PMU sampling are skipped
     /// and only the attack loop executes — the unsampled baseline the
     /// bench suite compares against to price the sampling overhead.
@@ -149,16 +155,8 @@ pub const OPERATING_MARGIN: f64 = 0.05;
 
 impl DetectionCampaignConfig {
     /// The standard campaign for a target: 192 rounds in 8-round
-    /// windows, with per-target detector weights (shared-cache
-    /// campaigns weight cross-process evictions in; the Flush+Reload
-    /// campaign relies on the default coherence weight).
+    /// windows, undefended, with no evasion.
     pub fn standard(target: DetectTarget, setup: SetupKind, master_seed: u64) -> Self {
-        let detector = match target {
-            DetectTarget::PrimeProbe | DetectTarget::Bernstein => {
-                DetectorConfig { cross_weight: 4.0, ..DetectorConfig::default() }
-            }
-            DetectTarget::FlushReload => DetectorConfig::default(),
-        };
         DetectionCampaignConfig {
             target,
             setup,
@@ -166,7 +164,6 @@ impl DetectionCampaignConfig {
             window_rounds: 8,
             master_seed,
             evasion: EvasionMode::None,
-            detector,
             sample: true,
             defense: DefenseKind::Off,
         }
@@ -184,7 +181,6 @@ impl DetectionCampaignConfig {
                 "detection campaign needs 0 < window_rounds <= rounds",
             ));
         }
-        self.detector.validate()?;
         self.defense.validate_platform(self.target == DetectTarget::FlushReload)
     }
 }
@@ -593,7 +589,9 @@ pub fn run_detection_campaign(
         (WindowTrace::default(), trace(true)?)
     };
 
-    let score = |d: &PmuDelta| SlidingWindowDetector::score(&cfg.detector, d);
+    let weights =
+        DetectorConfig { cross_weight: cfg.target.cross_weight(), ..DetectorConfig::default() };
+    let score = |d: &PmuDelta| SlidingWindowDetector::score(&weights, d);
     let benign_scores: Vec<f64> = benign.deltas.iter().map(score).collect();
     let attack_scores: Vec<f64> = attack.deltas.iter().map(score).collect();
     let roc = RocCurve::from_scores(&attack_scores, &benign_scores);
@@ -603,10 +601,8 @@ pub fn run_detection_campaign(
     } else {
         f64::INFINITY
     };
-    let mut detector = SlidingWindowDetector::new(DetectorConfig {
-        threshold: operating_threshold,
-        ..cfg.detector
-    });
+    let mut detector =
+        SlidingWindowDetector::new(DetectorConfig { threshold: operating_threshold, ..weights });
     for delta in &attack.deltas {
         detector.ingest(delta);
     }
@@ -786,8 +782,6 @@ mod tests {
         assert!(DetectionCampaignConfig { window_rounds: good.rounds + 1, ..good }
             .validate()
             .is_err());
-        let bad_detector = DetectorConfig { cross_weight: f64::NAN, ..DetectorConfig::default() };
-        assert!(DetectionCampaignConfig { detector: bad_detector, ..good }.validate().is_err());
         assert!(run_detection_campaign(&DetectionCampaignConfig { rounds: 0, ..good }).is_err());
     }
 

@@ -35,10 +35,10 @@ impl EvictTimeOutcome {
 
 /// Runs `trials` Evict+Time rounds against the L1D policy of `setup`
 /// with a defense-zoo policy armed on the L1 under attack. TTL expiries
-/// inject slowdowns uncorrelated with the attacker's target choice;
-/// [`DefenseKind::RandomSafe`] swaps in the Random-and-Safe platform;
-/// the rotation defenses are no-ops here (single private L1, no shared
-/// level).
+/// inject slowdowns uncorrelated with the attacker's target choice, and
+/// [`DefenseKind::RandomSafe`] swaps in the Random-and-Safe platform.
+/// The rotation defenses are refused: a single private L1 has no shared
+/// level to rotate.
 ///
 /// Per trial: the victim warms its secret line; the attacker evicts the
 /// lines of one target index (four ways deep, at its own addresses);
@@ -52,7 +52,8 @@ impl EvictTimeOutcome {
 ///
 /// # Errors
 ///
-/// [`ConfigError`] when `trials` is zero (the rate would be 0/0).
+/// [`ConfigError`] when `trials` is zero (the rate would be 0/0) or
+/// `defense` is a seed-rotation defense.
 pub fn run_evict_time(
     setup: SetupKind,
     defense: DefenseKind,
@@ -62,6 +63,7 @@ pub fn run_evict_time(
     if trials == 0 {
         return Err(ConfigError::incompatible("evict+time needs trials > 0"));
     }
+    defense.validate_platform(false)?;
     let victim = ProcessId::new(1);
     let attacker = ProcessId::new(2);
 

@@ -39,9 +39,9 @@ impl PrimeProbeOutcome {
 /// Runs `trials` Prime+Probe rounds against the L1D policy of `setup`
 /// with a [`DefenseKind`] from the zoo layered on top:
 /// [`DefenseKind::RandomSafe`] swaps the platform for the
-/// Random-and-Safe configuration, TTL and normalization arm the
-/// cache, and the rotation defenses are no-ops here (this primitive
-/// attacks a single private L1 — no shared level to rotate).
+/// Random-and-Safe configuration, and TTL and normalization arm the
+/// cache. The rotation defenses are refused: this primitive attacks a
+/// single private L1, with no shared level to rotate.
 ///
 /// Per trial the victim accesses one secret line (index drawn from the
 /// trial's own RNG stream); the attacker primes the full cache, lets
@@ -55,7 +55,8 @@ impl PrimeProbeOutcome {
 ///
 /// # Errors
 ///
-/// [`ConfigError`] when `trials` is zero (the rates would be 0/0).
+/// [`ConfigError`] when `trials` is zero (the rates would be 0/0) or
+/// `defense` is a seed-rotation defense.
 pub fn run_prime_probe(
     setup: SetupKind,
     defense: DefenseKind,
@@ -65,6 +66,7 @@ pub fn run_prime_probe(
     if trials == 0 {
         return Err(ConfigError::incompatible("prime+probe needs trials > 0"));
     }
+    defense.validate_platform(false)?;
     let victim = ProcessId::new(1);
     let attacker = ProcessId::new(2);
     // Prime working set: 4 pages of attacker lines fill every set

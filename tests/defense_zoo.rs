@@ -137,10 +137,19 @@ fn mid_task_seed_rotation_breaks_mbpta_compliance() {
 #[test]
 fn defended_campaigns_reproduce_bit_for_bit() {
     for defense in DefenseKind::ALL {
-        let a = run_prime_probe(SetupKind::Deterministic, defense, 100, SEED).expect("trials > 0");
-        let b = run_prime_probe(SetupKind::Deterministic, defense, 100, SEED).expect("trials > 0");
-        assert_eq!(a.accuracy, b.accuracy, "{defense}");
-        assert_eq!(a.mean_evictions, b.mean_evictions, "{defense}");
+        let pp = || run_prime_probe(SetupKind::Deterministic, defense, 100, SEED);
+        if defense.needs_shared_level() {
+            // The L1 contention attacks target one private L1, with no
+            // shared level to rotate: a rotation is refused, not run
+            // undefended under a rotation label.
+            assert!(pp().is_err(), "{defense}");
+            let et = run_evict_time(SetupKind::Deterministic, defense, 100, SEED);
+            assert!(et.is_err(), "{defense}");
+        } else {
+            let (a, b) = (pp().expect("trials > 0"), pp().expect("trials > 0"));
+            assert_eq!(a.accuracy, b.accuracy, "{defense}");
+            assert_eq!(a.mean_evictions, b.mean_evictions, "{defense}");
+        }
         assert_eq!(mbpta_times(defense), mbpta_times(defense), "{defense}");
     }
 }

@@ -3,7 +3,7 @@
 //! execution times across hyperperiods (§6.2.2 at the OS level).
 
 use tscache::core::setup::SetupKind;
-use tscache::mbpta::ljung_box::ljung_box_20;
+use tscache::mbpta::ljung_box::ljung_box;
 use tscache::mbpta::stats::to_f64;
 use tscache::rtos::model::{Application, Runnable, SwcId};
 use tscache::rtos::os::{OsConfig, SeedPolicy, TscacheOs};
@@ -26,7 +26,7 @@ fn per_swc_times_are_independent_across_hyperperiods() {
     // job (R1, R2 precede it), its time is layout-dependent and the
     // series must pass Ljung-Box.
     let r3 = to_f64(&report.times[2]);
-    let lb = ljung_box_20(&r3);
+    let lb = ljung_box(&r3, 20);
     assert!(lb.passes(0.05), "{lb}");
 }
 
